@@ -30,6 +30,7 @@ from .geometry import (
     AngleTrajectory,
     FiberPath,
     TangentTrajectory,
+    anholonomy_integral,
     cone_trajectory,
     helix_points,
     load_path_csv,
@@ -41,6 +42,7 @@ from .geometry import (
     spherical_angles,
     tangent_trajectory,
     trajectory_from_tangents,
+    wrap_angle,
 )
 from .media import (
     DispersionVerdict,
@@ -52,7 +54,6 @@ from .media import (
 from .phases import (
     EvolutionResult,
     PhaseBreakdown,
-    anholonomy_integral,
     berry_phase_cyclic,
     closed_form_phase,
     effective_hamiltonian,
@@ -61,7 +62,6 @@ from .phases import (
     extract_phases,
     lvn_residual,
     phase_series,
-    wrap_angle,
 )
 from .scenario import (
     BUILTIN_SCENARIOS,

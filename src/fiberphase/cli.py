@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -63,6 +64,8 @@ def _parse_sweep_arg(text: str) -> tuple[str, list[float]]:
         raise ConfigError("sweep", f"could not parse values from {rest!r}") from None
     if not values:
         raise ConfigError("sweep", "no values supplied")
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError("sweep", f"values must be finite, got {rest!r}")
     return param, values
 
 
@@ -92,20 +95,7 @@ def main(argv=None) -> int:
                 raise ConfigError("config", f"invalid JSON: {exc}") from None
             data = apply_overrides(data, args.steps, args.nmax, args.tol)
             config = parse_config(data, path.stem, base_dir=path.parent)
-            if args.sweep:
-                param, values = _parse_sweep_arg(args.sweep)
-                code, csv_path = sweep(config, param, values, args.out)
-                print(f"wrote {csv_path}")
-                print(f"status: {'pass' if code == 0 else 'fail'}")
-                return code
-            outcome = run_scenario(config, args.out)
-            for f in outcome.files:
-                print(f"wrote {f}")
-            print(f"status: {outcome.summary['status']}")
-            return outcome.exit_code
-
-        # built-in scenario
-        if args.sweep:
+        elif args.sweep:
             if args.scenario not in BUILTIN_SCENARIOS:
                 known = ", ".join(sorted(BUILTIN_SCENARIOS))
                 raise ConfigError("scenario", f"unknown scenario {args.scenario!r}; known: {known}")
@@ -113,16 +103,23 @@ def main(argv=None) -> int:
             if len(members) != 1:
                 raise ConfigError("sweep", "sweeps need a single-run scenario as template")
             label, raw = members[0]
-            data = apply_overrides(raw, args.steps, args.nmax, args.tol)
-            config = parse_config(data, label)
+            config = parse_config(apply_overrides(raw, args.steps, args.nmax, args.tol), label)
+        else:
+            code = run_builtin(args.scenario, args.out, steps=args.steps, n_max=args.nmax, tolerance=args.tol)
+            print(f"status: {'pass' if code == 0 else 'fail'}")
+            return code
+
+        if args.sweep:
             param, values = _parse_sweep_arg(args.sweep)
             code, csv_path = sweep(config, param, values, args.out)
             print(f"wrote {csv_path}")
             print(f"status: {'pass' if code == 0 else 'fail'}")
             return code
-        code = run_builtin(args.scenario, args.out, steps=args.steps, n_max=args.nmax, tolerance=args.tol)
-        print(f"status: {'pass' if code == 0 else 'fail'}")
-        return code
+        outcome = run_scenario(config, args.out)
+        for f in outcome.files:
+            print(f"wrote {f}")
+        print(f"status: {outcome.summary['status']}")
+        return outcome.exit_code
     except ConfigError as exc:
         _error_report(exc)
         return EXIT_VALIDATION

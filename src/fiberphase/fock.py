@@ -105,10 +105,6 @@ class OperatorMatrix:
         self._check_space(state.space)
         return StateVector(self.space, self.entries @ state.amplitudes)
 
-    def restricted(self, indices: np.ndarray) -> np.ndarray:
-        """Submatrix over the given basis indices (rows and columns)."""
-        return self.entries[np.ix_(indices, indices)]
-
     def _check_space(self, other: FockSpace) -> None:
         if other is not self.space and other != self.space:
             raise ValueError("operands live on different Fock spaces")

@@ -4,11 +4,14 @@ The photon wave vector follows the local fibre tangent, so everything
 downstream only needs the unit tangent k(t), its time derivative, and
 the unwrapped spherical angles of k(t).  Helix and cone constructors
 produce those analytically; sampled point lists fall back to
-second-order finite differences.
+second-order finite differences.  The anholonomy integral, the solid
+angle swept by the tangent trace, lives here too: it depends on the
+tangent kinematics alone.
 """
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass
 
@@ -20,6 +23,22 @@ from .fock import _rotation_to_direction
 POLE_SIN_TOL = 1e-9
 CLOSURE_TOL = 1e-6
 TWO_PI = 2.0 * math.pi
+
+
+def wrap_angle(phi):
+    """Reduce angles to (-pi, pi]; elementwise for arrays, a float for scalars."""
+    w = (np.asarray(phi, dtype=float) + math.pi) % TWO_PI - math.pi
+    w = np.where(w == -math.pi, math.pi, w)
+    return float(w) if w.ndim == 0 else w
+
+
+def grid_index(times: np.ndarray, t: float) -> int:
+    """Index of the grid sample at time t, within 1e-9 of the grid span."""
+    span = max(times[-1] - times[0], 1.0)
+    i = int(np.argmin(np.abs(times - t)))
+    if abs(times[i] - t) > 1e-9 * span:
+        raise ValueError(f"t = {t!r} is not a sample of the grid [{times[0]}, {times[-1]}]")
+    return i
 
 
 @dataclass(frozen=True)
@@ -82,23 +101,20 @@ def helix_points(path: FiberPath) -> tuple[np.ndarray, np.ndarray]:
 
 
 def load_path_csv(filename) -> FiberPath:
-    """Read a sampled path from CSV with header t,x,y,z."""
+    """Read a sampled path from CSV with header t,x,y,z; blank lines are skipped."""
     with open(filename, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != "t,x,y,z":
             raise ValueError(f"expected CSV header 't,x,y,z', got {header!r}")
-        rows = []
-        for line_no, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise ValueError(f"line {line_no}: expected 4 columns, got {len(parts)}")
-            rows.append([float(p) for p in parts])
-    data = np.array(rows, dtype=float)
-    if data.size == 0:
+        body = fh.read()
+    if not body.strip():
         raise ValueError("path CSV contains no data rows")
+    try:
+        data = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise ValueError(f"path CSV: {exc}") from None
+    if data.shape[1] != 4:
+        raise ValueError(f"path CSV: expected 4 columns, got {data.shape[1]}")
     return sampled_path(data[:, 0], data[:, 1:4])
 
 
@@ -260,20 +276,20 @@ class AngleTrajectory:
         sl = np.sin(self.lam)
         return np.column_stack([sl * np.cos(self.gamma), sl * np.sin(self.gamma), np.cos(self.lam)])
 
-
-def _wrap_increment(delta: float) -> float:
-    d = (delta + math.pi) % TWO_PI - math.pi
-    if d == -math.pi:
-        d = math.pi
-    return d
+    def anholonomy_rate(self) -> np.ndarray:
+        """Integrand gamma_dot * (1 - cos(lam)) of the anholonomy integral."""
+        return self.gamma_dot * (1.0 - np.cos(self.lam))
 
 
 def spherical_angles(traj: TangentTrajectory) -> AngleTrajectory:
     """Polar/azimuth angles of the tangents, azimuth unwrapped.
 
     Where the tangent passes within POLE_SIN_TOL of a pole the azimuth is
-    frozen at its previous value and its rate forced to zero; the phase
-    integrand vanishes there, so the convention cannot bias any phase.
+    frozen at its previous value (0 before the first off-pole sample) and
+    its rate forced to zero; the phase integrand vanishes there, so the
+    convention cannot bias any phase.  Off the poles the azimuth is the
+    raw atan2 value plus the whole turns counted by the cumulative sum of
+    wrapped increments between consecutive off-pole samples.
 
     The azimuth rate comes from the identity
     gamma_dot = (k1 kdot2 - k2 kdot1) / (k1^2 + k2^2), which is scale
@@ -287,27 +303,37 @@ def spherical_angles(traj: TangentTrajectory) -> AngleTrajectory:
     k = raw_k / norms[:, None]
     lam = np.arccos(np.clip(k[:, 2], -1.0, 1.0))
     sin_lam = np.hypot(k[:, 0], k[:, 1])
-    pole = sin_lam < POLE_SIN_TOL
+    live = sin_lam >= POLE_SIN_TOL
 
     n = len(lam)
-    gamma = np.empty(n)
-    prev = 0.0
-    for i in range(n):
-        if pole[i]:
-            gamma[i] = prev
-        else:
-            raw = math.atan2(k[i, 1], k[i, 0])
-            gamma[i] = prev + _wrap_increment(raw - prev) if i > 0 else raw
-        prev = gamma[i]
+    raw = np.arctan2(k[live, 1], k[live, 0])
+    # Leading pole samples anchor the first increment at azimuth 0.
+    step = np.diff(raw, prepend=raw[:1] if live[0] else 0.0)
+    turns = np.cumsum(np.rint((wrap_angle(step) - step) / TWO_PI))
+    gamma = np.zeros(n)
+    gamma[live] = raw + TWO_PI * turns
+    # Pole samples repeat the last off-pole value; sample 0 is 0 if it is a pole.
+    gamma = gamma[np.maximum.accumulate(np.where(live, np.arange(n), 0))]
 
     kd = np.asarray(traj.derivatives, dtype=float)
     transverse_sq = raw_k[:, 0] ** 2 + raw_k[:, 1] ** 2
     gamma_dot = np.zeros(n)
-    live = ~pole
     gamma_dot[live] = (
         raw_k[live, 0] * kd[live, 1] - raw_k[live, 1] * kd[live, 0]
     ) / transverse_sq[live]
     return AngleTrajectory(times=traj.times.copy(), lam=lam, gamma=gamma, gamma_dot=gamma_dot)
+
+
+def anholonomy_integral(angles: AngleTrajectory, t_end: float | None = None) -> float:
+    """Integral of gamma_dot * (1 - cos(lam)) up to the grid time t_end.
+
+    This is the state-independent geometric factor multiplying every
+    spin expectation in the phase formulas.
+    """
+    end = len(angles.times) - 1 if t_end is None else grid_index(angles.times, t_end)
+    if end < 1:
+        return 0.0
+    return quadrature.integrate(angles.anholonomy_rate()[: end + 1], angles.times[: end + 1])
 
 
 def motion_identity_residual(traj: TangentTrajectory) -> float:
@@ -328,20 +354,19 @@ def motion_identity_residual(traj: TangentTrajectory) -> float:
 def solid_angle(angles: AngleTrajectory) -> float:
     """Solid angle swept by a closed tangent trace on the unit sphere.
 
-    Computed as the integral of gamma_dot * (1 - cos(lam)); for a
+    Computed as the anholonomy integral of the closed trace; for a
     constant polar angle over one azimuth cycle this is 2*pi*(1-cos(lam)).
     """
     k = angles.reconstruct_tangents()
     gap = float(np.linalg.norm(k[-1] - k[0]))
     if gap >= CLOSURE_TOL:
         raise ValueError(f"tangent trace not closed: endpoint gap {gap:.3e}")
-    integrand = angles.gamma_dot * (1.0 - np.cos(angles.lam))
-    return quadrature.integrate(integrand, angles.times)
+    return anholonomy_integral(angles)
 
 
 def save_angles_csv(angles: AngleTrajectory, filename) -> None:
     """Write the angle trajectory as CSV with header t,lambda,gamma,gamma_dot."""
     with open(filename, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("t,lambda,gamma,gamma_dot\n")
-        for t, l, g, gd in zip(angles.times, angles.lam, angles.gamma, angles.gamma_dot):
-            fh.write(f"{t:.17g},{l:.17g},{g:.17g},{gd:.17g}\n")
+        table = np.column_stack([angles.times, angles.lam, angles.gamma, angles.gamma_dot])
+        np.savetxt(fh, table, fmt="%.17g", delimiter=",")

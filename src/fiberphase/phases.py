@@ -6,6 +6,11 @@ the numerical route integrates i d|psi>/dt = H(t)|psi> under the
 effective Hamiltonian H = (k x kdot)/|k|^2 . S with fixed-step RK4 and
 separates total, dynamical and geometric parts afterwards.
 
+One evolution is one pass: the precession field u = (k x kdot)/|k|^2 is
+built once, the RK4 loop records <psi|H|psi> from its own first stage,
+and the Liouville-von Neumann residual and the phase series are array
+expressions over the step boundaries.
+
 Sign convention: a phase reported as +phi appears on the state as the
 amplitude factor exp(-i phi), so the reported total is
 -arg<psi(0)|psi(t)> and a right-handed photon on a counterclockwise
@@ -21,7 +26,7 @@ import numpy as np
 
 from . import quadrature
 from .fock import FockSpace, OperatorMatrix, StateVector, spin_fixed
-from .geometry import AngleTrajectory, TangentTrajectory, spherical_angles
+from .geometry import AngleTrajectory, TangentTrajectory, anholonomy_integral, grid_index, spherical_angles
 
 STEP_GUARD = 0.1
 OVERLAP_FLOOR = 1e-6
@@ -47,15 +52,35 @@ class PhaseBreakdown:
     closed_form_phase: float
     anholonomy_integral: float
 
+    @classmethod
+    def from_series(cls, series: dict[str, np.ndarray], s3_expectation: float, anholonomy: float) -> "PhaseBreakdown":
+        """End-point phases of a phase_series plus the closed-form prediction."""
+        total = float(series["total"][-1])
+        dynamical = float(series["dynamical"][-1])
+        geometric = total - dynamical
+        return cls(
+            total_phase=total,
+            dynamical_phase=dynamical,
+            geometric_phase=geometric,
+            geometric_phase_mod_2pi=geometric % TWO_PI,
+            closed_form_phase=float(s3_expectation) * anholonomy,
+            anholonomy_integral=anholonomy,
+        )
+
 
 @dataclass(frozen=True)
 class EvolutionResult:
-    """States and diagnostics from one RK4 integration."""
+    """States and diagnostics from one RK4 integration, over the step boundaries.
+
+    energies holds <psi|H|psi> at each boundary, the integrand of the
+    dynamical phase.
+    """
 
     space: FockSpace
     times: np.ndarray
     states: np.ndarray
     norms: np.ndarray
+    energies: np.ndarray
     lvn_residuals: np.ndarray
     max_h_dt: float
 
@@ -65,37 +90,6 @@ class EvolutionResult:
 
     def state_at(self, index: int) -> StateVector:
         return StateVector(self.space, self.states[index])
-
-
-def wrap_angle(phi: float) -> float:
-    """Reduce an angle to (-pi, pi]."""
-    w = (phi + math.pi) % TWO_PI - math.pi
-    if w == -math.pi:
-        w = math.pi
-    return w
-
-
-def _end_index(times: np.ndarray, t_end) -> int:
-    if t_end is None:
-        return len(times) - 1
-    span = times[-1] - times[0]
-    hits = np.nonzero(np.abs(times - t_end) <= 1e-9 * max(span, 1.0))[0]
-    if len(hits) == 0:
-        raise ValueError(f"t_end = {t_end!r} is not a grid sample in [{times[0]}, {times[-1]}]")
-    return int(hits[0])
-
-
-def anholonomy_integral(angles: AngleTrajectory, t_end: float | None = None) -> float:
-    """Integral of gamma_dot * (1 - cos(lam)) up to t_end.
-
-    This is the state-independent geometric factor multiplying every
-    spin expectation in the phase formulas.
-    """
-    end = _end_index(angles.times, t_end)
-    if end < 1:
-        return 0.0
-    integrand = angles.gamma_dot * (1.0 - np.cos(angles.lam))
-    return quadrature.integrate(integrand[: end + 1], angles.times[: end + 1])
 
 
 def closed_form_phase(angles: AngleTrajectory, s3_expectation: float, t_end: float | None = None) -> float:
@@ -120,12 +114,9 @@ def _effective_fields(traj: TangentTrajectory) -> np.ndarray:
     return np.cross(k, kd) / ksq[:, None]
 
 
-def _grid_index(times: np.ndarray, t: float) -> int:
-    span = max(times[-1] - times[0], 1.0)
-    i = int(np.argmin(np.abs(times - t)))
-    if abs(times[i] - t) > 1e-9 * span:
-        raise ValueError(f"t = {t!r} is not a sample of the trajectory grid")
-    return i
+def _field_operator(v: np.ndarray, s: list[np.ndarray]) -> np.ndarray:
+    """v . S for one 3-vector v and the spin matrices s."""
+    return v[0] * s[0] + v[1] * s[1] + v[2] * s[2]
 
 
 def effective_hamiltonian(traj: TangentTrajectory, spin: SpinTriple, t: float) -> OperatorMatrix:
@@ -134,10 +125,8 @@ def effective_hamiltonian(traj: TangentTrajectory, spin: SpinTriple, t: float) -
     Homogeneous of degree zero in the tangent magnitude, so rescaling
     all tangents leaves every entry unchanged.
     """
-    i = _grid_index(traj.times, t)
-    u = _effective_fields(traj)[i]
-    s1, s2, s3 = spin
-    return u[0] * s1 + u[1] * s2 + u[2] * s3
+    u = _effective_fields(traj)[grid_index(traj.times, t)]
+    return OperatorMatrix(spin[0].space, _field_operator(u, [op.entries for op in spin]))
 
 
 def _max_field_norm(u: np.ndarray, s: list[np.ndarray]) -> float:
@@ -152,75 +141,48 @@ def _max_field_norm(u: np.ndarray, s: list[np.ndarray]) -> float:
     probes.add(int(np.argmax(np.linalg.norm(u, axis=1))))
     worst = 0.0
     for i in sorted(probes):
-        h = u[i, 0] * s[0] + u[i, 1] * s[1] + u[i, 2] * s[2]
-        eigs = np.linalg.eigvalsh(h)
+        eigs = np.linalg.eigvalsh(_field_operator(u[i], s))
         worst = max(worst, float(np.abs(eigs).max()))
     return worst
 
 
-def _unit_tangent_rates(traj: TangentTrajectory) -> tuple[np.ndarray, np.ndarray]:
-    """Unit tangents and their rates, assuming constant tangent magnitude.
+def _lvn_residuals(traj: TangentTrajectory, u: np.ndarray, spin: SpinTriple, indices: np.ndarray) -> np.ndarray:
+    """Max-norm of dI/dt + (1/i)[I, H] for I = khat.S at the given samples.
 
-    The derivative data is kept as stored (scaled only), so differencing
-    noise shows up in the residual instead of being projected away.
+    The norm is taken on the occupation-bounded subspace, where the
+    truncated spin algebra is exact; the full matrix always carries an
+    O(1) cutoff defect that says nothing about the trajectory.  There
+    [S_i, S_j] = i eps_ijk S_k, so the residual operator is v.S with
+    v = khat_dot + khat x u, and since every pair of basis states is
+    linked by at most one S_i its max-norm is max_i |v_i| * max|S_i|.
+    khat_dot is the stored derivative data over |k| (constant tangent
+    magnitude assumed), so differencing noise shows up in the residual
+    instead of being projected away.
     """
-    k = traj.tangents
-    kd = traj.derivatives
-    norms = np.linalg.norm(k, axis=1)
-    return k / norms[:, None], kd / norms[:, None]
-
-
-def _lvn_residual_values(traj: TangentTrajectory, spin: SpinTriple, indices: np.ndarray) -> np.ndarray:
-    """Max-norm of dI/dt + (1/i)[I, H] at the given samples.
-
-    [I, H] is expanded over the precomputed spin commutators, so each
-    sample costs a handful of weighted matrix sums.  The norm is taken
-    on the occupation-bounded subspace, where the truncated spin
-    algebra is exact; the full matrix always carries an O(1) cutoff
-    defect that says nothing about the trajectory.
-    """
-    s = [op.entries for op in spin]
-    c12 = s[0] @ s[1] - s[1] @ s[0]
-    c23 = s[1] @ s[2] - s[2] @ s[1]
-    c31 = s[2] @ s[0] - s[0] @ s[2]
+    k = traj.tangents[indices]
+    norms = np.linalg.norm(k, axis=1)[:, None]
+    v = traj.derivatives[indices] / norms + np.cross(k / norms, u[indices])
     bounded = spin[0].space.bounded_indices()
     box = np.ix_(bounded, bounded)
-    s = [m[box] for m in s]
-    c12, c23, c31 = c12[box], c23[box], c31[box]
-    khat, khat_dot = _unit_tangent_rates(traj)
-    u = _effective_fields(traj)
-    out = np.empty(len(indices))
-    for j, i in enumerate(indices):
-        w = np.cross(khat[i], u[i])
-        res = (
-            khat_dot[i, 0] * s[0]
-            + khat_dot[i, 1] * s[1]
-            + khat_dot[i, 2] * s[2]
-            - 1j * (w[2] * c12 + w[0] * c23 + w[1] * c31)
-        )
-        out[j] = np.abs(res).max()
-    return out
+    scale = np.array([np.abs(op.entries[box]).max() for op in spin])
+    return (np.abs(v) * scale).max(axis=1)
 
 
 def lvn_residual(traj: TangentTrajectory, spin: SpinTriple, t: float) -> float:
     """Liouville-von Neumann residual of the helicity invariant at time t."""
-    i = _grid_index(traj.times, t)
-    return float(_lvn_residual_values(traj, spin, np.array([i]))[0])
+    i = grid_index(traj.times, t)
+    return float(_lvn_residuals(traj, _effective_fields(traj), spin, np.array([i]))[0])
 
 
-def evolve_state(
-    psi0: StateVector,
-    traj: TangentTrajectory,
-    spin: SpinTriple,
-    renormalize: bool = False,
-) -> EvolutionResult:
+def evolve_state(psi0: StateVector, traj: TangentTrajectory, spin: SpinTriple) -> EvolutionResult:
     """Integrate i d|psi>/dt = H(t)|psi> along the trajectory grid.
 
     The grid must hold 2N+1 samples; each RK4 step spans two intervals
     and uses the middle sample for the internal stages, which keeps the
     scheme fourth order without interpolating H.  Norms are recorded at
-    every step and, unless renormalize is set, the drift is left in as
-    an integration diagnostic.  A guard on max|H| * step is enforced and
+    every step and the drift is left in as an integration diagnostic.
+    The energy <psi|H|psi> at each boundary comes from the first RK4
+    stage, k1 = -i H psi.  A guard on max|H| * step is enforced and
     reported, never silently accepted.
     """
     n = len(traj.times)
@@ -247,59 +209,51 @@ def evolve_state(
             "refine the grid"
         )
 
-    def hmat(i: int) -> np.ndarray:
-        return u[i, 0] * s[0] + u[i, 1] * s[1] + u[i, 2] * s[2]
-
     steps = (n - 1) // 2
     dim = psi0.space.dimension
     states = np.empty((steps + 1, dim), dtype=complex)
     norms = np.empty(steps + 1)
+    energies = np.empty(steps + 1)
     psi = psi0.amplitudes.astype(complex)
     states[0] = psi
     norms[0] = np.linalg.norm(psi)
-    h_next = hmat(0)
+    h_next = _field_operator(u[0], s)
     for sidx in range(steps):
         i0 = 2 * sidx
         h = times[i0 + 2] - times[i0]
         h0 = h_next
-        h1 = hmat(i0 + 1)
-        h2 = hmat(i0 + 2)
+        h1 = _field_operator(u[i0 + 1], s)
+        h2 = _field_operator(u[i0 + 2], s)
         k1 = -1j * (h0 @ psi)
+        energies[sidx] = np.vdot(psi, 1j * k1).real
         k2 = -1j * (h1 @ (psi + 0.5 * h * k1))
         k3 = -1j * (h1 @ (psi + 0.5 * h * k2))
         k4 = -1j * (h2 @ (psi + h * k3))
         psi = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         norms[sidx + 1] = np.linalg.norm(psi)
-        if renormalize:
-            psi = psi / norms[sidx + 1]
         states[sidx + 1] = psi
         h_next = h2
+    energies[steps] = np.vdot(psi, h_next @ psi).real
 
     boundary = np.arange(0, n, 2)
-    lvn = _lvn_residual_values(traj, spin, boundary)
     return EvolutionResult(
         space=psi0.space,
         times=times[boundary].copy(),
         states=states,
         norms=norms,
-        lvn_residuals=lvn,
+        energies=energies,
+        lvn_residuals=_lvn_residuals(traj, u, spin, boundary),
         max_h_dt=max_h_dt,
     )
 
 
-def phase_series(result: EvolutionResult, traj: TangentTrajectory, spin: SpinTriple) -> dict[str, np.ndarray]:
+def phase_series(result: EvolutionResult) -> dict[str, np.ndarray]:
     """Per-step phase accumulations extracted from an evolution.
 
     Returns arrays over the step boundaries: reported total phase
     -arg<psi(0)|psi(t)> (unwrapped), the dynamical accumulation of
     <psi|H|psi>, their difference, overlap magnitudes and norms.
     """
-    boundary = np.arange(0, len(traj.times), 2)
-    if len(boundary) != len(result.times):
-        raise ValueError("evolution result does not match this trajectory grid")
-    u = _effective_fields(traj)[boundary]
-    s = [op.entries for op in spin]
-
     overlaps = result.states @ result.states[0].conj()
     mags = np.abs(overlaps)
     if mags.min() < OVERLAP_FLOOR:
@@ -310,12 +264,7 @@ def phase_series(result: EvolutionResult, traj: TangentTrajectory, spin: SpinTri
         )
     total = -np.unwrap(np.angle(overlaps))
     total -= total[0]
-
-    h_exp = np.empty(len(boundary))
-    for j in range(len(boundary)):
-        hm = u[j, 0] * s[0] + u[j, 1] * s[1] + u[j, 2] * s[2]
-        h_exp[j] = np.real(np.vdot(result.states[j], hm @ result.states[j]))
-    dynamical = quadrature.cumulative_dense(h_exp, result.times)
+    dynamical = quadrature.cumulative_dense(result.energies, result.times)
     return {
         "times": result.times.copy(),
         "total": total,
@@ -340,52 +289,14 @@ def extract_phases(
     closed-form column is only an eigenstate-weighted average and the
     numerical route is authoritative.
     """
-    series = phase_series(result, traj, spin)
-    total = float(series["total"][-1])
-    dynamical = float(series["dynamical"][-1])
-    geometric = total - dynamical
-
+    if (len(traj.times) + 1) // 2 != len(result.times):
+        raise ValueError("evolution result does not match this trajectory grid")
     if s3_expectation is None:
         khat = traj.tangents[0] / np.linalg.norm(traj.tangents[0])
-        s1, s2, s3 = spin
-        i0 = khat[0] * s1.entries + khat[1] * s2.entries + khat[2] * s3.entries
+        i0 = _field_operator(khat, [op.entries for op in spin])
         s3_expectation = float(np.real(np.vdot(result.states[0], i0 @ result.states[0])))
-
-    angles = spherical_angles(traj)
-    anholonomy = anholonomy_integral(angles)
-    return PhaseBreakdown(
-        total_phase=total,
-        dynamical_phase=dynamical,
-        geometric_phase=geometric,
-        geometric_phase_mod_2pi=geometric % TWO_PI,
-        closed_form_phase=float(s3_expectation) * anholonomy,
-        anholonomy_integral=anholonomy,
-    )
-
-
-def _expm(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential by scaling and squaring with a Taylor core.
-
-    The argument is scaled below 1/2 in the 1-norm, the series is
-    summed until the term falls below 1e-16 relative, and the result is
-    squared back up; the truncated tail is far below 1e-14.
-    """
-    norm = float(np.linalg.norm(a, 1))
-    squarings = 0
-    if norm > 0.5:
-        squarings = int(math.ceil(math.log2(norm / 0.5)))
-    b = a / (2.0**squarings)
-    dim = a.shape[0]
-    term = np.eye(dim, dtype=complex)
-    out = np.eye(dim, dtype=complex)
-    for k in range(1, 60):
-        term = term @ b / k
-        out = out + term
-        if np.linalg.norm(term, 1) < 1e-16 * max(1.0, float(np.linalg.norm(out, 1))):
-            break
-    for _ in range(squarings):
-        out = out @ out
-    return out
+    anholonomy = anholonomy_integral(spherical_angles(traj))
+    return PhaseBreakdown.from_series(phase_series(result), s3_expectation, anholonomy)
 
 
 def evolution_operator_V(polar_angle: float, azimuth: float, space: FockSpace) -> OperatorMatrix:
@@ -393,10 +304,13 @@ def evolution_operator_V(polar_angle: float, azimuth: float, space: FockSpace) -
 
     V maps the spin-3 eigenbasis onto the helicity eigenbasis of the
     direction (polar_angle, azimuth): V+ (k.S) V = S3 on every complete
-    total-occupation sector of the space.
+    total-occupation sector of the space.  The exponent is -i G with the
+    Hermitian generator G = i(beta S+ - beta* S-), exponentiated through
+    the eigendecomposition of G.
     """
     s1, s2, _ = spin_fixed(space)
     s_plus = s1.entries + 1j * s2.entries
     s_minus = s1.entries - 1j * s2.entries
     beta = -(polar_angle / 2.0) * np.exp(-1j * azimuth)
-    return OperatorMatrix(space, _expm(beta * s_plus - np.conj(beta) * s_minus))
+    w, q = np.linalg.eigh(1j * (beta * s_plus - np.conj(beta) * s_minus))
+    return OperatorMatrix(space, (q * np.exp(-1j * w)) @ q.conj().T)

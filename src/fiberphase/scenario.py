@@ -20,6 +20,7 @@ import numpy as np
 from . import quadrature
 from .fock import build_space, build_photon_state, spin_fixed, s3_split, StateVector
 from .geometry import (
+    anholonomy_integral,
     cone_trajectory,
     load_path_csv,
     make_helix,
@@ -27,10 +28,11 @@ from .geometry import (
     solid_angle,
     spherical_angles,
     tangent_trajectory,
+    wrap_angle,
     CLOSURE_TOL,
 )
 from .media import GyrotropicMedium, classify, refractive_indices
-from .phases import anholonomy_integral, evolve_state, extract_phases, phase_series, wrap_angle
+from .phases import PhaseBreakdown, evolve_state, phase_series
 
 ORDERINGS = ("normal", "nonnormal_r", "nonnormal_l", "nonnormal_total")
 SWEEP_PARAMETERS = ("lambda", "turns", "n_R", "n_L", "epsilon2")
@@ -99,13 +101,24 @@ def _check_keys(mapping: dict, allowed: set[str], where: str) -> None:
         raise ConfigError(where, f"unknown key(s) {', '.join(unknown)}")
 
 
+def _finite(value) -> float | None:
+    """value as a finite float, or None if it is not a finite real number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        value = float(value)
+    except OverflowError:
+        return None
+    return value if math.isfinite(value) else None
+
+
 def _get_number(mapping: dict, key: str, where: str) -> float:
     if key not in mapping:
         raise ConfigError(f"{where}.{key}", "missing required key")
-    value = mapping[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}.{key}", f"expected a number, got {value!r}")
-    return float(value)
+    value = _finite(mapping[key])
+    if value is None:
+        raise ConfigError(f"{where}.{key}", f"expected a finite number, got {mapping[key]!r}")
+    return value
 
 
 def _get_int(mapping: dict, key: str, where: str) -> int:
@@ -158,13 +171,10 @@ def _parse_state(data) -> tuple[int | None, int | None, tuple[complex, ...] | No
             raise ConfigError("state.amplitudes", "expected a non-empty list of [re, im] pairs")
         amps = []
         for i, pair in enumerate(raw):
-            if (
-                not isinstance(pair, list)
-                or len(pair) != 2
-                or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in pair)
-            ):
-                raise ConfigError("state.amplitudes", f"entry {i} is not an [re, im] pair")
-            amps.append(complex(pair[0], pair[1]))
+            parts = [_finite(v) for v in pair] if isinstance(pair, list) else []
+            if len(parts) != 2 or None in parts:
+                raise ConfigError("state.amplitudes", f"entry {i} is not an [re, im] pair of finite numbers")
+            amps.append(complex(parts[0], parts[1]))
         return None, None, tuple(amps)
     _check_keys(data, {"n_r", "n_l"}, "state")
     n_r = _get_int(data, "n_r", "state")
@@ -307,10 +317,10 @@ def _build_trajectory(config: ScenarioConfig):
     return traj
 
 
-def _s3_expectations(config: ScenarioConfig) -> tuple[float, float]:
-    """(attributed, total) spin-3 expectations for the configured state."""
-    space = build_space(2, max(config.n_r, config.n_l, 1))
-    state = build_photon_state(space, config.n_r, config.n_l)
+def _s3_expectation(ordering: str, n_r: int, n_l: int) -> float:
+    """Spin-3 expectation of the (n_r, n_l) circular state in one operator ordering."""
+    space = build_space(2, max(n_r, n_l, 1))
+    state = build_photon_state(space, n_r, n_l)
     r_nn, l_nn, r_n, l_n = s3_split(space)
     variants = {
         "normal": r_n + l_n,
@@ -318,9 +328,7 @@ def _s3_expectations(config: ScenarioConfig) -> tuple[float, float]:
         "nonnormal_l": l_nn,
         "nonnormal_total": r_nn + l_nn,
     }
-    attributed = float(state.expectation(variants[config.ordering]).real)
-    total = float(state.expectation(variants["normal"]).real)
-    return attributed, total
+    return float(state.expectation(variants[ordering]).real)
 
 
 def _initial_state(config: ScenarioConfig, space, k0: np.ndarray) -> StateVector:
@@ -355,7 +363,8 @@ def evaluate_scenario(config: ScenarioConfig) -> dict:
     psi0 = _initial_state(config, space, k[0])
 
     if config.amplitudes is None:
-        s3_attr, s3_total = _s3_expectations(config)
+        s3_attr = _s3_expectation(config.ordering, config.n_r, config.n_l)
+        s3_total = _s3_expectation("normal", config.n_r, config.n_l)
     else:
         s1, s2, s3 = spin
         i0 = k[0, 0] * s1.entries + k[0, 1] * s2.entries + k[0, 2] * s3.entries
@@ -363,8 +372,8 @@ def evaluate_scenario(config: ScenarioConfig) -> dict:
         s3_attr = s3_total
 
     result = evolve_state(psi0, traj, spin)
-    series = phase_series(result, traj, spin)
-    breakdown = extract_phases(result, traj, spin, s3_expectation=s3_attr)
+    series = phase_series(result)
+    breakdown = PhaseBreakdown.from_series(series, s3_attr, anholonomy)
 
     phi_closed_total = s3_total * anholonomy
     difference = abs(wrap_angle(breakdown.geometric_phase - phi_closed_total))
@@ -397,8 +406,12 @@ def evaluate_scenario(config: ScenarioConfig) -> dict:
             "pass": bool(motion <= MOTION_TOL),
         },
     ]
+    # Zero-point terms of the two handednesses, from the vacuum expectations
+    # of the non-normal-ordered S3 pieces; they must cancel in the total.
+    vacuum_right = _s3_expectation("nonnormal_r", 0, 0) * anholonomy
+    vacuum_left = _s3_expectation("nonnormal_l", 0, 0) * anholonomy
+    vacuum_sum = vacuum_right + vacuum_left
     if config.n_r == 0 and config.n_l == 0:
-        vacuum_sum = 0.5 * anholonomy + (-0.5 * anholonomy)
         checks.append(
             {"name": "vacuum_cancellation", "value": abs(vacuum_sum), "threshold": 0.0, "pass": vacuum_sum == 0.0}
         )
@@ -422,11 +435,7 @@ def evaluate_scenario(config: ScenarioConfig) -> dict:
             "anholonomy_integral": anholonomy,
             "phi_attributed": s3_attr * anholonomy,
             "phi_total": phi_closed_total,
-            "vacuum": {
-                "right": 0.5 * anholonomy,
-                "left": -0.5 * anholonomy,
-                "sum": 0.5 * anholonomy + (-0.5 * anholonomy),
-            },
+            "vacuum": {"right": vacuum_right, "left": vacuum_left, "sum": vacuum_sum},
         },
         "numerical": {
             "steps": result.steps,
@@ -478,32 +487,30 @@ def _fmt(x) -> str:
 def _write_run_csv(summary: dict, csv_path: Path) -> None:
     angles = summary["_series"]["angles"]
     series = summary["_series"]["phase"]
-    lvn = summary["_series"]["lvn"]
     s3_attr = summary["_series"]["s3_attributed"]
-    integrand = angles.gamma_dot * (1.0 - np.cos(angles.lam))
-    cum = quadrature.cumulative_dense(integrand, angles.times)
-    boundary = np.arange(0, len(angles.times), 2)
+    cum = quadrature.cumulative_dense(angles.anholonomy_rate(), angles.times)
+    table = np.column_stack(
+        [
+            angles.times[::2],
+            angles.lam[::2],
+            angles.gamma[::2],
+            s3_attr * cum[::2],
+            series["total"],
+            series["dynamical"],
+            series["geometric"],
+            series["norms"],
+            summary["_series"]["lvn"],
+        ]
+    )
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("t,lambda,gamma,phi_closed,phi_total,phi_dyn,phi_geo,norm,lvn_residual\n")
-        for j, i in enumerate(boundary):
-            row = [
-                angles.times[i],
-                angles.lam[i],
-                angles.gamma[i],
-                s3_attr * cum[i],
-                series["total"][j],
-                series["dynamical"][j],
-                series["geometric"][j],
-                series["norms"][j],
-                lvn[j],
-            ]
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        np.savetxt(fh, table, fmt="%.17g", delimiter=",")
 
 
 def _write_json(payload: dict, path: Path) -> None:
+    text = json.dumps(payload, indent=2, allow_nan=False)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 @dataclass(frozen=True)
@@ -677,19 +684,6 @@ def _variant(config: ScenarioConfig, geometry) -> ScenarioConfig:
     )
 
 
-def _sweep_s3(config: ScenarioConfig, n_r: int, n_l: int) -> float:
-    space = build_space(2, max(n_r, n_l, 1))
-    state = build_photon_state(space, n_r, n_l)
-    r_nn, l_nn, r_n, l_n = s3_split(space)
-    variants = {
-        "normal": r_n + l_n,
-        "nonnormal_r": r_nn,
-        "nonnormal_l": l_nn,
-        "nonnormal_total": r_nn + l_nn,
-    }
-    return float(state.expectation(variants[config.ordering]).real)
-
-
 def sweep(config: ScenarioConfig, parameter: str, values, out_dir) -> tuple[int, str]:
     """Write one closed-form (or dispersion) table row per parameter value.
 
@@ -752,7 +746,7 @@ def sweep(config: ScenarioConfig, parameter: str, values, out_dir) -> tuple[int,
             geometry = config.geometry
         traj = _build_trajectory(_variant(config, geometry))
         anholonomy = anholonomy_integral(spherical_angles(traj))
-        s3 = _sweep_s3(config, n_r, n_l)
+        s3 = _s3_expectation(config.ordering, n_r, n_l)
         rows.append((v, s3, anholonomy, s3 * anholonomy))
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("parameter,value,s3_expectation,anholonomy_integral,phi_closed\n")

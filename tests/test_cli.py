@@ -3,6 +3,10 @@ import math
 import subprocess
 import sys
 
+import pytest
+
+from fiberphase.cli import main
+
 
 def run_cli(*args, cwd=None):
     cmd = [sys.executable, "-m", "fiberphase", *args]
@@ -105,3 +109,31 @@ def test_bad_sweep_parameter(tmp_path):
     )
     r = run_cli("--config", str(cfg), "--sweep", "pitch=1,2", "--out", str(tmp_path))
     assert r.returncode == 2
+
+
+CONE = {"kind": "cone", "polar_angle": 0.5, "turns": 1.0}
+HELIX_NAN_RADIUS = {"kind": "helix", "radius": float("nan"), "pitch_per_turn": 6.0, "turns": 1.0}
+
+
+@pytest.mark.parametrize(
+    "config, sweep_arg, field",
+    [
+        ({"geometry": CONE, "tolerance": float("inf")}, None, "config.tolerance"),
+        ({"geometry": CONE, "tolerance": float("nan")}, None, "config.tolerance"),
+        ({"geometry": HELIX_NAN_RADIUS}, None, "geometry.radius"),
+        ({"geometry": CONE}, "turns=nan", "sweep"),
+        ({"geometry": CONE, "state": {"amplitudes": [[float("nan"), 0.0]] + [[0.0, 0.0]] * 7}, "n_max": 1},
+         None, "state.amplitudes"),
+    ],
+    ids=["tolerance-inf", "tolerance-nan", "radius-nan", "sweep-nan", "amplitude-nan"],
+)
+def test_non_finite_input_rejected_before_work(tmp_path, capsys, config, sweep_arg, field):
+    # json.dumps writes the non-standard NaN/Infinity tokens that json.loads accepts.
+    cfg = tmp_path / "nonfinite.json"
+    cfg.write_text(json.dumps({"state": {"n_r": 1, "n_l": 0}, "steps": 64, **config}))
+    out = tmp_path / "out"
+    argv = ["--config", str(cfg), "--out", str(out)] + (["--sweep", sweep_arg] if sweep_arg else [])
+    assert main(argv) == 2
+    report = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert report["error"]["field"] == field
+    assert not out.exists()

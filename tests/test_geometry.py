@@ -135,6 +135,49 @@ class TestSphericalAngles:
         assert np.abs(angles.reconstruct_tangents() - traj.tangents).max() < 1e-9
 
 
+    def test_unwrap_matches_loop_oracle_across_poles(self):
+        # Leading poles, a first live sample at exactly -pi, a pole run
+        # between azimuths 3.0 and -3.0 (a +-pi crossing), and a second
+        # crossing the other way followed by a trailing pole.
+        pole = None
+        azimuths = [pole, pole, pole, -math.pi, -2.9, -2.6, -2.2, -1.0, 0.4, 1.9, 2.7, 3.0, pole, pole,
+                    pole, -3.0, -2.8, -3.05, 3.1, 2.95, 1.0, -0.5, pole]
+        lam = 0.8
+        tangents = np.array(
+            [[0.0, 0.0, 1.0] if g is None else [math.sin(lam) * math.cos(g), math.sin(lam) * math.sin(g),
+                                                   math.cos(lam)] for g in azimuths]
+        )
+        tangents[3, 1] = -0.0  # atan2(-0.0, x < 0) = -pi exactly
+        n = len(azimuths)
+        derivatives = np.random.default_rng(5).normal(size=(n, 3))
+        angles = spherical_angles(TangentTrajectory(np.linspace(0.0, 1.0, n), tangents, derivatives))
+
+        def wrap(d):
+            d = (d + math.pi) % (2.0 * math.pi) - math.pi
+            return math.pi if d == -math.pi else d
+
+        oracle = np.empty(n)
+        prev = 0.0
+        for i, k in enumerate(tangents):
+            if math.hypot(k[0], k[1]) < 1e-9:
+                oracle[i] = prev
+            else:
+                raw = math.atan2(k[1], k[0])
+                oracle[i] = prev + wrap(raw - prev) if i > 0 else raw
+            prev = oracle[i]
+
+        assert np.abs(angles.gamma - oracle).max() < 1e-12
+        assert list(angles.gamma[:3]) == [0.0, 0.0, 0.0]
+        assert angles.gamma[3] == math.pi
+        assert angles.gamma[15] == pytest.approx(4.0 * math.pi - 3.0, abs=1e-12)
+        assert np.all(angles.gamma_dot[[0, 1, 2, 12, 13, 14, n - 1]] == 0.0)
+
+    def test_all_pole_trace_has_zero_azimuth(self):
+        traj = cone_trajectory(0.0, 1.0, 33)
+        angles = spherical_angles(traj)
+        assert np.all(angles.gamma == 0.0) and np.all(angles.gamma_dot == 0.0)
+
+
 class TestMotionIdentity:
     def test_helix_identity(self):
         traj = tangent_trajectory(make_helix(1.0, 2.0 * math.pi, 1.0, 4097))
@@ -220,6 +263,21 @@ class TestCsvInterfaces:
         f = tmp_path / "bad.csv"
         f.write_text("time,x,y,z\n0,0,0,0\n")
         with pytest.raises(ValueError, match="t,x,y,z"):
+            load_path_csv(f)
+
+    def test_path_rows_validated(self, tmp_path):
+        f = tmp_path / "p.csv"
+        rows = "".join(f"{i / 9},{i},{i * i},0\n\n" for i in range(9))  # blank lines are skipped
+        f.write_text("t,x,y,z\n" + rows)
+        assert len(load_path_csv(f).times) == 9
+        f.write_text("t,x,y,z\n0,0,0\n1,1,1\n")
+        with pytest.raises(ValueError, match="4 columns"):
+            load_path_csv(f)
+        f.write_text("t,x,y,z\n0,0,0,0\n1,1,1\n")
+        with pytest.raises(ValueError, match="columns"):
+            load_path_csv(f)
+        f.write_text("t,x,y,z\n\n")
+        with pytest.raises(ValueError, match="no data rows"):
             load_path_csv(f)
 
     def test_angles_export(self, tmp_path):

@@ -16,9 +16,11 @@ from fiberphase import (
     evolve_state,
     extract_phases,
     helicity_operator,
+    helix_points,
     lvn_residual,
     make_helix,
     phase_series,
+    sampled_path,
     spherical_angles,
     spin_fixed,
     tangent_trajectory,
@@ -32,6 +34,44 @@ BERRY_45 = 1.84030236902122  # 2*pi*(1 - cos(pi/4))
 def helix_traj(lam=math.pi / 4.0, turns=1.0, steps=1024):
     pitch = 2.0 * math.pi / math.tan(lam)
     return tangent_trajectory(make_helix(1.0, pitch, turns, 2 * steps + 1))
+
+
+def random_smooth_field(n):
+    """Smooth non-unit tangent field: a tilted axis plus two random Fourier modes."""
+    rng = np.random.default_rng(11)
+    coeffs = [(rng.normal(scale=0.03, size=3), rng.normal(scale=0.03, size=3)) for _ in range(2)]
+    t = np.linspace(0.0, 1.0, n)
+    base = np.tile(np.array([0.1, -0.05, 1.0]), (n, 1))
+    for m, (a, b) in enumerate(coeffs):
+        base += np.outer(np.cos(2.0 * math.pi * (m + 1) * t), a)
+        base += np.outer(np.sin(2.0 * math.pi * (m + 1) * t), b)
+    return trajectory_from_tangents(t, base)
+
+
+def lvn_oracle(traj, spin, i):
+    """LvN residual at sample i from the explicit d x d matrix dI/dt + (1/i)[I, H].
+
+    The commutators are built from matrix products and the norm is taken
+    on the occupation-bounded block, with no use of the spin algebra.
+    """
+    s = [op.entries for op in spin]
+    c12 = s[0] @ s[1] - s[1] @ s[0]
+    c23 = s[1] @ s[2] - s[2] @ s[1]
+    c31 = s[2] @ s[0] - s[0] @ s[2]
+    bounded = spin[0].space.bounded_indices()
+    box = np.ix_(bounded, bounded)
+    k, kd = traj.tangents[i], traj.derivatives[i]
+    norm = np.linalg.norm(k)
+    khat, khat_dot = k / norm, kd / norm
+    u = np.cross(k, kd) / np.dot(k, k)
+    w = np.cross(khat, u)
+    res = (
+        khat_dot[0] * s[0]
+        + khat_dot[1] * s[1]
+        + khat_dot[2] * s[2]
+        - 1j * (w[2] * c12 + w[0] * c23 + w[1] * c31)
+    )
+    return np.abs(res[box]).max()
 
 
 def eigenstate_run(sigma, lam=math.pi / 4.0, turns=1.0, steps=1024, n_max=2):
@@ -172,13 +212,6 @@ class TestEvolveState:
         traj, spin, result = eigenstate_run(+1, steps=10000)
         assert np.abs(result.norms - 1.0).max() < 1e-9
 
-    def test_renormalize_flag(self):
-        traj = helix_traj(steps=256)
-        space = build_space(3, 2)
-        psi0 = build_photon_state(space, 1, 0, k_hat=traj.tangents[0])
-        result = evolve_state(psi0, traj, spin_fixed(space), renormalize=True)
-        assert abs(np.linalg.norm(result.states[-1]) - 1.0) < 1e-12
-
     def test_step_guard_violation_reported(self):
         space = build_space(3, 2)
         psi0 = build_photon_state(space, 1, 0)
@@ -266,7 +299,28 @@ class TestExtractPhases:
         traj = cone_trajectory(math.pi / 2.0, 1.0, 1025)
         result = evolve_state(psi0.normalized(), traj, spin)
         with pytest.raises(ValueError, match="ill-conditioned"):
-            phase_series(result, traj, spin)
+            phase_series(result)
+
+    def test_grid_mismatch_rejected(self):
+        _, spin, result = eigenstate_run(+1, steps=128)
+        with pytest.raises(ValueError, match="does not match"):
+            extract_phases(result, helix_traj(steps=64), spin)
+
+    def test_energies_match_per_sample_loop(self):
+        # A +z photon on a tilted helix is no helicity eigenstate, so <H> != 0.
+        traj = helix_traj(lam=0.6, steps=256)
+        space = build_space(3, 2)
+        spin = spin_fixed(space)
+        result = evolve_state(build_photon_state(space, 1, 0), traj, spin)
+        k, kd = traj.tangents, traj.derivatives
+        u = (np.cross(k, kd) / np.einsum("ij,ij->i", k, k)[:, None])[::2]
+        s = [op.entries for op in spin]
+        energies = [
+            np.vdot(psi, (ui[0] * s[0] + ui[1] * s[1] + ui[2] * s[2]) @ psi).real
+            for psi, ui in zip(result.states, u)
+        ]
+        assert np.abs(energies).max() > 0.1
+        assert np.array_equal(result.energies, energies)
 
     def test_k_rescaling_leaves_phases(self):
         traj, spin, result = eigenstate_run(+1, steps=512)
@@ -293,24 +347,30 @@ class TestLvnResidual:
 
     def test_random_smooth_tangent_field(self):
         spin = spin_fixed(build_space(3, 2))
-        rng = np.random.default_rng(11)
-        coeffs = [(rng.normal(scale=0.03, size=3), rng.normal(scale=0.03, size=3)) for _ in range(2)]
-
-        def field(n):
-            t = np.linspace(0.0, 1.0, n)
-            base = np.tile(np.array([0.1, -0.05, 1.0]), (n, 1))
-            for m, (a, b) in enumerate(coeffs):
-                base += np.outer(np.cos(2.0 * math.pi * (m + 1) * t), a)
-                base += np.outer(np.sin(2.0 * math.pi * (m + 1) * t), b)
-            return trajectory_from_tangents(t, base)
 
         def worst(traj):
             probe = traj.times[:: (len(traj.times) - 1) // 16]
             return max(lvn_residual(traj, spin, t) for t in probe)
 
-        coarse, fine = worst(field(2049)), worst(field(4097))
+        coarse, fine = worst(random_smooth_field(2049)), worst(random_smooth_field(4097))
         assert coarse < 1e-5
         assert coarse / fine >= 2.0
+
+    @pytest.mark.parametrize("n_max", [1, 2, 3, 4])
+    def test_matches_explicit_matrix_oracle(self, n_max):
+        spin = spin_fixed(build_space(3, n_max))
+        t, pts = helix_points(make_helix(1.0, 2.0 * math.pi, 1.0, 513))
+        helix = helix_traj(steps=256)
+        fields = {
+            "helix": helix,
+            "helix x1000": helix.scaled(1000.0),
+            "sampled helix": tangent_trajectory(sampled_path(t, pts)),
+            "random smooth": random_smooth_field(513),
+        }
+        for name, traj in fields.items():
+            for i in range(0, 513, 32):
+                gap = abs(lvn_residual(traj, spin, traj.times[i]) - lvn_oracle(traj, spin, i))
+                assert gap <= 1e-13, (name, i, gap)
 
 
 class TestEvolutionOperatorV:

@@ -7,6 +7,7 @@ import pytest
 from fiberphase import (
     ConfigError,
     helix_points,
+    identity,
     make_helix,
     parse_config,
     run_builtin,
@@ -120,6 +121,23 @@ class TestRunScenario:
         assert len(lines) == 130  # header + steps + 1
         assert all(len(line.split(",")) == 9 for line in lines[1:])
 
+    def test_csv_writer_matches_row_loop(self, tmp_path):
+        import fiberphase.scenario as scenario
+        from fiberphase.quadrature import cumulative_dense
+
+        summary = scenario.evaluate_scenario(parse_config(cone_config(polar=1.0, steps=256), "rows"))
+        scenario._write_run_csv(summary, tmp_path / "rows.csv")
+        series = summary["_series"]
+        angles, phase = series["angles"], series["phase"]
+        cum = cumulative_dense(angles.gamma_dot * (1.0 - np.cos(angles.lam)), angles.times)
+        lines = ["t,lambda,gamma,phi_closed,phi_total,phi_dyn,phi_geo,norm,lvn_residual"]
+        for j, i in enumerate(range(0, len(angles.times), 2)):
+            row = [angles.times[i], angles.lam[i], angles.gamma[i], series["s3_attributed"] * cum[i],
+                   phase["total"][j], phase["dynamical"][j], phase["geometric"][j], phase["norms"][j],
+                   series["lvn"][j]]
+            lines.append(",".join(format(float(v), ".17g") for v in row))
+        assert (tmp_path / "rows.csv").read_text() == "\n".join(lines) + "\n"
+
     def test_vacuum_attribution(self, tmp_path):
         data = cone_config(polar=math.pi / 3.0, ordering="nonnormal_r")
         data["state"] = {"n_r": 0, "n_l": 0}
@@ -129,6 +147,27 @@ class TestRunScenario:
         assert cf["vacuum"]["sum"] == 0.0
         assert outcome.summary["numerical"]["geometric_phase"] == pytest.approx(0.0, abs=1e-9)
         assert outcome.exit_code == 0
+
+    def test_vacuum_cancellation_can_fail(self, monkeypatch):
+        import fiberphase.scenario as scenario
+
+        real_split = scenario.s3_split
+
+        def shifted_split(space):
+            r_nn, l_nn, r_n, l_n = real_split(space)
+            return r_nn + 1e-3 * identity(space), l_nn, r_n, l_n
+
+        monkeypatch.setattr(scenario, "s3_split", shifted_split)
+        data = cone_config(polar=math.pi / 3.0, steps=256, ordering="nonnormal_r")
+        data["state"] = {"n_r": 0, "n_l": 0}
+        summary = scenario.evaluate_scenario(parse_config(data, "vac"))
+        check = next(c for c in summary["checks"] if c["name"] == "vacuum_cancellation")
+        vacuum = summary["closed_form"]["vacuum"]
+        assert check["pass"] is False
+        assert check["value"] == pytest.approx(1e-3 * math.pi, rel=1e-9)
+        assert vacuum["right"] == pytest.approx(0.501 * math.pi, rel=1e-9)
+        assert vacuum["sum"] == pytest.approx(1e-3 * math.pi, rel=1e-9)
+        assert summary["status"] == "fail"
 
     def test_amplitude_state(self, tmp_path):
         from fiberphase import build_photon_state, build_space
