@@ -11,6 +11,9 @@ built once, the RK4 loop records <psi|H|psi> from its own first stage,
 and the Liouville-von Neumann residual and the phase series are array
 expressions over the step boundaries.
 
+H conserves photon number, so the evolution runs only on the sectors the
+initial state occupies, and the step guard is the closed form N|u|.
+
 Sign convention: a phase reported as +phi appears on the state as the
 amplitude factor exp(-i phi), so the reported total is
 -arg<psi(0)|psi(t)> and a right-handed photon on a counterclockwise
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quadrature
-from .fock import FockSpace, OperatorMatrix, StateVector, spin_fixed
+from .fock import FockSpace, OperatorMatrix, StateVector, helicity_operator, spin_fixed
 from .geometry import AngleTrajectory, TangentTrajectory, anholonomy_integral, grid_index, spherical_angles
 
 STEP_GUARD = 0.1
@@ -129,23 +132,6 @@ def effective_hamiltonian(traj: TangentTrajectory, spin: SpinTriple, t: float) -
     return OperatorMatrix(spin[0].space, _field_operator(u, [op.entries for op in spin]))
 
 
-def _max_field_norm(u: np.ndarray, s: list[np.ndarray]) -> float:
-    """Max spectral norm of H = u.S over probe samples.
-
-    The field u varies smoothly along the grid, so probing at most 65
-    samples (always including the largest |u|) pins down max|H| well
-    enough for the step guard and its reported metric.
-    """
-    n = len(u)
-    probes = set(np.linspace(0, n - 1, min(n, 65)).astype(int).tolist())
-    probes.add(int(np.argmax(np.linalg.norm(u, axis=1))))
-    worst = 0.0
-    for i in sorted(probes):
-        eigs = np.linalg.eigvalsh(_field_operator(u[i], s))
-        worst = max(worst, float(np.abs(eigs).max()))
-    return worst
-
-
 def _lvn_residuals(traj: TangentTrajectory, u: np.ndarray, spin: SpinTriple, indices: np.ndarray) -> np.ndarray:
     """Max-norm of dI/dt + (1/i)[I, H] for I = khat.S at the given samples.
 
@@ -182,8 +168,13 @@ def evolve_state(psi0: StateVector, traj: TangentTrajectory, spin: SpinTriple) -
     scheme fourth order without interpolating H.  Norms are recorded at
     every step and the drift is left in as an integration diagnostic.
     The energy <psi|H|psi> at each boundary comes from the first RK4
-    stage, k1 = -i H psi.  A guard on max|H| * step is enforced and
-    reported, never silently accepted.
+    stage, k1 = -i H psi.  H conserves photon number, so only the sectors
+    psi0 occupies are integrated; states keep the full dimension, with
+    exact zeros elsewhere.  The guard max|H| * step <= N_top * max|u| *
+    step (N_top the largest occupied sector) holds because a complete
+    sector N has spectral radius N|u| and, by Cauchy interlacing, a
+    sector cut off at n_max no larger; it is enforced and reported,
+    never silently accepted.
     """
     n = len(traj.times)
     if n < 3 or n % 2 == 0:
@@ -200,9 +191,12 @@ def evolve_state(psi0: StateVector, traj: TangentTrajectory, spin: SpinTriple) -
         raise ValueError("each RK4 step needs its midpoint sample centered in the pane")
 
     u = _effective_fields(traj)
-    s = [op.entries for op in spin]
+    totals = np.sum(psi0.space.basis, axis=1)
+    occupied = totals[psi0.amplitudes != 0]
+    keep = np.flatnonzero(np.isin(totals, occupied))
+    s = [op.entries[np.ix_(keep, keep)] for op in spin]
     step_h = times[2::2] - times[0:-2:2]
-    max_h_dt = float(_max_field_norm(u, s) * step_h.max())
+    max_h_dt = float(occupied.max() * np.linalg.norm(u, axis=1).max() * step_h.max())
     if max_h_dt >= STEP_GUARD:
         raise ValueError(
             f"step-size guard violated: bound max|H|*dt = {max_h_dt:.3e} >= {STEP_GUARD}; "
@@ -211,11 +205,11 @@ def evolve_state(psi0: StateVector, traj: TangentTrajectory, spin: SpinTriple) -
 
     steps = (n - 1) // 2
     dim = psi0.space.dimension
-    states = np.empty((steps + 1, dim), dtype=complex)
+    states = np.zeros((steps + 1, dim), dtype=complex)
     norms = np.empty(steps + 1)
     energies = np.empty(steps + 1)
-    psi = psi0.amplitudes.astype(complex)
-    states[0] = psi
+    psi = psi0.amplitudes[keep]
+    states[0, keep] = psi
     norms[0] = np.linalg.norm(psi)
     h_next = _field_operator(u[0], s)
     for sidx in range(steps):
@@ -231,7 +225,7 @@ def evolve_state(psi0: StateVector, traj: TangentTrajectory, spin: SpinTriple) -
         k4 = -1j * (h2 @ (psi + h * k3))
         psi = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         norms[sidx + 1] = np.linalg.norm(psi)
-        states[sidx + 1] = psi
+        states[sidx + 1, keep] = psi
         h_next = h2
     energies[steps] = np.vdot(psi, h_next @ psi).real
 
@@ -293,8 +287,7 @@ def extract_phases(
         raise ValueError("evolution result does not match this trajectory grid")
     if s3_expectation is None:
         khat = traj.tangents[0] / np.linalg.norm(traj.tangents[0])
-        i0 = _field_operator(khat, [op.entries for op in spin])
-        s3_expectation = float(np.real(np.vdot(result.states[0], i0 @ result.states[0])))
+        s3_expectation = result.state_at(0).expectation(helicity_operator(spin[0].space, khat)).real
     anholonomy = anholonomy_integral(spherical_angles(traj))
     return PhaseBreakdown.from_series(phase_series(result), s3_expectation, anholonomy)
 

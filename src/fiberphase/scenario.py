@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import quadrature
-from .fock import build_space, build_photon_state, spin_fixed, s3_split, StateVector
+from .fock import build_space, build_photon_state, helicity_operator, spin_fixed, s3_split, StateVector
 from .geometry import (
     anholonomy_integral,
     cone_trajectory,
@@ -43,6 +43,17 @@ MOTION_TOL = 1e-6
 DEFAULT_TOLERANCE = 1e-4
 MIN_STEPS = 32
 
+# Memory a run may need, checked before anything is allocated.  The
+# coefficients come from tracemalloc peaks at small sizes, with headroom:
+# building the 3-mode spin operators holds 11 dense complex d x d arrays at
+# once and the 2-mode S3 split 9; each trajectory sample costs 256 bytes
+# across the geometry, angle, series and CSV arrays, and each stored state
+# 16*d bytes.
+MEMORY_BUDGET_BYTES = 2 * 1024**3
+_DENSE_COPIES_3MODE = 12
+_DENSE_COPIES_2MODE = 10
+_BYTES_PER_SAMPLE = 288
+
 
 class ConfigError(ValueError):
     """Invalid scenario configuration; carries the offending field."""
@@ -51,6 +62,15 @@ class ConfigError(ValueError):
         self.field = field
         self.message = message
         super().__init__(f"{field}: {message}")
+
+
+def _check_budget(field: str, estimate: int, what: str) -> None:
+    if estimate > MEMORY_BUDGET_BYTES:
+        raise ConfigError(
+            field,
+            f"{what} needs an estimated {estimate / 2**30:.3g} GiB, "
+            f"over the {MEMORY_BUDGET_BYTES / 2**30:g} GiB memory budget",
+        )
 
 
 @dataclass(frozen=True)
@@ -234,6 +254,12 @@ def parse_config(data: dict, name: str, base_dir: Path | None = None) -> Scenari
         if steps < MIN_STEPS:
             raise ConfigError("steps", f"must be >= {MIN_STEPS}, got {steps}")
 
+    dim = (n_max + 1) ** 3
+    operators = _DENSE_COPIES_3MODE * 16 * dim * dim
+    samples = 0 if steps is None else (2 * steps + 1) * _BYTES_PER_SAMPLE + (steps + 1) * 16 * dim
+    field = "n_max" if operators >= samples else "steps"
+    _check_budget(field, operators + samples, f"n_max = {n_max} with steps = {steps}")
+
     t_end = _get_number(data, "t_end", "config") if "t_end" in data else 1.0
     if not 0.0 < t_end <= 1.0:
         raise ConfigError("t_end", "must lie in (0, 1]")
@@ -366,9 +392,7 @@ def evaluate_scenario(config: ScenarioConfig) -> dict:
         s3_attr = _s3_expectation(config.ordering, config.n_r, config.n_l)
         s3_total = _s3_expectation("normal", config.n_r, config.n_l)
     else:
-        s1, s2, s3 = spin
-        i0 = k[0, 0] * s1.entries + k[0, 1] * s2.entries + k[0, 2] * s3.entries
-        s3_total = float(np.real(np.vdot(psi0.amplitudes, i0 @ psi0.amplitudes)))
+        s3_total = psi0.expectation(helicity_operator(space, k[0])).real
         s3_attr = s3_total
 
     result = evolve_state(psi0, traj, spin)
@@ -668,27 +692,12 @@ def _sweep_base_polar(config: ScenarioConfig) -> float:
     raise ConfigError("sweep", "lambda/turns sweeps need helix or cone geometry")
 
 
-def _variant(config: ScenarioConfig, geometry) -> ScenarioConfig:
-    return ScenarioConfig(
-        name=config.name,
-        geometry=geometry,
-        n_r=config.n_r,
-        n_l=config.n_l,
-        amplitudes=config.amplitudes,
-        ordering=config.ordering,
-        n_max=config.n_max,
-        steps=config.steps,
-        t_end=config.t_end,
-        tolerance=config.tolerance,
-        medium=config.medium,
-    )
-
-
 def sweep(config: ScenarioConfig, parameter: str, values, out_dir) -> tuple[int, str]:
     """Write one closed-form (or dispersion) table row per parameter value.
 
     Phase sweeps report the quadrature route only; the dual numerical
-    vs closed-form verification is run_scenario's job.
+    vs closed-form verification is run_scenario's job.  Every value is
+    validated, memory budget included, before any row is computed.
     """
     if parameter not in SWEEP_PARAMETERS:
         raise ConfigError("sweep", f"unknown parameter {parameter!r}; known: {', '.join(SWEEP_PARAMETERS)}")
@@ -720,7 +729,7 @@ def sweep(config: ScenarioConfig, parameter: str, values, out_dir) -> tuple[int,
 
     if config.amplitudes is not None:
         raise ConfigError("sweep", "phase sweeps need an occupation-number state")
-    rows = []
+    points = []
     for v in values:
         n_r, n_l = config.n_r, config.n_l
         if parameter == "lambda":
@@ -743,8 +752,13 @@ def sweep(config: ScenarioConfig, parameter: str, values, out_dir) -> tuple[int,
                 n_r = v
             else:
                 n_l = v
+            operators = _DENSE_COPIES_2MODE * 16 * (max(n_r, n_l, 1) + 1) ** 4
+            _check_budget("sweep", operators, f"{parameter} = {v}")
             geometry = config.geometry
-        traj = _build_trajectory(_variant(config, geometry))
+        points.append((v, geometry, n_r, n_l))
+    rows = []
+    for v, geometry, n_r, n_l in points:
+        traj = _build_trajectory(replace(config, geometry=geometry))
         anholonomy = anholonomy_integral(spherical_angles(traj))
         s3 = _s3_expectation(config.ordering, n_r, n_l)
         rows.append((v, s3, anholonomy, s3 * anholonomy))

@@ -1,16 +1,22 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from fiberphase.cli import main
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
 
 def run_cli(*args, cwd=None):
     cmd = [sys.executable, "-m", "fiberphase", *args]
-    return subprocess.run(cmd, capture_output=True, text=True, cwd=cwd)
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run(cmd, capture_output=True, text=True, cwd=cwd, env=env)
 
 
 def test_list_scenarios():

@@ -242,6 +242,86 @@ class TestEvolveState:
         assert gaps[1] / gaps[2] > 12.0
 
 
+def field_along(traj):
+    k, kd = traj.tangents, traj.derivatives
+    return np.cross(k, kd) / np.einsum("ij,ij->i", k, k)[:, None]
+
+
+def full_box_rk4(psi0, traj, spin):
+    """States from the RK4 loop over the whole (n_max+1)^3 box, no sector slicing."""
+    u = field_along(traj)
+    s = [op.entries for op in spin]
+
+    def hamiltonian(i):
+        return u[i, 0] * s[0] + u[i, 1] * s[1] + u[i, 2] * s[2]
+
+    psi = psi0.amplitudes.astype(complex)
+    states = [psi]
+    for i0 in range(0, len(traj.times) - 1, 2):
+        h = traj.times[i0 + 2] - traj.times[i0]
+        h0, h1, h2 = hamiltonian(i0), hamiltonian(i0 + 1), hamiltonian(i0 + 2)
+        k1 = -1j * (h0 @ psi)
+        k2 = -1j * (h1 @ (psi + 0.5 * h * k1))
+        k3 = -1j * (h1 @ (psi + 0.5 * h * k2))
+        k4 = -1j * (h2 @ (psi + h * k3))
+        psi = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        states.append(psi)
+    return np.array(states)
+
+
+def multi_sector_state(space, sectors, seed=5):
+    """Normalized random amplitudes on the given photon-number sectors only."""
+    rng = np.random.default_rng(seed)
+    totals = np.sum(space.basis, axis=1)
+    amps = rng.normal(size=space.dimension) + 1j * rng.normal(size=space.dimension)
+    amps[~np.isin(totals, sectors)] = 0.0
+    return StateVector(space, amps / np.linalg.norm(amps))
+
+
+class TestSectorEvolution:
+    # Each step rounds O(dim) products in complex128 (eps = 2.2e-16); over 256
+    # steps of norm-1 states the two summation orders drift apart by well under
+    # 450 eps.
+    ORACLE_TOL = 1e-13
+
+    @pytest.mark.parametrize(
+        "label, occupation",
+        [("N=0", (0, 0)), ("N=1", (1, 0)), ("N=2", (1, 1)), ("N=3", (2, 1)), ("sectors 1+4", None)],
+    )
+    def test_matches_full_box_oracle(self, label, occupation):
+        traj = helix_traj(lam=0.6, steps=256)
+        space = build_space(3, 3)
+        spin = spin_fixed(space)
+        if occupation is None:
+            psi0 = multi_sector_state(space, [1, 4])  # sector 4 is cut off at n_max = 3
+        else:
+            psi0 = build_photon_state(space, *occupation)
+        result = evolve_state(psi0, traj, spin)
+        oracle = full_box_rk4(psi0, traj, spin)
+        assert np.abs(result.states - oracle).max() <= self.ORACLE_TOL, label
+        totals = np.sum(space.basis, axis=1)
+        outside = ~np.isin(totals, totals[psi0.amplitudes != 0])
+        assert np.all(result.states[:, outside] == 0.0), label
+
+    def test_cutoff_independent(self):
+        traj = helix_traj(lam=0.6, steps=256)
+        runs = []
+        for n_max in range(1, 6):
+            space = build_space(3, n_max)
+            spin = spin_fixed(space)
+            result = evolve_state(build_photon_state(space, 1, 0), traj, spin)
+            runs.append((result.max_h_dt, extract_phases(result, traj, spin).geometric_phase))
+        assert all(run == runs[0] for run in runs), runs
+
+    @pytest.mark.parametrize("photons", [0, 1, 2, 3])
+    def test_guard_is_photon_number_times_field(self, photons):
+        traj = helix_traj(lam=0.6, steps=256)
+        space = build_space(3, 3)
+        result = evolve_state(build_photon_state(space, photons, 0), traj, spin_fixed(space))
+        step = (traj.times[2::2] - traj.times[0:-2:2]).max()
+        assert result.max_h_dt == photons * np.linalg.norm(field_along(traj), axis=1).max() * step
+
+
 class TestExtractPhases:
     def test_free_evolution_all_zero(self):
         traj = cone_trajectory(0.0, 1.0, 129)
@@ -312,12 +392,13 @@ class TestExtractPhases:
         space = build_space(3, 2)
         spin = spin_fixed(space)
         result = evolve_state(build_photon_state(space, 1, 0), traj, spin)
-        k, kd = traj.tangents, traj.derivatives
-        u = (np.cross(k, kd) / np.einsum("ij,ij->i", k, k)[:, None])[::2]
-        s = [op.entries for op in spin]
+        u = field_along(traj)[::2]
+        # evolve_state integrates the one-photon sector, so the loop does too.
+        keep = np.flatnonzero(np.sum(space.basis, axis=1) == 1)
+        s = [op.entries[np.ix_(keep, keep)] for op in spin]
         energies = [
             np.vdot(psi, (ui[0] * s[0] + ui[1] * s[1] + ui[2] * s[2]) @ psi).real
-            for psi, ui in zip(result.states, u)
+            for psi, ui in zip(result.states[:, keep], u)
         ]
         assert np.abs(energies).max() > 0.1
         assert np.array_equal(result.energies, energies)

@@ -1,10 +1,12 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from fiberphase import (
+    BUILTIN_SCENARIOS,
     ConfigError,
     helix_points,
     identity,
@@ -14,6 +16,7 @@ from fiberphase import (
     run_scenario,
     sweep,
 )
+from fiberphase.scenario import apply_overrides
 
 BERRY_45 = 1.84030236902122
 
@@ -91,6 +94,56 @@ class TestParseConfig:
         data = cone_config(medium={"epsilon1": -1.0, "epsilon2": 2.0, "epsilon3": 1.0, "mu": 1.0, "omega": -1.0})
         with pytest.raises(ConfigError, match="omega"):
             parse_config(data, "t")
+
+
+def validation_peak(fn):
+    """Peak traced bytes while fn runs; fn must raise ConfigError."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError) as err:
+            fn()
+        return err.value, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemoryBudget:
+    @pytest.mark.parametrize(
+        "extra, field",
+        [
+            ({"n_max": 10**6, "steps": 10**9}, "n_max"),
+            ({"n_max": 40}, "n_max"),
+            ({"steps": 10**9}, "steps"),
+            ({"n_max": 3, "steps": 10**8}, "steps"),
+        ],
+    )
+    def test_oversize_config_refused_before_allocation(self, extra, field):
+        err, peak = validation_peak(lambda: parse_config(cone_config(**extra), "t"))
+        assert err.field == field
+        assert "budget" in err.message
+        assert peak < 100_000
+
+    def test_sampled_geometry_checks_operators(self):
+        data = {"geometry": {"kind": "sampled", "path_csv": "p.csv"}, "state": {"n_r": 1, "n_l": 0}, "n_max": 100}
+        err, peak = validation_peak(lambda: parse_config(data, "t"))
+        assert err.field == "n_max"
+        assert peak < 100_000
+
+    @pytest.mark.parametrize("parameter", ["n_R", "n_L"])
+    def test_oversize_sweep_value_refused_before_any_row(self, parameter, tmp_path):
+        # The first value alone would build a 32769-sample trajectory (~8 MB).
+        config = parse_config(cone_config(steps=16384), "s")
+        err, peak = validation_peak(lambda: sweep(config, parameter, [1, 10**6], tmp_path))
+        assert err.field == "sweep"
+        assert "budget" in err.message
+        assert peak < 1_000_000
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_builtins_far_inside_budget(self):
+        # Ten times the built-in steps at n_max = 6 is still accepted.
+        for members in BUILTIN_SCENARIOS.values():
+            for label, raw in members:
+                parse_config(apply_overrides(raw, steps=10 * raw["steps"], n_max=6), label)
 
 
 class TestRunScenario:
