@@ -32,6 +32,7 @@ from .geometry import (
     TangentTrajectory,
     anholonomy_integral,
     cone_trajectory,
+    geodesic_closure,
     helix_points,
     load_path_csv,
     make_helix,

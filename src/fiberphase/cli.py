@@ -16,6 +16,7 @@ from .scenario import (
     BUILTIN_SCENARIOS,
     ConfigError,
     apply_overrides,
+    builtin_members,
     parse_config,
     run_builtin,
     run_scenario,
@@ -96,10 +97,7 @@ def main(argv=None) -> int:
             data = apply_overrides(data, args.steps, args.nmax, args.tol)
             config = parse_config(data, path.stem, base_dir=path.parent)
         elif args.sweep:
-            if args.scenario not in BUILTIN_SCENARIOS:
-                known = ", ".join(sorted(BUILTIN_SCENARIOS))
-                raise ConfigError("scenario", f"unknown scenario {args.scenario!r}; known: {known}")
-            members = BUILTIN_SCENARIOS[args.scenario]
+            members = builtin_members(args.scenario)
             if len(members) != 1:
                 raise ConfigError("sweep", "sweeps need a single-run scenario as template")
             label, raw = members[0]

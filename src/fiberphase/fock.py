@@ -373,16 +373,11 @@ def build_photon_state(space: FockSpace, n_r: int, n_l: int, k_hat: np.ndarray |
             f"cutoff overflow: n_r + n_l = {n_r + n_l} photons need n_max >= {n_r + n_l}, "
             f"space has n_max = {space.n_max}"
         )
-    if k_hat is None:
-        a_r_dag = circular_operators(space)[1]
-        a_l_dag = circular_operators(space)[3]
-    else:
-        k = _check_unit(k_hat)
-        e1, e2 = polarization_triad(k)
-        bd = [creation(space, m) for m in range(3)]
-        inv_sqrt2 = 1.0 / math.sqrt(2.0)
-        a_r_dag = inv_sqrt2 * sum(((e1[m] + 1j * e2[m]) * bd[m] for m in range(3)), start=0.0 * bd[0])
-        a_l_dag = inv_sqrt2 * sum(((e1[m] - 1j * e2[m]) * bd[m] for m in range(3)), start=0.0 * bd[0])
+    e1, e2 = polarization_triad(np.array([0.0, 0.0, 1.0]) if k_hat is None else k_hat)
+    bd = [creation(space, m) for m in range(3)]
+    inv_sqrt2 = 1.0 / math.sqrt(2.0)
+    a_r_dag = inv_sqrt2 * sum(((e1[m] + 1j * e2[m]) * bd[m] for m in range(3)), start=0.0 * bd[0])
+    a_l_dag = inv_sqrt2 * sum(((e1[m] - 1j * e2[m]) * bd[m] for m in range(3)), start=0.0 * bd[0])
     psi = vacuum_state(space)
     for _ in range(n_r):
         psi = a_r_dag.apply(psi)

@@ -5,8 +5,9 @@ downstream only needs the unit tangent k(t), its time derivative, and
 the unwrapped spherical angles of k(t).  Helix and cone constructors
 produce those analytically; sampled point lists fall back to
 second-order finite differences.  The anholonomy integral, the solid
-angle swept by the tangent trace, lives here too: it depends on the
-tangent kinematics alone.
+angle swept by the tangent trace, its geodesic closure, the precession
+field u and the equation-of-motion residual live here too: they depend
+on the tangent kinematics alone.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quadrature
-from .fock import _rotation_to_direction
 
 POLE_SIN_TOL = 1e-9
 CLOSURE_TOL = 1e-6
@@ -176,49 +176,29 @@ def _derivative(values: np.ndarray, times: np.ndarray) -> np.ndarray:
     return out
 
 
-def tangent_trajectory(path: FiberPath, frame_align: bool = False) -> TangentTrajectory:
+def helix_polar_angle(radius: float, pitch_per_turn: float) -> float:
+    """Constant tangent polar angle atan2(2*pi*r, pitch) of a helix about z."""
+    return math.atan2(TWO_PI * radius, pitch_per_turn)
+
+
+def tangent_trajectory(path: FiberPath) -> TangentTrajectory:
     """Unit tangent field of a path.
 
-    Helix paths get exact tangents and derivatives from the parametric
-    form; sampled paths are differentiated numerically.  With
-    frame_align a fixed rotation is applied so k(0) = (0, 0, 1).
+    A helix's tangent traces a cone at its polar angle, a quarter turn
+    ahead of the position azimuth, so it is the analytic cone field;
+    sampled paths are differentiated numerically.
     """
     if path.kind == "helix":
-        t = np.linspace(0.0, 1.0, path.samples)
-        theta = TWO_PI * path.turns * t
-        c = path.pitch_per_turn / TWO_PI
-        den = math.hypot(path.radius, c)
-        tangents = np.column_stack(
-            [
-                -path.radius * np.sin(theta) / den,
-                path.radius * np.cos(theta) / den,
-                np.full_like(theta, c / den),
-            ]
-        )
-        rate = TWO_PI * path.turns
-        derivatives = np.column_stack(
-            [
-                -path.radius * np.cos(theta) * rate / den,
-                -path.radius * np.sin(theta) * rate / den,
-                np.zeros_like(theta),
-            ]
-        )
-    elif path.kind == "sampled":
-        t = path.times
-        velocity = _derivative(path.points, t)
-        speed = np.linalg.norm(velocity, axis=1)
-        if np.any(speed < 1e-15):
-            raise ValueError("degenerate path: vanishing velocity sample")
-        tangents = velocity / speed[:, None]
-        derivatives = _derivative(tangents, t)
-    else:
+        polar = helix_polar_angle(path.radius, path.pitch_per_turn)
+        return cone_trajectory(polar, path.turns, path.samples, azimuth_offset=math.pi / 2.0)
+    if path.kind != "sampled":
         raise ValueError(f"unknown path kind {path.kind!r}")
-
-    if frame_align:
-        rot = _rotation_to_direction(tangents[0] / np.linalg.norm(tangents[0])).T
-        tangents = tangents @ rot.T
-        derivatives = derivatives @ rot.T
-    return TangentTrajectory(times=t, tangents=tangents, derivatives=derivatives)
+    velocity = _derivative(path.points, path.times)
+    speed = np.linalg.norm(velocity, axis=1)
+    if np.any(speed < 1e-15):
+        raise ValueError("degenerate path: vanishing velocity sample")
+    tangents = velocity / speed[:, None]
+    return TangentTrajectory(times=path.times, tangents=tangents, derivatives=_derivative(tangents, path.times))
 
 
 def trajectory_from_tangents(times: np.ndarray, tangents: np.ndarray) -> TangentTrajectory:
@@ -336,19 +316,40 @@ def anholonomy_integral(angles: AngleTrajectory, t_end: float | None = None) -> 
     return quadrature.integrate(angles.anholonomy_rate()[: end + 1], angles.times[: end + 1])
 
 
+def precession_field(traj: TangentTrajectory) -> np.ndarray:
+    """Precession vector u = (k x kdot)/|k|^2 at every sample."""
+    k = traj.tangents
+    ksq = np.einsum("ij,ij->i", k, k)
+    if np.any(ksq == 0.0):
+        raise ValueError("tangent with zero magnitude")
+    return np.cross(k, traj.derivatives) / ksq[:, None]
+
+
+def motion_residual(traj: TangentTrajectory, u: np.ndarray) -> np.ndarray:
+    """Residual vector kdot + k x u at every sample; for u = precession_field(traj) it is kdot along k."""
+    return traj.derivatives + np.cross(traj.tangents, u)
+
+
 def motion_identity_residual(traj: TangentTrajectory) -> float:
-    """Max-norm residual of kdot + k x (k x kdot) / |k|^2 over the samples.
+    """Max-norm of the motion residual over the samples.
 
     Vanishes (up to differencing error) for any smooth constant-magnitude
     tangent field; order one when the magnitude drifts.
     """
-    k = traj.tangents
-    kd = traj.derivatives
-    ksq = np.einsum("ij,ij->i", k, k)
-    if np.any(ksq == 0.0):
-        raise ValueError("tangent with zero magnitude")
-    res = kd + np.cross(k, np.cross(k, kd)) / ksq[:, None]
-    return float(np.linalg.norm(res, axis=1).max())
+    return float(np.linalg.norm(motion_residual(traj, precession_field(traj)), axis=1).max())
+
+
+def geodesic_closure(k_first: np.ndarray, k_last: np.ndarray) -> float:
+    """Integral of (1 - cos(lam)) dgamma along the shorter great circle from k_last to k_first.
+
+    For unit vectors this is the signed solid angle of the spherical
+    triangle (z, k_last, k_first), in closed form.  Added to the
+    anholonomy integral of an open trace it gives the geodesically closed
+    (Samuel-Bhandari) solid angle; times the helicity this is the open-path
+    geometric phase, exact for number states of one handedness.  It
+    vanishes on a closed trace.
+    """
+    return 2.0 * math.atan2(np.cross(k_last, k_first)[2], 1.0 + k_last[2] + k_last @ k_first + k_first[2])
 
 
 def solid_angle(angles: AngleTrajectory) -> float:

@@ -29,7 +29,15 @@ import numpy as np
 
 from . import quadrature
 from .fock import FockSpace, OperatorMatrix, StateVector, helicity_operator, spin_fixed
-from .geometry import AngleTrajectory, TangentTrajectory, anholonomy_integral, grid_index, spherical_angles
+from .geometry import (
+    AngleTrajectory,
+    TangentTrajectory,
+    anholonomy_integral,
+    grid_index,
+    motion_residual,
+    precession_field,
+    spherical_angles,
+)
 
 STEP_GUARD = 0.1
 OVERLAP_FLOOR = 1e-6
@@ -107,16 +115,6 @@ def berry_phase_cyclic(polar_angle: float, s3_expectation: float) -> float:
     return TWO_PI * (1.0 - math.cos(polar_angle)) * float(s3_expectation)
 
 
-def _effective_fields(traj: TangentTrajectory) -> np.ndarray:
-    """Precession vector u = (k x kdot)/|k|^2 at every sample."""
-    k = traj.tangents
-    kd = traj.derivatives
-    ksq = np.einsum("ij,ij->i", k, k)
-    if np.any(ksq == 0.0):
-        raise ValueError("tangent with zero magnitude")
-    return np.cross(k, kd) / ksq[:, None]
-
-
 def _field_operator(v: np.ndarray, s: list[np.ndarray]) -> np.ndarray:
     """v . S for one 3-vector v and the spin matrices s."""
     return v[0] * s[0] + v[1] * s[1] + v[2] * s[2]
@@ -128,7 +126,7 @@ def effective_hamiltonian(traj: TangentTrajectory, spin: SpinTriple, t: float) -
     Homogeneous of degree zero in the tangent magnitude, so rescaling
     all tangents leaves every entry unchanged.
     """
-    u = _effective_fields(traj)[grid_index(traj.times, t)]
+    u = precession_field(traj)[grid_index(traj.times, t)]
     return OperatorMatrix(spin[0].space, _field_operator(u, [op.entries for op in spin]))
 
 
@@ -139,15 +137,15 @@ def _lvn_residuals(traj: TangentTrajectory, u: np.ndarray, spin: SpinTriple, ind
     truncated spin algebra is exact; the full matrix always carries an
     O(1) cutoff defect that says nothing about the trajectory.  There
     [S_i, S_j] = i eps_ijk S_k, so the residual operator is v.S with
-    v = khat_dot + khat x u, and since every pair of basis states is
-    linked by at most one S_i its max-norm is max_i |v_i| * max|S_i|.
-    khat_dot is the stored derivative data over |k| (constant tangent
-    magnitude assumed), so differencing noise shows up in the residual
-    instead of being projected away.
+    v = khat_dot + khat x u = (kdot + k x u)/|k|, the motion residual
+    over |k| (constant tangent magnitude assumed), and since every pair
+    of basis states is linked by at most one S_i its max-norm is
+    max_i |v_i| * max|S_i|.  Differencing noise in the stored
+    derivative data shows up in the residual instead of being
+    projected away.
     """
-    k = traj.tangents[indices]
-    norms = np.linalg.norm(k, axis=1)[:, None]
-    v = traj.derivatives[indices] / norms + np.cross(k / norms, u[indices])
+    norms = np.linalg.norm(traj.tangents[indices], axis=1)[:, None]
+    v = motion_residual(traj, u)[indices] / norms
     bounded = spin[0].space.bounded_indices()
     box = np.ix_(bounded, bounded)
     scale = np.array([np.abs(op.entries[box]).max() for op in spin])
@@ -157,7 +155,7 @@ def _lvn_residuals(traj: TangentTrajectory, u: np.ndarray, spin: SpinTriple, ind
 def lvn_residual(traj: TangentTrajectory, spin: SpinTriple, t: float) -> float:
     """Liouville-von Neumann residual of the helicity invariant at time t."""
     i = grid_index(traj.times, t)
-    return float(_lvn_residuals(traj, _effective_fields(traj), spin, np.array([i]))[0])
+    return float(_lvn_residuals(traj, precession_field(traj), spin, np.array([i]))[0])
 
 
 def evolve_state(psi0: StateVector, traj: TangentTrajectory, spin: SpinTriple) -> EvolutionResult:
@@ -190,7 +188,7 @@ def evolve_state(psi0: StateVector, traj: TangentTrajectory, spin: SpinTriple) -
     if np.abs(halves[0::2] - halves[1::2]).max() > 1e-9 * halves.max():
         raise ValueError("each RK4 step needs its midpoint sample centered in the pane")
 
-    u = _effective_fields(traj)
+    u = precession_field(traj)
     totals = np.sum(psi0.space.basis, axis=1)
     occupied = totals[psi0.amplitudes != 0]
     keep = np.flatnonzero(np.isin(totals, occupied))

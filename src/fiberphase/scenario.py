@@ -22,10 +22,11 @@ from .fock import build_space, build_photon_state, helicity_operator, spin_fixed
 from .geometry import (
     anholonomy_integral,
     cone_trajectory,
+    geodesic_closure,
+    helix_polar_angle,
     load_path_csv,
     make_helix,
     motion_identity_residual,
-    solid_angle,
     spherical_angles,
     tangent_trajectory,
     wrap_angle,
@@ -381,7 +382,7 @@ def evaluate_scenario(config: ScenarioConfig) -> dict:
     k = traj.tangents / np.linalg.norm(traj.tangents, axis=1)[:, None]
     closure_gap = float(np.linalg.norm(k[-1] - k[0]))
     closed = closure_gap < CLOSURE_TOL
-    solid = solid_angle(angles) if closed else None
+    closure = geodesic_closure(k[0], k[-1])
     motion = motion_identity_residual(traj)
 
     space = build_space(3, config.n_max)
@@ -400,7 +401,7 @@ def evaluate_scenario(config: ScenarioConfig) -> dict:
     breakdown = PhaseBreakdown.from_series(series, s3_attr, anholonomy)
 
     phi_closed_total = s3_total * anholonomy
-    difference = abs(wrap_angle(breakdown.geometric_phase - phi_closed_total))
+    difference = abs(wrap_angle(breakdown.geometric_phase - s3_total * (anholonomy + closure)))
     norm_drift = float(np.abs(result.norms - 1.0).max())
     lvn_max = float(result.lvn_residuals.max())
 
@@ -447,7 +448,7 @@ def evaluate_scenario(config: ScenarioConfig) -> dict:
             "samples": len(traj.times),
             "closure_gap": closure_gap,
             "closed": closed,
-            "solid_angle": solid,
+            "solid_angle": anholonomy if closed else None,
             "motion_identity_residual": motion,
         },
         "spin_expectations": {
@@ -457,6 +458,7 @@ def evaluate_scenario(config: ScenarioConfig) -> dict:
         },
         "closed_form": {
             "anholonomy_integral": anholonomy,
+            "geodesic_closure": closure,
             "phi_attributed": s3_attr * anholonomy,
             "phi_total": phi_closed_total,
             "vacuum": {"right": vacuum_right, "left": vacuum_left, "sum": vacuum_sum},
@@ -643,13 +645,17 @@ def apply_overrides(raw: dict, steps=None, n_max=None, tolerance=None) -> dict:
     return out
 
 
+def builtin_members(name: str) -> tuple[tuple[str, dict], ...]:
+    """(label, raw config) pairs of a named built-in scenario."""
+    if name not in BUILTIN_SCENARIOS:
+        raise ConfigError("scenario", f"unknown scenario {name!r}; known: {', '.join(sorted(BUILTIN_SCENARIOS))}")
+    return BUILTIN_SCENARIOS[name]
+
+
 def run_builtin(name: str, out_dir, steps=None, n_max=None, tolerance=None) -> int:
     """Run a named built-in scenario (possibly a group) and write artifacts."""
-    if name not in BUILTIN_SCENARIOS:
-        known = ", ".join(sorted(BUILTIN_SCENARIOS))
-        raise ConfigError("scenario", f"unknown scenario {name!r}; known: {known}")
+    members = builtin_members(name)
     out_dir = Path(out_dir)
-    members = BUILTIN_SCENARIOS[name]
     outcomes = []
     for label, raw in members:
         config = parse_config(apply_overrides(raw, steps, n_max, tolerance), label)
@@ -676,19 +682,13 @@ def run_builtin(name: str, out_dir, steps=None, n_max=None, tolerance=None) -> i
     return code
 
 
-def _sweep_base_turns(config: ScenarioConfig) -> float:
-    g = config.geometry
-    if isinstance(g, (HelixGeometry, ConeGeometry)):
-        return g.turns
-    raise ConfigError("sweep", "lambda/turns sweeps need helix or cone geometry")
-
-
-def _sweep_base_polar(config: ScenarioConfig) -> float:
+def _sweep_base(config: ScenarioConfig) -> tuple[float, float]:
+    """(polar angle, turns) of the helix or cone a lambda/turns sweep starts from."""
     g = config.geometry
     if isinstance(g, ConeGeometry):
-        return g.polar_angle
+        return g.polar_angle, g.turns
     if isinstance(g, HelixGeometry):
-        return math.atan2(2.0 * math.pi * g.radius, g.pitch_per_turn)
+        return helix_polar_angle(g.radius, g.pitch_per_turn), g.turns
     raise ConfigError("sweep", "lambda/turns sweeps need helix or cone geometry")
 
 
@@ -736,12 +736,12 @@ def sweep(config: ScenarioConfig, parameter: str, values, out_dir) -> tuple[int,
             v = float(v)
             if not 0.0 <= v <= math.pi:
                 raise ConfigError("sweep", f"lambda value {v!r} outside [0, pi]")
-            geometry = ConeGeometry(polar_angle=v, turns=_sweep_base_turns(config))
+            geometry = ConeGeometry(polar_angle=v, turns=_sweep_base(config)[1])
         elif parameter == "turns":
             v = float(v)
             if v <= 0:
                 raise ConfigError("sweep", f"turns value {v!r} must be positive")
-            geometry = ConeGeometry(polar_angle=_sweep_base_polar(config), turns=v)
+            geometry = ConeGeometry(polar_angle=_sweep_base(config)[0], turns=v)
         else:  # n_R or n_L
             if isinstance(v, float) and not v.is_integer():
                 raise ConfigError("sweep", f"{parameter} value {v!r} must be a non-negative integer")

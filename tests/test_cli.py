@@ -41,6 +41,13 @@ def test_unknown_scenario_is_validation_error(tmp_path):
     assert report["error"]["field"] == "scenario"
 
 
+def test_unknown_scenario_in_sweep_is_validation_error(tmp_path):
+    r = run_cli("--scenario", "nope", "--sweep", "lambda=0.1", "--out", str(tmp_path))
+    assert r.returncode == 2
+    report = json.loads(r.stderr.strip().splitlines()[-1])
+    assert report["error"]["field"] == "scenario"
+
+
 def test_malformed_config_names_field(tmp_path):
     cfg = tmp_path / "bad.json"
     cfg.write_text(

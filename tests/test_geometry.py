@@ -5,6 +5,7 @@ import pytest
 
 from fiberphase import (
     cone_trajectory,
+    geodesic_closure,
     helix_points,
     load_path_csv,
     make_helix,
@@ -50,6 +51,56 @@ class TestHelix:
             make_helix(1.0, 1.0, 1.0, 32)
 
 
+def helix_trig_oracle(radius, pitch_per_turn, turns, samples):
+    """Tangent and derivative of a helix from its own parametric form."""
+    theta = 2.0 * math.pi * turns * np.linspace(0.0, 1.0, samples)
+    c = pitch_per_turn / (2.0 * math.pi)
+    den = math.hypot(radius, c)
+    rate = 2.0 * math.pi * turns
+    tangents = np.column_stack(
+        [-radius * np.sin(theta) / den, radius * np.cos(theta) / den, np.full_like(theta, c / den)]
+    )
+    derivatives = np.column_stack(
+        [-radius * np.cos(theta) * rate / den, -radius * np.sin(theta) * rate / den, np.zeros_like(theta)]
+    )
+    return tangents, derivatives
+
+
+class TestHelixIsCone:
+    @pytest.mark.parametrize("turns", [1.0, 2.3])
+    @pytest.mark.parametrize("radius, pitch", [(1.0, 2.0 * math.pi), (0.4, 3.0), (2.0, -1.5), (1.0, 0.0)])
+    def test_matches_parametric_helix(self, turns, radius, pitch):
+        traj = tangent_trajectory(make_helix(radius, pitch, turns, 1025))
+        tangents, derivatives = helix_trig_oracle(radius, pitch, turns, 1025)
+        assert np.abs(traj.tangents - tangents).max() <= 1e-14
+        assert np.abs(traj.derivatives - derivatives).max() <= 1e-14 * 2.0 * math.pi * turns
+
+    def test_matches_sampled_helix(self):
+        path = make_helix(0.7, 2.5, 1.0, 4097)
+        sampled = tangent_trajectory(sampled_path(*helix_points(path)))
+        assert np.abs(tangent_trajectory(path).tangents - sampled.tangents).max() < 1e-5
+
+
+class TestGeodesicClosure:
+    def test_matches_great_circle_quadrature(self):
+        # Latitude arc at lam = 0.8 over 0.6 of a turn, closed along the great circle.
+        lam, sweep = 0.8, 2.0 * math.pi * 0.6
+        k0 = np.array([math.sin(lam), 0.0, math.cos(lam)])
+        k1 = np.array([math.sin(lam) * math.cos(sweep), math.sin(lam) * math.sin(sweep), math.cos(lam)])
+        angle = math.acos(float(k0 @ k1))
+        s = np.linspace(0.0, 1.0, 200001)[:, None]
+        arc = (np.sin((1.0 - s) * angle) * k1 + np.sin(s * angle) * k0) / math.sin(angle)
+        gamma = np.unwrap(np.arctan2(arc[:, 1], arc[:, 0]))
+        weight = 1.0 - arc[:, 2]
+        quadrature = float(np.sum(0.5 * (weight[1:] + weight[:-1]) * np.diff(gamma)))
+        assert geodesic_closure(k0, k1) == pytest.approx(quadrature, abs=1e-9)
+
+    def test_zero_on_closed_trace_and_odd_under_reversal(self):
+        k0, k1 = np.array([0.6, 0.0, 0.8]), np.array([0.0, 0.6, 0.8])
+        assert geodesic_closure(k0, k0) == 0.0
+        assert geodesic_closure(k0, k1) == -geodesic_closure(k1, k0)
+
+
 class TestTangentTrajectory:
     def test_straight_segment(self):
         traj = tangent_trajectory(straight_path())
@@ -58,16 +109,6 @@ class TestTangentTrajectory:
     def test_unit_norm(self):
         traj = tangent_trajectory(make_helix(1.0, 3.0, 2.0, 257))
         assert traj.max_unit_deviation() < 1e-10
-
-    def test_frame_align_puts_start_on_axis(self):
-        traj = tangent_trajectory(make_helix(1.0, 2.0 * math.pi, 1.0, 257), frame_align=True)
-        assert np.abs(traj.tangents[0] - np.array([0.0, 0.0, 1.0])).max() < 1e-12
-
-    def test_frame_align_antiparallel_start(self):
-        t = np.linspace(0.0, 1.0, 65)
-        down = sampled_path(t, np.column_stack([np.zeros(65), np.zeros(65), -t]))
-        traj = tangent_trajectory(down, frame_align=True)
-        assert np.abs(traj.tangents[0] - np.array([0.0, 0.0, 1.0])).max() < 1e-12
 
     def test_planar_circle_sweeps_equator(self):
         t = np.linspace(0.0, 1.0, 513)

@@ -146,6 +146,39 @@ class TestMemoryBudget:
                 parse_config(apply_overrides(raw, steps=10 * raw["steps"], n_max=6), label)
 
 
+class TestOpenTrace:
+    def open_cone(self):
+        return parse_config(cone_config(polar=0.6, steps=512, t_end=0.6), "open")
+
+    def test_open_cone_passes_with_geodesic_closure(self, tmp_path):
+        outcome = run_scenario(self.open_cone(), tmp_path)
+        cf = outcome.summary["closed_form"]
+        assert outcome.exit_code == 0
+        assert outcome.summary["trajectory"]["closed"] is False
+        assert outcome.summary["trajectory"]["solid_angle"] is None
+        assert cf["phi_total"] == pytest.approx(2.0 * math.pi * 0.6 * (1.0 - math.cos(0.6)), abs=1e-10)
+        assert abs(cf["geodesic_closure"]) > 0.1
+
+    def test_fails_without_geodesic_closure(self, monkeypatch):
+        import fiberphase.scenario as scenario
+
+        monkeypatch.setattr(scenario, "geodesic_closure", lambda k_first, k_last: 0.0)
+        summary = scenario.evaluate_scenario(self.open_cone())
+        check = next(c for c in summary["checks"] if c["name"] == "numerical_vs_closed_form")
+        assert check["pass"] is False
+        assert summary["status"] == "fail"
+
+    def test_closure_vanishes_on_cyclic_builtins(self):
+        from fiberphase.geometry import geodesic_closure
+        from fiberphase.scenario import _build_trajectory
+
+        for members in BUILTIN_SCENARIOS.values():
+            for label, raw in members:
+                traj = _build_trajectory(parse_config(raw, label))
+                k = traj.tangents / np.linalg.norm(traj.tangents, axis=1)[:, None]
+                assert abs(geodesic_closure(k[0], k[-1])) <= 1e-12, label
+
+
 class TestRunScenario:
     def test_writes_artifacts_and_passes(self, tmp_path):
         config = parse_config(cone_config(), "demo")
