@@ -1,12 +1,13 @@
 """Composite Simpson quadrature on sampled grids, uniform or not.
 
-`integrate` consumes samples in panes of two consecutive intervals and
-is exact for quadratics; when the interval count is odd the final
-interval is integrated with the quadratic through the last three
-samples.  `cumulative_dense` produces a running integral at every
-sample from per-interval quadratic pieces; both rules are fourth-order
-under grid refinement.  The pane and piece formulas act on whole array
-slices, one element per pane or interval.
+`cumulative_panes` consumes samples in panes of two consecutive
+intervals, is exact for quadratics and keeps the running sum at every
+pane boundary; when the interval count is odd the final interval is
+integrated with the quadratic through the last three samples.
+`integrate` is its last value.  `cumulative_dense` produces a running
+integral at every sample from per-interval quadratic pieces; both rules
+are fourth-order under grid refinement.  The pane and piece formulas
+act on whole array slices, one element per pane or interval.
 """
 
 from __future__ import annotations
@@ -49,23 +50,37 @@ def _validate(y: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return y, x
 
 
-def integrate(y: np.ndarray, x: np.ndarray) -> float:
-    """Composite Simpson integral of sampled y(x) over the whole grid."""
+def cumulative_panes(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Running composite Simpson integral at the pane boundaries.
+
+    One value per sample 0, 2, 4, ... up to the last sample covered by
+    whole panes, starting at 0; when the interval count is odd the final
+    interval is added as one more value at the last sample.  Two samples
+    give the trapezoid.
+    """
     y, x = _validate(y, x)
     n = len(x)
     if n < 2:
         raise ValueError("need at least two samples")
     if n == 2:
-        return float(0.5 * (y[0] + y[1]) * (x[1] - x[0]))
+        return np.array([0.0, 0.5 * (y[0] + y[1]) * (x[1] - x[0])])
     end = n - 1 - (n - 1) % 2  # last sample covered by whole panes
     h = np.diff(x)
-    panes = _pane(y[0:end:2], y[1:end:2], y[2 : end + 1 : 2], h[0:end:2], h[1:end:2])
+    out = np.empty(end // 2 + 1 + (end < n - 1))
+    out[0] = 0.0
+    panes = out[1 : end // 2 + 1]
+    panes[:] = _pane(y[0:end:2], y[1:end:2], y[2 : end + 1 : 2], h[0:end:2], h[1:end:2])
     # A running total, summed left to right: pairwise summation would
     # shift results on grids of ~10^4 panes by up to ~1e-11.
-    total = np.cumsum(panes)[-1]
+    np.cumsum(panes, out=panes)
     if end < n - 1:  # one interval left over
-        total += _trailing(y[n - 3], y[n - 2], y[n - 1], h[n - 3], h[n - 2])
-    return float(total)
+        out[-1] = out[-2] + _trailing(y[n - 3], y[n - 2], y[n - 1], h[n - 3], h[n - 2])
+    return out
+
+
+def integrate(y: np.ndarray, x: np.ndarray) -> float:
+    """Composite Simpson integral of sampled y(x) over the whole grid: the last running pane sum."""
+    return float(cumulative_panes(y, x)[-1])
 
 
 def cumulative_dense(y: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -377,7 +377,9 @@ def evaluate_scenario(config: ScenarioConfig) -> dict:
     """Run one scenario in memory and return its summary mapping."""
     traj = _build_trajectory(config)
     angles = spherical_angles(traj)
-    anholonomy = anholonomy_integral(angles)
+    # The running anholonomy at the RK4 step boundaries; its last value is A.
+    running = quadrature.cumulative_panes(angles.anholonomy_rate(), angles.times)
+    anholonomy = float(running[-1])
 
     k = traj.tangents / np.linalg.norm(traj.tangents, axis=1)[:, None]
     closure_gap = float(np.linalg.norm(k[-1] - k[0]))
@@ -499,6 +501,7 @@ def evaluate_scenario(config: ScenarioConfig) -> dict:
 
     summary["_series"] = {
         "angles": angles,
+        "anholonomy": running,
         "phase": series,
         "lvn": result.lvn_residuals,
         "s3_attributed": s3_attr,
@@ -514,13 +517,12 @@ def _write_run_csv(summary: dict, csv_path: Path) -> None:
     angles = summary["_series"]["angles"]
     series = summary["_series"]["phase"]
     s3_attr = summary["_series"]["s3_attributed"]
-    cum = quadrature.cumulative_dense(angles.anholonomy_rate(), angles.times)
     table = np.column_stack(
         [
             angles.times[::2],
             angles.lam[::2],
             angles.gamma[::2],
-            s3_attr * cum[::2],
+            s3_attr * summary["_series"]["anholonomy"],
             series["total"],
             series["dynamical"],
             series["geometric"],

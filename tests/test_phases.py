@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from fiberphase import (
     trajectory_from_tangents,
     wrap_angle,
 )
+from fiberphase.phases import CHUNK_BYTES
 
 BERRY_45 = 1.84030236902122  # 2*pi*(1 - cos(pi/4))
 
@@ -320,6 +322,48 @@ class TestSectorEvolution:
         result = evolve_state(build_photon_state(space, photons, 0), traj, spin_fixed(space))
         step = (traj.times[2::2] - traj.times[0:-2:2]).max()
         assert result.max_h_dt == photons * np.linalg.norm(field_along(traj), axis=1).max() * step
+
+
+class TestChunkedPropagators:
+    @pytest.mark.parametrize("photons, n_max", [(1, 1), (4, 4)])
+    def test_chunk_boundaries_match_full_box_oracle(self, photons, n_max):
+        space = build_space(3, n_max)
+        spin = spin_fixed(space)
+        psi0 = build_photon_state(space, photons, 0)
+        keep = np.flatnonzero(np.sum(space.basis, axis=1) == photons)
+        chunk = CHUNK_BYTES // (16 * len(keep) ** 2)
+        # Three whole chunks of step propagators and a partial fourth.
+        traj = helix_traj(lam=0.6, turns=0.25, steps=3 * chunk + chunk // 2)
+        result = evolve_state(psi0, traj, spin)
+        assert np.abs(result.states - full_box_rk4(psi0, traj, spin)).max() <= TestSectorEvolution.ORACLE_TOL
+        outside = np.setdiff1d(np.arange(space.dimension), keep)
+        assert np.all(result.states[:, outside] == 0.0)
+        s = [op.entries[np.ix_(keep, keep)] for op in spin]
+        energies = [
+            np.vdot(psi, (ui[0] * s[0] + ui[1] * s[1] + ui[2] * s[2]) @ psi).real
+            for psi, ui in zip(result.states[:, keep], field_along(traj)[::2])
+        ]
+        assert np.array_equal(result.energies, energies)
+
+    @pytest.mark.parametrize("steps", [1024, 8192])
+    @pytest.mark.parametrize("photons, n_max", [(1, 1), (4, 4)])
+    def test_scratch_memory_is_flat(self, photons, n_max, steps):
+        # Scratch beyond the returned arrays stays O(samples) with a small
+        # constant; at 8192 steps one full-length (steps, d, d) stack
+        # would exceed it.
+        space = build_space(3, n_max)
+        spin = spin_fixed(space)
+        psi0 = build_photon_state(space, photons, 0)
+        traj = helix_traj(lam=0.6, turns=0.25, steps=steps)
+        tracemalloc.start()
+        try:
+            result = evolve_state(psi0, traj, spin)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        arrays = (result.times, result.states, result.norms, result.energies, result.lvn_residuals)
+        returned = sum(a.nbytes for a in arrays)
+        assert peak - returned <= 160 * len(traj.times) + 2 * 2**20
 
 
 class TestExtractPhases:

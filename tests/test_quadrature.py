@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fiberphase.quadrature import cumulative_dense, integrate
+from fiberphase.quadrature import cumulative_dense, cumulative_panes, integrate
 
 
 def quadratic(x):
@@ -31,6 +31,17 @@ def test_cumulative_dense_exact_on_quadratics(intervals):
     assert running[0] == 0.0
     assert np.abs(running - (antiderivative(x) - antiderivative(x[0]))).max() < 1e-12
     assert running[-1] == pytest.approx(integrate(quadratic(x), x), abs=1e-12)
+
+
+@pytest.mark.parametrize("intervals", [2, 3, 8, 9, 40, 41])
+def test_cumulative_panes_exact_on_quadratics(intervals):
+    x = nonuniform_grid(intervals, seed=200 + intervals)
+    running = cumulative_panes(quadratic(x), x)
+    # Pane boundaries, plus the last sample when one interval is left over.
+    at = np.unique(np.append(np.arange(0, intervals + 1, 2), intervals))
+    assert running[0] == 0.0
+    assert np.abs(running - (antiderivative(x[at]) - antiderivative(x[0]))).max() < 1e-12
+    assert running[-1] == integrate(quadratic(x), x)
 
 
 def test_two_samples_use_the_trapezoid():

@@ -209,20 +209,40 @@ class TestRunScenario:
 
     def test_csv_writer_matches_row_loop(self, tmp_path):
         import fiberphase.scenario as scenario
-        from fiberphase.quadrature import cumulative_dense
+        from fiberphase.quadrature import integrate
 
         summary = scenario.evaluate_scenario(parse_config(cone_config(polar=1.0, steps=256), "rows"))
         scenario._write_run_csv(summary, tmp_path / "rows.csv")
         series = summary["_series"]
         angles, phase = series["angles"], series["phase"]
-        cum = cumulative_dense(angles.gamma_dot * (1.0 - np.cos(angles.lam)), angles.times)
+        rate = angles.gamma_dot * (1.0 - np.cos(angles.lam))
         lines = ["t,lambda,gamma,phi_closed,phi_total,phi_dyn,phi_geo,norm,lvn_residual"]
         for j, i in enumerate(range(0, len(angles.times), 2)):
-            row = [angles.times[i], angles.lam[i], angles.gamma[i], series["s3_attributed"] * cum[i],
+            # phi_closed at step boundary i: the Simpson pane rule over samples 0..i.
+            cum = integrate(rate[: i + 1], angles.times[: i + 1]) if i else 0.0
+            row = [angles.times[i], angles.lam[i], angles.gamma[i], series["s3_attributed"] * cum,
                    phase["total"][j], phase["dynamical"][j], phase["geometric"][j], phase["norms"][j],
                    series["lvn"][j]]
             lines.append(",".join(format(float(v), ".17g") for v in row))
         assert (tmp_path / "rows.csv").read_text() == "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("kind", ["cone", "helix", "sampled"])
+    def test_last_phi_closed_is_phi_attributed(self, kind, tmp_path):
+        data = cone_config(polar=1.0, steps=256)
+        if kind == "helix":
+            data["geometry"] = {"kind": "helix", "radius": 1.0, "pitch_per_turn": 3.0, "turns": 1.3}
+        elif kind == "sampled":
+            t, pts = helix_points(make_helix(1.0, 2.0 * math.pi, 1.0, 513))
+            pts[:, 2] += 0.05 * np.sin(3.0 * math.pi * t)
+            with open(tmp_path / "path.csv", "w") as fh:
+                fh.write("t,x,y,z\n")
+                for ti, p in zip(t, pts):
+                    fh.write(f"{ti:.17g},{p[0]:.17g},{p[1]:.17g},{p[2]:.17g}\n")
+            data["geometry"] = {"kind": "sampled", "path_csv": "path.csv"}
+            del data["steps"]
+        outcome = run_scenario(parse_config(data, kind, base_dir=tmp_path), tmp_path)
+        last = (tmp_path / f"{kind}.csv").read_text().splitlines()[-1].split(",")[3]
+        assert float(last) == outcome.summary["closed_form"]["phi_attributed"]
 
     def test_vacuum_attribution(self, tmp_path):
         data = cone_config(polar=math.pi / 3.0, ordering="nonnormal_r")
