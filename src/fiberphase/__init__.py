@@ -19,11 +19,9 @@ from .fock import (
     creation,
     helicity_operator,
     identity,
-    operator_from_json,
     polarization_triad,
     s3_split,
     spin_fixed,
-    state_from_json,
     vacuum_state,
 )
 from .geometry import (
@@ -38,8 +36,6 @@ from .geometry import (
     make_helix,
     motion_identity_residual,
     sampled_path,
-    save_angles_csv,
-    solid_angle,
     spherical_angles,
     tangent_trajectory,
     trajectory_from_tangents,

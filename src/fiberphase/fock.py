@@ -11,7 +11,6 @@ units with hbar = 1.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -126,30 +125,6 @@ class OperatorMatrix:
 
     __rmul__ = __mul__
 
-    def to_json(self) -> str:
-        """Serialize to the documented JSON layout.
-
-        Layout: basis tuples plus row-major entries, each complex number
-        as an [re, im] pair.
-        """
-        payload = {
-            "num_modes": self.space.num_modes,
-            "n_max": self.space.n_max,
-            "basis": [list(occ) for occ in self.space.basis],
-            "entries": [[[z.real, z.imag] for z in row] for row in self.entries],
-        }
-        return json.dumps(payload, indent=2) + "\n"
-
-
-def operator_from_json(text: str) -> OperatorMatrix:
-    payload = json.loads(text)
-    space = build_space(payload["num_modes"], payload["n_max"])
-    expected = [list(occ) for occ in space.basis]
-    if payload["basis"] != expected:
-        raise ValueError("basis enumeration in JSON does not match lexicographic order")
-    entries = np.array([[complex(re, im) for re, im in row] for row in payload["entries"]])
-    return OperatorMatrix(space, entries)
-
 
 @dataclass(frozen=True)
 class StateVector:
@@ -181,22 +156,6 @@ class StateVector:
 
     def expectation(self, op: OperatorMatrix) -> complex:
         return complex(np.vdot(self.amplitudes, op.entries @ self.amplitudes))
-
-    def to_json(self) -> str:
-        payload = {
-            "num_modes": self.space.num_modes,
-            "n_max": self.space.n_max,
-            "basis": [list(occ) for occ in self.space.basis],
-            "amplitudes": [[z.real, z.imag] for z in self.amplitudes],
-        }
-        return json.dumps(payload, indent=2) + "\n"
-
-
-def state_from_json(text: str) -> StateVector:
-    payload = json.loads(text)
-    space = build_space(payload["num_modes"], payload["n_max"])
-    amp = np.array([complex(re, im) for re, im in payload["amplitudes"]])
-    return StateVector(space, amp)
 
 
 def vacuum_state(space: FockSpace) -> StateVector:

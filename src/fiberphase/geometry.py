@@ -4,10 +4,11 @@ The photon wave vector follows the local fibre tangent, so everything
 downstream only needs the unit tangent k(t), its time derivative, and
 the unwrapped spherical angles of k(t).  Helix and cone constructors
 produce those analytically; sampled point lists fall back to
-second-order finite differences.  The anholonomy integral, the solid
-angle swept by the tangent trace, its geodesic closure, the precession
-field u and the equation-of-motion residual live here too: they depend
-on the tangent kinematics alone.
+second-order finite differences.  The anholonomy integral, the
+geodesic closure of an open trace, the precession field u and the
+equation-of-motion residual live here too: they depend on the tangent
+kinematics alone.  A trajectory builds u and the residual once, on first
+use, and every check and the evolution read that one copy.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -22,6 +24,8 @@ from . import quadrature
 
 POLE_SIN_TOL = 1e-9
 CLOSURE_TOL = 1e-6
+# Read size of count_path_rows, which sizes a path CSV before it is loaded.
+ROW_COUNT_CHUNK_BYTES = 1 << 16
 TWO_PI = 2.0 * math.pi
 
 
@@ -100,6 +104,23 @@ def helix_points(path: FiberPath) -> tuple[np.ndarray, np.ndarray]:
     return t, pts
 
 
+def count_path_rows(filename) -> int:
+    """Data rows of a path CSV (non-blank lines after the header), in bounded memory.
+
+    The file is read ROW_COUNT_CHUNK_BYTES at a time, so a sampled path
+    can be sized before load_path_csv reads it whole.
+    """
+    lines, pending = 0, False
+    with open(filename, "rb") as fh:
+        for chunk in iter(lambda: fh.read(ROW_COUNT_CHUNK_BYTES), b""):
+            live = [bool(piece.strip()) for piece in chunk.split(b"\n")]
+            # The first piece continues the line the previous chunk left open.
+            live[0] = live[0] or pending
+            lines += sum(live[:-1])
+            pending = live[-1]
+    return max(lines + pending - 1, 0)
+
+
 def load_path_csv(filename) -> FiberPath:
     """Read a sampled path from CSV with header t,x,y,z; blank lines are skipped."""
     with open(filename, "r", encoding="utf-8") as fh:
@@ -138,6 +159,20 @@ class TangentTrajectory:
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "tangents", tangents)
         object.__setattr__(self, "derivatives", derivatives)
+
+    @cached_property
+    def precession_field(self) -> np.ndarray:
+        """Precession vector u = (k x kdot)/|k|^2 at every sample, built once per trajectory."""
+        k = self.tangents
+        ksq = np.einsum("ij,ij->i", k, k)
+        if np.any(ksq == 0.0):
+            raise ValueError("tangent with zero magnitude")
+        return np.cross(k, self.derivatives) / ksq[:, None]
+
+    @cached_property
+    def motion_residual(self) -> np.ndarray:
+        """Residual vector kdot + k x u at every sample, u the precession field; it is kdot along k."""
+        return self.derivatives + np.cross(self.tangents, self.precession_field)
 
     def max_unit_deviation(self) -> float:
         return float(np.abs(np.linalg.norm(self.tangents, axis=1) - 1.0).max())
@@ -252,10 +287,6 @@ class AngleTrajectory:
     gamma: np.ndarray
     gamma_dot: np.ndarray
 
-    def reconstruct_tangents(self) -> np.ndarray:
-        sl = np.sin(self.lam)
-        return np.column_stack([sl * np.cos(self.gamma), sl * np.sin(self.gamma), np.cos(self.lam)])
-
     def anholonomy_rate(self) -> np.ndarray:
         """Integrand gamma_dot * (1 - cos(lam)) of the anholonomy integral."""
         return self.gamma_dot * (1.0 - np.cos(self.lam))
@@ -316,27 +347,13 @@ def anholonomy_integral(angles: AngleTrajectory, t_end: float | None = None) -> 
     return quadrature.integrate(angles.anholonomy_rate()[: end + 1], angles.times[: end + 1])
 
 
-def precession_field(traj: TangentTrajectory) -> np.ndarray:
-    """Precession vector u = (k x kdot)/|k|^2 at every sample."""
-    k = traj.tangents
-    ksq = np.einsum("ij,ij->i", k, k)
-    if np.any(ksq == 0.0):
-        raise ValueError("tangent with zero magnitude")
-    return np.cross(k, traj.derivatives) / ksq[:, None]
-
-
-def motion_residual(traj: TangentTrajectory, u: np.ndarray) -> np.ndarray:
-    """Residual vector kdot + k x u at every sample; for u = precession_field(traj) it is kdot along k."""
-    return traj.derivatives + np.cross(traj.tangents, u)
-
-
 def motion_identity_residual(traj: TangentTrajectory) -> float:
     """Max-norm of the motion residual over the samples.
 
     Vanishes (up to differencing error) for any smooth constant-magnitude
     tangent field; order one when the magnitude drifts.
     """
-    return float(np.linalg.norm(motion_residual(traj, precession_field(traj)), axis=1).max())
+    return float(np.linalg.norm(traj.motion_residual, axis=1).max())
 
 
 def geodesic_closure(k_first: np.ndarray, k_last: np.ndarray) -> float:
@@ -350,24 +367,3 @@ def geodesic_closure(k_first: np.ndarray, k_last: np.ndarray) -> float:
     vanishes on a closed trace.
     """
     return 2.0 * math.atan2(np.cross(k_last, k_first)[2], 1.0 + k_last[2] + k_last @ k_first + k_first[2])
-
-
-def solid_angle(angles: AngleTrajectory) -> float:
-    """Solid angle swept by a closed tangent trace on the unit sphere.
-
-    Computed as the anholonomy integral of the closed trace; for a
-    constant polar angle over one azimuth cycle this is 2*pi*(1-cos(lam)).
-    """
-    k = angles.reconstruct_tangents()
-    gap = float(np.linalg.norm(k[-1] - k[0]))
-    if gap >= CLOSURE_TOL:
-        raise ValueError(f"tangent trace not closed: endpoint gap {gap:.3e}")
-    return anholonomy_integral(angles)
-
-
-def save_angles_csv(angles: AngleTrajectory, filename) -> None:
-    """Write the angle trajectory as CSV with header t,lambda,gamma,gamma_dot."""
-    with open(filename, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t,lambda,gamma,gamma_dot\n")
-        table = np.column_stack([angles.times, angles.lam, angles.gamma, angles.gamma_dot])
-        np.savetxt(fh, table, fmt="%.17g", delimiter=",")

@@ -7,7 +7,7 @@ effective Hamiltonian H = (k x kdot)/|k|^2 . S with fixed-step RK4 and
 separates total, dynamical and geometric parts afterwards.
 
 One evolution is one pass: the precession field u = (k x kdot)/|k|^2 is
-built once.  H = u.S is linear, so an RK4 step is psi -> M psi with a
+the trajectory's own, built once per trajectory.  H = u.S is linear, so an RK4 step is psi -> M psi with a
 d x d matrix M, the stage formulas applied to the identity; these
 matrices are built in batches of steps, and the only per-step Python
 work left is <psi|H|psi> and the product M psi.  The Liouville-von
@@ -37,8 +37,6 @@ from .geometry import (
     TangentTrajectory,
     anholonomy_integral,
     grid_index,
-    motion_residual,
-    precession_field,
     spherical_angles,
 )
 
@@ -132,11 +130,11 @@ def effective_hamiltonian(traj: TangentTrajectory, spin: SpinTriple, t: float) -
     Homogeneous of degree zero in the tangent magnitude, so rescaling
     all tangents leaves every entry unchanged.
     """
-    u = precession_field(traj)[grid_index(traj.times, t)]
+    u = traj.precession_field[grid_index(traj.times, t)]
     return OperatorMatrix(spin[0].space, _field_operator(u, [op.entries for op in spin]))
 
 
-def _lvn_residuals(traj: TangentTrajectory, u: np.ndarray, spin: SpinTriple, indices: np.ndarray) -> np.ndarray:
+def _lvn_residuals(traj: TangentTrajectory, spin: SpinTriple, indices: np.ndarray) -> np.ndarray:
     """Max-norm of dI/dt + (1/i)[I, H] for I = khat.S at the given samples.
 
     The norm is taken on the occupation-bounded subspace, where the
@@ -151,7 +149,7 @@ def _lvn_residuals(traj: TangentTrajectory, u: np.ndarray, spin: SpinTriple, ind
     projected away.
     """
     norms = np.linalg.norm(traj.tangents[indices], axis=1)[:, None]
-    v = motion_residual(traj, u)[indices] / norms
+    v = traj.motion_residual[indices] / norms
     bounded = spin[0].space.bounded_indices()
     box = np.ix_(bounded, bounded)
     scale = np.array([np.abs(op.entries[box]).max() for op in spin])
@@ -161,7 +159,7 @@ def _lvn_residuals(traj: TangentTrajectory, u: np.ndarray, spin: SpinTriple, ind
 def lvn_residual(traj: TangentTrajectory, spin: SpinTriple, t: float) -> float:
     """Liouville-von Neumann residual of the helicity invariant at time t."""
     i = grid_index(traj.times, t)
-    return float(_lvn_residuals(traj, precession_field(traj), spin, np.array([i]))[0])
+    return float(_lvn_residuals(traj, spin, np.array([i]))[0])
 
 
 def evolve_state(psi0: StateVector, traj: TangentTrajectory, spin: SpinTriple) -> EvolutionResult:
@@ -200,7 +198,7 @@ def evolve_state(psi0: StateVector, traj: TangentTrajectory, spin: SpinTriple) -
     if np.abs(halves[0::2] - halves[1::2]).max() > 1e-9 * halves.max():
         raise ValueError("each RK4 step needs its midpoint sample centered in the pane")
 
-    u = precession_field(traj)
+    u = traj.precession_field
     totals = np.sum(psi0.space.basis, axis=1)
     occupied = totals[psi0.amplitudes != 0]
     keep = np.flatnonzero(np.isin(totals, occupied))
@@ -250,7 +248,7 @@ def evolve_state(psi0: StateVector, traj: TangentTrajectory, spin: SpinTriple) -
         states=states,
         norms=norms,
         energies=energies,
-        lvn_residuals=_lvn_residuals(traj, u, spin, boundary),
+        lvn_residuals=_lvn_residuals(traj, spin, boundary),
         max_h_dt=max_h_dt,
     )
 

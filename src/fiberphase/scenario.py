@@ -22,6 +22,7 @@ from .fock import build_space, build_photon_state, helicity_operator, spin_fixed
 from .geometry import (
     anholonomy_integral,
     cone_trajectory,
+    count_path_rows,
     geodesic_closure,
     helix_polar_angle,
     load_path_csv,
@@ -67,11 +68,20 @@ class ConfigError(ValueError):
 
 def _check_budget(field: str, estimate: int, what: str) -> None:
     if estimate > MEMORY_BUDGET_BYTES:
+        # An estimate can exceed every float; log10 still prints its size.
+        size = f"{estimate / 2**30:.3g} GiB" if estimate < 2**1000 else f"10^{math.log10(estimate):.0f} bytes"
         raise ConfigError(
             field,
-            f"{what} needs an estimated {estimate / 2**30:.3g} GiB, "
-            f"over the {MEMORY_BUDGET_BYTES / 2**30:g} GiB memory budget",
+            f"{what} needs an estimated {size}, over the {MEMORY_BUDGET_BYTES / 2**30:g} GiB memory budget",
         )
+
+
+def _run_bytes(n_max: int, steps: int | None) -> tuple[int, int]:
+    """Estimated (operator, per-sample) bytes of a run; a sampled path without a known length has no sample term."""
+    dim = (n_max + 1) ** 3
+    operators = _DENSE_COPIES_3MODE * 16 * dim * dim
+    samples = 0 if steps is None else (2 * steps + 1) * _BYTES_PER_SAMPLE + (steps + 1) * 16 * dim
+    return operators, samples
 
 
 @dataclass(frozen=True)
@@ -255,9 +265,7 @@ def parse_config(data: dict, name: str, base_dir: Path | None = None) -> Scenari
         if steps < MIN_STEPS:
             raise ConfigError("steps", f"must be >= {MIN_STEPS}, got {steps}")
 
-    dim = (n_max + 1) ** 3
-    operators = _DENSE_COPIES_3MODE * 16 * dim * dim
-    samples = 0 if steps is None else (2 * steps + 1) * _BYTES_PER_SAMPLE + (steps + 1) * 16 * dim
+    operators, samples = _run_bytes(n_max, steps)
     field = "n_max" if operators >= samples else "steps"
     _check_budget(field, operators + samples, f"n_max = {n_max} with steps = {steps}")
 
@@ -337,8 +345,9 @@ def _build_trajectory(config: ScenarioConfig):
     if isinstance(g, ConeGeometry):
         samples = 2 * config.steps + 1
         return cone_trajectory(g.polar_angle, g.turns * config.t_end, samples)
-    path = load_path_csv(g.path_csv)
-    traj = tangent_trajectory(path)
+    rows = count_path_rows(g.path_csv)
+    _check_budget("geometry.path_csv", sum(_run_bytes(config.n_max, (rows - 1) // 2)), f"a path of {rows} rows")
+    traj = tangent_trajectory(load_path_csv(g.path_csv))
     if len(traj.times) % 2 == 0:
         raise ConfigError("geometry.path_csv", "sampled path needs an odd number of rows for RK4 panes")
     return traj
@@ -707,12 +716,12 @@ def sweep(config: ScenarioConfig, parameter: str, values, out_dir) -> tuple[int,
     if not values:
         raise ConfigError("sweep", "no values supplied")
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{config.name}_sweep_{parameter}.csv"
 
     if parameter == "epsilon2":
         if config.medium is None:
             raise ConfigError("sweep", "epsilon2 sweep needs a medium block in the config")
+        out_dir.mkdir(parents=True, exist_ok=True)
         with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(
                 "parameter,value,n_plus_sq,n_minus_sq,plus_status,minus_status,plus_constant,minus_constant\n"
@@ -764,6 +773,7 @@ def sweep(config: ScenarioConfig, parameter: str, values, out_dir) -> tuple[int,
         anholonomy = anholonomy_integral(spherical_angles(traj))
         s3 = _s3_expectation(config.ordering, n_r, n_l)
         rows.append((v, s3, anholonomy, s3 * anholonomy))
+    out_dir.mkdir(parents=True, exist_ok=True)
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("parameter,value,s3_expectation,anholonomy_integral,phi_closed\n")
         for v, s3, anholonomy, phi in rows:

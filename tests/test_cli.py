@@ -19,14 +19,20 @@ def run_cli(*args, cwd=None):
     return subprocess.run(cmd, capture_output=True, text=True, cwd=cwd, env=env)
 
 
-def test_list_scenarios():
-    r = run_cli("--list-scenarios")
-    assert r.returncode == 0
-    assert "chiao-helix-45" in r.stdout
-    assert "vacuum-pair" in r.stdout
+def error_field(capsys) -> str:
+    """Field of the one-line JSON error report on stderr."""
+    return json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]["field"]
+
+
+def test_list_scenarios(capsys):
+    assert main(["--list-scenarios"]) == 0
+    out = capsys.readouterr().out
+    assert "chiao-helix-45" in out
+    assert "vacuum-pair" in out
 
 
 def test_builtin_scenario_passes(tmp_path):
+    # The one test that runs the real `python -m fiberphase` entry point.
     r = run_cli("--scenario", "chiao-helix-45", "--steps", "512", "--out", str(tmp_path))
     assert r.returncode == 0
     assert "status: pass" in r.stdout
@@ -34,21 +40,17 @@ def test_builtin_scenario_passes(tmp_path):
     assert (tmp_path / "chiao-helix-45.csv").exists()
 
 
-def test_unknown_scenario_is_validation_error(tmp_path):
-    r = run_cli("--scenario", "nope", "--out", str(tmp_path))
-    assert r.returncode == 2
-    report = json.loads(r.stderr.strip().splitlines()[-1])
-    assert report["error"]["field"] == "scenario"
+def test_unknown_scenario_is_validation_error(tmp_path, capsys):
+    assert main(["--scenario", "nope", "--out", str(tmp_path)]) == 2
+    assert error_field(capsys) == "scenario"
 
 
-def test_unknown_scenario_in_sweep_is_validation_error(tmp_path):
-    r = run_cli("--scenario", "nope", "--sweep", "lambda=0.1", "--out", str(tmp_path))
-    assert r.returncode == 2
-    report = json.loads(r.stderr.strip().splitlines()[-1])
-    assert report["error"]["field"] == "scenario"
+def test_unknown_scenario_in_sweep_is_validation_error(tmp_path, capsys):
+    assert main(["--scenario", "nope", "--sweep", "lambda=0.1", "--out", str(tmp_path)]) == 2
+    assert error_field(capsys) == "scenario"
 
 
-def test_malformed_config_names_field(tmp_path):
+def test_malformed_config_names_field(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(
         json.dumps(
@@ -59,15 +61,12 @@ def test_malformed_config_names_field(tmp_path):
             }
         )
     )
-    r = run_cli("--config", str(cfg), "--out", str(tmp_path))
-    assert r.returncode == 2
-    report = json.loads(r.stderr.strip().splitlines()[-1])
-    assert report["error"]["field"] == "n_max"
+    assert main(["--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert error_field(capsys) == "n_max"
 
 
 def test_missing_source_arguments(tmp_path):
-    r = run_cli("--out", str(tmp_path))
-    assert r.returncode == 2
+    assert main(["--out", str(tmp_path)]) == 2
 
 
 def test_config_file_run_with_overrides(tmp_path):
@@ -83,8 +82,7 @@ def test_config_file_run_with_overrides(tmp_path):
             }
         )
     )
-    r = run_cli("--config", str(cfg), "--steps", "256", "--out", str(tmp_path / "o"))
-    assert r.returncode == 0
+    assert main(["--config", str(cfg), "--steps", "256", "--out", str(tmp_path / "o")]) == 0
     summary = json.loads((tmp_path / "o" / "run.json").read_text())
     assert summary["numerical"]["steps"] == 256
 
@@ -100,11 +98,11 @@ def test_sweep_from_cli(tmp_path):
             }
         )
     )
-    r = run_cli(
+    argv = [
         "--config", str(cfg), "--sweep", "lambda=0.0,0.5235987755982988,0.7853981633974483",
         "--out", str(tmp_path / "o"),
-    )
-    assert r.returncode == 0
+    ]
+    assert main(argv) == 0
     sweep_csv = tmp_path / "o" / "tmpl_sweep_lambda.csv"
     assert sweep_csv.exists()
     assert len(sweep_csv.read_text().strip().splitlines()) == 4
@@ -120,8 +118,7 @@ def test_bad_sweep_parameter(tmp_path):
             }
         )
     )
-    r = run_cli("--config", str(cfg), "--sweep", "pitch=1,2", "--out", str(tmp_path))
-    assert r.returncode == 2
+    assert main(["--config", str(cfg), "--sweep", "pitch=1,2", "--out", str(tmp_path)]) == 2
 
 
 CONE = {"kind": "cone", "polar_angle": 0.5, "turns": 1.0}
@@ -129,24 +126,33 @@ HELIX_NAN_RADIUS = {"kind": "helix", "radius": float("nan"), "pitch_per_turn": 6
 
 
 @pytest.mark.parametrize(
-    "config, sweep_arg, field",
+    "config, args, field",
     [
-        ({"geometry": CONE, "tolerance": float("inf")}, None, "config.tolerance"),
-        ({"geometry": CONE, "tolerance": float("nan")}, None, "config.tolerance"),
-        ({"geometry": HELIX_NAN_RADIUS}, None, "geometry.radius"),
-        ({"geometry": CONE}, "turns=nan", "sweep"),
+        ({"geometry": CONE, "tolerance": float("inf")}, [], "config.tolerance"),
+        ({"geometry": CONE, "tolerance": float("nan")}, [], "config.tolerance"),
+        ({"geometry": HELIX_NAN_RADIUS}, [], "geometry.radius"),
+        ({"geometry": CONE}, ["--sweep", "turns=nan"], "sweep"),
         ({"geometry": CONE, "state": {"amplitudes": [[float("nan"), 0.0]] + [[0.0, 0.0]] * 7}, "n_max": 1},
-         None, "state.amplitudes"),
+         [], "state.amplitudes"),
+        # Sizes whose memory estimate exceeds every float.
+        ({"geometry": CONE, "n_max": 10**200}, [], "n_max"),
+        ({"geometry": CONE, "steps": 10**400}, [], "steps"),
+        (None, ["--scenario", "chiao-helix-45", "--nmax", str(10**110)], "n_max"),
+        (None, ["--scenario", "chiao-helix-45", "--sweep", "n_R=1e300"], "sweep"),
     ],
-    ids=["tolerance-inf", "tolerance-nan", "radius-nan", "sweep-nan", "amplitude-nan"],
+    ids=["tolerance-inf", "tolerance-nan", "radius-nan", "sweep-nan", "amplitude-nan",
+         "n_max-1e200", "steps-1e400", "scenario-nmax-1e110", "scenario-sweep-n_R-1e300"],
 )
-def test_non_finite_input_rejected_before_work(tmp_path, capsys, config, sweep_arg, field):
-    # json.dumps writes the non-standard NaN/Infinity tokens that json.loads accepts.
-    cfg = tmp_path / "nonfinite.json"
-    cfg.write_text(json.dumps({"state": {"n_r": 1, "n_l": 0}, "steps": 64, **config}))
+def test_non_finite_input_rejected_before_work(tmp_path, capsys, config, args, field):
     out = tmp_path / "out"
-    argv = ["--config", str(cfg), "--out", str(out)] + (["--sweep", sweep_arg] if sweep_arg else [])
+    argv = ["--out", str(out), *args]
+    if config is not None:
+        # json.dumps writes the non-standard NaN/Infinity tokens that json.loads accepts.
+        cfg = tmp_path / "nonfinite.json"
+        cfg.write_text(json.dumps({"state": {"n_r": 1, "n_l": 0}, "steps": 64, **config}))
+        argv += ["--config", str(cfg)]
     assert main(argv) == 2
-    report = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-    assert report["error"]["field"] == field
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert json.loads(err)["error"]["field"] == field
     assert not out.exists()

@@ -11,11 +11,9 @@ from fiberphase import (
     creation,
     helicity_operator,
     identity,
-    operator_from_json,
     polarization_triad,
     s3_split,
     spin_fixed,
-    state_from_json,
     vacuum_state,
 )
 
@@ -309,28 +307,6 @@ class TestPhotonStates:
 
 
 class TestSerialization:
-    def test_operator_round_trip(self):
-        space = build_space(2, 1)
-        op = annihilation(space, 0) @ creation(space, 1)
-        text = op.to_json()
-        back = operator_from_json(text)
-        assert back.space == space
-        assert np.array_equal(back.entries, op.entries)
-
-    def test_state_round_trip(self):
-        space = build_space(3, 1)
-        psi = build_photon_state(space, 1, 0)
-        back = state_from_json(psi.to_json())
-        assert np.array_equal(back.amplitudes, psi.amplitudes)
-
-    def test_layout_is_re_im_pairs(self):
-        import json
-
-        space = build_space(2, 1)
-        payload = json.loads(build_photon_state(space, 1, 0).to_json())
-        assert payload["basis"] == [[0, 0], [0, 1], [1, 0], [1, 1]]
-        assert all(len(pair) == 2 for pair in payload["amplitudes"])
-
     def test_entries_are_immutable(self):
         space = build_space(2, 1)
         op = annihilation(space, 0)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fiberphase import (
+    anholonomy_integral,
     cone_trajectory,
     geodesic_closure,
     helix_points,
@@ -11,13 +12,13 @@ from fiberphase import (
     make_helix,
     motion_identity_residual,
     sampled_path,
-    save_angles_csv,
-    solid_angle,
     spherical_angles,
     tangent_trajectory,
     trajectory_from_tangents,
     TangentTrajectory,
 )
+from fiberphase import geometry
+from fiberphase.geometry import count_path_rows
 
 SOLID_ANGLE_45 = 1.84030236902122  # 2*pi*(1 - cos(pi/4))
 
@@ -173,7 +174,9 @@ class TestSphericalAngles:
             base += np.outer(np.sin(2.0 * math.pi * (m + 1) * t + m), amp)
         traj = trajectory_from_tangents(t, base)
         angles = spherical_angles(traj)
-        assert np.abs(angles.reconstruct_tangents() - traj.tangents).max() < 1e-9
+        sl = np.sin(angles.lam)
+        rebuilt = np.column_stack([sl * np.cos(angles.gamma), sl * np.sin(angles.gamma), np.cos(angles.lam)])
+        assert np.abs(rebuilt - traj.tangents).max() < 1e-9
 
 
     def test_unwrap_matches_loop_oracle_across_poles(self):
@@ -260,32 +263,29 @@ class TestMotionIdentity:
 
 
 class TestSolidAngle:
+    """The solid angle of a closed trace is its anholonomy integral."""
+
     def test_equator(self):
         angles = spherical_angles(cone_trajectory(math.pi / 2.0, 1.0, 513))
-        assert solid_angle(angles) == pytest.approx(2.0 * math.pi, abs=1e-12)
+        assert anholonomy_integral(angles) == pytest.approx(2.0 * math.pi, abs=1e-12)
 
     def test_quarter_pi_cone(self):
         angles = spherical_angles(cone_trajectory(math.pi / 4.0, 1.0, 513))
-        assert solid_angle(angles) == pytest.approx(SOLID_ANGLE_45, abs=1e-10)
+        assert anholonomy_integral(angles) == pytest.approx(SOLID_ANGLE_45, abs=1e-10)
 
     def test_degenerate_cap(self):
         angles = spherical_angles(cone_trajectory(1e-6, 1.0, 513))
-        assert abs(solid_angle(angles)) < 1e-11
+        assert abs(anholonomy_integral(angles)) < 1e-11
 
     def test_rotation_about_axis_invariance(self):
         a0 = spherical_angles(cone_trajectory(0.9, 1.0, 513))
         a1 = spherical_angles(cone_trajectory(0.9, 1.0, 513, azimuth_offset=1.234))
-        assert abs(solid_angle(a0) - solid_angle(a1)) < 1e-9
+        assert abs(anholonomy_integral(a0) - anholonomy_integral(a1)) < 1e-9
 
     def test_double_traversal_doubles(self):
-        single = solid_angle(spherical_angles(cone_trajectory(0.7, 1.0, 513)))
-        double = solid_angle(spherical_angles(cone_trajectory(0.7, 2.0, 1025)))
+        single = anholonomy_integral(spherical_angles(cone_trajectory(0.7, 1.0, 513)))
+        double = anholonomy_integral(spherical_angles(cone_trajectory(0.7, 2.0, 1025)))
         assert double == pytest.approx(2.0 * single, abs=1e-8)
-
-    def test_open_trace_rejected(self):
-        angles = spherical_angles(cone_trajectory(math.pi / 3.0, 0.5, 257))
-        with pytest.raises(ValueError, match="gap"):
-            solid_angle(angles)
 
 
 class TestCsvInterfaces:
@@ -306,11 +306,14 @@ class TestCsvInterfaces:
         with pytest.raises(ValueError, match="t,x,y,z"):
             load_path_csv(f)
 
-    def test_path_rows_validated(self, tmp_path):
+    def test_path_rows_validated(self, tmp_path, monkeypatch):
         f = tmp_path / "p.csv"
         rows = "".join(f"{i / 9},{i},{i * i},0\n\n" for i in range(9))  # blank lines are skipped
         f.write_text("t,x,y,z\n" + rows)
         assert len(load_path_csv(f).times) == 9
+        for chunk in (1, 2, 7, 1 << 16):  # rows and blank lines split across read boundaries
+            monkeypatch.setattr(geometry, "ROW_COUNT_CHUNK_BYTES", chunk)
+            assert count_path_rows(f) == 9
         f.write_text("t,x,y,z\n0,0,0\n1,1,1\n")
         with pytest.raises(ValueError, match="4 columns"):
             load_path_csv(f)
@@ -320,13 +323,3 @@ class TestCsvInterfaces:
         f.write_text("t,x,y,z\n\n")
         with pytest.raises(ValueError, match="no data rows"):
             load_path_csv(f)
-
-    def test_angles_export(self, tmp_path):
-        angles = spherical_angles(cone_trajectory(math.pi / 4.0, 1.0, 65))
-        f = tmp_path / "angles.csv"
-        save_angles_csv(angles, f)
-        lines = f.read_text().strip().split("\n")
-        assert lines[0] == "t,lambda,gamma,gamma_dot"
-        assert len(lines) == 66
-        row = [float(v) for v in lines[1].split(",")]
-        assert row[1] == pytest.approx(math.pi / 4.0, abs=1e-15)

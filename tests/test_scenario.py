@@ -1,13 +1,17 @@
+import functools
 import json
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fiberphase import (
     BUILTIN_SCENARIOS,
     ConfigError,
+    ScenarioConfig,
+    TangentTrajectory,
     helix_points,
     identity,
     make_helix,
@@ -34,7 +38,57 @@ def cone_config(polar=math.pi / 4.0, steps=512, **extra):
     return data
 
 
+# Values a JSON config can carry: ints far past any float, non-finite floats
+# and wrong types.
+FUZZ_VALUES = st.one_of(
+    st.integers(-3, 40),
+    st.integers(-(10**400), 10**400),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=4),
+    st.lists(st.one_of(st.integers(-2, 2), st.lists(st.floats(), max_size=3)), max_size=3),
+)
+FUZZ_BASES = (
+    cone_config(medium={"epsilon1": -1.0, "epsilon2": 2.0, "epsilon3": 1.0, "mu": 1.0}),
+    {"geometry": {"kind": "helix", "radius": 1.0, "pitch_per_turn": 6.0, "turns": 1.0}, "state": {"n_r": 0, "n_l": 0}},
+    {"geometry": {"kind": "sampled", "path_csv": "p.csv"}, "state": {"n_r": 1, "n_l": 0}},
+    {"geometry": {"kind": "cone", "polar_angle": 0.5, "turns": 1.0}, "state": {"amplitudes": [[1.0, 0.0]]}},
+)
+FUZZ_KEYS = (
+    ("geometry",), ("geometry", "kind"), ("geometry", "radius"), ("geometry", "pitch_per_turn"),
+    ("geometry", "turns"), ("geometry", "polar_angle"), ("geometry", "path_csv"),
+    ("state",), ("state", "n_r"), ("state", "n_l"), ("state", "amplitudes"),
+    ("ordering",), ("n_max",), ("steps",), ("t_end",), ("tolerance",),
+    ("medium",), ("medium", "epsilon2"), ("medium", "omega"), ("bogus",),
+)
+
+
+@st.composite
+def fuzz_configs(draw):
+    """A valid config with up to three keys, nested or top-level, set to arbitrary values."""
+    data = json.loads(json.dumps(draw(st.sampled_from(FUZZ_BASES))))
+    for path, value in draw(st.lists(st.tuples(st.sampled_from(FUZZ_KEYS), FUZZ_VALUES), max_size=3)):
+        section = data
+        for key in path[:-1]:
+            if not isinstance(section.get(key), dict):
+                section[key] = {}
+            section = section[key]
+        section[path[-1]] = value
+    return data
+
+
 class TestParseConfig:
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(fuzz_configs())
+    def test_fuzzed_config_is_parsed_or_refused_by_field(self, data):
+        try:
+            config = parse_config(data, "fuzz")
+        except ConfigError as err:
+            assert err.field
+        else:
+            assert isinstance(config, ScenarioConfig)
+
     def test_minimal_valid(self):
         config = parse_config(cone_config(), "t")
         assert config.n_r == 1 and config.n_l == 0
@@ -115,6 +169,8 @@ class TestMemoryBudget:
             ({"n_max": 40}, "n_max"),
             ({"steps": 10**9}, "steps"),
             ({"n_max": 3, "steps": 10**8}, "steps"),
+            ({"n_max": 10**200}, "n_max"),
+            ({"steps": 10**400}, "steps"),
         ],
     )
     def test_oversize_config_refused_before_allocation(self, extra, field):
@@ -129,15 +185,35 @@ class TestMemoryBudget:
         assert err.field == "n_max"
         assert peak < 100_000
 
-    @pytest.mark.parametrize("parameter", ["n_R", "n_L"])
-    def test_oversize_sweep_value_refused_before_any_row(self, parameter, tmp_path):
+    @pytest.mark.parametrize(
+        "parameter, oversize", [("n_R", 10**6), ("n_L", 10**6), ("n_R", 1e300)], ids=["n_R", "n_L", "n_R-1e300"]
+    )
+    def test_oversize_sweep_value_refused_before_any_row(self, parameter, oversize, tmp_path):
         # The first value alone would build a 32769-sample trajectory (~8 MB).
         config = parse_config(cone_config(steps=16384), "s")
-        err, peak = validation_peak(lambda: sweep(config, parameter, [1, 10**6], tmp_path))
+        err, peak = validation_peak(lambda: sweep(config, parameter, [1, oversize], tmp_path))
         assert err.field == "sweep"
         assert "budget" in err.message
         assert peak < 1_000_000
         assert not list(tmp_path.glob("*.csv"))
+
+    def test_sampled_path_sized_before_read(self, monkeypatch, tmp_path):
+        import fiberphase.scenario as scenario
+
+        t = np.linspace(0.0, 1.0, 8001)
+        path_csv = tmp_path / "path.csv"
+        table = np.column_stack([t, np.cos(t), np.sin(t), t])
+        np.savetxt(path_csv, table, fmt="%.17g", delimiter=",", header="t,x,y,z", comments="")
+        data = {"geometry": {"kind": "sampled", "path_csv": "path.csv"}, "state": {"n_r": 1, "n_l": 0}, "n_max": 1}
+        config = parse_config(data, "long", base_dir=tmp_path)
+        # 8001 rows need about 2.8 MB by the per-sample terms; the operators 12 kB.
+        monkeypatch.setattr(scenario, "MEMORY_BUDGET_BYTES", 1_000_000)
+        out = tmp_path / "out"
+        err, peak = validation_peak(lambda: run_scenario(config, out))
+        assert err.field == "geometry.path_csv"
+        assert "budget" in err.message
+        assert peak < path_csv.stat().st_size
+        assert not list(out.glob("*"))
 
     def test_builtins_far_inside_budget(self):
         # Ten times the built-in steps at n_max = 6 is still accepted.
@@ -307,6 +383,23 @@ class TestRunScenario:
         assert outcome.exit_code == 0
         assert outcome.summary["numerical"]["geometric_phase"] == pytest.approx(BERRY_45, abs=1e-3)
 
+    def test_u_and_motion_residual_built_once(self, monkeypatch):
+        import fiberphase.scenario as scenario
+
+        calls = {}
+        for name in ("precession_field", "motion_residual"):
+            build = getattr(TangentTrajectory, name).func
+
+            def counted(traj, build=build, name=name):
+                calls[name] = calls.get(name, 0) + 1
+                return build(traj)
+
+            prop = functools.cached_property(counted)
+            prop.__set_name__(TangentTrajectory, name)
+            monkeypatch.setattr(TangentTrajectory, name, prop)
+        scenario.evaluate_scenario(parse_config(cone_config(steps=64), "once"))
+        assert calls == {"precession_field": 1, "motion_residual": 1}
+
     def test_builtin_group_vacuum_pair(self, tmp_path):
         code = run_builtin("vacuum-pair", tmp_path, steps=512)
         assert code == 0
@@ -315,6 +408,22 @@ class TestRunScenario:
         phis = group["pair"]["phi_attributed"]
         assert phis[0] == pytest.approx(math.pi / 2.0, abs=1e-9)
         assert phis[0] + phis[1] == 0.0
+
+    def test_pair_cancellation_can_fail(self, monkeypatch, tmp_path):
+        import fiberphase.scenario as scenario
+
+        real_split = scenario.s3_split
+
+        def shifted_split(space):
+            r_nn, l_nn, r_n, l_n = real_split(space)
+            return r_nn, l_nn + 1e-3 * identity(space), r_n, l_n
+
+        monkeypatch.setattr(scenario, "s3_split", shifted_split)
+        assert run_builtin("vacuum-pair", tmp_path, steps=512) == 1
+        group = json.loads((tmp_path / "vacuum-pair.json").read_text())
+        assert group["pair"]["cancels"] is False
+        assert group["pair"]["sum"] == pytest.approx(1e-3 * math.pi, rel=1e-9)
+        assert group["status"] == "fail"
 
 
 class TestSweep:
