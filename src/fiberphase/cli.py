@@ -92,7 +92,7 @@ def main(argv=None) -> int:
                 data = json.loads(path.read_text(encoding="utf-8"))
             except FileNotFoundError:
                 raise ConfigError("config", f"file not found: {path}") from None
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # also an int past the interpreter's digit limit
                 raise ConfigError("config", f"invalid JSON: {exc}") from None
             data = apply_overrides(data, args.steps, args.nmax, args.tol)
             config = parse_config(data, path.stem, base_dir=path.parent)

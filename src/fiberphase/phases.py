@@ -7,12 +7,13 @@ effective Hamiltonian H = (k x kdot)/|k|^2 . S with fixed-step RK4 and
 separates total, dynamical and geometric parts afterwards.
 
 One evolution is one pass: the precession field u = (k x kdot)/|k|^2 is
-the trajectory's own, built once per trajectory.  H = u.S is linear, so an RK4 step is psi -> M psi with a
-d x d matrix M, the stage formulas applied to the identity; these
-matrices are built in batches of steps, and the only per-step Python
-work left is <psi|H|psi> and the product M psi.  The Liouville-von
-Neumann residual and the phase series are array expressions over the
-step boundaries.
+the trajectory's own, built once per trajectory.  H = u.S is linear,
+so an RK4 step is psi -> M psi with a d x d matrix M, the stage
+formulas applied to the identity; these matrices are built in batches
+of steps, and the only per-step Python work left is the product M psi.
+The energies <psi|H|psi> of a batch are one batched product after its
+loop.  The Liouville-von Neumann residual and the phase series are
+array expressions over the step boundaries.
 
 H conserves photon number, so the evolution runs only on the sectors the
 initial state occupies, and the step guard is the closed form N|u|.
@@ -137,10 +138,15 @@ def effective_hamiltonian(traj: TangentTrajectory, spin: SpinTriple, t: float) -
 def _lvn_residuals(traj: TangentTrajectory, spin: SpinTriple, indices: np.ndarray) -> np.ndarray:
     """Max-norm of dI/dt + (1/i)[I, H] for I = khat.S at the given samples.
 
-    The norm is taken on the occupation-bounded subspace, where the
-    truncated spin algebra is exact; the full matrix always carries an
-    O(1) cutoff defect that says nothing about the trajectory.  There
-    [S_i, S_j] = i eps_ijk S_k, so the residual operator is v.S with
+    The norm is taken on the union of the occupation-bounded subspace and
+    the complete photon-number sectors, where the truncated spin algebra
+    is exact; the full matrix always carries an O(1) cutoff defect that
+    says nothing about the trajectory.  Each S_i conserves photon number,
+    and two basis states of one sector lie both in a complete sector or,
+    if both are kept, both in the bounded block, so on every pair the
+    norm reads [S_i, S_j] = i eps_ijk S_k.  At n_max = 1 the bounded
+    block is the vacuum alone and the one-photon sector is what makes
+    the check able to fail.  The residual operator is v.S with
     v = khat_dot + khat x u = (kdot + k x u)/|k|, the motion residual
     over |k| (constant tangent magnitude assumed), and since every pair
     of basis states is linked by at most one S_i its max-norm is
@@ -150,8 +156,11 @@ def _lvn_residuals(traj: TangentTrajectory, spin: SpinTriple, indices: np.ndarra
     """
     norms = np.linalg.norm(traj.tangents[indices], axis=1)[:, None]
     v = traj.motion_residual[indices] / norms
-    bounded = spin[0].space.bounded_indices()
-    box = np.ix_(bounded, bounded)
+    space = spin[0].space
+    # The union, with repeats that leave a max unchanged (np.union1d would sort
+    # through np.unique, which imports numpy.ma: about 1 MB per process).
+    exact = np.concatenate([space.bounded_indices(), space.complete_sector_indices()])
+    box = np.ix_(exact, exact)
     scale = np.array([np.abs(op.entries[box]).max() for op in spin])
     return (np.abs(v) * scale).max(axis=1)
 
@@ -174,15 +183,16 @@ def evolve_state(psi0: StateVector, traj: TangentTrajectory, spin: SpinTriple) -
     M = I + h/6 (K1 + 2 K2 + 2 K3 + K4): the RK4 stages applied to the
     identity.  These matrices are built as batched products for
     CHUNK_BYTES worth of steps at a time, so scratch memory stays flat
-    in the step count.  Norms are recorded at every step and the drift
-    is left in as an integration diagnostic.  The energy <psi|H0|psi>
-    at each boundary is computed before the step.  H conserves photon
-    number, so only the sectors psi0 occupies are integrated; states
-    keep the full dimension, with exact zeros elsewhere.  The guard max|H| * step <= N_top * max|u| *
-    step (N_top the largest occupied sector) holds because a complete
-    sector N has spectral radius N|u| and, by Cauchy interlacing, a
-    sector cut off at n_max no larger; it is enforced and reported,
-    never silently accepted.
+    in the step count.  The step loop only applies M; a chunk's states
+    are buffered, and the energies <psi|H0|psi> before its steps are one
+    batched product after the loop.  Norms are recorded at every step
+    and the drift is left in as an integration diagnostic.  H conserves
+    photon number, so only the sectors psi0 occupies are integrated;
+    states keep the full dimension, with exact zeros elsewhere.  The
+    guard max|H| * step <= N_top * max|u| * step (N_top the largest
+    occupied sector) holds because a complete sector N has spectral
+    radius N|u| and, by Cauchy interlacing, a sector cut off at n_max no
+    larger; it is enforced and reported, never silently accepted.
     """
     n = len(traj.times)
     if n < 3 or n % 2 == 0:
@@ -221,6 +231,7 @@ def evolve_state(psi0: StateVector, traj: TangentTrajectory, spin: SpinTriple) -
     psi = psi0.amplitudes[keep]
     states[0, keep] = psi
     norms[0] = np.linalg.norm(psi)
+    block = np.empty((chunk + 1, d), dtype=complex)
     for start in range(0, steps, chunk):
         stop = min(start + chunk, steps)
         # The RK4 stages applied to the identity: psi -> m[j] @ psi is step start + j.
@@ -233,12 +244,17 @@ def evolve_state(psi0: StateVector, traj: TangentTrajectory, spin: SpinTriple) -
         k3 = -1j * (h1 @ (eye + 0.5 * h * k2))
         k4 = -1j * (h2 @ (eye + h * k3))
         m = eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        block = np.empty((stop - start, d), dtype=complex)
-        for j in range(stop - start):
-            energies[start + j] = np.vdot(psi, h0[j] @ psi).real
-            psi = block[j] = m[j] @ psi
-        states[start + 1 : stop + 1, keep] = block
-        norms[start + 1 : stop + 1] = np.linalg.norm(block, axis=1)
+        # Row 0 is the state the chunk starts from, row j + 1 the state after step start + j.
+        block[0] = psi
+        for j, mj in enumerate(m, 1):
+            psi = block[j] = mj @ psi
+        done = block[1 : stop - start + 1]
+        states[start + 1 : stop + 1, keep] = done
+        norms[start + 1 : stop + 1] = np.linalg.norm(done, axis=1)
+        # <psi|H0|psi> before each step, as 1 x d @ d x 1 products: the bits np.vdot
+        # gives on the contiguous rows.
+        before = block[: stop - start, :, None]
+        energies[start:stop] = (before.conj().transpose(0, 2, 1) @ (h0 @ before))[:, 0, 0].real
     energies[steps] = np.vdot(psi, _field_operator(u[-1], s) @ psi).real
 
     boundary = np.arange(0, n, 2)

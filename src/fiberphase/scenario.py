@@ -45,6 +45,11 @@ MOTION_TOL = 1e-6
 DEFAULT_TOLERANCE = 1e-4
 MIN_STEPS = 32
 
+# Values per '%' call of the run CSV writer.  A block's transient floats,
+# tuple and text take about 70 kB whatever the step count; larger blocks
+# are no faster and raise the peak RSS of a run.
+CSV_BLOCK_VALUES = 1024
+
 # Memory a run may need, checked before anything is allocated.  The
 # coefficients come from tracemalloc peaks at small sizes, with headroom:
 # building the 3-mode spin operators holds 11 dense complex d x d arrays at
@@ -64,6 +69,16 @@ class ConfigError(ValueError):
         self.field = field
         self.message = message
         super().__init__(f"{field}: {message}")
+
+
+def _show(value) -> str:
+    """repr(value); an int too long for the interpreter to print shows its order of magnitude, 10^k."""
+    try:
+        return repr(value)
+    except ValueError:
+        if isinstance(value, int):
+            return f"{'-' if value < 0 else ''}10^{math.log10(abs(value)):.0f}"
+        return f"a {type(value).__name__} holding an int too long to print"
 
 
 def _check_budget(field: str, estimate: int, what: str) -> None:
@@ -148,7 +163,7 @@ def _get_number(mapping: dict, key: str, where: str) -> float:
         raise ConfigError(f"{where}.{key}", "missing required key")
     value = _finite(mapping[key])
     if value is None:
-        raise ConfigError(f"{where}.{key}", f"expected a finite number, got {mapping[key]!r}")
+        raise ConfigError(f"{where}.{key}", f"expected a finite number, got {_show(mapping[key])}")
     return value
 
 
@@ -157,7 +172,7 @@ def _get_int(mapping: dict, key: str, where: str) -> int:
         raise ConfigError(f"{where}.{key}", "missing required key")
     value = mapping[key]
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where}.{key}", f"expected an integer, got {value!r}")
+        raise ConfigError(f"{where}.{key}", f"expected an integer, got {_show(value)}")
     return value
 
 
@@ -189,7 +204,7 @@ def _parse_geometry(data, base_dir: Path) -> HelixGeometry | ConeGeometry | Samp
         if "path_csv" not in data or not isinstance(data["path_csv"], str):
             raise ConfigError("geometry.path_csv", "missing CSV file name")
         return SampledGeometry(str(base_dir / data["path_csv"]))
-    raise ConfigError("geometry.kind", f"must be helix, cone or sampled, got {kind!r}")
+    raise ConfigError("geometry.kind", f"must be helix, cone or sampled, got {_show(kind)}")
 
 
 def _parse_state(data) -> tuple[int | None, int | None, tuple[complex, ...] | None]:
@@ -245,7 +260,7 @@ def parse_config(data: dict, name: str, base_dir: Path | None = None) -> Scenari
 
     ordering = data.get("ordering", "normal")
     if ordering not in ORDERINGS:
-        raise ConfigError("ordering", f"must be one of {', '.join(ORDERINGS)}, got {ordering!r}")
+        raise ConfigError("ordering", f"must be one of {', '.join(ORDERINGS)}, got {_show(ordering)}")
     if amplitudes is not None and ordering in ("nonnormal_r", "nonnormal_l"):
         raise ConfigError(
             "ordering",
@@ -254,7 +269,7 @@ def parse_config(data: dict, name: str, base_dir: Path | None = None) -> Scenari
 
     n_max = _get_int(data, "n_max", "config") if "n_max" in data else 2
     if n_max < 1:
-        raise ConfigError("n_max", f"must be >= 1, got {n_max}")
+        raise ConfigError("n_max", f"must be >= 1, got {_show(n_max)}")
 
     steps = None
     if isinstance(geometry, SampledGeometry):
@@ -263,11 +278,11 @@ def parse_config(data: dict, name: str, base_dir: Path | None = None) -> Scenari
     else:
         steps = _get_int(data, "steps", "config") if "steps" in data else 4096
         if steps < MIN_STEPS:
-            raise ConfigError("steps", f"must be >= {MIN_STEPS}, got {steps}")
+            raise ConfigError("steps", f"must be >= {MIN_STEPS}, got {_show(steps)}")
 
     operators, samples = _run_bytes(n_max, steps)
     field = "n_max" if operators >= samples else "steps"
-    _check_budget(field, operators + samples, f"n_max = {n_max} with steps = {steps}")
+    _check_budget(field, operators + samples, f"n_max = {_show(n_max)} with steps = {_show(steps)}")
 
     t_end = _get_number(data, "t_end", "config") if "t_end" in data else 1.0
     if not 0.0 < t_end <= 1.0:
@@ -284,7 +299,7 @@ def parse_config(data: dict, name: str, base_dir: Path | None = None) -> Scenari
     if n_r is not None and n_r + n_l > n_max:
         raise ConfigError(
             "state",
-            f"cutoff overflow: n_r + n_l = {n_r + n_l} photons need n_max >= {n_r + n_l}",
+            f"cutoff overflow: n_r + n_l = {_show(n_r + n_l)} photons need n_max >= {_show(n_r + n_l)}",
         )
 
     return ScenarioConfig(
@@ -539,9 +554,13 @@ def _write_run_csv(summary: dict, csv_path: Path) -> None:
             summary["_series"]["lvn"],
         ]
     )
+    line = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    rows = CSV_BLOCK_VALUES // table.shape[1]
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("t,lambda,gamma,phi_closed,phi_total,phi_dyn,phi_geo,norm,lvn_residual\n")
-        np.savetxt(fh, table, fmt="%.17g", delimiter=",")
+        for start in range(0, len(table), rows):
+            chunk = table[start : start + rows]
+            fh.write((line * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
 def _write_json(payload: dict, path: Path) -> None:
@@ -758,13 +777,13 @@ def sweep(config: ScenarioConfig, parameter: str, values, out_dir) -> tuple[int,
                 raise ConfigError("sweep", f"{parameter} value {v!r} must be a non-negative integer")
             v = int(v)
             if v < 0:
-                raise ConfigError("sweep", f"{parameter} value {v!r} must be a non-negative integer")
+                raise ConfigError("sweep", f"{parameter} value {_show(v)} must be a non-negative integer")
             if parameter == "n_R":
                 n_r = v
             else:
                 n_l = v
             operators = _DENSE_COPIES_2MODE * 16 * (max(n_r, n_l, 1) + 1) ** 4
-            _check_budget("sweep", operators, f"{parameter} = {v}")
+            _check_budget("sweep", operators, f"{parameter} = {_show(v)}")
             geometry = config.geometry
         points.append((v, geometry, n_r, n_l))
     rows = []

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -122,6 +123,10 @@ def test_bad_sweep_parameter(tmp_path):
 
 
 CONE = {"kind": "cone", "polar_angle": 0.5, "turns": 1.0}
+# 5001 digits: more than json.loads will turn into an int.  json.dumps
+# cannot write such an int either, so it goes into the file as a quoted
+# string and the quotes are dropped afterwards.
+HUGE_DIGITS = "9" * 5001
 HELIX_NAN_RADIUS = {"kind": "helix", "radius": float("nan"), "pitch_per_turn": 6.0, "turns": 1.0}
 
 
@@ -139,9 +144,13 @@ HELIX_NAN_RADIUS = {"kind": "helix", "radius": float("nan"), "pitch_per_turn": 6
         ({"geometry": CONE, "steps": 10**400}, [], "steps"),
         (None, ["--scenario", "chiao-helix-45", "--nmax", str(10**110)], "n_max"),
         (None, ["--scenario", "chiao-helix-45", "--sweep", "n_R=1e300"], "sweep"),
+        # Ints past the interpreter's digit limit.
+        ({"geometry": CONE, "n_max": HUGE_DIGITS}, [], "config"),
+        ({"geometry": CONE, "steps": "-" + HUGE_DIGITS}, [], "config"),
     ],
     ids=["tolerance-inf", "tolerance-nan", "radius-nan", "sweep-nan", "amplitude-nan",
-         "n_max-1e200", "steps-1e400", "scenario-nmax-1e110", "scenario-sweep-n_R-1e300"],
+         "n_max-1e200", "steps-1e400", "scenario-nmax-1e110", "scenario-sweep-n_R-1e300",
+         "n_max-5001-digits", "steps-5001-digits"],
 )
 def test_non_finite_input_rejected_before_work(tmp_path, capsys, config, args, field):
     out = tmp_path / "out"
@@ -149,7 +158,8 @@ def test_non_finite_input_rejected_before_work(tmp_path, capsys, config, args, f
     if config is not None:
         # json.dumps writes the non-standard NaN/Infinity tokens that json.loads accepts.
         cfg = tmp_path / "nonfinite.json"
-        cfg.write_text(json.dumps({"state": {"n_r": 1, "n_l": 0}, "steps": 64, **config}))
+        text = json.dumps({"state": {"n_r": 1, "n_l": 0}, "steps": 64, **config})
+        cfg.write_text(re.sub(f'"(-?{HUGE_DIGITS})"', r"\1", text))
         argv += ["--config", str(cfg)]
     assert main(argv) == 2
     err = capsys.readouterr().err

@@ -54,14 +54,16 @@ def lvn_oracle(traj, spin, i):
     """LvN residual at sample i from the explicit d x d matrix dI/dt + (1/i)[I, H].
 
     The commutators are built from matrix products and the norm is taken
-    on the occupation-bounded block, with no use of the spin algebra.
+    on the occupation-bounded block together with the complete sectors,
+    with no use of the spin algebra.
     """
     s = [op.entries for op in spin]
     c12 = s[0] @ s[1] - s[1] @ s[0]
     c23 = s[1] @ s[2] - s[2] @ s[1]
     c31 = s[2] @ s[0] - s[0] @ s[2]
-    bounded = spin[0].space.bounded_indices()
-    box = np.ix_(bounded, bounded)
+    space = spin[0].space
+    exact = np.union1d(space.bounded_indices(), space.complete_sector_indices())
+    box = np.ix_(exact, exact)
     k, kd = traj.tangents[i], traj.derivatives[i]
     norm = np.linalg.norm(k)
     khat, khat_dot = k / norm, kd / norm
@@ -443,6 +445,26 @@ class TestExtractPhases:
         energies = [
             np.vdot(psi, (ui[0] * s[0] + ui[1] * s[1] + ui[2] * s[2]) @ psi).real
             for psi, ui in zip(result.states[:, keep], u)
+        ]
+        assert np.abs(energies).max() > 0.1
+        assert np.array_equal(result.energies, energies)
+
+    def test_energies_match_per_sample_loop_multi_sector(self):
+        # Sectors 0..3 at n_max = 3 make d = 20, so a chunk holds 10 steps
+        # and 256 steps span 26 chunks, the last one partial.
+        traj = helix_traj(lam=0.6, steps=256)
+        space = build_space(3, 3)
+        spin = spin_fixed(space)
+        result = evolve_state(multi_sector_state(space, [0, 1, 2, 3]), traj, spin)
+        keep = np.flatnonzero(np.sum(space.basis, axis=1) <= 3)
+        assert len(keep) == 20
+        s = [op.entries[np.ix_(keep, keep)] for op in spin]
+        # Contiguous rows, as the step loop holds them: np.vdot sums a strided
+        # vector of this length in another order.
+        states = np.ascontiguousarray(result.states[:, keep])
+        energies = [
+            np.vdot(psi, (ui[0] * s[0] + ui[1] * s[1] + ui[2] * s[2]) @ psi).real
+            for psi, ui in zip(states, field_along(traj)[::2])
         ]
         assert np.abs(energies).max() > 0.1
         assert np.array_equal(result.energies, energies)

@@ -38,11 +38,15 @@ def cone_config(polar=math.pi / 4.0, steps=512, **extra):
     return data
 
 
-# Values a JSON config can carry: ints far past any float, non-finite floats
-# and wrong types.
+# An int longer than the 4300 digits CPython will convert to a string.
+HUGE = 10**5000
+
+# Values a JSON config can carry: ints far past any float or too long to
+# print, non-finite floats and wrong types.
 FUZZ_VALUES = st.one_of(
     st.integers(-3, 40),
     st.integers(-(10**400), 10**400),
+    st.sampled_from([HUGE, -HUGE]),
     st.floats(allow_nan=True, allow_infinity=True),
     st.booleans(),
     st.none(),
@@ -76,6 +80,30 @@ def fuzz_configs(draw):
             section = section[key]
         section[path[-1]] = value
     return data
+
+
+def row_loop_csv(summary):
+    """The run CSV text built one row at a time, phi_closed by the Simpson rule over samples 0..i."""
+    from fiberphase.quadrature import integrate
+
+    series = summary["_series"]
+    angles, phase = series["angles"], series["phase"]
+    rate = angles.gamma_dot * (1.0 - np.cos(angles.lam))
+    lines = ["t,lambda,gamma,phi_closed,phi_total,phi_dyn,phi_geo,norm,lvn_residual"]
+    for j, i in enumerate(range(0, len(angles.times), 2)):
+        cum = integrate(rate[: i + 1], angles.times[: i + 1]) if i else 0.0
+        row = [angles.times[i], angles.lam[i], angles.gamma[i], series["s3_attributed"] * cum,
+               phase["total"][j], phase["dynamical"][j], phase["geometric"][j], phase["norms"][j],
+               series["lvn"][j]]
+        lines.append(",".join(format(float(v), ".17g") for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def write_path_csv(path, t, pts):
+    with open(path, "w") as fh:
+        fh.write("t,x,y,z\n")
+        for ti, p in zip(t, pts):
+            fh.write(f"{ti:.17g},{p[0]:.17g},{p[1]:.17g},{p[2]:.17g}\n")
 
 
 class TestParseConfig:
@@ -144,6 +172,24 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="steps"):
             parse_config(data, "t")
 
+    @pytest.mark.parametrize(
+        "extra, field",
+        [
+            ({"n_max": HUGE}, "n_max"),
+            ({"n_max": -HUGE}, "n_max"),
+            ({"steps": -HUGE}, "steps"),
+            ({"ordering": HUGE}, "ordering"),
+            ({"state": {"n_r": HUGE, "n_l": 0}}, "state"),
+            ({"tolerance": HUGE}, "config.tolerance"),
+        ],
+        ids=["n_max", "n_max-negative", "steps-negative", "ordering", "n_r", "tolerance"],
+    )
+    def test_int_past_digit_limit_is_config_error(self, extra, field):
+        with pytest.raises(ConfigError) as err:
+            parse_config(cone_config(**extra), "t")
+        assert err.value.field == field
+        assert "10^5000" in str(err.value)
+
     def test_medium_validation(self):
         data = cone_config(medium={"epsilon1": -1.0, "epsilon2": 2.0, "epsilon3": 1.0, "mu": 1.0, "omega": -1.0})
         with pytest.raises(ConfigError, match="omega"):
@@ -186,7 +232,9 @@ class TestMemoryBudget:
         assert peak < 100_000
 
     @pytest.mark.parametrize(
-        "parameter, oversize", [("n_R", 10**6), ("n_L", 10**6), ("n_R", 1e300)], ids=["n_R", "n_L", "n_R-1e300"]
+        "parameter, oversize",
+        [("n_R", 10**6), ("n_L", 10**6), ("n_R", 1e300), ("n_L", HUGE)],
+        ids=["n_R", "n_L", "n_R-1e300", "n_L-5001-digits"],
     )
     def test_oversize_sweep_value_refused_before_any_row(self, parameter, oversize, tmp_path):
         # The first value alone would build a 32769-sample trajectory (~8 MB).
@@ -302,6 +350,34 @@ class TestRunScenario:
             lines.append(",".join(format(float(v), ".17g") for v in row))
         assert (tmp_path / "rows.csv").read_text() == "\n".join(lines) + "\n"
 
+    def test_csv_blocks_match_row_loop(self, tmp_path):
+        import fiberphase.scenario as scenario
+
+        # Three full row blocks and a partial fourth.
+        rows = scenario.CSV_BLOCK_VALUES // 9
+        steps = 3 * rows + rows // 2
+        summary = scenario.evaluate_scenario(parse_config(cone_config(polar=1.0, steps=steps), "blocks"))
+        scenario._write_run_csv(summary, tmp_path / "blocks.csv")
+        assert (tmp_path / "blocks.csv").read_text() == row_loop_csv(summary)
+
+    def test_csv_writer_memory_is_flat(self, tmp_path):
+        import fiberphase.scenario as scenario
+
+        extra = []
+        for steps in (1024, 16384):
+            summary = scenario.evaluate_scenario(parse_config(cone_config(steps=steps, n_max=1), "flat"))
+            # The (steps + 1, 9) table and the phi_closed column it is stacked from.
+            table_bytes = (steps + 1) * 10 * 8
+            tracemalloc.start()
+            try:
+                scenario._write_run_csv(summary, tmp_path / "flat.csv")
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            extra.append(peak - table_bytes)
+        # Beyond those the writer holds one row block, whatever the step count.
+        assert extra[1] <= extra[0] + 16 * 1024, extra
+
     @pytest.mark.parametrize("kind", ["cone", "helix", "sampled"])
     def test_last_phi_closed_is_phi_attributed(self, kind, tmp_path):
         data = cone_config(polar=1.0, steps=256)
@@ -310,10 +386,7 @@ class TestRunScenario:
         elif kind == "sampled":
             t, pts = helix_points(make_helix(1.0, 2.0 * math.pi, 1.0, 513))
             pts[:, 2] += 0.05 * np.sin(3.0 * math.pi * t)
-            with open(tmp_path / "path.csv", "w") as fh:
-                fh.write("t,x,y,z\n")
-                for ti, p in zip(t, pts):
-                    fh.write(f"{ti:.17g},{p[0]:.17g},{p[1]:.17g},{p[2]:.17g}\n")
+            write_path_csv(tmp_path / "path.csv", t, pts)
             data["geometry"] = {"kind": "sampled", "path_csv": "path.csv"}
             del data["steps"]
         outcome = run_scenario(parse_config(data, kind, base_dir=tmp_path), tmp_path)
@@ -366,11 +439,7 @@ class TestRunScenario:
 
     def test_sampled_geometry_run(self, tmp_path):
         t, pts = helix_points(make_helix(1.0, 2.0 * math.pi, 1.0, 1025))
-        csv = tmp_path / "path.csv"
-        with open(csv, "w") as fh:
-            fh.write("t,x,y,z\n")
-            for ti, p in zip(t, pts):
-                fh.write(f"{ti:.17g},{p[0]:.17g},{p[1]:.17g},{p[2]:.17g}\n")
+        write_path_csv(tmp_path / "path.csv", t, pts)
         data = {
             "geometry": {"kind": "sampled", "path_csv": "path.csv"},
             "state": {"n_r": 1, "n_l": 0},
@@ -382,6 +451,25 @@ class TestRunScenario:
         outcome = run_scenario(config, tmp_path)
         assert outcome.exit_code == 0
         assert outcome.summary["numerical"]["geometric_phase"] == pytest.approx(BERRY_45, abs=1e-3)
+
+    def test_lvn_check_can_fail_at_n_max_1(self, tmp_path):
+        # At n_max = 1 the bounded block is the vacuum alone, so the
+        # one-photon sector is all that can make the LvN residual nonzero.
+        # A wobbling path differenced on 4097 rows stays within LVN_TOL; on
+        # 1025 rows the differencing error pushes the residual past it.
+        import fiberphase.scenario as scenario
+
+        lvn = {}
+        for rows in (4097, 1025):
+            t, pts = helix_points(make_helix(1.0, 2.0 * math.pi, 1.0, rows))
+            pts[:, 2] += 0.05 * np.sin(3.0 * math.pi * t)
+            write_path_csv(tmp_path / "path.csv", t, pts)
+            data = {"geometry": {"kind": "sampled", "path_csv": "path.csv"}, "state": {"n_r": 1, "n_l": 0}, "n_max": 1}
+            summary = scenario.evaluate_scenario(parse_config(data, "lvn", base_dir=tmp_path))
+            lvn[rows] = next(c for c in summary["checks"] if c["name"] == "lvn_residual")
+            assert lvn[rows]["value"] == summary["numerical"]["lvn_max_residual"]
+        assert 0.0 < lvn[4097]["value"] <= scenario.LVN_TOL and lvn[4097]["pass"] is True
+        assert lvn[1025]["value"] > scenario.LVN_TOL and lvn[1025]["pass"] is False
 
     def test_u_and_motion_residual_built_once(self, monkeypatch):
         import fiberphase.scenario as scenario
