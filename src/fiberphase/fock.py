@@ -4,8 +4,17 @@ The state space is the tensor product of 2 or 3 harmonic modes, each cut
 off at occupation ``n_max``.  Two-mode spaces carry the circular modes
 (right- and left-handed) directly; three-mode spaces carry the Cartesian
 modes b1, b2, b3 of the laboratory frame, from which the circular and
-spin operators are assembled.  All matrices are dense complex arrays in
-units with hbar = 1.
+spin operators are assembled.  The library operators are dense complex
+arrays in units with hbar = 1.
+
+The runner needs none of them.  Each spin component is a one-body
+bilinear, S_i = -i A_i with A_i = b_j+ b_k - b_k+ b_j real, so it
+conserves photon number; sector_generators builds the A_i on the
+occupied photon-number sectors straight from the basis tuples,
+spin_scale reads the Liouville-von Neumann norm scale off the same
+ladder moves, and build_photon_state applies creation operators by
+shifting indices over the basis.  Nothing on that path is (n_max+1)^3
+square.
 """
 
 from __future__ import annotations
@@ -232,6 +241,104 @@ def spin_fixed(space: FockSpace) -> tuple[OperatorMatrix, OperatorMatrix, Operat
     return s1, s2, s3
 
 
+# (j, k) of S_i = -i(b_j+ b_k - b_k+ b_j) for i = 1, 2, 3, modes counted from 0.
+_SPIN_MODES = ((1, 2), (2, 0), (0, 1))
+
+
+def _occupations(space: FockSpace) -> np.ndarray:
+    """The basis as an int array (dimension, num_modes), in basis order (C order of the box)."""
+    m = space.num_modes
+    return np.indices((space.n_max + 1,) * m).reshape(m, -1).T
+
+
+def _flat_index(space: FockSpace, occupations: np.ndarray) -> np.ndarray:
+    """Basis indices of occupation rows."""
+    return np.ravel_multi_index(occupations.T, (space.n_max + 1,) * space.num_modes)
+
+
+def _hops(occupations: np.ndarray, n_max: int, j: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where b_j+ b_k (j != k) takes occupation rows: (rows it acts on, target rows, entries).
+
+    An entry is sqrt(n_j + 1) * sqrt(n_k), the product of the two ladder
+    factors the dense matrix product multiplies, so both constructions
+    round it alike.
+    """
+    rows = np.flatnonzero((occupations[:, k] > 0) & (occupations[:, j] < n_max))
+    source = occupations[rows]
+    target = source.copy()
+    target[:, j] += 1
+    target[:, k] -= 1
+    return rows, target, np.sqrt(source[:, j] + 1.0) * np.sqrt(source[:, k])
+
+
+def occupied_sectors(state: StateVector) -> list[int]:
+    """Photon numbers on which the state has a nonzero amplitude, ascending."""
+    totals = _occupations(state.space).sum(axis=1)
+    return np.flatnonzero(np.bincount(totals[state.amplitudes != 0], minlength=1)).tolist()
+
+
+def sector_generators(space: FockSpace, sectors) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Basis indices of the given photon-number sectors and the spin generators on them.
+
+    Returns (keep, (A1, A2, A3)): keep the ascending basis indices whose
+    total occupation is one of sectors, and the real antisymmetric
+    d x d matrices A_i = b_j+ b_k - b_k+ b_j on those rows and columns,
+    so that S_i = -i A_i.  The entries come from the basis tuples alone
+    and equal -spin_fixed(space)[i].entries[np.ix_(keep, keep)].imag bit
+    for bit, sectors the cutoff truncates included; no (n_max+1)^3
+    square matrix is built.
+    """
+    if space.num_modes != 3:
+        raise ValueError("spin components require a 3-mode space")
+    occupations = _occupations(space)
+    totals = occupations.sum(axis=1)
+    wanted = np.zeros(3 * space.n_max + 1, dtype=bool)
+    for n in sectors:
+        if not 0 <= n <= 3 * space.n_max:
+            raise ValueError(f"sector {n!r} outside 0..{3 * space.n_max}")
+        wanted[n] = True
+    keep = np.flatnonzero(wanted[totals])
+    position = np.zeros(space.dimension, dtype=int)
+    position[keep] = np.arange(len(keep))
+    inside = occupations[keep]
+    generators = []
+    for j, k in _SPIN_MODES:
+        a = np.zeros((len(keep), len(keep)))
+        for sign, p, q in ((1.0, j, k), (-1.0, k, j)):
+            rows, target, values = _hops(inside, space.n_max, p, q)
+            a[position[_flat_index(space, target)], rows] = sign * values
+        generators.append(a)
+    return keep, tuple(generators)
+
+
+def spin_scale(space: FockSpace) -> np.ndarray:
+    """max|S_i| for i = 1, 2, 3 on the block where the truncated spin algebra is exact.
+
+    The block is the union of the occupation-bounded states and the
+    complete photon-number sectors (see FockSpace.bounded_indices and
+    complete_sector_indices).  Read off the ladder moves of the basis in
+    O(dimension); it equals np.abs(spin_fixed(space)[i].entries[box]).max()
+    on that block bit for bit.
+    """
+    if space.num_modes != 3:
+        raise ValueError("spin components require a 3-mode space")
+    n_max = space.n_max
+
+    def exact(occupations):
+        return (occupations.max(axis=1) < n_max) | (occupations.sum(axis=1) <= n_max)
+
+    occupations = _occupations(space)
+    source_exact = exact(occupations)
+    scale = []
+    for j, k in _SPIN_MODES:
+        largest = 0.0
+        for p, q in ((j, k), (k, j)):
+            rows, target, values = _hops(occupations, n_max, p, q)
+            largest = max(largest, values[source_exact[rows] & exact(target)].max(initial=0.0))
+        scale.append(largest)
+    return np.array(scale)
+
+
 def _check_unit(k_hat: np.ndarray) -> np.ndarray:
     k = np.asarray(k_hat, dtype=float)
     if k.shape != (3,):
@@ -333,14 +440,22 @@ def build_photon_state(space: FockSpace, n_r: int, n_l: int, k_hat: np.ndarray |
             f"space has n_max = {space.n_max}"
         )
     e1, e2 = polarization_triad(np.array([0.0, 0.0, 1.0]) if k_hat is None else k_hat)
-    bd = [creation(space, m) for m in range(3)]
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    a_r_dag = inv_sqrt2 * sum(((e1[m] + 1j * e2[m]) * bd[m] for m in range(3)), start=0.0 * bd[0])
-    a_l_dag = inv_sqrt2 * sum(((e1[m] - 1j * e2[m]) * bd[m] for m in range(3)), start=0.0 * bd[0])
-    psi = vacuum_state(space)
-    for _ in range(n_r):
-        psi = a_r_dag.apply(psi)
-    for _ in range(n_l):
-        psi = a_l_dag.apply(psi)
-    amp = psi.amplitudes / math.sqrt(math.factorial(n_r) * math.factorial(n_l))
-    return StateVector(space, amp)
+    # a_R+ and a_L+ as combinations sum_m c_m b_m+, applied by index shifts.
+    occupations = _occupations(space)
+    amp = vacuum_state(space).amplitudes.copy()
+    for coefficients, count in ((inv_sqrt2 * (e1 + 1j * e2), n_r), (inv_sqrt2 * (e1 - 1j * e2), n_l)):
+        for _ in range(count):
+            amp = _create(space, occupations, amp, coefficients)
+    return StateVector(space, amp / math.sqrt(math.factorial(n_r) * math.factorial(n_l)))
+
+
+def _create(space: FockSpace, occupations: np.ndarray, amp: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
+    """sum_m c_m b_m+ applied to an amplitude vector: each b_m+ moves n_m -> n_m + 1 with factor sqrt(n_m + 1)."""
+    out = np.zeros_like(amp)
+    for m, c in enumerate(coefficients):
+        rows = np.flatnonzero(occupations[:, m] < space.n_max)
+        target = occupations[rows]
+        target[:, m] += 1
+        out[_flat_index(space, target)] += c * (np.sqrt(occupations[rows, m] + 1.0) * amp[rows])
+    return out

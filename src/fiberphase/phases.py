@@ -16,7 +16,9 @@ loop.  The Liouville-von Neumann residual and the phase series are
 array expressions over the step boundaries.
 
 H conserves photon number, so the evolution runs only on the sectors the
-initial state occupies, and the step guard is the closed form N|u|.
+initial state occupies, with generators built on those sectors alone,
+and the step guard is the closed form N|u|.  With S = -iA for real A,
+K = -iH = -u.A is real, so M is built in real arithmetic.
 
 Sign convention: a phase reported as +phi appears on the state as the
 amplitude factor exp(-i phi), so the reported total is
@@ -32,7 +34,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quadrature
-from .fock import FockSpace, OperatorMatrix, StateVector, helicity_operator, spin_fixed
+from .fock import (
+    FockSpace,
+    OperatorMatrix,
+    StateVector,
+    helicity_operator,
+    occupied_sectors,
+    sector_generators,
+    spin_fixed,
+    spin_scale,
+)
 from .geometry import (
     AngleTrajectory,
     TangentTrajectory,
@@ -42,7 +53,7 @@ from .geometry import (
 )
 
 STEP_GUARD = 0.1
-# Bytes of one (chunk, d, d) complex stack of per-step matrices in evolve_state.
+# Bytes of one (chunk, d, d) real stack of per-step matrices in evolve_state.
 CHUNK_BYTES = 64 * 1024
 OVERLAP_FLOOR = 1e-6
 TWO_PI = 2.0 * math.pi
@@ -73,11 +84,13 @@ class PhaseBreakdown:
         total = float(series["total"][-1])
         dynamical = float(series["dynamical"][-1])
         geometric = total - dynamical
+        mod = geometric % TWO_PI
         return cls(
             total_phase=total,
             dynamical_phase=dynamical,
             geometric_phase=geometric,
-            geometric_phase_mod_2pi=geometric % TWO_PI,
+            # A tiny negative phase reduces to TWO_PI itself; fold it onto 0.
+            geometric_phase_mod_2pi=mod if mod < TWO_PI else 0.0,
             closed_form_phase=float(s3_expectation) * anholonomy,
             anholonomy_integral=anholonomy,
         )
@@ -87,12 +100,15 @@ class PhaseBreakdown:
 class EvolutionResult:
     """States and diagnostics from one RK4 integration, over the step boundaries.
 
-    energies holds <psi|H|psi> at each boundary, the integrand of the
-    dynamical phase.
+    states holds the amplitudes on the evolved sectors only, one row of
+    length len(keep) per boundary; keep lists their basis indices, and
+    every other amplitude is exactly zero.  energies holds <psi|H|psi> at
+    each boundary, the integrand of the dynamical phase.
     """
 
     space: FockSpace
     times: np.ndarray
+    keep: np.ndarray
     states: np.ndarray
     norms: np.ndarray
     energies: np.ndarray
@@ -104,7 +120,10 @@ class EvolutionResult:
         return len(self.times) - 1
 
     def state_at(self, index: int) -> StateVector:
-        return StateVector(self.space, self.states[index])
+        """The state at a boundary over the whole space."""
+        amplitudes = np.zeros(self.space.dimension, dtype=complex)
+        amplitudes[self.keep] = self.states[index]
+        return StateVector(self.space, amplitudes)
 
 
 def closed_form_phase(angles: AngleTrajectory, s3_expectation: float, t_end: float | None = None) -> float:
@@ -119,8 +138,8 @@ def berry_phase_cyclic(polar_angle: float, s3_expectation: float) -> float:
     return TWO_PI * (1.0 - math.cos(polar_angle)) * float(s3_expectation)
 
 
-def _field_operator(v: np.ndarray, s: list[np.ndarray]) -> np.ndarray:
-    """v . S for the spin matrices s; v is one 3-vector or a stack (..., 3) of them."""
+def _field_operator(v: np.ndarray, s) -> np.ndarray:
+    """v . S for the matrices s (spin or generators); v is one 3-vector or a stack (..., 3) of them."""
     v = np.asarray(v)[..., None, None]
     return v[..., 0, :, :] * s[0] + v[..., 1, :, :] * s[1] + v[..., 2, :, :] * s[2]
 
@@ -135,7 +154,7 @@ def effective_hamiltonian(traj: TangentTrajectory, spin: SpinTriple, t: float) -
     return OperatorMatrix(spin[0].space, _field_operator(u, [op.entries for op in spin]))
 
 
-def _lvn_residuals(traj: TangentTrajectory, spin: SpinTriple, indices: np.ndarray) -> np.ndarray:
+def _lvn_residuals(traj: TangentTrajectory, scale: np.ndarray, indices: np.ndarray) -> np.ndarray:
     """Max-norm of dI/dt + (1/i)[I, H] for I = khat.S at the given samples.
 
     The norm is taken on the union of the occupation-bounded subspace and
@@ -150,28 +169,23 @@ def _lvn_residuals(traj: TangentTrajectory, spin: SpinTriple, indices: np.ndarra
     v = khat_dot + khat x u = (kdot + k x u)/|k|, the motion residual
     over |k| (constant tangent magnitude assumed), and since every pair
     of basis states is linked by at most one S_i its max-norm is
-    max_i |v_i| * max|S_i|.  Differencing noise in the stored
+    max_i |v_i| * scale_i, with scale = fock.spin_scale(space) the
+    max|S_i| on that block.  Differencing noise in the stored
     derivative data shows up in the residual instead of being
     projected away.
     """
     norms = np.linalg.norm(traj.tangents[indices], axis=1)[:, None]
     v = traj.motion_residual[indices] / norms
-    space = spin[0].space
-    # The union, with repeats that leave a max unchanged (np.union1d would sort
-    # through np.unique, which imports numpy.ma: about 1 MB per process).
-    exact = np.concatenate([space.bounded_indices(), space.complete_sector_indices()])
-    box = np.ix_(exact, exact)
-    scale = np.array([np.abs(op.entries[box]).max() for op in spin])
     return (np.abs(v) * scale).max(axis=1)
 
 
 def lvn_residual(traj: TangentTrajectory, spin: SpinTriple, t: float) -> float:
-    """Liouville-von Neumann residual of the helicity invariant at time t."""
+    """Liouville-von Neumann residual of the helicity invariant at time t, on the space of spin."""
     i = grid_index(traj.times, t)
-    return float(_lvn_residuals(traj, spin, np.array([i]))[0])
+    return float(_lvn_residuals(traj, spin_scale(spin[0].space), np.array([i]))[0])
 
 
-def evolve_state(psi0: StateVector, traj: TangentTrajectory, spin: SpinTriple) -> EvolutionResult:
+def evolve_state(psi0: StateVector, traj: TangentTrajectory) -> EvolutionResult:
     """Integrate i d|psi>/dt = H(t)|psi> along the trajectory grid.
 
     The grid must hold 2N+1 samples; each RK4 step spans two intervals
@@ -181,14 +195,17 @@ def evolve_state(psi0: StateVector, traj: TangentTrajectory, spin: SpinTriple) -
     step is psi -> M psi with K1 = -i H0, K2 = -i H1 (I + h/2 K1),
     K3 = -i H1 (I + h/2 K2), K4 = -i H2 (I + h K3) and
     M = I + h/6 (K1 + 2 K2 + 2 K3 + K4): the RK4 stages applied to the
-    identity.  These matrices are built as batched products for
+    identity.  H conserves photon number, so only the sectors psi0
+    occupies are integrated, on the generators A_i of
+    fock.sector_generators (S_i = -i A_i); there K = -iH = -u.A is real
+    and so is M.  These matrices are built as real batched products for
     CHUNK_BYTES worth of steps at a time, so scratch memory stays flat
-    in the step count.  The step loop only applies M; a chunk's states
-    are buffered, and the energies <psi|H0|psi> before its steps are one
-    batched product after the loop.  Norms are recorded at every step
-    and the drift is left in as an integration diagnostic.  H conserves
-    photon number, so only the sectors psi0 occupies are integrated;
-    states keep the full dimension, with exact zeros elsewhere.  The
+    in the step count, and cast to complex once per batch.  The step
+    loop only applies M; the energies <psi|H0|psi> before a batch's
+    steps are one batched product after its loop.  Norms are recorded at
+    every step and the drift is left in as an integration diagnostic.
+    states holds the sector block, (steps + 1, len(keep)); state_at
+    gives a state over the whole space.  The
     guard max|H| * step <= N_top * max|u| * step (N_top the largest
     occupied sector) holds because a complete sector N has spectral
     radius N|u| and, by Cauchy interlacing, a sector cut off at n_max no
@@ -199,9 +216,6 @@ def evolve_state(psi0: StateVector, traj: TangentTrajectory, spin: SpinTriple) -
         raise ValueError(f"trajectory grid must hold an odd number >= 3 of samples, got {n}")
     if abs(psi0.norm() - 1.0) > 1e-9:
         raise ValueError(f"initial state must be normalized, |norm - 1| = {abs(psi0.norm() - 1.0):.3e}")
-    for op in spin:
-        if op.space != psi0.space:
-            raise ValueError("spin operators and state live on different spaces")
 
     times = traj.times
     halves = np.diff(times)
@@ -209,12 +223,10 @@ def evolve_state(psi0: StateVector, traj: TangentTrajectory, spin: SpinTriple) -
         raise ValueError("each RK4 step needs its midpoint sample centered in the pane")
 
     u = traj.precession_field
-    totals = np.sum(psi0.space.basis, axis=1)
-    occupied = totals[psi0.amplitudes != 0]
-    keep = np.flatnonzero(np.isin(totals, occupied))
-    s = [op.entries[np.ix_(keep, keep)] for op in spin]
+    sectors = occupied_sectors(psi0)
+    keep, a = sector_generators(psi0.space, sectors)
     step_h = times[2::2] - times[0:-2:2]
-    max_h_dt = float(occupied.max() * np.linalg.norm(u, axis=1).max() * step_h.max())
+    max_h_dt = float(sectors[-1] * np.linalg.norm(u, axis=1).max() * step_h.max())
     if max_h_dt >= STEP_GUARD:
         raise ValueError(
             f"step-size guard violated: bound max|H|*dt = {max_h_dt:.3e} >= {STEP_GUARD}; "
@@ -223,48 +235,44 @@ def evolve_state(psi0: StateVector, traj: TangentTrajectory, spin: SpinTriple) -
 
     steps = (n - 1) // 2
     d = len(keep)
-    chunk = max(1, CHUNK_BYTES // (16 * d * d))
+    chunk = max(1, CHUNK_BYTES // (8 * d * d))
     eye = np.eye(d)
-    states = np.zeros((steps + 1, psi0.space.dimension), dtype=complex)
+    states = np.empty((steps + 1, d), dtype=complex)
     norms = np.empty(steps + 1)
     energies = np.empty(steps + 1)
-    psi = psi0.amplitudes[keep]
-    states[0, keep] = psi
+    psi = states[0] = psi0.amplitudes[keep]
     norms[0] = np.linalg.norm(psi)
-    block = np.empty((chunk + 1, d), dtype=complex)
     for start in range(0, steps, chunk):
         stop = min(start + chunk, steps)
-        # The RK4 stages applied to the identity: psi -> m[j] @ psi is step start + j.
+        # The RK4 stages applied to the identity, with K = -u.A real:
+        # psi -> m[j] @ psi is step start + j.
         h = step_h[start:stop, None, None]
-        h0 = _field_operator(u[2 * start : 2 * stop : 2], s)
-        h1 = _field_operator(u[2 * start + 1 : 2 * stop : 2], s)
-        h2 = _field_operator(u[2 * start + 2 : 2 * stop + 1 : 2], s)
-        k1 = -1j * h0
-        k2 = -1j * (h1 @ (eye + 0.5 * h * k1))
-        k3 = -1j * (h1 @ (eye + 0.5 * h * k2))
-        k4 = -1j * (h2 @ (eye + h * k3))
-        m = eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        # Row 0 is the state the chunk starts from, row j + 1 the state after step start + j.
-        block[0] = psi
-        for j, mj in enumerate(m, 1):
-            psi = block[j] = mj @ psi
-        done = block[1 : stop - start + 1]
-        states[start + 1 : stop + 1, keep] = done
-        norms[start + 1 : stop + 1] = np.linalg.norm(done, axis=1)
-        # <psi|H0|psi> before each step, as 1 x d @ d x 1 products: the bits np.vdot
-        # gives on the contiguous rows.
-        before = block[: stop - start, :, None]
-        energies[start:stop] = (before.conj().transpose(0, 2, 1) @ (h0 @ before))[:, 0, 0].real
-    energies[steps] = np.vdot(psi, _field_operator(u[-1], s) @ psi).real
+        g0 = _field_operator(u[2 * start : 2 * stop : 2], a)
+        g1 = _field_operator(u[2 * start + 1 : 2 * stop : 2], a)
+        g2 = _field_operator(u[2 * start + 2 : 2 * stop + 1 : 2], a)
+        k1 = -g0
+        k2 = -(g1 @ (eye + 0.5 * h * k1))
+        k3 = -(g1 @ (eye + 0.5 * h * k2))
+        k4 = -(g2 @ (eye + h * k3))
+        m = (eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)).astype(complex)
+        for j, mj in enumerate(m, start + 1):
+            psi = states[j] = mj @ psi
+        norms[start + 1 : stop + 1] = np.linalg.norm(states[start + 1 : stop + 1], axis=1)
+        # <psi|H0|psi> before each step, with H0 = -i g0, as 1 x d @ d x 1 products:
+        # the bits np.vdot gives on the contiguous rows.
+        before = states[start:stop, :, None]
+        energies[start:stop] = (before.conj().transpose(0, 2, 1) @ ((-1j * g0) @ before))[:, 0, 0].real
+    energies[steps] = np.vdot(psi, (-1j * _field_operator(u[-1], a)) @ psi).real
 
     boundary = np.arange(0, n, 2)
     return EvolutionResult(
         space=psi0.space,
         times=times[boundary].copy(),
+        keep=keep,
         states=states,
         norms=norms,
         energies=energies,
-        lvn_residuals=_lvn_residuals(traj, spin, boundary),
+        lvn_residuals=_lvn_residuals(traj, spin_scale(psi0.space), boundary),
         max_h_dt=max_h_dt,
     )
 
@@ -272,7 +280,8 @@ def evolve_state(psi0: StateVector, traj: TangentTrajectory, spin: SpinTriple) -
 def phase_series(result: EvolutionResult) -> dict[str, np.ndarray]:
     """Per-step phase accumulations extracted from an evolution.
 
-    Returns arrays over the step boundaries: reported total phase
+    The overlaps are taken on the evolved sector block.  Returns arrays
+    over the step boundaries: reported total phase
     -arg<psi(0)|psi(t)> (unwrapped), the dynamical accumulation of
     <psi|H|psi>, their difference, overlap magnitudes and norms.
     """

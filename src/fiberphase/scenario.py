@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import quadrature
-from .fock import build_space, build_photon_state, helicity_operator, spin_fixed, s3_split, StateVector
+from .fock import build_space, build_photon_state, occupied_sectors, sector_generators, s3_split, StateVector
 from .geometry import (
     anholonomy_integral,
     cone_trajectory,
@@ -52,10 +52,12 @@ CSV_BLOCK_VALUES = 1024
 
 # Memory a run may need, checked before anything is allocated.  The
 # coefficients come from tracemalloc peaks at small sizes, with headroom:
-# building the 3-mode spin operators holds 11 dense complex d x d arrays at
+# building the dense 3-mode spin operators holds 11 complex d x d arrays at
 # once and the 2-mode S3 split 9; each trajectory sample costs 256 bytes
 # across the geometry, angle, series and CSV arrays, and each stored state
-# 16*d bytes.
+# 16*d bytes.  A run now builds only sector-sized matrices and stores
+# sector-sized states, so the 3-mode terms, still taken at the full
+# dimension d = (n_max+1)^3, are conservative.
 MEMORY_BUDGET_BYTES = 2 * 1024**3
 _DENSE_COPIES_3MODE = 12
 _DENSE_COPIES_2MODE = 10
@@ -149,7 +151,7 @@ def _check_keys(mapping: dict, allowed: set[str], where: str) -> None:
 
 def _finite(value) -> float | None:
     """value as a finite float, or None if it is not a finite real number."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         return None
     try:
         value = float(value)
@@ -412,17 +414,21 @@ def evaluate_scenario(config: ScenarioConfig) -> dict:
     motion = motion_identity_residual(traj)
 
     space = build_space(3, config.n_max)
-    spin = spin_fixed(space)
     psi0 = _initial_state(config, space, k[0])
+    sectors = occupied_sectors(psi0)
 
     if config.amplitudes is None:
         s3_attr = _s3_expectation(config.ordering, config.n_r, config.n_l)
         s3_total = _s3_expectation("normal", config.n_r, config.n_l)
     else:
-        s3_total = psi0.expectation(helicity_operator(space, k[0])).real
+        # <psi| k0.S |psi> on the occupied sectors, with S = -iA.
+        keep, a = sector_generators(space, sectors)
+        block = psi0.amplitudes[keep]
+        helicity = -1j * (k[0][0] * a[0] + k[0][1] * a[1] + k[0][2] * a[2])
+        s3_total = float(np.vdot(block, helicity @ block).real)
         s3_attr = s3_total
 
-    result = evolve_state(psi0, traj, spin)
+    result = evolve_state(psi0, traj)
     series = phase_series(result)
     breakdown = PhaseBreakdown.from_series(series, s3_attr, anholonomy)
 
@@ -491,6 +497,8 @@ def evaluate_scenario(config: ScenarioConfig) -> dict:
         },
         "numerical": {
             "steps": result.steps,
+            "sectors": sectors,
+            "sector_dimension": len(result.keep),
             "total_phase": breakdown.total_phase,
             "dynamical_phase": breakdown.dynamical_phase,
             "geometric_phase": breakdown.geometric_phase,
@@ -722,6 +730,13 @@ def _sweep_base(config: ScenarioConfig) -> tuple[float, float]:
     raise ConfigError("sweep", "lambda/turns sweeps need helix or cone geometry")
 
 
+def _sweep_float(parameter: str, value) -> float:
+    x = _finite(value)
+    if x is None:
+        raise ConfigError("sweep", f"{parameter} value {_show(value)} is not a finite number")
+    return x
+
+
 def sweep(config: ScenarioConfig, parameter: str, values, out_dir) -> tuple[int, str]:
     """Write one closed-form (or dispersion) table row per parameter value.
 
@@ -740,13 +755,13 @@ def sweep(config: ScenarioConfig, parameter: str, values, out_dir) -> tuple[int,
     if parameter == "epsilon2":
         if config.medium is None:
             raise ConfigError("sweep", "epsilon2 sweep needs a medium block in the config")
+        values = [_sweep_float(parameter, v) for v in values]
         out_dir.mkdir(parents=True, exist_ok=True)
         with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(
                 "parameter,value,n_plus_sq,n_minus_sq,plus_status,minus_status,plus_constant,minus_constant\n"
             )
             for v in values:
-                v = float(v)
                 m = config.medium
                 medium = GyrotropicMedium(m.epsilon1, v, m.epsilon3, m.mu)
                 n_plus_sq, n_minus_sq = refractive_indices(medium)
@@ -763,12 +778,12 @@ def sweep(config: ScenarioConfig, parameter: str, values, out_dir) -> tuple[int,
     for v in values:
         n_r, n_l = config.n_r, config.n_l
         if parameter == "lambda":
-            v = float(v)
+            v = _sweep_float(parameter, v)
             if not 0.0 <= v <= math.pi:
                 raise ConfigError("sweep", f"lambda value {v!r} outside [0, pi]")
             geometry = ConeGeometry(polar_angle=v, turns=_sweep_base(config)[1])
         elif parameter == "turns":
-            v = float(v)
+            v = _sweep_float(parameter, v)
             if v <= 0:
                 raise ConfigError("sweep", f"turns value {v!r} must be positive")
             geometry = ConeGeometry(polar_angle=_sweep_base(config)[0], turns=v)

@@ -55,7 +55,7 @@ def ode_geometric_phase(lam, steps, sigma=+1):
     spin = spin_fixed(space)
     n_r, n_l = (1, 0) if sigma > 0 else (0, 1)
     psi0 = build_photon_state(space, n_r, n_l, k_hat=traj.tangents[0])
-    result = evolve_state(psi0, traj, spin)
+    result = evolve_state(psi0, traj)
     return extract_phases(result, traj, spin), traj, result
 
 
@@ -194,8 +194,8 @@ def test_criterion_7_k_independence():
     space = build_space(3, 2)
     spin = spin_fixed(space)
     psi0 = build_photon_state(space, 1, 0, k_hat=traj.tangents[0])
-    b1 = extract_phases(evolve_state(psi0, traj, spin), traj, spin)
-    b2 = extract_phases(evolve_state(psi0, scaled, spin), scaled, spin)
+    b1 = extract_phases(evolve_state(psi0, traj), traj, spin)
+    b2 = extract_phases(evolve_state(psi0, scaled), scaled, spin)
     gaps = (
         abs(b1.geometric_phase - b2.geometric_phase),
         abs(b1.closed_form_phase - b2.closed_form_phase),

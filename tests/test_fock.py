@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from fiberphase import (
+    StateVector,
     annihilation,
     basis_state,
     build_photon_state,
@@ -16,6 +19,7 @@ from fiberphase import (
     spin_fixed,
     vacuum_state,
 )
+from fiberphase.fock import occupied_sectors, sector_generators, spin_scale
 
 Z = np.array([0.0, 0.0, 1.0])
 
@@ -142,6 +146,48 @@ class TestSpinFixed:
         for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
             defect = commutator(s[a], s[b]) - 1j * s[c]
             assert bounded_norm(defect.entries, space) < 1e-12
+
+
+class TestSectorGenerators:
+    SECTOR_SETS = ([0], [1], [2], [3], [4], [1, 4], [0, 1, 2, 3], None)
+
+    @pytest.mark.parametrize("n_max", [1, 2, 3, 4, 5, 6])
+    def test_equal_to_dense_slice(self, n_max):
+        # Sectors above n_max are cut off by the per-mode cutoff; None is all of them.
+        space = build_space(3, n_max)
+        spin = spin_fixed(space)
+        for sectors in self.SECTOR_SETS:
+            sectors = range(3 * n_max + 1) if sectors is None else [n for n in sectors if n <= 3 * n_max]
+            keep, generators = sector_generators(space, sectors)
+            totals = np.sum(space.basis, axis=1)
+            assert np.array_equal(keep, np.flatnonzero(np.isin(totals, list(sectors))))
+            for op, a in zip(spin, generators):
+                assert a.dtype == np.float64
+                assert np.array_equal(a, -op.entries[np.ix_(keep, keep)].imag), (n_max, sectors)
+                assert np.array_equal(a, -a.T)
+
+    @pytest.mark.parametrize("n_max", [1, 2, 3, 4, 5, 6])
+    def test_scale_equal_to_dense_block_max(self, n_max):
+        space = build_space(3, n_max)
+        exact = np.union1d(space.bounded_indices(), space.complete_sector_indices())
+        box = np.ix_(exact, exact)
+        dense = np.array([np.abs(op.entries[box]).max() for op in spin_fixed(space)])
+        assert np.array_equal(spin_scale(space), dense)
+
+    def test_requires_three_modes(self):
+        with pytest.raises(ValueError):
+            sector_generators(build_space(2, 2), [1])
+        with pytest.raises(ValueError):
+            spin_scale(build_space(2, 2))
+        with pytest.raises(ValueError, match="sector"):
+            sector_generators(build_space(3, 1), [4])
+
+    def test_occupied_sectors(self):
+        space = build_space(3, 3)
+        assert occupied_sectors(build_photon_state(space, 2, 1)) == [3]
+        assert occupied_sectors(vacuum_state(space)) == [0]
+        mixed = basis_state(space, (1, 0, 0)).amplitudes + basis_state(space, (3, 1, 0)).amplitudes
+        assert occupied_sectors(StateVector(space, mixed)) == [1, 4]
 
 
 class TestHelicityOperator:
@@ -304,6 +350,34 @@ class TestPhotonStates:
         minus = build_photon_state(space, 0, 1)
         assert np.abs(h.apply(plus).amplitudes - plus.amplitudes).max() < 1e-12
         assert np.abs(h.apply(minus).amplitudes + minus.amplitudes).max() < 1e-12
+
+
+def dense_circular_creation(space, k_hat):
+    """a_R+ and a_L+ of the direction k_hat as dense matrices built from the creation operators."""
+    e1, e2 = polarization_triad(k_hat)
+    bd = [creation(space, m) for m in range(3)]
+    inv_sqrt2 = 1.0 / math.sqrt(2.0)
+    a_r_dag = inv_sqrt2 * sum(((e1[m] + 1j * e2[m]) * bd[m] for m in range(3)), start=0.0 * bd[0])
+    a_l_dag = inv_sqrt2 * sum(((e1[m] - 1j * e2[m]) * bd[m] for m in range(3)), start=0.0 * bd[0])
+    return a_r_dag, a_l_dag
+
+
+class TestMatrixFreePhotonState:
+    def test_matches_dense_creation_matrices(self):
+        # Every (n_r, n_l) under the cutoff, n_max 1..5, three random directions each.
+        for n_max in range(1, 6):
+            space = build_space(3, n_max)
+            for k in random_unit_vectors(3, seed=13):
+                a_r_dag, a_l_dag = dense_circular_creation(space, k)
+                for n_r in range(n_max + 1):
+                    for n_l in range(n_max + 1 - n_r):
+                        oracle = vacuum_state(space)
+                        for op in [a_r_dag] * n_r + [a_l_dag] * n_l:
+                            oracle = op.apply(oracle)
+                        scale = math.sqrt(math.factorial(n_r) * math.factorial(n_l))
+                        psi = build_photon_state(space, n_r, n_l, k_hat=k)
+                        gap = np.abs(psi.amplitudes - oracle.amplitudes / scale).max()
+                        assert gap < 1e-15, (n_max, n_r, n_l, gap)
 
 
 class TestSerialization:

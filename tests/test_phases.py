@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fiberphase import (
+    PhaseBreakdown,
     StateVector,
     anholonomy_integral,
     berry_phase_cyclic,
@@ -85,7 +86,7 @@ def eigenstate_run(sigma, lam=math.pi / 4.0, turns=1.0, steps=1024, n_max=2):
     k0 = traj.tangents[0] / np.linalg.norm(traj.tangents[0])
     n_r, n_l = (1, 0) if sigma > 0 else (0, 1)
     psi0 = build_photon_state(space, n_r, n_l, k_hat=k0)
-    result = evolve_state(psi0, traj, spin)
+    result = evolve_state(psi0, traj)
     return traj, spin, result
 
 
@@ -202,8 +203,9 @@ class TestEvolveState:
         traj = cone_trajectory(0.0, 1.0, 129)
         space = build_space(3, 1)
         psi0 = build_photon_state(space, 1, 0)
-        result = evolve_state(psi0, traj, spin_fixed(space))
-        assert np.abs(result.states - psi0.amplitudes).max() == 0.0
+        result = evolve_state(psi0, traj)
+        assert np.abs(result.states - psi0.amplitudes[result.keep]).max() == 0.0
+        assert np.array_equal(result.state_at(len(result.times) - 1).amplitudes, psi0.amplitudes)
 
     def test_eigenstate_returns_with_closed_form_phase(self):
         traj, spin, result = eigenstate_run(+1, steps=8192)
@@ -221,20 +223,20 @@ class TestEvolveState:
         psi0 = build_photon_state(space, 1, 0)
         fast = cone_trajectory(math.pi / 2.0, 10.0, 65)
         with pytest.raises(ValueError, match="guard"):
-            evolve_state(psi0, fast, spin_fixed(space))
+            evolve_state(psi0, fast)
 
     def test_rejects_unnormalized_state(self):
         space = build_space(3, 1)
         psi0 = StateVector(space, 0.5 * build_photon_state(space, 1, 0).amplitudes)
         with pytest.raises(ValueError, match="normalized"):
-            evolve_state(psi0, cone_trajectory(0.5, 1.0, 65), spin_fixed(space))
+            evolve_state(psi0, cone_trajectory(0.5, 1.0, 65))
 
     def test_rejects_even_sample_grid(self):
         space = build_space(3, 1)
         psi0 = build_photon_state(space, 1, 0)
         traj = cone_trajectory(0.5, 1.0, 64)
         with pytest.raises(ValueError, match="odd"):
-            evolve_state(psi0, traj, spin_fixed(space))
+            evolve_state(psi0, traj)
 
     def test_fourth_order_convergence(self):
         gaps = []
@@ -300,12 +302,14 @@ class TestSectorEvolution:
             psi0 = multi_sector_state(space, [1, 4])  # sector 4 is cut off at n_max = 3
         else:
             psi0 = build_photon_state(space, *occupation)
-        result = evolve_state(psi0, traj, spin)
+        result = evolve_state(psi0, traj)
         oracle = full_box_rk4(psi0, traj, spin)
-        assert np.abs(result.states - oracle).max() <= self.ORACLE_TOL, label
         totals = np.sum(space.basis, axis=1)
-        outside = ~np.isin(totals, totals[psi0.amplitudes != 0])
-        assert np.all(result.states[:, outside] == 0.0), label
+        inside = np.isin(totals, totals[psi0.amplitudes != 0])
+        assert np.array_equal(result.keep, np.flatnonzero(inside)), label
+        assert np.abs(result.states - oracle[:, result.keep]).max() <= self.ORACLE_TOL, label
+        for i in (0, 1, len(result.times) - 1):
+            assert np.all(result.state_at(i).amplitudes[~inside] == 0.0), label
 
     def test_cutoff_independent(self):
         traj = helix_traj(lam=0.6, steps=256)
@@ -313,7 +317,7 @@ class TestSectorEvolution:
         for n_max in range(1, 6):
             space = build_space(3, n_max)
             spin = spin_fixed(space)
-            result = evolve_state(build_photon_state(space, 1, 0), traj, spin)
+            result = evolve_state(build_photon_state(space, 1, 0), traj)
             runs.append((result.max_h_dt, extract_phases(result, traj, spin).geometric_phase))
         assert all(run == runs[0] for run in runs), runs
 
@@ -321,7 +325,7 @@ class TestSectorEvolution:
     def test_guard_is_photon_number_times_field(self, photons):
         traj = helix_traj(lam=0.6, steps=256)
         space = build_space(3, 3)
-        result = evolve_state(build_photon_state(space, photons, 0), traj, spin_fixed(space))
+        result = evolve_state(build_photon_state(space, photons, 0), traj)
         step = (traj.times[2::2] - traj.times[0:-2:2]).max()
         assert result.max_h_dt == photons * np.linalg.norm(field_along(traj), axis=1).max() * step
 
@@ -333,17 +337,20 @@ class TestChunkedPropagators:
         spin = spin_fixed(space)
         psi0 = build_photon_state(space, photons, 0)
         keep = np.flatnonzero(np.sum(space.basis, axis=1) == photons)
-        chunk = CHUNK_BYTES // (16 * len(keep) ** 2)
+        chunk = CHUNK_BYTES // (8 * len(keep) ** 2)
         # Three whole chunks of step propagators and a partial fourth.
         traj = helix_traj(lam=0.6, turns=0.25, steps=3 * chunk + chunk // 2)
-        result = evolve_state(psi0, traj, spin)
-        assert np.abs(result.states - full_box_rk4(psi0, traj, spin)).max() <= TestSectorEvolution.ORACLE_TOL
+        result = evolve_state(psi0, traj)
+        assert np.array_equal(result.keep, keep)
+        oracle = full_box_rk4(psi0, traj, spin)
+        assert np.abs(result.states - oracle[:, keep]).max() <= TestSectorEvolution.ORACLE_TOL
         outside = np.setdiff1d(np.arange(space.dimension), keep)
-        assert np.all(result.states[:, outside] == 0.0)
+        for i in (chunk, chunk + 1, len(result.times) - 1):
+            assert np.all(result.state_at(i).amplitudes[outside] == 0.0)
         s = [op.entries[np.ix_(keep, keep)] for op in spin]
         energies = [
             np.vdot(psi, (ui[0] * s[0] + ui[1] * s[1] + ui[2] * s[2]) @ psi).real
-            for psi, ui in zip(result.states[:, keep], field_along(traj)[::2])
+            for psi, ui in zip(result.states, field_along(traj)[::2])
         ]
         assert np.array_equal(result.energies, energies)
 
@@ -354,18 +361,28 @@ class TestChunkedPropagators:
         # constant; at 8192 steps one full-length (steps, d, d) stack
         # would exceed it.
         space = build_space(3, n_max)
-        spin = spin_fixed(space)
         psi0 = build_photon_state(space, photons, 0)
         traj = helix_traj(lam=0.6, turns=0.25, steps=steps)
         tracemalloc.start()
         try:
-            result = evolve_state(psi0, traj, spin)
+            result = evolve_state(psi0, traj)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        arrays = (result.times, result.states, result.norms, result.energies, result.lvn_residuals)
+        arrays = (result.times, result.keep, result.states, result.norms, result.energies, result.lvn_residuals)
         returned = sum(a.nbytes for a in arrays)
         assert peak - returned <= 160 * len(traj.times) + 2 * 2**20
+
+
+class TestPhaseBreakdown:
+    @pytest.mark.parametrize("geometric", [-1e-300, -8e-34, -0.0, 0.0, 2.0 * math.pi])
+    def test_mod_2pi_lies_in_half_open_range(self, geometric):
+        # A tiny negative phase reduces to 2*pi itself under float %; it must read 0.
+        series = {"total": np.array([0.0, geometric]), "dynamical": np.zeros(2)}
+        b = PhaseBreakdown.from_series(series, 1.0, 0.0)
+        assert b.geometric_phase == geometric
+        assert 0.0 <= b.geometric_phase_mod_2pi < 2.0 * math.pi
+        assert b.geometric_phase_mod_2pi == 0.0
 
 
 class TestExtractPhases:
@@ -374,7 +391,7 @@ class TestExtractPhases:
         space = build_space(3, 1)
         psi0 = build_photon_state(space, 1, 0)
         spin = spin_fixed(space)
-        breakdown = extract_phases(evolve_state(psi0, traj, spin), traj, spin)
+        breakdown = extract_phases(evolve_state(psi0, traj), traj, spin)
         assert breakdown.total_phase == 0.0
         assert breakdown.dynamical_phase == 0.0
         assert breakdown.geometric_phase == 0.0
@@ -423,7 +440,7 @@ class TestExtractPhases:
         minus = build_photon_state(space, 0, 1, k_hat=k0)
         psi0 = StateVector(space, (plus.amplitudes + 1j * minus.amplitudes) / math.sqrt(2.0))
         traj = cone_trajectory(math.pi / 2.0, 1.0, 1025)
-        result = evolve_state(psi0.normalized(), traj, spin)
+        result = evolve_state(psi0.normalized(), traj)
         with pytest.raises(ValueError, match="ill-conditioned"):
             phase_series(result)
 
@@ -437,14 +454,15 @@ class TestExtractPhases:
         traj = helix_traj(lam=0.6, steps=256)
         space = build_space(3, 2)
         spin = spin_fixed(space)
-        result = evolve_state(build_photon_state(space, 1, 0), traj, spin)
+        result = evolve_state(build_photon_state(space, 1, 0), traj)
         u = field_along(traj)[::2]
         # evolve_state integrates the one-photon sector, so the loop does too.
         keep = np.flatnonzero(np.sum(space.basis, axis=1) == 1)
         s = [op.entries[np.ix_(keep, keep)] for op in spin]
+        assert np.array_equal(result.keep, keep)
         energies = [
             np.vdot(psi, (ui[0] * s[0] + ui[1] * s[1] + ui[2] * s[2]) @ psi).real
-            for psi, ui in zip(result.states[:, keep], u)
+            for psi, ui in zip(result.states, u)
         ]
         assert np.abs(energies).max() > 0.1
         assert np.array_equal(result.energies, energies)
@@ -455,16 +473,14 @@ class TestExtractPhases:
         traj = helix_traj(lam=0.6, steps=256)
         space = build_space(3, 3)
         spin = spin_fixed(space)
-        result = evolve_state(multi_sector_state(space, [0, 1, 2, 3]), traj, spin)
+        result = evolve_state(multi_sector_state(space, [0, 1, 2, 3]), traj)
         keep = np.flatnonzero(np.sum(space.basis, axis=1) <= 3)
         assert len(keep) == 20
+        assert np.array_equal(result.keep, keep)
         s = [op.entries[np.ix_(keep, keep)] for op in spin]
-        # Contiguous rows, as the step loop holds them: np.vdot sums a strided
-        # vector of this length in another order.
-        states = np.ascontiguousarray(result.states[:, keep])
         energies = [
             np.vdot(psi, (ui[0] * s[0] + ui[1] * s[1] + ui[2] * s[2]) @ psi).real
-            for psi, ui in zip(states, field_along(traj)[::2])
+            for psi, ui in zip(result.states, field_along(traj)[::2])
         ]
         assert np.abs(energies).max() > 0.1
         assert np.array_equal(result.energies, energies)
@@ -474,7 +490,7 @@ class TestExtractPhases:
         scaled = traj.scaled(1000.0)
         space = build_space(3, 2)
         psi0 = build_photon_state(space, 1, 0, k_hat=traj.tangents[0])
-        result2 = evolve_state(psi0, scaled, spin)
+        result2 = evolve_state(psi0, scaled)
         b1 = extract_phases(result, traj, spin)
         b2 = extract_phases(result2, scaled, spin)
         assert abs(b1.geometric_phase - b2.geometric_phase) < 1e-10

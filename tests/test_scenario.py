@@ -12,6 +12,8 @@ from fiberphase import (
     ConfigError,
     ScenarioConfig,
     TangentTrajectory,
+    build_photon_state,
+    build_space,
     helix_points,
     identity,
     make_helix,
@@ -245,6 +247,20 @@ class TestMemoryBudget:
         assert peak < 1_000_000
         assert not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize(
+        "parameter, value",
+        [("lambda", 10**400), ("turns", 10**400), ("turns", math.nan), ("epsilon2", -(10**400))],
+        ids=["lambda-1e400", "turns-1e400", "turns-nan", "epsilon2-minus-1e400"],
+    )
+    def test_non_finite_sweep_value_refused_before_any_row(self, parameter, value, tmp_path):
+        medium = {"epsilon1": -1.0, "epsilon2": 2.0, "epsilon3": 1.0, "mu": 1.0}
+        config = parse_config(cone_config(medium=medium), "s")
+        with pytest.raises(ConfigError) as err:
+            sweep(config, parameter, [0.5, value], tmp_path)
+        assert err.value.field == "sweep"
+        assert "finite" in err.value.message
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_sampled_path_sized_before_read(self, monkeypatch, tmp_path):
         import fiberphase.scenario as scenario
 
@@ -425,8 +441,6 @@ class TestRunScenario:
         assert summary["status"] == "fail"
 
     def test_amplitude_state(self, tmp_path):
-        from fiberphase import build_photon_state, build_space
-
         lam = math.pi / 4.0
         k0 = np.array([math.sin(lam), 0.0, math.cos(lam)])
         psi = build_photon_state(build_space(3, 2), 1, 0, k_hat=k0)
@@ -435,7 +449,67 @@ class TestRunScenario:
         outcome = run_scenario(parse_config(data, "amp"), tmp_path)
         assert outcome.exit_code == 0
         assert outcome.summary["spin_expectations"]["s3_total"] == pytest.approx(1.0, abs=1e-12)
+        assert outcome.summary["numerical"]["sectors"] == [1]
         assert outcome.summary["numerical"]["geometric_phase"] == pytest.approx(BERRY_45, abs=1e-4)
+
+    @pytest.mark.parametrize("name, sectors, dimension", [("chiao-helix-45", [1], 3), ("multiphoton-21", [3], 10)])
+    def test_numerical_reports_sectors(self, name, sectors, dimension, tmp_path):
+        assert run_builtin(name, tmp_path) == 0
+        numerical = json.loads((tmp_path / f"{name}.json").read_text())["numerical"]
+        assert numerical["sectors"] == sectors
+        assert numerical["sector_dimension"] == dimension
+
+    def test_one_photon_run_memory_is_sector_sized(self):
+        # At n_max = 8 the box has 729 states; the dense spin build alone held
+        # about 89 MiB, the one-photon sector has 3 states.
+        import fiberphase.scenario as scenario
+
+        config = parse_config(cone_config(n_max=8), "big-box")
+        tracemalloc.start()
+        try:
+            summary = scenario.evaluate_scenario(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        assert summary["status"] == "pass"
+        assert summary["numerical"]["sector_dimension"] == 3
+
+    def test_run_path_builds_no_three_mode_matrix(self, monkeypatch):
+        # Only the 2-mode s3_split of the closed-form expectations may build
+        # dense operators; the evolution and the initial state are sector-native.
+        import sys
+
+        import fiberphase.fock as fock
+        import fiberphase.scenario as scenario
+
+        real_annihilation = fock.annihilation
+
+        def spin_fixed(space):
+            raise AssertionError("spin_fixed called on the run path")
+
+        def annihilation(space, mode):
+            if space.num_modes == 3:
+                raise AssertionError("3-mode annihilation matrix built on the run path")
+            return real_annihilation(space, mode)
+
+        lam = math.pi / 4.0
+        k0 = np.array([math.sin(lam), 0.0, math.cos(lam)])
+        photon = build_photon_state(build_space(3, 2), 1, 0, k_hat=k0).amplitudes
+        configs = [
+            cone_config(n_max=3, state={"n_r": 2, "n_l": 1}),
+            cone_config(state={"amplitudes": [[z.real, z.imag] for z in photon]}),
+        ]
+        for name, replacement in (("spin_fixed", spin_fixed), ("annihilation", annihilation)):
+            original = getattr(fock, name)
+            for module_name, module in list(sys.modules.items()):
+                if module_name == "fiberphase" or module_name.startswith("fiberphase."):
+                    for key, value in list(vars(module).items()):
+                        if value is original:
+                            monkeypatch.setattr(module, key, replacement)
+        for data in configs:
+            summary = scenario.evaluate_scenario(parse_config(data, "guarded"))
+            assert summary["status"] == "pass"
 
     def test_sampled_geometry_run(self, tmp_path):
         t, pts = helix_points(make_helix(1.0, 2.0 * math.pi, 1.0, 1025))
