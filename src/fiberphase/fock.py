@@ -10,18 +10,18 @@ arrays in units with hbar = 1.
 The runner needs none of them.  Each spin component is a one-body
 bilinear, S_i = -i A_i with A_i = b_j+ b_k - b_k+ b_j real, so it
 conserves photon number; sector_generators builds the A_i on the
-occupied photon-number sectors straight from the basis tuples,
+occupied photon-number sectors from ladder moves over the basis array,
 spin_scale reads the Liouville-von Neumann norm scale off the same
-ladder moves, and build_photon_state applies creation operators by
-shifting indices over the basis.  Nothing on that path is (n_max+1)^3
-square.
+moves, helicity_expectation takes <k.S> on the sector block, and
+build_photon_state applies creation operators by index shifts.  Nothing
+on that path is (n_max+1)^3 square.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,23 +34,27 @@ class FockSpace:
     """Truncated occupation-number basis for 2 or 3 bosonic modes.
 
     The basis enumeration is lexicographic in the occupation tuple
-    (n1, ..., nm), which makes every matrix and vector layout in this
-    package reproducible byte for byte.
+    (n1, ..., nm), the C order of the box, which makes every matrix and
+    vector layout in this package reproducible byte for byte.
     """
 
     num_modes: int
     n_max: int
-    basis: tuple[tuple[int, ...], ...]
-    _index: dict[tuple[int, ...], int] = field(repr=False, compare=False)
 
     @property
     def dimension(self) -> int:
-        return len(self.basis)
+        return (self.n_max + 1) ** self.num_modes
+
+    @functools.cached_property
+    def basis(self) -> np.ndarray:
+        """The occupations as a read-only int array (dimension, num_modes), row i for basis state i."""
+        m = self.num_modes
+        return _readonly(np.indices((self.n_max + 1,) * m).reshape(m, -1).T)
 
     def index_of(self, occupation: tuple[int, ...]) -> int:
         try:
-            return self._index[tuple(occupation)]
-        except KeyError:
+            return int(np.ravel_multi_index(tuple(occupation), (self.n_max + 1,) * self.num_modes))
+        except ValueError:
             raise ValueError(f"occupation {occupation!r} not in basis") from None
 
     def bounded_indices(self) -> np.ndarray:
@@ -59,8 +63,7 @@ class FockSpace:
         Truncation breaks [b, b+] = 1 on the top rung, so canonical
         commutator identities are only exact on this subspace.
         """
-        keep = [i for i, occ in enumerate(self.basis) if all(n <= self.n_max - 1 for n in occ)]
-        return np.array(keep, dtype=int)
+        return np.flatnonzero((self.basis < self.n_max).all(axis=1))
 
     def complete_sector_indices(self) -> np.ndarray:
         """Indices of states with total occupation <= n_max.
@@ -69,8 +72,7 @@ class FockSpace:
         intact; rotation identities built from exponentials of the spin
         algebra are exact only there.
         """
-        keep = [i for i, occ in enumerate(self.basis) if sum(occ) <= self.n_max]
-        return np.array(keep, dtype=int)
+        return np.flatnonzero(self.basis.sum(axis=1) <= self.n_max)
 
 
 def build_space(num_modes: int, n_max: int) -> FockSpace:
@@ -79,9 +81,7 @@ def build_space(num_modes: int, n_max: int) -> FockSpace:
         raise ValueError(f"num_modes must be 2 or 3, got {num_modes}")
     if not isinstance(n_max, (int, np.integer)) or n_max < 1:
         raise ValueError(f"n_max must be an integer >= 1, got {n_max!r}")
-    basis = tuple(itertools.product(range(n_max + 1), repeat=num_modes))
-    index = {occ: i for i, occ in enumerate(basis)}
-    return FockSpace(num_modes=int(num_modes), n_max=int(n_max), basis=basis, _index=index)
+    return FockSpace(num_modes=int(num_modes), n_max=int(n_max))
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -185,11 +185,9 @@ def annihilation(space: FockSpace, mode: int) -> OperatorMatrix:
         raise ValueError(f"mode {mode} out of range for {space.num_modes} modes")
     d = space.dimension
     m = np.zeros((d, d), dtype=complex)
-    for i, occ in enumerate(space.basis):
-        if occ[mode] > 0:
-            target = list(occ)
-            target[mode] -= 1
-            m[space.index_of(tuple(target)), i] = math.sqrt(occ[mode])
+    n = space.basis[:, mode]
+    rows = np.flatnonzero(n > 0)
+    m[rows - _stride(space, mode), rows] = np.sqrt(n[rows])
     return OperatorMatrix(space, m)
 
 
@@ -245,35 +243,28 @@ def spin_fixed(space: FockSpace) -> tuple[OperatorMatrix, OperatorMatrix, Operat
 _SPIN_MODES = ((1, 2), (2, 0), (0, 1))
 
 
-def _occupations(space: FockSpace) -> np.ndarray:
-    """The basis as an int array (dimension, num_modes), in basis order (C order of the box)."""
-    m = space.num_modes
-    return np.indices((space.n_max + 1,) * m).reshape(m, -1).T
+def _stride(space: FockSpace, mode: int) -> int:
+    """How far one quantum in mode moves a basis index: the box is in C order."""
+    return (space.n_max + 1) ** (space.num_modes - 1 - mode)
 
 
-def _flat_index(space: FockSpace, occupations: np.ndarray) -> np.ndarray:
-    """Basis indices of occupation rows."""
-    return np.ravel_multi_index(occupations.T, (space.n_max + 1,) * space.num_modes)
-
-
-def _hops(occupations: np.ndarray, n_max: int, j: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Where b_j+ b_k (j != k) takes occupation rows: (rows it acts on, target rows, entries).
+def _hops(space: FockSpace, rows: np.ndarray, j: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where b_j+ b_k (j != k) takes the basis states rows: (states it acts on, their targets, entries).
 
     An entry is sqrt(n_j + 1) * sqrt(n_k), the product of the two ladder
     factors the dense matrix product multiplies, so both constructions
     round it alike.
     """
-    rows = np.flatnonzero((occupations[:, k] > 0) & (occupations[:, j] < n_max))
-    source = occupations[rows]
-    target = source.copy()
-    target[:, j] += 1
-    target[:, k] -= 1
-    return rows, target, np.sqrt(source[:, j] + 1.0) * np.sqrt(source[:, k])
+    occupations = space.basis[rows]
+    moves = (occupations[:, k] > 0) & (occupations[:, j] < space.n_max)
+    source = rows[moves]
+    target = source + _stride(space, j) - _stride(space, k)
+    return source, target, np.sqrt(occupations[moves, j] + 1.0) * np.sqrt(occupations[moves, k])
 
 
 def occupied_sectors(state: StateVector) -> list[int]:
     """Photon numbers on which the state has a nonzero amplitude, ascending."""
-    totals = _occupations(state.space).sum(axis=1)
+    totals = state.space.basis.sum(axis=1)
     return np.flatnonzero(np.bincount(totals[state.amplitudes != 0], minlength=1)).tolist()
 
 
@@ -283,15 +274,14 @@ def sector_generators(space: FockSpace, sectors) -> tuple[np.ndarray, tuple[np.n
     Returns (keep, (A1, A2, A3)): keep the ascending basis indices whose
     total occupation is one of sectors, and the real antisymmetric
     d x d matrices A_i = b_j+ b_k - b_k+ b_j on those rows and columns,
-    so that S_i = -i A_i.  The entries come from the basis tuples alone
+    so that S_i = -i A_i.  The entries come from the ladder moves of the basis
     and equal -spin_fixed(space)[i].entries[np.ix_(keep, keep)].imag bit
     for bit, sectors the cutoff truncates included; no (n_max+1)^3
     square matrix is built.
     """
     if space.num_modes != 3:
         raise ValueError("spin components require a 3-mode space")
-    occupations = _occupations(space)
-    totals = occupations.sum(axis=1)
+    totals = space.basis.sum(axis=1)
     wanted = np.zeros(3 * space.n_max + 1, dtype=bool)
     for n in sectors:
         if not 0 <= n <= 3 * space.n_max:
@@ -300,13 +290,12 @@ def sector_generators(space: FockSpace, sectors) -> tuple[np.ndarray, tuple[np.n
     keep = np.flatnonzero(wanted[totals])
     position = np.zeros(space.dimension, dtype=int)
     position[keep] = np.arange(len(keep))
-    inside = occupations[keep]
     generators = []
     for j, k in _SPIN_MODES:
         a = np.zeros((len(keep), len(keep)))
         for sign, p, q in ((1.0, j, k), (-1.0, k, j)):
-            rows, target, values = _hops(inside, space.n_max, p, q)
-            a[position[_flat_index(space, target)], rows] = sign * values
+            source, target, values = _hops(space, keep, p, q)
+            a[position[target], position[source]] = sign * values
         generators.append(a)
     return keep, tuple(generators)
 
@@ -322,19 +311,16 @@ def spin_scale(space: FockSpace) -> np.ndarray:
     """
     if space.num_modes != 3:
         raise ValueError("spin components require a 3-mode space")
-    n_max = space.n_max
-
-    def exact(occupations):
-        return (occupations.max(axis=1) < n_max) | (occupations.sum(axis=1) <= n_max)
-
-    occupations = _occupations(space)
-    source_exact = exact(occupations)
+    exact = np.zeros(space.dimension, dtype=bool)
+    exact[space.bounded_indices()] = True
+    exact[space.complete_sector_indices()] = True
+    everything = np.arange(space.dimension)
     scale = []
     for j, k in _SPIN_MODES:
         largest = 0.0
         for p, q in ((j, k), (k, j)):
-            rows, target, values = _hops(occupations, n_max, p, q)
-            largest = max(largest, values[source_exact[rows] & exact(target)].max(initial=0.0))
+            source, target, values = _hops(space, everything, p, q)
+            largest = max(largest, values[exact[source] & exact[target]].max(initial=0.0))
         scale.append(largest)
     return np.array(scale)
 
@@ -353,6 +339,15 @@ def helicity_operator(space: FockSpace, k_hat: np.ndarray) -> OperatorMatrix:
     k = _check_unit(k_hat)
     s1, s2, s3 = spin_fixed(space)
     return k[0] * s1 + k[1] * s2 + k[2] * s3
+
+
+def helicity_expectation(state: StateVector, k_hat: np.ndarray) -> float:
+    """<psi| k_hat.S |psi> on the photon-number sectors the state occupies, with S = -iA (sector_generators)."""
+    k = _check_unit(k_hat)
+    keep, a = sector_generators(state.space, occupied_sectors(state))
+    block = state.amplitudes[keep]
+    helicity = -1j * (k[0] * a[0] + k[1] * a[1] + k[2] * a[2])
+    return float(np.vdot(block, helicity @ block).real)
 
 
 def s3_split(space: FockSpace) -> tuple[OperatorMatrix, OperatorMatrix, OperatorMatrix, OperatorMatrix]:
@@ -442,20 +437,18 @@ def build_photon_state(space: FockSpace, n_r: int, n_l: int, k_hat: np.ndarray |
     e1, e2 = polarization_triad(np.array([0.0, 0.0, 1.0]) if k_hat is None else k_hat)
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     # a_R+ and a_L+ as combinations sum_m c_m b_m+, applied by index shifts.
-    occupations = _occupations(space)
     amp = vacuum_state(space).amplitudes.copy()
     for coefficients, count in ((inv_sqrt2 * (e1 + 1j * e2), n_r), (inv_sqrt2 * (e1 - 1j * e2), n_l)):
         for _ in range(count):
-            amp = _create(space, occupations, amp, coefficients)
+            amp = _create(space, amp, coefficients)
     return StateVector(space, amp / math.sqrt(math.factorial(n_r) * math.factorial(n_l)))
 
 
-def _create(space: FockSpace, occupations: np.ndarray, amp: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
+def _create(space: FockSpace, amp: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
     """sum_m c_m b_m+ applied to an amplitude vector: each b_m+ moves n_m -> n_m + 1 with factor sqrt(n_m + 1)."""
     out = np.zeros_like(amp)
     for m, c in enumerate(coefficients):
-        rows = np.flatnonzero(occupations[:, m] < space.n_max)
-        target = occupations[rows]
-        target[:, m] += 1
-        out[_flat_index(space, target)] += c * (np.sqrt(occupations[rows, m] + 1.0) * amp[rows])
+        n = space.basis[:, m]
+        rows = np.flatnonzero(n < space.n_max)
+        out[rows + _stride(space, m)] += c * (np.sqrt(n[rows] + 1.0) * amp[rows])
     return out

@@ -38,7 +38,7 @@ from .fock import (
     FockSpace,
     OperatorMatrix,
     StateVector,
-    helicity_operator,
+    helicity_expectation,
     occupied_sectors,
     sector_generators,
     spin_fixed,
@@ -179,10 +179,10 @@ def _lvn_residuals(traj: TangentTrajectory, scale: np.ndarray, indices: np.ndarr
     return (np.abs(v) * scale).max(axis=1)
 
 
-def lvn_residual(traj: TangentTrajectory, spin: SpinTriple, t: float) -> float:
-    """Liouville-von Neumann residual of the helicity invariant at time t, on the space of spin."""
+def lvn_residual(traj: TangentTrajectory, space: FockSpace, t: float) -> float:
+    """Liouville-von Neumann residual of the helicity invariant at time t, on a 3-mode space."""
     i = grid_index(traj.times, t)
-    return float(_lvn_residuals(traj, spin_scale(spin[0].space), np.array([i]))[0])
+    return float(_lvn_residuals(traj, spin_scale(space), np.array([i]))[0])
 
 
 def evolve_state(psi0: StateVector, traj: TangentTrajectory) -> EvolutionResult:
@@ -309,22 +309,22 @@ def phase_series(result: EvolutionResult) -> dict[str, np.ndarray]:
 def extract_phases(
     result: EvolutionResult,
     traj: TangentTrajectory,
-    spin: SpinTriple,
     s3_expectation: float | None = None,
 ) -> PhaseBreakdown:
     """Total/dynamical/geometric phases of an evolution plus the closed form.
 
     When s3_expectation is not supplied it defaults to the initial
-    helicity expectation <psi(0)| k(0).S |psi(0)>, which reproduces the
-    closed form for helicity eigenstates; for other initial states the
-    closed-form column is only an eigenstate-weighted average and the
-    numerical route is authoritative.
+    helicity expectation <psi(0)| k(0).S |psi(0)> (fock.helicity_expectation,
+    on the evolved sectors), which reproduces the closed form for
+    helicity eigenstates; for other initial states the closed-form
+    column is only an eigenstate-weighted average and the numerical
+    route is authoritative.
     """
     if (len(traj.times) + 1) // 2 != len(result.times):
         raise ValueError("evolution result does not match this trajectory grid")
     if s3_expectation is None:
         khat = traj.tangents[0] / np.linalg.norm(traj.tangents[0])
-        s3_expectation = result.state_at(0).expectation(helicity_operator(spin[0].space, khat)).real
+        s3_expectation = helicity_expectation(result.state_at(0), khat)
     anholonomy = anholonomy_integral(spherical_angles(traj))
     return PhaseBreakdown.from_series(phase_series(result), s3_expectation, anholonomy)
 

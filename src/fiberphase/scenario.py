@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import quadrature
-from .fock import build_space, build_photon_state, occupied_sectors, sector_generators, s3_split, StateVector
+from .fock import FockSpace, build_photon_state, build_space, helicity_expectation, occupied_sectors, StateVector
 from .geometry import (
     anholonomy_integral,
     cone_trajectory,
@@ -51,17 +51,16 @@ MIN_STEPS = 32
 CSV_BLOCK_VALUES = 1024
 
 # Memory a run may need, checked before anything is allocated.  The
-# coefficients come from tracemalloc peaks at small sizes, with headroom:
-# building the dense 3-mode spin operators holds 11 complex d x d arrays at
-# once and the 2-mode S3 split 9; each trajectory sample costs 256 bytes
-# across the geometry, angle, series and CSV arrays, and each stored state
-# 16*d bytes.  A run now builds only sector-sized matrices and stores
-# sector-sized states, so the 3-mode terms, still taken at the full
-# dimension d = (n_max+1)^3, are conservative.
+# coefficients come from tracemalloc peaks, with headroom: the dense spin
+# operators held 11 complex D x D arrays, D the dimension of the 3-mode
+# space; a trajectory sample costs 256 bytes, a stored state 16*D.  A run
+# now stores sector-sized states and pays about 150 bytes per basis state,
+# so both D terms overcharge; the D^2 term stays as the only bound on time.
 MEMORY_BUDGET_BYTES = 2 * 1024**3
 _DENSE_COPIES_3MODE = 12
-_DENSE_COPIES_2MODE = 10
 _BYTES_PER_SAMPLE = 288
+# Below 2**52 a float still holds the half quantum of n + 1/2.
+_MAX_SWEEP_PHOTONS = 2**52 - 1
 
 
 class ConfigError(ValueError):
@@ -95,7 +94,7 @@ def _check_budget(field: str, estimate: int, what: str) -> None:
 
 def _run_bytes(n_max: int, steps: int | None) -> tuple[int, int]:
     """Estimated (operator, per-sample) bytes of a run; a sampled path without a known length has no sample term."""
-    dim = (n_max + 1) ** 3
+    dim = FockSpace(3, n_max).dimension
     operators = _DENSE_COPIES_3MODE * 16 * dim * dim
     samples = 0 if steps is None else (2 * steps + 1) * _BYTES_PER_SAMPLE + (steps + 1) * 16 * dim
     return operators, samples
@@ -285,6 +284,11 @@ def parse_config(data: dict, name: str, base_dir: Path | None = None) -> Scenari
     operators, samples = _run_bytes(n_max, steps)
     field = "n_max" if operators >= samples else "steps"
     _check_budget(field, operators + samples, f"n_max = {_show(n_max)} with steps = {_show(steps)}")
+    dimension = FockSpace(3, n_max).dimension
+    if amplitudes is not None and len(amplitudes) != dimension:
+        raise ConfigError(
+            "state.amplitudes", f"expected {dimension} amplitudes for n_max = {n_max}, got {len(amplitudes)}"
+        )
 
     t_end = _get_number(data, "t_end", "config") if "t_end" in data else 1.0
     if not 0.0 < t_end <= 1.0:
@@ -362,36 +366,40 @@ def _build_trajectory(config: ScenarioConfig):
     if isinstance(g, ConeGeometry):
         samples = 2 * config.steps + 1
         return cone_trajectory(g.polar_angle, g.turns * config.t_end, samples)
-    rows = count_path_rows(g.path_csv)
+    try:
+        rows = count_path_rows(g.path_csv)
+    except (ValueError, OSError) as exc:
+        raise ConfigError("geometry.path_csv", str(exc)) from None
     _check_budget("geometry.path_csv", sum(_run_bytes(config.n_max, (rows - 1) // 2)), f"a path of {rows} rows")
-    traj = tangent_trajectory(load_path_csv(g.path_csv))
+    try:
+        traj = tangent_trajectory(load_path_csv(g.path_csv))
+    except (ValueError, OSError) as exc:
+        raise ConfigError("geometry.path_csv", str(exc)) from None
     if len(traj.times) % 2 == 0:
         raise ConfigError("geometry.path_csv", "sampled path needs an odd number of rows for RK4 panes")
     return traj
 
 
 def _s3_expectation(ordering: str, n_r: int, n_l: int) -> float:
-    """Spin-3 expectation of the (n_r, n_l) circular state in one operator ordering."""
-    space = build_space(2, max(n_r, n_l, 1))
-    state = build_photon_state(space, n_r, n_l)
-    r_nn, l_nn, r_n, l_n = s3_split(space)
-    variants = {
-        "normal": r_n + l_n,
-        "nonnormal_r": r_nn,
-        "nonnormal_l": l_nn,
-        "nonnormal_total": r_nn + l_nn,
-    }
-    return float(state.expectation(variants[ordering]).real)
+    """Spin-3 expectation of the (n_r, n_l) circular state in one operator ordering.
+
+    The fock.s3_split pieces are diagonal here: a_R+ a_R reads sqrt(n_r) * sqrt(n_r),
+    the product the dense matrices round, so this equals their expectation bit for bit.
+    """
+    r = math.sqrt(n_r) * math.sqrt(n_r)
+    l = -(math.sqrt(n_l) * math.sqrt(n_l))
+    if ordering == "normal":
+        return r + l
+    if ordering == "nonnormal_r":
+        return r + 0.5
+    if ordering == "nonnormal_l":
+        return l - 0.5
+    return (r + 0.5) + (l - 0.5)
 
 
 def _initial_state(config: ScenarioConfig, space, k0: np.ndarray) -> StateVector:
     if config.amplitudes is not None:
         amps = np.array(config.amplitudes, dtype=complex)
-        if len(amps) != space.dimension:
-            raise ConfigError(
-                "state.amplitudes",
-                f"expected {space.dimension} amplitudes for n_max = {config.n_max}, got {len(amps)}",
-            )
         norm = float(np.linalg.norm(amps))
         if abs(norm - 1.0) > 1e-6:
             raise ConfigError("state.amplitudes", f"state norm {norm!r} is not 1 within 1e-6")
@@ -421,12 +429,7 @@ def evaluate_scenario(config: ScenarioConfig) -> dict:
         s3_attr = _s3_expectation(config.ordering, config.n_r, config.n_l)
         s3_total = _s3_expectation("normal", config.n_r, config.n_l)
     else:
-        # <psi| k0.S |psi> on the occupied sectors, with S = -iA.
-        keep, a = sector_generators(space, sectors)
-        block = psi0.amplitudes[keep]
-        helicity = -1j * (k[0][0] * a[0] + k[0][1] * a[1] + k[0][2] * a[2])
-        s3_total = float(np.vdot(block, helicity @ block).real)
-        s3_attr = s3_total
+        s3_total = s3_attr = helicity_expectation(psi0, k[0])
 
     result = evolve_state(psi0, traj)
     series = phase_series(result)
@@ -673,6 +676,8 @@ BUILTIN_SCENARIOS: dict[str, tuple[tuple[str, dict], ...]] = {
 
 
 def apply_overrides(raw: dict, steps=None, n_max=None, tolerance=None) -> dict:
+    if not isinstance(raw, dict):
+        raise ConfigError("config", "expected a mapping")
     out = {k: v for k, v in raw.items()}
     if steps is not None:
         out["steps"] = steps
@@ -742,7 +747,7 @@ def sweep(config: ScenarioConfig, parameter: str, values, out_dir) -> tuple[int,
 
     Phase sweeps report the quadrature route only; the dual numerical
     vs closed-form verification is run_scenario's job.  Every value is
-    validated, memory budget included, before any row is computed.
+    validated before any row is computed.
     """
     if parameter not in SWEEP_PARAMETERS:
         raise ConfigError("sweep", f"unknown parameter {parameter!r}; known: {', '.join(SWEEP_PARAMETERS)}")
@@ -788,17 +793,13 @@ def sweep(config: ScenarioConfig, parameter: str, values, out_dir) -> tuple[int,
                 raise ConfigError("sweep", f"turns value {v!r} must be positive")
             geometry = ConeGeometry(polar_angle=_sweep_base(config)[0], turns=v)
         else:  # n_R or n_L
-            if isinstance(v, float) and not v.is_integer():
-                raise ConfigError("sweep", f"{parameter} value {v!r} must be a non-negative integer")
+            if not _sweep_float(parameter, v).is_integer() or not 0 <= int(v) <= _MAX_SWEEP_PHOTONS:
+                raise ConfigError("sweep", f"{parameter} value {_show(v)} must be an integer from 0 to 2**52 - 1")
             v = int(v)
-            if v < 0:
-                raise ConfigError("sweep", f"{parameter} value {_show(v)} must be a non-negative integer")
             if parameter == "n_R":
                 n_r = v
             else:
                 n_l = v
-            operators = _DENSE_COPIES_2MODE * 16 * (max(n_r, n_l, 1) + 1) ** 4
-            _check_budget("sweep", operators, f"{parameter} = {_show(v)}")
             geometry = config.geometry
         points.append((v, geometry, n_r, n_l))
     rows = []

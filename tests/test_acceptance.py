@@ -52,11 +52,10 @@ def helix_traj(lam, turns, steps):
 def ode_geometric_phase(lam, steps, sigma=+1):
     traj = helix_traj(lam, 1.0, steps)
     space = build_space(3, 2)
-    spin = spin_fixed(space)
     n_r, n_l = (1, 0) if sigma > 0 else (0, 1)
     psi0 = build_photon_state(space, n_r, n_l, k_hat=traj.tangents[0])
     result = evolve_state(psi0, traj)
-    return extract_phases(result, traj, spin), traj, result
+    return extract_phases(result, traj), traj, result
 
 
 def test_criterion_1_berry_limit():
@@ -119,14 +118,13 @@ def test_criterion_3_algebra_suite():
 
 def test_criterion_4_invariant_machinery():
     space = build_space(3, 3)
-    spin = spin_fixed(space)
     traj = helix_traj(math.pi / 4.0, 1.0, 2048)  # 4097 samples
     probes = traj.times[:: 256]
-    lvn_analytic = max(lvn_residual(traj, spin, t) for t in probes)
+    lvn_analytic = max(lvn_residual(traj, space, t) for t in probes)
 
     t, pts = helix_points(make_helix(1.0, 2.0 * math.pi, 1.0, 4097))
     fd_traj = tangent_trajectory(sampled_path(t, pts))
-    lvn_fd = max(lvn_residual(fd_traj, spin, tt) for tt in fd_traj.times[::256])
+    lvn_fd = max(lvn_residual(fd_traj, space, tt) for tt in fd_traj.times[::256])
 
     _, _, s3 = spin_fixed(space)
     sel = space.complete_sector_indices()
@@ -192,10 +190,9 @@ def test_criterion_7_k_independence():
     traj = helix_traj(math.pi / 4.0, 1.0, 1024)
     scaled = traj.scaled(1000.0)
     space = build_space(3, 2)
-    spin = spin_fixed(space)
     psi0 = build_photon_state(space, 1, 0, k_hat=traj.tangents[0])
-    b1 = extract_phases(evolve_state(psi0, traj), traj, spin)
-    b2 = extract_phases(evolve_state(psi0, scaled), scaled, spin)
+    b1 = extract_phases(evolve_state(psi0, traj), traj)
+    b2 = extract_phases(evolve_state(psi0, scaled), scaled)
     gaps = (
         abs(b1.geometric_phase - b2.geometric_phase),
         abs(b1.closed_form_phase - b2.closed_form_phase),

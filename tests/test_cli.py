@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -7,8 +9,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fiberphase.cli import main
+from test_scenario import FUZZ_BASES, FUZZ_VALUES, fuzz_configs
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -166,3 +170,87 @@ def test_non_finite_input_rejected_before_work(tmp_path, capsys, config, args, f
     assert len(err.strip().splitlines()) == 1
     assert json.loads(err)["error"]["field"] == field
     assert not out.exists()
+
+
+@pytest.mark.parametrize("document", ["[1, 2]", '"x"', "null", "3"], ids=["list", "string", "null", "number"])
+def test_non_object_config_is_validation_error(tmp_path, capsys, document):
+    cfg = tmp_path / "top.json"
+    cfg.write_text(document)
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert json.loads(err)["error"]["field"] == "config"
+
+
+PATH_ROWS = "t,x,y,z\n0,1,0,0\n0.5,0,1,0.5\n1,-1,0,1\n"
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("missing.csv", None),
+        ("folder", None),
+        ("header.csv", PATH_ROWS.replace("t,x,y,z", "t,x,y")),
+        ("empty.csv", "t,x,y,z\n\n"),
+        ("garbled.csv", PATH_ROWS.replace("0.5,0,1", "0.5,zero,1")),
+    ],
+    ids=["missing-file", "directory", "bad-header", "no-rows", "unparsable-row"],
+)
+def test_sampled_path_errors_name_the_path(tmp_path, capsys, name, text):
+    if name == "folder":
+        (tmp_path / name).mkdir()
+    elif text is not None:
+        (tmp_path / name).write_text(text)
+    cfg = tmp_path / "sampled.json"
+    cfg.write_text(json.dumps({"geometry": {"kind": "sampled", "path_csv": name}, "state": {"n_r": 1, "n_l": 0}}))
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert error_field(capsys) == "geometry.path_csv"
+
+
+def fast_value(value) -> bool:
+    """False for an int that the budget admits as a step count yet would take long to run."""
+    return not (isinstance(value, int) and not isinstance(value, bool) and 64 < value < 10**7)
+
+
+# Configs that run in a few milliseconds: short grids, and values that keep them short.
+CLI_BASES = tuple(base if base["geometry"]["kind"] == "sampled" else {**base, "steps": 64} for base in FUZZ_BASES)
+CLI_VALUES = FUZZ_VALUES.filter(fast_value)
+CONFIG_DOCUMENTS = st.one_of(
+    fuzz_configs(CLI_BASES, CLI_VALUES),
+    CLI_VALUES,
+    st.dictionaries(st.text(max_size=4), CLI_VALUES, max_size=3),
+)
+# The sampled base's p.csv: one helix turn of radius 1 and pitch 2*pi, 129 rows.
+HELIX_CSV = "t,x,y,z\n" + "".join(
+    f"{i / 128!r},{math.cos(i * math.pi / 64)!r},{math.sin(i * math.pi / 64)!r},{i * math.pi / 64!r}\n"
+    for i in range(129)
+)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(CONFIG_DOCUMENTS)
+def test_fuzzed_config_file_exits_cleanly(tmp_path_factory, document):
+    # json.dumps cannot write an int past the interpreter's digit limit, so
+    # such an int is written as a quoted marker and the digits put in after.
+    def encode(value):
+        if isinstance(value, int) and not isinstance(value, bool) and abs(value) > 10**4000:
+            return "-@HUGE@" if value < 0 else "@HUGE@"
+        if isinstance(value, list):
+            return [encode(v) for v in value]
+        if isinstance(value, dict):
+            return {k: encode(v) for k, v in value.items()}
+        return value
+
+    work = tmp_path_factory.mktemp("fuzz")
+    (work / "p.csv").write_text(HELIX_CSV)
+    cfg = work / "doc.json"
+    text = json.dumps(encode(document))
+    cfg.write_text(text.replace('"@HUGE@"', HUGE_DIGITS).replace('"-@HUGE@"', "-" + HUGE_DIGITS))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["--config", str(cfg), "--out", str(work / "out")])
+    assert code in (0, 1, 2)
+    if code == 2:
+        lines = err.getvalue().strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"]["field"]

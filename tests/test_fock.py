@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from fiberphase import (
+    FockSpace,
     StateVector,
     annihilation,
     basis_state,
@@ -19,7 +21,7 @@ from fiberphase import (
     spin_fixed,
     vacuum_state,
 )
-from fiberphase.fock import occupied_sectors, sector_generators, spin_scale
+from fiberphase.fock import helicity_expectation, occupied_sectors, sector_generators, spin_scale
 
 Z = np.array([0.0, 0.0, 1.0])
 
@@ -42,10 +44,32 @@ class TestBuildSpace:
 
     def test_lexicographic_enumeration(self):
         space = build_space(2, 2)
-        assert space.basis[0] == (0, 0)
-        assert space.basis[1] == (0, 1)
-        assert space.basis[-1] == (2, 2)
+        assert tuple(space.basis[0]) == (0, 0)
+        assert tuple(space.basis[1]) == (0, 1)
+        assert tuple(space.basis[-1]) == (2, 2)
         assert space.index_of((1, 2)) == 5
+        assert [space.index_of(occ) for occ in space.basis] == list(range(9))
+
+    def test_index_of_rejects_occupations_outside_the_box(self):
+        space = build_space(3, 2)
+        for occupation in ((-1, 0, 0), (0, 3, 0), (0, 0), (0, 0, 0, 0)):
+            with pytest.raises(ValueError, match="not in basis"):
+                space.index_of(occupation)
+
+    def test_space_is_its_two_fields(self):
+        assert [f.name for f in dataclasses.fields(FockSpace)] == ["num_modes", "n_max"]
+        a, b = build_space(3, 2), build_space(3, 2)
+        a.basis  # built on one side only
+        assert a == b and hash(a) == hash(b)
+        assert a != build_space(3, 1) and a != build_space(2, 2)
+        assert len({a, b, build_space(2, 2)}) == 2
+
+    def test_basis_is_read_only(self):
+        space = build_space(3, 2)
+        assert space.basis.shape == (27, 3)
+        assert space.basis is space.basis
+        with pytest.raises(ValueError):
+            space.basis[0, 0] = 1
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -226,6 +250,19 @@ class TestHelicityOperator:
     def test_rejects_non_unit(self):
         with pytest.raises(ValueError):
             helicity_operator(build_space(3, 1), np.array([0.0, 0.0, 2.0]))
+        with pytest.raises(ValueError):
+            helicity_expectation(vacuum_state(build_space(3, 1)), np.array([0.0, 0.0, 2.0]))
+
+    def test_sector_expectation_matches_dense(self):
+        # Random states over sectors 1 and 4 at n_max = 3, sector 4 cut off by the cutoff.
+        space = build_space(3, 3)
+        rng = np.random.default_rng(11)
+        inside = np.isin(np.sum(space.basis, axis=1), [1, 4])
+        for k in random_unit_vectors(10, seed=12):
+            amp = np.where(inside, rng.normal(size=space.dimension) + 1j * rng.normal(size=space.dimension), 0.0)
+            psi = StateVector(space, amp).normalized()
+            dense = psi.expectation(helicity_operator(space, k)).real
+            assert abs(helicity_expectation(psi, k) - dense) < 1e-13
 
 
 class TestS3Split:

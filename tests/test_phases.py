@@ -82,12 +82,11 @@ def lvn_oracle(traj, spin, i):
 def eigenstate_run(sigma, lam=math.pi / 4.0, turns=1.0, steps=1024, n_max=2):
     traj = helix_traj(lam, turns, steps)
     space = build_space(3, n_max)
-    spin = spin_fixed(space)
     k0 = traj.tangents[0] / np.linalg.norm(traj.tangents[0])
     n_r, n_l = (1, 0) if sigma > 0 else (0, 1)
     psi0 = build_photon_state(space, n_r, n_l, k_hat=k0)
     result = evolve_state(psi0, traj)
-    return traj, spin, result
+    return traj, result
 
 
 class TestAnholonomyIntegral:
@@ -208,14 +207,14 @@ class TestEvolveState:
         assert np.array_equal(result.state_at(len(result.times) - 1).amplitudes, psi0.amplitudes)
 
     def test_eigenstate_returns_with_closed_form_phase(self):
-        traj, spin, result = eigenstate_run(+1, steps=8192)
+        traj, result = eigenstate_run(+1, steps=8192)
         overlap = abs(np.vdot(result.states[0], result.states[-1]))
         assert abs(overlap - 1.0) < 1e-9
-        breakdown = extract_phases(result, traj, spin)
+        breakdown = extract_phases(result, traj)
         assert abs(breakdown.geometric_phase - breakdown.closed_form_phase) < 1e-5
 
     def test_norm_drift_small_over_1e4_steps(self):
-        traj, spin, result = eigenstate_run(+1, steps=10000)
+        traj, result = eigenstate_run(+1, steps=10000)
         assert np.abs(result.norms - 1.0).max() < 1e-9
 
     def test_step_guard_violation_reported(self):
@@ -241,8 +240,8 @@ class TestEvolveState:
     def test_fourth_order_convergence(self):
         gaps = []
         for steps in (128, 256, 512):
-            traj, spin, result = eigenstate_run(+1, steps=steps)
-            breakdown = extract_phases(result, traj, spin)
+            traj, result = eigenstate_run(+1, steps=steps)
+            breakdown = extract_phases(result, traj)
             gaps.append(abs(breakdown.geometric_phase - BERRY_45))
         assert gaps[0] / gaps[1] > 12.0
         assert gaps[1] / gaps[2] > 12.0
@@ -316,9 +315,8 @@ class TestSectorEvolution:
         runs = []
         for n_max in range(1, 6):
             space = build_space(3, n_max)
-            spin = spin_fixed(space)
             result = evolve_state(build_photon_state(space, 1, 0), traj)
-            runs.append((result.max_h_dt, extract_phases(result, traj, spin).geometric_phase))
+            runs.append((result.max_h_dt, extract_phases(result, traj).geometric_phase))
         assert all(run == runs[0] for run in runs), runs
 
     @pytest.mark.parametrize("photons", [0, 1, 2, 3])
@@ -390,42 +388,41 @@ class TestExtractPhases:
         traj = cone_trajectory(0.0, 1.0, 129)
         space = build_space(3, 1)
         psi0 = build_photon_state(space, 1, 0)
-        spin = spin_fixed(space)
-        breakdown = extract_phases(evolve_state(psi0, traj), traj, spin)
+        breakdown = extract_phases(evolve_state(psi0, traj), traj)
         assert breakdown.total_phase == 0.0
         assert breakdown.dynamical_phase == 0.0
         assert breakdown.geometric_phase == 0.0
 
     def test_geometric_is_total_minus_dynamical(self):
-        traj, spin, result = eigenstate_run(+1, steps=512)
-        b = extract_phases(result, traj, spin)
+        traj, result = eigenstate_run(+1, steps=512)
+        b = extract_phases(result, traj)
         assert b.geometric_phase == b.total_phase - b.dynamical_phase
 
     def test_positive_helicity_quarter_pi(self):
-        traj, spin, result = eigenstate_run(+1, steps=2048)
-        b = extract_phases(result, traj, spin)
+        traj, result = eigenstate_run(+1, steps=2048)
+        b = extract_phases(result, traj)
         assert b.geometric_phase == pytest.approx(BERRY_45, abs=1e-4)
         assert b.geometric_phase == pytest.approx(berry_phase_cyclic(math.pi / 4.0, 1.0), abs=1e-4)
 
     def test_negative_helicity_flips_sign(self):
-        traj, spin, result = eigenstate_run(-1, steps=2048)
-        b = extract_phases(result, traj, spin)
+        traj, result = eigenstate_run(-1, steps=2048)
+        b = extract_phases(result, traj)
         assert b.geometric_phase == pytest.approx(-BERRY_45, abs=1e-4)
 
     def test_handedness_antisymmetry(self):
-        _, _, plus = eigenstate_run(+1, steps=1024)
-        traj, spin, minus = eigenstate_run(-1, steps=1024)
-        gp = extract_phases(plus, traj, spin).geometric_phase
-        gm = extract_phases(minus, traj, spin).geometric_phase
+        _, plus = eigenstate_run(+1, steps=1024)
+        traj, minus = eigenstate_run(-1, steps=1024)
+        gp = extract_phases(plus, traj).geometric_phase
+        gm = extract_phases(minus, traj).geometric_phase
         assert abs(gp + gm) < 1e-6
 
     def test_dynamical_phase_vanishes_for_eigenstates(self):
-        traj, spin, result = eigenstate_run(+1, steps=1024)
-        assert abs(extract_phases(result, traj, spin).dynamical_phase) < 1e-9
+        traj, result = eigenstate_run(+1, steps=1024)
+        assert abs(extract_phases(result, traj).dynamical_phase) < 1e-9
 
     def test_multi_turn_raw_phase_exceeds_2pi(self):
-        traj, spin, result = eigenstate_run(+1, lam=math.pi / 3.0, turns=3.0, steps=4096)
-        b = extract_phases(result, traj, spin)
+        traj, result = eigenstate_run(+1, lam=math.pi / 3.0, turns=3.0, steps=4096)
+        b = extract_phases(result, traj)
         assert b.geometric_phase == pytest.approx(3.0 * math.pi, abs=1e-4)
         assert b.geometric_phase_mod_2pi == pytest.approx(
             b.geometric_phase % (2.0 * math.pi), abs=1e-15
@@ -434,7 +431,6 @@ class TestExtractPhases:
 
     def test_ill_conditioned_overlap_reported(self):
         space = build_space(3, 2)
-        spin = spin_fixed(space)
         k0 = np.array([1.0, 0.0, 0.0])
         plus = build_photon_state(space, 1, 0, k_hat=k0)
         minus = build_photon_state(space, 0, 1, k_hat=k0)
@@ -445,9 +441,9 @@ class TestExtractPhases:
             phase_series(result)
 
     def test_grid_mismatch_rejected(self):
-        _, spin, result = eigenstate_run(+1, steps=128)
+        _, result = eigenstate_run(+1, steps=128)
         with pytest.raises(ValueError, match="does not match"):
-            extract_phases(result, helix_traj(steps=64), spin)
+            extract_phases(result, helix_traj(steps=64))
 
     def test_energies_match_per_sample_loop(self):
         # A +z photon on a tilted helix is no helicity eigenstate, so <H> != 0.
@@ -486,13 +482,13 @@ class TestExtractPhases:
         assert np.array_equal(result.energies, energies)
 
     def test_k_rescaling_leaves_phases(self):
-        traj, spin, result = eigenstate_run(+1, steps=512)
+        traj, result = eigenstate_run(+1, steps=512)
         scaled = traj.scaled(1000.0)
         space = build_space(3, 2)
         psi0 = build_photon_state(space, 1, 0, k_hat=traj.tangents[0])
         result2 = evolve_state(psi0, scaled)
-        b1 = extract_phases(result, traj, spin)
-        b2 = extract_phases(result2, scaled, spin)
+        b1 = extract_phases(result, traj)
+        b2 = extract_phases(result2, scaled)
         assert abs(b1.geometric_phase - b2.geometric_phase) < 1e-10
         assert abs(b1.closed_form_phase - b2.closed_form_phase) < 1e-10
 
@@ -500,20 +496,18 @@ class TestExtractPhases:
 class TestLvnResidual:
     def test_helix_analytic(self):
         traj = helix_traj(steps=2048)
-        spin = spin_fixed(build_space(3, 2))
-        assert lvn_residual(traj, spin, traj.times[2048]) < 1e-6
+        assert lvn_residual(traj, build_space(3, 2), traj.times[2048]) < 1e-6
 
     def test_straight_fibre_machine_zero(self):
         traj = cone_trajectory(0.0, 1.0, 65)
-        spin = spin_fixed(build_space(3, 1))
-        assert lvn_residual(traj, spin, traj.times[32]) < 1e-15
+        assert lvn_residual(traj, build_space(3, 1), traj.times[32]) < 1e-15
 
     def test_random_smooth_tangent_field(self):
-        spin = spin_fixed(build_space(3, 2))
+        space = build_space(3, 2)
 
         def worst(traj):
             probe = traj.times[:: (len(traj.times) - 1) // 16]
-            return max(lvn_residual(traj, spin, t) for t in probe)
+            return max(lvn_residual(traj, space, t) for t in probe)
 
         coarse, fine = worst(random_smooth_field(2049)), worst(random_smooth_field(4097))
         assert coarse < 1e-5
@@ -521,7 +515,8 @@ class TestLvnResidual:
 
     @pytest.mark.parametrize("n_max", [1, 2, 3, 4])
     def test_matches_explicit_matrix_oracle(self, n_max):
-        spin = spin_fixed(build_space(3, n_max))
+        space = build_space(3, n_max)
+        spin = spin_fixed(space)
         t, pts = helix_points(make_helix(1.0, 2.0 * math.pi, 1.0, 513))
         helix = helix_traj(steps=256)
         fields = {
@@ -532,7 +527,7 @@ class TestLvnResidual:
         }
         for name, traj in fields.items():
             for i in range(0, 513, 32):
-                gap = abs(lvn_residual(traj, spin, traj.times[i]) - lvn_oracle(traj, spin, i))
+                gap = abs(lvn_residual(traj, space, traj.times[i]) - lvn_oracle(traj, spin, i))
                 assert gap <= 1e-13, (name, i, gap)
 
 

@@ -15,14 +15,14 @@ from fiberphase import (
     build_photon_state,
     build_space,
     helix_points,
-    identity,
     make_helix,
     parse_config,
     run_builtin,
     run_scenario,
     sweep,
 )
-from fiberphase.scenario import apply_overrides
+from fiberphase.fock import s3_split
+from fiberphase.scenario import ORDERINGS, apply_overrides
 
 BERRY_45 = 1.84030236902122
 
@@ -59,7 +59,9 @@ FUZZ_BASES = (
     cone_config(medium={"epsilon1": -1.0, "epsilon2": 2.0, "epsilon3": 1.0, "mu": 1.0}),
     {"geometry": {"kind": "helix", "radius": 1.0, "pitch_per_turn": 6.0, "turns": 1.0}, "state": {"n_r": 0, "n_l": 0}},
     {"geometry": {"kind": "sampled", "path_csv": "p.csv"}, "state": {"n_r": 1, "n_l": 0}},
-    {"geometry": {"kind": "cone", "polar_angle": 0.5, "turns": 1.0}, "state": {"amplitudes": [[1.0, 0.0]]}},
+    # One photon in Cartesian mode 1: basis state (1, 0, 0) at n_max = 1.
+    {"geometry": {"kind": "cone", "polar_angle": 0.5, "turns": 1.0},
+     "state": {"amplitudes": [[0.0, 0.0]] * 4 + [[1.0, 0.0]] + [[0.0, 0.0]] * 3}, "n_max": 1},
 )
 FUZZ_KEYS = (
     ("geometry",), ("geometry", "kind"), ("geometry", "radius"), ("geometry", "pitch_per_turn"),
@@ -71,10 +73,10 @@ FUZZ_KEYS = (
 
 
 @st.composite
-def fuzz_configs(draw):
-    """A valid config with up to three keys, nested or top-level, set to arbitrary values."""
-    data = json.loads(json.dumps(draw(st.sampled_from(FUZZ_BASES))))
-    for path, value in draw(st.lists(st.tuples(st.sampled_from(FUZZ_KEYS), FUZZ_VALUES), max_size=3)):
+def fuzz_configs(draw, bases, values):
+    """One of the valid configs bases with up to three keys, nested or top-level, set to values."""
+    data = json.loads(json.dumps(draw(st.sampled_from(bases))))
+    for path, value in draw(st.lists(st.tuples(st.sampled_from(FUZZ_KEYS), values), max_size=3)):
         section = data
         for key in path[:-1]:
             if not isinstance(section.get(key), dict):
@@ -110,7 +112,7 @@ def write_path_csv(path, t, pts):
 
 class TestParseConfig:
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
-    @given(fuzz_configs())
+    @given(fuzz_configs(FUZZ_BASES, FUZZ_VALUES))
     def test_fuzzed_config_is_parsed_or_refused_by_field(self, data):
         try:
             config = parse_config(data, "fuzz")
@@ -192,6 +194,13 @@ class TestParseConfig:
         assert err.value.field == field
         assert "10^5000" in str(err.value)
 
+    def test_amplitude_count_checked_before_any_work(self):
+        data = cone_config(state={"amplitudes": [[1.0, 0.0]] * 8})
+        with pytest.raises(ConfigError) as err:
+            parse_config(data, "t")
+        assert err.value.field == "state.amplitudes"
+        assert err.value.message == "expected 27 amplitudes for n_max = 2, got 8"
+
     def test_medium_validation(self):
         data = cone_config(medium={"epsilon1": -1.0, "epsilon2": 2.0, "epsilon3": 1.0, "mu": 1.0, "omega": -1.0})
         with pytest.raises(ConfigError, match="omega"):
@@ -235,28 +244,29 @@ class TestMemoryBudget:
 
     @pytest.mark.parametrize(
         "parameter, oversize",
-        [("n_R", 10**6), ("n_L", 10**6), ("n_R", 1e300), ("n_L", HUGE)],
-        ids=["n_R", "n_L", "n_R-1e300", "n_L-5001-digits"],
+        [("n_R", 1e300), ("n_L", 2**52)],
+        ids=["n_R-1e300", "n_L-2**52"],
     )
     def test_oversize_sweep_value_refused_before_any_row(self, parameter, oversize, tmp_path):
-        # The first value alone would build a 32769-sample trajectory (~8 MB).
+        # Past 2**52 the half quantum n + 1/2 is lost to float rounding.  The
+        # first value alone would build a 32769-sample trajectory (~8 MB).
         config = parse_config(cone_config(steps=16384), "s")
         err, peak = validation_peak(lambda: sweep(config, parameter, [1, oversize], tmp_path))
         assert err.field == "sweep"
-        assert "budget" in err.message
+        assert "2**52" in err.message
         assert peak < 1_000_000
         assert not list(tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize(
         "parameter, value",
-        [("lambda", 10**400), ("turns", 10**400), ("turns", math.nan), ("epsilon2", -(10**400))],
-        ids=["lambda-1e400", "turns-1e400", "turns-nan", "epsilon2-minus-1e400"],
+        [("lambda", 10**400), ("turns", 10**400), ("turns", math.nan), ("epsilon2", -(10**400)), ("n_L", HUGE)],
+        ids=["lambda-1e400", "turns-1e400", "turns-nan", "epsilon2-minus-1e400", "n_L-5001-digits"],
     )
     def test_non_finite_sweep_value_refused_before_any_row(self, parameter, value, tmp_path):
         medium = {"epsilon1": -1.0, "epsilon2": 2.0, "epsilon3": 1.0, "mu": 1.0}
         config = parse_config(cone_config(medium=medium), "s")
         with pytest.raises(ConfigError) as err:
-            sweep(config, parameter, [0.5, value], tmp_path)
+            sweep(config, parameter, [1, value], tmp_path)
         assert err.value.field == "sweep"
         assert "finite" in err.value.message
         assert not list(tmp_path.glob("*.csv"))
@@ -422,13 +432,12 @@ class TestRunScenario:
     def test_vacuum_cancellation_can_fail(self, monkeypatch):
         import fiberphase.scenario as scenario
 
-        real_split = scenario.s3_split
+        real_s3 = scenario._s3_expectation
 
-        def shifted_split(space):
-            r_nn, l_nn, r_n, l_n = real_split(space)
-            return r_nn + 1e-3 * identity(space), l_nn, r_n, l_n
+        def shifted_s3(ordering, n_r, n_l):
+            return real_s3(ordering, n_r, n_l) + (1e-3 if ordering == "nonnormal_r" else 0.0)
 
-        monkeypatch.setattr(scenario, "s3_split", shifted_split)
+        monkeypatch.setattr(scenario, "_s3_expectation", shifted_s3)
         data = cone_config(polar=math.pi / 3.0, steps=256, ordering="nonnormal_r")
         data["state"] = {"n_r": 0, "n_l": 0}
         summary = scenario.evaluate_scenario(parse_config(data, "vac"))
@@ -475,24 +484,43 @@ class TestRunScenario:
         assert summary["status"] == "pass"
         assert summary["numerical"]["sector_dimension"] == 3
 
-    def test_run_path_builds_no_three_mode_matrix(self, monkeypatch):
-        # Only the 2-mode s3_split of the closed-form expectations may build
-        # dense operators; the evolution and the initial state are sector-native.
+    def test_twelve_photon_run_memory(self):
+        # n_max = 12 (D = 2197) with a 12-photon sector of d = 91; one dense
+        # 2197-square S3 alone would hold 3.9 MiB.
+        import fiberphase.scenario as scenario
+
+        config = parse_config(cone_config(polar=0.3, steps=256, n_max=12, state={"n_r": 12, "n_l": 0}), "twelve")
+        tracemalloc.start()
+        try:
+            summary = scenario.evaluate_scenario(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert summary["numerical"]["sector_dimension"] == 91
+        assert peak < 2.5 * 2**20
+
+    def test_run_path_builds_no_three_mode_matrix(self, monkeypatch, tmp_path):
+        # No run or sweep builds a dense Fock matrix of any number of modes:
+        # the evolution and the initial state are sector-native and the
+        # closed-form S3 expectations are matrix-free.
         import sys
 
         import fiberphase.fock as fock
         import fiberphase.scenario as scenario
 
-        real_annihilation = fock.annihilation
+        def refuse(name):
+            def builder(*args, **kwargs):
+                raise AssertionError(f"{name} called on the run path")
 
-        def spin_fixed(space):
-            raise AssertionError("spin_fixed called on the run path")
+            return builder
 
-        def annihilation(space, mode):
-            if space.num_modes == 3:
-                raise AssertionError("3-mode annihilation matrix built on the run path")
-            return real_annihilation(space, mode)
-
+        for name in ("annihilation", "s3_split", "spin_fixed"):
+            original = getattr(fock, name)
+            for module_name, module in list(sys.modules.items()):
+                if module_name == "fiberphase" or module_name.startswith("fiberphase."):
+                    for key, value in list(vars(module).items()):
+                        if value is original:
+                            monkeypatch.setattr(module, key, refuse(name))
         lam = math.pi / 4.0
         k0 = np.array([math.sin(lam), 0.0, math.cos(lam)])
         photon = build_photon_state(build_space(3, 2), 1, 0, k_hat=k0).amplitudes
@@ -500,16 +528,28 @@ class TestRunScenario:
             cone_config(n_max=3, state={"n_r": 2, "n_l": 1}),
             cone_config(state={"amplitudes": [[z.real, z.imag] for z in photon]}),
         ]
-        for name, replacement in (("spin_fixed", spin_fixed), ("annihilation", annihilation)):
-            original = getattr(fock, name)
-            for module_name, module in list(sys.modules.items()):
-                if module_name == "fiberphase" or module_name.startswith("fiberphase."):
-                    for key, value in list(vars(module).items()):
-                        if value is original:
-                            monkeypatch.setattr(module, key, replacement)
         for data in configs:
             summary = scenario.evaluate_scenario(parse_config(data, "guarded"))
             assert summary["status"] == "pass"
+        assert run_builtin("vacuum-pair", tmp_path, steps=128) == 0
+        assert sweep(parse_config(cone_config(), "s"), "n_R", [0, 1, 2], tmp_path)[0] == 0
+
+    def test_s3_expectation_equals_dense_split(self):
+        # Every (n_r, n_l) in 0..25 and every ordering against the expectations
+        # of the s3_split matrices, bit for bit and with the sign of zero.
+        import fiberphase.scenario as scenario
+
+        space = build_space(2, 25)
+        r_nn, l_nn, r_n, l_n = s3_split(space)
+        variants = {"normal": r_n + l_n, "nonnormal_r": r_nn, "nonnormal_l": l_nn, "nonnormal_total": r_nn + l_nn}
+        assert sorted(variants) == sorted(ORDERINGS)
+        for n_r in range(26):
+            for n_l in range(26):
+                psi = build_photon_state(space, n_r, n_l)
+                for ordering, op in variants.items():
+                    dense = float(psi.expectation(op).real)
+                    fast = scenario._s3_expectation(ordering, n_r, n_l)
+                    assert np.float64(fast).tobytes() == np.float64(dense).tobytes(), (ordering, n_r, n_l)
 
     def test_sampled_geometry_run(self, tmp_path):
         t, pts = helix_points(make_helix(1.0, 2.0 * math.pi, 1.0, 1025))
@@ -574,13 +614,12 @@ class TestRunScenario:
     def test_pair_cancellation_can_fail(self, monkeypatch, tmp_path):
         import fiberphase.scenario as scenario
 
-        real_split = scenario.s3_split
+        real_s3 = scenario._s3_expectation
 
-        def shifted_split(space):
-            r_nn, l_nn, r_n, l_n = real_split(space)
-            return r_nn, l_nn + 1e-3 * identity(space), r_n, l_n
+        def shifted_s3(ordering, n_r, n_l):
+            return real_s3(ordering, n_r, n_l) + (1e-3 if ordering == "nonnormal_l" else 0.0)
 
-        monkeypatch.setattr(scenario, "s3_split", shifted_split)
+        monkeypatch.setattr(scenario, "_s3_expectation", shifted_s3)
         assert run_builtin("vacuum-pair", tmp_path, steps=512) == 1
         group = json.loads((tmp_path / "vacuum-pair.json").read_text())
         assert group["pair"]["cancels"] is False
@@ -624,6 +663,16 @@ class TestSweep:
         anholonomy = float(rows[0][3])
         diffs = np.diff(phis)
         assert np.abs(diffs - anholonomy).max() < 1e-8
+
+    def test_photon_number_sweep_needs_no_budget(self, tmp_path):
+        # A million photons cost one float product, not a (10**6+1)^2 space.
+        config = parse_config(cone_config(polar=math.pi / 3.0), "s")
+        _, csv_path = sweep(config, "n_R", [1, 10**6], tmp_path)
+        rows = [line.split(",") for line in open(csv_path).read().strip().splitlines()[1:]]
+        assert [(r[1], float(r[2])) for r in rows] == [("1", 1.0), ("1000000", 1e6)]
+        _, csv_path = sweep(config, "n_L", [10**6], tmp_path)
+        rows = [line.split(",") for line in open(csv_path).read().strip().splitlines()[1:]]
+        assert [(r[1], float(r[2])) for r in rows] == [("1000000", 1.0 - 1e6)]
 
     def test_epsilon2_sweep_flips_at_threshold(self, tmp_path):
         data = cone_config(medium={"epsilon1": -1.0, "epsilon2": 2.0, "epsilon3": 1.0, "mu": 1.0})
