@@ -244,8 +244,8 @@ class TestMemoryBudget:
 
     @pytest.mark.parametrize(
         "parameter, oversize",
-        [("n_R", 1e300), ("n_L", 2**52)],
-        ids=["n_R-1e300", "n_L-2**52"],
+        [("n_R", 2**52), ("n_L", 2**52), ("n_R", 1e300)],
+        ids=["n_R", "n_L", "n_R-1e300"],
     )
     def test_oversize_sweep_value_refused_before_any_row(self, parameter, oversize, tmp_path):
         # Past 2**52 the half quantum n + 1/2 is lost to float rounding.  The
