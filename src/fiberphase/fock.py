@@ -11,10 +11,10 @@ The runner needs none of them.  Each spin component is a one-body
 bilinear, S_i = -i A_i with A_i = b_j+ b_k - b_k+ b_j real, so it
 conserves photon number; sector_generators builds the A_i on the
 occupied photon-number sectors from ladder moves over the basis array,
-spin_scale reads the Liouville-von Neumann norm scale off the same
-moves, helicity_expectation takes <k.S> on the sector block, and
-build_photon_state applies creation operators by index shifts.  Nothing
-on that path is (n_max+1)^3 square.
+spin_scale takes the Liouville-von Neumann norm scale in closed form
+from the same ladder factors, helicity_expectation takes <k.S> on the
+sector block, and build_photon_state applies creation operators by
+index shifts.  Nothing on that path is (n_max+1)^3 square.
 """
 
 from __future__ import annotations
@@ -159,10 +159,6 @@ class StateVector:
             raise ValueError("cannot normalize the zero vector")
         return StateVector(self.space, self.amplitudes / n)
 
-    def overlap(self, other: "StateVector") -> complex:
-        """Inner product <self|other>."""
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
     def expectation(self, op: OperatorMatrix) -> complex:
         return complex(np.vdot(self.amplitudes, op.entries @ self.amplitudes))
 
@@ -305,24 +301,21 @@ def spin_scale(space: FockSpace) -> np.ndarray:
 
     The block is the union of the occupation-bounded states and the
     complete photon-number sectors (see FockSpace.bounded_indices and
-    complete_sector_indices).  Read off the ladder moves of the basis in
-    O(dimension); it equals np.abs(spin_fixed(space)[i].entries[box]).max()
-    on that block bit for bit.
+    complete_sector_indices).  An entry of S_i is sqrt(a) * sqrt(b) for a
+    move b_j+ b_k with a = n_j + 1 after it and b = n_k before it; an
+    empty third mode keeps the most moves inside the block, which are
+    those with a - 1 + b <= n_max (complete) or a, b <= n_max - 1
+    (bounded).  The three components share that maximum, which equals
+    np.abs(spin_fixed(space)[i].entries[box]).max() on the block bit for
+    bit, and no array of the box's size is made.
     """
     if space.num_modes != 3:
         raise ValueError("spin components require a 3-mode space")
-    exact = np.zeros(space.dimension, dtype=bool)
-    exact[space.bounded_indices()] = True
-    exact[space.complete_sector_indices()] = True
-    everything = np.arange(space.dimension)
-    scale = []
-    for j, k in _SPIN_MODES:
-        largest = 0.0
-        for p, q in ((j, k), (k, j)):
-            source, target, values = _hops(space, everything, p, q)
-            largest = max(largest, values[exact[source] & exact[target]].max(initial=0.0))
-        scale.append(largest)
-    return np.array(scale)
+    n = space.n_max
+    a = np.arange(1, n + 1)[:, None]
+    b = np.arange(1, n + 1)[None, :]
+    inside = (a - 1 + b <= n) | ((a < n) & (b < n))
+    return np.full(3, (np.sqrt(a + 0.0) * np.sqrt(b))[inside].max())
 
 
 def _check_unit(k_hat: np.ndarray) -> np.ndarray:

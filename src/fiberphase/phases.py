@@ -126,9 +126,9 @@ class EvolutionResult:
         return StateVector(self.space, amplitudes)
 
 
-def closed_form_phase(angles: AngleTrajectory, s3_expectation: float, t_end: float | None = None) -> float:
+def closed_form_phase(angles: AngleTrajectory, s3_expectation: float) -> float:
     """Geometric phase as s3 expectation times the anholonomy integral."""
-    return float(s3_expectation) * anholonomy_integral(angles, t_end)
+    return float(s3_expectation) * anholonomy_integral(angles)
 
 
 def berry_phase_cyclic(polar_angle: float, s3_expectation: float) -> float:

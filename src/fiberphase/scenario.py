@@ -20,7 +20,6 @@ import numpy as np
 from . import quadrature
 from .fock import FockSpace, build_photon_state, build_space, helicity_expectation, occupied_sectors, StateVector
 from .geometry import (
-    anholonomy_integral,
     cone_trajectory,
     count_path_rows,
     geodesic_closure,
@@ -33,7 +32,7 @@ from .geometry import (
     wrap_angle,
     CLOSURE_TOL,
 )
-from .media import GyrotropicMedium, classify, refractive_indices
+from .media import DispersionVerdict, GyrotropicMedium, classify
 from .phases import PhaseBreakdown, evolve_state, phase_series
 
 ORDERINGS = ("normal", "nonnormal_r", "nonnormal_l", "nonnormal_total")
@@ -284,11 +283,15 @@ def parse_config(data: dict, name: str, base_dir: Path | None = None) -> Scenari
     operators, samples = _run_bytes(n_max, steps)
     field = "n_max" if operators >= samples else "steps"
     _check_budget(field, operators + samples, f"n_max = {_show(n_max)} with steps = {_show(steps)}")
-    dimension = FockSpace(3, n_max).dimension
-    if amplitudes is not None and len(amplitudes) != dimension:
-        raise ConfigError(
-            "state.amplitudes", f"expected {dimension} amplitudes for n_max = {n_max}, got {len(amplitudes)}"
-        )
+    if amplitudes is not None:
+        dimension = FockSpace(3, n_max).dimension
+        if len(amplitudes) != dimension:
+            raise ConfigError(
+                "state.amplitudes", f"expected {dimension} amplitudes for n_max = {n_max}, got {len(amplitudes)}"
+            )
+        norm = float(np.linalg.norm(np.array(amplitudes, dtype=complex)))
+        if abs(norm - 1.0) > 1e-6:
+            raise ConfigError("state.amplitudes", f"state norm {norm!r} is not 1 within 1e-6")
 
     t_end = _get_number(data, "t_end", "config") if "t_end" in data else 1.0
     if not 0.0 < t_end <= 1.0:
@@ -400,19 +403,33 @@ def _s3_expectation(ordering: str, n_r: int, n_l: int) -> float:
 def _initial_state(config: ScenarioConfig, space, k0: np.ndarray) -> StateVector:
     if config.amplitudes is not None:
         amps = np.array(config.amplitudes, dtype=complex)
-        norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > 1e-6:
-            raise ConfigError("state.amplitudes", f"state norm {norm!r} is not 1 within 1e-6")
-        return StateVector(space, amps / norm)
+        return StateVector(space, amps / float(np.linalg.norm(amps)))  # parse_config checked the norm
     return build_photon_state(space, config.n_r, config.n_l, k_hat=k0)
+
+
+def _closed_form(config: ScenarioConfig):
+    """(trajectory, spherical angles, running anholonomy at the RK4 step boundaries) of a config.
+
+    The last running value is A, the same bits as geometry.anholonomy_integral.
+    """
+    traj = _build_trajectory(config)
+    angles = spherical_angles(traj)
+    return traj, angles, quadrature.cumulative_panes(angles.anholonomy_rate(), angles.times)
+
+
+def _dispersion(m: MediumSpec) -> tuple[float, float, DispersionVerdict, DispersionVerdict]:
+    """(n_plus^2, n_minus^2, plus verdict, minus verdict) of a medium block."""
+    plus, minus = classify(GyrotropicMedium(m.epsilon1, m.epsilon2, m.epsilon3, m.mu), m.omega)
+    return plus.n_squared, minus.n_squared, plus, minus
+
+
+def _check(name: str, value: float, threshold: float) -> dict:
+    return {"name": name, "value": value, "threshold": threshold, "pass": bool(value <= threshold)}
 
 
 def evaluate_scenario(config: ScenarioConfig) -> dict:
     """Run one scenario in memory and return its summary mapping."""
-    traj = _build_trajectory(config)
-    angles = spherical_angles(traj)
-    # The running anholonomy at the RK4 step boundaries; its last value is A.
-    running = quadrature.cumulative_panes(angles.anholonomy_rate(), angles.times)
+    traj, angles, running = _closed_form(config)
     anholonomy = float(running[-1])
 
     k = traj.tangents / np.linalg.norm(traj.tangents, axis=1)[:, None]
@@ -441,30 +458,10 @@ def evaluate_scenario(config: ScenarioConfig) -> dict:
     lvn_max = float(result.lvn_residuals.max())
 
     checks = [
-        {
-            "name": "numerical_vs_closed_form",
-            "value": difference,
-            "threshold": config.tolerance,
-            "pass": bool(difference <= config.tolerance),
-        },
-        {
-            "name": "norm_drift",
-            "value": norm_drift,
-            "threshold": NORM_DRIFT_TOL,
-            "pass": bool(norm_drift <= NORM_DRIFT_TOL),
-        },
-        {
-            "name": "lvn_residual",
-            "value": lvn_max,
-            "threshold": LVN_TOL,
-            "pass": bool(lvn_max <= LVN_TOL),
-        },
-        {
-            "name": "motion_identity",
-            "value": motion,
-            "threshold": MOTION_TOL,
-            "pass": bool(motion <= MOTION_TOL),
-        },
+        _check("numerical_vs_closed_form", difference, config.tolerance),
+        _check("norm_drift", norm_drift, NORM_DRIFT_TOL),
+        _check("lvn_residual", lvn_max, LVN_TOL),
+        _check("motion_identity", motion, MOTION_TOL),
     ]
     # Zero-point terms of the two handednesses, from the vacuum expectations
     # of the non-normal-ordered S3 pieces; they must cancel in the total.
@@ -472,9 +469,7 @@ def evaluate_scenario(config: ScenarioConfig) -> dict:
     vacuum_left = _s3_expectation("nonnormal_l", 0, 0) * anholonomy
     vacuum_sum = vacuum_right + vacuum_left
     if config.n_r == 0 and config.n_l == 0:
-        checks.append(
-            {"name": "vacuum_cancellation", "value": abs(vacuum_sum), "threshold": 0.0, "pass": vacuum_sum == 0.0}
-        )
+        checks.append(_check("vacuum_cancellation", abs(vacuum_sum), 0.0))
 
     summary = {
         "name": config.name,
@@ -516,10 +511,7 @@ def evaluate_scenario(config: ScenarioConfig) -> dict:
     }
 
     if config.medium is not None:
-        m = config.medium
-        medium = GyrotropicMedium(m.epsilon1, m.epsilon2, m.epsilon3, m.mu)
-        n_plus_sq, n_minus_sq = refractive_indices(medium)
-        plus, minus = classify(medium, m.omega)
+        n_plus_sq, n_minus_sq, plus, minus = _dispersion(config.medium)
         summary["medium"] = {
             "n_plus_sq": n_plus_sq,
             "n_minus_sq": n_minus_sq,
@@ -742,76 +734,72 @@ def _sweep_float(parameter: str, value) -> float:
     return x
 
 
+def _sweep_point(config: ScenarioConfig, parameter: str, value) -> tuple[int | float, ScenarioConfig]:
+    """(value as its row shows it, the template config with that value swept in)."""
+    if parameter in ("n_R", "n_L"):
+        if not _sweep_float(parameter, value).is_integer() or not 0 <= int(value) <= _MAX_SWEEP_PHOTONS:
+            raise ConfigError("sweep", f"{parameter} value {_show(value)} must be an integer from 0 to 2**52 - 1")
+        n = int(value)
+        return n, replace(config, n_r=n) if parameter == "n_R" else replace(config, n_l=n)
+    x = _sweep_float(parameter, value)
+    if parameter == "epsilon2":
+        return x, replace(config, medium=replace(config.medium, epsilon2=x))
+    if parameter == "lambda":
+        if not 0.0 <= x <= math.pi:
+            raise ConfigError("sweep", f"lambda value {x!r} outside [0, pi]")
+        return x, replace(config, geometry=ConeGeometry(polar_angle=x, turns=_sweep_base(config)[1]))
+    if x <= 0:
+        raise ConfigError("sweep", f"turns value {x!r} must be positive")
+    return x, replace(config, geometry=ConeGeometry(polar_angle=_sweep_base(config)[0], turns=x))
+
+
+def _cell(x) -> str:
+    return x if isinstance(x, str) else str(x) if isinstance(x, int) else _fmt(x)
+
+
 def sweep(config: ScenarioConfig, parameter: str, values, out_dir) -> tuple[int, str]:
     """Write one closed-form (or dispersion) table row per parameter value.
 
-    Phase sweeps report the quadrature route only; the dual numerical
-    vs closed-form verification is run_scenario's job.  Every value is
-    validated before any row is computed.
+    Each row evaluates the template config with that one value swept in,
+    by the closed-form and dispersion code a run uses.  Phase sweeps report
+    the quadrature route only; the dual numerical vs closed-form
+    verification is run_scenario's job.  Every value is validated before
+    any row is computed, and each distinct trajectory is built once, so an
+    n_R or n_L sweep builds one.
     """
     if parameter not in SWEEP_PARAMETERS:
         raise ConfigError("sweep", f"unknown parameter {parameter!r}; known: {', '.join(SWEEP_PARAMETERS)}")
     values = list(values)
     if not values:
         raise ConfigError("sweep", "no values supplied")
-    out_dir = Path(out_dir)
-    csv_path = out_dir / f"{config.name}_sweep_{parameter}.csv"
-
     if parameter == "epsilon2":
         if config.medium is None:
             raise ConfigError("sweep", "epsilon2 sweep needs a medium block in the config")
-        values = [_sweep_float(parameter, v) for v in values]
-        out_dir.mkdir(parents=True, exist_ok=True)
-        with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(
-                "parameter,value,n_plus_sq,n_minus_sq,plus_status,minus_status,plus_constant,minus_constant\n"
-            )
-            for v in values:
-                m = config.medium
-                medium = GyrotropicMedium(m.epsilon1, v, m.epsilon3, m.mu)
-                n_plus_sq, n_minus_sq = refractive_indices(medium)
-                plus, minus = classify(medium, m.omega)
-                fh.write(
-                    f"{parameter},{_fmt(v)},{_fmt(n_plus_sq)},{_fmt(n_minus_sq)},"
-                    f"{plus.status},{minus.status},{_fmt(plus.propagation_constant)},{_fmt(minus.propagation_constant)}\n"
-                )
-        return 0, str(csv_path)
+        header = "n_plus_sq,n_minus_sq,plus_status,minus_status,plus_constant,minus_constant"
+    else:
+        if config.amplitudes is not None:
+            raise ConfigError("sweep", "phase sweeps need an occupation-number state")
+        header = "s3_expectation,anholonomy_integral,phi_closed"
+    points = [_sweep_point(config, parameter, v) for v in values]
 
-    if config.amplitudes is not None:
-        raise ConfigError("sweep", "phase sweeps need an occupation-number state")
-    points = []
-    for v in values:
-        n_r, n_l = config.n_r, config.n_l
-        if parameter == "lambda":
-            v = _sweep_float(parameter, v)
-            if not 0.0 <= v <= math.pi:
-                raise ConfigError("sweep", f"lambda value {v!r} outside [0, pi]")
-            geometry = ConeGeometry(polar_angle=v, turns=_sweep_base(config)[1])
-        elif parameter == "turns":
-            v = _sweep_float(parameter, v)
-            if v <= 0:
-                raise ConfigError("sweep", f"turns value {v!r} must be positive")
-            geometry = ConeGeometry(polar_angle=_sweep_base(config)[0], turns=v)
-        else:  # n_R or n_L
-            if not _sweep_float(parameter, v).is_integer() or not 0 <= int(v) <= _MAX_SWEEP_PHOTONS:
-                raise ConfigError("sweep", f"{parameter} value {_show(v)} must be an integer from 0 to 2**52 - 1")
-            v = int(v)
-            if parameter == "n_R":
-                n_r = v
-            else:
-                n_l = v
-            geometry = config.geometry
-        points.append((v, geometry, n_r, n_l))
+    anholonomy = {}  # A of each distinct swept geometry
     rows = []
-    for v, geometry, n_r, n_l in points:
-        traj = _build_trajectory(replace(config, geometry=geometry))
-        anholonomy = anholonomy_integral(spherical_angles(traj))
-        s3 = _s3_expectation(config.ordering, n_r, n_l)
-        rows.append((v, s3, anholonomy, s3 * anholonomy))
+    for value, swept in points:
+        if parameter == "epsilon2":
+            n_plus_sq, n_minus_sq, plus, minus = _dispersion(swept.medium)
+            cells = (n_plus_sq, n_minus_sq, plus.status, minus.status)
+            cells += (plus.propagation_constant, minus.propagation_constant)
+        else:
+            if swept.geometry not in anholonomy:
+                anholonomy[swept.geometry] = float(_closed_form(swept)[2][-1])
+            a = anholonomy[swept.geometry]
+            s3 = _s3_expectation(swept.ordering, swept.n_r, swept.n_l)
+            cells = (s3, a, s3 * a)
+        rows.append(",".join(map(_cell, (parameter, value, *cells))) + "\n")
+    out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    csv_path = out_dir / f"{config.name}_sweep_{parameter}.csv"
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("parameter,value,s3_expectation,anholonomy_integral,phi_closed\n")
-        for v, s3, anholonomy, phi in rows:
-            value_text = str(v) if isinstance(v, int) else _fmt(v)
-            fh.write(f"{parameter},{value_text},{_fmt(s3)},{_fmt(anholonomy)},{_fmt(phi)}\n")
+        fh.write(f"parameter,value,{header}\n")
+        fh.writelines(rows)
     return 0, str(csv_path)

@@ -141,6 +141,8 @@ HELIX_NAN_RADIUS = {"kind": "helix", "radius": float("nan"), "pitch_per_turn": 6
         ({"geometry": CONE, "tolerance": float("nan")}, [], "config.tolerance"),
         ({"geometry": HELIX_NAN_RADIUS}, [], "geometry.radius"),
         ({"geometry": CONE}, ["--sweep", "turns=nan"], "sweep"),
+        ({"geometry": CONE}, ["--sweep", "n_L=1,-inf"], "sweep"),
+        ({"geometry": CONE}, ["--sweep", "lambda= , "], "sweep"),
         ({"geometry": CONE, "state": {"amplitudes": [[float("nan"), 0.0]] + [[0.0, 0.0]] * 7}, "n_max": 1},
          [], "state.amplitudes"),
         # Sizes whose memory estimate exceeds every float.
@@ -152,7 +154,7 @@ HELIX_NAN_RADIUS = {"kind": "helix", "radius": float("nan"), "pitch_per_turn": 6
         ({"geometry": CONE, "n_max": HUGE_DIGITS}, [], "config"),
         ({"geometry": CONE, "steps": "-" + HUGE_DIGITS}, [], "config"),
     ],
-    ids=["tolerance-inf", "tolerance-nan", "radius-nan", "sweep-nan", "amplitude-nan",
+    ids=["tolerance-inf", "tolerance-nan", "radius-nan", "sweep-nan", "sweep-minus-inf", "sweep-empty", "amplitude-nan",
          "n_max-1e200", "steps-1e400", "scenario-nmax-1e110", "scenario-sweep-n_R-1e300",
          "n_max-5001-digits", "steps-5001-digits"],
 )

@@ -198,6 +198,37 @@ class TestSectorGenerators:
         dense = np.array([np.abs(op.entries[box]).max() for op in spin_fixed(space)])
         assert np.array_equal(spin_scale(space), dense)
 
+    @pytest.mark.parametrize("n_max", [7, 12, 20])
+    def test_scale_equal_to_ladder_move_scan(self, n_max):
+        # Every move b_j+ b_k of the box whose source and target lie in the block.
+        space = build_space(3, n_max)
+        n = space.basis
+        exact = (n < n_max).all(axis=1) | (n.sum(axis=1) <= n_max)
+        scan = []
+        for j, k in ((1, 2), (2, 0), (0, 1)):
+            largest = 0.0
+            for p, q in ((j, k), (k, j)):
+                step = np.zeros(3, dtype=int)
+                step[p], step[q] = 1, -1
+                moves = np.flatnonzero((n[:, q] > 0) & (n[:, p] < n_max))
+                targets = np.ravel_multi_index((n[moves] + step).T, (n_max + 1,) * 3)
+                values = np.sqrt(n[moves, p] + 1.0) * np.sqrt(n[moves, q])
+                largest = max(largest, values[exact[moves] & exact[targets]].max())
+            scan.append(largest)
+        assert np.array_equal(spin_scale(space), np.array(scan))
+
+    def test_scale_memory_is_not_box_sized(self):
+        import tracemalloc
+
+        space = build_space(3, 60)  # 226981 basis states, 60 x 60 moves
+        tracemalloc.start()
+        try:
+            spin_scale(space)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * space.dimension
+
     def test_requires_three_modes(self):
         with pytest.raises(ValueError):
             sector_generators(build_space(2, 2), [1])

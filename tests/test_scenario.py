@@ -2,6 +2,7 @@ import functools
 import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from fiberphase import (
     sweep,
 )
 from fiberphase.fock import s3_split
-from fiberphase.scenario import ORDERINGS, apply_overrides
+from fiberphase.scenario import ORDERINGS, SWEEP_PARAMETERS, apply_overrides
 
 BERRY_45 = 1.84030236902122
 
@@ -200,6 +201,19 @@ class TestParseConfig:
             parse_config(data, "t")
         assert err.value.field == "state.amplitudes"
         assert err.value.message == "expected 27 amplitudes for n_max = 2, got 8"
+
+    def test_amplitude_norm_checked_before_any_work(self, monkeypatch):
+        import fiberphase.scenario as scenario
+
+        def refuse(traj):
+            raise AssertionError("spherical_angles called")
+
+        monkeypatch.setattr(scenario, "spherical_angles", refuse)
+        data = cone_config(steps=16384, n_max=1, state={"amplitudes": [[2.0, 0.0]] + [[0.0, 0.0]] * 7})
+        with pytest.raises(ConfigError) as err:
+            parse_config(data, "t")
+        assert err.value.field == "state.amplitudes"
+        assert err.value.message == "state norm 2.0 is not 1 within 1e-6"
 
     def test_medium_validation(self):
         data = cone_config(medium={"epsilon1": -1.0, "epsilon2": 2.0, "epsilon3": 1.0, "mu": 1.0, "omega": -1.0})
@@ -686,6 +700,98 @@ class TestSweep:
         config = parse_config(cone_config(), "s")
         with pytest.raises(ConfigError, match="unknown parameter"):
             sweep(config, "pitch", [1.0], tmp_path)
+
+    @pytest.mark.parametrize(
+        "kind, parameter, values, builds",
+        [
+            ("cone", "n_R", range(8), 1),
+            ("cone", "n_L", range(8), 1),
+            ("sampled", "n_R", range(8), 1),
+            ("sampled", "n_L", range(8), 1),
+            ("cone", "lambda", [0.3, 0.5, 0.3, 0.5, 0.3], 2),
+        ],
+        ids=["n_R", "n_L", "n_R-sampled", "n_L-sampled", "lambda-repeated"],
+    )
+    def test_each_distinct_trajectory_built_once(self, monkeypatch, tmp_path, kind, parameter, values, builds):
+        import fiberphase.scenario as scenario
+
+        calls = {"spherical_angles": 0, "load_path_csv": 0}
+        for name in calls:
+            original = getattr(scenario, name)
+
+            def counted(*args, original=original, name=name):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(scenario, name, counted)
+        if kind == "sampled":
+            write_path_csv(tmp_path / "path.csv", *helix_points(make_helix(1.0, 2.0 * math.pi, 1.0, 257)))
+            data = {"geometry": {"kind": "sampled", "path_csv": "path.csv"}, "state": {"n_r": 1, "n_l": 0}}
+        else:
+            data = cone_config(steps=16384)
+        config = parse_config(data, "s", base_dir=tmp_path)
+        _, csv_path = sweep(config, parameter, values, tmp_path)
+        assert len(open(csv_path).read().splitlines()) == 1 + len(values)
+        assert calls == {"spherical_angles": builds, "load_path_csv": builds if kind == "sampled" else 0}
+
+    @pytest.mark.parametrize(
+        "parameter, values, swept",
+        [
+            ("lambda", [0.0, 0.4, 1.1], lambda data, v: data["geometry"].update(polar_angle=v)),
+            ("turns", [0.5, 1.0, 2.3], lambda data, v: data["geometry"].update(turns=v)),
+            ("n_R", [0, 1, 2], lambda data, v: data["state"].update(n_r=v)),
+        ],
+        ids=["lambda", "turns", "n_R"],
+    )
+    def test_rows_equal_run_of_swept_config(self, tmp_path, parameter, values, swept):
+        # Every row is the run's closed form on the template with that value in, bit for bit.
+        import fiberphase.scenario as scenario
+
+        template = cone_config(polar=0.7, steps=128, ordering="nonnormal_r", state={"n_r": 0, "n_l": 0})
+        _, csv_path = sweep(parse_config(template, "s"), parameter, values, tmp_path)
+        rows = [line.split(",") for line in open(csv_path).read().splitlines()[1:]]
+        assert len(rows) == len(values)
+        for row, v in zip(rows, values):
+            data = json.loads(json.dumps(template))
+            swept(data, v)
+            summary = scenario.evaluate_scenario(parse_config(data, "run"))
+            expected = (
+                summary["spin_expectations"]["s3_attributed"],
+                summary["closed_form"]["anholonomy_integral"],
+                summary["closed_form"]["phi_attributed"],
+            )
+            assert tuple(float(x) for x in row[2:]) == expected
+
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(
+        parameter=st.one_of(st.sampled_from(SWEEP_PARAMETERS), st.text(max_size=4)),
+        values=st.lists(
+            st.one_of(
+                st.integers(-3, 12),
+                st.sampled_from([2**52 - 1, 2**52, 10**400, HUGE, -HUGE]),
+                st.floats(allow_nan=True, allow_infinity=True),
+                st.text(max_size=3),
+            ),
+            max_size=4,
+        ),
+        medium=st.booleans(),
+        amplitudes=st.booleans(),
+    )
+    def test_fuzzed_sweep_writes_a_row_per_value_or_refuses(self, parameter, values, medium, amplitudes):
+        import tempfile
+
+        extra = {"medium": {"epsilon1": -1.0, "epsilon2": 2.0, "epsilon3": 1.0, "mu": 1.0}} if medium else {}
+        if amplitudes:
+            extra.update(n_max=1, state={"amplitudes": [[0.0, 0.0]] * 4 + [[1.0, 0.0]] + [[0.0, 0.0]] * 3})
+        config = parse_config(cone_config(steps=64, **extra), "fuzz")
+        with tempfile.TemporaryDirectory() as out:
+            try:
+                _, csv_path = sweep(config, parameter, values, out)
+            except ConfigError as err:
+                assert err.field == "sweep"
+                assert not list(Path(out).glob("*"))
+            else:
+                assert len(open(csv_path).read().splitlines()) == 1 + len(values)
 
 
 class TestDeterminism:
