@@ -2,13 +2,16 @@
 
 The photon wave vector follows the local fibre tangent, so everything
 downstream only needs the unit tangent k(t), its time derivative, and
-the unwrapped spherical angles of k(t).  Helix and cone constructors
-produce those analytically; sampled point lists fall back to
-second-order finite differences.  The anholonomy integral, the
-geodesic closure of an open trace, the precession field u and the
-equation-of-motion residual live here too: they depend on the tangent
-kinematics alone.  A trajectory builds u and the residual once, on first
-use, and every check and the evolution read that one copy.
+the spherical angles of k(t).  Helix and cone constructors produce
+those analytically; sampled point lists fall back to second-order
+finite differences.  The anholonomy integral, the geodesic closure of
+an open trace, the precession field u and the equation-of-motion
+residual live here too: they depend on the tangent kinematics alone.
+A trajectory builds u and the residual once, on first use, and every
+check and the evolution read that one copy.  spherical_angles
+normalises the tangents once and keeps them, so callers read unit
+tangents from the angles; the unwrapped azimuth is built only when it
+is read, which only a run's CSV does.
 """
 
 from __future__ import annotations
@@ -265,47 +268,82 @@ def cone_trajectory(
     t = np.linspace(0.0, 1.0, samples)
     gamma = azimuth_offset + TWO_PI * turns * t
     sl, cl = math.sin(polar_angle), math.cos(polar_angle)
-    tangents = np.column_stack([sl * np.cos(gamma), sl * np.sin(gamma), np.full_like(gamma, cl)])
     rate = TWO_PI * turns
-    derivatives = np.column_stack(
-        [-sl * np.sin(gamma) * rate, sl * np.cos(gamma) * rate, np.zeros_like(gamma)]
-    )
+    cos_g, sin_g = np.cos(gamma), np.sin(gamma)
+    tangents = np.empty((samples, 3))
+    np.multiply(sl, cos_g, out=tangents[:, 0])
+    np.multiply(sl, sin_g, out=tangents[:, 1])
+    tangents[:, 2] = cl
+    # kdot = (-sl sin, sl cos, 0) * rate, each column multiplied in that order.
+    derivatives = np.empty((samples, 3))
+    np.multiply(np.multiply(-sl, sin_g, out=sin_g), rate, out=derivatives[:, 0])
+    np.multiply(np.multiply(sl, cos_g, out=cos_g), rate, out=derivatives[:, 1])
+    derivatives[:, 2] = 0.0
     return TangentTrajectory(times=t, tangents=tangents, derivatives=derivatives)
 
 
 @dataclass(frozen=True)
 class AngleTrajectory:
-    """Unwrapped spherical angles of a tangent trajectory.
+    """Spherical angles of a tangent trajectory.
 
-    lam is the polar angle in [0, pi]; gamma is the azimuth, kept
-    continuous rather than reduced mod 2*pi; gamma_dot is the azimuth
-    rate derived from the trajectory's own tangent-derivative data.
+    unit_tangents holds the normalised tangents k/|k|; lam is their
+    polar angle in [0, pi] and gamma_dot the azimuth rate derived from
+    the trajectory's own tangent-derivative data.  The unwrapped azimuth
+    gamma is built from unit_tangents on first use: the anholonomy reads
+    only lam and gamma_dot, so a closed-form sweep never unwraps it.
     """
 
     times: np.ndarray
+    unit_tangents: np.ndarray
     lam: np.ndarray
-    gamma: np.ndarray
     gamma_dot: np.ndarray
 
     def anholonomy_rate(self) -> np.ndarray:
         """Integrand gamma_dot * (1 - cos(lam)) of the anholonomy integral."""
         return self.gamma_dot * (1.0 - np.cos(self.lam))
 
+    @cached_property
+    def gamma(self) -> np.ndarray:
+        """Azimuth kept continuous rather than reduced mod 2*pi, built once.
+
+        Off the poles it is the raw atan2 value plus the whole turns
+        counted by the cumulative sum of wrapped increments between
+        consecutive off-pole samples.  A sample within POLE_SIN_TOL of a
+        pole repeats the previous value (0 before the first off-pole
+        sample).
+        """
+        k = self.unit_tangents
+        live = _off_pole(k)
+        pole_free = bool(live.all())
+        off = k if pole_free else k[live]
+        raw = np.arctan2(off[:, 1], off[:, 0])
+        # Leading pole samples anchor the first increment at azimuth 0.
+        step = np.diff(raw, prepend=raw[:1] if live[0] else 0.0)
+        unwrapped = raw + TWO_PI * np.cumsum(np.rint((wrap_angle(step) - step) / TWO_PI))
+        if pole_free:
+            return unwrapped
+        n = len(k)
+        gamma = np.zeros(n)
+        gamma[live] = unwrapped
+        # Pole samples repeat the last off-pole value; sample 0 is 0 if it is a pole.
+        return gamma[np.maximum.accumulate(np.where(live, np.arange(n), 0))]
+
+
+def _off_pole(unit_tangents: np.ndarray) -> np.ndarray:
+    """Mask of the unit tangents at least POLE_SIN_TOL away from both poles."""
+    return np.hypot(unit_tangents[:, 0], unit_tangents[:, 1]) >= POLE_SIN_TOL
+
 
 def spherical_angles(traj: TangentTrajectory) -> AngleTrajectory:
-    """Polar/azimuth angles of the tangents, azimuth unwrapped.
+    """Polar angle, azimuth rate and unit tangents of a trajectory.
 
-    Where the tangent passes within POLE_SIN_TOL of a pole the azimuth is
-    frozen at its previous value (0 before the first off-pole sample) and
-    its rate forced to zero; the phase integrand vanishes there, so the
-    convention cannot bias any phase.  Off the poles the azimuth is the
-    raw atan2 value plus the whole turns counted by the cumulative sum of
-    wrapped increments between consecutive off-pole samples.
-
-    The azimuth rate comes from the identity
+    Where the tangent passes within POLE_SIN_TOL of a pole the azimuth
+    rate is forced to zero; the phase integrand vanishes there, so the
+    convention cannot bias any phase.  The rate comes from the identity
     gamma_dot = (k1 kdot2 - k2 kdot1) / (k1^2 + k2^2), which is scale
     invariant and carries exactly the accuracy of the stored derivative
-    data instead of adding another differencing layer.
+    data instead of adding another differencing layer.  The unwrapped
+    azimuth is AngleTrajectory.gamma, built only when read.
     """
     raw_k = np.asarray(traj.tangents, dtype=float)
     norms = np.linalg.norm(raw_k, axis=1)
@@ -313,26 +351,14 @@ def spherical_angles(traj: TangentTrajectory) -> AngleTrajectory:
         raise ValueError("tangent with zero magnitude")
     k = raw_k / norms[:, None]
     lam = np.arccos(np.clip(k[:, 2], -1.0, 1.0))
-    sin_lam = np.hypot(k[:, 0], k[:, 1])
-    live = sin_lam >= POLE_SIN_TOL
-
-    n = len(lam)
-    raw = np.arctan2(k[live, 1], k[live, 0])
-    # Leading pole samples anchor the first increment at azimuth 0.
-    step = np.diff(raw, prepend=raw[:1] if live[0] else 0.0)
-    turns = np.cumsum(np.rint((wrap_angle(step) - step) / TWO_PI))
-    gamma = np.zeros(n)
-    gamma[live] = raw + TWO_PI * turns
-    # Pole samples repeat the last off-pole value; sample 0 is 0 if it is a pole.
-    gamma = gamma[np.maximum.accumulate(np.where(live, np.arange(n), 0))]
+    live = _off_pole(k)
 
     kd = np.asarray(traj.derivatives, dtype=float)
     transverse_sq = raw_k[:, 0] ** 2 + raw_k[:, 1] ** 2
-    gamma_dot = np.zeros(n)
-    gamma_dot[live] = (
-        raw_k[live, 0] * kd[live, 1] - raw_k[live, 1] * kd[live, 0]
-    ) / transverse_sq[live]
-    return AngleTrajectory(times=traj.times.copy(), lam=lam, gamma=gamma, gamma_dot=gamma_dot)
+    gamma_dot = np.divide(
+        raw_k[:, 0] * kd[:, 1] - raw_k[:, 1] * kd[:, 0], transverse_sq, out=np.zeros(len(lam)), where=live
+    )
+    return AngleTrajectory(times=traj.times.copy(), unit_tangents=k, lam=lam, gamma_dot=gamma_dot)
 
 
 def anholonomy_integral(angles: AngleTrajectory, t_end: float | None = None) -> float:

@@ -185,6 +185,16 @@ def lvn_residual(traj: TangentTrajectory, space: FockSpace, t: float) -> float:
     return float(_lvn_residuals(traj, spin_scale(space), np.array([i]))[0])
 
 
+def check_rk4_grid(times: np.ndarray) -> None:
+    """Raise ValueError unless times holds 2N+1 samples, each odd one centred between its neighbours."""
+    n = len(times)
+    if n < 3 or n % 2 == 0:
+        raise ValueError(f"trajectory grid must hold an odd number >= 3 of samples, got {n}")
+    halves = np.diff(times)
+    if np.abs(halves[0::2] - halves[1::2]).max() > 1e-9 * halves.max():
+        raise ValueError("each RK4 step needs its midpoint sample centered in the pane")
+
+
 def evolve_state(psi0: StateVector, traj: TangentTrajectory) -> EvolutionResult:
     """Integrate i d|psi>/dt = H(t)|psi> along the trajectory grid.
 
@@ -211,17 +221,12 @@ def evolve_state(psi0: StateVector, traj: TangentTrajectory) -> EvolutionResult:
     radius N|u| and, by Cauchy interlacing, a sector cut off at n_max no
     larger; it is enforced and reported, never silently accepted.
     """
-    n = len(traj.times)
-    if n < 3 or n % 2 == 0:
-        raise ValueError(f"trajectory grid must hold an odd number >= 3 of samples, got {n}")
+    check_rk4_grid(traj.times)
     if abs(psi0.norm() - 1.0) > 1e-9:
         raise ValueError(f"initial state must be normalized, |norm - 1| = {abs(psi0.norm() - 1.0):.3e}")
 
     times = traj.times
-    halves = np.diff(times)
-    if np.abs(halves[0::2] - halves[1::2]).max() > 1e-9 * halves.max():
-        raise ValueError("each RK4 step needs its midpoint sample centered in the pane")
-
+    n = len(times)
     u = traj.precession_field
     sectors = occupied_sectors(psi0)
     keep, a = sector_generators(psi0.space, sectors)
@@ -235,6 +240,9 @@ def evolve_state(psi0: StateVector, traj: TangentTrajectory) -> EvolutionResult:
 
     steps = (n - 1) // 2
     d = len(keep)
+    # Distinct mode pairs never share a matrix entry, so each entry of u.A has
+    # one nonzero term and this product has the bits of _field_operator(u, a).
+    flat_a = np.reshape(a, (3, d * d))
     chunk = max(1, CHUNK_BYTES // (8 * d * d))
     eye = np.eye(d)
     states = np.empty((steps + 1, d), dtype=complex)
@@ -247,9 +255,10 @@ def evolve_state(psi0: StateVector, traj: TangentTrajectory) -> EvolutionResult:
         # The RK4 stages applied to the identity, with K = -u.A real:
         # psi -> m[j] @ psi is step start + j.
         h = step_h[start:stop, None, None]
-        g0 = _field_operator(u[2 * start : 2 * stop : 2], a)
-        g1 = _field_operator(u[2 * start + 1 : 2 * stop : 2], a)
-        g2 = _field_operator(u[2 * start + 2 : 2 * stop + 1 : 2], a)
+        # Step j ends on the sample step j + 1 starts from.
+        g_even = (u[2 * start : 2 * stop + 1 : 2] @ flat_a).reshape(-1, d, d)
+        g0, g2 = g_even[:-1], g_even[1:]
+        g1 = (u[2 * start + 1 : 2 * stop : 2] @ flat_a).reshape(-1, d, d)
         k1 = -g0
         k2 = -(g1 @ (eye + 0.5 * h * k1))
         k3 = -(g1 @ (eye + 0.5 * h * k2))

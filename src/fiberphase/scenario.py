@@ -33,7 +33,7 @@ from .geometry import (
     CLOSURE_TOL,
 )
 from .media import DispersionVerdict, GyrotropicMedium, classify
-from .phases import PhaseBreakdown, evolve_state, phase_series
+from .phases import PhaseBreakdown, check_rk4_grid, evolve_state, phase_series
 
 ORDERINGS = ("normal", "nonnormal_r", "nonnormal_l", "nonnormal_total")
 SWEEP_PARAMETERS = ("lambda", "turns", "n_R", "n_L", "epsilon2")
@@ -60,6 +60,10 @@ _DENSE_COPIES_3MODE = 12
 _BYTES_PER_SAMPLE = 288
 # Below 2**52 a float still holds the half quantum of n + 1/2.
 _MAX_SWEEP_PHOTONS = 2**52 - 1
+# Most turns a geometry may have.  |A| <= 4*pi*turns, a Simpson pane sums
+# six times its largest integrand sample, and phi_closed is A times up to
+# 2**52 photons: all stay finite, where 2*pi*turns alone can overflow them.
+MAX_TURNS = 1e290
 
 
 class ConfigError(ValueError):
@@ -167,6 +171,11 @@ def _get_number(mapping: dict, key: str, where: str) -> float:
     return value
 
 
+def _check_turns(turns: float, field: str, what: str) -> None:
+    if not 0.0 < turns <= MAX_TURNS:
+        raise ConfigError(field, f"{what} must lie in (0, {MAX_TURNS:g}]")
+
+
 def _get_int(mapping: dict, key: str, where: str) -> int:
     if key not in mapping:
         raise ConfigError(f"{where}.{key}", "missing required key")
@@ -187,8 +196,7 @@ def _parse_geometry(data, base_dir: Path) -> HelixGeometry | ConeGeometry | Samp
         turns = _get_number(data, "turns", "geometry")
         if radius <= 0:
             raise ConfigError("geometry.radius", "must be positive")
-        if turns <= 0:
-            raise ConfigError("geometry.turns", "must be positive")
+        _check_turns(turns, "geometry.turns", f"turns {turns!r}")
         return HelixGeometry(radius, pitch, turns)
     if kind == "cone":
         _check_keys(data, {"kind", "polar_angle", "turns"}, "geometry")
@@ -196,8 +204,7 @@ def _parse_geometry(data, base_dir: Path) -> HelixGeometry | ConeGeometry | Samp
         turns = _get_number(data, "turns", "geometry")
         if not 0.0 <= polar <= math.pi:
             raise ConfigError("geometry.polar_angle", "must lie in [0, pi]")
-        if turns <= 0:
-            raise ConfigError("geometry.turns", "must be positive")
+        _check_turns(turns, "geometry.turns", f"turns {turns!r}")
         return ConeGeometry(polar, turns)
     if kind == "sampled":
         _check_keys(data, {"kind", "path_csv"}, "geometry")
@@ -375,12 +382,11 @@ def _build_trajectory(config: ScenarioConfig):
         raise ConfigError("geometry.path_csv", str(exc)) from None
     _check_budget("geometry.path_csv", sum(_run_bytes(config.n_max, (rows - 1) // 2)), f"a path of {rows} rows")
     try:
-        traj = tangent_trajectory(load_path_csv(g.path_csv))
+        path = load_path_csv(g.path_csv)
+        check_rk4_grid(path.times)
+        return tangent_trajectory(path)
     except (ValueError, OSError) as exc:
         raise ConfigError("geometry.path_csv", str(exc)) from None
-    if len(traj.times) % 2 == 0:
-        raise ConfigError("geometry.path_csv", "sampled path needs an odd number of rows for RK4 panes")
-    return traj
 
 
 def _s3_expectation(ordering: str, n_r: int, n_l: int) -> float:
@@ -432,7 +438,7 @@ def evaluate_scenario(config: ScenarioConfig) -> dict:
     traj, angles, running = _closed_form(config)
     anholonomy = float(running[-1])
 
-    k = traj.tangents / np.linalg.norm(traj.tangents, axis=1)[:, None]
+    k = angles.unit_tangents
     closure_gap = float(np.linalg.norm(k[-1] - k[0]))
     closed = closure_gap < CLOSURE_TOL
     closure = geodesic_closure(k[0], k[-1])
@@ -526,6 +532,8 @@ def evaluate_scenario(config: ScenarioConfig) -> dict:
             ],
         }
 
+    # The CSV's azimuth column, unwrapped here so that the writer's scratch stays one row block.
+    angles.gamma
     summary["_series"] = {
         "angles": angles,
         "anholonomy": running,
@@ -748,8 +756,7 @@ def _sweep_point(config: ScenarioConfig, parameter: str, value) -> tuple[int | f
         if not 0.0 <= x <= math.pi:
             raise ConfigError("sweep", f"lambda value {x!r} outside [0, pi]")
         return x, replace(config, geometry=ConeGeometry(polar_angle=x, turns=_sweep_base(config)[1]))
-    if x <= 0:
-        raise ConfigError("sweep", f"turns value {x!r} must be positive")
+    _check_turns(x, "sweep", f"turns value {x!r}")
     return x, replace(config, geometry=ConeGeometry(polar_angle=_sweep_base(config)[0], turns=x))
 
 

@@ -150,12 +150,17 @@ HELIX_NAN_RADIUS = {"kind": "helix", "radius": float("nan"), "pitch_per_turn": 6
         ({"geometry": CONE, "steps": 10**400}, [], "steps"),
         (None, ["--scenario", "chiao-helix-45", "--nmax", str(10**110)], "n_max"),
         (None, ["--scenario", "chiao-helix-45", "--sweep", "n_R=1e300"], "sweep"),
+        # Turns whose closed form overflows: 2*pi*turns itself, or only the quadrature.
+        ({"geometry": {**CONE, "turns": 1e308}}, [], "geometry.turns"),
+        ({"geometry": CONE}, ["--sweep", "turns=1,1e308"], "sweep"),
+        ({"geometry": CONE}, ["--sweep", "turns=5e306"], "sweep"),
         # Ints past the interpreter's digit limit.
         ({"geometry": CONE, "n_max": HUGE_DIGITS}, [], "config"),
         ({"geometry": CONE, "steps": "-" + HUGE_DIGITS}, [], "config"),
     ],
     ids=["tolerance-inf", "tolerance-nan", "radius-nan", "sweep-nan", "sweep-minus-inf", "sweep-empty", "amplitude-nan",
          "n_max-1e200", "steps-1e400", "scenario-nmax-1e110", "scenario-sweep-n_R-1e300",
+         "turns-1e308", "sweep-turns-1e308", "sweep-turns-5e306",
          "n_max-5001-digits", "steps-5001-digits"],
 )
 def test_non_finite_input_rejected_before_work(tmp_path, capsys, config, args, field):
@@ -185,6 +190,10 @@ def test_non_object_config_is_validation_error(tmp_path, capsys, document):
 
 
 PATH_ROWS = "t,x,y,z\n0,1,0,0\n0.5,0,1,0.5\n1,-1,0,1\n"
+# Nine points of a helix at t = s^1.5: no RK4 pane has its midpoint centred.
+WARPED_ROWS = "t,x,y,z\n" + "".join(
+    f"{(i / 8) ** 1.5!r},{math.cos(i / 4)!r},{math.sin(i / 4)!r},{i / 8!r}\n" for i in range(9)
+)
 
 
 @pytest.mark.parametrize(
@@ -195,8 +204,9 @@ PATH_ROWS = "t,x,y,z\n0,1,0,0\n0.5,0,1,0.5\n1,-1,0,1\n"
         ("header.csv", PATH_ROWS.replace("t,x,y,z", "t,x,y")),
         ("empty.csv", "t,x,y,z\n\n"),
         ("garbled.csv", PATH_ROWS.replace("0.5,0,1", "0.5,zero,1")),
+        ("warped.csv", WARPED_ROWS),
     ],
-    ids=["missing-file", "directory", "bad-header", "no-rows", "unparsable-row"],
+    ids=["missing-file", "directory", "bad-header", "no-rows", "unparsable-row", "non-centred"],
 )
 def test_sampled_path_errors_name_the_path(tmp_path, capsys, name, text):
     if name == "folder":

@@ -141,6 +141,94 @@ class TestTangentTrajectory:
             sampled_path(t8, pts_rep)
 
 
+def column_stack_cone(polar_angle, turns, samples, azimuth_offset):
+    """The cone field built column by column with np.column_stack, the reference for cone_trajectory."""
+    t = np.linspace(0.0, 1.0, samples)
+    gamma = azimuth_offset + 2.0 * math.pi * turns * t
+    sl, cl = math.sin(polar_angle), math.cos(polar_angle)
+    rate = 2.0 * math.pi * turns
+    tangents = np.column_stack([sl * np.cos(gamma), sl * np.sin(gamma), np.full_like(gamma, cl)])
+    derivatives = np.column_stack([-sl * np.sin(gamma) * rate, sl * np.cos(gamma) * rate, np.zeros_like(gamma)])
+    return t, tangents, derivatives
+
+
+def eager_angles(traj):
+    """(unit tangents, lam, gamma, gamma_dot) with the azimuth unwrapped up front, every array through the pole mask."""
+    raw_k = traj.tangents
+    k = raw_k / np.linalg.norm(raw_k, axis=1)[:, None]
+    lam = np.arccos(np.clip(k[:, 2], -1.0, 1.0))
+    live = np.hypot(k[:, 0], k[:, 1]) >= geometry.POLE_SIN_TOL
+    n = len(lam)
+    raw = np.arctan2(k[live, 1], k[live, 0])
+    step = np.diff(raw, prepend=raw[:1] if live[0] else 0.0)
+    turns = np.cumsum(np.rint((geometry.wrap_angle(step) - step) / (2.0 * math.pi)))
+    gamma = np.zeros(n)
+    gamma[live] = raw + 2.0 * math.pi * turns
+    gamma = gamma[np.maximum.accumulate(np.where(live, np.arange(n), 0))]
+    kd = traj.derivatives
+    transverse_sq = raw_k[:, 0] ** 2 + raw_k[:, 1] ** 2
+    gamma_dot = np.zeros(n)
+    gamma_dot[live] = (raw_k[live, 0] * kd[live, 1] - raw_k[live, 1] * kd[live, 0]) / transverse_sq[live]
+    return k, lam, gamma, gamma_dot
+
+
+def meridian_trajectory(samples):
+    """A great circle through both poles, traced at unit rate, scaled by 3 so the tangents are not unit."""
+    theta = np.linspace(0.0, 2.0 * math.pi, samples)
+    tangents = 3.0 * np.column_stack([np.sin(theta), np.zeros(samples), np.cos(theta)])
+    derivatives = 3.0 * np.column_stack([np.cos(theta), np.zeros(samples), -np.sin(theta)])
+    return TangentTrajectory(np.linspace(0.0, 1.0, samples), tangents, derivatives)
+
+
+class TestLeanChain:
+    @pytest.mark.parametrize(
+        "polar, turns, offset",
+        [(0.0, 1.0, 0.0), (0.7, 1.3, 0.0), (math.pi / 4.0, 2.0, math.pi / 2.0), (math.pi / 2.0, 0.25, -1.1),
+         (2.9, 7.5, 3.0), (math.pi, 1.0, 0.4)],
+    )
+    def test_cone_matches_column_stack(self, polar, turns, offset):
+        traj = cone_trajectory(polar, turns, 1025, azimuth_offset=offset)
+        t, tangents, derivatives = column_stack_cone(polar, turns, 1025, offset)
+        assert np.array_equal(traj.times, t)
+        assert np.array_equal(traj.tangents, tangents)
+        assert np.array_equal(traj.derivatives, derivatives)
+        # Bit for bit, signed zeros included.
+        assert np.array_equal(np.signbit(traj.derivatives), np.signbit(derivatives))
+
+    @pytest.mark.parametrize(
+        "make, poles",
+        [
+            (lambda: cone_trajectory(0.7, 1.3, 1025), False),
+            (lambda: tangent_trajectory(make_helix(0.5, 1.0, 3.0, 513)), False),
+            (lambda: trajectory_from_tangents(np.linspace(0.0, 1.0, 257), np.column_stack(
+                [np.cos(9.0 * np.linspace(0.0, 1.0, 257)), np.sin(5.0 * np.linspace(0.0, 1.0, 257)),
+                 np.full(257, 0.4)])), False),
+            (lambda: meridian_trajectory(513), True),
+            (lambda: cone_trajectory(0.0, 1.0, 33), True),
+            (lambda: cone_trajectory(math.pi, 2.0, 65), True),
+        ],
+        ids=["cone", "helix", "wobble", "meridian", "north-pole", "south-pole"],
+    )
+    def test_angles_match_eager_formula(self, make, poles):
+        traj = make()
+        angles = spherical_angles(traj)
+        k, lam, gamma, gamma_dot = eager_angles(traj)
+        live = np.hypot(k[:, 0], k[:, 1]) >= geometry.POLE_SIN_TOL
+        assert live.all() != poles
+        assert "gamma" not in angles.__dict__
+        assert np.array_equal(angles.unit_tangents, k)
+        assert np.array_equal(angles.lam, lam)
+        assert np.array_equal(angles.gamma_dot, gamma_dot)
+        assert np.array_equal(angles.gamma, gamma)
+        assert angles.gamma is angles.gamma  # built once
+
+    def test_unit_tangents_are_normalised_once(self):
+        traj = cone_trajectory(0.9, 1.0, 129).scaled(2.5)
+        unit = spherical_angles(traj).unit_tangents
+        assert np.array_equal(unit, traj.tangents / np.linalg.norm(traj.tangents, axis=1)[:, None])
+        assert np.abs(np.linalg.norm(unit, axis=1) - 1.0).max() < 1e-15
+
+
 class TestSphericalAngles:
     def test_pole_convention(self):
         traj = cone_trajectory(0.0, 1.0, 65)

@@ -29,7 +29,8 @@ from fiberphase import (
     trajectory_from_tangents,
     wrap_angle,
 )
-from fiberphase.phases import CHUNK_BYTES
+from fiberphase.fock import occupied_sectors, sector_generators
+from fiberphase.phases import CHUNK_BYTES, _field_operator
 
 BERRY_45 = 1.84030236902122  # 2*pi*(1 - cos(pi/4))
 
@@ -351,6 +352,42 @@ class TestChunkedPropagators:
             for psi, ui in zip(result.states, field_along(traj)[::2])
         ]
         assert np.array_equal(result.energies, energies)
+
+    @pytest.mark.parametrize("photons", [0, 1, 2, 3, 4])
+    def test_matches_per_sample_field_operators(self, photons):
+        # d = 1, 3, 6, 10, 15.  The step loop with u.A built term by term at
+        # each of a step's three samples, the reference for the batched products.
+        space = build_space(3, 4)
+        psi0 = build_photon_state(space, photons // 2 + photons % 2, photons // 2)
+        traj = random_smooth_field(513)
+        result = evolve_state(psi0, traj)
+        keep, a = sector_generators(space, occupied_sectors(psi0))
+        u, d = traj.precession_field, len(keep)
+        step_h = traj.times[2::2] - traj.times[0:-2:2]
+        chunk = max(1, CHUNK_BYTES // (8 * d * d))
+        eye = np.eye(d)
+        psi = psi0.amplitudes[keep]
+        states, energies = [psi], []
+        for start in range(0, result.steps, chunk):
+            stop = min(start + chunk, result.steps)
+            h = step_h[start:stop, None, None]
+            g0 = _field_operator(u[2 * start : 2 * stop : 2], a)
+            g1 = _field_operator(u[2 * start + 1 : 2 * stop : 2], a)
+            g2 = _field_operator(u[2 * start + 2 : 2 * stop + 1 : 2], a)
+            k1 = -g0
+            k2 = -(g1 @ (eye + 0.5 * h * k1))
+            k3 = -(g1 @ (eye + 0.5 * h * k2))
+            k4 = -(g2 @ (eye + h * k3))
+            m = (eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)).astype(complex)
+            for mj, gj in zip(m, g0):
+                energies.append(np.vdot(psi, (-1j * gj) @ psi).real)
+                psi = mj @ psi
+                states.append(psi)
+        energies.append(np.vdot(psi, (-1j * _field_operator(u[-1], a)) @ psi).real)
+        assert np.array_equal(result.states, states)
+        assert np.array_equal(np.signbit(result.states.view(float)), np.signbit(np.array(states).view(float)))
+        assert np.array_equal(result.energies, energies)
+        assert np.array_equal(np.signbit(result.energies), np.signbit(energies))
 
     @pytest.mark.parametrize("steps", [1024, 8192])
     @pytest.mark.parametrize("photons, n_max", [(1, 1), (4, 4)])

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fiberphase import (
     BUILTIN_SCENARIOS,
@@ -344,6 +344,27 @@ class TestOpenTrace:
 
 
 class TestRunScenario:
+    @pytest.mark.parametrize(
+        "rows, warp",
+        [(513, lambda s: s**1.5), (512, lambda s: s)],
+        ids=["non-centred", "even-rows"],
+    )
+    def test_sampled_grid_refused_before_angles(self, monkeypatch, tmp_path, rows, warp):
+        # A t = s^1.5 path has no RK4 pane with its midpoint centred; an even row count has no last pane.
+        import fiberphase.scenario as scenario
+
+        def refuse(traj):
+            raise AssertionError("spherical_angles called")
+
+        monkeypatch.setattr(scenario, "spherical_angles", refuse)
+        _, pts = helix_points(make_helix(1.0, 2.0 * math.pi, 1.0, rows))
+        write_path_csv(tmp_path / "path.csv", warp(np.linspace(0.0, 1.0, rows)), pts)
+        data = {"geometry": {"kind": "sampled", "path_csv": "path.csv"}, "state": {"n_r": 1, "n_l": 0}}
+        with pytest.raises(ConfigError) as err:
+            run_scenario(parse_config(data, "grid", base_dir=tmp_path), tmp_path / "out")
+        assert err.value.field == "geometry.path_csv"
+        assert not list((tmp_path / "out").glob("*"))
+
     def test_writes_artifacts_and_passes(self, tmp_path):
         config = parse_config(cone_config(), "demo")
         outcome = run_scenario(config, tmp_path)
@@ -734,6 +755,28 @@ class TestSweep:
         assert len(open(csv_path).read().splitlines()) == 1 + len(values)
         assert calls == {"spherical_angles": builds, "load_path_csv": builds if kind == "sampled" else 0}
 
+    def test_sweep_never_unwraps_the_azimuth(self, monkeypatch, tmp_path):
+        import fiberphase.geometry as geometry
+        import fiberphase.scenario as scenario
+
+        built = []
+        original = scenario.spherical_angles
+
+        def kept(traj):
+            built.append(original(traj))
+            return built[-1]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("azimuth unwrapped in a sweep")
+
+        monkeypatch.setattr(scenario, "spherical_angles", kept)
+        monkeypatch.setattr(geometry.np, "arctan2", refuse)
+        values = [0.1 * i for i in range(1, 9)]
+        _, csv_path = sweep(parse_config(cone_config(steps=256), "s"), "lambda", values, tmp_path)
+        assert len(open(csv_path).read().splitlines()) == 1 + len(values)
+        assert len(built) == len(values)
+        assert all("gamma" not in angles.__dict__ for angles in built)
+
     @pytest.mark.parametrize(
         "parameter, values, swept",
         [
@@ -768,7 +811,7 @@ class TestSweep:
         values=st.lists(
             st.one_of(
                 st.integers(-3, 12),
-                st.sampled_from([2**52 - 1, 2**52, 10**400, HUGE, -HUGE]),
+                st.sampled_from([2**52 - 1, 2**52, 10**400, HUGE, -HUGE, 1e308, 5e306]),
                 st.floats(allow_nan=True, allow_infinity=True),
                 st.text(max_size=3),
             ),
@@ -777,6 +820,9 @@ class TestSweep:
         medium=st.booleans(),
         amplitudes=st.booleans(),
     )
+    # 2*pi*turns overflows at 1e308; at 5e306 only the quadrature does.
+    @example(parameter="turns", values=[1.0, 1e308], medium=False, amplitudes=False)
+    @example(parameter="turns", values=[5e306], medium=False, amplitudes=False)
     def test_fuzzed_sweep_writes_a_row_per_value_or_refuses(self, parameter, values, medium, amplitudes):
         import tempfile
 
@@ -791,7 +837,13 @@ class TestSweep:
                 assert err.field == "sweep"
                 assert not list(Path(out).glob("*"))
             else:
-                assert len(open(csv_path).read().splitlines()) == 1 + len(values)
+                header, *rows = open(csv_path).read().splitlines()
+                assert len(rows) == len(values)
+                for row in rows:
+                    cells = row.split(",")
+                    assert len(cells) == len(header.split(",")) and cells[0] == parameter
+                    numbers = [c for c in cells[1:] if c not in ("propagating", "evanescent")]
+                    assert all(math.isfinite(float(c)) for c in numbers), row
 
 
 class TestDeterminism:
