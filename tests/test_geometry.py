@@ -222,12 +222,6 @@ class TestLeanChain:
         assert np.array_equal(angles.gamma, gamma)
         assert angles.gamma is angles.gamma  # built once
 
-    def test_unit_tangents_are_normalised_once(self):
-        traj = cone_trajectory(0.9, 1.0, 129).scaled(2.5)
-        unit = spherical_angles(traj).unit_tangents
-        assert np.array_equal(unit, traj.tangents / np.linalg.norm(traj.tangents, axis=1)[:, None])
-        assert np.abs(np.linalg.norm(unit, axis=1) - 1.0).max() < 1e-15
-
 
 class TestSphericalAngles:
     def test_pole_convention(self):
