@@ -314,14 +314,11 @@ class AngleTrajectory:
         """
         k = self.unit_tangents
         live = _off_pole(k)
-        pole_free = bool(live.all())
-        off = k if pole_free else k[live]
+        off = k[live]
         raw = np.arctan2(off[:, 1], off[:, 0])
         # Leading pole samples anchor the first increment at azimuth 0.
         step = np.diff(raw, prepend=raw[:1] if live[0] else 0.0)
         unwrapped = raw + TWO_PI * np.cumsum(np.rint((wrap_angle(step) - step) / TWO_PI))
-        if pole_free:
-            return unwrapped
         n = len(k)
         gamma = np.zeros(n)
         gamma[live] = unwrapped

@@ -271,7 +271,8 @@ def evolve_state(psi0: StateVector, traj: TangentTrajectory) -> EvolutionResult:
         # the bits np.vdot gives on the contiguous rows.
         before = states[start:stop, :, None]
         energies[start:stop] = (before.conj().transpose(0, 2, 1) @ ((-1j * g0) @ before))[:, 0, 0].real
-    energies[steps] = np.vdot(psi, (-1j * _field_operator(u[-1], a)) @ psi).real
+    # The last chunk's final g_even is u[-1].A.
+    energies[steps] = np.vdot(psi, (-1j * g_even[-1]) @ psi).real
 
     boundary = np.arange(0, n, 2)
     return EvolutionResult(

@@ -23,7 +23,7 @@ from fiberphase import (
     sweep,
 )
 from fiberphase.fock import s3_split
-from fiberphase.scenario import ORDERINGS, SWEEP_PARAMETERS, apply_overrides
+from fiberphase.scenario import MAX_TURNS, ORDERINGS, SWEEP_PARAMETERS, apply_overrides
 
 BERRY_45 = 1.84030236902122
 
@@ -777,6 +777,17 @@ class TestSweep:
         assert len(built) == len(values)
         assert all("gamma" not in angles.__dict__ for angles in built)
 
+    @pytest.mark.parametrize("parameter", ["n_R", "n_L"])
+    def test_photon_sweep_at_turns_bound_is_finite(self, tmp_path, parameter):
+        # The largest accepted geometry, swept up to the largest accepted photon number.
+        template = cone_config(polar=math.pi / 2.0, steps=64)
+        template["geometry"]["turns"] = MAX_TURNS
+        values = [0, 1, 2**52 - 1]
+        _, csv_path = sweep(parse_config(template, "s"), parameter, values, tmp_path)
+        rows = [line.split(",") for line in open(csv_path).read().splitlines()[1:]]
+        assert len(rows) == len(values)
+        assert all(math.isfinite(float(c)) for row in rows for c in row[1:]), rows
+
     @pytest.mark.parametrize(
         "parameter, values, swept",
         [
@@ -811,7 +822,7 @@ class TestSweep:
         values=st.lists(
             st.one_of(
                 st.integers(-3, 12),
-                st.sampled_from([2**52 - 1, 2**52, 10**400, HUGE, -HUGE, 1e308, 5e306]),
+                st.sampled_from([2**52 - 1, 2**52, 10**400, HUGE, -HUGE, 1e308, 5e306, MAX_TURNS]),
                 st.floats(allow_nan=True, allow_infinity=True),
                 st.text(max_size=3),
             ),
@@ -823,6 +834,7 @@ class TestSweep:
     # 2*pi*turns overflows at 1e308; at 5e306 only the quadrature does.
     @example(parameter="turns", values=[1.0, 1e308], medium=False, amplitudes=False)
     @example(parameter="turns", values=[5e306], medium=False, amplitudes=False)
+    @example(parameter="turns", values=[1.0, MAX_TURNS], medium=False, amplitudes=False)
     def test_fuzzed_sweep_writes_a_row_per_value_or_refuses(self, parameter, values, medium, amplitudes):
         import tempfile
 
