@@ -314,16 +314,13 @@ class AngleTrajectory:
         """
         k = self.unit_tangents
         live = _off_pole(k)
-        off = k[live]
-        raw = np.arctan2(off[:, 1], off[:, 0])
+        raw = np.arctan2(k[:, 1], k[:, 0])[live]
         # Leading pole samples anchor the first increment at azimuth 0.
         step = np.diff(raw, prepend=raw[:1] if live[0] else 0.0)
-        unwrapped = raw + TWO_PI * np.cumsum(np.rint((wrap_angle(step) - step) / TWO_PI))
-        n = len(k)
-        gamma = np.zeros(n)
-        gamma[live] = unwrapped
-        # Pole samples repeat the last off-pole value; sample 0 is 0 if it is a pole.
-        return gamma[np.maximum.accumulate(np.where(live, np.arange(n), 0))]
+        # Slot 0 holds the 0 a leading pole sample reads.
+        unwrapped = np.concatenate(([0.0], raw + TWO_PI * np.cumsum(np.rint((wrap_angle(step) - step) / TWO_PI))))
+        # Each sample reads the last off-pole value at or before it.
+        return unwrapped[np.cumsum(live)]
 
 
 def _off_pole(unit_tangents: np.ndarray) -> np.ndarray:

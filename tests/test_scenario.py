@@ -777,10 +777,15 @@ class TestSweep:
         assert len(built) == len(values)
         assert all("gamma" not in angles.__dict__ for angles in built)
 
-    @pytest.mark.parametrize("parameter", ["n_R", "n_L"])
-    def test_photon_sweep_at_turns_bound_is_finite(self, tmp_path, parameter):
-        # The largest accepted geometry, swept up to the largest accepted photon number.
-        template = cone_config(polar=math.pi / 2.0, steps=64)
+    @pytest.mark.parametrize(
+        "parameter, polar",
+        [("n_R", math.pi / 2.0), ("n_L", math.pi / 2.0), ("n_R", 3.0)],
+        ids=["n_R", "n_L", "n_R-near-south-pole"],
+    )
+    def test_photon_sweep_at_turns_bound_is_finite(self, tmp_path, parameter, polar):
+        # The largest accepted geometry, swept up to the largest accepted photon number;
+        # near the south pole |A| approaches its 4*pi*turns bound.
+        template = cone_config(polar=polar, steps=64)
         template["geometry"]["turns"] = MAX_TURNS
         values = [0, 1, 2**52 - 1]
         _, csv_path = sweep(parse_config(template, "s"), parameter, values, tmp_path)
