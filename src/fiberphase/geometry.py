@@ -11,7 +11,10 @@ A trajectory builds u and the residual once, on first use, and every
 check and the evolution read that one copy.  spherical_angles
 normalises the tangents once and keeps them, so callers read unit
 tangents from the angles; the unwrapped azimuth is built only when it
-is read, which only a run's CSV does.
+is read, which only a run's CSV does.  cone_anholonomy streams that same
+chain through a cone in blocks of samples for callers that need A alone.
+Row norms and cross products of (n, 3) sample arrays go through
+_row_norms and _cross, column kernels with numpy's bits.
 """
 
 from __future__ import annotations
@@ -30,6 +33,33 @@ CLOSURE_TOL = 1e-6
 # Read size of count_path_rows, which sizes a path CSV before it is loaded.
 ROW_COUNT_CHUNK_BYTES = 1 << 16
 TWO_PI = 2.0 * math.pi
+# cone_anholonomy walks its grid BLOCK_SAMPLES intervals at a time, an even
+# count, so every block starts on a pane boundary.  A block's (m, 3) float64
+# arrays, 24 bytes a sample, stay under glibc's 128 KiB mmap threshold, so
+# their scratch is reused from the heap; full-length arrays were returned to
+# the system and faulted back in for every sweep row.  Blocks of 8192 and
+# 16384 samples cross the threshold and measured slower.
+BLOCK_BYTES = 96 * 1024
+BLOCK_SAMPLES = BLOCK_BYTES // 24
+
+
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of an (n, 3) array: the bits of np.linalg.norm(v, axis=1)."""
+    out = v[:, 0] * v[:, 0]
+    out += v[:, 1] * v[:, 1]
+    out += v[:, 2] * v[:, 2]
+    return np.sqrt(out, out=out)
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise cross product of (n, 3) arrays, by the operations np.cross performs."""
+    out = np.empty(a.shape)
+    a0, a1, a2 = a[:, 0], a[:, 1], a[:, 2]
+    b0, b1, b2 = b[:, 0], b[:, 1], b[:, 2]
+    np.subtract(np.multiply(a1, b2, out=out[:, 0]), a2 * b1, out=out[:, 0])
+    np.subtract(np.multiply(a2, b0, out=out[:, 1]), a0 * b2, out=out[:, 1])
+    np.subtract(np.multiply(a0, b1, out=out[:, 2]), a1 * b0, out=out[:, 2])
+    return out
 
 
 def wrap_angle(phi):
@@ -79,17 +109,19 @@ def make_helix(radius: float, pitch_per_turn: float, turns: float, samples: int)
 
 
 def sampled_path(times: np.ndarray, points: np.ndarray) -> FiberPath:
-    """Path from ordered 3-D samples with strictly increasing parameter."""
+    """Path from finite, ordered 3-D samples with strictly increasing parameter."""
     times = np.asarray(times, dtype=float)
     points = np.asarray(points, dtype=float)
     if times.ndim != 1 or points.shape != (len(times), 3):
         raise ValueError("times must be (n,) and points (n, 3)")
     if len(times) < 8:
         raise ValueError(f"need at least 8 samples, got {len(times)}")
+    if not (np.isfinite(times).all() and np.isfinite(points).all()):
+        raise ValueError("path samples must be finite")
     if np.any(np.diff(times) <= 0):
         raise ValueError("parameter values must be strictly increasing")
-    seg = np.linalg.norm(np.diff(points, axis=0), axis=1)
-    if np.any(seg == 0.0):
+    # Compared coordinate by coordinate: a segment norm underflows at tiny scales.
+    if np.any(np.all(points[1:] == points[:-1], axis=1)):
         raise ValueError("consecutive path points must be distinct")
     return FiberPath(kind="sampled", times=times.copy(), points=points.copy())
 
@@ -167,18 +199,19 @@ class TangentTrajectory:
     def precession_field(self) -> np.ndarray:
         """Precession vector u = (k x kdot)/|k|^2 at every sample, built once per trajectory."""
         k = self.tangents
+        # |k|^2 by einsum: _row_norms sums in another order and would move u's bits.
         ksq = np.einsum("ij,ij->i", k, k)
         if np.any(ksq == 0.0):
             raise ValueError("tangent with zero magnitude")
-        return np.cross(k, self.derivatives) / ksq[:, None]
+        return _cross(k, self.derivatives) / ksq[:, None]
 
     @cached_property
     def motion_residual(self) -> np.ndarray:
         """Residual vector kdot + k x u at every sample, u the precession field; it is kdot along k."""
-        return self.derivatives + np.cross(self.tangents, self.precession_field)
+        return self.derivatives + _cross(self.tangents, self.precession_field)
 
     def max_unit_deviation(self) -> float:
-        return float(np.abs(np.linalg.norm(self.tangents, axis=1) - 1.0).max())
+        return float(np.abs(_row_norms(self.tangents) - 1.0).max())
 
     def scaled(self, factor: float) -> "TangentTrajectory":
         """Same trajectory with all tangent magnitudes multiplied."""
@@ -224,15 +257,20 @@ def tangent_trajectory(path: FiberPath) -> TangentTrajectory:
 
     A helix's tangent traces a cone at its polar angle, a quarter turn
     ahead of the position azimuth, so it is the analytic cone field;
-    sampled paths are differentiated numerically.
+    sampled paths are differentiated numerically, after an exact
+    power-of-two rescale that brings the largest coordinate into
+    [0.5, 1): the tangents keep their bits, nothing overflows or
+    underflows at extreme path scales, and the speed guard is relative
+    to the path's size.
     """
     if path.kind == "helix":
         polar = helix_polar_angle(path.radius, path.pitch_per_turn)
         return cone_trajectory(polar, path.turns, path.samples, azimuth_offset=math.pi / 2.0)
     if path.kind != "sampled":
         raise ValueError(f"unknown path kind {path.kind!r}")
-    velocity = _derivative(path.points, path.times)
-    speed = np.linalg.norm(velocity, axis=1)
+    points = np.ldexp(path.points, -np.frexp(np.abs(path.points).max())[1])
+    velocity = _derivative(points, path.times)
+    speed = _row_norms(velocity)
     if np.any(speed < 1e-15):
         raise ValueError("degenerate path: vanishing velocity sample")
     tangents = velocity / speed[:, None]
@@ -245,11 +283,38 @@ def trajectory_from_tangents(times: np.ndarray, tangents: np.ndarray) -> Tangent
     tangents = np.asarray(tangents, dtype=float)
     if tangents.ndim != 2 or tangents.shape[1] != 3 or len(tangents) != len(times):
         raise ValueError("tangents must be (n, 3) matching times")
-    norms = np.linalg.norm(tangents, axis=1)
+    norms = _row_norms(tangents)
     if np.any(norms < 1e-15):
         raise ValueError("tangent with zero magnitude")
     unit = tangents / norms[:, None]
     return TangentTrajectory(times=times, tangents=unit, derivatives=_derivative(unit, times))
+
+
+def _check_cone(polar_angle: float, turns: float, samples: int) -> None:
+    if not 0.0 <= polar_angle <= math.pi:
+        raise ValueError(f"polar angle must lie in [0, pi], got {polar_angle}")
+    if turns <= 0:
+        raise ValueError(f"turns must be positive, got {turns}")
+    if samples < 3:
+        raise ValueError("need at least 3 samples")
+
+
+def _cone(polar_angle: float, turns: float, t: np.ndarray, azimuth_offset: float) -> TangentTrajectory:
+    """The cone field on t, any slice of the np.linspace(0, 1, samples) grid; samples are independent."""
+    gamma = azimuth_offset + TWO_PI * turns * t
+    sl, cl = math.sin(polar_angle), math.cos(polar_angle)
+    rate = TWO_PI * turns
+    cos_g, sin_g = np.cos(gamma), np.sin(gamma)
+    tangents = np.empty((len(t), 3))
+    np.multiply(sl, cos_g, out=tangents[:, 0])
+    np.multiply(sl, sin_g, out=tangents[:, 1])
+    tangents[:, 2] = cl
+    # kdot = (-sl sin, sl cos, 0) * rate, each column multiplied in that order.
+    derivatives = np.empty((len(t), 3))
+    np.multiply(np.multiply(-sl, sin_g, out=sin_g), rate, out=derivatives[:, 0])
+    np.multiply(np.multiply(sl, cos_g, out=cos_g), rate, out=derivatives[:, 1])
+    derivatives[:, 2] = 0.0
+    return TangentTrajectory(times=t, tangents=tangents, derivatives=derivatives)
 
 
 def cone_trajectory(
@@ -259,27 +324,28 @@ def cone_trajectory(
     azimuth_offset: float = 0.0,
 ) -> TangentTrajectory:
     """Analytic tangent field precessing about z at constant polar angle."""
-    if not 0.0 <= polar_angle <= math.pi:
-        raise ValueError(f"polar angle must lie in [0, pi], got {polar_angle}")
-    if turns <= 0:
-        raise ValueError(f"turns must be positive, got {turns}")
-    if samples < 3:
-        raise ValueError("need at least 3 samples")
-    t = np.linspace(0.0, 1.0, samples)
-    gamma = azimuth_offset + TWO_PI * turns * t
-    sl, cl = math.sin(polar_angle), math.cos(polar_angle)
-    rate = TWO_PI * turns
-    cos_g, sin_g = np.cos(gamma), np.sin(gamma)
-    tangents = np.empty((samples, 3))
-    np.multiply(sl, cos_g, out=tangents[:, 0])
-    np.multiply(sl, sin_g, out=tangents[:, 1])
-    tangents[:, 2] = cl
-    # kdot = (-sl sin, sl cos, 0) * rate, each column multiplied in that order.
-    derivatives = np.empty((samples, 3))
-    np.multiply(np.multiply(-sl, sin_g, out=sin_g), rate, out=derivatives[:, 0])
-    np.multiply(np.multiply(sl, cos_g, out=cos_g), rate, out=derivatives[:, 1])
-    derivatives[:, 2] = 0.0
-    return TangentTrajectory(times=t, tangents=tangents, derivatives=derivatives)
+    _check_cone(polar_angle, turns, samples)
+    return _cone(polar_angle, turns, np.linspace(0.0, 1.0, samples), azimuth_offset)
+
+
+def cone_anholonomy(polar_angle: float, turns: float, samples: int, azimuth_offset: float = 0.0) -> float:
+    """Anholonomy integral of cone_trajectory(polar_angle, turns, samples, azimuth_offset), in blocks.
+
+    Each block of at most BLOCK_SAMPLES + 2 samples of the one grid goes
+    through spherical_angles and cumulative_panes, the running value
+    carried from block to block; blocks start on pane boundaries and
+    share their edge sample.  The result has the bits of
+    cumulative_panes(spherical_angles(cone_trajectory(...)).anholonomy_rate(), times)[-1],
+    while scratch memory stays one block whatever the sample count.
+    """
+    _check_cone(polar_angle, turns, samples)
+    grid = np.linspace(0.0, 1.0, samples)
+    starts = range(0, samples - 2, BLOCK_SAMPLES)
+    running = None
+    for lo, hi in zip(starts, [*starts[1:], samples - 1]):
+        angles = spherical_angles(_cone(polar_angle, turns, grid[lo : hi + 1], azimuth_offset))
+        running = quadrature.cumulative_panes(angles.anholonomy_rate(), angles.times, start=running)[-1]
+    return float(running)
 
 
 @dataclass(frozen=True)
@@ -340,7 +406,7 @@ def spherical_angles(traj: TangentTrajectory) -> AngleTrajectory:
     azimuth is AngleTrajectory.gamma, built only when read.
     """
     raw_k = np.asarray(traj.tangents, dtype=float)
-    norms = np.linalg.norm(raw_k, axis=1)
+    norms = _row_norms(raw_k)
     if np.any(norms == 0.0):
         raise ValueError("tangent with zero magnitude")
     k = raw_k / norms[:, None]
@@ -373,7 +439,7 @@ def motion_identity_residual(traj: TangentTrajectory) -> float:
     Vanishes (up to differencing error) for any smooth constant-magnitude
     tangent field; order one when the magnitude drifts.
     """
-    return float(np.linalg.norm(traj.motion_residual, axis=1).max())
+    return float(_row_norms(traj.motion_residual).max())
 
 
 def geodesic_closure(k_first: np.ndarray, k_last: np.ndarray) -> float:

@@ -47,6 +47,7 @@ from .fock import (
 from .geometry import (
     AngleTrajectory,
     TangentTrajectory,
+    _row_norms,
     anholonomy_integral,
     grid_index,
     spherical_angles,
@@ -174,7 +175,7 @@ def _lvn_residuals(traj: TangentTrajectory, scale: np.ndarray, indices: np.ndarr
     derivative data shows up in the residual instead of being
     projected away.
     """
-    norms = np.linalg.norm(traj.tangents[indices], axis=1)[:, None]
+    norms = _row_norms(traj.tangents[indices])[:, None]
     v = traj.motion_residual[indices] / norms
     return (np.abs(v) * scale).max(axis=1)
 
@@ -231,7 +232,7 @@ def evolve_state(psi0: StateVector, traj: TangentTrajectory) -> EvolutionResult:
     sectors = occupied_sectors(psi0)
     keep, a = sector_generators(psi0.space, sectors)
     step_h = times[2::2] - times[0:-2:2]
-    max_h_dt = float(sectors[-1] * np.linalg.norm(u, axis=1).max() * step_h.max())
+    max_h_dt = float(sectors[-1] * _row_norms(u).max() * step_h.max())
     if max_h_dt >= STEP_GUARD:
         raise ValueError(
             f"step-size guard violated: bound max|H|*dt = {max_h_dt:.3e} >= {STEP_GUARD}; "

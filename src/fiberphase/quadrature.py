@@ -50,26 +50,33 @@ def _validate(y: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return y, x
 
 
-def cumulative_panes(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+def cumulative_panes(y: np.ndarray, x: np.ndarray, start: float | None = None) -> np.ndarray:
     """Running composite Simpson integral at the pane boundaries.
 
     One value per sample 0, 2, 4, ... up to the last sample covered by
     whole panes, starting at 0; when the interval count is odd the final
     interval is added as one more value at the last sample.  Two samples
-    give the trapezoid.
+    give the trapezoid.  A given start is the running value at sample 0
+    and is added to the first pane before the sum runs, so a grid cut
+    into pane-aligned blocks sharing their edge samples, each block
+    given the last value of the one before, reproduces the one-pass
+    values bit for bit.
     """
     y, x = _validate(y, x)
     n = len(x)
     if n < 2:
         raise ValueError("need at least two samples")
     if n == 2:
-        return np.array([0.0, 0.5 * (y[0] + y[1]) * (x[1] - x[0])])
+        trapezoid = 0.5 * (y[0] + y[1]) * (x[1] - x[0])
+        return np.array([0.0, trapezoid] if start is None else [start, start + trapezoid])
     end = n - 1 - (n - 1) % 2  # last sample covered by whole panes
     h = np.diff(x)
     out = np.empty(end // 2 + 1 + (end < n - 1))
-    out[0] = 0.0
+    out[0] = 0.0 if start is None else start
     panes = out[1 : end // 2 + 1]
     panes[:] = _pane(y[0:end:2], y[1:end:2], y[2 : end + 1 : 2], h[0:end:2], h[1:end:2])
+    if start is not None:
+        panes[0] += start
     # A running total, summed left to right: pairwise summation would
     # shift results on grids of ~10^4 panes by up to ~1e-11.
     np.cumsum(panes, out=panes)

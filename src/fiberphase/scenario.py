@@ -20,12 +20,12 @@ import numpy as np
 from . import quadrature
 from .fock import FockSpace, build_photon_state, build_space, helicity_expectation, occupied_sectors, StateVector
 from .geometry import (
+    cone_anholonomy,
     cone_trajectory,
     count_path_rows,
     geodesic_closure,
     helix_polar_angle,
     load_path_csv,
-    make_helix,
     motion_identity_residual,
     spherical_angles,
     tangent_trajectory,
@@ -367,15 +367,23 @@ def _config_echo(config: ScenarioConfig) -> dict:
     return echo
 
 
-def _build_trajectory(config: ScenarioConfig):
+def _analytic_cone(config: ScenarioConfig) -> tuple[float, float, int, float] | None:
+    """cone_trajectory's (polar angle, turns, samples, azimuth offset) for a helix or cone; None for a sampled path."""
     g = config.geometry
     if isinstance(g, HelixGeometry):
-        samples = 2 * config.steps + 1
-        path = make_helix(g.radius, g.pitch_per_turn, g.turns * config.t_end, samples)
-        return tangent_trajectory(path)
+        # tangent_trajectory of make_helix(...): the cone a quarter turn ahead.
+        polar = helix_polar_angle(g.radius, g.pitch_per_turn)
+        return polar, g.turns * config.t_end, 2 * config.steps + 1, math.pi / 2.0
     if isinstance(g, ConeGeometry):
-        samples = 2 * config.steps + 1
-        return cone_trajectory(g.polar_angle, g.turns * config.t_end, samples)
+        return g.polar_angle, g.turns * config.t_end, 2 * config.steps + 1, 0.0
+    return None
+
+
+def _build_trajectory(config: ScenarioConfig):
+    cone = _analytic_cone(config)
+    if cone is not None:
+        return cone_trajectory(*cone)
+    g = config.geometry
     try:
         rows = count_path_rows(g.path_csv)
     except (ValueError, OSError) as exc:
@@ -771,8 +779,10 @@ def sweep(config: ScenarioConfig, parameter: str, values, out_dir) -> tuple[int,
     by the closed-form and dispersion code a run uses.  Phase sweeps report
     the quadrature route only; the dual numerical vs closed-form
     verification is run_scenario's job.  Every value is validated before
-    any row is computed, and each distinct trajectory is built once, so an
-    n_R or n_L sweep builds one.
+    any row is computed, and each distinct geometry is evaluated once, so
+    an n_R or n_L sweep evaluates one.  A row needs only A, so a helix or
+    cone streams through geometry.cone_anholonomy in blocks, with the bits
+    of the run's one-pass chain; a sampled path takes that chain.
     """
     if parameter not in SWEEP_PARAMETERS:
         raise ConfigError("sweep", f"unknown parameter {parameter!r}; known: {', '.join(SWEEP_PARAMETERS)}")
@@ -798,7 +808,10 @@ def sweep(config: ScenarioConfig, parameter: str, values, out_dir) -> tuple[int,
             cells += (plus.propagation_constant, minus.propagation_constant)
         else:
             if swept.geometry not in anholonomy:
-                anholonomy[swept.geometry] = float(_closed_form(swept)[2][-1])
+                cone = _analytic_cone(swept)
+                anholonomy[swept.geometry] = (
+                    cone_anholonomy(*cone) if cone is not None else float(_closed_form(swept)[2][-1])
+                )
             a = anholonomy[swept.geometry]
             s3 = _s3_expectation(swept.ordering, swept.n_r, swept.n_l)
             cells = (s3, a, s3 * a)

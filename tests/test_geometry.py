@@ -18,7 +18,8 @@ from fiberphase import (
     TangentTrajectory,
 )
 from fiberphase import geometry
-from fiberphase.geometry import count_path_rows
+from fiberphase.geometry import _cross, _row_norms, cone_anholonomy, count_path_rows
+from fiberphase.quadrature import cumulative_panes
 
 SOLID_ANGLE_45 = 1.84030236902122  # 2*pi*(1 - cos(pi/4))
 
@@ -139,6 +140,32 @@ class TestTangentTrajectory:
         pts_rep[4] = pts_rep[3]
         with pytest.raises(ValueError):
             sampled_path(t8, pts_rep)
+        for bad in (math.inf, -math.inf, math.nan):
+            pts_bad = pts.copy()
+            pts_bad[5, 1] = bad
+            with pytest.raises(ValueError, match="finite"):
+                sampled_path(t8, pts_bad)
+            t_bad = t8.copy()
+            t_bad[-1] = bad
+            with pytest.raises(ValueError, match="finite"):
+                sampled_path(t_bad, pts)
+
+    @pytest.mark.parametrize("exponent", [-1000, 1000])
+    def test_power_of_two_scale_keeps_tangent_bits(self, exponent):
+        t, pts = helix_points(make_helix(1.0, 2.0, 1.5, 257))
+        unit = tangent_trajectory(sampled_path(t, pts))
+        scaled = tangent_trajectory(sampled_path(t, np.ldexp(pts, exponent)))
+        assert np.array_equal(scaled.tangents, unit.tangents)
+        assert np.array_equal(scaled.derivatives, unit.derivatives)
+
+    def test_tiny_and_huge_paths_differentiate(self):
+        # Segment norms underflow at 1e-300 and finite differences overflow near float max.
+        # The scaled points carry rounding of ~1e-16, which the 1/h = 256 of a difference amplifies.
+        t, pts = helix_points(make_helix(1.0, 2.0, 1.5, 257))
+        unit = tangent_trajectory(sampled_path(t, pts))
+        for scale in (1e-300, 5e307):  # the largest coordinate reaches 1.5e308
+            traj = tangent_trajectory(sampled_path(t, pts * scale))
+            assert np.abs(traj.tangents - unit.tangents).max() < 1e-13
 
 
 def column_stack_cone(polar_angle, turns, samples, azimuth_offset):
@@ -221,6 +248,55 @@ class TestLeanChain:
         assert np.array_equal(angles.gamma_dot, gamma_dot)
         assert np.array_equal(angles.gamma, gamma)
         assert angles.gamma is angles.gamma  # built once
+
+
+# Signed zeros, subnormals, the float extremes and non-finite values, one per coordinate.
+SPECIAL_ROW_VALUES = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e-300, -1e-300, 1.0, -2.5, 1e300, -1e300,
+                               1.7e308, math.inf, -math.inf, math.nan])
+
+
+def kernel_rows():
+    """(n, 3) rows: every triple of SPECIAL_ROW_VALUES, then random rows at scales 1e-300 to 1e300."""
+    rng = np.random.default_rng(12)
+    grid = np.stack(np.meshgrid(*[SPECIAL_ROW_VALUES] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
+    scales = 10.0 ** rng.integers(-300, 301, size=(20000, 3))
+    return np.concatenate([grid, rng.standard_normal((20000, 3)) * scales])
+
+
+def same_bits(a, b):
+    return np.array_equal(a, b, equal_nan=True) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+class TestRowKernels:
+    def test_row_norms_match_numpy(self):
+        v = kernel_rows()
+        with np.errstate(all="ignore"):
+            assert same_bits(_row_norms(v), np.linalg.norm(v, axis=1))
+
+    def test_cross_matches_numpy(self):
+        a = kernel_rows()
+        b = a[np.random.default_rng(3).permutation(len(a))]
+        with np.errstate(all="ignore"):
+            assert same_bits(_cross(a, b), np.cross(a, b))
+            assert same_bits(_cross(b, a), np.cross(b, a))
+
+
+class TestConeAnholonomy:
+    @pytest.mark.parametrize("samples", [3, 65, 4095, 4097, 4098, 8193, 32769])
+    @pytest.mark.parametrize("polar", [0.0, math.pi, 0.8213, 2.4])
+    @pytest.mark.parametrize("offset", [0.0, math.pi / 2.0])
+    def test_blocks_match_one_pass_chain(self, samples, polar, offset):
+        for turns in (1.0, 2.7):
+            angles = spherical_angles(cone_trajectory(polar, turns, samples, azimuth_offset=offset))
+            one_pass = cumulative_panes(angles.anholonomy_rate(), angles.times)[-1]
+            assert same_bits(cone_anholonomy(polar, turns, samples, offset), one_pass)
+
+    def test_refuses_what_cone_trajectory_refuses(self):
+        for polar, turns, samples in ((-0.1, 1.0, 65), (0.5, 0.0, 65), (0.5, 1.0, 2)):
+            with pytest.raises(ValueError):
+                cone_trajectory(polar, turns, samples)
+            with pytest.raises(ValueError):
+                cone_anholonomy(polar, turns, samples)
 
 
 class TestSphericalAngles:

@@ -44,6 +44,17 @@ def test_cumulative_panes_exact_on_quadratics(intervals):
     assert running[-1] == integrate(quadratic(x), x)
 
 
+@pytest.mark.parametrize("intervals, cut", [(4, 2), (8, 2), (8, 6), (9, 4), (9, 6), (40, 38), (41, 2), (41, 38)])
+def test_start_carries_a_pane_aligned_split(intervals, cut):
+    # Two blocks of three or more samples share sample `cut`, the second starting from the first's last value.
+    x = nonuniform_grid(intervals, seed=300 + intervals)
+    y = np.sin(7.0 * x) - 0.3
+    one_pass = cumulative_panes(y, x)
+    head = cumulative_panes(y[: cut + 1], x[: cut + 1])
+    tail = cumulative_panes(y[cut:], x[cut:], start=head[-1])
+    assert np.array_equal(np.concatenate([head, tail[1:]]), one_pass)
+
+
 def test_two_samples_use_the_trapezoid():
     x = np.array([0.5, 2.0])
     y = np.array([3.0, -1.0])

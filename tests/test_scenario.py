@@ -734,9 +734,10 @@ class TestSweep:
         ids=["n_R", "n_L", "n_R-sampled", "n_L-sampled", "lambda-repeated"],
     )
     def test_each_distinct_trajectory_built_once(self, monkeypatch, tmp_path, kind, parameter, values, builds):
+        # A helix or cone streams through cone_anholonomy; a sampled path takes the run's one-pass chain.
         import fiberphase.scenario as scenario
 
-        calls = {"spherical_angles": 0, "load_path_csv": 0}
+        calls = {"cone_anholonomy": 0, "spherical_angles": 0, "load_path_csv": 0}
         for name in calls:
             original = getattr(scenario, name)
 
@@ -748,34 +749,55 @@ class TestSweep:
         if kind == "sampled":
             write_path_csv(tmp_path / "path.csv", *helix_points(make_helix(1.0, 2.0 * math.pi, 1.0, 257)))
             data = {"geometry": {"kind": "sampled", "path_csv": "path.csv"}, "state": {"n_r": 1, "n_l": 0}}
+            expected = {"cone_anholonomy": 0, "spherical_angles": builds, "load_path_csv": builds}
         else:
             data = cone_config(steps=16384)
+            expected = {"cone_anholonomy": builds, "spherical_angles": 0, "load_path_csv": 0}
         config = parse_config(data, "s", base_dir=tmp_path)
         _, csv_path = sweep(config, parameter, values, tmp_path)
         assert len(open(csv_path).read().splitlines()) == 1 + len(values)
-        assert calls == {"spherical_angles": builds, "load_path_csv": builds if kind == "sampled" else 0}
+        assert calls == expected
 
     def test_sweep_never_unwraps_the_azimuth(self, monkeypatch, tmp_path):
         import fiberphase.geometry as geometry
         import fiberphase.scenario as scenario
 
-        built = []
-        original = scenario.spherical_angles
+        streamed, built = [], []
+        original_stream, original_angles = scenario.cone_anholonomy, geometry.spherical_angles
+
+        def stream(*args):
+            streamed.append(args)
+            return original_stream(*args)
 
         def kept(traj):
-            built.append(original(traj))
+            built.append(original_angles(traj))
             return built[-1]
 
         def refuse(*args, **kwargs):
             raise AssertionError("azimuth unwrapped in a sweep")
 
-        monkeypatch.setattr(scenario, "spherical_angles", kept)
+        monkeypatch.setattr(scenario, "cone_anholonomy", stream)
+        monkeypatch.setattr(geometry, "spherical_angles", kept)
         monkeypatch.setattr(geometry.np, "arctan2", refuse)
         values = [0.1 * i for i in range(1, 9)]
         _, csv_path = sweep(parse_config(cone_config(steps=256), "s"), "lambda", values, tmp_path)
         assert len(open(csv_path).read().splitlines()) == 1 + len(values)
-        assert len(built) == len(values)
-        assert all("gamma" not in angles.__dict__ for angles in built)
+        assert len(streamed) == len(values)
+        assert built and all("gamma" not in angles.__dict__ for angles in built)
+
+    def test_sweep_scratch_memory_is_flat_in_steps(self, tmp_path):
+        # Beyond the one (2 * steps + 1)-sample time grid, a row holds one block of samples.
+        extra = []
+        for steps in (16384, 131072):
+            config = parse_config(cone_config(steps=steps), "flat")
+            tracemalloc.start()
+            try:
+                sweep(config, "lambda", [0.3, 0.9, 2.1], tmp_path)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            extra.append(peak - (2 * steps + 1) * 8)
+        assert extra[1] <= extra[0] + 16 * 1024, extra
 
     @pytest.mark.parametrize(
         "parameter, polar",
@@ -871,3 +893,18 @@ class TestDeterminism:
         run_scenario(config, b)
         assert (a / "det.csv").read_bytes() == (b / "det.csv").read_bytes()
         assert (a / "det.json").read_bytes() == (b / "det.json").read_bytes()
+
+    @pytest.mark.parametrize("exponent", [-1000, 1000])
+    def test_power_of_two_scaled_path_gives_identical_artifacts(self, tmp_path, exponent):
+        # Scaling by 2**k is exact, and the tangents are scale-free: every artifact byte stays.
+        t, pts = helix_points(make_helix(1.0, 2.0 * math.pi, 1.0, 1025))
+        artifacts = []
+        for name, points in (("unit", pts), ("scaled", np.ldexp(pts, exponent))):
+            (tmp_path / name).mkdir()
+            write_path_csv(tmp_path / name / "path.csv", t, points)
+            data = {"geometry": {"kind": "sampled", "path_csv": "path.csv"}, "state": {"n_r": 1, "n_l": 0},
+                    "tolerance": 1e-3}
+            outcome = run_scenario(parse_config(data, "scaled", base_dir=tmp_path / name), tmp_path / name / "out")
+            assert outcome.exit_code == 0
+            artifacts.append([(tmp_path / name / "out" / f).read_bytes() for f in ("scaled.csv", "scaled.json")])
+        assert artifacts[1] == artifacts[0]
