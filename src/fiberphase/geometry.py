@@ -203,12 +203,17 @@ class TangentTrajectory:
         ksq = np.einsum("ij,ij->i", k, k)
         if np.any(ksq == 0.0):
             raise ValueError("tangent with zero magnitude")
-        return _cross(k, self.derivatives) / ksq[:, None]
+        u = _cross(k, self.derivatives)
+        u /= ksq[:, None]
+        return u
 
     @cached_property
     def motion_residual(self) -> np.ndarray:
         """Residual vector kdot + k x u at every sample, u the precession field; it is kdot along k."""
-        return self.derivatives + _cross(self.tangents, self.precession_field)
+        # In place: one (n, 3) array fewer, and addition commutes bit for bit.
+        residual = _cross(self.tangents, self.precession_field)
+        residual += self.derivatives
+        return residual
 
     def max_unit_deviation(self) -> float:
         return float(np.abs(_row_norms(self.tangents) - 1.0).max())
