@@ -896,7 +896,8 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("exponent", [-1000, 1000])
     def test_power_of_two_scaled_path_gives_identical_artifacts(self, tmp_path, exponent):
-        # Scaling by 2**k is exact, and the tangents are scale-free: every artifact byte stays.
+        # 2**k changes exponents only (bar coordinates near 0 that 2**-1000 makes subnormal, far below
+        # the rounding of a difference), and the tangents are scale-free: every artifact byte stays.
         t, pts = helix_points(make_helix(1.0, 2.0 * math.pi, 1.0, 1025))
         artifacts = []
         for name, points in (("unit", pts), ("scaled", np.ldexp(pts, exponent))):
