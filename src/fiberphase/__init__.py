@@ -31,9 +31,9 @@ from .geometry import (
     anholonomy_integral,
     cone_trajectory,
     geodesic_closure,
+    helix_cone,
     helix_points,
     load_path_csv,
-    make_helix,
     motion_identity_residual,
     sampled_path,
     spherical_angles,

@@ -2,11 +2,12 @@
 
 The photon wave vector follows the local fibre tangent, so everything
 downstream only needs the unit tangent k(t), its time derivative, and
-the spherical angles of k(t).  Helix and cone constructors produce
-those analytically; sampled point lists fall back to second-order
-finite differences.  The anholonomy integral, the geodesic closure of
-an open trace, the precession field u and the equation-of-motion
-residual live here too: they depend on the tangent kinematics alone.
+the spherical angles of k(t).  The cone constructor produces those
+analytically, and a helix's tangent is the cone helix_cone names;
+sampled point lists fall back to second-order finite differences.  The
+anholonomy integral, the geodesic closure of an open trace, the
+precession field u and the equation-of-motion residual live here too:
+they depend on the tangent kinematics alone.
 A trajectory builds u and the residual once, on first use, and every
 check and the evolution read that one copy.  spherical_angles
 normalises the tangents once and keeps them, so callers read unit
@@ -80,32 +81,10 @@ def grid_index(times: np.ndarray, t: float) -> int:
 
 @dataclass(frozen=True)
 class FiberPath:
-    """A fibre centreline, either parametric helix or sampled points."""
+    """A sampled fibre centreline: strictly increasing parameter values and their 3-D points."""
 
-    kind: str
-    radius: float | None = None
-    pitch_per_turn: float | None = None
-    turns: float | None = None
-    samples: int | None = None
-    times: np.ndarray | None = None
-    points: np.ndarray | None = None
-
-
-def make_helix(radius: float, pitch_per_turn: float, turns: float, samples: int) -> FiberPath:
-    """Helix about the z axis; tangent polar angle is atan2(2*pi*r, pitch)."""
-    if radius <= 0:
-        raise ValueError(f"radius must be positive, got {radius}")
-    if turns <= 0:
-        raise ValueError(f"turns must be positive, got {turns}")
-    if samples < 64:
-        raise ValueError(f"need at least 64 samples, got {samples}")
-    return FiberPath(
-        kind="helix",
-        radius=float(radius),
-        pitch_per_turn=float(pitch_per_turn),
-        turns=float(turns),
-        samples=int(samples),
-    )
+    times: np.ndarray
+    points: np.ndarray
 
 
 def sampled_path(times: np.ndarray, points: np.ndarray) -> FiberPath:
@@ -123,19 +102,26 @@ def sampled_path(times: np.ndarray, points: np.ndarray) -> FiberPath:
     # Compared coordinate by coordinate: a segment norm underflows at tiny scales.
     if np.any(np.all(points[1:] == points[:-1], axis=1)):
         raise ValueError("consecutive path points must be distinct")
-    return FiberPath(kind="sampled", times=times.copy(), points=points.copy())
+    return FiberPath(times=times.copy(), points=points.copy())
 
 
-def helix_points(path: FiberPath) -> tuple[np.ndarray, np.ndarray]:
-    """Positions of a helix path on its uniform parameter grid."""
-    if path.kind != "helix":
-        raise ValueError("helix_points requires a helix path")
-    t = np.linspace(0.0, 1.0, path.samples)
-    theta = TWO_PI * path.turns * t
-    c = path.pitch_per_turn / TWO_PI
-    pts = np.column_stack(
-        [path.radius * np.cos(theta), path.radius * np.sin(theta), c * theta]
-    )
+def helix_cone(radius: float, pitch_per_turn: float) -> tuple[float, float]:
+    """(polar angle, azimuth offset) of the cone_trajectory a helix about z traces with its tangent.
+
+    The tangent's polar angle is atan2(2*pi*r, pitch), and its azimuth
+    runs a quarter turn ahead of the position azimuth.
+    """
+    if radius <= 0:
+        raise ValueError(f"radius must be positive, got {radius}")
+    return math.atan2(TWO_PI * radius, pitch_per_turn), math.pi / 2.0
+
+
+def helix_points(radius: float, pitch_per_turn: float, turns: float, samples: int) -> tuple[np.ndarray, np.ndarray]:
+    """Parameter grid np.linspace(0, 1, samples) and the positions of a helix about z on it."""
+    t = np.linspace(0.0, 1.0, samples)
+    theta = TWO_PI * turns * t
+    c = pitch_per_turn / TWO_PI
+    pts = np.column_stack([radius * np.cos(theta), radius * np.sin(theta), c * theta])
     return t, pts
 
 
@@ -252,27 +238,14 @@ def _derivative(values: np.ndarray, times: np.ndarray) -> np.ndarray:
     return out
 
 
-def helix_polar_angle(radius: float, pitch_per_turn: float) -> float:
-    """Constant tangent polar angle atan2(2*pi*r, pitch) of a helix about z."""
-    return math.atan2(TWO_PI * radius, pitch_per_turn)
-
-
 def tangent_trajectory(path: FiberPath) -> TangentTrajectory:
-    """Unit tangent field of a path.
+    """Unit tangent field of a sampled path, by finite differences.
 
-    A helix's tangent traces a cone at its polar angle, a quarter turn
-    ahead of the position azimuth, so it is the analytic cone field;
-    sampled paths are differentiated numerically, after an exact
-    power-of-two rescale that brings the largest coordinate into
-    [0.5, 1): the tangents keep their bits, nothing overflows or
-    underflows at extreme path scales, and the speed guard is relative
-    to the path's size.
+    The points are first rescaled by the exact power of two that brings
+    the largest coordinate into [0.5, 1): the tangents keep their bits,
+    nothing overflows or underflows at extreme path scales, and the speed
+    guard is relative to the path's size.
     """
-    if path.kind == "helix":
-        polar = helix_polar_angle(path.radius, path.pitch_per_turn)
-        return cone_trajectory(polar, path.turns, path.samples, azimuth_offset=math.pi / 2.0)
-    if path.kind != "sampled":
-        raise ValueError(f"unknown path kind {path.kind!r}")
     points = np.ldexp(path.points, -np.frexp(np.abs(path.points).max())[1])
     velocity = _derivative(points, path.times)
     speed = _row_norms(velocity)
@@ -426,16 +399,13 @@ def spherical_angles(traj: TangentTrajectory) -> AngleTrajectory:
     return AngleTrajectory(times=traj.times.copy(), unit_tangents=k, lam=lam, gamma_dot=gamma_dot)
 
 
-def anholonomy_integral(angles: AngleTrajectory, t_end: float | None = None) -> float:
-    """Integral of gamma_dot * (1 - cos(lam)) up to the grid time t_end.
+def anholonomy_integral(angles: AngleTrajectory) -> float:
+    """Integral of gamma_dot * (1 - cos(lam)) over the whole trace.
 
     This is the state-independent geometric factor multiplying every
     spin expectation in the phase formulas.
     """
-    end = len(angles.times) - 1 if t_end is None else grid_index(angles.times, t_end)
-    if end < 1:
-        return 0.0
-    return quadrature.integrate(angles.anholonomy_rate()[: end + 1], angles.times[: end + 1])
+    return quadrature.integrate(angles.anholonomy_rate(), angles.times)
 
 
 def motion_identity_residual(traj: TangentTrajectory) -> float:

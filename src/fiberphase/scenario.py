@@ -24,7 +24,7 @@ from .geometry import (
     cone_trajectory,
     count_path_rows,
     geodesic_closure,
-    helix_polar_angle,
+    helix_cone,
     load_path_csv,
     motion_identity_residual,
     spherical_angles,
@@ -371,12 +371,12 @@ def _analytic_cone(config: ScenarioConfig) -> tuple[float, float, int, float] | 
     """cone_trajectory's (polar angle, turns, samples, azimuth offset) for a helix or cone; None for a sampled path."""
     g = config.geometry
     if isinstance(g, HelixGeometry):
-        # tangent_trajectory of make_helix(...): the cone a quarter turn ahead.
-        polar = helix_polar_angle(g.radius, g.pitch_per_turn)
-        return polar, g.turns * config.t_end, 2 * config.steps + 1, math.pi / 2.0
-    if isinstance(g, ConeGeometry):
-        return g.polar_angle, g.turns * config.t_end, 2 * config.steps + 1, 0.0
-    return None
+        polar, offset = helix_cone(g.radius, g.pitch_per_turn)
+    elif isinstance(g, ConeGeometry):
+        polar, offset = g.polar_angle, 0.0
+    else:
+        return None
+    return polar, g.turns * config.t_end, 2 * config.steps + 1, offset
 
 
 def _build_trajectory(config: ScenarioConfig):
@@ -733,16 +733,6 @@ def run_builtin(name: str, out_dir, steps=None, n_max=None, tolerance=None) -> i
     return code
 
 
-def _sweep_base(config: ScenarioConfig) -> tuple[float, float]:
-    """(polar angle, turns) of the helix or cone a lambda/turns sweep starts from."""
-    g = config.geometry
-    if isinstance(g, ConeGeometry):
-        return g.polar_angle, g.turns
-    if isinstance(g, HelixGeometry):
-        return helix_polar_angle(g.radius, g.pitch_per_turn), g.turns
-    raise ConfigError("sweep", "lambda/turns sweeps need helix or cone geometry")
-
-
 def _sweep_float(parameter: str, value) -> float:
     x = _finite(value)
     if x is None:
@@ -760,12 +750,17 @@ def _sweep_point(config: ScenarioConfig, parameter: str, value) -> tuple[int | f
     x = _sweep_float(parameter, value)
     if parameter == "epsilon2":
         return x, replace(config, medium=replace(config.medium, epsilon2=x))
+    if parameter == "lambda" and not 0.0 <= x <= math.pi:
+        raise ConfigError("sweep", f"lambda value {x!r} outside [0, pi]")
+    if parameter == "turns":
+        _check_turns(x, "sweep", f"turns value {x!r}")
+    g = config.geometry
+    if isinstance(g, SampledGeometry):
+        raise ConfigError("sweep", "lambda/turns sweeps need helix or cone geometry")
     if parameter == "lambda":
-        if not 0.0 <= x <= math.pi:
-            raise ConfigError("sweep", f"lambda value {x!r} outside [0, pi]")
-        return x, replace(config, geometry=ConeGeometry(polar_angle=x, turns=_sweep_base(config)[1]))
-    _check_turns(x, "sweep", f"turns value {x!r}")
-    return x, replace(config, geometry=ConeGeometry(polar_angle=_sweep_base(config)[0], turns=x))
+        return x, replace(config, geometry=ConeGeometry(x, g.turns))
+    # The template's own geometry, so a helix row is the helix run's A.
+    return x, replace(config, geometry=replace(g, turns=x))
 
 
 def _cell(x) -> str:

@@ -17,13 +17,14 @@ from fiberphase import (
     classify,
     closed_form_phase,
     commutator,
+    cone_trajectory,
     evolution_operator_V,
     evolve_state,
     extract_phases,
     helicity_operator,
+    helix_cone,
     helix_points,
     lvn_residual,
-    make_helix,
     motion_identity_residual,
     parse_config,
     refractive_indices,
@@ -46,7 +47,8 @@ def check(num, desc, ok):
 
 def helix_traj(lam, turns, steps):
     pitch = 2.0 * math.pi / math.tan(lam)
-    return tangent_trajectory(make_helix(1.0, pitch, turns, 2 * steps + 1))
+    polar, offset = helix_cone(1.0, pitch)
+    return cone_trajectory(polar, turns, 2 * steps + 1, azimuth_offset=offset)
 
 
 def ode_geometric_phase(lam, steps, sigma=+1):
@@ -122,7 +124,7 @@ def test_criterion_4_invariant_machinery():
     probes = traj.times[:: 256]
     lvn_analytic = max(lvn_residual(traj, space, t) for t in probes)
 
-    t, pts = helix_points(make_helix(1.0, 2.0 * math.pi, 1.0, 4097))
+    t, pts = helix_points(1.0, 2.0 * math.pi, 1.0, 4097)
     fd_traj = tangent_trajectory(sampled_path(t, pts))
     lvn_fd = max(lvn_residual(fd_traj, space, tt) for tt in fd_traj.times[::256])
 

@@ -7,9 +7,9 @@ from fiberphase import (
     anholonomy_integral,
     cone_trajectory,
     geodesic_closure,
+    helix_cone,
     helix_points,
     load_path_csv,
-    make_helix,
     motion_identity_residual,
     sampled_path,
     spherical_angles,
@@ -24,6 +24,12 @@ from fiberphase.quadrature import cumulative_panes
 SOLID_ANGLE_45 = 1.84030236902122  # 2*pi*(1 - cos(pi/4))
 
 
+def helix_traj(radius, pitch_per_turn, turns, samples):
+    """Tangent field of a helix about z: the cone helix_cone names."""
+    polar, offset = helix_cone(radius, pitch_per_turn)
+    return cone_trajectory(polar, turns, samples, azimuth_offset=offset)
+
+
 def straight_path(n=65):
     t = np.linspace(0.0, 1.0, n)
     return sampled_path(t, np.column_stack([np.zeros(n), np.zeros(n), t]))
@@ -32,25 +38,22 @@ def straight_path(n=65):
 class TestHelix:
     def test_polar_angle_quarter_pi(self):
         # tan(lam) = 2*pi*r / pitch, so r=1, pitch=2*pi gives lam = pi/4
-        traj = tangent_trajectory(make_helix(1.0, 2.0 * math.pi, 1.0, 257))
+        traj = helix_traj(1.0, 2.0 * math.pi, 1.0, 257)
         angles = spherical_angles(traj)
         assert np.abs(angles.lam - math.pi / 4.0).max() < 1e-12
 
     def test_large_pitch_limit(self):
-        traj = tangent_trajectory(make_helix(1.0, 1e6, 1.0, 257))
+        traj = helix_traj(1.0, 1e6, 1.0, 257)
         assert spherical_angles(traj).lam.max() < 1e-4
 
     def test_zero_pitch_is_planar_circle(self):
-        traj = tangent_trajectory(make_helix(1.0, 0.0, 1.0, 257))
+        traj = helix_traj(1.0, 0.0, 1.0, 257)
         assert np.abs(spherical_angles(traj).lam - math.pi / 2.0).max() < 1e-12
 
     def test_rejects_bad_geometry(self):
-        with pytest.raises(ValueError):
-            make_helix(0.0, 1.0, 1.0, 257)
-        with pytest.raises(ValueError):
-            make_helix(1.0, 1.0, 0.0, 257)
-        with pytest.raises(ValueError):
-            make_helix(1.0, 1.0, 1.0, 32)
+        for radius in (0.0, -1.0):
+            with pytest.raises(ValueError, match="radius"):
+                helix_cone(radius, 1.0)
 
 
 def helix_trig_oracle(radius, pitch_per_turn, turns, samples):
@@ -72,15 +75,14 @@ class TestHelixIsCone:
     @pytest.mark.parametrize("turns", [1.0, 2.3])
     @pytest.mark.parametrize("radius, pitch", [(1.0, 2.0 * math.pi), (0.4, 3.0), (2.0, -1.5), (1.0, 0.0)])
     def test_matches_parametric_helix(self, turns, radius, pitch):
-        traj = tangent_trajectory(make_helix(radius, pitch, turns, 1025))
+        traj = helix_traj(radius, pitch, turns, 1025)
         tangents, derivatives = helix_trig_oracle(radius, pitch, turns, 1025)
         assert np.abs(traj.tangents - tangents).max() <= 1e-14
         assert np.abs(traj.derivatives - derivatives).max() <= 1e-14 * 2.0 * math.pi * turns
 
     def test_matches_sampled_helix(self):
-        path = make_helix(0.7, 2.5, 1.0, 4097)
-        sampled = tangent_trajectory(sampled_path(*helix_points(path)))
-        assert np.abs(tangent_trajectory(path).tangents - sampled.tangents).max() < 1e-5
+        sampled = tangent_trajectory(sampled_path(*helix_points(0.7, 2.5, 1.0, 4097)))
+        assert np.abs(helix_traj(0.7, 2.5, 1.0, 4097).tangents - sampled.tangents).max() < 1e-5
 
 
 class TestGeodesicClosure:
@@ -109,7 +111,7 @@ class TestTangentTrajectory:
         assert np.abs(traj.tangents - np.array([0.0, 0.0, 1.0])).max() < 1e-12
 
     def test_unit_norm(self):
-        traj = tangent_trajectory(make_helix(1.0, 3.0, 2.0, 257))
+        traj = helix_traj(1.0, 3.0, 2.0, 257)
         assert traj.max_unit_deviation() < 1e-10
 
     def test_planar_circle_sweeps_equator(self):
@@ -152,7 +154,7 @@ class TestTangentTrajectory:
 
     @pytest.mark.parametrize("exponent", [-1000, 1000])
     def test_power_of_two_scale_keeps_tangent_bits(self, exponent):
-        t, pts = helix_points(make_helix(1.0, 2.0, 1.5, 257))
+        t, pts = helix_points(1.0, 2.0, 1.5, 257)
         unit = tangent_trajectory(sampled_path(t, pts))
         scaled = tangent_trajectory(sampled_path(t, np.ldexp(pts, exponent)))
         assert np.array_equal(scaled.tangents, unit.tangents)
@@ -161,7 +163,7 @@ class TestTangentTrajectory:
     def test_tiny_and_huge_paths_differentiate(self):
         # Segment norms underflow at 1e-300 and finite differences overflow near float max.
         # The scaled points carry rounding of ~1e-16, which the 1/h = 256 of a difference amplifies.
-        t, pts = helix_points(make_helix(1.0, 2.0, 1.5, 257))
+        t, pts = helix_points(1.0, 2.0, 1.5, 257)
         unit = tangent_trajectory(sampled_path(t, pts))
         for scale in (1e-300, 5e307):  # the largest coordinate reaches 1.5e308
             traj = tangent_trajectory(sampled_path(t, pts * scale))
@@ -226,7 +228,7 @@ class TestLeanChain:
         "make, poles",
         [
             (lambda: cone_trajectory(0.7, 1.3, 1025), False),
-            (lambda: tangent_trajectory(make_helix(0.5, 1.0, 3.0, 513)), False),
+            (lambda: helix_traj(0.5, 1.0, 3.0, 513), False),
             (lambda: trajectory_from_tangents(np.linspace(0.0, 1.0, 257), np.column_stack(
                 [np.cos(9.0 * np.linspace(0.0, 1.0, 257)), np.sin(5.0 * np.linspace(0.0, 1.0, 257)),
                  np.full(257, 0.4)])), False),
@@ -313,13 +315,13 @@ class TestSphericalAngles:
         assert angles.gamma[-1] - angles.gamma[0] == pytest.approx(2.0 * math.pi, abs=1e-9)
 
     def test_two_turn_helix_unwraps_beyond_2pi(self):
-        traj = tangent_trajectory(make_helix(1.0, 2.0 * math.pi, 2.0, 1025))
+        traj = helix_traj(1.0, 2.0 * math.pi, 2.0, 1025)
         angles = spherical_angles(traj)
         assert angles.gamma[-1] - angles.gamma[0] == pytest.approx(4.0 * math.pi, abs=1e-9)
         assert np.all(np.diff(angles.gamma) > 0)
 
     def test_gamma_continuity(self):
-        traj = tangent_trajectory(make_helix(0.5, 1.0, 3.0, 513))
+        traj = helix_traj(0.5, 1.0, 3.0, 513)
         angles = spherical_angles(traj)
         assert np.abs(np.diff(angles.gamma)).max() < math.pi
 
@@ -382,18 +384,18 @@ class TestSphericalAngles:
 
 class TestMotionIdentity:
     def test_helix_identity(self):
-        traj = tangent_trajectory(make_helix(1.0, 2.0 * math.pi, 1.0, 4097))
+        traj = helix_traj(1.0, 2.0 * math.pi, 1.0, 4097)
         assert motion_identity_residual(traj) < 1e-6
 
     def test_sampled_helix_identity(self):
-        t, pts = helix_points(make_helix(1.0, 2.0 * math.pi, 1.0, 4097))
+        t, pts = helix_points(1.0, 2.0 * math.pi, 1.0, 4097)
         assert motion_identity_residual(tangent_trajectory(sampled_path(t, pts))) < 1e-6
 
     def test_equator_circle(self):
         assert motion_identity_residual(cone_trajectory(math.pi / 2.0, 1.0, 4097)) < 1e-6
 
     def test_constant_rescaling_keeps_identity(self):
-        traj = tangent_trajectory(make_helix(1.0, 2.0 * math.pi, 1.0, 1025)).scaled(5.0)
+        traj = helix_traj(1.0, 2.0 * math.pi, 1.0, 1025).scaled(5.0)
         assert motion_identity_residual(traj) < 1e-6
 
     def test_varying_magnitude_is_flagged(self):
@@ -448,7 +450,7 @@ class TestSolidAngle:
 
 class TestCsvInterfaces:
     def test_path_round_trip(self, tmp_path):
-        t, pts = helix_points(make_helix(1.0, 2.0, 1.0, 129))
+        t, pts = helix_points(1.0, 2.0, 1.0, 129)
         f = tmp_path / "helix.csv"
         with open(f, "w") as fh:
             fh.write("t,x,y,z\n")

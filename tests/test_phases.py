@@ -18,9 +18,9 @@ from fiberphase import (
     evolve_state,
     extract_phases,
     helicity_operator,
+    helix_cone,
     helix_points,
     lvn_residual,
-    make_helix,
     phase_series,
     sampled_path,
     spherical_angles,
@@ -31,13 +31,15 @@ from fiberphase import (
 )
 from fiberphase.fock import occupied_sectors, sector_generators
 from fiberphase.phases import CHUNK_BYTES, _field_operator
+from fiberphase.quadrature import cumulative_panes
 
 BERRY_45 = 1.84030236902122  # 2*pi*(1 - cos(pi/4))
 
 
 def helix_traj(lam=math.pi / 4.0, turns=1.0, steps=1024):
     pitch = 2.0 * math.pi / math.tan(lam)
-    return tangent_trajectory(make_helix(1.0, pitch, turns, 2 * steps + 1))
+    polar, offset = helix_cone(1.0, pitch)
+    return cone_trajectory(polar, turns, 2 * steps + 1, azimuth_offset=offset)
 
 
 def random_smooth_field(n):
@@ -104,16 +106,10 @@ class TestAnholonomyIntegral:
         assert anholonomy_integral(angles) == pytest.approx(BERRY_45, abs=1e-10)
 
     def test_partial_trace(self):
+        # Pane 64 of 128 ends at sample 128, half a turn: pi * (1 - cos(pi/3)) = pi/2.
         angles = spherical_angles(cone_trajectory(math.pi / 3.0, 1.0, 257))
-        half = anholonomy_integral(angles, t_end=angles.times[128])
-        assert half == pytest.approx(0.5 * math.pi, abs=1e-12)
-
-    def test_t_end_off_grid_rejected(self):
-        angles = spherical_angles(cone_trajectory(math.pi / 3.0, 1.0, 257))
-        with pytest.raises(ValueError):
-            anholonomy_integral(angles, t_end=0.1234567)
-        with pytest.raises(ValueError):
-            anholonomy_integral(angles, t_end=2.0)
+        running = cumulative_panes(angles.anholonomy_rate(), angles.times)
+        assert running[64] == pytest.approx(0.5 * math.pi, abs=1e-12)
 
     def test_reparametrization_invariance(self):
         # same tangent trace traversed with a smooth nonuniform speed
@@ -530,6 +526,33 @@ class TestExtractPhases:
         assert abs(b1.closed_form_phase - b2.closed_form_phase) < 1e-10
 
 
+def sampled_helix_run(times, points, n_r, n_l):
+    """(A, RK4 geometric phase) of an (n_r, n_l) number state on a sampled path."""
+    traj = tangent_trajectory(sampled_path(times, points))
+    psi0 = build_photon_state(build_space(3, 1), n_r, n_l, k_hat=traj.tangents[0])
+    return anholonomy_integral(spherical_angles(traj)), extract_phases(evolve_state(psi0, traj), traj).geometric_phase
+
+
+class TestPathSymmetries:
+    """Rigid motions of a sampled path that keep the trace away from the poles (the z chart stays valid)."""
+
+    T, POINTS = helix_points(1.0, 2.0 * math.pi, 1.3, 4097)  # open trace, 1.3 turns
+
+    def test_mirror_negates_anholonomy_and_swaps_handedness(self):
+        a, phase = sampled_helix_run(self.T, self.POINTS, 1, 0)
+        a_mirror, phase_mirror = sampled_helix_run(self.T, self.POINTS * np.array([-1.0, 1.0, 1.0]), 0, 1)
+        assert a_mirror == -a
+        assert phase_mirror == phase
+
+    def test_rotation_about_z_keeps_phases(self):
+        c, s = math.cos(0.9), math.sin(0.9)
+        rotated = self.POINTS @ np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]).T
+        a, phase = sampled_helix_run(self.T, self.POINTS, 1, 0)
+        a_rot, phase_rot = sampled_helix_run(self.T, rotated, 1, 0)
+        assert abs(a_rot - a) <= 1e-12
+        assert abs(phase_rot - phase) <= 1e-12
+
+
 class TestLvnResidual:
     def test_helix_analytic(self):
         traj = helix_traj(steps=2048)
@@ -538,6 +561,12 @@ class TestLvnResidual:
     def test_straight_fibre_machine_zero(self):
         traj = cone_trajectory(0.0, 1.0, 65)
         assert lvn_residual(traj, build_space(3, 1), traj.times[32]) < 1e-15
+
+    def test_off_grid_time_refused(self):
+        traj = cone_trajectory(math.pi / 3.0, 1.0, 257)
+        for t in (0.1234567, 2.0):
+            with pytest.raises(ValueError, match="not a sample of the grid"):
+                lvn_residual(traj, build_space(3, 1), t)
 
     def test_random_smooth_tangent_field(self):
         space = build_space(3, 2)
@@ -554,7 +583,7 @@ class TestLvnResidual:
     def test_matches_explicit_matrix_oracle(self, n_max):
         space = build_space(3, n_max)
         spin = spin_fixed(space)
-        t, pts = helix_points(make_helix(1.0, 2.0 * math.pi, 1.0, 513))
+        t, pts = helix_points(1.0, 2.0 * math.pi, 1.0, 513)
         helix = helix_traj(steps=256)
         fields = {
             "helix": helix,

@@ -16,7 +16,6 @@ from fiberphase import (
     build_photon_state,
     build_space,
     helix_points,
-    make_helix,
     parse_config,
     run_builtin,
     run_scenario,
@@ -357,7 +356,7 @@ class TestRunScenario:
             raise AssertionError("spherical_angles called")
 
         monkeypatch.setattr(scenario, "spherical_angles", refuse)
-        _, pts = helix_points(make_helix(1.0, 2.0 * math.pi, 1.0, rows))
+        _, pts = helix_points(1.0, 2.0 * math.pi, 1.0, rows)
         write_path_csv(tmp_path / "path.csv", warp(np.linspace(0.0, 1.0, rows)), pts)
         data = {"geometry": {"kind": "sampled", "path_csv": "path.csv"}, "state": {"n_r": 1, "n_l": 0}}
         with pytest.raises(ConfigError) as err:
@@ -445,7 +444,7 @@ class TestRunScenario:
         if kind == "helix":
             data["geometry"] = {"kind": "helix", "radius": 1.0, "pitch_per_turn": 3.0, "turns": 1.3}
         elif kind == "sampled":
-            t, pts = helix_points(make_helix(1.0, 2.0 * math.pi, 1.0, 513))
+            t, pts = helix_points(1.0, 2.0 * math.pi, 1.0, 513)
             pts[:, 2] += 0.05 * np.sin(3.0 * math.pi * t)
             write_path_csv(tmp_path / "path.csv", t, pts)
             data["geometry"] = {"kind": "sampled", "path_csv": "path.csv"}
@@ -587,7 +586,7 @@ class TestRunScenario:
                     assert np.float64(fast).tobytes() == np.float64(dense).tobytes(), (ordering, n_r, n_l)
 
     def test_sampled_geometry_run(self, tmp_path):
-        t, pts = helix_points(make_helix(1.0, 2.0 * math.pi, 1.0, 1025))
+        t, pts = helix_points(1.0, 2.0 * math.pi, 1.0, 1025)
         write_path_csv(tmp_path / "path.csv", t, pts)
         data = {
             "geometry": {"kind": "sampled", "path_csv": "path.csv"},
@@ -610,7 +609,7 @@ class TestRunScenario:
 
         lvn = {}
         for rows in (4097, 1025):
-            t, pts = helix_points(make_helix(1.0, 2.0 * math.pi, 1.0, rows))
+            t, pts = helix_points(1.0, 2.0 * math.pi, 1.0, rows)
             pts[:, 2] += 0.05 * np.sin(3.0 * math.pi * t)
             write_path_csv(tmp_path / "path.csv", t, pts)
             data = {"geometry": {"kind": "sampled", "path_csv": "path.csv"}, "state": {"n_r": 1, "n_l": 0}, "n_max": 1}
@@ -747,7 +746,7 @@ class TestSweep:
 
             monkeypatch.setattr(scenario, name, counted)
         if kind == "sampled":
-            write_path_csv(tmp_path / "path.csv", *helix_points(make_helix(1.0, 2.0 * math.pi, 1.0, 257)))
+            write_path_csv(tmp_path / "path.csv", *helix_points(1.0, 2.0 * math.pi, 1.0, 257))
             data = {"geometry": {"kind": "sampled", "path_csv": "path.csv"}, "state": {"n_r": 1, "n_l": 0}}
             expected = {"cone_anholonomy": 0, "spherical_angles": builds, "load_path_csv": builds}
         else:
@@ -816,19 +815,28 @@ class TestSweep:
         assert all(math.isfinite(float(c)) for row in rows for c in row[1:]), rows
 
     @pytest.mark.parametrize(
-        "parameter, values, swept",
+        "kind, parameter, values, swept",
         [
-            ("lambda", [0.0, 0.4, 1.1], lambda data, v: data["geometry"].update(polar_angle=v)),
-            ("turns", [0.5, 1.0, 2.3], lambda data, v: data["geometry"].update(turns=v)),
-            ("n_R", [0, 1, 2], lambda data, v: data["state"].update(n_r=v)),
+            ("cone", "lambda", [0.0, 0.4, 1.1], lambda data, v: data["geometry"].update(polar_angle=v)),
+            ("cone", "turns", [0.5, 1.0, 2.3], lambda data, v: data["geometry"].update(turns=v)),
+            ("cone", "n_R", [0, 1, 2], lambda data, v: data["state"].update(n_r=v)),
+            # A lambda row is a cone of the template's turns.
+            ("helix", "lambda", [0.0, 0.4, 1.1],
+             lambda data, v: data.update(geometry={"kind": "cone", "polar_angle": v, "turns": 1.0})),
+            # 1.623527535179605 read 0.30315676005811959 when the row was taken on a cone at azimuth 0.
+            ("helix", "turns", [0.5, 1.623527535179605, 2.3], lambda data, v: data["geometry"].update(turns=v)),
+            ("helix", "n_R", [0, 1, 2], lambda data, v: data["state"].update(n_r=v)),
         ],
-        ids=["lambda", "turns", "n_R"],
+        ids=["lambda", "turns", "n_R", "helix-lambda", "helix-turns", "helix-n_R"],
     )
-    def test_rows_equal_run_of_swept_config(self, tmp_path, parameter, values, swept):
+    def test_rows_equal_run_of_swept_config(self, tmp_path, kind, parameter, values, swept):
         # Every row is the run's closed form on the template with that value in, bit for bit.
         import fiberphase.scenario as scenario
 
         template = cone_config(polar=0.7, steps=128, ordering="nonnormal_r", state={"n_r": 0, "n_l": 0})
+        if kind == "helix":
+            template.update(steps=512, geometry={"kind": "helix", "radius": 0.5782702140627514,
+                                                 "pitch_per_turn": 14.569022633784593, "turns": 1.0})
         _, csv_path = sweep(parse_config(template, "s"), parameter, values, tmp_path)
         rows = [line.split(",") for line in open(csv_path).read().splitlines()[1:]]
         assert len(rows) == len(values)
@@ -898,7 +906,7 @@ class TestDeterminism:
     def test_power_of_two_scaled_path_gives_identical_artifacts(self, tmp_path, exponent):
         # 2**k changes exponents only (bar coordinates near 0 that 2**-1000 makes subnormal, far below
         # the rounding of a difference), and the tangents are scale-free: every artifact byte stays.
-        t, pts = helix_points(make_helix(1.0, 2.0 * math.pi, 1.0, 1025))
+        t, pts = helix_points(1.0, 2.0 * math.pi, 1.0, 1025)
         artifacts = []
         for name, points in (("unit", pts), ("scaled", np.ldexp(pts, exponent))):
             (tmp_path / name).mkdir()
