@@ -44,7 +44,6 @@ from .geometry import (
 from .media import (
     DispersionVerdict,
     GyrotropicMedium,
-    circular_combination_check,
     classify,
     refractive_indices,
 )

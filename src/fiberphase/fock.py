@@ -15,6 +15,10 @@ spin_scale takes the Liouville-von Neumann norm scale in closed form
 from the same ladder factors, helicity_expectation takes <k.S> on the
 sector block, and build_photon_state applies creation operators by
 index shifts.  Nothing on that path is (n_max+1)^3 square.
+
+The spin projected onto a direction, v.S, is one construction,
+_field_operator: the helicity k.S here and the Hamiltonian u.S of
+phases are both built by it, on dense spin matrices or on generators.
 """
 
 from __future__ import annotations
@@ -106,8 +110,8 @@ class OperatorMatrix:
     def dagger(self) -> "OperatorMatrix":
         return OperatorMatrix(self.space, self.entries.conj().T)
 
-    def is_hermitian(self, tol: float = HERMITICITY_TOL) -> bool:
-        return bool(np.abs(self.entries - self.entries.conj().T).max() <= tol)
+    def is_hermitian(self) -> bool:
+        return bool(np.abs(self.entries - self.entries.conj().T).max() <= HERMITICITY_TOL)
 
     def apply(self, state: "StateVector") -> "StateVector":
         self._check_space(state.space)
@@ -164,9 +168,7 @@ class StateVector:
 
 
 def vacuum_state(space: FockSpace) -> StateVector:
-    amp = np.zeros(space.dimension, dtype=complex)
-    amp[space.index_of((0,) * space.num_modes)] = 1.0
-    return StateVector(space, amp)
+    return basis_state(space, (0,) * space.num_modes)
 
 
 def basis_state(space: FockSpace, occupation: tuple[int, ...]) -> StateVector:
@@ -296,8 +298,8 @@ def sector_generators(space: FockSpace, sectors) -> tuple[np.ndarray, tuple[np.n
     return keep, tuple(generators)
 
 
-def spin_scale(space: FockSpace) -> np.ndarray:
-    """max|S_i| for i = 1, 2, 3 on the block where the truncated spin algebra is exact.
+def spin_scale(space: FockSpace) -> float:
+    """max|S_i|, the one value i = 1, 2, 3 share, on the block where the truncated spin algebra is exact.
 
     The block is the union of the occupation-bounded states and the
     complete photon-number sectors (see FockSpace.bounded_indices and
@@ -305,9 +307,9 @@ def spin_scale(space: FockSpace) -> np.ndarray:
     move b_j+ b_k with a = n_j + 1 after it and b = n_k before it; an
     empty third mode keeps the most moves inside the block, which are
     those with a - 1 + b <= n_max (complete) or a, b <= n_max - 1
-    (bounded).  The three components share that maximum, which equals
+    (bounded).  That maximum equals
     np.abs(spin_fixed(space)[i].entries[box]).max() on the block bit for
-    bit, and no array of the box's size is made.
+    bit for each i, and no array of the box's size is made.
     """
     if space.num_modes != 3:
         raise ValueError("spin components require a 3-mode space")
@@ -315,7 +317,7 @@ def spin_scale(space: FockSpace) -> np.ndarray:
     a = np.arange(1, n + 1)[:, None]
     b = np.arange(1, n + 1)[None, :]
     inside = (a - 1 + b <= n) | ((a < n) & (b < n))
-    return np.full(3, (np.sqrt(a + 0.0) * np.sqrt(b))[inside].max())
+    return float((np.sqrt(a + 0.0) * np.sqrt(b))[inside].max())
 
 
 def _check_unit(k_hat: np.ndarray) -> np.ndarray:
@@ -327,11 +329,16 @@ def _check_unit(k_hat: np.ndarray) -> np.ndarray:
     return k
 
 
+def _field_operator(v: np.ndarray, s) -> np.ndarray:
+    """v . S for the matrices s (spin or generators); v is one 3-vector or a stack (..., 3) of them."""
+    v = np.asarray(v)[..., None, None]
+    return v[..., 0, :, :] * s[0] + v[..., 1, :, :] * s[1] + v[..., 2, :, :] * s[2]
+
+
 def helicity_operator(space: FockSpace, k_hat: np.ndarray) -> OperatorMatrix:
     """Projection of the spin onto the unit propagation direction k_hat."""
     k = _check_unit(k_hat)
-    s1, s2, s3 = spin_fixed(space)
-    return k[0] * s1 + k[1] * s2 + k[2] * s3
+    return OperatorMatrix(space, _field_operator(k, [op.entries for op in spin_fixed(space)]))
 
 
 def helicity_expectation(state: StateVector, k_hat: np.ndarray) -> float:
@@ -339,7 +346,7 @@ def helicity_expectation(state: StateVector, k_hat: np.ndarray) -> float:
     k = _check_unit(k_hat)
     keep, a = sector_generators(state.space, occupied_sectors(state))
     block = state.amplitudes[keep]
-    helicity = -1j * (k[0] * a[0] + k[1] * a[1] + k[2] * a[2])
+    helicity = -1j * _field_operator(k, a)
     return float(np.vdot(block, helicity @ block).real)
 
 

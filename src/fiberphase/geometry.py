@@ -20,7 +20,7 @@ _row_norms and _cross, column kernels with numpy's bits.
 
 from __future__ import annotations
 
-import io
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -34,6 +34,10 @@ CLOSURE_TOL = 1e-6
 # Read size of count_path_rows, which sizes a path CSV before it is loaded.
 ROW_COUNT_CHUNK_BYTES = 1 << 16
 TWO_PI = 2.0 * math.pi
+# The parameter intervals and span a sampled path may have.  Inside this
+# window the finite differences and both Simpson rules, whose terms hold
+# up to the cube of an interval, neither overflow nor underflow.
+PARAMETER_WINDOW = (2.0**-300, 2.0**300)
 # cone_anholonomy walks its grid BLOCK_SAMPLES intervals at a time, an even
 # count, so every block starts on a pane boundary.  A block's (m, 3) float64
 # arrays, 24 bytes a sample, stay under glibc's 128 KiB mmap threshold, so
@@ -88,7 +92,10 @@ class FiberPath:
 
 
 def sampled_path(times: np.ndarray, points: np.ndarray) -> FiberPath:
-    """Path from finite, ordered 3-D samples with strictly increasing parameter."""
+    """Path from finite, ordered 3-D samples with strictly increasing parameter.
+
+    Every parameter interval and the span must lie in PARAMETER_WINDOW.
+    """
     times = np.asarray(times, dtype=float)
     points = np.asarray(points, dtype=float)
     if times.ndim != 1 or points.shape != (len(times), 3):
@@ -97,8 +104,14 @@ def sampled_path(times: np.ndarray, points: np.ndarray) -> FiberPath:
         raise ValueError(f"need at least 8 samples, got {len(times)}")
     if not (np.isfinite(times).all() and np.isfinite(points).all()):
         raise ValueError("path samples must be finite")
-    if np.any(np.diff(times) <= 0):
+    intervals = np.diff(times)
+    if np.any(intervals <= 0):
         raise ValueError("parameter values must be strictly increasing")
+    if intervals.min() < PARAMETER_WINDOW[0] or times[-1] - times[0] > PARAMETER_WINDOW[1]:
+        raise ValueError(
+            f"parameter intervals and span must lie in [2**-300, 2**300], got intervals from "
+            f"{intervals.min()!r} over a span of {times[-1] - times[0]!r}"
+        )
     # Compared coordinate by coordinate: a segment norm underflows at tiny scales.
     if np.any(np.all(points[1:] == points[:-1], axis=1)):
         raise ValueError("consecutive path points must be distinct")
@@ -143,18 +156,20 @@ def count_path_rows(filename) -> int:
 
 
 def load_path_csv(filename) -> FiberPath:
-    """Read a sampled path from CSV with header t,x,y,z; blank lines are skipped."""
+    """Read a sampled path from CSV with header t,x,y,z; blank and whitespace-only lines are skipped."""
     with open(filename, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != "t,x,y,z":
             raise ValueError(f"expected CSV header 't,x,y,z', got {header!r}")
-        body = fh.read()
-    if not body.strip():
-        raise ValueError("path CSV contains no data rows")
-    try:
-        data = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2)
-    except ValueError as exc:
-        raise ValueError(f"path CSV: {exc}") from None
+        # np.loadtxt skips empty lines but reads a whitespace-only one as a row of one column.
+        rows = (line for line in fh if not line.isspace())
+        first = next(rows, None)
+        if first is None:
+            raise ValueError("path CSV contains no data rows")
+        try:
+            data = np.loadtxt(itertools.chain((first,), rows), delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise ValueError(f"path CSV: {exc}") from None
     if data.shape[1] != 4:
         raise ValueError(f"path CSV: expected 4 columns, got {data.shape[1]}")
     return sampled_path(data[:, 0], data[:, 1:4])
@@ -201,9 +216,6 @@ class TangentTrajectory:
         residual += self.derivatives
         return residual
 
-    def max_unit_deviation(self) -> float:
-        return float(np.abs(_row_norms(self.tangents) - 1.0).max())
-
     def scaled(self, factor: float) -> "TangentTrajectory":
         """Same trajectory with all tangent magnitudes multiplied."""
         return TangentTrajectory(self.times, self.tangents * factor, self.derivatives * factor)
@@ -241,29 +253,27 @@ def _derivative(values: np.ndarray, times: np.ndarray) -> np.ndarray:
 def tangent_trajectory(path: FiberPath) -> TangentTrajectory:
     """Unit tangent field of a sampled path, by finite differences.
 
-    The points are first rescaled by the exact power of two that brings
-    the largest coordinate into [0.5, 1): the tangents keep their bits,
-    nothing overflows or underflows at extreme path scales, and the speed
-    guard is relative to the path's size.
+    The velocity is the derivative of the points against the parameter,
+    each first rescaled by an exact power of two: the largest coordinate
+    and the parameter span into [0.5, 1).  The tangents keep their bits,
+    nothing overflows or underflows at extreme path or time scales, and
+    the speed guard of trajectory_from_tangents is relative to the path's
+    size and duration.
     """
     points = np.ldexp(path.points, -np.frexp(np.abs(path.points).max())[1])
-    velocity = _derivative(points, path.times)
-    speed = _row_norms(velocity)
-    if np.any(speed < 1e-15):
-        raise ValueError("degenerate path: vanishing velocity sample")
-    tangents = velocity / speed[:, None]
-    return TangentTrajectory(times=path.times, tangents=tangents, derivatives=_derivative(tangents, path.times))
+    params = np.ldexp(path.times, -np.frexp(path.times[-1] - path.times[0])[1])
+    return trajectory_from_tangents(path.times, _derivative(points, params))
 
 
 def trajectory_from_tangents(times: np.ndarray, tangents: np.ndarray) -> TangentTrajectory:
-    """Trajectory from direct tangent samples, derivatives by differencing."""
+    """Trajectory from tangent samples of any length: unit tangents, derivatives by differencing."""
     times = np.asarray(times, dtype=float)
     tangents = np.asarray(tangents, dtype=float)
     if tangents.ndim != 2 or tangents.shape[1] != 3 or len(tangents) != len(times):
         raise ValueError("tangents must be (n, 3) matching times")
     norms = _row_norms(tangents)
     if np.any(norms < 1e-15):
-        raise ValueError("tangent with zero magnitude")
+        raise ValueError("degenerate trajectory: vanishing tangent sample")
     unit = tangents / norms[:, None]
     return TangentTrajectory(times=times, tangents=unit, derivatives=_derivative(unit, times))
 

@@ -19,8 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class GyrotropicMedium:
@@ -67,6 +65,13 @@ def classify(medium: GyrotropicMedium, omega: float) -> tuple[DispersionVerdict,
     A branch with n^2 > 0 propagates with k = sqrt(n^2) * omega; with
     n^2 <= 0 it is evanescent and the constant reported is the decay
     magnitude sqrt(-n^2) * omega (zero exactly at the n^2 = 0 boundary).
+
+    The branches belong to the circular field combinations
+    (E1 + i E2)/sqrt2 (plus) and (E1 - i E2)/sqrt2 (minus), so a purely
+    circular field lands in one branch alone.  The plus combination
+    carries left-handed annihilation with right-handed creation content
+    and the minus combination the reverse, the convention of
+    fock.circular_operators (a_R+ = (b1+ + i b2+)/sqrt2).
     """
     if omega <= 0:
         raise ValueError(f"omega must be positive, got {omega}")
@@ -82,20 +87,3 @@ def classify(medium: GyrotropicMedium, omega: float) -> tuple[DispersionVerdict,
             )
     return verdicts[0], verdicts[1]
 
-
-def circular_combination_check(e1, e2):
-    """Circular field combinations ((E1 + i E2)/sqrt2, (E1 - i E2)/sqrt2).
-
-    Convention fixed here and used throughout the package: the plus
-    combination carries left-handed annihilation together with
-    right-handed creation content, the minus combination the reverse.
-    A purely circular input therefore lands entirely in one output.
-    """
-    e1 = np.asarray(e1, dtype=complex)
-    e2 = np.asarray(e2, dtype=complex)
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    plus = (e1 + 1j * e2) * inv_sqrt2
-    minus = (e1 - 1j * e2) * inv_sqrt2
-    if plus.ndim == 0:
-        return complex(plus), complex(minus)
-    return plus, minus

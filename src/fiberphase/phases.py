@@ -38,6 +38,7 @@ from .fock import (
     FockSpace,
     OperatorMatrix,
     StateVector,
+    _field_operator,
     helicity_expectation,
     occupied_sectors,
     sector_generators,
@@ -58,8 +59,6 @@ STEP_GUARD = 0.1
 CHUNK_BYTES = 64 * 1024
 OVERLAP_FLOOR = 1e-6
 TWO_PI = 2.0 * math.pi
-
-SpinTriple = tuple[OperatorMatrix, OperatorMatrix, OperatorMatrix]
 
 
 @dataclass(frozen=True)
@@ -139,13 +138,7 @@ def berry_phase_cyclic(polar_angle: float, s3_expectation: float) -> float:
     return TWO_PI * (1.0 - math.cos(polar_angle)) * float(s3_expectation)
 
 
-def _field_operator(v: np.ndarray, s) -> np.ndarray:
-    """v . S for the matrices s (spin or generators); v is one 3-vector or a stack (..., 3) of them."""
-    v = np.asarray(v)[..., None, None]
-    return v[..., 0, :, :] * s[0] + v[..., 1, :, :] * s[1] + v[..., 2, :, :] * s[2]
-
-
-def effective_hamiltonian(traj: TangentTrajectory, spin: SpinTriple, t: float) -> OperatorMatrix:
+def effective_hamiltonian(traj: TangentTrajectory, spin: tuple[OperatorMatrix, ...], t: float) -> OperatorMatrix:
     """H(t) = (k x kdot)/|k|^2 . S at a grid time t.
 
     Homogeneous of degree zero in the tangent magnitude, so rescaling
@@ -155,7 +148,7 @@ def effective_hamiltonian(traj: TangentTrajectory, spin: SpinTriple, t: float) -
     return OperatorMatrix(spin[0].space, _field_operator(u, [op.entries for op in spin]))
 
 
-def _lvn_residuals(traj: TangentTrajectory, scale: np.ndarray, indices: np.ndarray) -> np.ndarray:
+def _lvn_residuals(traj: TangentTrajectory, scale: float, indices: np.ndarray) -> np.ndarray:
     """Max-norm of dI/dt + (1/i)[I, H] for I = khat.S at the given samples.
 
     The norm is taken on the union of the occupation-bounded subspace and
@@ -170,14 +163,15 @@ def _lvn_residuals(traj: TangentTrajectory, scale: np.ndarray, indices: np.ndarr
     v = khat_dot + khat x u = (kdot + k x u)/|k|, the motion residual
     over |k| (constant tangent magnitude assumed), and since every pair
     of basis states is linked by at most one S_i its max-norm is
-    max_i |v_i| * scale_i, with scale = fock.spin_scale(space) the
-    max|S_i| on that block.  Differencing noise in the stored
-    derivative data shows up in the residual instead of being
-    projected away.
+    max_i |v_i| * scale, with scale = fock.spin_scale(space) the
+    max|S_i| all three components share on that block; a positive scale
+    keeps the order of rounded products, so the max is taken first.
+    Differencing noise in the stored derivative data shows up in the
+    residual instead of being projected away.
     """
     norms = _row_norms(traj.tangents[indices])[:, None]
     v = traj.motion_residual[indices] / norms
-    return (np.abs(v) * scale).max(axis=1)
+    return np.abs(v).max(axis=1) * scale
 
 
 def lvn_residual(traj: TangentTrajectory, space: FockSpace, t: float) -> float:
@@ -317,25 +311,19 @@ def phase_series(result: EvolutionResult) -> dict[str, np.ndarray]:
     }
 
 
-def extract_phases(
-    result: EvolutionResult,
-    traj: TangentTrajectory,
-    s3_expectation: float | None = None,
-) -> PhaseBreakdown:
+def extract_phases(result: EvolutionResult, traj: TangentTrajectory) -> PhaseBreakdown:
     """Total/dynamical/geometric phases of an evolution plus the closed form.
 
-    When s3_expectation is not supplied it defaults to the initial
-    helicity expectation <psi(0)| k(0).S |psi(0)> (fock.helicity_expectation,
-    on the evolved sectors), which reproduces the closed form for
-    helicity eigenstates; for other initial states the closed-form
-    column is only an eigenstate-weighted average and the numerical
-    route is authoritative.
+    The closed form multiplies the anholonomy by the initial helicity
+    expectation <psi(0)| k(0).S |psi(0)> (fock.helicity_expectation, on
+    the evolved sectors), which reproduces it for helicity eigenstates;
+    for other initial states the closed-form column is only an
+    eigenstate-weighted average and the numerical route is authoritative.
     """
     if (len(traj.times) + 1) // 2 != len(result.times):
         raise ValueError("evolution result does not match this trajectory grid")
-    if s3_expectation is None:
-        khat = traj.tangents[0] / np.linalg.norm(traj.tangents[0])
-        s3_expectation = helicity_expectation(result.state_at(0), khat)
+    khat = traj.tangents[0] / np.linalg.norm(traj.tangents[0])
+    s3_expectation = helicity_expectation(result.state_at(0), khat)
     anholonomy = anholonomy_integral(spherical_angles(traj))
     return PhaseBreakdown.from_series(phase_series(result), s3_expectation, anholonomy)
 

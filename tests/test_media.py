@@ -1,11 +1,9 @@
 import math
 
-import numpy as np
 import pytest
 
 from fiberphase import (
     GyrotropicMedium,
-    circular_combination_check,
     classify,
     refractive_indices,
 )
@@ -74,29 +72,3 @@ class TestClassify:
         with pytest.raises(ValueError):
             classify(GyrotropicMedium(1.0, 0.0, 1.0, 1.0), omega=0.0)
 
-
-class TestCircularCombination:
-    def test_real_unit_input(self):
-        plus, minus = circular_combination_check(1.0, 0.0)
-        assert plus == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-16)
-        assert minus == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-16)
-
-    def test_imaginary_split(self):
-        plus, minus = circular_combination_check(0.0, 1.0)
-        assert plus == pytest.approx(1j / math.sqrt(2.0), abs=1e-16)
-        assert minus == pytest.approx(-1j / math.sqrt(2.0), abs=1e-16)
-
-    def test_pure_circular_isolates_one_branch(self):
-        plus, minus = circular_combination_check(1.0, 1.0j)
-        assert plus == 0.0
-        assert minus == pytest.approx(math.sqrt(2.0), abs=1e-15)
-        plus2, minus2 = circular_combination_check(1.0, -1.0j)
-        assert minus2 == 0.0
-        assert plus2 == pytest.approx(math.sqrt(2.0), abs=1e-15)
-
-    def test_array_input(self):
-        e1 = np.array([1.0, 0.0, 1.0])
-        e2 = np.array([0.0, 1.0, 1.0j])
-        plus, minus = circular_combination_check(e1, e2)
-        assert plus.shape == (3,)
-        assert abs(plus[2]) < 1e-15

@@ -17,6 +17,7 @@ from fiberphase import (
     evolution_operator_V,
     evolve_state,
     extract_phases,
+    geodesic_closure,
     helicity_operator,
     helix_cone,
     helix_points,
@@ -29,8 +30,8 @@ from fiberphase import (
     trajectory_from_tangents,
     wrap_angle,
 )
-from fiberphase.fock import occupied_sectors, sector_generators
-from fiberphase.phases import CHUNK_BYTES, _field_operator
+from fiberphase.fock import _field_operator, occupied_sectors, sector_generators
+from fiberphase.phases import CHUNK_BYTES
 from fiberphase.quadrature import cumulative_panes
 
 BERRY_45 = 1.84030236902122  # 2*pi*(1 - cos(pi/4))
@@ -177,7 +178,7 @@ class TestEffectiveHamiltonian:
         h = effective_hamiltonian(traj, spin, traj.times[100])
         expected = 2.0 * math.pi * spin[2].entries
         assert np.abs(h.entries - expected).max() < 1e-12
-        assert h.is_hermitian(1e-12)
+        assert h.is_hermitian()
 
     def test_tangent_rescaling_invariance(self):
         traj = helix_traj(steps=128)
@@ -529,12 +530,12 @@ class TestExtractPhases:
 def sampled_helix_run(times, points, n_r, n_l):
     """(A, RK4 geometric phase) of an (n_r, n_l) number state on a sampled path."""
     traj = tangent_trajectory(sampled_path(times, points))
-    psi0 = build_photon_state(build_space(3, 1), n_r, n_l, k_hat=traj.tangents[0])
+    psi0 = build_photon_state(build_space(3, max(1, n_r + n_l)), n_r, n_l, k_hat=traj.tangents[0])
     return anholonomy_integral(spherical_angles(traj)), extract_phases(evolve_state(psi0, traj), traj).geometric_phase
 
 
 class TestPathSymmetries:
-    """Rigid motions of a sampled path that keep the trace away from the poles (the z chart stays valid)."""
+    """Rigid motions, reversal and reparametrisation of a sampled path whose trace stays off the poles (z chart valid)."""
 
     T, POINTS = helix_points(1.0, 2.0 * math.pi, 1.3, 4097)  # open trace, 1.3 turns
 
@@ -551,6 +552,31 @@ class TestPathSymmetries:
         a_rot, phase_rot = sampled_helix_run(self.T, rotated, 1, 0)
         assert abs(a_rot - a) <= 1e-12
         assert abs(phase_rot - phase) <= 1e-12
+
+    def test_reversal_keeps_phase_and_closed_form_mod_4pi(self):
+        # Reversed, the tangent traces -k(T - t): the antipodal trace run backwards, whose
+        # geodesically closed solid angle differs by a multiple of 4 pi.
+        def closed_solid_angle(points):
+            k = tangent_trajectory(sampled_path(self.T, points)).tangents
+            return geodesic_closure(k[0], k[-1])
+
+        a, phase = sampled_helix_run(self.T, self.POINTS, 1, 0)
+        a_rev, phase_rev = sampled_helix_run(self.T, self.POINTS[::-1], 1, 0)
+        assert abs(phase_rev - phase) <= 1e-12
+        gap = (a_rev + closed_solid_angle(self.POINTS[::-1])) - (a + closed_solid_angle(self.POINTS))
+        assert abs(gap - 4.0 * math.pi * round(gap / (4.0 * math.pi))) <= 1e-4
+
+    @pytest.mark.parametrize("n_r, n_l", [(1, 0), (2, 1)])
+    def test_smooth_reparametrisation_keeps_phases(self, n_r, n_l):
+        # The same points reached at times w = s + 0.5 sin(2 pi s)/(2 pi), each odd sample's time
+        # re-centred in its pane so that the RK4 grid holds.
+        s = self.T
+        w = s + 0.5 * np.sin(2.0 * math.pi * s) / (2.0 * math.pi)
+        w[1::2] = 0.5 * (w[:-1:2] + w[2::2])
+        a, phase = sampled_helix_run(s, self.POINTS, n_r, n_l)
+        a_w, phase_w = sampled_helix_run(w, self.POINTS, n_r, n_l)
+        assert abs(a_w - a) <= 1e-9
+        assert abs(phase_w - phase) <= 1e-6
 
 
 class TestLvnResidual:

@@ -667,7 +667,7 @@ class TestSweep:
         values = [0.0, math.pi / 6.0, math.pi / 4.0, math.pi / 3.0, math.pi / 2.0]
         code, csv_path = sweep(config, "lambda", values, tmp_path)
         assert code == 0
-        lines = open(csv_path).read().strip().splitlines()
+        lines = Path(csv_path).read_text().strip().splitlines()
         assert lines[0] == "parameter,value,s3_expectation,anholonomy_integral,phi_closed"
         assert len(lines) == 6
         phis = []
@@ -683,7 +683,7 @@ class TestSweep:
         config = parse_config(cone_config(polar=math.pi / 3.0), "s")
         code, csv_path = sweep(config, "turns", [1.0, 2.0, 3.0], tmp_path)
         assert code == 0
-        rows = [line.split(",") for line in open(csv_path).read().strip().splitlines()[1:]]
+        rows = [line.split(",") for line in Path(csv_path).read_text().strip().splitlines()[1:]]
         phis = [float(r[4]) for r in rows]
         assert phis[1] == pytest.approx(2.0 * phis[0], abs=1e-9)
         assert phis[2] == pytest.approx(3.0 * phis[0], abs=1e-9)
@@ -692,7 +692,7 @@ class TestSweep:
         config = parse_config(cone_config(polar=math.pi / 3.0), "s")
         code, csv_path = sweep(config, "n_R", [0, 1, 2, 3], tmp_path)
         assert code == 0
-        rows = [line.split(",") for line in open(csv_path).read().strip().splitlines()[1:]]
+        rows = [line.split(",") for line in Path(csv_path).read_text().strip().splitlines()[1:]]
         phis = [float(r[4]) for r in rows]
         anholonomy = float(rows[0][3])
         diffs = np.diff(phis)
@@ -702,10 +702,10 @@ class TestSweep:
         # A million photons cost one float product, not a (10**6+1)^2 space.
         config = parse_config(cone_config(polar=math.pi / 3.0), "s")
         _, csv_path = sweep(config, "n_R", [1, 10**6], tmp_path)
-        rows = [line.split(",") for line in open(csv_path).read().strip().splitlines()[1:]]
+        rows = [line.split(",") for line in Path(csv_path).read_text().strip().splitlines()[1:]]
         assert [(r[1], float(r[2])) for r in rows] == [("1", 1.0), ("1000000", 1e6)]
         _, csv_path = sweep(config, "n_L", [10**6], tmp_path)
-        rows = [line.split(",") for line in open(csv_path).read().strip().splitlines()[1:]]
+        rows = [line.split(",") for line in Path(csv_path).read_text().strip().splitlines()[1:]]
         assert [(r[1], float(r[2])) for r in rows] == [("1000000", 1.0 - 1e6)]
 
     def test_epsilon2_sweep_flips_at_threshold(self, tmp_path):
@@ -713,7 +713,7 @@ class TestSweep:
         config = parse_config(data, "s")
         code, csv_path = sweep(config, "epsilon2", [0.5, 1.0, 1.5], tmp_path)
         assert code == 0
-        rows = [line.split(",") for line in open(csv_path).read().strip().splitlines()[1:]]
+        rows = [line.split(",") for line in Path(csv_path).read_text().strip().splitlines()[1:]]
         assert [r[4] for r in rows] == ["evanescent", "evanescent", "propagating"]
 
     def test_unknown_parameter(self, tmp_path):
@@ -754,7 +754,7 @@ class TestSweep:
             expected = {"cone_anholonomy": builds, "spherical_angles": 0, "load_path_csv": 0}
         config = parse_config(data, "s", base_dir=tmp_path)
         _, csv_path = sweep(config, parameter, values, tmp_path)
-        assert len(open(csv_path).read().splitlines()) == 1 + len(values)
+        assert len(Path(csv_path).read_text().splitlines()) == 1 + len(values)
         assert calls == expected
 
     def test_sweep_never_unwraps_the_azimuth(self, monkeypatch, tmp_path):
@@ -780,7 +780,7 @@ class TestSweep:
         monkeypatch.setattr(geometry.np, "arctan2", refuse)
         values = [0.1 * i for i in range(1, 9)]
         _, csv_path = sweep(parse_config(cone_config(steps=256), "s"), "lambda", values, tmp_path)
-        assert len(open(csv_path).read().splitlines()) == 1 + len(values)
+        assert len(Path(csv_path).read_text().splitlines()) == 1 + len(values)
         assert len(streamed) == len(values)
         assert built and all("gamma" not in angles.__dict__ for angles in built)
 
@@ -810,7 +810,7 @@ class TestSweep:
         template["geometry"]["turns"] = MAX_TURNS
         values = [0, 1, 2**52 - 1]
         _, csv_path = sweep(parse_config(template, "s"), parameter, values, tmp_path)
-        rows = [line.split(",") for line in open(csv_path).read().splitlines()[1:]]
+        rows = [line.split(",") for line in Path(csv_path).read_text().splitlines()[1:]]
         assert len(rows) == len(values)
         assert all(math.isfinite(float(c)) for row in rows for c in row[1:]), rows
 
@@ -838,7 +838,7 @@ class TestSweep:
             template.update(steps=512, geometry={"kind": "helix", "radius": 0.5782702140627514,
                                                  "pitch_per_turn": 14.569022633784593, "turns": 1.0})
         _, csv_path = sweep(parse_config(template, "s"), parameter, values, tmp_path)
-        rows = [line.split(",") for line in open(csv_path).read().splitlines()[1:]]
+        rows = [line.split(",") for line in Path(csv_path).read_text().splitlines()[1:]]
         assert len(rows) == len(values)
         for row, v in zip(rows, values):
             data = json.loads(json.dumps(template))
@@ -884,7 +884,7 @@ class TestSweep:
                 assert err.field == "sweep"
                 assert not list(Path(out).glob("*"))
             else:
-                header, *rows = open(csv_path).read().splitlines()
+                header, *rows = Path(csv_path).read_text().splitlines()
                 assert len(rows) == len(values)
                 for row in rows:
                     cells = row.split(",")
@@ -917,3 +917,39 @@ class TestDeterminism:
             assert outcome.exit_code == 0
             artifacts.append([(tmp_path / name / "out" / f).read_bytes() for f in ("scaled.csv", "scaled.json")])
         assert artifacts[1] == artifacts[0]
+
+    def sampled_run(self, directory, t, pts):
+        """Exit code, JSON bytes and CSV rows of a (2, 1) run on the path (t, pts) written under directory."""
+        directory.mkdir()
+        write_path_csv(directory / "path.csv", t, pts)
+        data = {"geometry": {"kind": "sampled", "path_csv": "path.csv"}, "state": {"n_r": 2, "n_l": 1}, "n_max": 3}
+        outcome = run_scenario(parse_config(data, "unit", base_dir=directory), directory / "out")
+        rows = [line.split(",") for line in (directory / "out" / "unit.csv").read_text().splitlines()]
+        return outcome.exit_code, (directory / "out" / "unit.json").read_bytes(), rows
+
+    @pytest.mark.parametrize("exponent", [-100, -20, 20, 60, 200])
+    def test_time_unit_changes_only_the_t_column(self, tmp_path, exponent):
+        # The velocity is taken against the parameter over a power of two, and both residuals
+        # are reported over the grid span, so scaling t by 2**k moves nothing but t.
+        t, pts = helix_points(1.0, 2.0 * math.pi, 1.3, 2049)
+        code, summary, rows = self.sampled_run(tmp_path / "unit", t, pts)
+        assert code == 0
+        code_k, summary_k, rows_k = self.sampled_run(tmp_path / "scaled", np.ldexp(t, exponent), pts)
+        assert (code_k, summary_k) == (code, summary)
+        assert [r[1:] for r in rows_k] == [r[1:] for r in rows]
+        assert [float(r[0]) for r in rows_k[1:]] == [math.ldexp(float(r[0]), exponent) for r in rows[1:]]
+
+    @pytest.mark.parametrize("exponent", [-1000, -600, 400, 1000])
+    def test_time_unit_outside_window_refused_before_trajectory(self, monkeypatch, tmp_path, exponent):
+        import fiberphase.scenario as scenario
+
+        def refuse(path):
+            raise AssertionError("tangent_trajectory called")
+
+        monkeypatch.setattr(scenario, "tangent_trajectory", refuse)
+        t, pts = helix_points(1.0, 2.0 * math.pi, 1.3, 1025)
+        write_path_csv(tmp_path / "path.csv", np.ldexp(t, exponent), pts)
+        data = {"geometry": {"kind": "sampled", "path_csv": "path.csv"}, "state": {"n_r": 1, "n_l": 0}}
+        with pytest.raises(ConfigError, match=r"2\*\*-300, 2\*\*300") as err:
+            run_scenario(parse_config(data, "far", base_dir=tmp_path), tmp_path / "out")
+        assert err.value.field == "geometry.path_csv"
