@@ -28,7 +28,6 @@ from .geometry import (
     AngleTrajectory,
     FiberPath,
     TangentTrajectory,
-    anholonomy_integral,
     cone_trajectory,
     geodesic_closure,
     helix_cone,
@@ -51,7 +50,6 @@ from .phases import (
     EvolutionResult,
     PhaseBreakdown,
     berry_phase_cyclic,
-    closed_form_phase,
     effective_hamiltonian,
     evolution_operator_V,
     evolve_state,

@@ -75,10 +75,9 @@ def wrap_angle(phi):
 
 
 def grid_index(times: np.ndarray, t: float) -> int:
-    """Index of the grid sample at time t, within 1e-9 of the grid span."""
-    span = max(times[-1] - times[0], 1.0)
+    """Index of the grid sample at time t, within 1e-9 of the grid span in any time unit."""
     i = int(np.argmin(np.abs(times - t)))
-    if abs(times[i] - t) > 1e-9 * span:
+    if abs(times[i] - t) > 1e-9 * (times[-1] - times[0]):
         raise ValueError(f"t = {t!r} is not a sample of the grid [{times[0]}, {times[-1]}]")
     return i
 
@@ -142,12 +141,14 @@ def count_path_rows(filename) -> int:
     """Data rows of a path CSV (non-blank lines after the header), in bounded memory.
 
     The file is read ROW_COUNT_CHUNK_BYTES at a time, so a sampled path
-    can be sized before load_path_csv reads it whole.
+    can be sized before load_path_csv reads it whole.  Lines may end with
+    LF, CRLF or CR, as load_path_csv's universal newlines allow: each CR
+    counts as a line end, and the blank line a CRLF then adds is not a row.
     """
     lines, pending = 0, False
     with open(filename, "rb") as fh:
         for chunk in iter(lambda: fh.read(ROW_COUNT_CHUNK_BYTES), b""):
-            live = [bool(piece.strip()) for piece in chunk.split(b"\n")]
+            live = [bool(piece.strip()) for piece in chunk.replace(b"\r", b"\n").split(b"\n")]
             # The first piece continues the line the previous chunk left open.
             live[0] = live[0] or pending
             lines += sum(live[:-1])
@@ -320,10 +321,10 @@ def cone_anholonomy(polar_angle: float, turns: float, samples: int, azimuth_offs
     """Anholonomy integral of cone_trajectory(polar_angle, turns, samples, azimuth_offset), in blocks.
 
     Each block of at most BLOCK_SAMPLES + 2 samples of the one grid goes
-    through spherical_angles and cumulative_panes, the running value
+    through spherical_angles and running_anholonomy, the running value
     carried from block to block; blocks start on pane boundaries and
     share their edge sample.  The result has the bits of
-    cumulative_panes(spherical_angles(cone_trajectory(...)).anholonomy_rate(), times)[-1],
+    spherical_angles(cone_trajectory(...)).running_anholonomy()[-1],
     while scratch memory stays one block whatever the sample count.
     """
     _check_cone(polar_angle, turns, samples)
@@ -332,7 +333,7 @@ def cone_anholonomy(polar_angle: float, turns: float, samples: int, azimuth_offs
     running = None
     for lo, hi in zip(starts, [*starts[1:], samples - 1]):
         angles = spherical_angles(_cone(polar_angle, turns, grid[lo : hi + 1], azimuth_offset))
-        running = quadrature.cumulative_panes(angles.anholonomy_rate(), angles.times, start=running)[-1]
+        running = angles.running_anholonomy(start=running)[-1]
     return float(running)
 
 
@@ -352,9 +353,16 @@ class AngleTrajectory:
     lam: np.ndarray
     gamma_dot: np.ndarray
 
-    def anholonomy_rate(self) -> np.ndarray:
-        """Integrand gamma_dot * (1 - cos(lam)) of the anholonomy integral."""
-        return self.gamma_dot * (1.0 - np.cos(self.lam))
+    def running_anholonomy(self, start: float | None = None) -> np.ndarray:
+        """Running integral of gamma_dot * (1 - cos(lam)) at the pane boundaries of quadrature.cumulative_panes.
+
+        The one place the integrand is formed and summed.  The last value
+        is the anholonomy A, the state-independent factor of every spin
+        expectation in the phase formulas.  A given start is the running
+        value at the first sample, so pane-aligned blocks sharing their
+        edge sample chain bit for bit.
+        """
+        return quadrature.cumulative_panes(self.gamma_dot * (1.0 - np.cos(self.lam)), self.times, start=start)
 
     @cached_property
     def gamma(self) -> np.ndarray:
@@ -407,15 +415,6 @@ def spherical_angles(traj: TangentTrajectory) -> AngleTrajectory:
         raw_k[:, 0] * kd[:, 1] - raw_k[:, 1] * kd[:, 0], transverse_sq, out=np.zeros(len(lam)), where=live
     )
     return AngleTrajectory(times=traj.times.copy(), unit_tangents=k, lam=lam, gamma_dot=gamma_dot)
-
-
-def anholonomy_integral(angles: AngleTrajectory) -> float:
-    """Integral of gamma_dot * (1 - cos(lam)) over the whole trace.
-
-    This is the state-independent geometric factor multiplying every
-    spin expectation in the phase formulas.
-    """
-    return quadrature.integrate(angles.anholonomy_rate(), angles.times)
 
 
 def motion_identity_residual(traj: TangentTrajectory) -> float:

@@ -45,14 +45,7 @@ from .fock import (
     spin_fixed,
     spin_scale,
 )
-from .geometry import (
-    AngleTrajectory,
-    TangentTrajectory,
-    _row_norms,
-    anholonomy_integral,
-    grid_index,
-    spherical_angles,
-)
+from .geometry import TangentTrajectory, _row_norms, grid_index, spherical_angles
 
 STEP_GUARD = 0.1
 # Bytes of one (chunk, d, d) real stack of per-step matrices in evolve_state.
@@ -124,11 +117,6 @@ class EvolutionResult:
         amplitudes = np.zeros(self.space.dimension, dtype=complex)
         amplitudes[self.keep] = self.states[index]
         return StateVector(self.space, amplitudes)
-
-
-def closed_form_phase(angles: AngleTrajectory, s3_expectation: float) -> float:
-    """Geometric phase as s3 expectation times the anholonomy integral."""
-    return float(s3_expectation) * anholonomy_integral(angles)
 
 
 def berry_phase_cyclic(polar_angle: float, s3_expectation: float) -> float:
@@ -322,9 +310,9 @@ def extract_phases(result: EvolutionResult, traj: TangentTrajectory) -> PhaseBre
     """
     if (len(traj.times) + 1) // 2 != len(result.times):
         raise ValueError("evolution result does not match this trajectory grid")
-    khat = traj.tangents[0] / np.linalg.norm(traj.tangents[0])
-    s3_expectation = helicity_expectation(result.state_at(0), khat)
-    anholonomy = anholonomy_integral(spherical_angles(traj))
+    angles = spherical_angles(traj)
+    s3_expectation = helicity_expectation(result.state_at(0), angles.unit_tangents[0])
+    anholonomy = float(angles.running_anholonomy()[-1])
     return PhaseBreakdown.from_series(phase_series(result), s3_expectation, anholonomy)
 
 

@@ -3,8 +3,8 @@
 `cumulative_panes` consumes samples in panes of two consecutive
 intervals, is exact for quadratics and keeps the running sum at every
 pane boundary; when the interval count is odd the final interval is
-integrated with the quadratic through the last three samples.
-`integrate` is its last value.  `cumulative_dense` produces a running
+integrated with the quadratic through the last three samples.  Its last
+value is the integral over the grid.  `cumulative_dense` produces a running
 integral at every sample from per-interval quadratic pieces; both rules
 are fourth-order under grid refinement.  The pane and piece formulas
 act on whole array slices, one element per pane or interval.
@@ -83,11 +83,6 @@ def cumulative_panes(y: np.ndarray, x: np.ndarray, start: float | None = None) -
     if end < n - 1:  # one interval left over
         out[-1] = out[-2] + _trailing(y[n - 3], y[n - 2], y[n - 1], h[n - 3], h[n - 2])
     return out
-
-
-def integrate(y: np.ndarray, x: np.ndarray) -> float:
-    """Composite Simpson integral of sampled y(x) over the whole grid: the last running pane sum."""
-    return float(cumulative_panes(y, x)[-1])
 
 
 def cumulative_dense(y: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -17,7 +17,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import quadrature
 from .fock import FockSpace, build_photon_state, build_space, helicity_expectation, occupied_sectors, StateVector
 from .geometry import (
     cone_anholonomy,
@@ -305,6 +304,9 @@ def parse_config(data: dict, name: str, base_dir: Path | None = None) -> Scenari
         raise ConfigError("t_end", "must lie in (0, 1]")
     if isinstance(geometry, SampledGeometry) and t_end != 1.0:
         raise ConfigError("t_end", "not supported with sampled geometry")
+    # A trajectory traces turns * t_end turns, which may underflow to none.
+    if not isinstance(geometry, SampledGeometry) and geometry.turns * t_end == 0.0:
+        raise ConfigError("t_end", "turns * t_end rounds to 0")
 
     tolerance = _get_number(data, "tolerance", "config") if "tolerance" in data else DEFAULT_TOLERANCE
     if tolerance <= 0:
@@ -421,16 +423,6 @@ def _initial_state(config: ScenarioConfig, space, k0: np.ndarray) -> StateVector
     return build_photon_state(space, config.n_r, config.n_l, k_hat=k0)
 
 
-def _closed_form(config: ScenarioConfig):
-    """(trajectory, spherical angles, running anholonomy at the RK4 step boundaries) of a config.
-
-    The last running value is A, the same bits as geometry.anholonomy_integral.
-    """
-    traj = _build_trajectory(config)
-    angles = spherical_angles(traj)
-    return traj, angles, quadrature.cumulative_panes(angles.anholonomy_rate(), angles.times)
-
-
 def _dispersion(m: MediumSpec) -> tuple[float, float, DispersionVerdict, DispersionVerdict]:
     """(n_plus^2, n_minus^2, plus verdict, minus verdict) of a medium block."""
     plus, minus = classify(GyrotropicMedium(m.epsilon1, m.epsilon2, m.epsilon3, m.mu), m.omega)
@@ -443,7 +435,9 @@ def _check(name: str, value: float, threshold: float) -> dict:
 
 def evaluate_scenario(config: ScenarioConfig) -> dict:
     """Run one scenario in memory and return its summary mapping."""
-    traj, angles, running = _closed_form(config)
+    traj = _build_trajectory(config)
+    angles = spherical_angles(traj)
+    running = angles.running_anholonomy()
     anholonomy = float(running[-1])
 
     k = angles.unit_tangents
@@ -757,6 +751,8 @@ def _sweep_point(config: ScenarioConfig, parameter: str, value) -> tuple[int | f
         raise ConfigError("sweep", f"lambda value {x!r} outside [0, pi]")
     if parameter == "turns":
         _check_turns(x, "sweep", f"turns value {x!r}")
+        if x * config.t_end == 0.0:
+            raise ConfigError("sweep", f"turns value {x!r} times t_end rounds to 0")
     g = config.geometry
     if isinstance(g, SampledGeometry):
         raise ConfigError("sweep", "lambda/turns sweeps need helix or cone geometry")
@@ -808,7 +804,9 @@ def sweep(config: ScenarioConfig, parameter: str, values, out_dir) -> tuple[int,
             if swept.geometry not in anholonomy:
                 cone = _analytic_cone(swept)
                 anholonomy[swept.geometry] = (
-                    cone_anholonomy(*cone) if cone is not None else float(_closed_form(swept)[2][-1])
+                    cone_anholonomy(*cone)
+                    if cone is not None
+                    else float(spherical_angles(_build_trajectory(swept)).running_anholonomy()[-1])
                 )
             a = anholonomy[swept.geometry]
             s3 = _s3_expectation(swept.ordering, swept.n_r, swept.n_l)

@@ -11,11 +11,9 @@ import numpy as np
 from fiberphase import (
     BUILTIN_SCENARIOS,
     GyrotropicMedium,
-    anholonomy_integral,
     build_photon_state,
     build_space,
     classify,
-    closed_form_phase,
     commutator,
     cone_trajectory,
     evolution_operator_V,
@@ -62,7 +60,7 @@ def ode_geometric_phase(lam, steps, sigma=+1):
 
 def test_criterion_1_berry_limit():
     traj = helix_traj(math.pi / 4.0, 1.0, 8192)
-    closed = anholonomy_integral(spherical_angles(traj))
+    closed = spherical_angles(traj).running_anholonomy()[-1]
     breakdown, _, _ = ode_geometric_phase(math.pi / 4.0, 8192)
     quadrature_ok = abs(closed - BERRY_45) < 1e-8
     ode_ok = abs(breakdown.geometric_phase - BERRY_45) < 1e-4
@@ -149,8 +147,7 @@ def test_criterion_4_invariant_machinery():
 
 
 def test_criterion_5_multiphoton_linearity():
-    angles = spherical_angles(helix_traj(math.pi / 3.0, 1.0, 2048))
-    anholonomy = anholonomy_integral(angles)
+    anholonomy = spherical_angles(helix_traj(math.pi / 3.0, 1.0, 2048)).running_anholonomy()[-1]
     space = build_space(2, 3)
     _, _, r_n, l_n = s3_split(space)
     worst = 0.0
@@ -158,7 +155,7 @@ def test_criterion_5_multiphoton_linearity():
         for n_l in range(4):
             psi = build_photon_state(space, n_r, n_l)
             s3 = float(psi.expectation(r_n + l_n).real)
-            phi = closed_form_phase(angles, s3)
+            phi = s3 * anholonomy
             worst = max(worst, abs(phi - (n_r - n_l) * anholonomy))
     check(
         5,
@@ -168,13 +165,12 @@ def test_criterion_5_multiphoton_linearity():
 
 
 def test_criterion_6_vacuum_phases():
-    angles = spherical_angles(helix_traj(math.pi / 3.0, 1.0, 2048))
-    anholonomy = anholonomy_integral(angles)
+    anholonomy = spherical_angles(helix_traj(math.pi / 3.0, 1.0, 2048)).running_anholonomy()[-1]
     space = build_space(2, 1)
     r_nn, l_nn, _, _ = s3_split(space)
     vac = build_photon_state(space, 0, 0)
-    phi_r = closed_form_phase(angles, float(vac.expectation(r_nn).real))
-    phi_l = closed_form_phase(angles, float(vac.expectation(l_nn).real))
+    phi_r = float(vac.expectation(r_nn).real) * anholonomy
+    phi_l = float(vac.expectation(l_nn).real) * anholonomy
     ok = (
         phi_r == 0.5 * anholonomy
         and phi_l == -0.5 * anholonomy

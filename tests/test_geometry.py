@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from fiberphase import (
-    anholonomy_integral,
     cone_trajectory,
     geodesic_closure,
     helix_cone,
@@ -19,7 +18,6 @@ from fiberphase import (
 )
 from fiberphase import geometry
 from fiberphase.geometry import _cross, _row_norms, cone_anholonomy, count_path_rows
-from fiberphase.quadrature import cumulative_panes
 
 SOLID_ANGLE_45 = 1.84030236902122  # 2*pi*(1 - cos(pi/4))
 
@@ -290,7 +288,7 @@ class TestConeAnholonomy:
     def test_blocks_match_one_pass_chain(self, samples, polar, offset):
         for turns in (1.0, 2.7):
             angles = spherical_angles(cone_trajectory(polar, turns, samples, azimuth_offset=offset))
-            one_pass = cumulative_panes(angles.anholonomy_rate(), angles.times)[-1]
+            one_pass = angles.running_anholonomy()[-1]
             assert same_bits(cone_anholonomy(polar, turns, samples, offset), one_pass)
 
     def test_refuses_what_cone_trajectory_refuses(self):
@@ -427,24 +425,24 @@ class TestSolidAngle:
 
     def test_equator(self):
         angles = spherical_angles(cone_trajectory(math.pi / 2.0, 1.0, 513))
-        assert anholonomy_integral(angles) == pytest.approx(2.0 * math.pi, abs=1e-12)
+        assert angles.running_anholonomy()[-1] == pytest.approx(2.0 * math.pi, abs=1e-12)
 
     def test_quarter_pi_cone(self):
         angles = spherical_angles(cone_trajectory(math.pi / 4.0, 1.0, 513))
-        assert anholonomy_integral(angles) == pytest.approx(SOLID_ANGLE_45, abs=1e-10)
+        assert angles.running_anholonomy()[-1] == pytest.approx(SOLID_ANGLE_45, abs=1e-10)
 
     def test_degenerate_cap(self):
         angles = spherical_angles(cone_trajectory(1e-6, 1.0, 513))
-        assert abs(anholonomy_integral(angles)) < 1e-11
+        assert abs(angles.running_anholonomy()[-1]) < 1e-11
 
     def test_rotation_about_axis_invariance(self):
         a0 = spherical_angles(cone_trajectory(0.9, 1.0, 513))
         a1 = spherical_angles(cone_trajectory(0.9, 1.0, 513, azimuth_offset=1.234))
-        assert abs(anholonomy_integral(a0) - anholonomy_integral(a1)) < 1e-9
+        assert abs(a0.running_anholonomy()[-1] - a1.running_anholonomy()[-1]) < 1e-9
 
     def test_double_traversal_doubles(self):
-        single = anholonomy_integral(spherical_angles(cone_trajectory(0.7, 1.0, 513)))
-        double = anholonomy_integral(spherical_angles(cone_trajectory(0.7, 2.0, 1025)))
+        single = spherical_angles(cone_trajectory(0.7, 1.0, 513)).running_anholonomy()[-1]
+        double = spherical_angles(cone_trajectory(0.7, 2.0, 1025)).running_anholonomy()[-1]
         assert double == pytest.approx(2.0 * single, abs=1e-8)
 
 
@@ -484,6 +482,18 @@ class TestCsvInterfaces:
             f.write_text("t,x,y,z\n" + body)
             with pytest.raises(ValueError, match="no data rows"):
                 load_path_csv(f)
+
+    @pytest.mark.parametrize("chunk", [3, 7, 64, 1 << 16])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+    def test_rows_counted_as_loaded_for_any_line_end(self, tmp_path, monkeypatch, newline, chunk):
+        # Line ends split across read boundaries, and whitespace-only lines between rows.
+        rows = [f"{i / 16},{math.cos(i / 4)},{math.sin(i / 4)},{i / 16}" for i in range(17)]
+        rows[5:5] = ["   "]
+        rows[12:12] = ["\t", ""]
+        f = tmp_path / "p.csv"
+        f.write_bytes(newline.join(["t,x,y,z", *rows, ""]).encode())
+        monkeypatch.setattr(geometry, "ROW_COUNT_CHUNK_BYTES", chunk)
+        assert count_path_rows(f) == len(load_path_csv(f).times) == 17
 
     def test_whitespace_only_lines_skipped(self, tmp_path):
         rows = [f"{i / 16},{math.cos(i / 4)},{math.sin(i / 4)},{i / 16}\n" for i in range(17)]

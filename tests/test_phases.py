@@ -7,11 +7,9 @@ import pytest
 from fiberphase import (
     PhaseBreakdown,
     StateVector,
-    anholonomy_integral,
     berry_phase_cyclic,
     build_photon_state,
     build_space,
-    closed_form_phase,
     cone_trajectory,
     effective_hamiltonian,
     evolution_operator_V,
@@ -32,7 +30,6 @@ from fiberphase import (
 )
 from fiberphase.fock import _field_operator, occupied_sectors, sector_generators
 from fiberphase.phases import CHUNK_BYTES
-from fiberphase.quadrature import cumulative_panes
 
 BERRY_45 = 1.84030236902122  # 2*pi*(1 - cos(pi/4))
 
@@ -96,20 +93,20 @@ def eigenstate_run(sigma, lam=math.pi / 4.0, turns=1.0, steps=1024, n_max=2):
 class TestAnholonomyIntegral:
     def test_polar_zero_vanishes(self):
         angles = spherical_angles(cone_trajectory(0.0, 1.0, 257))
-        assert anholonomy_integral(angles) == 0.0
+        assert angles.running_anholonomy()[-1] == 0.0
 
     def test_equator_full_turn(self):
         angles = spherical_angles(cone_trajectory(math.pi / 2.0, 1.0, 257))
-        assert anholonomy_integral(angles) == pytest.approx(2.0 * math.pi, abs=1e-12)
+        assert angles.running_anholonomy()[-1] == pytest.approx(2.0 * math.pi, abs=1e-12)
 
     def test_quarter_pi_value(self):
         angles = spherical_angles(cone_trajectory(math.pi / 4.0, 1.0, 257))
-        assert anholonomy_integral(angles) == pytest.approx(BERRY_45, abs=1e-10)
+        assert angles.running_anholonomy()[-1] == pytest.approx(BERRY_45, abs=1e-10)
 
     def test_partial_trace(self):
         # Pane 64 of 128 ends at sample 128, half a turn: pi * (1 - cos(pi/3)) = pi/2.
         angles = spherical_angles(cone_trajectory(math.pi / 3.0, 1.0, 257))
-        running = cumulative_panes(angles.anholonomy_rate(), angles.times)
+        running = angles.running_anholonomy()
         assert running[64] == pytest.approx(0.5 * math.pi, abs=1e-12)
 
     def test_reparametrization_invariance(self):
@@ -128,23 +125,23 @@ class TestAnholonomyIntegral:
 
         warped = TangentTrajectory(t, tangents, derivatives)
         uniform = cone_trajectory(lam, turns, n)
-        a_w = anholonomy_integral(spherical_angles(warped))
-        a_u = anholonomy_integral(spherical_angles(uniform))
+        a_w = spherical_angles(warped).running_anholonomy()[-1]
+        a_u = spherical_angles(uniform).running_anholonomy()[-1]
         assert abs(a_w - a_u) < 1e-8
 
 
 class TestClosedFormPhase:
     def test_vacuum_right_attribution(self):
         angles = spherical_angles(cone_trajectory(math.pi / 3.0, 1.0, 257))
-        assert closed_form_phase(angles, 0.5) == pytest.approx(math.pi / 2.0, abs=1e-12)
+        assert 0.5 * angles.running_anholonomy()[-1] == pytest.approx(math.pi / 2.0, abs=1e-12)
 
     def test_two_one_multiphoton(self):
         angles = spherical_angles(cone_trajectory(math.pi / 3.0, 1.0, 257))
-        assert closed_form_phase(angles, 1.0) == pytest.approx(math.pi, abs=1e-12)
+        assert angles.running_anholonomy()[-1] == pytest.approx(math.pi, abs=1e-12)
 
     def test_vacuum_pair_cancels(self):
-        angles = spherical_angles(cone_trajectory(1.1, 2.3, 513))
-        assert closed_form_phase(angles, 0.5) + closed_form_phase(angles, -0.5) == 0.0
+        anholonomy = spherical_angles(cone_trajectory(1.1, 2.3, 513)).running_anholonomy()[-1]
+        assert 0.5 * anholonomy + -0.5 * anholonomy == 0.0
 
 
 class TestBerryPhaseCyclic:
@@ -531,7 +528,7 @@ def sampled_helix_run(times, points, n_r, n_l):
     """(A, RK4 geometric phase) of an (n_r, n_l) number state on a sampled path."""
     traj = tangent_trajectory(sampled_path(times, points))
     psi0 = build_photon_state(build_space(3, max(1, n_r + n_l)), n_r, n_l, k_hat=traj.tangents[0])
-    return anholonomy_integral(spherical_angles(traj)), extract_phases(evolve_state(psi0, traj), traj).geometric_phase
+    return spherical_angles(traj).running_anholonomy()[-1], extract_phases(evolve_state(psi0, traj), traj).geometric_phase
 
 
 class TestPathSymmetries:
@@ -593,6 +590,19 @@ class TestLvnResidual:
         for t in (0.1234567, 2.0):
             with pytest.raises(ValueError, match="not a sample of the grid"):
                 lvn_residual(traj, build_space(3, 1), t)
+
+    @pytest.mark.parametrize("scale", [2.0**-40, 2.0**40], ids=["span-2^-40", "span-2^40"])
+    def test_grid_times_judged_against_the_span_in_any_unit(self, scale):
+        # A tolerance of 1e-9 * max(span, 1) took t = 5e-10 as a sample of a span of 2**-40.
+        t, points = helix_points(1.0, 2.0 * math.pi, 1.0, 257)
+        traj = tangent_trajectory(sampled_path(t * scale, points))
+        space = build_space(3, 1)
+        for i in (0, 128, 256):
+            assert math.isfinite(lvn_residual(traj, space, traj.times[i]))
+        off_grid = [0.5 * (traj.times[128] + traj.times[129])] + ([5e-10] if scale < 1.0 else [])
+        for t_off in off_grid:
+            with pytest.raises(ValueError, match="not a sample of the grid"):
+                lvn_residual(traj, space, t_off)
 
     def test_random_smooth_tangent_field(self):
         space = build_space(3, 2)

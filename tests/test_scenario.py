@@ -88,14 +88,14 @@ def fuzz_configs(draw, bases, values):
 
 def row_loop_csv(summary):
     """The run CSV text built one row at a time, phi_closed by the Simpson rule over samples 0..i."""
-    from fiberphase.quadrature import integrate
+    from fiberphase.quadrature import cumulative_panes
 
     series = summary["_series"]
     angles, phase = series["angles"], series["phase"]
     rate = angles.gamma_dot * (1.0 - np.cos(angles.lam))
     lines = ["t,lambda,gamma,phi_closed,phi_total,phi_dyn,phi_geo,norm,lvn_residual"]
     for j, i in enumerate(range(0, len(angles.times), 2)):
-        cum = integrate(rate[: i + 1], angles.times[: i + 1]) if i else 0.0
+        cum = cumulative_panes(rate[: i + 1], angles.times[: i + 1])[-1] if i else 0.0
         row = [angles.times[i], angles.lam[i], angles.gamma[i], series["s3_attributed"] * cum,
                phase["total"][j], phase["dynamical"][j], phase["geometric"][j], phase["norms"][j],
                series["lvn"][j]]
@@ -162,6 +162,12 @@ class TestParseConfig:
             parse_config(cone_config(t_end=0.0), "t")
         with pytest.raises(ConfigError, match="t_end"):
             parse_config(cone_config(t_end=1.5), "t")
+        # Each factor is in range, but turns * t_end rounds to 0: no turn is traced.
+        data = cone_config(t_end=0.5)
+        data["geometry"]["turns"] = 5e-324
+        with pytest.raises(ConfigError, match="rounds to 0") as err:
+            parse_config(data, "t")
+        assert err.value.field == "t_end"
 
     def test_steps_minimum(self):
         with pytest.raises(ConfigError, match="steps"):
@@ -284,6 +290,13 @@ class TestMemoryBudget:
         assert "finite" in err.value.message
         assert not list(tmp_path.glob("*.csv"))
 
+    def test_turns_value_underflowing_t_end_refused_before_any_row(self, tmp_path):
+        config = parse_config(cone_config(t_end=0.5), "s")
+        with pytest.raises(ConfigError, match="rounds to 0") as err:
+            sweep(config, "turns", [1.0, 5e-324], tmp_path)
+        assert err.value.field == "sweep"
+        assert not list(tmp_path.glob("*"))
+
     def test_sampled_path_sized_before_read(self, monkeypatch, tmp_path):
         import fiberphase.scenario as scenario
 
@@ -393,7 +406,7 @@ class TestRunScenario:
 
     def test_csv_writer_matches_row_loop(self, tmp_path):
         import fiberphase.scenario as scenario
-        from fiberphase.quadrature import integrate
+        from fiberphase.quadrature import cumulative_panes
 
         summary = scenario.evaluate_scenario(parse_config(cone_config(polar=1.0, steps=256), "rows"))
         scenario._write_run_csv(summary, tmp_path / "rows.csv")
@@ -403,7 +416,7 @@ class TestRunScenario:
         lines = ["t,lambda,gamma,phi_closed,phi_total,phi_dyn,phi_geo,norm,lvn_residual"]
         for j, i in enumerate(range(0, len(angles.times), 2)):
             # phi_closed at step boundary i: the Simpson pane rule over samples 0..i.
-            cum = integrate(rate[: i + 1], angles.times[: i + 1]) if i else 0.0
+            cum = cumulative_panes(rate[: i + 1], angles.times[: i + 1])[-1] if i else 0.0
             row = [angles.times[i], angles.lam[i], angles.gamma[i], series["s3_attributed"] * cum,
                    phase["total"][j], phase["dynamical"][j], phase["geometric"][j], phase["norms"][j],
                    series["lvn"][j]]
