@@ -12,8 +12,8 @@ A trajectory builds u and the residual once, on first use, and every
 check and the evolution read that one copy.  spherical_angles
 normalises the tangents once and keeps them, so callers read unit
 tangents from the angles; the unwrapped azimuth is built only when it
-is read, which only a run's CSV does.  cone_anholonomy streams that same
-chain through a cone in blocks of samples for callers that need A alone.
+is read, which only a run's CSV does.  A cone's lambda and azimuth rate
+are constant, so cone_anholonomy gives its A in closed form, sample-free.
 Row norms and cross products of (n, 3) sample arrays go through
 _row_norms and _cross, column kernels with numpy's bits.
 """
@@ -38,14 +38,6 @@ TWO_PI = 2.0 * math.pi
 # window the finite differences and both Simpson rules, whose terms hold
 # up to the cube of an interval, neither overflow nor underflow.
 PARAMETER_WINDOW = (2.0**-300, 2.0**300)
-# cone_anholonomy walks its grid BLOCK_SAMPLES intervals at a time, an even
-# count, so every block starts on a pane boundary.  A block's (m, 3) float64
-# arrays, 24 bytes a sample, stay under glibc's 128 KiB mmap threshold, so
-# their scratch is reused from the heap; full-length arrays were returned to
-# the system and faulted back in for every sweep row.  Blocks of 8192 and
-# 16384 samples cross the threshold and measured slower.
-BLOCK_BYTES = 96 * 1024
-BLOCK_SAMPLES = BLOCK_BYTES // 24
 
 
 def _row_norms(v: np.ndarray) -> np.ndarray:
@@ -279,62 +271,46 @@ def trajectory_from_tangents(times: np.ndarray, tangents: np.ndarray) -> Tangent
     return TangentTrajectory(times=times, tangents=unit, derivatives=_derivative(unit, times))
 
 
-def _check_cone(polar_angle: float, turns: float, samples: int) -> None:
+def _check_cone(polar_angle: float, turns: float) -> None:
     if not 0.0 <= polar_angle <= math.pi:
         raise ValueError(f"polar angle must lie in [0, pi], got {polar_angle}")
     if turns <= 0:
         raise ValueError(f"turns must be positive, got {turns}")
+
+
+def cone_trajectory(polar_angle: float, turns: float, samples: int, azimuth_offset: float = 0.0) -> TangentTrajectory:
+    """Analytic tangent field precessing about z at constant polar angle, on np.linspace(0, 1, samples)."""
+    _check_cone(polar_angle, turns)
     if samples < 3:
         raise ValueError("need at least 3 samples")
-
-
-def _cone(polar_angle: float, turns: float, t: np.ndarray, azimuth_offset: float) -> TangentTrajectory:
-    """The cone field on t, any slice of the np.linspace(0, 1, samples) grid; samples are independent."""
+    t = np.linspace(0.0, 1.0, samples)
     gamma = azimuth_offset + TWO_PI * turns * t
     sl, cl = math.sin(polar_angle), math.cos(polar_angle)
     rate = TWO_PI * turns
     cos_g, sin_g = np.cos(gamma), np.sin(gamma)
-    tangents = np.empty((len(t), 3))
+    tangents = np.empty((samples, 3))
     np.multiply(sl, cos_g, out=tangents[:, 0])
     np.multiply(sl, sin_g, out=tangents[:, 1])
     tangents[:, 2] = cl
     # kdot = (-sl sin, sl cos, 0) * rate, each column multiplied in that order.
-    derivatives = np.empty((len(t), 3))
+    derivatives = np.empty((samples, 3))
     np.multiply(np.multiply(-sl, sin_g, out=sin_g), rate, out=derivatives[:, 0])
     np.multiply(np.multiply(sl, cos_g, out=cos_g), rate, out=derivatives[:, 1])
     derivatives[:, 2] = 0.0
     return TangentTrajectory(times=t, tangents=tangents, derivatives=derivatives)
 
 
-def cone_trajectory(
-    polar_angle: float,
-    turns: float,
-    samples: int,
-    azimuth_offset: float = 0.0,
-) -> TangentTrajectory:
-    """Analytic tangent field precessing about z at constant polar angle."""
-    _check_cone(polar_angle, turns, samples)
-    return _cone(polar_angle, turns, np.linspace(0.0, 1.0, samples), azimuth_offset)
+def cone_anholonomy(polar_angle: float, turns: float) -> float:
+    """Anholonomy 2*pi*turns*(1 - cos(polar_angle)) of a cone traced turns times, in closed form.
 
-
-def cone_anholonomy(polar_angle: float, turns: float, samples: int, azimuth_offset: float = 0.0) -> float:
-    """Anholonomy integral of cone_trajectory(polar_angle, turns, samples, azimuth_offset), in blocks.
-
-    Each block of at most BLOCK_SAMPLES + 2 samples of the one grid goes
-    through spherical_angles and running_anholonomy, the running value
-    carried from block to block; blocks start on pane boundaries and
-    share their edge sample.  The result has the bits of
-    spherical_angles(cone_trajectory(...)).running_anholonomy()[-1],
-    while scratch memory stays one block whatever the sample count.
+    The polar angle and the azimuth rate are constant on a cone, so the
+    integrand of running_anholonomy is too.  Within POLE_SIN_TOL of a pole
+    the rate is 0, as spherical_angles sets it there, and so is A.
     """
-    _check_cone(polar_angle, turns, samples)
-    grid = np.linspace(0.0, 1.0, samples)
-    starts = range(0, samples - 2, BLOCK_SAMPLES)
-    running = None
-    for lo, hi in zip(starts, [*starts[1:], samples - 1]):
-        angles = spherical_angles(_cone(polar_angle, turns, grid[lo : hi + 1], azimuth_offset))
-        running = angles.running_anholonomy(start=running)[-1]
-    return float(running)
+    _check_cone(polar_angle, turns)
+    if math.sin(polar_angle) < POLE_SIN_TOL:
+        return 0.0
+    return TWO_PI * turns * (1.0 - math.cos(polar_angle))
 
 
 @dataclass(frozen=True)
@@ -353,16 +329,15 @@ class AngleTrajectory:
     lam: np.ndarray
     gamma_dot: np.ndarray
 
-    def running_anholonomy(self, start: float | None = None) -> np.ndarray:
+    def running_anholonomy(self) -> np.ndarray:
         """Running integral of gamma_dot * (1 - cos(lam)) at the pane boundaries of quadrature.cumulative_panes.
 
         The one place the integrand is formed and summed.  The last value
         is the anholonomy A, the state-independent factor of every spin
-        expectation in the phase formulas.  A given start is the running
-        value at the first sample, so pane-aligned blocks sharing their
-        edge sample chain bit for bit.
+        expectation in the phase formulas.  On a cone, cone_anholonomy
+        gives A in closed form.
         """
-        return quadrature.cumulative_panes(self.gamma_dot * (1.0 - np.cos(self.lam)), self.times, start=start)
+        return quadrature.cumulative_panes(self.gamma_dot * (1.0 - np.cos(self.lam)), self.times)
 
     @cached_property
     def gamma(self) -> np.ndarray:

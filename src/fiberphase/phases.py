@@ -284,7 +284,7 @@ def phase_series(result: EvolutionResult) -> dict[str, np.ndarray]:
         worst = int(np.argmin(mags))
         raise ValueError(
             f"phase extraction ill-conditioned: |<psi(0)|psi(t)>| = {mags.min():.3e} "
-            f"at t = {result.times[worst]!r}"
+            f"at t = {float(result.times[worst])!r}"
         )
     total = -np.unwrap(np.angle(overlaps))
     total -= total[0]

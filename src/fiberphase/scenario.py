@@ -30,9 +30,10 @@ from .geometry import (
     tangent_trajectory,
     wrap_angle,
     CLOSURE_TOL,
+    TWO_PI,
 )
 from .media import DispersionVerdict, GyrotropicMedium, classify
-from .phases import PhaseBreakdown, check_rk4_grid, evolve_state, phase_series
+from .phases import STEP_GUARD, PhaseBreakdown, check_rk4_grid, evolve_state, phase_series
 
 ORDERINGS = ("normal", "nonnormal_r", "nonnormal_l", "nonnormal_total")
 SWEEP_PARAMETERS = ("lambda", "turns", "n_R", "n_L", "epsilon2")
@@ -59,9 +60,9 @@ _DENSE_COPIES_3MODE = 12
 _BYTES_PER_SAMPLE = 288
 # Below 2**52 a float still holds the half quantum of n + 1/2.
 _MAX_SWEEP_PHOTONS = 2**52 - 1
-# Most turns a geometry may have.  |A| <= 4*pi*turns, a Simpson pane sums
-# six times its largest integrand sample, and phi_closed is A times up to
-# 2**52 photons: all stay finite, where 2*pi*turns alone can overflow them.
+# Most turns a geometry may have.  |A| <= 4*pi*turns and phi_closed is A
+# times up to 2**52 photons: both stay finite, where 2*pi*turns alone can
+# overflow them.
 MAX_TURNS = 1e290
 
 
@@ -381,6 +382,29 @@ def _analytic_cone(config: ScenarioConfig) -> tuple[float, float, int, float] | 
     return polar, g.turns * config.t_end, 2 * config.steps + 1, offset
 
 
+def _check_step_guard(config: ScenarioConfig) -> None:
+    """Refuse a helix or cone run that evolve_state's step guard would refuse, naming the fewest steps it admits.
+
+    On a cone |u| is 2*pi*turns*sin(lambda) over the unit grid, so the
+    guard's bound N_top*|u|*dt is known before any sample is built.  A
+    sweep never evolves, so only a run checks it.
+    """
+    cone = _analytic_cone(config)
+    if cone is None:
+        return
+    if config.amplitudes is None:
+        top = config.n_r + config.n_l
+    else:
+        top = int(FockSpace(3, config.n_max).basis.sum(axis=1)[np.array(config.amplitudes) != 0].max())
+    field = top * TWO_PI * cone[1] * math.sin(cone[0])
+    if field / config.steps >= STEP_GUARD:
+        raise ConfigError(
+            "steps",
+            f"step-size guard: bound max|H|*dt = {field / config.steps:.3e} >= {STEP_GUARD} "
+            f"with steps = {config.steps}; needs steps >= {math.floor(field / STEP_GUARD) + 1}",
+        )
+
+
 def _build_trajectory(config: ScenarioConfig):
     cone = _analytic_cone(config)
     if cone is not None:
@@ -435,9 +459,12 @@ def _check(name: str, value: float, threshold: float) -> dict:
 
 def evaluate_scenario(config: ScenarioConfig) -> dict:
     """Run one scenario in memory and return its summary mapping."""
+    _check_step_guard(config)
     traj = _build_trajectory(config)
     angles = spherical_angles(traj)
-    running = angles.running_anholonomy()
+    cone = _analytic_cone(config)
+    # On the unit grid of a cone, A accrues at a constant rate and times[-1] is 1.0.
+    running = angles.running_anholonomy() if cone is None else cone_anholonomy(*cone[:2]) * angles.times[::2]
     anholonomy = float(running[-1])
 
     k = angles.unit_tangents
@@ -771,12 +798,13 @@ def sweep(config: ScenarioConfig, parameter: str, values, out_dir) -> tuple[int,
 
     Each row evaluates the template config with that one value swept in,
     by the closed-form and dispersion code a run uses.  Phase sweeps report
-    the quadrature route only; the dual numerical vs closed-form
+    the closed-form route only; the dual numerical vs closed-form
     verification is run_scenario's job.  Every value is validated before
     any row is computed, and each distinct geometry is evaluated once, so
-    an n_R or n_L sweep evaluates one.  A row needs only A, so a helix or
-    cone streams through geometry.cone_anholonomy in blocks, with the bits
-    of the run's one-pass chain; a sampled path takes that chain.
+    an n_R or n_L sweep evaluates one.  A row needs only A: a helix or
+    cone takes the closed form geometry.cone_anholonomy, whatever its
+    steps, with the bits of the run's A; a sampled path takes the run's
+    quadrature.
     """
     if parameter not in SWEEP_PARAMETERS:
         raise ConfigError("sweep", f"unknown parameter {parameter!r}; known: {', '.join(SWEEP_PARAMETERS)}")
@@ -804,7 +832,7 @@ def sweep(config: ScenarioConfig, parameter: str, values, out_dir) -> tuple[int,
             if swept.geometry not in anholonomy:
                 cone = _analytic_cone(swept)
                 anholonomy[swept.geometry] = (
-                    cone_anholonomy(*cone)
+                    cone_anholonomy(*cone[:2])
                     if cone is not None
                     else float(spherical_angles(_build_trajectory(swept)).running_anholonomy()[-1])
                 )

@@ -150,7 +150,7 @@ HELIX_NAN_RADIUS = {"kind": "helix", "radius": float("nan"), "pitch_per_turn": 6
         ({"geometry": CONE, "steps": 10**400}, [], "steps"),
         (None, ["--scenario", "chiao-helix-45", "--nmax", str(10**110)], "n_max"),
         (None, ["--scenario", "chiao-helix-45", "--sweep", "n_R=1e300"], "sweep"),
-        # Turns whose closed form overflows: 2*pi*turns itself, or only the quadrature.
+        # Turns whose closed form overflows: 2*pi*turns itself, or only phi_closed.
         ({"geometry": {**CONE, "turns": 1e308}}, [], "geometry.turns"),
         ({"geometry": CONE}, ["--sweep", "turns=1,1e308"], "sweep"),
         ({"geometry": CONE}, ["--sweep", "turns=5e306"], "sweep"),
@@ -237,7 +237,8 @@ HELIX_CSV = "t,x,y,z\n" + "".join(
     f"{i / 128!r},{math.cos(i * math.pi / 64)!r},{math.sin(i * math.pi / 64)!r},{i * math.pi / 64!r}\n"
     for i in range(129)
 )
-# The two numerical guards, the only refusals reported as field "runtime".
+# The two numerical guards, the only refusals reported as field "runtime".  A
+# helix or cone run meets the step guard before any sample, as field "steps".
 NUMERICAL_GUARDS = ("step-size guard violated", "phase extraction ill-conditioned")
 
 
@@ -246,6 +247,9 @@ NUMERICAL_GUARDS = ("step-size guard violated", "phase extraction ill-conditione
 # Each factor is in range, but turns * t_end rounds to 0 turns.
 @example({"geometry": {"kind": "cone", "polar_angle": 0.5, "turns": 5e-324}, "state": {"n_r": 1, "n_l": 0},
           "steps": 64, "t_end": 0.5})
+# 1000 turns need 40478 steps; at 4096 the run-time guard reads 9.882e-01.
+@example({"geometry": {"kind": "cone", "polar_angle": 0.7, "turns": 1000}, "state": {"n_r": 1, "n_l": 0},
+          "n_max": 1, "steps": 4096})
 def test_fuzzed_config_file_exits_cleanly(tmp_path_factory, document):
     # json.dumps cannot write an int past the interpreter's digit limit, so
     # such an int is written as a quoted marker and the digits put in after.
@@ -273,3 +277,19 @@ def test_fuzzed_config_file_exits_cleanly(tmp_path_factory, document):
         error = json.loads(lines[0])["error"]
         assert error["field"]
         assert error["field"] != "runtime" or error["message"].startswith(NUMERICAL_GUARDS), error
+        if error["field"] == "runtime" and error["message"].startswith(NUMERICAL_GUARDS[0]):
+            assert document["geometry"]["kind"] == "sampled", error
+
+
+def test_overlap_floor_names_a_plain_time(tmp_path):
+    # On the equator a one-photon state is orthogonal to itself half a turn on.
+    cfg = tmp_path / "equator.json"
+    cfg.write_text(json.dumps({"geometry": {"kind": "cone", "polar_angle": math.pi / 2.0, "turns": 1.0},
+                               "state": {"n_r": 1, "n_l": 0}, "n_max": 1, "steps": 256}))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    error = json.loads(err.getvalue())["error"]
+    assert error["field"] == "runtime"
+    assert error["message"].startswith("phase extraction ill-conditioned")
+    assert error["message"].endswith(" at t = 0.5"), error

@@ -282,21 +282,28 @@ class TestRowKernels:
 
 
 class TestConeAnholonomy:
+    # The closed form against the one-pass quadrature of the same cone; within
+    # POLE_SIN_TOL of a pole (1e-10 and pi - 1e-10) both read 0.
     @pytest.mark.parametrize("samples", [3, 65, 4095, 4097, 4098, 8193, 32769])
-    @pytest.mark.parametrize("polar", [0.0, math.pi, 0.8213, 2.4])
+    @pytest.mark.parametrize("polar", [0.0, math.pi, 0.8213, 2.4, 1e-10, math.pi - 1e-10])
     @pytest.mark.parametrize("offset", [0.0, math.pi / 2.0])
     def test_blocks_match_one_pass_chain(self, samples, polar, offset):
         for turns in (1.0, 2.7):
             angles = spherical_angles(cone_trajectory(polar, turns, samples, azimuth_offset=offset))
             one_pass = angles.running_anholonomy()[-1]
-            assert same_bits(cone_anholonomy(polar, turns, samples, offset), one_pass)
+            closed = cone_anholonomy(polar, turns)
+            assert abs(one_pass - closed) <= 1e-12 * max(1.0, abs(closed)), (one_pass, closed)
+            if math.sin(polar) < 1e-9:
+                assert one_pass == closed == 0.0
 
     def test_refuses_what_cone_trajectory_refuses(self):
-        for polar, turns, samples in ((-0.1, 1.0, 65), (0.5, 0.0, 65), (0.5, 1.0, 2)):
+        for polar, turns in ((-0.1, 1.0), (math.pi + 1e-9, 1.0), (0.5, 0.0), (0.5, -1.0)):
             with pytest.raises(ValueError):
-                cone_trajectory(polar, turns, samples)
+                cone_trajectory(polar, turns, 65)
             with pytest.raises(ValueError):
-                cone_anholonomy(polar, turns, samples)
+                cone_anholonomy(polar, turns)
+        with pytest.raises(ValueError, match="3 samples"):
+            cone_trajectory(0.5, 1.0, 2)
 
 
 class TestSphericalAngles:

@@ -397,6 +397,47 @@ class TestRunScenario:
             "motion_identity",
         }
 
+    def test_step_guard_is_predicted_before_any_sample(self, monkeypatch, tmp_path):
+        import fiberphase.scenario as scenario
+        from dataclasses import replace
+        from fiberphase import cone_trajectory, evolve_state
+
+        data = {"geometry": {"kind": "cone", "polar_angle": 0.7, "turns": 1000}, "state": {"n_r": 1, "n_l": 0},
+                "n_max": 1, "steps": 4096}
+        config = parse_config(data, "t")
+        built = []
+        monkeypatch.setattr(scenario, "cone_trajectory", lambda *args: built.append(args))
+        for steps, bound in ((4096, "9.882e-01"), (40477, "1.000e-01")):
+            pattern = rf"= {bound} >= 0\.1 with steps = {steps}; needs steps >= 40478$"
+            with pytest.raises(ConfigError, match=pattern) as err:
+                scenario.evaluate_scenario(replace(config, steps=steps))
+            assert err.value.field == "steps" and not built
+        monkeypatch.undo()
+        # The fewest steps named pass evolve_state's guard; one fewer trips it.
+        summary = scenario.evaluate_scenario(replace(config, steps=40478))
+        assert summary["numerical"]["max_h_dt_bound"] < scenario.STEP_GUARD
+        traj = cone_trajectory(0.7, 1000.0, 2 * 40477 + 1)
+        with pytest.raises(ValueError, match="step-size guard violated"):
+            evolve_state(build_photon_state(build_space(3, 1), 1, 0, k_hat=traj.tangents[0]), traj)
+        # A sweep never evolves: the same template sweeps.
+        _, csv_path = sweep(config, "lambda", [0.5], tmp_path)
+        assert len(Path(csv_path).read_text().splitlines()) == 2
+
+    @pytest.mark.parametrize("index, photons", [(0, 0), (1, 1), (18, 2)], ids=["vacuum", "one", "two"])
+    def test_step_guard_reads_the_top_sector_of_amplitudes(self, index, photons):
+        import fiberphase.scenario as scenario
+
+        # At 64 steps an equatorial turn admits one photon (0.098) but not two (0.196).
+        amplitudes = [[0.0, 0.0]] * 27
+        amplitudes[index] = [1.0, 0.0]
+        config = parse_config(cone_config(polar=math.pi / 2.0, steps=64, state={"amplitudes": amplitudes}), "t")
+        if photons < 2:
+            scenario._check_step_guard(config)
+        else:
+            with pytest.raises(ConfigError, match="needs steps >= 126$") as err:
+                scenario._check_step_guard(config)
+            assert err.value.field == "steps"
+
     def test_csv_row_count_and_columns(self, tmp_path):
         config = parse_config(cone_config(steps=128), "rows")
         run_scenario(config, tmp_path)
@@ -404,34 +445,41 @@ class TestRunScenario:
         assert len(lines) == 130  # header + steps + 1
         assert all(len(line.split(",")) == 9 for line in lines[1:])
 
+    @staticmethod
+    def sampled_summary(tmp_path, steps, name):
+        """evaluate_scenario on a one-turn sampled helix of 2 * steps + 1 rows."""
+        import fiberphase.scenario as scenario
+
+        write_path_csv(tmp_path / f"{name}.path.csv", *helix_points(1.0, 2.0 * math.pi, 1.0, 2 * steps + 1))
+        data = {"geometry": {"kind": "sampled", "path_csv": f"{name}.path.csv"}, "state": {"n_r": 1, "n_l": 0}}
+        return scenario.evaluate_scenario(parse_config(data, name, base_dir=tmp_path))
+
     def test_csv_writer_matches_row_loop(self, tmp_path):
         import fiberphase.scenario as scenario
-        from fiberphase.quadrature import cumulative_panes
 
-        summary = scenario.evaluate_scenario(parse_config(cone_config(polar=1.0, steps=256), "rows"))
+        summary = self.sampled_summary(tmp_path, 256, "rows")
         scenario._write_run_csv(summary, tmp_path / "rows.csv")
-        series = summary["_series"]
-        angles, phase = series["angles"], series["phase"]
-        rate = angles.gamma_dot * (1.0 - np.cos(angles.lam))
-        lines = ["t,lambda,gamma,phi_closed,phi_total,phi_dyn,phi_geo,norm,lvn_residual"]
-        for j, i in enumerate(range(0, len(angles.times), 2)):
-            # phi_closed at step boundary i: the Simpson pane rule over samples 0..i.
-            cum = cumulative_panes(rate[: i + 1], angles.times[: i + 1])[-1] if i else 0.0
-            row = [angles.times[i], angles.lam[i], angles.gamma[i], series["s3_attributed"] * cum,
-                   phase["total"][j], phase["dynamical"][j], phase["geometric"][j], phase["norms"][j],
-                   series["lvn"][j]]
-            lines.append(",".join(format(float(v), ".17g") for v in row))
-        assert (tmp_path / "rows.csv").read_text() == "\n".join(lines) + "\n"
+        assert (tmp_path / "rows.csv").read_text() == row_loop_csv(summary)
 
     def test_csv_blocks_match_row_loop(self, tmp_path):
         import fiberphase.scenario as scenario
 
         # Three full row blocks and a partial fourth.
         rows = scenario.CSV_BLOCK_VALUES // 9
-        steps = 3 * rows + rows // 2
-        summary = scenario.evaluate_scenario(parse_config(cone_config(polar=1.0, steps=steps), "blocks"))
+        summary = self.sampled_summary(tmp_path, 3 * rows + rows // 2, "blocks")
         scenario._write_run_csv(summary, tmp_path / "blocks.csv")
         assert (tmp_path / "blocks.csv").read_text() == row_loop_csv(summary)
+
+    def test_cone_phi_closed_is_s3_times_a_times_t(self, tmp_path):
+        # A cone's A accrues at a constant rate: phi_closed = s3 * (A * t) at every step, bit for bit.
+        data = cone_config(polar=1.0, steps=256, ordering="nonnormal_r", state={"n_r": 2, "n_l": 0})
+        summary = run_scenario(parse_config(data, "cone"), tmp_path).summary
+        s3 = summary["spin_expectations"]["s3_attributed"]
+        a = summary["closed_form"]["anholonomy_integral"]
+        table = np.loadtxt(tmp_path / "cone.csv", delimiter=",", skiprows=1)
+        assert s3 == pytest.approx(2.5) and len(table) == 257
+        assert np.array_equal(table[:, 3], s3 * (a * table[:, 0]))
+        assert table[-1, 0] == 1.0 and table[-1, 3] == summary["closed_form"]["phi_attributed"]
 
     def test_csv_writer_memory_is_flat(self, tmp_path):
         import fiberphase.scenario as scenario
@@ -771,15 +819,12 @@ class TestSweep:
         assert calls == expected
 
     def test_sweep_never_unwraps_the_azimuth(self, monkeypatch, tmp_path):
+        # Only a sampled template builds angles in a sweep, once for an n_R sweep.
         import fiberphase.geometry as geometry
         import fiberphase.scenario as scenario
 
-        streamed, built = [], []
-        original_stream, original_angles = scenario.cone_anholonomy, geometry.spherical_angles
-
-        def stream(*args):
-            streamed.append(args)
-            return original_stream(*args)
+        built = []
+        original_angles = scenario.spherical_angles
 
         def kept(traj):
             built.append(original_angles(traj))
@@ -788,18 +833,19 @@ class TestSweep:
         def refuse(*args, **kwargs):
             raise AssertionError("azimuth unwrapped in a sweep")
 
-        monkeypatch.setattr(scenario, "cone_anholonomy", stream)
-        monkeypatch.setattr(geometry, "spherical_angles", kept)
+        write_path_csv(tmp_path / "path.csv", *helix_points(1.0, 2.0 * math.pi, 1.0, 257))
+        data = {"geometry": {"kind": "sampled", "path_csv": "path.csv"}, "state": {"n_r": 1, "n_l": 0}}
+        config = parse_config(data, "s", base_dir=tmp_path)
+        monkeypatch.setattr(scenario, "spherical_angles", kept)
         monkeypatch.setattr(geometry.np, "arctan2", refuse)
-        values = [0.1 * i for i in range(1, 9)]
-        _, csv_path = sweep(parse_config(cone_config(steps=256), "s"), "lambda", values, tmp_path)
+        values = list(range(8))
+        _, csv_path = sweep(config, "n_R", values, tmp_path)
         assert len(Path(csv_path).read_text().splitlines()) == 1 + len(values)
-        assert len(streamed) == len(values)
-        assert built and all("gamma" not in angles.__dict__ for angles in built)
+        assert len(built) == 1 and "gamma" not in built[0].__dict__
 
     def test_sweep_scratch_memory_is_flat_in_steps(self, tmp_path):
-        # Beyond the one (2 * steps + 1)-sample time grid, a row holds one block of samples.
-        extra = []
+        # A helix or cone row is closed form: no sample of any grid is built.
+        peaks = []
         for steps in (16384, 131072):
             config = parse_config(cone_config(steps=steps), "flat")
             tracemalloc.start()
@@ -808,8 +854,27 @@ class TestSweep:
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            extra.append(peak - (2 * steps + 1) * 8)
-        assert extra[1] <= extra[0] + 16 * 1024, extra
+            peaks.append(peak)
+        assert peaks[1] <= peaks[0] + 16 * 1024, peaks
+
+    @pytest.mark.parametrize("kind", ["cone", "helix"])
+    @pytest.mark.parametrize(
+        "parameter, values",
+        [("lambda", [0.0, 0.4, 1.1, math.pi]), ("turns", [0.5, 1.623527535179605, 2.3]), ("n_R", [0, 1, 5])],
+        ids=["lambda", "turns", "n_R"],
+    )
+    def test_phase_rows_do_not_depend_on_steps(self, tmp_path, kind, parameter, values):
+        # The closed form takes no samples, so a row reads the same at any step count.
+        texts = []
+        for steps in (64, 16384):
+            template = cone_config(polar=0.7, steps=steps, t_end=0.75)
+            if kind == "helix":
+                template["geometry"] = {"kind": "helix", "radius": 0.5782702140627514,
+                                        "pitch_per_turn": 14.569022633784593, "turns": 1.0}
+            _, csv_path = sweep(parse_config(template, "s"), parameter, values, tmp_path / str(steps))
+            texts.append(Path(csv_path).read_text())
+        assert texts[0] == texts[1]
+        assert len(texts[0].splitlines()) == 1 + len(values)
 
     @pytest.mark.parametrize(
         "parameter, polar",
@@ -879,7 +944,7 @@ class TestSweep:
         medium=st.booleans(),
         amplitudes=st.booleans(),
     )
-    # 2*pi*turns overflows at 1e308; at 5e306 only the quadrature does.
+    # 2*pi*turns overflows at 1e308; at 5e306 only phi_closed would.
     @example(parameter="turns", values=[1.0, 1e308], medium=False, amplitudes=False)
     @example(parameter="turns", values=[5e306], medium=False, amplitudes=False)
     @example(parameter="turns", values=[1.0, MAX_TURNS], medium=False, amplitudes=False)
