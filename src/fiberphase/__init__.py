@@ -25,7 +25,6 @@ from .fock import (
     vacuum_state,
 )
 from .geometry import (
-    AngleTrajectory,
     FiberPath,
     TangentTrajectory,
     cone_trajectory,
@@ -35,7 +34,6 @@ from .geometry import (
     load_path_csv,
     motion_identity_residual,
     sampled_path,
-    spherical_angles,
     tangent_trajectory,
     trajectory_from_tangents,
     wrap_angle,

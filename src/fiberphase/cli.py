@@ -84,8 +84,8 @@ def main(argv=None) -> int:
             path = Path(args.config)
             try:
                 data = json.loads(path.read_text(encoding="utf-8"))
-            except FileNotFoundError:
-                raise ConfigError("config", f"file not found: {path}") from None
+            except OSError as exc:  # missing, a directory, unreadable
+                raise ConfigError("config", f"cannot read {path}: {exc.strerror or exc}") from None
             except ValueError as exc:  # also an int past the interpreter's digit limit
                 raise ConfigError("config", f"invalid JSON: {exc}") from None
             data = apply_overrides(data, args.steps, args.nmax, args.tol)

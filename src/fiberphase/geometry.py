@@ -8,12 +8,11 @@ sampled point lists fall back to second-order finite differences.  The
 anholonomy integral, the geodesic closure of an open trace, the
 precession field u and the equation-of-motion residual live here too:
 they depend on the tangent kinematics alone.
-A trajectory builds u and the residual once, on first use, and every
-check and the evolution read that one copy.  spherical_angles
-normalises the tangents once and keeps them, so callers read unit
-tangents from the angles; the unwrapped azimuth is built only when it
-is read, which only a run's CSV does.  A cone's lambda and azimuth rate
-are constant, so cone_anholonomy gives its A in closed form, sample-free.
+A trajectory is the one object per path: it builds u, the residual,
+the unit tangents, lambda, the azimuth rate and the unwrapped azimuth
+each once, on first read.  A cone's lambda and azimuth rate are
+constant, so cone_anholonomy gives its A in closed form and a helix or
+cone run never forms the rate; only a run's CSV unwraps the azimuth.
 Row norms and cross products of (n, 3) sample arrays go through
 _row_norms and _cross, column kernels with numpy's bits.
 """
@@ -168,9 +167,14 @@ def load_path_csv(filename) -> FiberPath:
     return sampled_path(data[:, 0], data[:, 1:4])
 
 
+def _off_pole(unit_tangents: np.ndarray) -> np.ndarray:
+    """Mask of the unit tangents at least POLE_SIN_TOL away from both poles."""
+    return np.hypot(unit_tangents[:, 0], unit_tangents[:, 1]) >= POLE_SIN_TOL
+
+
 @dataclass(frozen=True)
 class TangentTrajectory:
-    """Time-sampled tangent field k(t) and its derivative."""
+    """Time-sampled tangent field k(t), its derivative, and the kinematics built from them on first read."""
 
     times: np.ndarray
     tangents: np.ndarray
@@ -208,6 +212,65 @@ class TangentTrajectory:
         residual = _cross(self.tangents, self.precession_field)
         residual += self.derivatives
         return residual
+
+    @cached_property
+    def unit_tangents(self) -> np.ndarray:
+        """The tangents normalised, k/|k|, built once."""
+        norms = _row_norms(self.tangents)
+        if np.any(norms == 0.0):
+            raise ValueError("tangent with zero magnitude")
+        return self.tangents / norms[:, None]
+
+    @cached_property
+    def lam(self) -> np.ndarray:
+        """Polar angle of the unit tangents in [0, pi], measured from +z."""
+        return np.arccos(np.clip(self.unit_tangents[:, 2], -1.0, 1.0))
+
+    @cached_property
+    def gamma_dot(self) -> np.ndarray:
+        """Azimuth rate (k1 kdot2 - k2 kdot1) / (k1^2 + k2^2), scale invariant and as accurate as kdot.
+
+        Within POLE_SIN_TOL of a pole it is 0; the phase integrand
+        vanishes there, so the convention cannot bias any phase.
+        """
+        k, kd = self.tangents, self.derivatives
+        transverse_sq = k[:, 0] ** 2 + k[:, 1] ** 2
+        return np.divide(
+            k[:, 0] * kd[:, 1] - k[:, 1] * kd[:, 0],
+            transverse_sq,
+            out=np.zeros(len(k)),
+            where=_off_pole(self.unit_tangents),
+        )
+
+    @cached_property
+    def gamma(self) -> np.ndarray:
+        """Azimuth kept continuous rather than reduced mod 2*pi, built once.
+
+        Off the poles it is the raw atan2 value plus the whole turns
+        counted by the cumulative sum of wrapped increments between
+        consecutive off-pole samples.  A sample within POLE_SIN_TOL of a
+        pole repeats the previous value (0 before the first off-pole
+        sample).
+        """
+        k = self.unit_tangents
+        live = _off_pole(k)
+        raw = np.arctan2(k[:, 1], k[:, 0])[live]
+        # Leading pole samples anchor the first increment at azimuth 0.
+        step = np.diff(raw, prepend=raw[:1] if live[0] else 0.0)
+        # Slot 0 holds the 0 a leading pole sample reads.
+        unwrapped = np.concatenate(([0.0], raw + TWO_PI * np.cumsum(np.rint((wrap_angle(step) - step) / TWO_PI))))
+        # Each sample reads the last off-pole value at or before it.
+        return unwrapped[np.cumsum(live)]
+
+    def running_anholonomy(self) -> np.ndarray:
+        """Running integral of gamma_dot * (1 - cos(lam)) at the pane boundaries of quadrature.cumulative_panes.
+
+        The one place the integrand is formed and summed.  The last value
+        is the anholonomy A, the state-independent factor of every spin
+        expectation in the phase formulas.  On a cone, cone_anholonomy
+        gives A in closed form.
+        """
+        return quadrature.cumulative_panes(self.gamma_dot * (1.0 - np.cos(self.lam)), self.times)
 
     def scaled(self, factor: float) -> "TangentTrajectory":
         """Same trajectory with all tangent magnitudes multiplied."""
@@ -305,91 +368,12 @@ def cone_anholonomy(polar_angle: float, turns: float) -> float:
 
     The polar angle and the azimuth rate are constant on a cone, so the
     integrand of running_anholonomy is too.  Within POLE_SIN_TOL of a pole
-    the rate is 0, as spherical_angles sets it there, and so is A.
+    the rate is 0, as TangentTrajectory.gamma_dot sets it there, and so is A.
     """
     _check_cone(polar_angle, turns)
     if math.sin(polar_angle) < POLE_SIN_TOL:
         return 0.0
     return TWO_PI * turns * (1.0 - math.cos(polar_angle))
-
-
-@dataclass(frozen=True)
-class AngleTrajectory:
-    """Spherical angles of a tangent trajectory.
-
-    unit_tangents holds the normalised tangents k/|k|; lam is their
-    polar angle in [0, pi] and gamma_dot the azimuth rate derived from
-    the trajectory's own tangent-derivative data.  The unwrapped azimuth
-    gamma is built from unit_tangents on first use: the anholonomy reads
-    only lam and gamma_dot, so a closed-form sweep never unwraps it.
-    """
-
-    times: np.ndarray
-    unit_tangents: np.ndarray
-    lam: np.ndarray
-    gamma_dot: np.ndarray
-
-    def running_anholonomy(self) -> np.ndarray:
-        """Running integral of gamma_dot * (1 - cos(lam)) at the pane boundaries of quadrature.cumulative_panes.
-
-        The one place the integrand is formed and summed.  The last value
-        is the anholonomy A, the state-independent factor of every spin
-        expectation in the phase formulas.  On a cone, cone_anholonomy
-        gives A in closed form.
-        """
-        return quadrature.cumulative_panes(self.gamma_dot * (1.0 - np.cos(self.lam)), self.times)
-
-    @cached_property
-    def gamma(self) -> np.ndarray:
-        """Azimuth kept continuous rather than reduced mod 2*pi, built once.
-
-        Off the poles it is the raw atan2 value plus the whole turns
-        counted by the cumulative sum of wrapped increments between
-        consecutive off-pole samples.  A sample within POLE_SIN_TOL of a
-        pole repeats the previous value (0 before the first off-pole
-        sample).
-        """
-        k = self.unit_tangents
-        live = _off_pole(k)
-        raw = np.arctan2(k[:, 1], k[:, 0])[live]
-        # Leading pole samples anchor the first increment at azimuth 0.
-        step = np.diff(raw, prepend=raw[:1] if live[0] else 0.0)
-        # Slot 0 holds the 0 a leading pole sample reads.
-        unwrapped = np.concatenate(([0.0], raw + TWO_PI * np.cumsum(np.rint((wrap_angle(step) - step) / TWO_PI))))
-        # Each sample reads the last off-pole value at or before it.
-        return unwrapped[np.cumsum(live)]
-
-
-def _off_pole(unit_tangents: np.ndarray) -> np.ndarray:
-    """Mask of the unit tangents at least POLE_SIN_TOL away from both poles."""
-    return np.hypot(unit_tangents[:, 0], unit_tangents[:, 1]) >= POLE_SIN_TOL
-
-
-def spherical_angles(traj: TangentTrajectory) -> AngleTrajectory:
-    """Polar angle, azimuth rate and unit tangents of a trajectory.
-
-    Where the tangent passes within POLE_SIN_TOL of a pole the azimuth
-    rate is forced to zero; the phase integrand vanishes there, so the
-    convention cannot bias any phase.  The rate comes from the identity
-    gamma_dot = (k1 kdot2 - k2 kdot1) / (k1^2 + k2^2), which is scale
-    invariant and carries exactly the accuracy of the stored derivative
-    data instead of adding another differencing layer.  The unwrapped
-    azimuth is AngleTrajectory.gamma, built only when read.
-    """
-    raw_k = np.asarray(traj.tangents, dtype=float)
-    norms = _row_norms(raw_k)
-    if np.any(norms == 0.0):
-        raise ValueError("tangent with zero magnitude")
-    k = raw_k / norms[:, None]
-    lam = np.arccos(np.clip(k[:, 2], -1.0, 1.0))
-    live = _off_pole(k)
-
-    kd = np.asarray(traj.derivatives, dtype=float)
-    transverse_sq = raw_k[:, 0] ** 2 + raw_k[:, 1] ** 2
-    gamma_dot = np.divide(
-        raw_k[:, 0] * kd[:, 1] - raw_k[:, 1] * kd[:, 0], transverse_sq, out=np.zeros(len(lam)), where=live
-    )
-    return AngleTrajectory(times=traj.times.copy(), unit_tangents=k, lam=lam, gamma_dot=gamma_dot)
 
 
 def motion_identity_residual(traj: TangentTrajectory) -> float:

@@ -45,13 +45,21 @@ from .fock import (
     spin_fixed,
     spin_scale,
 )
-from .geometry import TangentTrajectory, _row_norms, grid_index, spherical_angles
+from .geometry import TangentTrajectory, _row_norms, grid_index
 
 STEP_GUARD = 0.1
 # Bytes of one (chunk, d, d) real stack of per-step matrices in evolve_state.
 CHUNK_BYTES = 64 * 1024
 OVERLAP_FLOOR = 1e-6
 TWO_PI = 2.0 * math.pi
+
+
+class StepGuardError(ValueError):
+    """A grid whose bound max|H|*dt reaches STEP_GUARD, refused by evolve_state before any RK4 step."""
+
+    def __init__(self, bound: float):
+        self.bound = bound
+        super().__init__(f"step-size guard violated: bound max|H|*dt = {bound:.3e} >= {STEP_GUARD}; refine the grid")
 
 
 @dataclass(frozen=True)
@@ -202,7 +210,8 @@ def evolve_state(psi0: StateVector, traj: TangentTrajectory) -> EvolutionResult:
     guard max|H| * step <= N_top * max|u| * step (N_top the largest
     occupied sector) holds because a complete sector N has spectral
     radius N|u| and, by Cauchy interlacing, a sector cut off at n_max no
-    larger; it is enforced and reported, never silently accepted.
+    larger; it is enforced (StepGuardError) and reported, never silently
+    accepted.
     """
     check_rk4_grid(traj.times)
     if abs(psi0.norm() - 1.0) > 1e-9:
@@ -216,10 +225,7 @@ def evolve_state(psi0: StateVector, traj: TangentTrajectory) -> EvolutionResult:
     step_h = times[2::2] - times[0:-2:2]
     max_h_dt = float(sectors[-1] * _row_norms(u).max() * step_h.max())
     if max_h_dt >= STEP_GUARD:
-        raise ValueError(
-            f"step-size guard violated: bound max|H|*dt = {max_h_dt:.3e} >= {STEP_GUARD}; "
-            "refine the grid"
-        )
+        raise StepGuardError(max_h_dt)
 
     steps = (n - 1) // 2
     d = len(keep)
@@ -310,9 +316,8 @@ def extract_phases(result: EvolutionResult, traj: TangentTrajectory) -> PhaseBre
     """
     if (len(traj.times) + 1) // 2 != len(result.times):
         raise ValueError("evolution result does not match this trajectory grid")
-    angles = spherical_angles(traj)
-    s3_expectation = helicity_expectation(result.state_at(0), angles.unit_tangents[0])
-    anholonomy = float(angles.running_anholonomy()[-1])
+    s3_expectation = helicity_expectation(result.state_at(0), traj.unit_tangents[0])
+    anholonomy = float(traj.running_anholonomy()[-1])
     return PhaseBreakdown.from_series(phase_series(result), s3_expectation, anholonomy)
 
 

@@ -26,14 +26,12 @@ from .geometry import (
     helix_cone,
     load_path_csv,
     motion_identity_residual,
-    spherical_angles,
     tangent_trajectory,
     wrap_angle,
     CLOSURE_TOL,
-    TWO_PI,
 )
 from .media import DispersionVerdict, GyrotropicMedium, classify
-from .phases import STEP_GUARD, PhaseBreakdown, check_rk4_grid, evolve_state, phase_series
+from .phases import STEP_GUARD, PhaseBreakdown, StepGuardError, check_rk4_grid, evolve_state, phase_series
 
 ORDERINGS = ("normal", "nonnormal_r", "nonnormal_l", "nonnormal_total")
 SWEEP_PARAMETERS = ("lambda", "turns", "n_R", "n_L", "epsilon2")
@@ -64,6 +62,12 @@ _MAX_SWEEP_PHOTONS = 2**52 - 1
 # times up to 2**52 photons: both stay finite, where 2*pi*turns alone can
 # overflow them.
 MAX_TURNS = 1e290
+# Relative headroom of the step count a step-guard refusal names.  On a
+# helix or cone the bound measured at S steps, times S, gives the bound at
+# any other count to within a few ulps per sample and 2**-52 per step of
+# the unit grid: far below this for every count the memory budget admits,
+# so a run at the count named passes the guard.
+STEP_HINT_HEADROOM = 1e-6
 
 
 class ConfigError(ValueError):
@@ -248,7 +252,9 @@ def _parse_medium(data) -> MediumSpec:
     omega = _get_number(data, "omega", "medium") if "omega" in data else 1.0
     if omega <= 0:
         raise ConfigError("medium.omega", "must be positive")
-    return MediumSpec(eps1, eps2, eps3, mu, omega)
+    medium = MediumSpec(eps1, eps2, eps3, mu, omega)
+    _dispersion(medium)
+    return medium
 
 
 def parse_config(data: dict, name: str, base_dir: Path | None = None) -> ScenarioConfig:
@@ -382,29 +388,6 @@ def _analytic_cone(config: ScenarioConfig) -> tuple[float, float, int, float] | 
     return polar, g.turns * config.t_end, 2 * config.steps + 1, offset
 
 
-def _check_step_guard(config: ScenarioConfig) -> None:
-    """Refuse a helix or cone run that evolve_state's step guard would refuse, naming the fewest steps it admits.
-
-    On a cone |u| is 2*pi*turns*sin(lambda) over the unit grid, so the
-    guard's bound N_top*|u|*dt is known before any sample is built.  A
-    sweep never evolves, so only a run checks it.
-    """
-    cone = _analytic_cone(config)
-    if cone is None:
-        return
-    if config.amplitudes is None:
-        top = config.n_r + config.n_l
-    else:
-        top = int(FockSpace(3, config.n_max).basis.sum(axis=1)[np.array(config.amplitudes) != 0].max())
-    field = top * TWO_PI * cone[1] * math.sin(cone[0])
-    if field / config.steps >= STEP_GUARD:
-        raise ConfigError(
-            "steps",
-            f"step-size guard: bound max|H|*dt = {field / config.steps:.3e} >= {STEP_GUARD} "
-            f"with steps = {config.steps}; needs steps >= {math.floor(field / STEP_GUARD) + 1}",
-        )
-
-
 def _build_trajectory(config: ScenarioConfig):
     cone = _analytic_cone(config)
     if cone is not None:
@@ -447,10 +430,32 @@ def _initial_state(config: ScenarioConfig, space, k0: np.ndarray) -> StateVector
     return build_photon_state(space, config.n_r, config.n_l, k_hat=k0)
 
 
-def _dispersion(m: MediumSpec) -> tuple[float, float, DispersionVerdict, DispersionVerdict]:
-    """(n_plus^2, n_minus^2, plus verdict, minus verdict) of a medium block."""
+def _dispersion(m: MediumSpec, field: str = "medium") -> tuple[float, float, DispersionVerdict, DispersionVerdict]:
+    """(n_plus^2, n_minus^2, plus verdict, minus verdict) of a medium block, refused as field if any overflows."""
     plus, minus = classify(GyrotropicMedium(m.epsilon1, m.epsilon2, m.epsilon3, m.mu), m.omega)
+    for v in (plus, minus):
+        if not (math.isfinite(v.n_squared) and math.isfinite(v.propagation_constant)):
+            raise ConfigError(
+                field,
+                f"{v.handedness} branch overflows with epsilon2 = {m.epsilon2!r}: n^2 = {v.n_squared!r}, "
+                f"propagation constant = {v.propagation_constant!r}",
+            )
     return plus.n_squared, minus.n_squared, plus, minus
+
+
+def _step_refusal(config: ScenarioConfig, bound: float) -> ConfigError:
+    """Field steps error for a helix or cone whose grid evolve_state refused, naming a step count that passes.
+
+    On the unit grid of a cone |u| and the step are constant up to
+    rounding, so the measured bound scales as 1/steps.
+    """
+    steps = math.floor(config.steps * bound / STEP_GUARD * (1.0 + STEP_HINT_HEADROOM)) + 1
+    _check_budget("steps", sum(_run_bytes(config.n_max, steps)), f"passing the step-size guard with steps = {steps}")
+    return ConfigError(
+        "steps",
+        f"step-size guard: bound max|H|*dt = {bound:.3e} >= {STEP_GUARD} with steps = {config.steps}; "
+        f"passes with steps >= {steps}",
+    )
 
 
 def _check(name: str, value: float, threshold: float) -> dict:
@@ -459,15 +464,13 @@ def _check(name: str, value: float, threshold: float) -> dict:
 
 def evaluate_scenario(config: ScenarioConfig) -> dict:
     """Run one scenario in memory and return its summary mapping."""
-    _check_step_guard(config)
     traj = _build_trajectory(config)
-    angles = spherical_angles(traj)
     cone = _analytic_cone(config)
     # On the unit grid of a cone, A accrues at a constant rate and times[-1] is 1.0.
-    running = angles.running_anholonomy() if cone is None else cone_anholonomy(*cone[:2]) * angles.times[::2]
+    running = traj.running_anholonomy() if cone is None else cone_anholonomy(*cone[:2]) * traj.times[::2]
     anholonomy = float(running[-1])
 
-    k = angles.unit_tangents
+    k = traj.unit_tangents
     closure_gap = float(np.linalg.norm(k[-1] - k[0]))
     closed = closure_gap < CLOSURE_TOL
     closure = geodesic_closure(k[0], k[-1])
@@ -485,7 +488,12 @@ def evaluate_scenario(config: ScenarioConfig) -> dict:
     else:
         s3_total = s3_attr = helicity_expectation(psi0, k[0])
 
-    result = evolve_state(psi0, traj)
+    try:
+        result = evolve_state(psi0, traj)
+    except StepGuardError as exc:
+        if cone is None:
+            raise
+        raise _step_refusal(config, exc.bound) from None
     series = phase_series(result)
     breakdown = PhaseBreakdown.from_series(series, s3_attr, anholonomy)
 
@@ -564,10 +572,10 @@ def evaluate_scenario(config: ScenarioConfig) -> dict:
             ],
         }
 
-    # The CSV's azimuth column, unwrapped here so that the writer's scratch stays one row block.
-    angles.gamma
+    # The CSV's polar and azimuth columns, built here so that the writer's scratch stays one row block.
+    traj.lam, traj.gamma
     summary["_series"] = {
-        "angles": angles,
+        "angles": traj,
         "anholonomy": running,
         "phase": series,
         "lvn": lvn,
@@ -773,7 +781,9 @@ def _sweep_point(config: ScenarioConfig, parameter: str, value) -> tuple[int | f
         return n, replace(config, n_r=n) if parameter == "n_R" else replace(config, n_l=n)
     x = _sweep_float(parameter, value)
     if parameter == "epsilon2":
-        return x, replace(config, medium=replace(config.medium, epsilon2=x))
+        medium = replace(config.medium, epsilon2=x)
+        _dispersion(medium, "sweep")
+        return x, replace(config, medium=medium)
     if parameter == "lambda" and not 0.0 <= x <= math.pi:
         raise ConfigError("sweep", f"lambda value {x!r} outside [0, pi]")
     if parameter == "turns":
@@ -834,7 +844,7 @@ def sweep(config: ScenarioConfig, parameter: str, values, out_dir) -> tuple[int,
                 anholonomy[swept.geometry] = (
                     cone_anholonomy(*cone[:2])
                     if cone is not None
-                    else float(spherical_angles(_build_trajectory(swept)).running_anholonomy()[-1])
+                    else float(_build_trajectory(swept).running_anholonomy()[-1])
                 )
             a = anholonomy[swept.geometry]
             s3 = _s3_expectation(swept.ordering, swept.n_r, swept.n_l)

@@ -29,7 +29,6 @@ from fiberphase import (
     run_builtin,
     s3_split,
     sampled_path,
-    spherical_angles,
     spin_fixed,
     tangent_trajectory,
 )
@@ -60,7 +59,7 @@ def ode_geometric_phase(lam, steps, sigma=+1):
 
 def test_criterion_1_berry_limit():
     traj = helix_traj(math.pi / 4.0, 1.0, 8192)
-    closed = spherical_angles(traj).running_anholonomy()[-1]
+    closed = traj.running_anholonomy()[-1]
     breakdown, _, _ = ode_geometric_phase(math.pi / 4.0, 8192)
     quadrature_ok = abs(closed - BERRY_45) < 1e-8
     ode_ok = abs(breakdown.geometric_phase - BERRY_45) < 1e-4
@@ -147,7 +146,7 @@ def test_criterion_4_invariant_machinery():
 
 
 def test_criterion_5_multiphoton_linearity():
-    anholonomy = spherical_angles(helix_traj(math.pi / 3.0, 1.0, 2048)).running_anholonomy()[-1]
+    anholonomy = helix_traj(math.pi / 3.0, 1.0, 2048).running_anholonomy()[-1]
     space = build_space(2, 3)
     _, _, r_n, l_n = s3_split(space)
     worst = 0.0
@@ -165,7 +164,7 @@ def test_criterion_5_multiphoton_linearity():
 
 
 def test_criterion_6_vacuum_phases():
-    anholonomy = spherical_angles(helix_traj(math.pi / 3.0, 1.0, 2048)).running_anholonomy()[-1]
+    anholonomy = helix_traj(math.pi / 3.0, 1.0, 2048).running_anholonomy()[-1]
     space = build_space(2, 1)
     r_nn, l_nn, _, _ = s3_split(space)
     vac = build_photon_state(space, 0, 0)

@@ -157,11 +157,19 @@ HELIX_NAN_RADIUS = {"kind": "helix", "radius": float("nan"), "pitch_per_turn": 6
         # Ints past the interpreter's digit limit.
         ({"geometry": CONE, "n_max": HUGE_DIGITS}, [], "config"),
         ({"geometry": CONE, "steps": "-" + HUGE_DIGITS}, [], "config"),
+        # A medium whose n^2 or propagation constant overflows, in the config or at one swept value.
+        ({"geometry": CONE, "steps": 256, "medium": {"epsilon1": 1e308, "epsilon2": 1e308, "epsilon3": 1, "mu": 1}},
+         [], "medium"),
+        ({"geometry": CONE, "medium": {"epsilon1": 1e300, "epsilon2": 0, "epsilon3": 1, "mu": 1, "omega": 1e300}},
+         [], "medium"),
+        ({"geometry": CONE, "medium": {"epsilon1": 1, "epsilon2": 2, "epsilon3": 1, "mu": 1e300}},
+         ["--sweep", "epsilon2=1e10"], "sweep"),
     ],
     ids=["tolerance-inf", "tolerance-nan", "radius-nan", "sweep-nan", "sweep-minus-inf", "sweep-empty", "amplitude-nan",
          "n_max-1e200", "steps-1e400", "scenario-nmax-1e110", "scenario-sweep-n_R-1e300",
          "turns-1e308", "sweep-turns-1e308", "sweep-turns-5e306",
-         "n_max-5001-digits", "steps-5001-digits"],
+         "n_max-5001-digits", "steps-5001-digits", "medium-n-squared-overflow",
+         "medium-constant-overflow", "sweep-epsilon2-overflow"],
 )
 def test_non_finite_input_rejected_before_work(tmp_path, capsys, config, args, field):
     out = tmp_path / "out"
@@ -177,6 +185,17 @@ def test_non_finite_input_rejected_before_work(tmp_path, capsys, config, args, f
     assert len(err.strip().splitlines()) == 1
     assert json.loads(err)["error"]["field"] == field
     assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_unreadable_config_is_validation_error(tmp_path, capsys, kind):
+    cfg = tmp_path / "cfg.json"
+    if kind == "directory":
+        cfg.mkdir()
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert json.loads(err)["error"]["field"] == "config"
 
 
 @pytest.mark.parametrize("document", ["[1, 2]", '"x"', "null", "3"], ids=["list", "string", "null", "number"])
@@ -238,7 +257,7 @@ HELIX_CSV = "t,x,y,z\n" + "".join(
     for i in range(129)
 )
 # The two numerical guards, the only refusals reported as field "runtime".  A
-# helix or cone run meets the step guard before any sample, as field "steps".
+# helix or cone run that meets the step guard is refused as field "steps".
 NUMERICAL_GUARDS = ("step-size guard violated", "phase extraction ill-conditioned")
 
 
@@ -250,6 +269,12 @@ NUMERICAL_GUARDS = ("step-size guard violated", "phase extraction ill-conditione
 # 1000 turns need 40478 steps; at 4096 the run-time guard reads 9.882e-01.
 @example({"geometry": {"kind": "cone", "polar_angle": 0.7, "turns": 1000}, "state": {"n_r": 1, "n_l": 0},
           "n_max": 1, "steps": 4096})
+# The bound measured on the samples reads a few ulps above 0.1 at 309 steps.
+@example({"geometry": {"kind": "cone", "polar_angle": 0.8141859496403081, "turns": 6.763078584223928},
+          "state": {"n_r": 1, "n_l": 0}, "n_max": 1, "steps": 309})
+# n_plus^2 overflows.
+@example({"geometry": {"kind": "cone", "polar_angle": 0.5, "turns": 1.0}, "state": {"n_r": 1, "n_l": 0}, "steps": 256,
+          "medium": {"epsilon1": 1e308, "epsilon2": 1e308, "epsilon3": 1, "mu": 1}})
 def test_fuzzed_config_file_exits_cleanly(tmp_path_factory, document):
     # json.dumps cannot write an int past the interpreter's digit limit, so
     # such an int is written as a quoted marker and the digits put in after.
@@ -276,6 +301,7 @@ def test_fuzzed_config_file_exits_cleanly(tmp_path_factory, document):
         assert len(lines) == 1
         error = json.loads(lines[0])["error"]
         assert error["field"]
+        assert not list((work / "out").glob("*")), error
         assert error["field"] != "runtime" or error["message"].startswith(NUMERICAL_GUARDS), error
         if error["field"] == "runtime" and error["message"].startswith(NUMERICAL_GUARDS[0]):
             assert document["geometry"]["kind"] == "sampled", error

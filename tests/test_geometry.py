@@ -11,7 +11,6 @@ from fiberphase import (
     load_path_csv,
     motion_identity_residual,
     sampled_path,
-    spherical_angles,
     tangent_trajectory,
     trajectory_from_tangents,
     TangentTrajectory,
@@ -37,16 +36,15 @@ class TestHelix:
     def test_polar_angle_quarter_pi(self):
         # tan(lam) = 2*pi*r / pitch, so r=1, pitch=2*pi gives lam = pi/4
         traj = helix_traj(1.0, 2.0 * math.pi, 1.0, 257)
-        angles = spherical_angles(traj)
-        assert np.abs(angles.lam - math.pi / 4.0).max() < 1e-12
+        assert np.abs(traj.lam - math.pi / 4.0).max() < 1e-12
 
     def test_large_pitch_limit(self):
         traj = helix_traj(1.0, 1e6, 1.0, 257)
-        assert spherical_angles(traj).lam.max() < 1e-4
+        assert traj.lam.max() < 1e-4
 
     def test_zero_pitch_is_planar_circle(self):
         traj = helix_traj(1.0, 0.0, 1.0, 257)
-        assert np.abs(spherical_angles(traj).lam - math.pi / 2.0).max() < 1e-12
+        assert np.abs(traj.lam - math.pi / 2.0).max() < 1e-12
 
     def test_rejects_bad_geometry(self):
         for radius in (0.0, -1.0):
@@ -116,8 +114,8 @@ class TestTangentTrajectory:
         t = np.linspace(0.0, 1.0, 513)
         theta = 2.0 * math.pi * t
         path = sampled_path(t, np.column_stack([np.cos(theta), np.sin(theta), np.zeros_like(theta)]))
-        angles = spherical_angles(tangent_trajectory(path))
-        assert np.abs(angles.lam - math.pi / 2.0).max() < 1e-6
+        traj = tangent_trajectory(path)
+        assert np.abs(traj.lam - math.pi / 2.0).max() < 1e-6
 
     def test_degenerate_points_rejected(self):
         t = np.linspace(0.0, 1.0, 8)
@@ -238,16 +236,15 @@ class TestLeanChain:
     )
     def test_angles_match_eager_formula(self, make, poles):
         traj = make()
-        angles = spherical_angles(traj)
         k, lam, gamma, gamma_dot = eager_angles(traj)
         live = np.hypot(k[:, 0], k[:, 1]) >= geometry.POLE_SIN_TOL
         assert live.all() != poles
-        assert "gamma" not in angles.__dict__
-        assert np.array_equal(angles.unit_tangents, k)
-        assert np.array_equal(angles.lam, lam)
-        assert np.array_equal(angles.gamma_dot, gamma_dot)
-        assert np.array_equal(angles.gamma, gamma)
-        assert angles.gamma is angles.gamma  # built once
+        assert "gamma" not in traj.__dict__
+        assert np.array_equal(traj.unit_tangents, k)
+        assert np.array_equal(traj.lam, lam)
+        assert np.array_equal(traj.gamma_dot, gamma_dot)
+        assert np.array_equal(traj.gamma, gamma)
+        assert traj.gamma is traj.gamma  # built once
 
 
 # Signed zeros, subnormals, the float extremes and non-finite values, one per coordinate.
@@ -289,8 +286,8 @@ class TestConeAnholonomy:
     @pytest.mark.parametrize("offset", [0.0, math.pi / 2.0])
     def test_blocks_match_one_pass_chain(self, samples, polar, offset):
         for turns in (1.0, 2.7):
-            angles = spherical_angles(cone_trajectory(polar, turns, samples, azimuth_offset=offset))
-            one_pass = angles.running_anholonomy()[-1]
+            traj = cone_trajectory(polar, turns, samples, azimuth_offset=offset)
+            one_pass = traj.running_anholonomy()[-1]
             closed = cone_anholonomy(polar, turns)
             assert abs(one_pass - closed) <= 1e-12 * max(1.0, abs(closed)), (one_pass, closed)
             if math.sin(polar) < 1e-9:
@@ -309,26 +306,23 @@ class TestConeAnholonomy:
 class TestSphericalAngles:
     def test_pole_convention(self):
         traj = cone_trajectory(0.0, 1.0, 65)
-        angles = spherical_angles(traj)
-        assert np.all(angles.lam < 1e-12)
-        assert np.all(angles.gamma == 0.0)
-        assert np.all(angles.gamma_dot == 0.0)
+        assert np.all(traj.lam < 1e-12)
+        assert np.all(traj.gamma == 0.0)
+        assert np.all(traj.gamma_dot == 0.0)
 
     def test_equator_single_turn(self):
-        angles = spherical_angles(cone_trajectory(math.pi / 2.0, 1.0, 513))
-        assert np.abs(angles.lam - math.pi / 2.0).max() < 1e-12
-        assert angles.gamma[-1] - angles.gamma[0] == pytest.approx(2.0 * math.pi, abs=1e-9)
+        traj = cone_trajectory(math.pi / 2.0, 1.0, 513)
+        assert np.abs(traj.lam - math.pi / 2.0).max() < 1e-12
+        assert traj.gamma[-1] - traj.gamma[0] == pytest.approx(2.0 * math.pi, abs=1e-9)
 
     def test_two_turn_helix_unwraps_beyond_2pi(self):
         traj = helix_traj(1.0, 2.0 * math.pi, 2.0, 1025)
-        angles = spherical_angles(traj)
-        assert angles.gamma[-1] - angles.gamma[0] == pytest.approx(4.0 * math.pi, abs=1e-9)
-        assert np.all(np.diff(angles.gamma) > 0)
+        assert traj.gamma[-1] - traj.gamma[0] == pytest.approx(4.0 * math.pi, abs=1e-9)
+        assert np.all(np.diff(traj.gamma) > 0)
 
     def test_gamma_continuity(self):
         traj = helix_traj(0.5, 1.0, 3.0, 513)
-        angles = spherical_angles(traj)
-        assert np.abs(np.diff(angles.gamma)).max() < math.pi
+        assert np.abs(np.diff(traj.gamma)).max() < math.pi
 
     def test_round_trip_reconstruction(self):
         rng = np.random.default_rng(2)
@@ -338,9 +332,8 @@ class TestSphericalAngles:
             amp = rng.normal(scale=0.2, size=3)
             base += np.outer(np.sin(2.0 * math.pi * (m + 1) * t + m), amp)
         traj = trajectory_from_tangents(t, base)
-        angles = spherical_angles(traj)
-        sl = np.sin(angles.lam)
-        rebuilt = np.column_stack([sl * np.cos(angles.gamma), sl * np.sin(angles.gamma), np.cos(angles.lam)])
+        sl = np.sin(traj.lam)
+        rebuilt = np.column_stack([sl * np.cos(traj.gamma), sl * np.sin(traj.gamma), np.cos(traj.lam)])
         assert np.abs(rebuilt - traj.tangents).max() < 1e-9
 
 
@@ -359,7 +352,7 @@ class TestSphericalAngles:
         tangents[3, 1] = -0.0  # atan2(-0.0, x < 0) = -pi exactly
         n = len(azimuths)
         derivatives = np.random.default_rng(5).normal(size=(n, 3))
-        angles = spherical_angles(TangentTrajectory(np.linspace(0.0, 1.0, n), tangents, derivatives))
+        traj = TangentTrajectory(np.linspace(0.0, 1.0, n), tangents, derivatives)
 
         def wrap(d):
             d = (d + math.pi) % (2.0 * math.pi) - math.pi
@@ -375,16 +368,15 @@ class TestSphericalAngles:
                 oracle[i] = prev + wrap(raw - prev) if i > 0 else raw
             prev = oracle[i]
 
-        assert np.abs(angles.gamma - oracle).max() < 1e-12
-        assert list(angles.gamma[:3]) == [0.0, 0.0, 0.0]
-        assert angles.gamma[3] == math.pi
-        assert angles.gamma[15] == pytest.approx(4.0 * math.pi - 3.0, abs=1e-12)
-        assert np.all(angles.gamma_dot[[0, 1, 2, 12, 13, 14, n - 1]] == 0.0)
+        assert np.abs(traj.gamma - oracle).max() < 1e-12
+        assert list(traj.gamma[:3]) == [0.0, 0.0, 0.0]
+        assert traj.gamma[3] == math.pi
+        assert traj.gamma[15] == pytest.approx(4.0 * math.pi - 3.0, abs=1e-12)
+        assert np.all(traj.gamma_dot[[0, 1, 2, 12, 13, 14, n - 1]] == 0.0)
 
     def test_all_pole_trace_has_zero_azimuth(self):
         traj = cone_trajectory(0.0, 1.0, 33)
-        angles = spherical_angles(traj)
-        assert np.all(angles.gamma == 0.0) and np.all(angles.gamma_dot == 0.0)
+        assert np.all(traj.gamma == 0.0) and np.all(traj.gamma_dot == 0.0)
 
 
 class TestMotionIdentity:
@@ -431,25 +423,25 @@ class TestSolidAngle:
     """The solid angle of a closed trace is its anholonomy integral."""
 
     def test_equator(self):
-        angles = spherical_angles(cone_trajectory(math.pi / 2.0, 1.0, 513))
-        assert angles.running_anholonomy()[-1] == pytest.approx(2.0 * math.pi, abs=1e-12)
+        traj = cone_trajectory(math.pi / 2.0, 1.0, 513)
+        assert traj.running_anholonomy()[-1] == pytest.approx(2.0 * math.pi, abs=1e-12)
 
     def test_quarter_pi_cone(self):
-        angles = spherical_angles(cone_trajectory(math.pi / 4.0, 1.0, 513))
-        assert angles.running_anholonomy()[-1] == pytest.approx(SOLID_ANGLE_45, abs=1e-10)
+        traj = cone_trajectory(math.pi / 4.0, 1.0, 513)
+        assert traj.running_anholonomy()[-1] == pytest.approx(SOLID_ANGLE_45, abs=1e-10)
 
     def test_degenerate_cap(self):
-        angles = spherical_angles(cone_trajectory(1e-6, 1.0, 513))
-        assert abs(angles.running_anholonomy()[-1]) < 1e-11
+        traj = cone_trajectory(1e-6, 1.0, 513)
+        assert abs(traj.running_anholonomy()[-1]) < 1e-11
 
     def test_rotation_about_axis_invariance(self):
-        a0 = spherical_angles(cone_trajectory(0.9, 1.0, 513))
-        a1 = spherical_angles(cone_trajectory(0.9, 1.0, 513, azimuth_offset=1.234))
+        a0 = cone_trajectory(0.9, 1.0, 513)
+        a1 = cone_trajectory(0.9, 1.0, 513, azimuth_offset=1.234)
         assert abs(a0.running_anholonomy()[-1] - a1.running_anholonomy()[-1]) < 1e-9
 
     def test_double_traversal_doubles(self):
-        single = spherical_angles(cone_trajectory(0.7, 1.0, 513)).running_anholonomy()[-1]
-        double = spherical_angles(cone_trajectory(0.7, 2.0, 1025)).running_anholonomy()[-1]
+        single = cone_trajectory(0.7, 1.0, 513).running_anholonomy()[-1]
+        double = cone_trajectory(0.7, 2.0, 1025).running_anholonomy()[-1]
         assert double == pytest.approx(2.0 * single, abs=1e-8)
 
 

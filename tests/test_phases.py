@@ -22,7 +22,6 @@ from fiberphase import (
     lvn_residual,
     phase_series,
     sampled_path,
-    spherical_angles,
     spin_fixed,
     tangent_trajectory,
     trajectory_from_tangents,
@@ -92,21 +91,21 @@ def eigenstate_run(sigma, lam=math.pi / 4.0, turns=1.0, steps=1024, n_max=2):
 
 class TestAnholonomyIntegral:
     def test_polar_zero_vanishes(self):
-        angles = spherical_angles(cone_trajectory(0.0, 1.0, 257))
-        assert angles.running_anholonomy()[-1] == 0.0
+        traj = cone_trajectory(0.0, 1.0, 257)
+        assert traj.running_anholonomy()[-1] == 0.0
 
     def test_equator_full_turn(self):
-        angles = spherical_angles(cone_trajectory(math.pi / 2.0, 1.0, 257))
-        assert angles.running_anholonomy()[-1] == pytest.approx(2.0 * math.pi, abs=1e-12)
+        traj = cone_trajectory(math.pi / 2.0, 1.0, 257)
+        assert traj.running_anholonomy()[-1] == pytest.approx(2.0 * math.pi, abs=1e-12)
 
     def test_quarter_pi_value(self):
-        angles = spherical_angles(cone_trajectory(math.pi / 4.0, 1.0, 257))
-        assert angles.running_anholonomy()[-1] == pytest.approx(BERRY_45, abs=1e-10)
+        traj = cone_trajectory(math.pi / 4.0, 1.0, 257)
+        assert traj.running_anholonomy()[-1] == pytest.approx(BERRY_45, abs=1e-10)
 
     def test_partial_trace(self):
         # Pane 64 of 128 ends at sample 128, half a turn: pi * (1 - cos(pi/3)) = pi/2.
-        angles = spherical_angles(cone_trajectory(math.pi / 3.0, 1.0, 257))
-        running = angles.running_anholonomy()
+        traj = cone_trajectory(math.pi / 3.0, 1.0, 257)
+        running = traj.running_anholonomy()
         assert running[64] == pytest.approx(0.5 * math.pi, abs=1e-12)
 
     def test_reparametrization_invariance(self):
@@ -125,22 +124,22 @@ class TestAnholonomyIntegral:
 
         warped = TangentTrajectory(t, tangents, derivatives)
         uniform = cone_trajectory(lam, turns, n)
-        a_w = spherical_angles(warped).running_anholonomy()[-1]
-        a_u = spherical_angles(uniform).running_anholonomy()[-1]
+        a_w = warped.running_anholonomy()[-1]
+        a_u = uniform.running_anholonomy()[-1]
         assert abs(a_w - a_u) < 1e-8
 
 
 class TestClosedFormPhase:
     def test_vacuum_right_attribution(self):
-        angles = spherical_angles(cone_trajectory(math.pi / 3.0, 1.0, 257))
-        assert 0.5 * angles.running_anholonomy()[-1] == pytest.approx(math.pi / 2.0, abs=1e-12)
+        traj = cone_trajectory(math.pi / 3.0, 1.0, 257)
+        assert 0.5 * traj.running_anholonomy()[-1] == pytest.approx(math.pi / 2.0, abs=1e-12)
 
     def test_two_one_multiphoton(self):
-        angles = spherical_angles(cone_trajectory(math.pi / 3.0, 1.0, 257))
-        assert angles.running_anholonomy()[-1] == pytest.approx(math.pi, abs=1e-12)
+        traj = cone_trajectory(math.pi / 3.0, 1.0, 257)
+        assert traj.running_anholonomy()[-1] == pytest.approx(math.pi, abs=1e-12)
 
     def test_vacuum_pair_cancels(self):
-        anholonomy = spherical_angles(cone_trajectory(1.1, 2.3, 513)).running_anholonomy()[-1]
+        anholonomy = cone_trajectory(1.1, 2.3, 513).running_anholonomy()[-1]
         assert 0.5 * anholonomy + -0.5 * anholonomy == 0.0
 
 
@@ -528,7 +527,7 @@ def sampled_helix_run(times, points, n_r, n_l):
     """(A, RK4 geometric phase) of an (n_r, n_l) number state on a sampled path."""
     traj = tangent_trajectory(sampled_path(times, points))
     psi0 = build_photon_state(build_space(3, max(1, n_r + n_l)), n_r, n_l, k_hat=traj.tangents[0])
-    return spherical_angles(traj).running_anholonomy()[-1], extract_phases(evolve_state(psi0, traj), traj).geometric_phase
+    return traj.running_anholonomy()[-1], extract_phases(evolve_state(psi0, traj), traj).geometric_phase
 
 
 class TestPathSymmetries:

@@ -1,6 +1,7 @@
 import functools
 import json
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -210,10 +211,10 @@ class TestParseConfig:
     def test_amplitude_norm_checked_before_any_work(self, monkeypatch):
         import fiberphase.scenario as scenario
 
-        def refuse(traj):
-            raise AssertionError("spherical_angles called")
+        def refuse(*args):
+            raise AssertionError("cone_trajectory called")
 
-        monkeypatch.setattr(scenario, "spherical_angles", refuse)
+        monkeypatch.setattr(scenario, "cone_trajectory", refuse)
         data = cone_config(steps=16384, n_max=1, state={"amplitudes": [[2.0, 0.0]] + [[0.0, 0.0]] * 7})
         with pytest.raises(ConfigError) as err:
             parse_config(data, "t")
@@ -365,10 +366,10 @@ class TestRunScenario:
         # A t = s^1.5 path has no RK4 pane with its midpoint centred; an even row count has no last pane.
         import fiberphase.scenario as scenario
 
-        def refuse(traj):
-            raise AssertionError("spherical_angles called")
+        def refuse(path):
+            raise AssertionError("tangent_trajectory called")
 
-        monkeypatch.setattr(scenario, "spherical_angles", refuse)
+        monkeypatch.setattr(scenario, "tangent_trajectory", refuse)
         _, pts = helix_points(1.0, 2.0 * math.pi, 1.0, rows)
         write_path_csv(tmp_path / "path.csv", warp(np.linspace(0.0, 1.0, rows)), pts)
         data = {"geometry": {"kind": "sampled", "path_csv": "path.csv"}, "state": {"n_r": 1, "n_l": 0}}
@@ -397,31 +398,50 @@ class TestRunScenario:
             "motion_identity",
         }
 
-    def test_step_guard_is_predicted_before_any_sample(self, monkeypatch, tmp_path):
+    def test_step_guard_refusal_names_steps_that_pass(self, tmp_path):
         import fiberphase.scenario as scenario
         from dataclasses import replace
         from fiberphase import cone_trajectory, evolve_state
+        from fiberphase.phases import StepGuardError
 
         data = {"geometry": {"kind": "cone", "polar_angle": 0.7, "turns": 1000}, "state": {"n_r": 1, "n_l": 0},
                 "n_max": 1, "steps": 4096}
         config = parse_config(data, "t")
-        built = []
-        monkeypatch.setattr(scenario, "cone_trajectory", lambda *args: built.append(args))
         for steps, bound in ((4096, "9.882e-01"), (40477, "1.000e-01")):
-            pattern = rf"= {bound} >= 0\.1 with steps = {steps}; needs steps >= 40478$"
+            pattern = rf"= {bound} >= 0\.1 with steps = {steps}; passes with steps >= 40478$"
             with pytest.raises(ConfigError, match=pattern) as err:
                 scenario.evaluate_scenario(replace(config, steps=steps))
-            assert err.value.field == "steps" and not built
-        monkeypatch.undo()
-        # The fewest steps named pass evolve_state's guard; one fewer trips it.
+            assert err.value.field == "steps"
+        # The steps named pass evolve_state's guard; one fewer trips it.
         summary = scenario.evaluate_scenario(replace(config, steps=40478))
         assert summary["numerical"]["max_h_dt_bound"] < scenario.STEP_GUARD
         traj = cone_trajectory(0.7, 1000.0, 2 * 40477 + 1)
-        with pytest.raises(ValueError, match="step-size guard violated"):
+        with pytest.raises(StepGuardError, match="step-size guard violated"):
             evolve_state(build_photon_state(build_space(3, 1), 1, 0, k_hat=traj.tangents[0]), traj)
         # A sweep never evolves: the same template sweeps.
         _, csv_path = sweep(config, "lambda", [0.5], tmp_path)
         assert len(Path(csv_path).read_text().splitlines()) == 2
+
+    @settings(max_examples=30, derandomize=True, database=None, deadline=None)
+    @given(st.floats(0.05, 1.4), st.floats(0.5, 8.0), st.integers(1, 2), st.integers(32, 400))
+    # At 309 steps the bound measured on the samples reads a few ulps above 0.1, where 2*pi*turns*sin(lambda)/309
+    # reads just below it.
+    @example(0.8141859496403081, 6.763078584223928, 1, 309)
+    def test_step_guard_refuses_as_steps_what_evolve_state_refuses(self, polar, turns, photons, steps):
+        import fiberphase.scenario as scenario
+        from dataclasses import replace
+
+        data = {"geometry": {"kind": "cone", "polar_angle": polar, "turns": turns},
+                "state": {"n_r": photons, "n_l": 0}, "n_max": photons, "steps": steps}
+        config = parse_config(data, "t")
+        try:
+            summary = scenario.evaluate_scenario(config)
+        except ConfigError as err:
+            assert err.field == "steps", err
+            named = int(re.search(r"passes with steps >= (\d+)$", err.message).group(1))
+            assert named > steps
+            summary = scenario.evaluate_scenario(replace(config, steps=named))
+        assert summary["numerical"]["max_h_dt_bound"] < scenario.STEP_GUARD
 
     @pytest.mark.parametrize("index, photons", [(0, 0), (1, 1), (18, 2)], ids=["vacuum", "one", "two"])
     def test_step_guard_reads_the_top_sector_of_amplitudes(self, index, photons):
@@ -432,10 +452,10 @@ class TestRunScenario:
         amplitudes[index] = [1.0, 0.0]
         config = parse_config(cone_config(polar=math.pi / 2.0, steps=64, state={"amplitudes": amplitudes}), "t")
         if photons < 2:
-            scenario._check_step_guard(config)
+            assert scenario.evaluate_scenario(config)["numerical"]["max_h_dt_bound"] < scenario.STEP_GUARD
         else:
-            with pytest.raises(ConfigError, match="needs steps >= 126$") as err:
-                scenario._check_step_guard(config)
+            with pytest.raises(ConfigError, match="passes with steps >= 126$") as err:
+                scenario.evaluate_scenario(config)
             assert err.value.field == "steps"
 
     def test_csv_row_count_and_columns(self, tmp_path):
@@ -498,6 +518,19 @@ class TestRunScenario:
             extra.append(peak - table_bytes)
         # Beyond those the writer holds one row block, whatever the step count.
         assert extra[1] <= extra[0] + 16 * 1024, extra
+
+    @pytest.mark.parametrize("kind", ["cone", "helix"])
+    def test_closed_form_run_never_forms_the_azimuth_rate(self, kind, tmp_path):
+        import fiberphase.scenario as scenario
+
+        data = cone_config(steps=256)
+        if kind == "helix":
+            data["geometry"] = {"kind": "helix", "radius": 1.0, "pitch_per_turn": 3.0, "turns": 1.3}
+        summary = scenario.evaluate_scenario(parse_config(data, kind))
+        scenario._write_run_csv(summary, tmp_path / f"{kind}.csv")
+        traj = summary["_series"]["angles"]
+        assert "gamma_dot" not in traj.__dict__
+        assert {"lam", "gamma"} <= traj.__dict__.keys()
 
     @pytest.mark.parametrize("kind", ["cone", "helix", "sampled"])
     def test_last_phi_closed_is_phi_attributed(self, kind, tmp_path):
@@ -797,7 +830,7 @@ class TestSweep:
         # A helix or cone streams through cone_anholonomy; a sampled path takes the run's one-pass chain.
         import fiberphase.scenario as scenario
 
-        calls = {"cone_anholonomy": 0, "spherical_angles": 0, "load_path_csv": 0}
+        calls = {"cone_anholonomy": 0, "cone_trajectory": 0, "tangent_trajectory": 0, "load_path_csv": 0}
         for name in calls:
             original = getattr(scenario, name)
 
@@ -809,25 +842,25 @@ class TestSweep:
         if kind == "sampled":
             write_path_csv(tmp_path / "path.csv", *helix_points(1.0, 2.0 * math.pi, 1.0, 257))
             data = {"geometry": {"kind": "sampled", "path_csv": "path.csv"}, "state": {"n_r": 1, "n_l": 0}}
-            expected = {"cone_anholonomy": 0, "spherical_angles": builds, "load_path_csv": builds}
+            expected = {"cone_anholonomy": 0, "cone_trajectory": 0, "tangent_trajectory": builds, "load_path_csv": builds}
         else:
             data = cone_config(steps=16384)
-            expected = {"cone_anholonomy": builds, "spherical_angles": 0, "load_path_csv": 0}
+            expected = {"cone_anholonomy": builds, "cone_trajectory": 0, "tangent_trajectory": 0, "load_path_csv": 0}
         config = parse_config(data, "s", base_dir=tmp_path)
         _, csv_path = sweep(config, parameter, values, tmp_path)
         assert len(Path(csv_path).read_text().splitlines()) == 1 + len(values)
         assert calls == expected
 
     def test_sweep_never_unwraps_the_azimuth(self, monkeypatch, tmp_path):
-        # Only a sampled template builds angles in a sweep, once for an n_R sweep.
+        # Only a sampled template builds a trajectory in a sweep, once for an n_R sweep.
         import fiberphase.geometry as geometry
         import fiberphase.scenario as scenario
 
         built = []
-        original_angles = scenario.spherical_angles
+        original_build = scenario._build_trajectory
 
-        def kept(traj):
-            built.append(original_angles(traj))
+        def kept(config):
+            built.append(original_build(config))
             return built[-1]
 
         def refuse(*args, **kwargs):
@@ -836,7 +869,7 @@ class TestSweep:
         write_path_csv(tmp_path / "path.csv", *helix_points(1.0, 2.0 * math.pi, 1.0, 257))
         data = {"geometry": {"kind": "sampled", "path_csv": "path.csv"}, "state": {"n_r": 1, "n_l": 0}}
         config = parse_config(data, "s", base_dir=tmp_path)
-        monkeypatch.setattr(scenario, "spherical_angles", kept)
+        monkeypatch.setattr(scenario, "_build_trajectory", kept)
         monkeypatch.setattr(geometry.np, "arctan2", refuse)
         values = list(range(8))
         _, csv_path = sweep(config, "n_R", values, tmp_path)
