@@ -64,7 +64,9 @@ def classify(medium: GyrotropicMedium, omega: float) -> tuple[DispersionVerdict,
 
     A branch with n^2 > 0 propagates with k = sqrt(n^2) * omega; with
     n^2 <= 0 it is evanescent and the constant reported is the decay
-    magnitude sqrt(-n^2) * omega (zero exactly at the n^2 = 0 boundary).
+    magnitude sqrt(-n^2) * omega (+0.0 exactly at the n^2 = 0 boundary).
+    A ValueError refuses an omega that is not finite and positive, and
+    a branch whose n^2 or constant overflows, naming that branch.
 
     The branches belong to the circular field combinations
     (E1 + i E2)/sqrt2 (plus) and (E1 - i E2)/sqrt2 (minus), so a purely
@@ -73,17 +75,18 @@ def classify(medium: GyrotropicMedium, omega: float) -> tuple[DispersionVerdict,
     and the minus combination the reverse, the convention of
     fock.circular_operators (a_R+ = (b1+ + i b2+)/sqrt2).
     """
-    if omega <= 0:
-        raise ValueError(f"omega must be positive, got {omega}")
+    if not (math.isfinite(omega) and omega > 0):
+        raise ValueError(f"omega must be positive and finite, got {omega}")
     verdicts = []
     for handedness, n_sq in zip(("plus", "minus"), refractive_indices(medium)):
-        if n_sq > 0:
-            verdicts.append(
-                DispersionVerdict(handedness, n_sq, "propagating", math.sqrt(n_sq) * omega)
+        # |n^2| is -n^2 on the evanescent side, but +0.0 where n^2 is +0.0.
+        constant = math.sqrt(abs(n_sq)) * omega
+        if not (math.isfinite(n_sq) and math.isfinite(constant)):
+            raise ValueError(
+                f"{handedness} branch overflows with epsilon2 = {medium.epsilon2!r}: n^2 = {n_sq!r}, "
+                f"propagation constant = {constant!r}"
             )
-        else:
-            verdicts.append(
-                DispersionVerdict(handedness, n_sq, "evanescent", math.sqrt(-n_sq) * omega)
-            )
+        status = "propagating" if n_sq > 0 else "evanescent"
+        verdicts.append(DispersionVerdict(handedness, n_sq, status, constant))
     return verdicts[0], verdicts[1]
 

@@ -10,7 +10,8 @@ One evolution is one pass: the precession field u = (k x kdot)/|k|^2 is
 the trajectory's own, built once per trajectory.  H = u.S is linear,
 so an RK4 step is psi -> M psi with a d x d matrix M, the stage
 formulas applied to the identity; these matrices are built in batches
-of steps, and the only per-step Python work left is the product M psi.
+of steps, and the only per-step Python work left is the product M psi,
+one ndarray.dot that writes the new state into its stored row.
 The energies <psi|H|psi> of a batch are one batched product after its
 loop.  The Liouville-von Neumann residual and the phase series are
 array expressions over the step boundaries.
@@ -201,8 +202,11 @@ def evolve_state(psi0: StateVector, traj: TangentTrajectory) -> EvolutionResult:
     fock.sector_generators (S_i = -i A_i); there K = -iH = -u.A is real
     and so is M.  These matrices are built as real batched products for
     CHUNK_BYTES worth of steps at a time, so scratch memory stays flat
-    in the step count, and cast to complex once per batch.  The step
-    loop only applies M; the energies <psi|H0|psi> before a batch's
+    in the step count; each batch's sum for M is assembled in place and
+    copied into the real part of one complex buffer, allocated once per
+    call.  The step loop only applies M: mj.dot(psi, out=row) writes each
+    new state straight into its row of states, the same BLAS product as
+    mj @ psi with no temporary.  The energies <psi|H0|psi> before a batch's
     steps are one batched product after its loop.  Norms are recorded at
     every step and the drift is left in as an integration diagnostic.
     states holds the sector block, (steps + 1, len(keep)); state_at
@@ -234,6 +238,8 @@ def evolve_state(psi0: StateVector, traj: TangentTrajectory) -> EvolutionResult:
     flat_a = np.reshape(a, (3, d * d))
     chunk = max(1, CHUNK_BYTES // (8 * d * d))
     eye = np.eye(d)
+    # The complex M of a batch; its imaginary part stays zero.
+    m_buf = np.zeros((min(chunk, steps), d, d), dtype=complex)
     states = np.empty((steps + 1, d), dtype=complex)
     norms = np.empty(steps + 1)
     energies = np.empty(steps + 1)
@@ -252,14 +258,27 @@ def evolve_state(psi0: StateVector, traj: TangentTrajectory) -> EvolutionResult:
         k2 = -(g1 @ (eye + 0.5 * h * k1))
         k3 = -(g1 @ (eye + 0.5 * h * k2))
         k4 = -(g2 @ (eye + h * k3))
-        m = (eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)).astype(complex)
-        for j, mj in enumerate(m, start + 1):
-            psi = states[j] = mj @ psi
+        # eye + (h/6) (k1 + 2 k2 + 2 k3 + k4), the same IEEE operations in the same order.
+        k2 *= 2.0
+        k1 += k2
+        k3 *= 2.0
+        k1 += k3
+        k1 += k4
+        k1 *= h / 6.0
+        k1 += eye
+        m = m_buf[: stop - start]
+        m.real = k1
+        # The product lands in the stored row: no temporary, the zgemv of mj @ psi.
+        for mj, row in zip(m, states[start + 1 : stop + 1]):
+            mj.dot(psi, out=row)
+            psi = row
         norms[start + 1 : stop + 1] = np.linalg.norm(states[start + 1 : stop + 1], axis=1)
         # <psi|H0|psi> before each step, with H0 = -i g0, as 1 x d @ d x 1 products:
         # the bits np.vdot gives on the contiguous rows.
         before = states[start:stop, :, None]
         energies[start:stop] = (before.conj().transpose(0, 2, 1) @ ((-1j * g0) @ before))[:, 0, 0].real
+    # Free the batch buffer before _lvn_residuals builds the trajectory's motion residual.
+    del m_buf, m, mj
     # The last chunk's final g_even is u[-1].A.
     energies[steps] = np.vdot(psi, (-1j * g_even[-1]) @ psi).real
 

@@ -432,14 +432,10 @@ def _initial_state(config: ScenarioConfig, space, k0: np.ndarray) -> StateVector
 
 def _dispersion(m: MediumSpec, field: str = "medium") -> tuple[float, float, DispersionVerdict, DispersionVerdict]:
     """(n_plus^2, n_minus^2, plus verdict, minus verdict) of a medium block, refused as field if any overflows."""
-    plus, minus = classify(GyrotropicMedium(m.epsilon1, m.epsilon2, m.epsilon3, m.mu), m.omega)
-    for v in (plus, minus):
-        if not (math.isfinite(v.n_squared) and math.isfinite(v.propagation_constant)):
-            raise ConfigError(
-                field,
-                f"{v.handedness} branch overflows with epsilon2 = {m.epsilon2!r}: n^2 = {v.n_squared!r}, "
-                f"propagation constant = {v.propagation_constant!r}",
-            )
+    try:
+        plus, minus = classify(GyrotropicMedium(m.epsilon1, m.epsilon2, m.epsilon3, m.mu), m.omega)
+    except ValueError as exc:
+        raise ConfigError(field, str(exc)) from None
     return plus.n_squared, minus.n_squared, plus, minus
 
 

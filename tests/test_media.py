@@ -72,3 +72,31 @@ class TestClassify:
         with pytest.raises(ValueError):
             classify(GyrotropicMedium(1.0, 0.0, 1.0, 1.0), omega=0.0)
 
+
+    def test_boundary_constant_is_positive_zero(self):
+        # sqrt(-n^2) of n^2 = +0.0 would be -0.0.
+        plus, _ = classify(GyrotropicMedium(-1.0, 1.0, 1.0, 1.0), omega=1.0)
+        assert math.copysign(1.0, plus.propagation_constant) == 1.0
+        _, minus = classify(GyrotropicMedium(1.0, 1.0, 1.0, 1.0), omega=2.0)
+        assert minus.n_squared == 0.0 and math.copysign(1.0, minus.propagation_constant) == 1.0
+
+    @pytest.mark.parametrize(
+        "medium, omega, branch",
+        [
+            (GyrotropicMedium(1e308, 1e308, 1.0, 1.0), 1.0, "plus"),
+            (GyrotropicMedium(1e308, -1e308, 1.0, 1.0), 1.0, "minus"),
+            # n^2 = 0 * inf is nan.
+            (GyrotropicMedium(1e308, 1e308, 1.0, 0.0), 1.0, "plus"),
+            # n^2 is finite, the constant sqrt(n^2) * omega is not.
+            (GyrotropicMedium(1e300, 0.0, 1.0, 1.0), 1e300, "plus"),
+        ],
+        ids=["n-squared-inf", "minus-n-squared-inf", "n-squared-nan", "constant-inf"],
+    )
+    def test_refuses_non_finite_branch(self, medium, omega, branch):
+        with pytest.raises(ValueError, match=f"^{branch} branch overflows"):
+            classify(medium, omega)
+
+    @pytest.mark.parametrize("omega", [float("nan"), float("inf")])
+    def test_refuses_non_finite_omega(self, omega):
+        with pytest.raises(ValueError, match="omega"):
+            classify(GyrotropicMedium(1.0, 0.0, 1.0, 1.0), omega)

@@ -346,11 +346,13 @@ class TestChunkedPropagators:
         ]
         assert np.array_equal(result.energies, energies)
 
-    @pytest.mark.parametrize("photons", [0, 1, 2, 3, 4])
+    @pytest.mark.parametrize("photons", [0, 1, 2, 3, 4, 5, 6])
     def test_matches_per_sample_field_operators(self, photons):
-        # d = 1, 3, 6, 10, 15.  The step loop with u.A built term by term at
-        # each of a step's three samples, the reference for the batched products.
-        space = build_space(3, 4)
+        # d = 1, 3, 6, 10, 15 at n_max = 4, and 21, 28 at n_max = 6.  The step
+        # loop with u.A built term by term at each of a step's three samples
+        # and psi -> mj @ psi, the reference for the batched products and the
+        # in-place step.
+        space = build_space(3, 4 if photons <= 4 else 6)
         psi0 = build_photon_state(space, photons // 2 + photons % 2, photons // 2)
         traj = random_smooth_field(513)
         result = evolve_state(psi0, traj)
