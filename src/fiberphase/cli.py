@@ -2,11 +2,17 @@
 
 Exit codes: 0 all checks passed, 1 a tolerance check failed,
 2 configuration or input validation failed.
+
+The argument parser is built on the first main call, not at import, and
+repeated main calls in one process share it: parse_args keeps no state
+between calls, and the help width and sys.stderr are read when it
+prints, so a shared parser prints what a fresh process would.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -27,6 +33,7 @@ EXIT_TOLERANCE = 1
 EXIT_VALIDATION = 2
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fiberphase",

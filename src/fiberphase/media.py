@@ -52,10 +52,12 @@ def refractive_indices(medium: GyrotropicMedium) -> tuple[float, float]:
     """(n_plus^2, n_minus^2) = mu * (epsilon1 +/- epsilon2).
 
     The sum and difference identities n+^2 + n-^2 = 2 mu eps1 and
-    n+^2 - n-^2 = 2 mu eps2 hold exactly in this arithmetic.
+    n+^2 - n-^2 = 2 mu eps2 hold exactly in this arithmetic.  A branch
+    at n^2 = 0 reads +0.0: adding +0.0 turns the -0.0 of a negative
+    factor times a zero into +0.0 and leaves every other value as it is.
     """
-    n_plus_sq = medium.mu * (medium.epsilon1 + medium.epsilon2)
-    n_minus_sq = medium.mu * (medium.epsilon1 - medium.epsilon2)
+    n_plus_sq = medium.mu * (medium.epsilon1 + medium.epsilon2) + 0.0
+    n_minus_sq = medium.mu * (medium.epsilon1 - medium.epsilon2) + 0.0
     return n_plus_sq, n_minus_sq
 
 

@@ -376,9 +376,11 @@ def _config_echo(config: ScenarioConfig) -> dict:
     return echo
 
 
-def _analytic_cone(config: ScenarioConfig) -> tuple[float, float, int, float] | None:
-    """cone_trajectory's (polar angle, turns, samples, azimuth offset) for a helix or cone; None for a sampled path."""
-    g = config.geometry
+def _analytic_cone(
+    g: HelixGeometry | ConeGeometry | SampledGeometry, config: ScenarioConfig
+) -> tuple[float, float, int, float] | None:
+    """cone_trajectory's (polar angle, turns, samples, azimuth offset) of geometry g at config's t_end and
+    steps; None for a sampled path."""
     if isinstance(g, HelixGeometry):
         polar, offset = helix_cone(g.radius, g.pitch_per_turn)
     elif isinstance(g, ConeGeometry):
@@ -389,7 +391,7 @@ def _analytic_cone(config: ScenarioConfig) -> tuple[float, float, int, float] | 
 
 
 def _build_trajectory(config: ScenarioConfig):
-    cone = _analytic_cone(config)
+    cone = _analytic_cone(config.geometry, config)
     if cone is not None:
         return cone_trajectory(*cone)
     g = config.geometry
@@ -461,7 +463,7 @@ def _check(name: str, value: float, threshold: float) -> dict:
 def evaluate_scenario(config: ScenarioConfig) -> dict:
     """Run one scenario in memory and return its summary mapping."""
     traj = _build_trajectory(config)
-    cone = _analytic_cone(config)
+    cone = _analytic_cone(config.geometry, config)
     # On the unit grid of a cone, A accrues at a constant rate and times[-1] is 1.0.
     running = traj.running_anholonomy() if cone is None else cone_anholonomy(*cone[:2]) * traj.times[::2]
     anholonomy = float(running[-1])
@@ -768,18 +770,20 @@ def _sweep_float(parameter: str, value) -> float:
     return x
 
 
-def _sweep_point(config: ScenarioConfig, parameter: str, value) -> tuple[int | float, ScenarioConfig]:
-    """(value as its row shows it, the template config with that value swept in)."""
+def _sweep_point(config: ScenarioConfig, parameter: str, value) -> tuple[int | float, tuple]:
+    """(value as its row shows it, what its row reads), with that value swept into the template.
+
+    An epsilon2 row reads the medium's _dispersion tuple; a phase row
+    reads (geometry, n_r, n_l).
+    """
     if parameter in ("n_R", "n_L"):
         if not _sweep_float(parameter, value).is_integer() or not 0 <= int(value) <= _MAX_SWEEP_PHOTONS:
             raise ConfigError("sweep", f"{parameter} value {_show(value)} must be an integer from 0 to 2**52 - 1")
         n = int(value)
-        return n, replace(config, n_r=n) if parameter == "n_R" else replace(config, n_l=n)
+        return n, (config.geometry, n, config.n_l) if parameter == "n_R" else (config.geometry, config.n_r, n)
     x = _sweep_float(parameter, value)
     if parameter == "epsilon2":
-        medium = replace(config.medium, epsilon2=x)
-        _dispersion(medium, "sweep")
-        return x, replace(config, medium=medium)
+        return x, _dispersion(replace(config.medium, epsilon2=x), "sweep")
     if parameter == "lambda" and not 0.0 <= x <= math.pi:
         raise ConfigError("sweep", f"lambda value {x!r} outside [0, pi]")
     if parameter == "turns":
@@ -790,9 +794,9 @@ def _sweep_point(config: ScenarioConfig, parameter: str, value) -> tuple[int | f
     if isinstance(g, SampledGeometry):
         raise ConfigError("sweep", "lambda/turns sweeps need helix or cone geometry")
     if parameter == "lambda":
-        return x, replace(config, geometry=ConeGeometry(x, g.turns))
+        return x, (ConeGeometry(x, g.turns), config.n_r, config.n_l)
     # The template's own geometry, so a helix row is the helix run's A.
-    return x, replace(config, geometry=replace(g, turns=x))
+    return x, (replace(g, turns=x), config.n_r, config.n_l)
 
 
 def _cell(x) -> str:
@@ -806,8 +810,11 @@ def sweep(config: ScenarioConfig, parameter: str, values, out_dir) -> tuple[int,
     by the closed-form and dispersion code a run uses.  Phase sweeps report
     the closed-form route only; the dual numerical vs closed-form
     verification is run_scenario's job.  Every value is validated before
-    any row is computed, and each distinct geometry is evaluated once, so
-    an n_R or n_L sweep evaluates one.  A row needs only A: a helix or
+    any row is computed, into what its row reads (_sweep_point): the
+    swept geometry and photon numbers, or the medium's dispersion tuple,
+    so an epsilon2 value is classified once and no value rebuilds the
+    template config.  Each distinct geometry is evaluated once, so an
+    n_R or n_L sweep evaluates one.  A row needs only A: a helix or
     cone takes the closed form geometry.cone_anholonomy, whatever its
     steps, with the bits of the run's A; a sampled path takes the run's
     quadrature.
@@ -829,21 +836,23 @@ def sweep(config: ScenarioConfig, parameter: str, values, out_dir) -> tuple[int,
 
     anholonomy = {}  # A of each distinct swept geometry
     rows = []
-    for value, swept in points:
+    for value, reads in points:
         if parameter == "epsilon2":
-            n_plus_sq, n_minus_sq, plus, minus = _dispersion(swept.medium)
+            n_plus_sq, n_minus_sq, plus, minus = reads
             cells = (n_plus_sq, n_minus_sq, plus.status, minus.status)
             cells += (plus.propagation_constant, minus.propagation_constant)
         else:
-            if swept.geometry not in anholonomy:
-                cone = _analytic_cone(swept)
-                anholonomy[swept.geometry] = (
+            geometry, n_r, n_l = reads
+            if geometry not in anholonomy:
+                cone = _analytic_cone(geometry, config)
+                # Only an n_R or n_L sweep takes a sampled path: the template's own.
+                anholonomy[geometry] = (
                     cone_anholonomy(*cone[:2])
                     if cone is not None
-                    else float(_build_trajectory(swept).running_anholonomy()[-1])
+                    else float(_build_trajectory(config).running_anholonomy()[-1])
                 )
-            a = anholonomy[swept.geometry]
-            s3 = _s3_expectation(swept.ordering, swept.n_r, swept.n_l)
+            a = anholonomy[geometry]
+            s3 = _s3_expectation(config.ordering, n_r, n_l)
             cells = (s3, a, s3 * a)
         rows.append(",".join(map(_cell, (parameter, value, *cells))) + "\n")
     out_dir = Path(out_dir)

@@ -17,11 +17,14 @@ from test_scenario import FUZZ_BASES, FUZZ_VALUES, fuzz_configs
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def run_cli(*args, cwd=None):
-    cmd = [sys.executable, "-m", "fiberphase", *args]
+def run_python(*args, cwd=None):
     path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
     env = {**os.environ, "PYTHONPATH": path}
-    return subprocess.run(cmd, capture_output=True, text=True, cwd=cwd, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, cwd=cwd, env=env)
+
+
+def run_cli(*args, cwd=None):
+    return run_python("-m", "fiberphase", *args, cwd=cwd)
 
 
 def error_field(capsys) -> str:
@@ -72,6 +75,67 @@ def test_malformed_config_names_field(tmp_path, capsys):
 
 def test_missing_source_arguments(tmp_path):
     assert main(["--out", str(tmp_path)]) == 2
+
+
+# argparse refuses the first three calls; the fourth writes a sweep CSV.
+SHARED_PARSER_CALLS = [
+    ["--steps", "x"],
+    ["--config", "a", "--scenario", "b"],
+    [],
+    ["--scenario", "chiao-helix-45", "--sweep", "lambda=0.1,0.7853981633974483"],
+    ["--list-scenarios"],
+]
+
+
+def test_shared_parser_matches_a_fresh_process(tmp_path, monkeypatch):
+    # Calls in one process share one parser; each must read as it does from its own interpreter.
+    # The help width alternates, so a width fixed when the parser was built would show.
+    import argparse
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    shared, fresh = tmp_path / "shared", tmp_path / "fresh"
+    shared.mkdir()
+    fresh.mkdir()
+    monkeypatch.chdir(shared)
+    for i, args in enumerate(SHARED_PARSER_CALLS):
+        monkeypatch.setenv("COLUMNS", "60" if i % 2 else "120")
+        argv = [*args, "--out", "runs"]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        r = run_cli(*argv, cwd=fresh)
+        assert (code, out.getvalue(), err.getvalue()) == (r.returncode, r.stdout, r.stderr), argv
+    assert len(built) <= 1
+
+    def artifacts(root):
+        return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+    assert artifacts(shared) == artifacts(fresh)
+    assert [str(p) for p in artifacts(shared)] == [str(Path("runs", "chiao-helix-45_sweep_lambda.csv"))]
+
+
+def test_import_builds_no_parser():
+    # The parser is built on the first main call, so importing the CLI adds nothing to start-up.
+    code = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "argparse.ArgumentParser.__init__ = lambda self, *a, **k: built.append(self) or init(self, *a, **k)\n"
+        "import fiberphase.cli\n"
+        "print(len(built))\n"
+    )
+    r = run_python("-c", code)
+    assert (r.returncode, r.stdout, r.stderr) == (0, "0\n", "")
 
 
 def test_config_file_run_with_overrides(tmp_path):

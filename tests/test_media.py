@@ -74,11 +74,16 @@ class TestClassify:
 
 
     def test_boundary_constant_is_positive_zero(self):
-        # sqrt(-n^2) of n^2 = +0.0 would be -0.0.
-        plus, _ = classify(GyrotropicMedium(-1.0, 1.0, 1.0, 1.0), omega=1.0)
-        assert math.copysign(1.0, plus.propagation_constant) == 1.0
-        _, minus = classify(GyrotropicMedium(1.0, 1.0, 1.0, 1.0), omega=2.0)
-        assert minus.n_squared == 0.0 and math.copysign(1.0, minus.propagation_constant) == 1.0
+        # sqrt(-n^2) of n^2 = +0.0 would be -0.0, and mu < 0 times eps1 +/- eps2 = +0.0 is n^2 = -0.0.
+        boundaries = [
+            classify(GyrotropicMedium(-1.0, 1.0, 1.0, 1.0), omega=1.0)[0],
+            classify(GyrotropicMedium(1.0, 1.0, 1.0, 1.0), omega=2.0)[1],
+            classify(GyrotropicMedium(1.0, -1.0, 1.0, -1.0), omega=1.0)[0],
+            classify(GyrotropicMedium(1.0, 1.0, 1.0, -1.0), omega=1.0)[1],
+        ]
+        for verdict in boundaries:
+            assert verdict.n_squared == 0.0 and math.copysign(1.0, verdict.n_squared) == 1.0
+            assert math.copysign(1.0, verdict.propagation_constant) == 1.0
 
     @pytest.mark.parametrize(
         "medium, omega, branch",

@@ -810,6 +810,31 @@ class TestSweep:
         rows = [line.split(",") for line in Path(csv_path).read_text().strip().splitlines()[1:]]
         assert [r[4] for r in rows] == ["evanescent", "evanescent", "propagating"]
 
+    def test_epsilon2_value_classified_once(self, monkeypatch, tmp_path):
+        # Validation classifies each value, and its row reads that verdict.
+        import fiberphase.scenario as scenario
+
+        calls = []
+        original = scenario.classify
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        config = parse_config(cone_config(medium={"epsilon1": 1e308, "epsilon2": 0.0, "epsilon3": 1.0, "mu": 1.0}), "s")
+        monkeypatch.setattr(scenario, "classify", counted)
+        values = [-1.0, 0.0, 1.0]
+        _, csv_path = sweep(config, "epsilon2", values, tmp_path / "good")
+        assert len(Path(csv_path).read_text().splitlines()) == 1 + len(values)
+        assert len(calls) == len(values)
+        # The plus branch's n^2 overflows at the last value.
+        calls.clear()
+        with pytest.raises(ConfigError, match="plus branch overflows") as err:
+            sweep(config, "epsilon2", [*values, 1e308], tmp_path / "bad")
+        assert err.value.field == "sweep"
+        assert len(calls) == len(values) + 1
+        assert not (tmp_path / "bad").exists()
+
     def test_unknown_parameter(self, tmp_path):
         config = parse_config(cone_config(), "s")
         with pytest.raises(ConfigError, match="unknown parameter"):
