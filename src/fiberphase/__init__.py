@@ -47,7 +47,6 @@ from .media import (
 from .phases import (
     EvolutionResult,
     PhaseBreakdown,
-    berry_phase_cyclic,
     effective_hamiltonian,
     evolution_operator_V,
     evolve_state,

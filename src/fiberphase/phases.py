@@ -13,8 +13,11 @@ formulas applied to the identity; these matrices are built in batches
 of steps, and the only per-step Python work left is the product M psi,
 one ndarray.dot that writes the new state into its stored row.
 The energies <psi|H|psi> of a batch are one batched product after its
-loop.  The Liouville-von Neumann residual and the phase series are
-array expressions over the step boundaries.
+loop.  The phase series is an array expression over the step
+boundaries.  The Liouville-von Neumann residual of the helicity
+invariant is the trajectory's motion residual rescaled, a trajectory
+diagnostic: evolve_state never reads it, and the scenario runner
+computes it next to the motion identity.
 
 H conserves photon number, so the evolution runs only on the sectors the
 initial state occupies, with generators built on those sectors alone,
@@ -103,18 +106,19 @@ class EvolutionResult:
     """States and diagnostics from one RK4 integration, over the step boundaries.
 
     states holds the amplitudes on the evolved sectors only, one row of
-    length len(keep) per boundary; keep lists their basis indices, and
-    every other amplitude is exactly zero.  energies holds <psi|H|psi> at
-    each boundary, the integrand of the dynamical phase.
+    length len(keep) per boundary; sectors lists their photon numbers,
+    keep their basis indices, and every other amplitude is exactly zero.
+    norms holds |psi| and energies <psi|H|psi> at each boundary, the
+    latter the integrand of the dynamical phase.
     """
 
     space: FockSpace
     times: np.ndarray
+    sectors: list[int]
     keep: np.ndarray
     states: np.ndarray
     norms: np.ndarray
     energies: np.ndarray
-    lvn_residuals: np.ndarray
     max_h_dt: float
 
     @property
@@ -126,13 +130,6 @@ class EvolutionResult:
         amplitudes = np.zeros(self.space.dimension, dtype=complex)
         amplitudes[self.keep] = self.states[index]
         return StateVector(self.space, amplitudes)
-
-
-def berry_phase_cyclic(polar_angle: float, s3_expectation: float) -> float:
-    """Cyclic adiabatic phase 2*pi*(1 - cos(polar_angle)) * <S3>."""
-    if not 0.0 <= polar_angle <= math.pi:
-        raise ValueError(f"polar angle must lie in [0, pi], got {polar_angle}")
-    return TWO_PI * (1.0 - math.cos(polar_angle)) * float(s3_expectation)
 
 
 def effective_hamiltonian(traj: TangentTrajectory, spin: tuple[OperatorMatrix, ...], t: float) -> OperatorMatrix:
@@ -204,25 +201,24 @@ def evolve_state(psi0: StateVector, traj: TangentTrajectory) -> EvolutionResult:
     CHUNK_BYTES worth of steps at a time, so scratch memory stays flat
     in the step count; each batch's sum for M is assembled in place and
     copied into the real part of one complex buffer, allocated once per
-    call.  The step loop only applies M: mj.dot(psi, out=row) writes each
-    new state straight into its row of states, the same BLAS product as
-    mj @ psi with no temporary.  The energies <psi|H0|psi> before a batch's
-    steps are one batched product after its loop.  Norms are recorded at
-    every step and the drift is left in as an integration diagnostic.
-    states holds the sector block, (steps + 1, len(keep)); state_at
-    gives a state over the whole space.  The
-    guard max|H| * step <= N_top * max|u| * step (N_top the largest
-    occupied sector) holds because a complete sector N has spectral
-    radius N|u| and, by Cauchy interlacing, a sector cut off at n_max no
-    larger; it is enforced (StepGuardError) and reported, never silently
-    accepted.
+    call.  Only u = traj.precession_field is read; the motion residual
+    is left unbuilt.  The step loop only applies M: mj.dot(psi, out=row)
+    writes each new state straight into its row of states, the same BLAS
+    product as mj @ psi with no temporary.  The energies <psi|H0|psi>
+    before a batch's steps are one batched product after its loop.  Norms
+    are recorded at every step and the drift is left in as an integration
+    diagnostic.  states holds the sector block, (steps + 1, len(keep));
+    state_at gives a state over the whole space.  The guard
+    max|H| * step <= N_top * max|u| * step (N_top the largest occupied
+    sector) holds because a complete sector N has spectral radius N|u|
+    and, by Cauchy interlacing, a sector cut off at n_max no larger; it
+    is enforced (StepGuardError) and reported, never silently accepted.
     """
     check_rk4_grid(traj.times)
     if abs(psi0.norm() - 1.0) > 1e-9:
         raise ValueError(f"initial state must be normalized, |norm - 1| = {abs(psi0.norm() - 1.0):.3e}")
 
     times = traj.times
-    n = len(times)
     u = traj.precession_field
     sectors = occupied_sectors(psi0)
     keep, a = sector_generators(psi0.space, sectors)
@@ -231,7 +227,7 @@ def evolve_state(psi0: StateVector, traj: TangentTrajectory) -> EvolutionResult:
     if max_h_dt >= STEP_GUARD:
         raise StepGuardError(max_h_dt)
 
-    steps = (n - 1) // 2
+    steps = (len(times) - 1) // 2
     d = len(keep)
     # Distinct mode pairs never share a matrix entry, so each entry of u.A has
     # one nonzero term and this product has the bits of _field_operator(u, a).
@@ -277,20 +273,17 @@ def evolve_state(psi0: StateVector, traj: TangentTrajectory) -> EvolutionResult:
         # the bits np.vdot gives on the contiguous rows.
         before = states[start:stop, :, None]
         energies[start:stop] = (before.conj().transpose(0, 2, 1) @ ((-1j * g0) @ before))[:, 0, 0].real
-    # Free the batch buffer before _lvn_residuals builds the trajectory's motion residual.
-    del m_buf, m, mj
     # The last chunk's final g_even is u[-1].A.
     energies[steps] = np.vdot(psi, (-1j * g_even[-1]) @ psi).real
 
-    boundary = np.arange(0, n, 2)
     return EvolutionResult(
         space=psi0.space,
-        times=times[boundary].copy(),
+        times=times[::2].copy(),
+        sectors=sectors,
         keep=keep,
         states=states,
         norms=norms,
         energies=energies,
-        lvn_residuals=_lvn_residuals(traj, spin_scale(psi0.space), boundary),
         max_h_dt=max_h_dt,
     )
 
@@ -299,9 +292,10 @@ def phase_series(result: EvolutionResult) -> dict[str, np.ndarray]:
     """Per-step phase accumulations extracted from an evolution.
 
     The overlaps are taken on the evolved sector block.  Returns arrays
-    over the step boundaries: reported total phase
+    over the step boundaries: the reported total phase
     -arg<psi(0)|psi(t)> (unwrapped), the dynamical accumulation of
-    <psi|H|psi>, their difference, overlap magnitudes and norms.
+    <psi|H|psi> and their difference, the geometric phase.  The times
+    and norms are the result's own.
     """
     overlaps = result.states @ result.states[0].conj()
     mags = np.abs(overlaps)
@@ -314,14 +308,7 @@ def phase_series(result: EvolutionResult) -> dict[str, np.ndarray]:
     total = -np.unwrap(np.angle(overlaps))
     total -= total[0]
     dynamical = quadrature.cumulative_dense(result.energies, result.times)
-    return {
-        "times": result.times.copy(),
-        "total": total,
-        "dynamical": dynamical,
-        "geometric": total - dynamical,
-        "overlap_magnitude": mags,
-        "norms": result.norms.copy(),
-    }
+    return {"total": total, "dynamical": dynamical, "geometric": total - dynamical}
 
 
 def extract_phases(result: EvolutionResult, traj: TangentTrajectory) -> PhaseBreakdown:

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .fock import FockSpace, build_photon_state, build_space, helicity_expectation, occupied_sectors, StateVector
+from .fock import FockSpace, build_photon_state, build_space, helicity_expectation, spin_scale, StateVector
 from .geometry import (
     cone_anholonomy,
     cone_trajectory,
@@ -31,7 +31,9 @@ from .geometry import (
     CLOSURE_TOL,
 )
 from .media import DispersionVerdict, GyrotropicMedium, classify
-from .phases import STEP_GUARD, PhaseBreakdown, StepGuardError, check_rk4_grid, evolve_state, phase_series
+from .phases import (
+    STEP_GUARD, PhaseBreakdown, StepGuardError, _lvn_residuals, check_rk4_grid, evolve_state, phase_series
+)
 
 ORDERINGS = ("normal", "nonnormal_r", "nonnormal_l", "nonnormal_total")
 SWEEP_PARAMETERS = ("lambda", "turns", "n_R", "n_L", "epsilon2")
@@ -52,10 +54,14 @@ CSV_BLOCK_VALUES = 1024
 # operators held 11 complex D x D arrays, D the dimension of the 3-mode
 # space; a trajectory sample costs 256 bytes, a stored state 16*D.  A run
 # now stores sector-sized states and pays about 150 bytes per basis state,
-# so both D terms overcharge; the D^2 term stays as the only bound on time.
+# so both D terms overcharge.  Run time has its own cap, MAX_RK4_FLOPS.
 MEMORY_BUDGET_BYTES = 2 * 1024**3
 _DENSE_COPIES_3MODE = 12
 _BYTES_PER_SAMPLE = 288
+# Work a run may do: building one RK4 step's matrix M on a block of dimension d
+# costs about 6*d^3 flops.  Every number-state run the memory budget admits
+# fits (at most 1.6e11 flops, at n_max = 11); hour-long amplitude runs do not.
+MAX_RK4_FLOPS = 10**12
 # Below 2**52 a float still holds the half quantum of n + 1/2.
 _MAX_SWEEP_PHOTONS = 2**52 - 1
 # Most turns a geometry may have.  |A| <= 4*pi*turns and phi_closed is A
@@ -99,6 +105,29 @@ def _check_budget(field: str, estimate: int, what: str) -> None:
         )
 
 
+def _block_dimension(config: ScenarioConfig) -> int:
+    """Dimension d of the block evolve_state integrates: the photon-number sectors the initial state occupies."""
+    if config.amplitudes is None:
+        n = config.n_r + config.n_l
+        return (n + 1) * (n + 2) // 2
+    totals = FockSpace(3, config.n_max).basis.sum(axis=1)
+    return int(np.isin(totals, totals[np.array(config.amplitudes) != 0]).sum())
+
+
+def _check_work(field: str, config: ScenarioConfig, steps: int, what: str) -> None:
+    """Refuse a run over MAX_RK4_FLOPS; field steps becomes state.amplitudes if MIN_STEPS is over too."""
+    d = _block_dimension(config)
+    flops = 6 * d**3 * steps
+    if flops > MAX_RK4_FLOPS:
+        if field == "steps" and 6 * d**3 * MIN_STEPS > MAX_RK4_FLOPS:
+            field = "state.amplitudes"
+        raise ConfigError(
+            field,
+            f"{what} on a block of dimension {d} needs an estimated {flops:.3g} flops, "
+            f"over the {MAX_RK4_FLOPS:.3g} flop work cap",
+        )
+
+
 def _run_bytes(n_max: int, steps: int | None) -> tuple[int, int]:
     """Estimated (operator, per-sample) bytes of a run; a sampled path without a known length has no sample term."""
     dim = FockSpace(3, n_max).dimension
@@ -126,11 +155,7 @@ class SampledGeometry:
 
 
 @dataclass(frozen=True)
-class MediumSpec:
-    epsilon1: float
-    epsilon2: float
-    epsilon3: float
-    mu: float
+class MediumSpec(GyrotropicMedium):
     omega: float
 
 
@@ -244,15 +269,12 @@ def _parse_state(data) -> tuple[int | None, int | None, tuple[complex, ...] | No
 def _parse_medium(data) -> MediumSpec:
     if not isinstance(data, dict):
         raise ConfigError("medium", "expected a mapping")
-    _check_keys(data, {"epsilon1", "epsilon2", "epsilon3", "mu", "omega"}, "medium")
-    eps1 = _get_number(data, "epsilon1", "medium")
-    eps2 = _get_number(data, "epsilon2", "medium")
-    eps3 = _get_number(data, "epsilon3", "medium")
-    mu = _get_number(data, "mu", "medium")
+    _check_keys(data, {f.name for f in fields(MediumSpec)}, "medium")
+    material = [_get_number(data, f.name, "medium") for f in fields(GyrotropicMedium)]
     omega = _get_number(data, "omega", "medium") if "omega" in data else 1.0
     if omega <= 0:
         raise ConfigError("medium.omega", "must be positive")
-    medium = MediumSpec(eps1, eps2, eps3, mu, omega)
+    medium = MediumSpec(*material, omega)
     _dispersion(medium)
     return medium
 
@@ -327,7 +349,7 @@ def parse_config(data: dict, name: str, base_dir: Path | None = None) -> Scenari
             f"cutoff overflow: n_r + n_l = {_show(n_r + n_l)} photons need n_max >= {_show(n_r + n_l)}",
         )
 
-    return ScenarioConfig(
+    config = ScenarioConfig(
         name=name,
         geometry=geometry,
         n_r=n_r,
@@ -340,16 +362,17 @@ def parse_config(data: dict, name: str, base_dir: Path | None = None) -> Scenari
         tolerance=tolerance,
         medium=medium,
     )
+    if steps is not None:
+        _check_work("steps", config, steps, f"steps = {steps}")
+    return config
 
 
 def _config_echo(config: ScenarioConfig) -> dict:
     g = config.geometry
-    if isinstance(g, HelixGeometry):
-        geometry = {"kind": "helix", "radius": g.radius, "pitch_per_turn": g.pitch_per_turn, "turns": g.turns}
-    elif isinstance(g, ConeGeometry):
-        geometry = {"kind": "cone", "polar_angle": g.polar_angle, "turns": g.turns}
-    else:
+    if isinstance(g, SampledGeometry):
         geometry = {"kind": "sampled", "path_csv": Path(g.path_csv).name}
+    else:
+        geometry = {"kind": "helix" if isinstance(g, HelixGeometry) else "cone", **asdict(g)}
     if config.amplitudes is not None:
         state = {"amplitudes": [[z.real, z.imag] for z in config.amplitudes]}
     else:
@@ -365,14 +388,7 @@ def _config_echo(config: ScenarioConfig) -> dict:
     if config.steps is not None:
         echo["steps"] = config.steps
     if config.medium is not None:
-        m = config.medium
-        echo["medium"] = {
-            "epsilon1": m.epsilon1,
-            "epsilon2": m.epsilon2,
-            "epsilon3": m.epsilon3,
-            "mu": m.mu,
-            "omega": m.omega,
-        }
+        echo["medium"] = asdict(config.medium)
     return echo
 
 
@@ -400,6 +416,7 @@ def _build_trajectory(config: ScenarioConfig):
     except (ValueError, OSError) as exc:
         raise ConfigError("geometry.path_csv", str(exc)) from None
     _check_budget("geometry.path_csv", sum(_run_bytes(config.n_max, (rows - 1) // 2)), f"a path of {rows} rows")
+    _check_work("geometry.path_csv", config, (rows - 1) // 2, f"a path of {rows} rows")
     try:
         path = load_path_csv(g.path_csv)
         check_rk4_grid(path.times)
@@ -435,7 +452,7 @@ def _initial_state(config: ScenarioConfig, space, k0: np.ndarray) -> StateVector
 def _dispersion(m: MediumSpec, field: str = "medium") -> tuple[float, float, DispersionVerdict, DispersionVerdict]:
     """(n_plus^2, n_minus^2, plus verdict, minus verdict) of a medium block, refused as field if any overflows."""
     try:
-        plus, minus = classify(GyrotropicMedium(m.epsilon1, m.epsilon2, m.epsilon3, m.mu), m.omega)
+        plus, minus = classify(m, m.omega)
     except ValueError as exc:
         raise ConfigError(field, str(exc)) from None
     return plus.n_squared, minus.n_squared, plus, minus
@@ -448,7 +465,9 @@ def _step_refusal(config: ScenarioConfig, bound: float) -> ConfigError:
     rounding, so the measured bound scales as 1/steps.
     """
     steps = math.floor(config.steps * bound / STEP_GUARD * (1.0 + STEP_HINT_HEADROOM)) + 1
-    _check_budget("steps", sum(_run_bytes(config.n_max, steps)), f"passing the step-size guard with steps = {steps}")
+    what = f"passing the step-size guard with steps = {steps}"
+    _check_budget("steps", sum(_run_bytes(config.n_max, steps)), what)
+    _check_work("steps", config, steps, what)
     return ConfigError(
         "steps",
         f"step-size guard: bound max|H|*dt = {bound:.3e} >= {STEP_GUARD} with steps = {config.steps}; "
@@ -472,13 +491,8 @@ def evaluate_scenario(config: ScenarioConfig) -> dict:
     closure_gap = float(np.linalg.norm(k[-1] - k[0]))
     closed = closure_gap < CLOSURE_TOL
     closure = geodesic_closure(k[0], k[-1])
-    # Both residuals carry units of 1/time; over the grid span they read the same in any time unit.
-    span = float(traj.times[-1] - traj.times[0])
-    motion = motion_identity_residual(traj) * span
-
     space = build_space(3, config.n_max)
     psi0 = _initial_state(config, space, k[0])
-    sectors = occupied_sectors(psi0)
 
     if config.amplitudes is None:
         s3_attr = _s3_expectation(config.ordering, config.n_r, config.n_l)
@@ -492,14 +506,18 @@ def evaluate_scenario(config: ScenarioConfig) -> dict:
         if cone is None:
             raise
         raise _step_refusal(config, exc.bound) from None
+    # The trajectory diagnostics, built after the evolution (which reads only u) so that it never holds them.
+    # Both residuals carry units of 1/time; over the grid span they read the same in any time unit.
+    span = float(traj.times[-1] - traj.times[0])
+    motion = motion_identity_residual(traj) * span
+    lvn = _lvn_residuals(traj, spin_scale(space), np.arange(0, len(traj.times), 2)) * span
+    lvn_max = float(lvn.max())
     series = phase_series(result)
     breakdown = PhaseBreakdown.from_series(series, s3_attr, anholonomy)
 
     phi_closed_total = s3_total * anholonomy
     difference = abs(wrap_angle(breakdown.geometric_phase - s3_total * (anholonomy + closure)))
     norm_drift = float(np.abs(result.norms - 1.0).max())
-    lvn = result.lvn_residuals * span
-    lvn_max = float(lvn.max())
 
     checks = [
         _check("numerical_vs_closed_form", difference, config.tolerance),
@@ -539,7 +557,7 @@ def evaluate_scenario(config: ScenarioConfig) -> dict:
         },
         "numerical": {
             "steps": result.steps,
-            "sectors": sectors,
+            "sectors": result.sectors,
             "sector_dimension": len(result.keep),
             "total_phase": breakdown.total_phase,
             "dynamical_phase": breakdown.dynamical_phase,
@@ -559,15 +577,7 @@ def evaluate_scenario(config: ScenarioConfig) -> dict:
         summary["medium"] = {
             "n_plus_sq": n_plus_sq,
             "n_minus_sq": n_minus_sq,
-            "verdicts": [
-                {
-                    "handedness": v.handedness,
-                    "n_squared": v.n_squared,
-                    "status": v.status,
-                    "propagation_constant": v.propagation_constant,
-                }
-                for v in (plus, minus)
-            ],
+            "verdicts": [asdict(plus), asdict(minus)],
         }
 
     # The CSV's polar and azimuth columns, built here so that the writer's scratch stays one row block.
@@ -576,6 +586,7 @@ def evaluate_scenario(config: ScenarioConfig) -> dict:
         "angles": traj,
         "anholonomy": running,
         "phase": series,
+        "norms": result.norms,
         "lvn": lvn,
         "s3_attributed": s3_attr,
     }
@@ -599,7 +610,7 @@ def _write_run_csv(summary: dict, csv_path: Path) -> None:
             series["total"],
             series["dynamical"],
             series["geometric"],
-            series["norms"],
+            summary["_series"]["norms"],
             summary["_series"]["lvn"],
         ]
     )

@@ -251,6 +251,26 @@ def test_non_finite_input_rejected_before_work(tmp_path, capsys, config, args, f
     assert not out.exists()
 
 
+def test_over_work_cap_refused_before_any_trajectory(tmp_path, capsys, monkeypatch):
+    # 2744 equal amplitudes at n_max = 13: 4096 RK4 steps on the whole box would take hours.
+    import fiberphase.scenario as scenario
+
+    def no_trajectory(*args):
+        raise AssertionError("trajectory built")
+
+    monkeypatch.setattr(scenario, "cone_trajectory", no_trajectory)
+    cfg = tmp_path / "big.json"
+    amplitudes = [[1.0 / math.sqrt(2744), 0.0]] * 2744
+    cfg.write_text(json.dumps({"geometry": {**CONE, "polar_angle": 0.7}, "state": {"amplitudes": amplitudes},
+                               "n_max": 13, "steps": 4096}))
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["field"] == "state.amplitudes"
+    assert "work cap" in err["message"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("kind", ["missing", "directory"])
 def test_unreadable_config_is_validation_error(tmp_path, capsys, kind):
     cfg = tmp_path / "cfg.json"

@@ -7,7 +7,6 @@ import pytest
 from fiberphase import (
     PhaseBreakdown,
     StateVector,
-    berry_phase_cyclic,
     build_photon_state,
     build_space,
     cone_trajectory,
@@ -141,23 +140,6 @@ class TestClosedFormPhase:
     def test_vacuum_pair_cancels(self):
         anholonomy = cone_trajectory(1.1, 2.3, 513).running_anholonomy()[-1]
         assert 0.5 * anholonomy + -0.5 * anholonomy == 0.0
-
-
-class TestBerryPhaseCyclic:
-    def test_pole(self):
-        assert berry_phase_cyclic(0.0, 1.0) == 0.0
-
-    def test_equator(self):
-        assert berry_phase_cyclic(math.pi / 2.0, 1.0) == pytest.approx(2.0 * math.pi, abs=1e-15)
-
-    def test_sign_flip(self):
-        assert berry_phase_cyclic(math.pi / 4.0, -1.0) == pytest.approx(-BERRY_45, abs=1e-12)
-
-    def test_range_check(self):
-        with pytest.raises(ValueError):
-            berry_phase_cyclic(-0.1, 1.0)
-        with pytest.raises(ValueError):
-            berry_phase_cyclic(3.2, 1.0)
 
 
 class TestEffectiveHamiltonian:
@@ -384,6 +366,13 @@ class TestChunkedPropagators:
         assert np.array_equal(result.energies, energies)
         assert np.array_equal(np.signbit(result.energies), np.signbit(energies))
 
+    def test_trajectory_residual_left_unbuilt(self):
+        # The LvN residual is a trajectory diagnostic: evolution reads u alone.
+        traj = helix_traj(lam=0.6, turns=0.25, steps=256)
+        evolve_state(build_photon_state(build_space(3, 2), 1, 0), traj)
+        assert "precession_field" in traj.__dict__
+        assert "motion_residual" not in traj.__dict__
+
     @pytest.mark.parametrize("steps", [1024, 8192])
     @pytest.mark.parametrize("photons, n_max", [(1, 1), (4, 4)])
     def test_scratch_memory_is_flat(self, photons, n_max, steps):
@@ -399,7 +388,7 @@ class TestChunkedPropagators:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        arrays = (result.times, result.keep, result.states, result.norms, result.energies, result.lvn_residuals)
+        arrays = (result.times, result.keep, result.states, result.norms, result.energies)
         returned = sum(a.nbytes for a in arrays)
         assert peak - returned <= 160 * len(traj.times) + 2 * 2**20
 
@@ -434,7 +423,6 @@ class TestExtractPhases:
         traj, result = eigenstate_run(+1, steps=2048)
         b = extract_phases(result, traj)
         assert b.geometric_phase == pytest.approx(BERRY_45, abs=1e-4)
-        assert b.geometric_phase == pytest.approx(berry_phase_cyclic(math.pi / 4.0, 1.0), abs=1e-4)
 
     def test_negative_helicity_flips_sign(self):
         traj, result = eigenstate_run(-1, steps=2048)

@@ -98,7 +98,7 @@ def row_loop_csv(summary):
     for j, i in enumerate(range(0, len(angles.times), 2)):
         cum = cumulative_panes(rate[: i + 1], angles.times[: i + 1])[-1] if i else 0.0
         row = [angles.times[i], angles.lam[i], angles.gamma[i], series["s3_attributed"] * cum,
-               phase["total"][j], phase["dynamical"][j], phase["geometric"][j], phase["norms"][j],
+               phase["total"][j], phase["dynamical"][j], phase["geometric"][j], series["norms"][j],
                series["lvn"][j]]
         lines.append(",".join(format(float(v), ".17g") for v in row))
     return "\n".join(lines) + "\n"
@@ -321,6 +321,76 @@ class TestMemoryBudget:
         for members in BUILTIN_SCENARIOS.values():
             for label, raw in members:
                 parse_config(apply_overrides(raw, steps=10 * raw["steps"], n_max=6), label)
+
+
+def equal_amplitudes(n_max):
+    """The normalised state with one equal amplitude on every basis state of the n_max box."""
+    count = (n_max + 1) ** 3
+    return {"amplitudes": [[1.0 / math.sqrt(count), 0.0]] * count}
+
+
+class TestWorkCap:
+    def test_largest_number_state_the_memory_budget_admits_is_accepted(self):
+        # n_max = N = 11 at the most steps the memory budget admits: 6 * 78**3 * 55773 = 1.59e11 flops.
+        parse_config(cone_config(n_max=11, steps=55773, state={"n_r": 11, "n_l": 0}), "t")
+        with pytest.raises(ConfigError, match="memory budget"):
+            parse_config(cone_config(n_max=11, steps=55774, state={"n_r": 11, "n_l": 0}), "t")
+
+    def test_over_cap_names_steps_when_fewer_steps_fit(self):
+        import fiberphase.scenario as scenario
+
+        # d = 1331 costs 1.41e10 flops a step: MIN_STEPS fits the cap, 4096 steps do not.
+        parse_config(cone_config(n_max=10, steps=scenario.MIN_STEPS, state=equal_amplitudes(10)), "t")
+        with pytest.raises(ConfigError) as err:
+            parse_config(cone_config(n_max=10, steps=4096, state=equal_amplitudes(10)), "t")
+        assert err.value.field == "steps"
+        assert "work cap" in err.value.message and "dimension 1331" in err.value.message
+
+    def test_over_cap_at_min_steps_names_the_amplitudes(self):
+        # d = 2744 costs 3.97e12 flops even at MIN_STEPS; 4096 steps would run for hours.
+        data = cone_config(polar=0.7, n_max=13, steps=4096, state=equal_amplitudes(13))
+        with pytest.raises(ConfigError) as err:
+            parse_config(data, "t")
+        assert err.value.field == "state.amplitudes"
+        assert "work cap" in err.value.message
+
+    @pytest.mark.parametrize("occupied", [[0], [5], [3, 40, 700], list(range(0, 1000, 7))])
+    def test_block_dimension_is_the_evolved_one(self, occupied):
+        import fiberphase.scenario as scenario
+        from fiberphase.fock import StateVector, occupied_sectors, sector_generators
+
+        space = build_space(3, 9)
+        amplitudes = np.zeros(space.dimension, dtype=complex)
+        amplitudes[occupied] = 1.0j / math.sqrt(len(occupied))
+        config = parse_config(cone_config(n_max=9, steps=32, state={"amplitudes": [[z.real, z.imag] for z in amplitudes]}), "t")
+        keep, _ = sector_generators(space, occupied_sectors(StateVector(space, amplitudes)))
+        assert scenario._block_dimension(config) == len(keep)
+
+    def test_sampled_path_over_cap_refused_before_read(self, monkeypatch, tmp_path):
+        import fiberphase.scenario as scenario
+
+        # 201 rows are 100 steps: 1.41e12 flops on the d = 1331 block.
+        t = np.linspace(0.0, 1.0, 201)
+        write_path_csv(tmp_path / "path.csv", t, np.column_stack([np.cos(t), np.sin(t), t]))
+        data = {"geometry": {"kind": "sampled", "path_csv": "path.csv"}, "state": equal_amplitudes(10), "n_max": 10}
+        config = parse_config(data, "t", base_dir=tmp_path)
+        monkeypatch.setattr(scenario, "load_path_csv", None)
+        with pytest.raises(ConfigError) as err:
+            scenario.evaluate_scenario(config)
+        assert err.value.field == "geometry.path_csv"
+        assert "a path of 201 rows" in err.value.message and "work cap" in err.value.message
+
+    def test_step_count_named_by_the_guard_is_held_to_the_cap(self):
+        import fiberphase.scenario as scenario
+
+        # 125 amplitudes up to N = 12 on a 1000-turn cone pass the guard only
+        # from about 486k steps, 5.7e12 flops on the d = 125 block.
+        data = cone_config(polar=0.7, n_max=4, steps=32, state=equal_amplitudes(4))
+        data["geometry"]["turns"] = 1000.0
+        with pytest.raises(ConfigError) as err:
+            scenario.evaluate_scenario(parse_config(data, "t"))
+        assert err.value.field == "steps"
+        assert "step-size guard" in err.value.message and "work cap" in err.value.message
 
 
 class TestOpenTrace:
