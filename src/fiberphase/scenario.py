@@ -44,11 +44,6 @@ MOTION_TOL = 1e-6
 DEFAULT_TOLERANCE = 1e-4
 MIN_STEPS = 32
 
-# Values per '%' call of the run CSV writer.  A block's transient floats,
-# tuple and text take about 70 kB whatever the step count; larger blocks
-# are no faster and raise the peak RSS of a run.
-CSV_BLOCK_VALUES = 1024
-
 # Memory a run may need, checked before anything is allocated.  The
 # coefficients come from tracemalloc peaks, with headroom: the dense spin
 # operators held 11 complex D x D arrays, D the dimension of the 3-mode
@@ -191,12 +186,13 @@ def _finite(value) -> float | None:
     return value if math.isfinite(value) else None
 
 
-def _get_number(mapping: dict, key: str, where: str) -> float:
+def _get_number(mapping: dict, key: str, where: str | None) -> float:
+    field = f"{where}.{key}" if where else key
     if key not in mapping:
-        raise ConfigError(f"{where}.{key}", "missing required key")
+        raise ConfigError(field, "missing required key")
     value = _finite(mapping[key])
     if value is None:
-        raise ConfigError(f"{where}.{key}", f"expected a finite number, got {_show(mapping[key])}")
+        raise ConfigError(field, f"expected a finite number, got {_show(mapping[key])}")
     return value
 
 
@@ -205,12 +201,13 @@ def _check_turns(turns: float, field: str, what: str) -> None:
         raise ConfigError(field, f"{what} must lie in (0, {MAX_TURNS:g}]")
 
 
-def _get_int(mapping: dict, key: str, where: str) -> int:
+def _get_int(mapping: dict, key: str, where: str | None) -> int:
+    field = f"{where}.{key}" if where else key
     if key not in mapping:
-        raise ConfigError(f"{where}.{key}", "missing required key")
+        raise ConfigError(field, "missing required key")
     value = mapping[key]
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where}.{key}", f"expected an integer, got {_show(value)}")
+        raise ConfigError(field, f"expected an integer, got {_show(value)}")
     return value
 
 
@@ -302,7 +299,7 @@ def parse_config(data: dict, name: str, base_dir: Path | None = None) -> Scenari
             "per-handedness orderings need an occupation-number state, not raw amplitudes",
         )
 
-    n_max = _get_int(data, "n_max", "config") if "n_max" in data else 2
+    n_max = _get_int(data, "n_max", None) if "n_max" in data else 2
     if n_max < 1:
         raise ConfigError("n_max", f"must be >= 1, got {_show(n_max)}")
 
@@ -311,7 +308,7 @@ def parse_config(data: dict, name: str, base_dir: Path | None = None) -> Scenari
         if "steps" in data:
             raise ConfigError("steps", "derived from the sampled path file; do not set it")
     else:
-        steps = _get_int(data, "steps", "config") if "steps" in data else 4096
+        steps = _get_int(data, "steps", None) if "steps" in data else 4096
         if steps < MIN_STEPS:
             raise ConfigError("steps", f"must be >= {MIN_STEPS}, got {_show(steps)}")
 
@@ -328,7 +325,7 @@ def parse_config(data: dict, name: str, base_dir: Path | None = None) -> Scenari
         if abs(norm - 1.0) > 1e-6:
             raise ConfigError("state.amplitudes", f"state norm {norm!r} is not 1 within 1e-6")
 
-    t_end = _get_number(data, "t_end", "config") if "t_end" in data else 1.0
+    t_end = _get_number(data, "t_end", None) if "t_end" in data else 1.0
     if not 0.0 < t_end <= 1.0:
         raise ConfigError("t_end", "must lie in (0, 1]")
     if isinstance(geometry, SampledGeometry) and t_end != 1.0:
@@ -337,7 +334,7 @@ def parse_config(data: dict, name: str, base_dir: Path | None = None) -> Scenari
     if not isinstance(geometry, SampledGeometry) and geometry.turns * t_end == 0.0:
         raise ConfigError("t_end", "turns * t_end rounds to 0")
 
-    tolerance = _get_number(data, "tolerance", "config") if "tolerance" in data else DEFAULT_TOLERANCE
+    tolerance = _get_number(data, "tolerance", None) if "tolerance" in data else DEFAULT_TOLERANCE
     if tolerance <= 0:
         raise ConfigError("tolerance", "must be positive")
 
@@ -597,32 +594,6 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def _write_run_csv(summary: dict, csv_path: Path) -> None:
-    angles = summary["_series"]["angles"]
-    series = summary["_series"]["phase"]
-    s3_attr = summary["_series"]["s3_attributed"]
-    table = np.column_stack(
-        [
-            angles.times[::2],
-            angles.lam[::2],
-            angles.gamma[::2],
-            s3_attr * summary["_series"]["anholonomy"],
-            series["total"],
-            series["dynamical"],
-            series["geometric"],
-            summary["_series"]["norms"],
-            summary["_series"]["lvn"],
-        ]
-    )
-    line = ",".join(["%.17g"] * table.shape[1]) + "\n"
-    rows = CSV_BLOCK_VALUES // table.shape[1]
-    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t,lambda,gamma,phi_closed,phi_total,phi_dyn,phi_geo,norm,lvn_residual\n")
-        for start in range(0, len(table), rows):
-            chunk = table[start : start + rows]
-            fh.write((line * len(chunk)) % tuple(chunk.ravel().tolist()))
-
-
 def _write_json(payload: dict, path: Path) -> None:
     text = json.dumps(payload, indent=2, allow_nan=False)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -636,16 +607,31 @@ class RunOutcome:
     files: tuple[str, ...]
 
 
+def _out_error(exc: OSError) -> ConfigError:
+    """An output directory that cannot be made or an artifact that cannot be written, as field out."""
+    return ConfigError("out", f"cannot write the output: {exc}")
+
+
 def run_scenario(config: ScenarioConfig, out_dir) -> RunOutcome:
     """Evaluate a scenario and write its CSV and JSON artifacts."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise _out_error(exc) from None
     summary = evaluate_scenario(config)
     csv_path = out_dir / f"{config.name}.csv"
     json_path = out_dir / f"{config.name}.json"
-    _write_run_csv(summary, csv_path)
     public = {k: v for k, v in summary.items() if not k.startswith("_")}
-    _write_json(public, json_path)
+    # Imported here: a sweep never loads the writer, and a run compiles it only after the evaluation, whose
+    # arrays set a run's peak memory.
+    from .runcsv import write_run_csv
+
+    try:
+        write_run_csv(summary, csv_path)
+        _write_json(public, json_path)
+    except OSError as exc:
+        raise _out_error(exc) from None
     code = 0 if public["status"] == "pass" else 1
     return RunOutcome(code, public, (str(csv_path), str(json_path)))
 
@@ -770,7 +756,10 @@ def run_builtin(name: str, out_dir, steps=None, n_max=None, tolerance=None) -> i
             if pair_sum != 0.0:
                 code = max(code, 1)
         group["status"] = "pass" if code == 0 else "fail"
-        _write_json(group, out_dir / f"{name}.json")
+        try:
+            _write_json(group, out_dir / f"{name}.json")
+        except OSError as exc:
+            raise _out_error(exc) from None
     return code
 
 
@@ -867,9 +856,12 @@ def sweep(config: ScenarioConfig, parameter: str, values, out_dir) -> tuple[int,
             cells = (s3, a, s3 * a)
         rows.append(",".join(map(_cell, (parameter, value, *cells))) + "\n")
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{config.name}_sweep_{parameter}.csv"
-    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"parameter,value,{header}\n")
-        fh.writelines(rows)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(f"parameter,value,{header}\n")
+            fh.writelines(rows)
+    except OSError as exc:
+        raise _out_error(exc) from None
     return 0, str(csv_path)

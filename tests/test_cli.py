@@ -201,8 +201,8 @@ HELIX_NAN_RADIUS = {"kind": "helix", "radius": float("nan"), "pitch_per_turn": 6
 @pytest.mark.parametrize(
     "config, args, field",
     [
-        ({"geometry": CONE, "tolerance": float("inf")}, [], "config.tolerance"),
-        ({"geometry": CONE, "tolerance": float("nan")}, [], "config.tolerance"),
+        ({"geometry": CONE, "tolerance": float("inf")}, [], "tolerance"),
+        ({"geometry": CONE, "tolerance": float("nan")}, [], "tolerance"),
         ({"geometry": HELIX_NAN_RADIUS}, [], "geometry.radius"),
         ({"geometry": CONE}, ["--sweep", "turns=nan"], "sweep"),
         ({"geometry": CONE}, ["--sweep", "n_L=1,-inf"], "sweep"),
@@ -280,6 +280,33 @@ def test_unreadable_config_is_validation_error(tmp_path, capsys, kind):
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
     assert json.loads(err)["error"]["field"] == "config"
+
+
+@pytest.mark.parametrize(
+    "args, blocked",
+    [
+        (["--config", "run.json"], "out"),
+        (["--scenario", "vacuum-pair", "--steps", "64"], "out"),
+        (["--scenario", "chiao-helix-45", "--sweep", "lambda=0.5"], "out"),
+        (["--config", "run.json"], "out/run.csv"),
+    ],
+    ids=["run", "group", "sweep", "artifact"],
+)
+def test_unwritable_out_is_field_out(tmp_path, capsys, args, blocked):
+    # An --out that is a regular file cannot become the output directory; a directory cannot become a CSV.
+    (tmp_path / "run.json").write_text(json.dumps({"geometry": CONE, "state": {"n_r": 1, "n_l": 0}, "steps": 64}))
+    if blocked == "out":
+        (tmp_path / "out").write_text("")
+    else:
+        (tmp_path / blocked).mkdir(parents=True)
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in args]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    error = json.loads(err)["error"]
+    assert error["field"] == "out"
+    assert error["message"].startswith("cannot write the output: [Errno "), error
+    assert repr(str(tmp_path / blocked)) in error["message"], error
 
 
 @pytest.mark.parametrize("document", ["[1, 2]", '"x"', "null", "3"], ids=["list", "string", "null", "number"])

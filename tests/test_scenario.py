@@ -87,23 +87,6 @@ def fuzz_configs(draw, bases, values):
     return data
 
 
-def row_loop_csv(summary):
-    """The run CSV text built one row at a time, phi_closed by the Simpson rule over samples 0..i."""
-    from fiberphase.quadrature import cumulative_panes
-
-    series = summary["_series"]
-    angles, phase = series["angles"], series["phase"]
-    rate = angles.gamma_dot * (1.0 - np.cos(angles.lam))
-    lines = ["t,lambda,gamma,phi_closed,phi_total,phi_dyn,phi_geo,norm,lvn_residual"]
-    for j, i in enumerate(range(0, len(angles.times), 2)):
-        cum = cumulative_panes(rate[: i + 1], angles.times[: i + 1])[-1] if i else 0.0
-        row = [angles.times[i], angles.lam[i], angles.gamma[i], series["s3_attributed"] * cum,
-               phase["total"][j], phase["dynamical"][j], phase["geometric"][j], series["norms"][j],
-               series["lvn"][j]]
-        lines.append(",".join(format(float(v), ".17g") for v in row))
-    return "\n".join(lines) + "\n"
-
-
 def write_path_csv(path, t, pts):
     with open(path, "w") as fh:
         fh.write("t,x,y,z\n")
@@ -191,7 +174,7 @@ class TestParseConfig:
             ({"steps": -HUGE}, "steps"),
             ({"ordering": HUGE}, "ordering"),
             ({"state": {"n_r": HUGE, "n_l": 0}}, "state"),
-            ({"tolerance": HUGE}, "config.tolerance"),
+            ({"tolerance": HUGE}, "tolerance"),
         ],
         ids=["n_max", "n_max-negative", "steps-negative", "ordering", "n_r", "tolerance"],
     )
@@ -200,6 +183,14 @@ class TestParseConfig:
             parse_config(cone_config(**extra), "t")
         assert err.value.field == field
         assert "10^5000" in str(err.value)
+
+    @pytest.mark.parametrize("key, out_of_range", [("n_max", 0), ("steps", 8), ("t_end", 2.0), ("tolerance", -1.0)])
+    def test_top_level_field_has_one_name(self, key, out_of_range):
+        # A wrong type and an out-of-range value of one key name the same field.
+        for value in ("x", out_of_range):
+            with pytest.raises(ConfigError) as err:
+                parse_config(cone_config(**{key: value}), "t")
+            assert err.value.field == key
 
     def test_amplitude_count_checked_before_any_work(self):
         data = cone_config(state={"amplitudes": [[1.0, 0.0]] * 8})
@@ -535,31 +526,6 @@ class TestRunScenario:
         assert len(lines) == 130  # header + steps + 1
         assert all(len(line.split(",")) == 9 for line in lines[1:])
 
-    @staticmethod
-    def sampled_summary(tmp_path, steps, name):
-        """evaluate_scenario on a one-turn sampled helix of 2 * steps + 1 rows."""
-        import fiberphase.scenario as scenario
-
-        write_path_csv(tmp_path / f"{name}.path.csv", *helix_points(1.0, 2.0 * math.pi, 1.0, 2 * steps + 1))
-        data = {"geometry": {"kind": "sampled", "path_csv": f"{name}.path.csv"}, "state": {"n_r": 1, "n_l": 0}}
-        return scenario.evaluate_scenario(parse_config(data, name, base_dir=tmp_path))
-
-    def test_csv_writer_matches_row_loop(self, tmp_path):
-        import fiberphase.scenario as scenario
-
-        summary = self.sampled_summary(tmp_path, 256, "rows")
-        scenario._write_run_csv(summary, tmp_path / "rows.csv")
-        assert (tmp_path / "rows.csv").read_text() == row_loop_csv(summary)
-
-    def test_csv_blocks_match_row_loop(self, tmp_path):
-        import fiberphase.scenario as scenario
-
-        # Three full row blocks and a partial fourth.
-        rows = scenario.CSV_BLOCK_VALUES // 9
-        summary = self.sampled_summary(tmp_path, 3 * rows + rows // 2, "blocks")
-        scenario._write_run_csv(summary, tmp_path / "blocks.csv")
-        assert (tmp_path / "blocks.csv").read_text() == row_loop_csv(summary)
-
     def test_cone_phi_closed_is_s3_times_a_times_t(self, tmp_path):
         # A cone's A accrues at a constant rate: phi_closed = s3 * (A * t) at every step, bit for bit.
         data = cone_config(polar=1.0, steps=256, ordering="nonnormal_r", state={"n_r": 2, "n_l": 0})
@@ -570,37 +536,6 @@ class TestRunScenario:
         assert s3 == pytest.approx(2.5) and len(table) == 257
         assert np.array_equal(table[:, 3], s3 * (a * table[:, 0]))
         assert table[-1, 0] == 1.0 and table[-1, 3] == summary["closed_form"]["phi_attributed"]
-
-    def test_csv_writer_memory_is_flat(self, tmp_path):
-        import fiberphase.scenario as scenario
-
-        extra = []
-        for steps in (1024, 16384):
-            summary = scenario.evaluate_scenario(parse_config(cone_config(steps=steps, n_max=1), "flat"))
-            # The (steps + 1, 9) table and the phi_closed column it is stacked from.
-            table_bytes = (steps + 1) * 10 * 8
-            tracemalloc.start()
-            try:
-                scenario._write_run_csv(summary, tmp_path / "flat.csv")
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            extra.append(peak - table_bytes)
-        # Beyond those the writer holds one row block, whatever the step count.
-        assert extra[1] <= extra[0] + 16 * 1024, extra
-
-    @pytest.mark.parametrize("kind", ["cone", "helix"])
-    def test_closed_form_run_never_forms_the_azimuth_rate(self, kind, tmp_path):
-        import fiberphase.scenario as scenario
-
-        data = cone_config(steps=256)
-        if kind == "helix":
-            data["geometry"] = {"kind": "helix", "radius": 1.0, "pitch_per_turn": 3.0, "turns": 1.3}
-        summary = scenario.evaluate_scenario(parse_config(data, kind))
-        scenario._write_run_csv(summary, tmp_path / f"{kind}.csv")
-        traj = summary["_series"]["angles"]
-        assert "gamma_dot" not in traj.__dict__
-        assert {"lam", "gamma"} <= traj.__dict__.keys()
 
     @pytest.mark.parametrize("kind", ["cone", "helix", "sampled"])
     def test_last_phi_closed_is_phi_attributed(self, kind, tmp_path):
