@@ -5,16 +5,17 @@ off at occupation ``n_max``.  Two-mode spaces carry the circular modes
 (right- and left-handed) directly; three-mode spaces carry the Cartesian
 modes b1, b2, b3 of the laboratory frame, from which the circular and
 spin operators are assembled.  The library operators are dense complex
-arrays in units with hbar = 1.
+arrays in units with hbar = 1; the runner needs none of them.
 
-The runner needs none of them.  Each spin component is a one-body
-bilinear, S_i = -i A_i with A_i = b_j+ b_k - b_k+ b_j real, so it
-conserves photon number; sector_generators builds the A_i on the
-occupied photon-number sectors from ladder moves over the basis array,
-spin_scale takes the Liouville-von Neumann norm scale in closed form
-from the same ladder factors, helicity_expectation takes <k.S> on the
-sector block, and build_photon_state applies creation operators by
-index shifts.  Nothing on that path is (n_max+1)^3 square.
+Each spin component is a one-body bilinear, S_i = -i A_i with
+A_i = b_j+ b_k - b_k+ b_j real, so it conserves photon number;
+sector_generators builds the A_i on any photon-number sectors from
+ladder moves over the basis array.  It is their only construction:
+spin_fixed is -i A_i over every sector.  spin_scale takes the
+Liouville-von Neumann norm scale in closed form from the same ladder
+factors, helicity_expectation takes <k.S> on the sector block, and
+build_photon_state applies creation operators by index shifts.  Nothing
+on the runner's path is (n_max+1)^3 square.
 
 The spin projected onto a direction, v.S, is one construction,
 _field_operator: the helicity k.S here and the Hamiltonian u.S of
@@ -224,17 +225,12 @@ def spin_fixed(space: FockSpace) -> tuple[OperatorMatrix, OperatorMatrix, Operat
     """Photon spin components in the laboratory frame (3-mode spaces only).
 
     S1 = -i(b2+ b3 - b3+ b2), S2 = -i(b3+ b1 - b1+ b3),
-    S3 = -i(b1+ b2 - b2+ b1).  The triple obeys S x S = iS on the
-    occupation-bounded subspace.
+    S3 = -i(b1+ b2 - b2+ b1), i.e. -i A_i for the sector_generators A_i of
+    every sector.  The triple obeys S x S = iS on the occupation-bounded
+    subspace.
     """
-    if space.num_modes != 3:
-        raise ValueError("spin components require a 3-mode space")
-    b = [annihilation(space, m) for m in range(3)]
-    bd = [op.dagger() for op in b]
-    s1 = -1j * (bd[1] @ b[2] - bd[2] @ b[1])
-    s2 = -1j * (bd[2] @ b[0] - bd[0] @ b[2])
-    s3 = -1j * (bd[0] @ b[1] - bd[1] @ b[0])
-    return s1, s2, s3
+    _, generators = sector_generators(space, range(3 * space.n_max + 1))
+    return tuple(OperatorMatrix(space, -1j * a) for a in generators)
 
 
 # (j, k) of S_i = -i(b_j+ b_k - b_k+ b_j) for i = 1, 2, 3, modes counted from 0.
@@ -272,10 +268,9 @@ def sector_generators(space: FockSpace, sectors) -> tuple[np.ndarray, tuple[np.n
     Returns (keep, (A1, A2, A3)): keep the ascending basis indices whose
     total occupation is one of sectors, and the real antisymmetric
     d x d matrices A_i = b_j+ b_k - b_k+ b_j on those rows and columns,
-    so that S_i = -i A_i.  The entries come from the ladder moves of the basis
-    and equal -spin_fixed(space)[i].entries[np.ix_(keep, keep)].imag bit
-    for bit, sectors the cutoff truncates included; no (n_max+1)^3
-    square matrix is built.
+    so that S_i = -i A_i.  The entries come from the ladder moves of the
+    basis, sectors the cutoff truncates included; no (n_max+1)^3 square
+    matrix is built.
     """
     if space.num_modes != 3:
         raise ValueError("spin components require a 3-mode space")
@@ -324,7 +319,7 @@ def _check_unit(k_hat: np.ndarray) -> np.ndarray:
     k = np.asarray(k_hat, dtype=float)
     if k.shape != (3,):
         raise ValueError("direction must be a 3-vector")
-    if abs(np.linalg.norm(k) - 1.0) > UNIT_VECTOR_TOL:
+    if not abs(np.linalg.norm(k) - 1.0) <= UNIT_VECTOR_TOL:  # NaN fails too
         raise ValueError(f"direction must be a unit vector, |k| = {np.linalg.norm(k)!r}")
     return k
 

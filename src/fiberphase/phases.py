@@ -46,7 +46,6 @@ from .fock import (
     helicity_expectation,
     occupied_sectors,
     sector_generators,
-    spin_fixed,
     spin_scale,
 )
 from .geometry import TangentTrajectory, _row_norms, grid_index
@@ -333,12 +332,18 @@ def evolution_operator_V(polar_angle: float, azimuth: float, space: FockSpace) -
     V maps the spin-3 eigenbasis onto the helicity eigenbasis of the
     direction (polar_angle, azimuth): V+ (k.S) V = S3 on every complete
     total-occupation sector of the space.  The exponent is -i G with the
-    Hermitian generator G = i(beta S+ - beta* S-), exponentiated through
-    the eigendecomposition of G.
+    Hermitian generator G = i(beta S+ - beta* S-) = lam n.S, n = (-sin gamma,
+    cos gamma, 0), which conserves photon number: one eigendecomposition
+    of G per sector, and V is 0 between sectors.
     """
-    s1, s2, _ = spin_fixed(space)
-    s_plus = s1.entries + 1j * s2.entries
-    s_minus = s1.entries - 1j * s2.entries
-    beta = -(polar_angle / 2.0) * np.exp(-1j * azimuth)
-    w, q = np.linalg.eigh(1j * (beta * s_plus - np.conj(beta) * s_minus))
-    return OperatorMatrix(space, (q * np.exp(-1j * w)) @ q.conj().T)
+    if not math.isfinite(polar_angle):
+        raise ValueError(f"polar_angle must be finite, got {polar_angle!r}")
+    if not math.isfinite(azimuth):
+        raise ValueError(f"azimuth must be finite, got {azimuth!r}")
+    rotation = polar_angle * np.array([-math.sin(azimuth), math.cos(azimuth), 0.0])
+    v = np.zeros((space.dimension, space.dimension), dtype=complex)
+    for sector in range(3 * space.n_max + 1):
+        keep, a = sector_generators(space, [sector])
+        w, q = np.linalg.eigh(-1j * _field_operator(rotation, a))
+        v[np.ix_(keep, keep)] = (q * np.exp(-1j * w)) @ q.conj().T
+    return OperatorMatrix(space, v)

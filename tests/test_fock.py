@@ -31,6 +31,13 @@ def bounded_norm(op_entries, space):
     return np.abs(op_entries[np.ix_(sel, sel)]).max()
 
 
+def dense_spin(space):
+    """S_i = -i(b_j+ b_k - b_k+ b_j) as dense products of the ladder matrices, the independent oracle of spin_fixed."""
+    b = [annihilation(space, m) for m in range(3)]
+    bd = [creation(space, m) for m in range(3)]
+    return tuple(-1j * (bd[j] @ b[k] - bd[k] @ b[j]) for j, k in ((1, 2), (2, 0), (0, 1)))
+
+
 def random_unit_vectors(n, seed):
     rng = np.random.default_rng(seed)
     v = rng.normal(size=(n, 3))
@@ -164,6 +171,13 @@ class TestSpinFixed:
         _, _, s3 = spin_fixed(space)
         assert s3.apply(basis_state(space, (0, 0, 1))).norm() == 0.0
 
+    @pytest.mark.parametrize("n_max", [1, 2, 3, 4, 5, 6])
+    def test_bytes_equal_dense_products(self, n_max):
+        # tobytes, not array_equal: the sign of every zero must match too.
+        space = build_space(3, n_max)
+        for op, oracle in zip(spin_fixed(space), dense_spin(space)):
+            assert op.entries.tobytes() == oracle.entries.tobytes()
+
     def test_angular_momentum_algebra(self):
         space = build_space(3, 2)
         s = spin_fixed(space)
@@ -179,7 +193,7 @@ class TestSectorGenerators:
     def test_equal_to_dense_slice(self, n_max):
         # Sectors above n_max are cut off by the per-mode cutoff; None is all of them.
         space = build_space(3, n_max)
-        spin = spin_fixed(space)
+        spin = dense_spin(space)
         for sectors in self.SECTOR_SETS:
             sectors = range(3 * n_max + 1) if sectors is None else [n for n in sectors if n <= 3 * n_max]
             keep, generators = sector_generators(space, sectors)
@@ -195,7 +209,7 @@ class TestSectorGenerators:
         space = build_space(3, n_max)
         exact = np.union1d(space.bounded_indices(), space.complete_sector_indices())
         box = np.ix_(exact, exact)
-        dense = np.array([np.abs(op.entries[box]).max() for op in spin_fixed(space)])
+        dense = np.array([np.abs(op.entries[box]).max() for op in dense_spin(space)])
         assert type(spin_scale(space)) is float
         assert np.array_equal(np.full(3, spin_scale(space)), dense)
 
@@ -284,6 +298,17 @@ class TestHelicityOperator:
             helicity_operator(build_space(3, 1), np.array([0.0, 0.0, 2.0]))
         with pytest.raises(ValueError):
             helicity_expectation(vacuum_state(build_space(3, 1)), np.array([0.0, 0.0, 2.0]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, bad):
+        space = build_space(3, 1)
+        for k in ([bad, 0.0, 0.0], [0.0, bad, 1.0]):
+            with pytest.raises(ValueError, match="unit vector"):
+                helicity_operator(space, np.array(k))
+            with pytest.raises(ValueError, match="unit vector"):
+                helicity_expectation(build_photon_state(space, 1, 0), np.array(k))
+            with pytest.raises(ValueError, match="unit vector"):
+                polarization_triad(np.array(k))
 
     def test_sector_expectation_matches_dense(self):
         # Random states over sectors 1 and 4 at n_max = 3, sector 4 cut off by the cutoff.

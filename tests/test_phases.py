@@ -646,3 +646,30 @@ class TestEvolutionOperatorV:
         for _ in range(50):
             v = evolution_operator_V(rng.uniform(0, math.pi), rng.uniform(-6, 6), space)
             assert np.abs((v.dagger() @ v).entries - eye).max() < 1e-10
+
+    @pytest.mark.parametrize("n_max", [1, 2, 3, 4, 5])
+    def test_per_sector_matches_full_box_eigh(self, n_max):
+        # Oracle: one eigh of the generator on the whole box, sectors the cutoff truncates included.
+        space = build_space(3, n_max)
+        s1, s2, _ = spin_fixed(space)
+        s_plus, s_minus = s1.entries + 1j * s2.entries, s1.entries - 1j * s2.entries
+        totals = space.basis.sum(axis=1)
+        between = totals[:, None] != totals[None, :]
+        eye = np.eye(space.dimension)
+        rng = np.random.default_rng(29)
+        for _ in range(10):
+            lam, gam = rng.uniform(0, math.pi), rng.uniform(-6, 6)
+            beta = -(lam / 2.0) * np.exp(-1j * gam)
+            w, q = np.linalg.eigh(1j * (beta * s_plus - np.conj(beta) * s_minus))
+            v = evolution_operator_V(lam, gam, space).entries
+            assert np.abs(v - (q * np.exp(-1j * w)) @ q.conj().T).max() <= 1e-13
+            assert not v[between].any()
+            assert np.abs(v.conj().T @ v - eye).max() < 1e-10
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_angles(self, bad):
+        space = build_space(3, 1)
+        with pytest.raises(ValueError, match="polar_angle must be finite"):
+            evolution_operator_V(bad, 0.0, space)
+        with pytest.raises(ValueError, match="azimuth must be finite"):
+            evolution_operator_V(0.5, bad, space)
