@@ -32,7 +32,7 @@ from .geometry import (
 )
 from .media import DispersionVerdict, GyrotropicMedium, classify
 from .phases import (
-    STEP_GUARD, PhaseBreakdown, StepGuardError, _lvn_residuals, check_rk4_grid, evolve_state, phase_series
+    CHUNK_BYTES, STEP_GUARD, PhaseBreakdown, StepGuardError, _lvn_residuals, check_rk4_grid, evolve_state, phase_series
 )
 
 ORDERINGS = ("normal", "nonnormal_r", "nonnormal_l", "nonnormal_total")
@@ -44,18 +44,16 @@ MOTION_TOL = 1e-6
 DEFAULT_TOLERANCE = 1e-4
 MIN_STEPS = 32
 
-# Memory a run may need, checked before anything is allocated.  The
-# coefficients come from tracemalloc peaks, with headroom: the dense spin
-# operators held 11 complex D x D arrays, D the dimension of the 3-mode
-# space; a trajectory sample costs 256 bytes, a stored state 16*D.  A run
-# now stores sector-sized states and pays about 150 bytes per basis state,
-# so both D terms overcharge.  Run time has its own cap, MAX_RK4_FLOPS.
+# Memory and work a run may need, checked before anything is allocated.  The
+# coefficients come from tracemalloc peaks, with headroom: a basis state of
+# the (n_max+1)^3 box costs 150 bytes, a trajectory sample 288, a stored
+# state 16*d on the evolved block of dimension d, and the evolution's
+# scratch 20 stacks of CHUNK_BYTES or of one d x d matrix.  Building one RK4
+# step's matrix M costs about 6*d^3 flops: from 9 photons the cap binds first.
 MEMORY_BUDGET_BYTES = 2 * 1024**3
-_DENSE_COPIES_3MODE = 12
+_BYTES_PER_BASIS_STATE = 150
 _BYTES_PER_SAMPLE = 288
-# Work a run may do: building one RK4 step's matrix M on a block of dimension d
-# costs about 6*d^3 flops.  Every number-state run the memory budget admits
-# fits (at most 1.6e11 flops, at n_max = 11); hour-long amplitude runs do not.
+_SCRATCH_STACKS = 20
 MAX_RK4_FLOPS = 10**12
 # Below 2**52 a float still holds the half quantum of n + 1/2.
 _MAX_SWEEP_PHOTONS = 2**52 - 1
@@ -90,16 +88,6 @@ def _show(value) -> str:
         return f"a {type(value).__name__} holding an int too long to print"
 
 
-def _check_budget(field: str, estimate: int, what: str) -> None:
-    if estimate > MEMORY_BUDGET_BYTES:
-        # An estimate can exceed every float; log10 still prints its size.
-        size = f"{estimate / 2**30:.3g} GiB" if estimate < 2**1000 else f"10^{math.log10(estimate):.0f} bytes"
-        raise ConfigError(
-            field,
-            f"{what} needs an estimated {size}, over the {MEMORY_BUDGET_BYTES / 2**30:g} GiB memory budget",
-        )
-
-
 def _block_dimension(config: ScenarioConfig) -> int:
     """Dimension d of the block evolve_state integrates: the photon-number sectors the initial state occupies."""
     if config.amplitudes is None:
@@ -109,26 +97,33 @@ def _block_dimension(config: ScenarioConfig) -> int:
     return int(np.isin(totals, totals[np.array(config.amplitudes) != 0]).sum())
 
 
-def _check_work(field: str, config: ScenarioConfig, steps: int, what: str) -> None:
-    """Refuse a run over MAX_RK4_FLOPS; field steps becomes state.amplitudes if MIN_STEPS is over too."""
-    d = _block_dimension(config)
-    flops = 6 * d**3 * steps
+def _check_run(field: str, config: ScenarioConfig, steps: int | None, what: str) -> None:
+    """Refuse a run over MEMORY_BUDGET_BYTES, then over MAX_RK4_FLOPS; steps is None for an uncounted path.
+
+    Memory names n_max if the box term is larger; either names the state for steps if MIN_STEPS is over the cap.
+    """
+    box = _BYTES_PER_BASIS_STATE * (config.n_max + 1) ** 3
+    d = _block_dimension(config) if config.amplitudes is None or box <= MEMORY_BUDGET_BYTES else 0
+    rest = _SCRATCH_STACKS * max(CHUNK_BYTES, 8 * d * d)
+    if steps is not None:
+        rest += (2 * steps + 1) * _BYTES_PER_SAMPLE + (steps + 1) * 16 * d
+    if field == "steps" and 6 * d**3 * MIN_STEPS > MAX_RK4_FLOPS:
+        field = "state" if config.amplitudes is None else "state.amplitudes"
+    estimate = box + rest
+    if estimate > MEMORY_BUDGET_BYTES:
+        # An estimate can exceed every float; log10 still prints its size.
+        size = f"{estimate / 2**30:.3g} GiB" if estimate < 2**1000 else f"10^{math.log10(estimate):.0f} bytes"
+        raise ConfigError(
+            "n_max" if box >= rest else field,
+            f"{what} needs an estimated {size}, over the {MEMORY_BUDGET_BYTES / 2**30:g} GiB memory budget",
+        )
+    flops = 6 * d**3 * (steps or 0)
     if flops > MAX_RK4_FLOPS:
-        if field == "steps" and 6 * d**3 * MIN_STEPS > MAX_RK4_FLOPS:
-            field = "state.amplitudes"
         raise ConfigError(
             field,
             f"{what} on a block of dimension {d} needs an estimated {flops:.3g} flops, "
             f"over the {MAX_RK4_FLOPS:.3g} flop work cap",
         )
-
-
-def _run_bytes(n_max: int, steps: int | None) -> tuple[int, int]:
-    """Estimated (operator, per-sample) bytes of a run; a sampled path without a known length has no sample term."""
-    dim = FockSpace(3, n_max).dimension
-    operators = _DENSE_COPIES_3MODE * 16 * dim * dim
-    samples = 0 if steps is None else (2 * steps + 1) * _BYTES_PER_SAMPLE + (steps + 1) * 16 * dim
-    return operators, samples
 
 
 @dataclass(frozen=True)
@@ -312,14 +307,12 @@ def parse_config(data: dict, name: str, base_dir: Path | None = None) -> Scenari
         if steps < MIN_STEPS:
             raise ConfigError("steps", f"must be >= {MIN_STEPS}, got {_show(steps)}")
 
-    operators, samples = _run_bytes(n_max, steps)
-    field = "n_max" if operators >= samples else "steps"
-    _check_budget(field, operators + samples, f"n_max = {_show(n_max)} with steps = {_show(steps)}")
     if amplitudes is not None:
         dimension = FockSpace(3, n_max).dimension
         if len(amplitudes) != dimension:
             raise ConfigError(
-                "state.amplitudes", f"expected {dimension} amplitudes for n_max = {n_max}, got {len(amplitudes)}"
+                "state.amplitudes",
+                f"expected {_show(dimension)} amplitudes for n_max = {_show(n_max)}, got {len(amplitudes)}",
             )
         norm = float(np.linalg.norm(np.array(amplitudes, dtype=complex)))
         if abs(norm - 1.0) > 1e-6:
@@ -359,8 +352,7 @@ def parse_config(data: dict, name: str, base_dir: Path | None = None) -> Scenari
         tolerance=tolerance,
         medium=medium,
     )
-    if steps is not None:
-        _check_work("steps", config, steps, f"steps = {steps}")
+    _check_run("steps", config, steps, f"n_max = {_show(n_max)} with steps = {_show(steps)}")
     return config
 
 
@@ -412,8 +404,7 @@ def _build_trajectory(config: ScenarioConfig):
         rows = count_path_rows(g.path_csv)
     except (ValueError, OSError) as exc:
         raise ConfigError("geometry.path_csv", str(exc)) from None
-    _check_budget("geometry.path_csv", sum(_run_bytes(config.n_max, (rows - 1) // 2)), f"a path of {rows} rows")
-    _check_work("geometry.path_csv", config, (rows - 1) // 2, f"a path of {rows} rows")
+    _check_run("geometry.path_csv", config, (rows - 1) // 2, f"a path of {rows} rows")
     try:
         path = load_path_csv(g.path_csv)
         check_rk4_grid(path.times)
@@ -462,9 +453,7 @@ def _step_refusal(config: ScenarioConfig, bound: float) -> ConfigError:
     rounding, so the measured bound scales as 1/steps.
     """
     steps = math.floor(config.steps * bound / STEP_GUARD * (1.0 + STEP_HINT_HEADROOM)) + 1
-    what = f"passing the step-size guard with steps = {steps}"
-    _check_budget("steps", sum(_run_bytes(config.n_max, steps)), what)
-    _check_work("steps", config, steps, what)
+    _check_run("steps", config, steps, f"passing the step-size guard with steps = {steps}")
     return ConfigError(
         "steps",
         f"step-size guard: bound max|H|*dt = {bound:.3e} >= {STEP_GUARD} with steps = {config.steps}; "

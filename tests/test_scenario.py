@@ -97,13 +97,20 @@ def write_path_csv(path, t, pts):
 class TestParseConfig:
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
     @given(fuzz_configs(FUZZ_BASES, FUZZ_VALUES))
+    # An amplitude list at an n_max whose box alone is over the memory budget builds no basis.
+    @example({**FUZZ_BASES[3], "n_max": HUGE})
+    @example({**FUZZ_BASES[3], "n_max": 10**6})
     def test_fuzzed_config_is_parsed_or_refused_by_field(self, data):
+        tracemalloc.start()
         try:
             config = parse_config(data, "fuzz")
         except ConfigError as err:
             assert err.field
+            assert tracemalloc.get_traced_memory()[1] < 100_000, err
         else:
             assert isinstance(config, ScenarioConfig)
+        finally:
+            tracemalloc.stop()
 
     def test_minimal_valid(self):
         config = parse_config(cone_config(), "t")
@@ -175,8 +182,9 @@ class TestParseConfig:
             ({"ordering": HUGE}, "ordering"),
             ({"state": {"n_r": HUGE, "n_l": 0}}, "state"),
             ({"tolerance": HUGE}, "tolerance"),
+            ({"n_max": HUGE, "state": {"amplitudes": [[1.0, 0.0]] + [[0.0, 0.0]] * 7}}, "state.amplitudes"),
         ],
-        ids=["n_max", "n_max-negative", "steps-negative", "ordering", "n_r", "tolerance"],
+        ids=["n_max", "n_max-negative", "steps-negative", "ordering", "n_r", "tolerance", "n_max-amplitudes"],
     )
     def test_int_past_digit_limit_is_config_error(self, extra, field):
         with pytest.raises(ConfigError) as err:
@@ -234,7 +242,8 @@ class TestMemoryBudget:
         "extra, field",
         [
             ({"n_max": 10**6, "steps": 10**9}, "n_max"),
-            ({"n_max": 40}, "n_max"),
+            # 150 bytes per basis state of the 251**3 box alone are over the budget.
+            ({"n_max": 250}, "n_max"),
             ({"steps": 10**9}, "steps"),
             ({"n_max": 3, "steps": 10**8}, "steps"),
             ({"n_max": 10**200}, "n_max"),
@@ -247,8 +256,8 @@ class TestMemoryBudget:
         assert "budget" in err.message
         assert peak < 100_000
 
-    def test_sampled_geometry_checks_operators(self):
-        data = {"geometry": {"kind": "sampled", "path_csv": "p.csv"}, "state": {"n_r": 1, "n_l": 0}, "n_max": 100}
+    def test_sampled_geometry_checks_the_box(self):
+        data = {"geometry": {"kind": "sampled", "path_csv": "p.csv"}, "state": {"n_r": 1, "n_l": 0}, "n_max": 250}
         err, peak = validation_peak(lambda: parse_config(data, "t"))
         assert err.field == "n_max"
         assert peak < 100_000
@@ -298,14 +307,61 @@ class TestMemoryBudget:
         np.savetxt(path_csv, table, fmt="%.17g", delimiter=",", header="t,x,y,z", comments="")
         data = {"geometry": {"kind": "sampled", "path_csv": "path.csv"}, "state": {"n_r": 1, "n_l": 0}, "n_max": 1}
         config = parse_config(data, "long", base_dir=tmp_path)
-        # 8001 rows need about 2.8 MB by the per-sample terms; the operators 12 kB.
-        monkeypatch.setattr(scenario, "MEMORY_BUDGET_BYTES", 1_000_000)
+        # 8001 rows need about 2.5 MB by the per-sample terms; the box and the evolution's scratch 1.3 MB.
+        monkeypatch.setattr(scenario, "MEMORY_BUDGET_BYTES", 2_000_000)
         out = tmp_path / "out"
         err, peak = validation_peak(lambda: run_scenario(config, out))
         assert err.field == "geometry.path_csv"
         assert "budget" in err.message
         assert peak < path_csv.stat().st_size
         assert not list(out.glob("*"))
+
+    @pytest.mark.parametrize(
+        "extra, field",
+        [
+            ({"n_max": 60, "steps": 256}, "n_max"),  # the box
+            ({"steps": 16384}, "steps"),  # the trajectory samples
+            ({"n_max": 8, "steps": 2048, "state": {"n_r": 8, "n_l": 0}}, "steps"),  # the stored states, d = 45
+            ({"n_max": 3, "steps": 512, "state": {"amplitudes": [[0.125, 0.0]] * 64}}, "steps"),
+            ({"n_max": 13, "polar": 0.2, "steps": 200, "state": {"n_r": 13, "n_l": 0}}, "steps"),  # scratch, d = 105
+            ({"geometry": {"kind": "sampled", "path_csv": "path.csv"}}, "geometry.path_csv"),
+        ],
+        ids=["box", "samples", "states", "amplitudes", "scratch", "sampled"],
+    )
+    def test_estimate_covers_the_measured_peak(self, monkeypatch, tmp_path, extra, field):
+        import fiberphase.scenario as scenario
+
+        data = cone_config(**{"polar": 0.7, **extra})
+        if "path_csv" in data["geometry"]:
+            del data["steps"]
+            t, pts = helix_points(1.0, 2.0 * math.pi, 1.0, 8001)
+            write_path_csv(tmp_path / "path.csv", t, pts)
+        config = parse_config(data, "peak", base_dir=tmp_path)
+        tracemalloc.start()
+        try:
+            scenario.evaluate_scenario(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # A budget of the measured peak leaves the config no room.
+        monkeypatch.setattr(scenario, "MEMORY_BUDGET_BYTES", peak)
+        with pytest.raises(ConfigError, match="memory budget") as err:
+            scenario.evaluate_scenario(parse_config(data, "peak", base_dir=tmp_path))
+        assert err.value.field == field
+
+    def test_box_over_budget_builds_no_basis(self, monkeypatch):
+        import fiberphase.scenario as scenario
+
+        def refuse(config):
+            raise AssertionError("basis built")
+
+        # 9261 amplitudes at n_max = 20: the box term alone, 1.39 MB, is over a 1 MB budget.
+        monkeypatch.setattr(scenario, "_block_dimension", refuse)
+        monkeypatch.setattr(scenario, "MEMORY_BUDGET_BYTES", 1_000_000)
+        state = {"amplitudes": [[1.0, 0.0]] + [[0.0, 0.0]] * 9260}
+        with pytest.raises(ConfigError, match="memory budget") as err:
+            parse_config(cone_config(n_max=20, steps=32, state=state), "t")
+        assert err.value.field == "n_max"
 
     def test_builtins_far_inside_budget(self):
         # Ten times the built-in steps at n_max = 6 is still accepted.
@@ -321,11 +377,14 @@ def equal_amplitudes(n_max):
 
 
 class TestWorkCap:
-    def test_largest_number_state_the_memory_budget_admits_is_accepted(self):
-        # n_max = N = 11 at the most steps the memory budget admits: 6 * 78**3 * 55773 = 1.59e11 flops.
-        parse_config(cone_config(n_max=11, steps=55773, state={"n_r": 11, "n_l": 0}), "t")
-        with pytest.raises(ConfigError, match="memory budget"):
-            parse_config(cone_config(n_max=11, steps=55774, state={"n_r": 11, "n_l": 0}), "t")
+    def test_largest_number_state_the_work_cap_admits_is_accepted(self):
+        # n_max = N = 11 at the most steps the work cap admits: 6 * 78**3 * 351208 = 9.99999e11 flops,
+        # in about 0.64 GB of the memory budget.
+        parse_config(cone_config(n_max=11, steps=351208, state={"n_r": 11, "n_l": 0}), "t")
+        with pytest.raises(ConfigError) as err:
+            parse_config(cone_config(n_max=11, steps=351209, state={"n_r": 11, "n_l": 0}), "t")
+        assert err.value.field == "steps"
+        assert "work cap" in err.value.message
 
     def test_over_cap_names_steps_when_fewer_steps_fit(self):
         import fiberphase.scenario as scenario
@@ -336,6 +395,13 @@ class TestWorkCap:
             parse_config(cone_config(n_max=10, steps=4096, state=equal_amplitudes(10)), "t")
         assert err.value.field == "steps"
         assert "work cap" in err.value.message and "dimension 1331" in err.value.message
+
+    def test_over_cap_at_min_steps_names_the_photon_numbers(self):
+        # N = 60 photons: d = 1891 costs 1.3e12 flops even at MIN_STEPS, in 0.7 GB of the memory budget.
+        err, peak = validation_peak(lambda: parse_config(cone_config(n_max=60, state={"n_r": 60, "n_l": 0}), "t"))
+        assert err.field == "state"
+        assert "work cap" in err.message and "dimension 1891" in err.message
+        assert peak < 100_000
 
     def test_over_cap_at_min_steps_names_the_amplitudes(self):
         # d = 2744 costs 3.97e12 flops even at MIN_STEPS; 4096 steps would run for hours.
