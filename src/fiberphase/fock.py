@@ -11,11 +11,11 @@ Each spin component is a one-body bilinear, S_i = -i A_i with
 A_i = b_j+ b_k - b_k+ b_j real, so it conserves photon number;
 sector_generators builds the A_i on any photon-number sectors from
 ladder moves over the basis array.  It is their only construction:
-spin_fixed is -i A_i over every sector.  spin_scale takes the
-Liouville-von Neumann norm scale in closed form from the same ladder
-factors, helicity_expectation takes <k.S> on the sector block, and
-build_photon_state applies creation operators by index shifts.  Nothing
-on the runner's path is (n_max+1)^3 square.
+spin_fixed is -i A_i over every sector.  spin_scale and sector_size
+give the Liouville-von Neumann norm scale of a box and the size of a
+sector in closed form, with no basis; helicity_expectation takes <k.S>
+on the sector block, and build_photon_state applies creation operators
+by index shifts.  Nothing on the runner's path is (n_max+1)^3 square.
 
 The spin projected onto a direction, v.S, is one construction,
 _field_operator: the helicity k.S here and the Hamiltonian u.S of
@@ -256,10 +256,17 @@ def _hops(space: FockSpace, rows: np.ndarray, j: int, k: int) -> tuple[np.ndarra
     return source, target, np.sqrt(occupations[moves, j] + 1.0) * np.sqrt(occupations[moves, k])
 
 
+def sector_size(space: FockSpace, n: int) -> int:
+    """How many basis states of the box hold n photons in all, by inclusion-exclusion over the modes past n_max."""
+    m, top = space.num_modes, space.n_max + 1
+    return sum((-1) ** j * math.comb(m, j) * math.comb(n - j * top + m - 1, m - 1) for j in range(m + 1) if n >= j * top)
+
+
 def occupied_sectors(state: StateVector) -> list[int]:
-    """Photon numbers on which the state has a nonzero amplitude, ascending."""
-    totals = state.space.basis.sum(axis=1)
-    return np.flatnonzero(np.bincount(totals[state.amplitudes != 0], minlength=1)).tolist()
+    """Photon numbers on which the state has a nonzero amplitude, ascending, from their indices alone."""
+    space = state.space
+    occupations = np.unravel_index(np.flatnonzero(state.amplitudes), (space.n_max + 1,) * space.num_modes)
+    return np.flatnonzero(np.bincount(np.sum(occupations, axis=0), minlength=1)).tolist()
 
 
 def sector_generators(space: FockSpace, sectors) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -300,19 +307,17 @@ def spin_scale(space: FockSpace) -> float:
     complete photon-number sectors (see FockSpace.bounded_indices and
     complete_sector_indices).  An entry of S_i is sqrt(a) * sqrt(b) for a
     move b_j+ b_k with a = n_j + 1 after it and b = n_k before it; an
-    empty third mode keeps the most moves inside the block, which are
-    those with a - 1 + b <= n_max (complete) or a, b <= n_max - 1
-    (bounded).  That maximum equals
+    empty third mode keeps the most moves inside the block: those with
+    a, b <= n_max - 1 and, beyond them, (n_max, 1) and (1, n_max).
+    Rounding keeps the order of the products, so the largest is
+    sqrt(n_max - 1) squared or sqrt(n_max).  That equals
     np.abs(spin_fixed(space)[i].entries[box]).max() on the block bit for
-    bit for each i, and no array of the box's size is made.
+    bit for each i; no basis is built.
     """
     if space.num_modes != 3:
         raise ValueError("spin components require a 3-mode space")
     n = space.n_max
-    a = np.arange(1, n + 1)[:, None]
-    b = np.arange(1, n + 1)[None, :]
-    inside = (a - 1 + b <= n) | ((a < n) & (b < n))
-    return float((np.sqrt(a + 0.0) * np.sqrt(b))[inside].max())
+    return max(math.sqrt(n - 1) * math.sqrt(n - 1), math.sqrt(n))
 
 
 def _check_unit(k_hat: np.ndarray) -> np.ndarray:

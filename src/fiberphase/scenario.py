@@ -17,7 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .fock import FockSpace, build_photon_state, build_space, helicity_expectation, spin_scale, StateVector
+from .fock import (
+    FockSpace, build_photon_state, build_space, helicity_expectation, occupied_sectors, sector_size, spin_scale, StateVector
+)
 from .geometry import (
     cone_anholonomy,
     cone_trajectory,
@@ -46,17 +48,17 @@ MIN_STEPS = 32
 
 # Memory and work a run may need, checked before anything is allocated.  The
 # coefficients come from tracemalloc peaks, with headroom: a basis state of
-# the (n_max+1)^3 box costs 150 bytes, a trajectory sample 288, a stored
+# the box _run_space builds costs 200 bytes, a trajectory sample 288, a stored
 # state 16*d on the evolved block of dimension d, and the evolution's
 # scratch 20 stacks of CHUNK_BYTES or of one d x d matrix.  Building one RK4
 # step's matrix M costs about 6*d^3 flops: from 9 photons the cap binds first.
 MEMORY_BUDGET_BYTES = 2 * 1024**3
-_BYTES_PER_BASIS_STATE = 150
+_BYTES_PER_BASIS_STATE = 200
 _BYTES_PER_SAMPLE = 288
 _SCRATCH_STACKS = 20
 MAX_RK4_FLOPS = 10**12
-# Below 2**52 a float still holds the half quantum of n + 1/2.
-_MAX_SWEEP_PHOTONS = 2**52 - 1
+# Most photons n_max or a sweep value may give: a float holds n + 1/2 and n - 1.
+_MAX_PHOTONS = 2**52 - 1
 # Most turns a geometry may have.  |A| <= 4*pi*turns and phi_closed is A
 # times up to 2**52 photons: both stay finite, where 2*pi*turns alone can
 # overflow them.
@@ -88,13 +90,17 @@ def _show(value) -> str:
         return f"a {type(value).__name__} holding an int too long to print"
 
 
+def _run_space(config: ScenarioConfig) -> FockSpace:
+    """The box a run builds: n_max's for amplitudes; for a number state, the smallest that holds its sector."""
+    return build_space(3, config.n_max if config.amplitudes is not None else max(1, config.n_r + config.n_l))
+
+
 def _block_dimension(config: ScenarioConfig) -> int:
     """Dimension d of the block evolve_state integrates: the photon-number sectors the initial state occupies."""
-    if config.amplitudes is None:
-        n = config.n_r + config.n_l
-        return (n + 1) * (n + 2) // 2
-    totals = FockSpace(3, config.n_max).basis.sum(axis=1)
-    return int(np.isin(totals, totals[np.array(config.amplitudes) != 0]).sum())
+    space = _run_space(config)
+    amplitudes = config.amplitudes
+    sectors = [config.n_r + config.n_l] if amplitudes is None else occupied_sectors(StateVector(space, amplitudes))
+    return sum(sector_size(space, n) for n in sectors)
 
 
 def _check_run(field: str, config: ScenarioConfig, steps: int | None, what: str) -> None:
@@ -102,8 +108,8 @@ def _check_run(field: str, config: ScenarioConfig, steps: int | None, what: str)
 
     Memory names n_max if the box term is larger; either names the state for steps if MIN_STEPS is over the cap.
     """
-    box = _BYTES_PER_BASIS_STATE * (config.n_max + 1) ** 3
-    d = _block_dimension(config) if config.amplitudes is None or box <= MEMORY_BUDGET_BYTES else 0
+    box = _BYTES_PER_BASIS_STATE * _run_space(config).dimension
+    d = _block_dimension(config)
     rest = _SCRATCH_STACKS * max(CHUNK_BYTES, 8 * d * d)
     if steps is not None:
         rest += (2 * steps + 1) * _BYTES_PER_SAMPLE + (steps + 1) * 16 * d
@@ -295,8 +301,8 @@ def parse_config(data: dict, name: str, base_dir: Path | None = None) -> Scenari
         )
 
     n_max = _get_int(data, "n_max", None) if "n_max" in data else 2
-    if n_max < 1:
-        raise ConfigError("n_max", f"must be >= 1, got {_show(n_max)}")
+    if not 1 <= n_max <= _MAX_PHOTONS:
+        raise ConfigError("n_max", f"must be an integer from 1 to 2**52 - 1, got {_show(n_max)}")
 
     steps = None
     if isinstance(geometry, SampledGeometry):
@@ -312,7 +318,7 @@ def parse_config(data: dict, name: str, base_dir: Path | None = None) -> Scenari
         if len(amplitudes) != dimension:
             raise ConfigError(
                 "state.amplitudes",
-                f"expected {_show(dimension)} amplitudes for n_max = {_show(n_max)}, got {len(amplitudes)}",
+                f"expected {dimension} amplitudes for n_max = {n_max}, got {len(amplitudes)}",
             )
         norm = float(np.linalg.norm(np.array(amplitudes, dtype=complex)))
         if abs(norm - 1.0) > 1e-6:
@@ -477,8 +483,7 @@ def evaluate_scenario(config: ScenarioConfig) -> dict:
     closure_gap = float(np.linalg.norm(k[-1] - k[0]))
     closed = closure_gap < CLOSURE_TOL
     closure = geodesic_closure(k[0], k[-1])
-    space = build_space(3, config.n_max)
-    psi0 = _initial_state(config, space, k[0])
+    psi0 = _initial_state(config, _run_space(config), k[0])
 
     if config.amplitudes is None:
         s3_attr = _s3_expectation(config.ordering, config.n_r, config.n_l)
@@ -496,7 +501,7 @@ def evaluate_scenario(config: ScenarioConfig) -> dict:
     # Both residuals carry units of 1/time; over the grid span they read the same in any time unit.
     span = float(traj.times[-1] - traj.times[0])
     motion = motion_identity_residual(traj) * span
-    lvn = _lvn_residuals(traj, spin_scale(space), np.arange(0, len(traj.times), 2)) * span
+    lvn = _lvn_residuals(traj, spin_scale(build_space(3, config.n_max)), np.arange(0, len(traj.times), 2)) * span
     lvn_max = float(lvn.max())
     series = phase_series(result)
     breakdown = PhaseBreakdown.from_series(series, s3_attr, anholonomy)
@@ -766,7 +771,7 @@ def _sweep_point(config: ScenarioConfig, parameter: str, value) -> tuple[int | f
     reads (geometry, n_r, n_l).
     """
     if parameter in ("n_R", "n_L"):
-        if not _sweep_float(parameter, value).is_integer() or not 0 <= int(value) <= _MAX_SWEEP_PHOTONS:
+        if not _sweep_float(parameter, value).is_integer() or not 0 <= int(value) <= _MAX_PHOTONS:
             raise ConfigError("sweep", f"{parameter} value {_show(value)} must be an integer from 0 to 2**52 - 1")
         n = int(value)
         return n, (config.geometry, n, config.n_l) if parameter == "n_R" else (config.geometry, config.n_r, n)

@@ -272,20 +272,22 @@ def test_over_work_cap_refused_before_any_trajectory(tmp_path, capsys, monkeypat
 
 
 def test_one_photon_run_gives_the_same_phase_bits_at_every_cutoff(tmp_path):
-    # The cutoff sets only the box; a one-photon run evolves the same d = 3 block at n_max = 2 and 14.
+    # A one-photon run evolves the same d = 3 block, in the same box, at every cutoff.
     summaries = []
-    for n_max in (2, 14):
+    for n_max in (2, 14, 241, 10**6):
         cfg = tmp_path / f"cone-{n_max}.json"
         cfg.write_text(json.dumps({"geometry": {**CONE, "polar_angle": 0.7}, "state": {"n_r": 1, "n_l": 0},
                                    "n_max": n_max, "steps": 4096}))
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["--config", str(cfg), "--out", str(tmp_path)]) == 0
         summaries.append(json.loads((tmp_path / f"cone-{n_max}.json").read_text()))
-    small, large = summaries
     # Only the LvN residual reads the cutoff, through spin_scale.
-    del small["numerical"]["lvn_max_residual"], large["numerical"]["lvn_max_residual"]
-    assert small["numerical"] == large["numerical"]
-    assert small["closed_form"] == large["closed_form"]
+    for summary in summaries:
+        del summary["numerical"]["lvn_max_residual"]
+    small = summaries[0]
+    for large in summaries[1:]:
+        assert small["numerical"] == large["numerical"]
+        assert small["closed_form"] == large["closed_form"]
 
 
 @pytest.mark.parametrize("kind", ["missing", "directory"])
@@ -367,8 +369,8 @@ def test_sampled_path_errors_name_the_path(tmp_path, capsys, name, text):
 
 
 def fast_value(value) -> bool:
-    """False for an int that the checks admit as a step count (to about 3.6 million) or an n_max (to 241)
-    yet would take long to run."""
+    """False for an int that the checks admit as a step count (to about 3.6 million) yet would take long to run;
+    a number state's run costs the same at every n_max."""
     return not (isinstance(value, int) and not isinstance(value, bool) and 64 < value < 10**7)
 
 

@@ -21,7 +21,7 @@ from fiberphase import (
     spin_fixed,
     vacuum_state,
 )
-from fiberphase.fock import helicity_expectation, occupied_sectors, sector_generators, spin_scale
+from fiberphase.fock import helicity_expectation, occupied_sectors, sector_generators, sector_size, spin_scale
 
 Z = np.array([0.0, 0.0, 1.0])
 
@@ -36,6 +36,27 @@ def dense_spin(space):
     b = [annihilation(space, m) for m in range(3)]
     bd = [creation(space, m) for m in range(3)]
     return tuple(-1j * (bd[j] @ b[k] - bd[k] @ b[j]) for j, k in ((1, 2), (2, 0), (0, 1)))
+
+
+def scan_spin_scale(n):
+    """spin_scale's former O(n_max^2) form: the largest sqrt(a) * sqrt(b) over the moves (a, b) inside the block."""
+    a = np.arange(1, n + 1)[:, None]
+    b = np.arange(1, n + 1)[None, :]
+    inside = (a - 1 + b <= n) | ((a < n) & (b < n))
+    return float((np.sqrt(a + 0.0) * np.sqrt(b))[inside].max())
+
+
+def scan_spin_scales(top):
+    """scan_spin_scale(n) for every n from 1 to top in one pass over the top x top moves.
+
+    Move (a, b) is inside from n = min(a - 1 + b, max(a, b) + 1) on, so the
+    scale at n is the running max of the moves that enter by n.
+    """
+    entering = np.zeros(2 * top + 1)
+    b = np.arange(1, top + 1)
+    for a in range(1, top + 1):
+        np.maximum.at(entering, np.minimum(a - 1 + b, np.maximum(a, b) + 1), np.sqrt(a + 0.0) * np.sqrt(b))
+    return np.maximum.accumulate(entering)[1 : top + 1]
 
 
 def random_unit_vectors(n, seed):
@@ -232,6 +253,13 @@ class TestSectorGenerators:
             scan.append(largest)
         assert np.array_equal(np.full(3, spin_scale(space)), np.array(scan))
 
+    def test_one_pass_scan_is_the_former_scan(self):
+        assert np.array_equal(scan_spin_scales(300), [scan_spin_scale(n) for n in range(1, 301)])
+
+    def test_closed_form_scale_equal_to_former_scan(self):
+        closed = [spin_scale(build_space(3, n)) for n in range(1, 3001)]
+        assert np.array_equal(closed, scan_spin_scales(3000))
+
     def test_scale_memory_is_not_box_sized(self):
         import tracemalloc
 
@@ -252,12 +280,29 @@ class TestSectorGenerators:
         with pytest.raises(ValueError, match="sector"):
             sector_generators(build_space(3, 1), [4])
 
+    @pytest.mark.parametrize("num_modes", [2, 3])
+    def test_sector_size_counts_the_basis(self, num_modes):
+        for n_max in range(1, 9):
+            space = build_space(num_modes, n_max)
+            counts = np.bincount(space.basis.sum(axis=1), minlength=num_modes * n_max + 2)
+            assert [sector_size(space, n) for n in range(num_modes * n_max + 2)] == counts.tolist()
+
     def test_occupied_sectors(self):
         space = build_space(3, 3)
         assert occupied_sectors(build_photon_state(space, 2, 1)) == [3]
         assert occupied_sectors(vacuum_state(space)) == [0]
         mixed = basis_state(space, (1, 0, 0)).amplitudes + basis_state(space, (3, 1, 0)).amplitudes
         assert occupied_sectors(StateVector(space, mixed)) == [1, 4]
+        assert occupied_sectors(StateVector(space, np.zeros(space.dimension))) == []
+
+    @pytest.mark.parametrize("num_modes, n_max", [(2, 5), (3, 1), (3, 4)])
+    def test_occupied_sectors_are_the_totals_of_the_nonzero_basis_states(self, num_modes, n_max):
+        space = build_space(num_modes, n_max)
+        rng = np.random.default_rng(n_max)
+        for _ in range(20):
+            amplitudes = np.where(rng.random(space.dimension) < 0.1, 1.0, 0.0)
+            totals = space.basis.sum(axis=1)[amplitudes != 0]
+            assert occupied_sectors(StateVector(space, amplitudes)) == sorted(set(totals.tolist()))
 
 
 class TestHelicityOperator:

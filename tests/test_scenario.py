@@ -87,6 +87,29 @@ def fuzz_configs(draw, bases, values):
     return data
 
 
+def one_amplitude(n_max):
+    """The amplitude list of basis state (0, 0, 1), one photon in Cartesian mode 3, in the n_max box."""
+    return {"amplitudes": [[0.0, 0.0]] + [[1.0, 0.0]] + [[0.0, 0.0]] * ((n_max + 1) ** 3 - 2)}
+
+
+@pytest.fixture
+def basis_builds(monkeypatch):
+    """The n_max of each FockSpace.basis built while the test runs, in order."""
+    from fiberphase.fock import FockSpace
+
+    built = []
+    build = FockSpace.basis.func
+
+    def counted(space):
+        built.append(space.n_max)
+        return build(space)
+
+    basis = functools.cached_property(counted)
+    basis.__set_name__(FockSpace, "basis")
+    monkeypatch.setattr(FockSpace, "basis", basis)
+    return built
+
+
 def write_path_csv(path, t, pts):
     with open(path, "w") as fh:
         fh.write("t,x,y,z\n")
@@ -182,7 +205,7 @@ class TestParseConfig:
             ({"ordering": HUGE}, "ordering"),
             ({"state": {"n_r": HUGE, "n_l": 0}}, "state"),
             ({"tolerance": HUGE}, "tolerance"),
-            ({"n_max": HUGE, "state": {"amplitudes": [[1.0, 0.0]] + [[0.0, 0.0]] * 7}}, "state.amplitudes"),
+            ({"n_max": HUGE, "state": {"amplitudes": [[1.0, 0.0]] + [[0.0, 0.0]] * 7}}, "n_max"),
         ],
         ids=["n_max", "n_max-negative", "steps-negative", "ordering", "n_r", "tolerance", "n_max-amplitudes"],
     )
@@ -241,12 +264,10 @@ class TestMemoryBudget:
     @pytest.mark.parametrize(
         "extra, field",
         [
-            ({"n_max": 10**6, "steps": 10**9}, "n_max"),
-            # 150 bytes per basis state of the 251**3 box alone are over the budget.
-            ({"n_max": 250}, "n_max"),
+            # A number state is charged the box of its own photon number, not n_max's.
+            ({"n_max": 10**6, "steps": 10**9}, "steps"),
             ({"steps": 10**9}, "steps"),
             ({"n_max": 3, "steps": 10**8}, "steps"),
-            ({"n_max": 10**200}, "n_max"),
             ({"steps": 10**400}, "steps"),
         ],
     )
@@ -256,11 +277,16 @@ class TestMemoryBudget:
         assert "budget" in err.message
         assert peak < 100_000
 
-    def test_sampled_geometry_checks_the_box(self):
-        data = {"geometry": {"kind": "sampled", "path_csv": "p.csv"}, "state": {"n_r": 1, "n_l": 0}, "n_max": 250}
+    def test_sampled_geometry_checks_the_box(self, monkeypatch, basis_builds):
+        import fiberphase.scenario as scenario
+
+        # The 9261 amplitudes at n_max = 20 are charged 1.85 MB for the box, over a 1 MB budget.
+        monkeypatch.setattr(scenario, "MEMORY_BUDGET_BYTES", 1_000_000)
+        data = {"geometry": {"kind": "sampled", "path_csv": "p.csv"}, "state": one_amplitude(20), "n_max": 20}
         err, peak = validation_peak(lambda: parse_config(data, "t"))
         assert err.field == "n_max"
-        assert peak < 100_000
+        assert peak < scenario._BYTES_PER_BASIS_STATE * 21**3
+        assert basis_builds == []
 
     @pytest.mark.parametrize(
         "parameter, oversize",
@@ -319,7 +345,7 @@ class TestMemoryBudget:
     @pytest.mark.parametrize(
         "extra, field",
         [
-            ({"n_max": 60, "steps": 256}, "n_max"),  # the box
+            ({"n_max": 60, "steps": 256, "state": one_amplitude(60)}, "n_max"),  # the box, d = 3
             ({"steps": 16384}, "steps"),  # the trajectory samples
             ({"n_max": 8, "steps": 2048, "state": {"n_r": 8, "n_l": 0}}, "steps"),  # the stored states, d = 45
             ({"n_max": 3, "steps": 512, "state": {"amplitudes": [[0.125, 0.0]] * 64}}, "steps"),
@@ -349,19 +375,16 @@ class TestMemoryBudget:
             scenario.evaluate_scenario(parse_config(data, "peak", base_dir=tmp_path))
         assert err.value.field == field
 
-    def test_box_over_budget_builds_no_basis(self, monkeypatch):
+    def test_box_over_budget_builds_no_basis(self, monkeypatch, basis_builds):
         import fiberphase.scenario as scenario
 
-        def refuse(config):
-            raise AssertionError("basis built")
-
-        # 9261 amplitudes at n_max = 20: the box term alone, 1.39 MB, is over a 1 MB budget.
-        monkeypatch.setattr(scenario, "_block_dimension", refuse)
+        # 9261 amplitudes at n_max = 20: the box term alone, 1.85 MB, is over a 1 MB budget.
         monkeypatch.setattr(scenario, "MEMORY_BUDGET_BYTES", 1_000_000)
         state = {"amplitudes": [[1.0, 0.0]] + [[0.0, 0.0]] * 9260}
         with pytest.raises(ConfigError, match="memory budget") as err:
             parse_config(cone_config(n_max=20, steps=32, state=state), "t")
         assert err.value.field == "n_max"
+        assert basis_builds == []
 
     def test_builtins_far_inside_budget(self):
         # Ten times the built-in steps at n_max = 6 is still accepted.
@@ -414,13 +437,13 @@ class TestWorkCap:
     @pytest.mark.parametrize("occupied", [[0], [5], [3, 40, 700], list(range(0, 1000, 7))])
     def test_block_dimension_is_the_evolved_one(self, occupied):
         import fiberphase.scenario as scenario
-        from fiberphase.fock import StateVector, occupied_sectors, sector_generators
+        from fiberphase.fock import sector_generators
 
         space = build_space(3, 9)
         amplitudes = np.zeros(space.dimension, dtype=complex)
         amplitudes[occupied] = 1.0j / math.sqrt(len(occupied))
         config = parse_config(cone_config(n_max=9, steps=32, state={"amplitudes": [[z.real, z.imag] for z in amplitudes]}), "t")
-        keep, _ = sector_generators(space, occupied_sectors(StateVector(space, amplitudes)))
+        keep, _ = sector_generators(space, set(space.basis.sum(axis=1)[occupied].tolist()))
         assert scenario._block_dimension(config) == len(keep)
 
     def test_sampled_path_over_cap_refused_before_read(self, monkeypatch, tmp_path):
@@ -448,6 +471,54 @@ class TestWorkCap:
             scenario.evaluate_scenario(parse_config(data, "t"))
         assert err.value.field == "steps"
         assert "step-size guard" in err.value.message and "work cap" in err.value.message
+
+
+class TestRunSpace:
+    @pytest.mark.parametrize("n_max", [2, 241, 10**6, 2**52 - 1])
+    def test_number_state_builds_only_the_box_of_its_photons(self, n_max, basis_builds):
+        import fiberphase.scenario as scenario
+
+        config = parse_config(cone_config(polar=0.7, n_max=n_max, steps=64), "t")
+        summary = scenario.evaluate_scenario(config)
+        assert basis_builds == [1]
+        assert summary["numerical"]["sector_dimension"] == 3
+
+    def test_amplitude_run_builds_the_basis_once(self, basis_builds):
+        import fiberphase.scenario as scenario
+
+        data = cone_config(polar=0.7, n_max=3, steps=512, state={"amplitudes": [[0.125, 0.0]] * 64})
+        scenario.evaluate_scenario(parse_config(data, "t"))
+        assert basis_builds == [3]
+
+    def test_sampled_amplitude_run_builds_the_basis_once(self, tmp_path, basis_builds):
+        import fiberphase.scenario as scenario
+
+        t, pts = helix_points(1.0, 2.0 * math.pi, 1.0, 257)
+        write_path_csv(tmp_path / "path.csv", t, pts)
+        data = {"geometry": {"kind": "sampled", "path_csv": "path.csv"}, "state": one_amplitude(3), "n_max": 3}
+        scenario.evaluate_scenario(parse_config(data, "t", base_dir=tmp_path))
+        assert basis_builds == [3]
+
+    def test_one_photon_peak_does_not_grow_with_the_cutoff(self):
+        import fiberphase.scenario as scenario
+
+        peaks = []
+        for n_max in (2, 10**6):
+            config = parse_config(cone_config(polar=0.7, n_max=n_max, steps=4096), "t")
+            tracemalloc.start()
+            try:
+                scenario.evaluate_scenario(config)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0], peaks
+
+    @pytest.mark.parametrize("n_max", [2**52, 10**200, HUGE], ids=["2**52", "10**200", "HUGE"])
+    def test_n_max_past_the_photon_bound_refused(self, n_max):
+        err, peak = validation_peak(lambda: parse_config(cone_config(n_max=n_max), "t"))
+        assert err.field == "n_max"
+        assert "2**52 - 1" in err.message
+        assert peak < 100_000
 
 
 class TestOpenTrace:
