@@ -13,9 +13,9 @@ sector_generators builds the A_i on any photon-number sectors from
 ladder moves over the basis array.  It is their only construction:
 spin_fixed is -i A_i over every sector.  spin_scale and sector_size
 give the Liouville-von Neumann norm scale of a box and the size of a
-sector in closed form, with no basis; helicity_expectation takes <k.S>
-on the sector block, and build_photon_state applies creation operators
-by index shifts.  Nothing on the runner's path is (n_max+1)^3 square.
+sector in closed form, with no basis, and build_photon_state applies
+creation operators by index shifts.  Nothing on the runner's path is
+(n_max+1)^3 square.
 
 The spin projected onto a direction, v.S, is one construction,
 _field_operator: the helicity k.S here and the Hamiltonian u.S of
@@ -339,15 +339,6 @@ def helicity_operator(space: FockSpace, k_hat: np.ndarray) -> OperatorMatrix:
     """Projection of the spin onto the unit propagation direction k_hat."""
     k = _check_unit(k_hat)
     return OperatorMatrix(space, _field_operator(k, [op.entries for op in spin_fixed(space)]))
-
-
-def helicity_expectation(state: StateVector, k_hat: np.ndarray) -> float:
-    """<psi| k_hat.S |psi> on the photon-number sectors the state occupies, with S = -iA (sector_generators)."""
-    k = _check_unit(k_hat)
-    keep, a = sector_generators(state.space, occupied_sectors(state))
-    block = state.amplitudes[keep]
-    helicity = -1j * _field_operator(k, a)
-    return float(np.vdot(block, helicity @ block).real)
 
 
 def s3_split(space: FockSpace) -> tuple[OperatorMatrix, OperatorMatrix, OperatorMatrix, OperatorMatrix]:

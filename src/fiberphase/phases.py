@@ -12,12 +12,10 @@ so an RK4 step is psi -> M psi with a d x d matrix M, the stage
 formulas applied to the identity; these matrices are built in batches
 of steps, and the only per-step Python work left is the product M psi,
 one ndarray.dot that writes the new state into its stored row.
-The energies <psi|H|psi> of a batch are one batched product after its
-loop.  The phase series is an array expression over the step
-boundaries.  The Liouville-von Neumann residual of the helicity
-invariant is the trajectory's motion residual rescaled, a trajectory
-diagnostic: evolve_state never reads it, and the scenario runner
-computes it next to the motion identity.
+The energies <psi|H|psi> and the helicity invariant <psi|khat.S|psi> of
+a batch are batched products after its loop.  The phase series is an
+array expression over the step boundaries.  lvn_residual rescales the
+trajectory's motion residual; no run calls it.
 
 H conserves photon number, so the evolution runs only on the sectors the
 initial state occupies, with generators built on those sectors alone,
@@ -43,7 +41,6 @@ from .fock import (
     OperatorMatrix,
     StateVector,
     _field_operator,
-    helicity_expectation,
     occupied_sectors,
     sector_generators,
     spin_scale,
@@ -107,8 +104,8 @@ class EvolutionResult:
     states holds the amplitudes on the evolved sectors only, one row of
     length len(keep) per boundary; sectors lists their photon numbers,
     keep their basis indices, and every other amplitude is exactly zero.
-    norms holds |psi| and energies <psi|H|psi> at each boundary, the
-    latter the integrand of the dynamical phase.
+    norms, energies and invariants hold |psi|, <psi|H|psi> (the dynamical
+    phase's integrand) and <psi|khat.S|psi> at each boundary.
     """
 
     space: FockSpace
@@ -118,6 +115,7 @@ class EvolutionResult:
     states: np.ndarray
     norms: np.ndarray
     energies: np.ndarray
+    invariants: np.ndarray
     max_h_dt: float
 
     @property
@@ -141,8 +139,8 @@ def effective_hamiltonian(traj: TangentTrajectory, spin: tuple[OperatorMatrix, .
     return OperatorMatrix(spin[0].space, _field_operator(u, [op.entries for op in spin]))
 
 
-def _lvn_residuals(traj: TangentTrajectory, scale: float, indices: np.ndarray) -> np.ndarray:
-    """Max-norm of dI/dt + (1/i)[I, H] for I = khat.S at the given samples.
+def lvn_residual(traj: TangentTrajectory, space: FockSpace, t: float) -> float:
+    """Max-norm of dI/dt + (1/i)[I, H] for I = khat.S at a grid time t, on a 3-mode space.
 
     The norm is taken on the union of the occupation-bounded subspace and
     the complete photon-number sectors, where the truncated spin algebra
@@ -152,7 +150,7 @@ def _lvn_residuals(traj: TangentTrajectory, scale: float, indices: np.ndarray) -
     if both are kept, both in the bounded block, so on every pair the
     norm reads [S_i, S_j] = i eps_ijk S_k.  At n_max = 1 the bounded
     block is the vacuum alone and the one-photon sector is what makes
-    the check able to fail.  The residual operator is v.S with
+    it nonzero.  The residual operator is v.S with
     v = khat_dot + khat x u = (kdot + k x u)/|k|, the motion residual
     over |k| (constant tangent magnitude assumed), and since every pair
     of basis states is linked by at most one S_i its max-norm is
@@ -162,15 +160,9 @@ def _lvn_residuals(traj: TangentTrajectory, scale: float, indices: np.ndarray) -
     Differencing noise in the stored derivative data shows up in the
     residual instead of being projected away.
     """
-    norms = _row_norms(traj.tangents[indices])[:, None]
-    v = traj.motion_residual[indices] / norms
-    return np.abs(v).max(axis=1) * scale
-
-
-def lvn_residual(traj: TangentTrajectory, space: FockSpace, t: float) -> float:
-    """Liouville-von Neumann residual of the helicity invariant at time t, on a 3-mode space."""
     i = grid_index(traj.times, t)
-    return float(_lvn_residuals(traj, spin_scale(space), np.array([i]))[0])
+    v = traj.motion_residual[i] / _row_norms(traj.tangents[i : i + 1])[0]
+    return float(np.abs(v).max() * spin_scale(space))
 
 
 def check_rk4_grid(times: np.ndarray) -> None:
@@ -199,19 +191,20 @@ def evolve_state(psi0: StateVector, traj: TangentTrajectory) -> EvolutionResult:
     and so is M.  These matrices are built as real batched products for
     CHUNK_BYTES worth of steps at a time, so scratch memory stays flat
     in the step count; each batch's sum for M is assembled in place and
-    copied into the real part of one complex buffer, allocated once per
-    call.  Only u = traj.precession_field is read; the motion residual
-    is left unbuilt.  The step loop only applies M: mj.dot(psi, out=row)
-    writes each new state straight into its row of states, the same BLAS
-    product as mj @ psi with no temporary.  The energies <psi|H0|psi>
-    before a batch's steps are one batched product after its loop.  Norms
-    are recorded at every step and the drift is left in as an integration
-    diagnostic.  states holds the sector block, (steps + 1, len(keep));
-    state_at gives a state over the whole space.  The guard
-    max|H| * step <= N_top * max|u| * step (N_top the largest occupied
-    sector) holds because a complete sector N has spectral radius N|u|
-    and, by Cauchy interlacing, a sector cut off at n_max no larger; it
-    is enforced (StepGuardError) and reported, never silently accepted.
+    copied into one complex buffer, allocated once per call.  Only
+    u = traj.precession_field and khat = traj.unit_tangents are read; the
+    motion residual is left unbuilt.  The step loop only applies M:
+    mj.dot(psi, out=row) writes each new state straight into its row of
+    states, the same BLAS product as mj @ psi with no temporary.  The
+    energies <psi|H0|psi> and invariants <psi|khat.S|psi> of a batch are
+    batched products after its loop.  Norms are recorded at every step
+    and the drift is left in as an integration diagnostic.  states holds the sector
+    block, (steps + 1, len(keep)); state_at gives a state over the whole
+    space.  The guard max|H| * step <= N_top * max|u| * step (N_top the
+    largest occupied sector) holds because a complete sector N has
+    spectral radius N|u| and, by Cauchy interlacing, a sector cut off at
+    n_max no larger; it is enforced (StepGuardError) and reported, never
+    silently accepted.
     """
     check_rk4_grid(traj.times)
     if abs(psi0.norm() - 1.0) > 1e-9:
@@ -219,6 +212,7 @@ def evolve_state(psi0: StateVector, traj: TangentTrajectory) -> EvolutionResult:
 
     times = traj.times
     u = traj.precession_field
+    khat = traj.unit_tangents
     sectors = occupied_sectors(psi0)
     keep, a = sector_generators(psi0.space, sectors)
     step_h = times[2::2] - times[0:-2:2]
@@ -233,11 +227,12 @@ def evolve_state(psi0: StateVector, traj: TangentTrajectory) -> EvolutionResult:
     flat_a = np.reshape(a, (3, d * d))
     chunk = max(1, CHUNK_BYTES // (8 * d * d))
     eye = np.eye(d)
-    # The complex M of a batch; its imaginary part stays zero.
+    # The complex M of a batch, then -i g0 and -i khat.A.
     m_buf = np.zeros((min(chunk, steps), d, d), dtype=complex)
     states = np.empty((steps + 1, d), dtype=complex)
     norms = np.empty(steps + 1)
     energies = np.empty(steps + 1)
+    invariants = np.empty(steps + 1)
     psi = states[0] = psi0.amplitudes[keep]
     norms[0] = np.linalg.norm(psi)
     for start in range(0, steps, chunk):
@@ -262,18 +257,23 @@ def evolve_state(psi0: StateVector, traj: TangentTrajectory) -> EvolutionResult:
         k1 *= h / 6.0
         k1 += eye
         m = m_buf[: stop - start]
-        m.real = k1
+        m[...] = k1
         # The product lands in the stored row: no temporary, the zgemv of mj @ psi.
         for mj, row in zip(m, states[start + 1 : stop + 1]):
             mj.dot(psi, out=row)
             psi = row
         norms[start + 1 : stop + 1] = np.linalg.norm(states[start + 1 : stop + 1], axis=1)
-        # <psi|H0|psi> before each step, with H0 = -i g0, as 1 x d @ d x 1 products:
+        # <psi|H0|psi> and <psi|khat.S|psi> before each step as 1 x d @ d x d @ d x 1 products:
         # the bits np.vdot gives on the contiguous rows.
         before = states[start:stop, :, None]
-        energies[start:stop] = (before.conj().transpose(0, 2, 1) @ ((-1j * g0) @ before))[:, 0, 0].real
+        bra = before.conj().transpose(0, 2, 1)
+        np.multiply(-1j, g0, out=m)
+        energies[start:stop] = (bra @ (m @ before))[:, 0, 0].real
+        np.multiply(-1j, (khat[2 * start : 2 * stop : 2] @ flat_a).reshape(-1, d, d), out=m)
+        invariants[start:stop] = (bra @ (m @ before))[:, 0, 0].real
     # The last chunk's final g_even is u[-1].A.
     energies[steps] = np.vdot(psi, (-1j * g_even[-1]) @ psi).real
+    invariants[steps] = np.vdot(psi, (-1j * (khat[-1] @ flat_a).reshape(d, d)) @ psi).real
 
     return EvolutionResult(
         space=psi0.space,
@@ -283,6 +283,7 @@ def evolve_state(psi0: StateVector, traj: TangentTrajectory) -> EvolutionResult:
         states=states,
         norms=norms,
         energies=energies,
+        invariants=invariants,
         max_h_dt=max_h_dt,
     )
 
@@ -314,16 +315,15 @@ def extract_phases(result: EvolutionResult, traj: TangentTrajectory) -> PhaseBre
     """Total/dynamical/geometric phases of an evolution plus the closed form.
 
     The closed form multiplies the anholonomy by the initial helicity
-    expectation <psi(0)| k(0).S |psi(0)> (fock.helicity_expectation, on
-    the evolved sectors), which reproduces it for helicity eigenstates;
+    expectation <psi(0)| k(0).S |psi(0)>, the invariant's first value,
+    which reproduces it for helicity eigenstates;
     for other initial states the closed-form column is only an
     eigenstate-weighted average and the numerical route is authoritative.
     """
     if (len(traj.times) + 1) // 2 != len(result.times):
         raise ValueError("evolution result does not match this trajectory grid")
-    s3_expectation = helicity_expectation(result.state_at(0), traj.unit_tangents[0])
     anholonomy = float(traj.running_anholonomy()[-1])
-    return PhaseBreakdown.from_series(phase_series(result), s3_expectation, anholonomy)
+    return PhaseBreakdown.from_series(phase_series(result), float(result.invariants[0]), anholonomy)
 
 
 def evolution_operator_V(polar_angle: float, azimuth: float, space: FockSpace) -> OperatorMatrix:

@@ -1,9 +1,9 @@
 """The per-step run CSV, written by array expressions with the bytes of '%.17g'.
 
 write_run_csv writes one row per step: t, lambda, gamma, phi_closed,
-phi_total, phi_dyn, phi_geo, norm, lvn_residual, each value the text
-'%.17g' % value gives.  format_block turns a block of rows into those
-bytes with numpy array expressions and no Python call per value:
+phi_total, phi_dyn, phi_geo, norm, each value the text '%.17g' % value
+gives.  format_block turns a block of rows into those bytes with numpy
+array expressions and no Python call per value:
 
 * Digits.  For a finite nonzero v, X = floor(log10|v|) and
   |v| * 10**(16 - X) = p + t, where p = fl(|v| * hi) and t is Dekker's
@@ -34,7 +34,7 @@ import functools
 
 import numpy as np
 
-HEADER = b"t,lambda,gamma,phi_closed,phi_total,phi_dyn,phi_geo,norm,lvn_residual\n"
+HEADER = b"t,lambda,gamma,phi_closed,phi_total,phi_dyn,phi_geo,norm\n"
 # Rows per format_block call: about 250 KiB of scratch, whatever the step count.
 BLOCK_ROWS = 256
 # Distance from a half-unit tie under which the fast path does not trust rint(t).
@@ -256,7 +256,6 @@ def write_run_csv(summary: dict, csv_path) -> None:
         phase["dynamical"],
         phase["geometric"],
         series["norms"],
-        series["lvn"],
     )
     s3 = series["s3_attributed"]
     rows = len(columns[0])

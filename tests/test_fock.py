@@ -14,14 +14,16 @@ from fiberphase import (
     circular_operators,
     commutator,
     creation,
+    evolve_state,
     helicity_operator,
     identity,
     polarization_triad,
     s3_split,
     spin_fixed,
+    trajectory_from_tangents,
     vacuum_state,
 )
-from fiberphase.fock import helicity_expectation, occupied_sectors, sector_generators, sector_size, spin_scale
+from fiberphase.fock import occupied_sectors, sector_generators, sector_size, spin_scale
 
 Z = np.array([0.0, 0.0, 1.0])
 
@@ -341,8 +343,6 @@ class TestHelicityOperator:
     def test_rejects_non_unit(self):
         with pytest.raises(ValueError):
             helicity_operator(build_space(3, 1), np.array([0.0, 0.0, 2.0]))
-        with pytest.raises(ValueError):
-            helicity_expectation(vacuum_state(build_space(3, 1)), np.array([0.0, 0.0, 2.0]))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite(self, bad):
@@ -351,12 +351,11 @@ class TestHelicityOperator:
             with pytest.raises(ValueError, match="unit vector"):
                 helicity_operator(space, np.array(k))
             with pytest.raises(ValueError, match="unit vector"):
-                helicity_expectation(build_photon_state(space, 1, 0), np.array(k))
-            with pytest.raises(ValueError, match="unit vector"):
                 polarization_triad(np.array(k))
 
-    def test_sector_expectation_matches_dense(self):
-        # Random states over sectors 1 and 4 at n_max = 3, sector 4 cut off by the cutoff.
+    def test_evolved_invariant_matches_dense(self):
+        # Random states over sectors 1 and 4 at n_max = 3, sector 4 cut off by the cutoff, held
+        # for one step along a fixed direction k: every recorded <k.S> is the dense expectation.
         space = build_space(3, 3)
         rng = np.random.default_rng(11)
         inside = np.isin(np.sum(space.basis, axis=1), [1, 4])
@@ -364,7 +363,9 @@ class TestHelicityOperator:
             amp = np.where(inside, rng.normal(size=space.dimension) + 1j * rng.normal(size=space.dimension), 0.0)
             psi = StateVector(space, amp).normalized()
             dense = psi.expectation(helicity_operator(space, k)).real
-            assert abs(helicity_expectation(psi, k) - dense) < 1e-13
+            result = evolve_state(psi, trajectory_from_tangents(np.linspace(0.0, 1.0, 3), np.tile(k, (3, 1))))
+            assert result.sectors == [1, 4]
+            assert np.abs(result.invariants - dense).max() < 1e-13
 
 
 class TestS3Split:

@@ -333,18 +333,18 @@ class TestChunkedPropagators:
         # d = 1, 3, 6, 10, 15 at n_max = 4, and 21, 28 at n_max = 6.  The step
         # loop with u.A built term by term at each of a step's three samples
         # and psi -> mj @ psi, the reference for the batched products and the
-        # in-place step.
+        # in-place step; <khat.S> likewise, with khat.A built term by term.
         space = build_space(3, 4 if photons <= 4 else 6)
         psi0 = build_photon_state(space, photons // 2 + photons % 2, photons // 2)
         traj = random_smooth_field(513)
         result = evolve_state(psi0, traj)
         keep, a = sector_generators(space, occupied_sectors(psi0))
-        u, d = traj.precession_field, len(keep)
+        u, khat, d = traj.precession_field, traj.unit_tangents, len(keep)
         step_h = traj.times[2::2] - traj.times[0:-2:2]
         chunk = max(1, CHUNK_BYTES // (8 * d * d))
         eye = np.eye(d)
         psi = psi0.amplitudes[keep]
-        states, energies = [psi], []
+        states, energies, invariants = [psi], [], []
         for start in range(0, result.steps, chunk):
             stop = min(start + chunk, result.steps)
             h = step_h[start:stop, None, None]
@@ -356,18 +356,38 @@ class TestChunkedPropagators:
             k3 = -(g1 @ (eye + 0.5 * h * k2))
             k4 = -(g2 @ (eye + h * k3))
             m = (eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)).astype(complex)
-            for mj, gj in zip(m, g0):
+            for j, (mj, gj) in enumerate(zip(m, g0), start):
                 energies.append(np.vdot(psi, (-1j * gj) @ psi).real)
+                invariants.append(np.vdot(psi, (-1j * _field_operator(khat[2 * j], a)) @ psi).real)
                 psi = mj @ psi
                 states.append(psi)
         energies.append(np.vdot(psi, (-1j * _field_operator(u[-1], a)) @ psi).real)
+        invariants.append(np.vdot(psi, (-1j * _field_operator(khat[-1], a)) @ psi).real)
         assert np.array_equal(result.states, states)
         assert np.array_equal(np.signbit(result.states.view(float)), np.signbit(np.array(states).view(float)))
         assert np.array_equal(result.energies, energies)
         assert np.array_equal(np.signbit(result.energies), np.signbit(energies))
+        assert np.array_equal(result.invariants, invariants)
+        assert np.array_equal(np.signbit(result.invariants), np.signbit(invariants))
+
+    @pytest.mark.parametrize("lam", [0.7, math.pi / 2.0], ids=["mixed-helicity", "great-circle"])
+    def test_invariant_conserved_for_any_state(self, lam):
+        # 0.6|x> + 0.8i|y> is no helicity eigenstate, and on the equatorial cone a right-handed
+        # photon turns orthogonal to psi0: the closed form judges neither run, while <khat.S> stays put.
+        traj = cone_trajectory(lam, 1.0, 2049)
+        space = build_space(3, 1)
+        if lam == 0.7:
+            amp = np.zeros(space.dimension, dtype=complex)
+            amp[4], amp[2] = 0.6, 0.8j  # (1, 0, 0) and (0, 1, 0)
+            psi0 = StateVector(space, amp)
+        else:
+            psi0 = build_photon_state(space, 1, 0, k_hat=traj.unit_tangents[0])
+        result = evolve_state(psi0, traj)
+        assert result.invariants[0] > 0.7
+        assert np.abs(result.invariants - result.invariants[0]).max() < 1e-10
 
     def test_trajectory_residual_left_unbuilt(self):
-        # The LvN residual is a trajectory diagnostic: evolution reads u alone.
+        # The motion residual is a trajectory diagnostic: evolution reads u and the unit tangents alone.
         traj = helix_traj(lam=0.6, turns=0.25, steps=256)
         evolve_state(build_photon_state(build_space(3, 2), 1, 0), traj)
         assert "precession_field" in traj.__dict__

@@ -25,24 +25,22 @@ def row_loop_csv(summary):
     series = summary["_series"]
     angles, phase = series["angles"], series["phase"]
     rate = angles.gamma_dot * (1.0 - np.cos(angles.lam))
-    lines = ["t,lambda,gamma,phi_closed,phi_total,phi_dyn,phi_geo,norm,lvn_residual"]
+    lines = ["t,lambda,gamma,phi_closed,phi_total,phi_dyn,phi_geo,norm"]
     for j, i in enumerate(range(0, len(angles.times), 2)):
         cum = cumulative_panes(rate[: i + 1], angles.times[: i + 1])[-1] if i else 0.0
         row = [angles.times[i], angles.lam[i], angles.gamma[i], series["s3_attributed"] * cum,
-               phase["total"][j], phase["dynamical"][j], phase["geometric"][j], series["norms"][j],
-               series["lvn"][j]]
+               phase["total"][j], phase["dynamical"][j], phase["geometric"][j], series["norms"][j]]
         lines.append(",".join(format(float(v), ".17g") for v in row))
     return "\n".join(lines) + "\n"
 
 
 def table_summary(table):
-    """A summary whose run CSV is table (rows, 9): s3 is 1, so phi_closed is column 3."""
+    """A summary whose run CSV is table (rows, 8): s3 is 1, so phi_closed is column 3."""
     times = np.empty(2 * len(table) - 1)
     times[::2] = table[:, 0]
     angles = SimpleNamespace(times=times, lam=np.repeat(table[:, 1], 2)[:-1], gamma=np.repeat(table[:, 2], 2)[:-1])
     phase = {"total": table[:, 4], "dynamical": table[:, 5], "geometric": table[:, 6]}
-    series = {"angles": angles, "anholonomy": table[:, 3], "phase": phase, "norms": table[:, 7],
-              "lvn": table[:, 8], "s3_attributed": 1.0}
+    series = {"angles": angles, "anholonomy": table[:, 3], "phase": phase, "norms": table[:, 7], "s3_attributed": 1.0}
     return {"_series": series}
 
 
@@ -120,7 +118,7 @@ class TestFormatBlock:
 class TestWriteRunCsv:
     @pytest.mark.parametrize("rows", [1, 2 * runcsv.BLOCK_ROWS + 3])
     def test_table_matches_percent(self, rows, tmp_path):
-        table = as_table(np.resize(FIXED, rows * 9))
+        table = as_table(np.resize(FIXED, rows * 8), 8)
         runcsv.write_run_csv(table_summary(table), tmp_path / "t.csv")
         assert (tmp_path / "t.csv").read_bytes() == runcsv.HEADER + percent_rows(table)
 

@@ -280,12 +280,13 @@ class TestMemoryBudget:
     def test_sampled_geometry_checks_the_box(self, monkeypatch, basis_builds):
         import fiberphase.scenario as scenario
 
-        # The 9261 amplitudes at n_max = 20 are charged 1.85 MB for the box, over a 1 MB budget.
+        # The 9261 amplitudes at n_max = 20 are charged 4.45 MB for the box, over a 1 MB budget.
         monkeypatch.setattr(scenario, "MEMORY_BUDGET_BYTES", 1_000_000)
         data = {"geometry": {"kind": "sampled", "path_csv": "p.csv"}, "state": one_amplitude(20), "n_max": 20}
         err, peak = validation_peak(lambda: parse_config(data, "t"))
         assert err.field == "n_max"
-        assert peak < scenario._BYTES_PER_BASIS_STATE * 21**3
+        # Below the about 170 bytes per box state that evaluate_scenario holds: no box was built.
+        assert peak < 170 * 21**3
         assert basis_builds == []
 
     @pytest.mark.parametrize(
@@ -365,7 +366,7 @@ class TestMemoryBudget:
         config = parse_config(data, "peak", base_dir=tmp_path)
         tracemalloc.start()
         try:
-            scenario.evaluate_scenario(config)
+            scenario.run_scenario(config, tmp_path / "out")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -378,7 +379,7 @@ class TestMemoryBudget:
     def test_box_over_budget_builds_no_basis(self, monkeypatch, basis_builds):
         import fiberphase.scenario as scenario
 
-        # 9261 amplitudes at n_max = 20: the box term alone, 1.85 MB, is over a 1 MB budget.
+        # 9261 amplitudes at n_max = 20: the box term alone, 4.45 MB, is over a 1 MB budget.
         monkeypatch.setattr(scenario, "MEMORY_BUDGET_BYTES", 1_000_000)
         state = {"amplitudes": [[1.0, 0.0]] + [[0.0, 0.0]] * 9260}
         with pytest.raises(ConfigError, match="memory budget") as err:
@@ -554,6 +555,41 @@ class TestOpenTrace:
                 assert abs(geodesic_closure(k[0], k[-1])) <= 1e-12, label
 
 
+class TestInvariantDrift:
+    @pytest.mark.parametrize("name", ["chiao-helix-45", "multiphoton-21", "gyro-appendix"])
+    def test_sign_flipped_generator_fails(self, monkeypatch, name):
+        # A3 -> -A3 in the evolution's generators; <khat.S> then drifts by O(1).
+        import fiberphase.phases as phases
+        import fiberphase.scenario as scenario
+
+        ((label, raw),) = BUILTIN_SCENARIOS[name]
+        config = parse_config(raw, label)
+        check = next(c for c in scenario.evaluate_scenario(config)["checks"] if c["name"] == "invariant_drift")
+        assert check["pass"] is True and check["threshold"] == scenario.INVARIANT_TOL
+        build = phases.sector_generators
+
+        def flipped(space, sectors):
+            keep, (a1, a2, a3) = build(space, sectors)
+            return keep, (a1, a2, -a3)
+
+        monkeypatch.setattr(phases, "sector_generators", flipped)
+        summary = scenario.evaluate_scenario(config)
+        check = next(c for c in summary["checks"] if c["name"] == "invariant_drift")
+        assert check["value"] == summary["numerical"]["invariant_drift"] > 0.1
+        assert check["pass"] is False and summary["status"] == "fail"
+
+    def test_truncated_sector_has_no_invariant_check(self, tmp_path):
+        # 0.6|(1,0,0)> + 0.8|(1,1,0)> at n_max = 1: the two-photon sector is cut off, so the algebra does not close.
+        amplitudes = [[0.0, 0.0]] * 8
+        amplitudes[4], amplitudes[6] = [0.6, 0.0], [0.8, 0.0]
+        data = cone_config(n_max=1, state={"amplitudes": amplitudes})
+        run_scenario(parse_config(data, "cut"), tmp_path)
+        summary = json.loads((tmp_path / "cut.json").read_text())
+        assert summary["numerical"]["sectors"] == [1, 2]
+        assert summary["numerical"]["invariant_drift"] is None
+        assert [c["name"] for c in summary["checks"]] == ["numerical_vs_closed_form", "norm_drift", "motion_identity"]
+
+
 class TestRunScenario:
     @pytest.mark.parametrize(
         "rows, warp",
@@ -585,16 +621,16 @@ class TestRunScenario:
         assert summary["closed_form"]["phi_total"] == pytest.approx(BERRY_45, abs=1e-10)
         assert summary["numerical"]["geometric_phase"] == pytest.approx(BERRY_45, abs=1e-4)
         header = (tmp_path / "demo.csv").read_text().splitlines()[0]
-        assert header == "t,lambda,gamma,phi_closed,phi_total,phi_dyn,phi_geo,norm,lvn_residual"
+        assert header == "t,lambda,gamma,phi_closed,phi_total,phi_dyn,phi_geo,norm"
         # guard metrics ship with every summary so checks are self-contained
-        for key in ("max_h_dt_bound", "norm_drift", "lvn_max_residual"):
+        for key in ("max_h_dt_bound", "norm_drift", "invariant_drift"):
             assert key in summary["numerical"]
-        assert {c["name"] for c in summary["checks"]} >= {
+        assert [c["name"] for c in summary["checks"]] == [
             "numerical_vs_closed_form",
             "norm_drift",
-            "lvn_residual",
+            "invariant_drift",
             "motion_identity",
-        }
+        ]
 
     def test_step_guard_refusal_names_steps_that_pass(self, tmp_path):
         import fiberphase.scenario as scenario
@@ -661,7 +697,7 @@ class TestRunScenario:
         run_scenario(config, tmp_path)
         lines = (tmp_path / "rows.csv").read_text().strip().splitlines()
         assert len(lines) == 130  # header + steps + 1
-        assert all(len(line.split(",")) == 9 for line in lines[1:])
+        assert all(len(line.split(",")) == 8 for line in lines[1:])
 
     def test_cone_phi_closed_is_s3_times_a_times_t(self, tmp_path):
         # A cone's A accrues at a constant rate: phi_closed = s3 * (A * t) at every step, bit for bit.
@@ -836,24 +872,24 @@ class TestRunScenario:
         assert outcome.exit_code == 0
         assert outcome.summary["numerical"]["geometric_phase"] == pytest.approx(BERRY_45, abs=1e-3)
 
-    def test_lvn_check_can_fail_at_n_max_1(self, tmp_path):
-        # At n_max = 1 the bounded block is the vacuum alone, so the
-        # one-photon sector is all that can make the LvN residual nonzero.
-        # A wobbling path differenced on 4097 rows stays within LVN_TOL; on
-        # 1025 rows the differencing error pushes the residual past it.
+    def test_motion_check_can_fail_at_n_max_1(self, tmp_path):
+        # A wobbling path differenced on 4097 rows stays within MOTION_TOL; on
+        # 1025 rows the differencing error pushes the motion residual past it,
+        # and the run fails at n_max = 1.
         import fiberphase.scenario as scenario
 
-        lvn = {}
+        motion = {}
         for rows in (4097, 1025):
             t, pts = helix_points(1.0, 2.0 * math.pi, 1.0, rows)
             pts[:, 2] += 0.05 * np.sin(3.0 * math.pi * t)
             write_path_csv(tmp_path / "path.csv", t, pts)
             data = {"geometry": {"kind": "sampled", "path_csv": "path.csv"}, "state": {"n_r": 1, "n_l": 0}, "n_max": 1}
-            summary = scenario.evaluate_scenario(parse_config(data, "lvn", base_dir=tmp_path))
-            lvn[rows] = next(c for c in summary["checks"] if c["name"] == "lvn_residual")
-            assert lvn[rows]["value"] == summary["numerical"]["lvn_max_residual"]
-        assert 0.0 < lvn[4097]["value"] <= scenario.LVN_TOL and lvn[4097]["pass"] is True
-        assert lvn[1025]["value"] > scenario.LVN_TOL and lvn[1025]["pass"] is False
+            summary = scenario.evaluate_scenario(parse_config(data, "wobble", base_dir=tmp_path))
+            motion[rows] = next(c for c in summary["checks"] if c["name"] == "motion_identity")
+            assert motion[rows]["value"] == summary["trajectory"]["motion_identity_residual"]
+        assert 0.0 < motion[4097]["value"] <= scenario.MOTION_TOL and motion[4097]["pass"] is True
+        assert motion[1025]["value"] > scenario.MOTION_TOL and motion[1025]["pass"] is False
+        assert summary["status"] == "fail"
 
     def test_u_and_motion_residual_built_once(self, monkeypatch):
         import fiberphase.scenario as scenario
