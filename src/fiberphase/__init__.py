@@ -6,6 +6,18 @@ tangent kinematics, and computes geometric phases two independent ways:
 closed-form quadrature and direct time-dependent Schrodinger evolution.
 """
 
+# scenario first: the largest module then compiles before the smaller ones have
+# fragmented the heap, so the import's peak RSS does not swing with their layout.
+from .scenario import (
+    BUILTIN_SCENARIOS,
+    ConfigError,
+    ScenarioConfig,
+    evaluate_scenario,
+    parse_config,
+    run_builtin,
+    run_scenario,
+    sweep,
+)
 from .fock import (
     FockSpace,
     OperatorMatrix,
@@ -53,16 +65,6 @@ from .phases import (
     extract_phases,
     lvn_residual,
     phase_series,
-)
-from .scenario import (
-    BUILTIN_SCENARIOS,
-    ConfigError,
-    ScenarioConfig,
-    evaluate_scenario,
-    parse_config,
-    run_builtin,
-    run_scenario,
-    sweep,
 )
 
 __version__ = "0.1.0"

@@ -12,7 +12,9 @@ A trajectory is the one object per path: it builds u, the residual,
 the unit tangents, lambda, the azimuth rate and the unwrapped azimuth
 each once, on first read.  A cone's lambda and azimuth rate are
 constant, so cone_anholonomy gives its A in closed form and a helix or
-cone run never forms the rate; only a run's CSV unwraps the azimuth.
+cone run never forms the rate array; only a run's CSV unwraps the
+azimuth.  A cone_trajectory records its rate as azimuth_rate, which
+lets the evolution treat it as one field turned about z.
 Row norms and cross products of (n, 3) sample arrays go through
 _row_norms and _cross, column kernels with numpy's bits.
 """
@@ -174,11 +176,17 @@ def _off_pole(unit_tangents: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TangentTrajectory:
-    """Time-sampled tangent field k(t), its derivative, and the kinematics built from them on first read."""
+    """Time-sampled tangent field k(t), its derivative, and the kinematics built from them on first read.
+
+    azimuth_rate is the constant rate at which a cone_trajectory turns
+    about z, so that every sample is the first one rotated by
+    azimuth_rate * (t - t0); it is None for a sampled path.
+    """
 
     times: np.ndarray
     tangents: np.ndarray
     derivatives: np.ndarray
+    azimuth_rate: float | None = None
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
@@ -274,7 +282,7 @@ class TangentTrajectory:
 
     def scaled(self, factor: float) -> "TangentTrajectory":
         """Same trajectory with all tangent magnitudes multiplied."""
-        return TangentTrajectory(self.times, self.tangents * factor, self.derivatives * factor)
+        return TangentTrajectory(self.times, self.tangents * factor, self.derivatives * factor, self.azimuth_rate)
 
 
 def _derivative(values: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -327,6 +335,8 @@ def trajectory_from_tangents(times: np.ndarray, tangents: np.ndarray) -> Tangent
     tangents = np.asarray(tangents, dtype=float)
     if tangents.ndim != 2 or tangents.shape[1] != 3 or len(tangents) != len(times):
         raise ValueError("tangents must be (n, 3) matching times")
+    if not np.isfinite(tangents).all():
+        raise ValueError("tangents must be finite")
     norms = _row_norms(tangents)
     if np.any(norms < 1e-15):
         raise ValueError("degenerate trajectory: vanishing tangent sample")
@@ -360,7 +370,7 @@ def cone_trajectory(polar_angle: float, turns: float, samples: int, azimuth_offs
     np.multiply(np.multiply(-sl, sin_g, out=sin_g), rate, out=derivatives[:, 0])
     np.multiply(np.multiply(sl, cos_g, out=cos_g), rate, out=derivatives[:, 1])
     derivatives[:, 2] = 0.0
-    return TangentTrajectory(times=t, tangents=tangents, derivatives=derivatives)
+    return TangentTrajectory(times=t, tangents=tangents, derivatives=derivatives, azimuth_rate=rate)
 
 
 def cone_anholonomy(polar_angle: float, turns: float) -> float:

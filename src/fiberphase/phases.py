@@ -9,13 +9,16 @@ separates total, dynamical and geometric parts afterwards.
 One evolution is one pass: the precession field u = (k x kdot)/|k|^2 is
 the trajectory's own, built once per trajectory.  H = u.S is linear,
 so an RK4 step is psi -> M psi with a d x d matrix M, the stage
-formulas applied to the identity; these matrices are built in batches
-of steps, and the only per-step Python work left is the product M psi,
-one ndarray.dot that writes the new state into its stored row.
-The energies <psi|H|psi> and the helicity invariant <psi|khat.S|psi> of
-a batch are batched products after its loop.  The phase series is an
-array expression over the step boundaries.  lvn_residual rescales the
-trajectory's motion residual; no run calls it.
+formulas applied to the identity.  On a cone every M is one constant
+matrix turned about z, so the states are powers of one matrix, a block
+of rows per product, with no per-step Python work; on any other path
+the M are built in batches of steps and the only per-step Python work
+left is the product M psi, one ndarray.dot that writes the new state
+into its stored row.  The energies <psi|H|psi> and the helicity
+invariant <psi|khat.S|psi> are batched products over the stored
+states.  The phase series is an array expression over the step
+boundaries.  lvn_residual rescales the trajectory's motion residual;
+no run calls it.
 
 H conserves photon number, so the evolution runs only on the sectors the
 initial state occupies, with generators built on those sectors alone,
@@ -48,7 +51,7 @@ from .fock import (
 from .geometry import TangentTrajectory, _row_norms, grid_index
 
 STEP_GUARD = 0.1
-# Bytes of one (chunk, d, d) real stack of per-step matrices in evolve_state.
+# Bytes of one (chunk, d, d) real stack in evolve_state: a batch of step matrices, or the cone's power table.
 CHUNK_BYTES = 64 * 1024
 OVERLAP_FLOOR = 1e-6
 TWO_PI = 2.0 * math.pi
@@ -180,31 +183,26 @@ def evolve_state(psi0: StateVector, traj: TangentTrajectory) -> EvolutionResult:
 
     The grid must hold 2N+1 samples; each RK4 step spans two intervals
     and uses the middle sample for the internal stages, which keeps the
-    scheme fourth order without interpolating H.  With H0, H1, H2 the
-    field operators at a step's three samples and h its length, the
-    step is psi -> M psi with K1 = -i H0, K2 = -i H1 (I + h/2 K1),
-    K3 = -i H1 (I + h/2 K2), K4 = -i H2 (I + h K3) and
-    M = I + h/6 (K1 + 2 K2 + 2 K3 + K4): the RK4 stages applied to the
-    identity.  H conserves photon number, so only the sectors psi0
-    occupies are integrated, on the generators A_i of
-    fock.sector_generators (S_i = -i A_i); there K = -iH = -u.A is real
-    and so is M.  These matrices are built as real batched products for
-    CHUNK_BYTES worth of steps at a time, so scratch memory stays flat
-    in the step count; each batch's sum for M is assembled in place and
-    copied into one complex buffer, allocated once per call.  Only
-    u = traj.precession_field and khat = traj.unit_tangents are read; the
-    motion residual is left unbuilt.  The step loop only applies M:
-    mj.dot(psi, out=row) writes each new state straight into its row of
-    states, the same BLAS product as mj @ psi with no temporary.  The
-    energies <psi|H0|psi> and invariants <psi|khat.S|psi> of a batch are
-    batched products after its loop.  Norms are recorded at every step
-    and the drift is left in as an integration diagnostic.  states holds the sector
-    block, (steps + 1, len(keep)); state_at gives a state over the whole
-    space.  The guard max|H| * step <= N_top * max|u| * step (N_top the
-    largest occupied sector) holds because a complete sector N has
-    spectral radius N|u| and, by Cauchy interlacing, a sector cut off at
-    n_max no larger; it is enforced (StepGuardError) and reported, never
-    silently accepted.
+    scheme fourth order without interpolating H.  A step is psi -> M psi,
+    M the RK4 stages applied to the identity (_step_matrices).  H
+    conserves photon number, so only the sectors psi0 occupies are
+    integrated, on the generators A_i of fock.sector_generators
+    (S_i = -i A_i); there K = -iH = -u.A is real and so is M.  Only
+    u = traj.precession_field and khat = traj.unit_tangents are read.
+
+    On a cone (traj.azimuth_rate set) whose occupied sectors are all
+    complete, _power_states gives the states as powers of one matrix;
+    elsewhere the rotation it rests on fails and _loop_states applies
+    each step's M.  The norms, energies <psi|H0|psi> and invariants
+    <psi|khat.S|psi> are then batched products on the lab-frame states,
+    CHUNK_BYTES worth of boundaries at a time, so scratch memory stays
+    flat in the step count; the norm drift is left in as a diagnostic.
+    states holds the sector block, (steps + 1, len(keep)); state_at
+    gives a state over the whole space.  The guard max|H| * step <=
+    N_top * max|u| * step (N_top the largest occupied sector) holds
+    because a complete sector N has spectral radius N|u| and, by Cauchy
+    interlacing, a sector cut off at n_max no larger; a bound at or over
+    STEP_GUARD, or NaN, raises StepGuardError before any step.
     """
     check_rk4_grid(traj.times)
     if abs(psi0.norm() - 1.0) > 1e-9:
@@ -217,7 +215,7 @@ def evolve_state(psi0: StateVector, traj: TangentTrajectory) -> EvolutionResult:
     keep, a = sector_generators(psi0.space, sectors)
     step_h = times[2::2] - times[0:-2:2]
     max_h_dt = float(sectors[-1] * _row_norms(u).max() * step_h.max())
-    if max_h_dt >= STEP_GUARD:
+    if not max_h_dt < STEP_GUARD:
         raise StepGuardError(max_h_dt)
 
     steps = (len(times) - 1) // 2
@@ -226,54 +224,31 @@ def evolve_state(psi0: StateVector, traj: TangentTrajectory) -> EvolutionResult:
     # one nonzero term and this product has the bits of _field_operator(u, a).
     flat_a = np.reshape(a, (3, d * d))
     chunk = max(1, CHUNK_BYTES // (8 * d * d))
-    eye = np.eye(d)
-    # The complex M of a batch, then -i g0 and -i khat.A.
-    m_buf = np.zeros((min(chunk, steps), d, d), dtype=complex)
+    # One complex stack of a chunk: the loop's step matrices, then -i u.A and -i khat.A.
+    m_buf = np.zeros((min(chunk, steps + 1), d, d), dtype=complex)
     states = np.empty((steps + 1, d), dtype=complex)
+    states[0] = psi0.amplitudes[keep]
+    if traj.azimuth_rate is not None and sectors[-1] <= psi0.space.n_max:
+        _power_states(states, times, u, flat_a, traj.azimuth_rate)
+    else:
+        _loop_states(states, u, step_h, flat_a, m_buf)
+
     norms = np.empty(steps + 1)
     energies = np.empty(steps + 1)
     invariants = np.empty(steps + 1)
-    psi = states[0] = psi0.amplitudes[keep]
-    norms[0] = np.linalg.norm(psi)
-    for start in range(0, steps, chunk):
-        stop = min(start + chunk, steps)
-        # The RK4 stages applied to the identity, with K = -u.A real:
-        # psi -> m[j] @ psi is step start + j.
-        h = step_h[start:stop, None, None]
-        # Step j ends on the sample step j + 1 starts from.
-        g_even = (u[2 * start : 2 * stop + 1 : 2] @ flat_a).reshape(-1, d, d)
-        g0, g2 = g_even[:-1], g_even[1:]
-        g1 = (u[2 * start + 1 : 2 * stop : 2] @ flat_a).reshape(-1, d, d)
-        k1 = -g0
-        k2 = -(g1 @ (eye + 0.5 * h * k1))
-        k3 = -(g1 @ (eye + 0.5 * h * k2))
-        k4 = -(g2 @ (eye + h * k3))
-        # eye + (h/6) (k1 + 2 k2 + 2 k3 + k4), the same IEEE operations in the same order.
-        k2 *= 2.0
-        k1 += k2
-        k3 *= 2.0
-        k1 += k3
-        k1 += k4
-        k1 *= h / 6.0
-        k1 += eye
-        m = m_buf[: stop - start]
-        m[...] = k1
-        # The product lands in the stored row: no temporary, the zgemv of mj @ psi.
-        for mj, row in zip(m, states[start + 1 : stop + 1]):
-            mj.dot(psi, out=row)
-            psi = row
-        norms[start + 1 : stop + 1] = np.linalg.norm(states[start + 1 : stop + 1], axis=1)
-        # <psi|H0|psi> and <psi|khat.S|psi> before each step as 1 x d @ d x d @ d x 1 products:
+    for start in range(0, steps + 1, chunk):
+        stop = min(start + chunk, steps + 1)
+        # <psi|H0|psi> and <psi|khat.S|psi> as 1 x d @ d x d @ d x 1 products:
         # the bits np.vdot gives on the contiguous rows.
         before = states[start:stop, :, None]
         bra = before.conj().transpose(0, 2, 1)
-        np.multiply(-1j, g0, out=m)
+        m = m_buf[: stop - start]
+        np.multiply(-1j, (u[2 * start : 2 * stop : 2] @ flat_a).reshape(-1, d, d), out=m)
         energies[start:stop] = (bra @ (m @ before))[:, 0, 0].real
         np.multiply(-1j, (khat[2 * start : 2 * stop : 2] @ flat_a).reshape(-1, d, d), out=m)
         invariants[start:stop] = (bra @ (m @ before))[:, 0, 0].real
-    # The last chunk's final g_even is u[-1].A.
-    energies[steps] = np.vdot(psi, (-1j * g_even[-1]) @ psi).real
-    invariants[steps] = np.vdot(psi, (-1j * (khat[-1] @ flat_a).reshape(d, d)) @ psi).real
+        norms[start:stop] = np.linalg.norm(states[start:stop], axis=1)
+    norms[0] = np.linalg.norm(states[0])  # psi0's own norm, by the 1-D kernel
 
     return EvolutionResult(
         space=psi0.space,
@@ -286,6 +261,104 @@ def evolve_state(psi0: StateVector, traj: TangentTrajectory) -> EvolutionResult:
         invariants=invariants,
         max_h_dt=max_h_dt,
     )
+
+
+def _step_matrices(g0: np.ndarray, g1: np.ndarray, g2: np.ndarray, h, eye: np.ndarray) -> np.ndarray:
+    """RK4 step matrices I + h/6 (K1 + 2 K2 + 2 K3 + K4) from g = u.A at a step's three samples.
+
+    K1 = -g0, K2 = -g1 (I + h/2 K1), K3 = -g1 (I + h/2 K2) and
+    K4 = -g2 (I + h K3); g a d x d matrix or a stack, h a scalar or (n, 1, 1).
+    """
+    k1 = -g0
+    k2 = -(g1 @ (eye + 0.5 * h * k1))
+    k3 = -(g1 @ (eye + 0.5 * h * k2))
+    k4 = -(g2 @ (eye + h * k3))
+    # The sum in place, in the IEEE operations and order of the expression.
+    k2 *= 2.0
+    k1 += k2
+    k3 *= 2.0
+    k1 += k3
+    k1 += k4
+    k1 *= h / 6.0
+    k1 += eye
+    return k1
+
+
+def _loop_states(states: np.ndarray, u: np.ndarray, step_h: np.ndarray, flat_a: np.ndarray, m_buf: np.ndarray) -> None:
+    """Fill states[1:] from states[0] a step at a time: M for len(m_buf) steps, then mj.dot(psi, out=row)."""
+    steps, d = states.shape[0] - 1, states.shape[1]
+    chunk = len(m_buf)
+    eye = np.eye(d)
+    psi = states[0]
+    for start in range(0, steps, chunk):
+        stop = min(start + chunk, steps)
+        # Step j ends on the sample step j + 1 starts from.
+        g_even = (u[2 * start : 2 * stop + 1 : 2] @ flat_a).reshape(-1, d, d)
+        g1 = (u[2 * start + 1 : 2 * stop : 2] @ flat_a).reshape(-1, d, d)
+        m = m_buf[: stop - start]
+        m[...] = _step_matrices(g_even[:-1], g1, g_even[1:], step_h[start:stop, None, None], eye)
+        # The product lands in the stored row: no temporary, the zgemv of mj @ psi.
+        for mj, row in zip(m, states[start + 1 : stop + 1]):
+            mj.dot(psi, out=row)
+            psi = row
+
+
+def _power_states(states: np.ndarray, times: np.ndarray, u: np.ndarray, flat_a: np.ndarray, rate: float) -> None:
+    """Fill states[1:] from states[0] on a cone, as powers of one step matrix: no per-step Python work.
+
+    u(t) is u(0) turned about z by rate * t, so with W_n the rotation of
+    n steps M_n = W_n M_0 W_n^T and psi_n = W_n P^n psi_0, P = W_1^T M_0.
+    W_1 = exp(+-rate h A_3), the sign that carries u.A from sample 0 to
+    sample 2.  A table T_j = W_j P^j, j = 1..B, of at most CHUNK_BYTES
+    gives B rows at a time: psi_{s+j} = W_s T_j P^s psi_0.
+    """
+    steps, d = states.shape[0] - 1, states.shape[1]
+    h = (times[-1] - times[0]) / steps
+    g0, g1, g2 = (u[:3] @ flat_a).reshape(3, d, d)
+    w = _expm((rate * h) * flat_a[2].reshape(d, d))
+    # exp(-x) = exp(x)^T for the antisymmetric x.
+    gaps = [np.abs(r @ g0 @ r.T - g2).max() for r in (w, w.T)]
+    if gaps[1] < gaps[0]:
+        w = w.T
+    if not min(gaps) <= 1e-9 * np.abs(g0).max():
+        raise ValueError(f"azimuth_rate {rate!r} does not turn the precession field from one step to the next")
+    p = w.T @ _step_matrices(g0, g1, g2, h, np.eye(d))
+    block = 1 << (max(1, min(steps, CHUNK_BYTES // (8 * d * d))).bit_length() - 1)
+    table = np.empty((block, d, d))
+    table[0] = w @ p
+    # Doubling: T_{k+j} = W_k T_j P^k, until p and w hold P^B and W_B.
+    k = 1
+    while k < block:
+        np.matmul(w @ table[:k], p, out=table[k : 2 * k])
+        p = p @ p
+        w = w @ w
+        k *= 2
+    # Complex vectors as real (d, 2) arrays, so every product stays real.
+    phi = states[0].view(float).reshape(d, 2).copy()
+    w_s = np.eye(d)
+    for s in range(0, steps, block):
+        n = min(block, steps - s)
+        y = (table[:n].reshape(n * d, d) @ phi).reshape(n, d, 2)
+        np.matmul(w_s, y, out=states[s + 1 : s + 1 + n].view(float).reshape(n, d, 2))
+        phi = p @ phi
+        w_s = w_s @ w
+
+
+def _expm(x: np.ndarray) -> np.ndarray:
+    """exp(x) of a real matrix from products alone: a Taylor series of x / 2**k, then k squarings."""
+    norm = np.abs(x).sum(axis=0).max()
+    squarings = math.ceil(math.log2(norm / 0.25)) if norm > 0.25 else 0
+    x = x / 2.0**squarings
+    out = np.eye(len(x)) + x
+    term, k = x, 1
+    # At |x|_1 <= 1/4 the terms fall below 2**-60 within 13 products.
+    while np.abs(term).max() > 2.0**-60:
+        k += 1
+        term = (term @ x) / k
+        out += term
+    for _ in range(squarings):
+        out = out @ out
+    return out
 
 
 def phase_series(result: EvolutionResult) -> dict[str, np.ndarray]:

@@ -25,7 +25,7 @@ array expressions and no Python call per value:
 
 A block holds BLOCK_ROWS rows, so the writer's scratch memory does not
 grow with the step count.  The table of powers of ten and word layouts
-is built on the first call, not at import.
+is built an exponent at a time, on the first block whose span needs it.
 """
 
 from __future__ import annotations
@@ -51,22 +51,30 @@ _ONES = 0xFFFFFFFFFFFFFFFF
 
 
 @functools.cache
-def _tables() -> tuple[np.ndarray, ...]:
-    """Thirteen arrays, each one entry per decimal exponent X of the fast path.
+def _storage() -> tuple[np.ndarray, np.ndarray]:
+    """The (13, exponents) uint64 table _tables fills, all 0 at first, and the mask of its built columns."""
+    columns = _X_MAX - _X_MIN + 1
+    return np.zeros((13, columns), dtype=np.uint64), np.zeros(columns, dtype=bool)
 
-    Five float64 arrays: hi = 10**(16 - X) rounded, its Dekker head and
-    tail, lo = 10**(16 - X) - hi rounded, and the slack t's error stays
-    under (0 where 10**(16 - X) is a double, so t is exact).  Eight uint64
-    words that lay out a value with that X: byte 0 for the sign, the
-    "0.000" lead and a "0" at the first digit's byte; that byte's shift;
-    the masks of the 16 other digits that stand after the dot, and the dot
-    at its byte (two words each); byte 0 for a digit the dot pushes out,
-    then the exponent text and ","; and the XOR that makes that "," a
-    newline.
+
+def _tables(low: int, high: int) -> tuple[np.ndarray, ...]:
+    """Thirteen arrays, each one entry per decimal exponent X of the fast path, built from index low to high.
+
+    An index is X - _X_MIN; an entry is built on the first call whose
+    span holds it (a run spans a few dozen of the 572 exponents) and
+    entries never asked for stay 0.  Five float64 arrays: hi = 10**(16 - X) rounded,
+    its Dekker head and tail, lo = 10**(16 - X) - hi rounded, and the
+    slack t's error stays under (0 where 10**(16 - X) is a double, so t
+    is exact).  Eight uint64 words that lay out a value with that X:
+    byte 0 for the sign, the "0.000" lead and a "0" at the first digit's
+    byte; that byte's shift; the masks of the 16 other digits that stand
+    after the dot, and the dot at its byte (two words each); byte 0 for a
+    digit the dot pushes out, then the exponent text and ","; and the XOR
+    that makes that "," a newline.
     """
-    table = np.zeros((13, _X_MAX - _X_MIN + 1), dtype=np.uint64)
-    scale = table[:5].view(np.float64)
-    for j, x in enumerate(range(_X_MIN, _X_MAX + 1)):
+    table, built = _storage()
+    for j in (np.flatnonzero(~built[low : high + 1]) + low).tolist():
+        x = j + _X_MIN
         q = 16 - x
         if q >= 0:
             n = 10**q
@@ -77,9 +85,9 @@ def _tables() -> tuple[np.ndarray, ...]:
             hi = 1 / n
             num, den = hi.as_integer_ratio()
             lo = (den - num * n) / (den * n)
-        scale[0, j] = hi
-        scale[3, j] = lo
-        scale[4, j] = 0.0 if lo == 0.0 else 1e-9
+        c = hi * _SPLIT
+        head = c - (c - hi)
+        table[:5, j] = np.array([hi, head, hi - head, lo, 0.0 if lo == 0.0 else 1e-9]).view(np.uint64)
         fixed = -4 <= x < 17
         lead = b"0." + b"0" * (-x - 1) if fixed and x < 0 else b""
         k = x if fixed and x >= 0 else 0  # digits after the first that stand before the dot
@@ -96,15 +104,13 @@ def _tables() -> tuple[np.ndarray, ...]:
             int.from_bytes(tail + b",", "little"),
             (ord(",") ^ ord("\n")) << 8 * len(tail),
         )
-    c = scale[0] * _SPLIT
-    scale[1] = c - (c - scale[0])
-    scale[2] = scale[0] - scale[1]
-    return (*scale, *table[5:])
+    built[low : high + 1] = True
+    return (*table[:5].view(np.float64), *table[5:])
 
 
-def _significands(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(X - _X_MIN, D, proven) of each value of block: D its 17 significant digits, 0 for a zero."""
-    hi, hi_head, hi_tail, lo, slack = _tables()[:5]
+def _significands(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+    """(X - _X_MIN, D, proven) of each value of block, D its 17 significant digits (0 for a zero), and the
+    _tables that cover those exponents."""
     a = np.abs(block)
     ok = a >= _LOWEST
     ok &= a < _HIGHEST
@@ -113,6 +119,8 @@ def _significands(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     np.floor(x, out=x)
     i = x.astype(np.intp)
     i -= _X_MIN
+    tables = _tables(int(i.min()), int(i.max()))
+    hi, hi_head, hi_tail, lo, slack = tables[:5]
 
     # |v| * 10**(16 - X) = p + t: Dekker's two-product of a and hi, plus a * lo, term by term in place.
     p = hi.take(i)
@@ -149,7 +157,7 @@ def _significands(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     ok &= d < 10**17
     d *= ok
     ok |= block == 0
-    return i, d.view(np.uint64), ok
+    return i, d.view(np.uint64), ok, tables
 
 
 def _ascii8(x: np.ndarray) -> np.ndarray:
@@ -184,8 +192,8 @@ def _ascii8(x: np.ndarray) -> np.ndarray:
 def _words(block: np.ndarray) -> tuple[bytearray, np.ndarray]:
     """(text, proven): four text words per value of block, as bytes, and whether each value is proven."""
     u = np.uint64
-    lead, d0_shift, after_a, after_b, dot_a, dot_b, end, newline = _tables()[5:]
-    i, d, ok = _significands(block)
+    i, d, ok, tables = _significands(block)
+    lead, d0_shift, after_a, after_b, dot_a, dot_b, end, newline = tables[5:]
     d0, rest = np.divmod(d, u(10**16))
     del d
     text = bytearray(32 * block.size)

@@ -117,6 +117,18 @@ class TestTangentTrajectory:
         traj = tangent_trajectory(path)
         assert np.abs(traj.lam - math.pi / 2.0).max() < 1e-6
 
+    def test_only_a_cone_records_its_azimuth_rate(self):
+        # Every sample of a cone is the first one turned about z by azimuth_rate * t.
+        cone = cone_trajectory(0.7, 2.5, 257, azimuth_offset=0.4)
+        assert cone.azimuth_rate == 2.0 * math.pi * 2.5
+        assert cone.scaled(3.0).azimuth_rate == cone.azimuth_rate
+        turn = cone.azimuth_rate * cone.times[100]
+        c, s = math.cos(turn), math.sin(turn)
+        rotation = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+        assert np.abs(rotation @ cone.tangents[0] - cone.tangents[100]).max() < 1e-14
+        assert tangent_trajectory(straight_path()).azimuth_rate is None
+        assert trajectory_from_tangents(cone.times, cone.tangents).azimuth_rate is None
+
     def test_degenerate_points_rejected(self):
         t = np.linspace(0.0, 1.0, 8)
         x = np.array([0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0])

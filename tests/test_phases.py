@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -7,6 +8,7 @@ import pytest
 from fiberphase import (
     PhaseBreakdown,
     StateVector,
+    TangentTrajectory,
     build_photon_state,
     build_space,
     cone_trajectory,
@@ -27,7 +29,8 @@ from fiberphase import (
     wrap_angle,
 )
 from fiberphase.fock import _field_operator, occupied_sectors, sector_generators
-from fiberphase.phases import CHUNK_BYTES
+import fiberphase.phases as phases
+from fiberphase.phases import CHUNK_BYTES, StepGuardError
 
 BERRY_45 = 1.84030236902122  # 2*pi*(1 - cos(pi/4))
 
@@ -36,6 +39,11 @@ def helix_traj(lam=math.pi / 4.0, turns=1.0, steps=1024):
     pitch = 2.0 * math.pi / math.tan(lam)
     polar, offset = helix_cone(1.0, pitch)
     return cone_trajectory(polar, turns, 2 * steps + 1, azimuth_offset=offset)
+
+
+def loop_only(traj):
+    """The same trajectory with its azimuth rate cleared, so evolve_state applies every step's M."""
+    return dataclasses.replace(traj, azimuth_rate=None)
 
 
 def random_smooth_field(n):
@@ -119,8 +127,6 @@ class TestAnholonomyIntegral:
         derivatives = np.column_stack(
             [-sl * np.sin(gamma) * rate, sl * np.cos(gamma) * rate, np.zeros(n)]
         )
-        from fiberphase import TangentTrajectory
-
         warped = TangentTrajectory(t, tangents, derivatives)
         uniform = cone_trajectory(lam, turns, n)
         a_w = warped.running_anholonomy()[-1]
@@ -175,7 +181,7 @@ class TestEffectiveHamiltonian:
 
 class TestEvolveState:
     def test_free_evolution(self):
-        traj = cone_trajectory(0.0, 1.0, 129)
+        traj = loop_only(cone_trajectory(0.0, 1.0, 129))
         space = build_space(3, 1)
         psi0 = build_photon_state(space, 1, 0)
         result = evolve_state(psi0, traj)
@@ -313,7 +319,7 @@ class TestChunkedPropagators:
         keep = np.flatnonzero(np.sum(space.basis, axis=1) == photons)
         chunk = CHUNK_BYTES // (8 * len(keep) ** 2)
         # Three whole chunks of step propagators and a partial fourth.
-        traj = helix_traj(lam=0.6, turns=0.25, steps=3 * chunk + chunk // 2)
+        traj = loop_only(helix_traj(lam=0.6, turns=0.25, steps=3 * chunk + chunk // 2))
         result = evolve_state(psi0, traj)
         assert np.array_equal(result.keep, keep)
         oracle = full_box_rk4(psi0, traj, spin)
@@ -413,6 +419,132 @@ class TestChunkedPropagators:
         assert peak - returned <= 160 * len(traj.times) + 2 * 2**20
 
 
+def exact_cone_states(result, polar, offset, rate):
+    """psi(t) = exp(-rate t A3) exp(rate t cos(polar) k0.A) psi(0) at the result's boundaries, by eigh.
+
+    On a cone k(t) is k0 turned about z by rate t, so in the frame turning
+    with it the Hamiltonian is constant; exact on complete sectors.
+    """
+    _, a = sector_generators(result.space, result.sectors)
+    k0 = np.array([math.sin(polar) * math.cos(offset), math.sin(polar) * math.sin(offset), math.cos(polar)])
+    t = result.times[:, None]
+    # exp(theta X) = q exp(-i theta w) q^H for X real antisymmetric and i X = q w q^H.
+    w3, q3 = np.linalg.eigh(1j * a[2])
+    wk, qk = np.linalg.eigh(1j * _field_operator(k0, a))
+    turned = ((qk.conj().T @ result.states[0]) * np.exp(-1j * wk * (rate * math.cos(polar)) * t)) @ qk.T
+    return ((turned @ q3.conj()) * np.exp(1j * w3 * rate * t)) @ q3.T
+
+
+class TestConeStates:
+    """The step loop and the power form of evolve_state against the exact states of a cone, and each other."""
+
+    # Global RK4 error over these one-turn-and-a-bit runs: the worst measured
+    # |psi - psi_exact| / (N |u| h)^4 is 0.11, for the loop and the power form
+    # alike, so C = 0.5.  Rounding adds at most 0.46 * steps * eps (on the
+    # poles, where u = 0 and RK4 is exact, the power form's rotations round
+    # coherently); ROUNDING = 1e-15 per step.  The two forms differ by at
+    # most 0.6 * steps * eps, within the same 1e-15 per step.
+    C = 0.5
+    ROUNDING = 1e-15
+
+    @pytest.mark.parametrize("polar", [0.0, 0.2, math.pi / 2.0, math.pi], ids=["pole", "0.2", "equator", "south"])
+    @pytest.mark.parametrize("photons", range(9))
+    def test_both_forms_match_the_exact_states(self, photons, polar):
+        # Offsets 0 and 1.1 and t_end = 1 and 0.6 (1.3 turns over the unit grid either way) by photon number.
+        offset = 1.1 if photons % 2 else 0.0
+        turns = 1.3 * (0.6 if photons % 3 == 1 else 1.0)
+        steps = 768
+        traj = cone_trajectory(polar, turns, 2 * steps + 1, azimuth_offset=offset)
+        psi0 = multi_sector_state(build_space(3, max(1, photons)), [photons], seed=photons)
+        power = evolve_state(psi0, traj)
+        loop = evolve_state(psi0, loop_only(traj))
+        exact = exact_cone_states(power, polar, offset, 2.0 * math.pi * turns)
+        x = photons * np.linalg.norm(traj.precession_field, axis=1).max() / steps
+        bound = self.C * x**4 + self.ROUNDING * steps
+        assert np.abs(loop.states - exact).max() <= bound
+        assert np.abs(power.states - exact).max() <= bound
+        assert np.abs(power.states - loop.states).max() <= self.ROUNDING * steps
+
+    def test_several_complete_sectors_match_the_exact_states(self):
+        # Sectors 0..3 at n_max = 3 (d = 20): the rotation and the table are block-diagonal.
+        steps, turns = 512, 0.8
+        traj = cone_trajectory(0.7, turns, 2 * steps + 1, azimuth_offset=-0.5)
+        psi0 = multi_sector_state(build_space(3, 3), [0, 1, 2, 3])
+        power = evolve_state(psi0, traj)
+        assert power.sectors == [0, 1, 2, 3]
+        exact = exact_cone_states(power, 0.7, -0.5, 2.0 * math.pi * turns)
+        x = 3 * np.linalg.norm(traj.precession_field, axis=1).max() / steps
+        assert np.abs(power.states - exact).max() <= self.C * x**4 + self.ROUNDING * steps
+
+    @pytest.mark.parametrize("photons, n_max", [(1, 1), (4, 4)], ids=["d=3", "d=15"])
+    def test_power_blocks_match_the_loop(self, photons, n_max):
+        # d = 3 fills blocks of 512 rows and d = 15 of 32; three whole blocks and half of a fourth.
+        d = (photons + 1) * (photons + 2) // 2
+        block = 1 << (CHUNK_BYTES // (8 * d * d)).bit_length() - 1
+        traj = helix_traj(lam=0.6, turns=0.25, steps=3 * block + block // 2)
+        psi0 = build_photon_state(build_space(3, n_max), photons, 0)
+        power = evolve_state(psi0, traj)
+        loop = evolve_state(psi0, loop_only(traj))
+        tol = self.ROUNDING * power.steps
+        assert np.array_equal(power.states[0], loop.states[0])
+        assert np.abs(power.states - loop.states).max() <= tol
+        for name in ("norms", "energies", "invariants"):
+            assert np.abs(getattr(power, name) - getattr(loop, name)).max() <= 2 * photons * tol, name
+
+    def test_complete_cone_takes_the_power_form(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("step loop on a complete-sector cone")
+
+        monkeypatch.setattr(phases, "_loop_states", refuse)
+        result = evolve_state(build_photon_state(build_space(3, 2), 1, 1), helix_traj(steps=256))
+        assert np.abs(result.norms - 1.0).max() < 1e-9
+
+    def test_truncated_sector_and_sampled_path_take_the_loop(self, monkeypatch):
+        # The rotation covariance fails on a sector the cutoff truncates, and a sampled path has no rate.
+        def refuse(*args):
+            raise AssertionError("power form off a complete-sector cone")
+
+        monkeypatch.setattr(phases, "_power_states", refuse)
+        space = build_space(3, 1)
+        evolve_state(multi_sector_state(space, [1, 2]), helix_traj(steps=256))
+        evolve_state(build_photon_state(space, 1, 0), random_smooth_field(513))
+
+    def test_rate_that_does_not_turn_the_field_is_refused(self):
+        traj = helix_traj(steps=256)
+        psi0 = build_photon_state(build_space(3, 1), 1, 0)
+        with pytest.raises(ValueError, match="does not turn the precession field"):
+            evolve_state(psi0, dataclasses.replace(traj, azimuth_rate=2.0 * traj.azimuth_rate))
+
+    @pytest.mark.parametrize("scale", [0.0, 1e-3, 0.2, 7.0], ids=["zero", "taylor", "squared", "squared-more"])
+    def test_expm_matches_eigh(self, scale):
+        x = scale * _field_operator(np.array([0.3, -0.2, 1.0]), sector_generators(build_space(3, 4), [4])[1])
+        w, q = np.linalg.eigh(1j * x)
+        exact = ((q * np.exp(-1j * w)) @ q.conj().T).real
+        got = phases._expm(x)
+        assert np.abs(got - exact).max() <= 1e-14 * max(1.0, scale)
+        if scale == 0.0:
+            assert np.array_equal(got, np.eye(len(x)))
+
+
+class TestNonFiniteTrajectory:
+    def test_nan_tangent_trips_the_step_guard(self):
+        # A NaN bound compares False against any threshold: the guard must still refuse it.
+        traj = cone_trajectory(0.7, 1.0, 9)
+        tangents = traj.tangents.copy()
+        tangents[3, 1] = math.nan
+        bad = TangentTrajectory(traj.times, tangents, traj.derivatives)
+        with pytest.raises(StepGuardError) as err:
+            evolve_state(build_photon_state(build_space(3, 1), 1, 0), bad)
+        assert math.isnan(err.value.bound)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_tangent_samples_refused(self, bad):
+        tangents = np.tile([0.0, 0.6, 0.8], (9, 1))
+        tangents[4, 0] = bad
+        with pytest.raises(ValueError, match="tangents must be finite"):
+            trajectory_from_tangents(np.linspace(0.0, 1.0, 9), tangents)
+
+
 class TestPhaseBreakdown:
     @pytest.mark.parametrize("geometric", [-1e-300, -8e-34, -0.0, 0.0, 2.0 * math.pi])
     def test_mod_2pi_lies_in_half_open_range(self, geometric):
@@ -426,7 +558,7 @@ class TestPhaseBreakdown:
 
 class TestExtractPhases:
     def test_free_evolution_all_zero(self):
-        traj = cone_trajectory(0.0, 1.0, 129)
+        traj = loop_only(cone_trajectory(0.0, 1.0, 129))
         space = build_space(3, 1)
         psi0 = build_photon_state(space, 1, 0)
         breakdown = extract_phases(evolve_state(psi0, traj), traj)

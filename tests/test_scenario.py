@@ -840,6 +840,22 @@ class TestRunScenario:
         assert run_builtin("vacuum-pair", tmp_path, steps=128) == 0
         assert sweep(parse_config(cone_config(), "s"), "n_R", [0, 1, 2], tmp_path)[0] == 0
 
+    def test_run_path_calls_no_eigensolver(self, monkeypatch, tmp_path):
+        # The evolution is built from matrix products alone: the first LAPACK
+        # eigensolver call of a process pages in about 1 MiB of RSS.
+        def refuse(name):
+            def solver(*args, **kwargs):
+                raise AssertionError(f"np.linalg.{name} called on the run path")
+
+            return solver
+
+        for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, refuse(name))
+        for name, members in BUILTIN_SCENARIOS.items():
+            for label, raw in members:
+                outcome = run_scenario(parse_config(raw, label), tmp_path / name)
+                assert outcome.summary["status"] == "pass", label
+
     def test_s3_expectation_equals_dense_split(self):
         # Every (n_r, n_l) in 0..25 and every ordering against the expectations
         # of the s3_split matrices, bit for bit and with the sign of zero.

@@ -1,6 +1,6 @@
 """One SHA-256 digest over everything a checkout's runs write.
 
-Usage: python3 tools/artifact_digest.py CHECKOUT [--seeds 1 2 3]
+Usage: python3 tools/artifact_digest.py CHECKOUT [--seeds 1 2 3] [--calls]
 
 Imports fiberphase from CHECKOUT/src and the benchmark's input generator
 from CHECKOUT/bench, then drives CHECKOUT's ``cli.main`` in this one
@@ -16,7 +16,10 @@ Each call runs in a scratch directory with relative paths and its own
 code, stdout, stderr and every output file (relative name and bytes).  Two
 checkouts that write the same artifacts print the same line, so a change
 that claims byte-identical artifacts is checked by running this on the
-parent and on the change.  Nothing under CHECKOUT is written.
+parent and on the change.  With --calls it first prints one line per
+call, the digest of that call alone, its directory and its argv, so two
+listings diffed line by line show which calls moved.  Nothing under
+CHECKOUT is written.
 """
 
 from __future__ import annotations
@@ -74,13 +77,14 @@ def run(main, argv: list[str]) -> tuple[int | str, str, str]:
     return code, stdout.getvalue(), stderr.getvalue()
 
 
-def digest(checkout: Path, seeds: list[int]) -> tuple[str, int, int]:
-    """(hex digest, calls made, files hashed) of a checkout's artifacts."""
+def digest(checkout: Path, seeds: list[int]) -> tuple[str, list[tuple[str, str, list[str]]], int]:
+    """(hex digest, (call digest, directory, argv) of each call, files hashed) of a checkout's artifacts."""
     sys.path[:0] = [str(checkout / "src"), str(checkout / "bench")]
     import fiberphase.cli
     import workloads
 
     sha = hashlib.sha256()
+    listing = []
     files = 0
     home = Path.cwd()
     with tempfile.TemporaryDirectory() as scratch:
@@ -93,23 +97,31 @@ def digest(checkout: Path, seeds: list[int]) -> tuple[str, int, int]:
                 out = Path("out") / f"call{i:03d}"
                 argv = [*argv, "--out", str(out)]
                 code, stdout, stderr = run(fiberphase.cli.main, argv)
-                sha.update(json.dumps([argv, code, stdout, stderr]).encode())
+                call_sha = hashlib.sha256()
+                pieces = [json.dumps([argv, code, stdout, stderr]).encode()]
                 for path in sorted(p for p in out.rglob("*") if p.is_file()):
-                    sha.update(json.dumps(str(path.relative_to(out))).encode())
-                    sha.update(path.read_bytes())
+                    pieces += [json.dumps(str(path.relative_to(out))).encode(), path.read_bytes()]
                     files += 1
+                for piece in pieces:
+                    sha.update(piece)
+                    call_sha.update(piece)
+                listing.append((call_sha.hexdigest(), where, argv))
         finally:
             os.chdir(home)
-    return sha.hexdigest(), len(plan), files
+    return sha.hexdigest(), listing, files
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("checkout", type=Path, help="root of a source checkout (holds src/ and bench/)")
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3], help="bench plan seeds (default 1 2 3)")
+    parser.add_argument("--calls", action="store_true", help="first list each call's own digest and argv")
     args = parser.parse_args(argv)
-    hex_digest, count, files = digest(args.checkout.resolve(), args.seeds)
-    print(f"{hex_digest}  {count} calls, {files} files")
+    hex_digest, listing, files = digest(args.checkout.resolve(), args.seeds)
+    if args.calls:
+        for call_digest, where, call_argv in listing:
+            print(f"{call_digest}  {where}: {' '.join(call_argv)}")
+    print(f"{hex_digest}  {len(listing)} calls, {files} files")
     return 0
 
 
