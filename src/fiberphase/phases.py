@@ -14,11 +14,11 @@ matrix turned about z, so the states are powers of one matrix, a block
 of rows per product, with no per-step Python work; on any other path
 the M are built in batches of steps and the only per-step Python work
 left is the product M psi, one ndarray.dot that writes the new state
-into its stored row.  The energies <psi|H|psi> and the helicity
-invariant <psi|khat.S|psi> are batched products over the stored
-states.  The phase series is an array expression over the step
-boundaries.  lvn_residual rescales the trajectory's motion residual;
-no run calls it.
+into its stored row.  Each stored state is read once, through its
+fixed-frame spin <S>: the energy <psi|H|psi> = u.<S> and the helicity
+invariant <psi|khat.S|psi> = khat.<S> are its two projections.  The
+phase series is an array expression over the step boundaries.
+lvn_residual rescales the trajectory's motion residual; no run calls it.
 
 H conserves photon number, so the evolution runs only on the sectors the
 initial state occupies, with generators built on those sectors alone,
@@ -51,7 +51,7 @@ from .fock import (
 from .geometry import TangentTrajectory, _row_norms, grid_index
 
 STEP_GUARD = 0.1
-# Bytes of one (chunk, d, d) real stack in evolve_state: a batch of step matrices, or the cone's power table.
+# Bytes of one stack in evolve_state: a batch of step matrices, the cone's power table, or a block of states.
 CHUNK_BYTES = 64 * 1024
 OVERLAP_FLOOR = 1e-6
 TWO_PI = 2.0 * math.pi
@@ -60,9 +60,9 @@ TWO_PI = 2.0 * math.pi
 class StepGuardError(ValueError):
     """A grid whose bound max|H|*dt reaches STEP_GUARD, refused by evolve_state before any RK4 step."""
 
-    def __init__(self, bound: float):
+    def __init__(self, bound: float, remedy: str = "refine the grid"):
         self.bound = bound
-        super().__init__(f"step-size guard violated: bound max|H|*dt = {bound:.3e} >= {STEP_GUARD}; refine the grid")
+        super().__init__(f"step-size guard violated: bound max|H|*dt = {bound:.3e} >= {STEP_GUARD}; {remedy}")
 
 
 @dataclass(frozen=True)
@@ -107,8 +107,8 @@ class EvolutionResult:
     states holds the amplitudes on the evolved sectors only, one row of
     length len(keep) per boundary; sectors lists their photon numbers,
     keep their basis indices, and every other amplitude is exactly zero.
-    norms, energies and invariants hold |psi|, <psi|H|psi> (the dynamical
-    phase's integrand) and <psi|khat.S|psi> at each boundary.
+    norms, energies and invariants hold |psi|, u.<S> = <psi|H|psi> (the
+    dynamical integrand) and khat.<S> = <psi|khat.S|psi> at each boundary.
     """
 
     space: FockSpace
@@ -193,16 +193,16 @@ def evolve_state(psi0: StateVector, traj: TangentTrajectory) -> EvolutionResult:
     On a cone (traj.azimuth_rate set) whose occupied sectors are all
     complete, _power_states gives the states as powers of one matrix;
     elsewhere the rotation it rests on fails and _loop_states applies
-    each step's M.  The norms, energies <psi|H0|psi> and invariants
-    <psi|khat.S|psi> are then batched products on the lab-frame states,
-    CHUNK_BYTES worth of boundaries at a time, so scratch memory stays
-    flat in the step count; the norm drift is left in as a diagnostic.
-    states holds the sector block, (steps + 1, len(keep)); state_at
-    gives a state over the whole space.  The guard max|H| * step <=
-    N_top * max|u| * step (N_top the largest occupied sector) holds
-    because a complete sector N has spectral radius N|u| and, by Cauchy
-    interlacing, a sector cut off at n_max no larger; a bound at or over
-    STEP_GUARD, or NaN, raises StepGuardError before any step.
+    each step's M.  Each state psi = x + iy is then read once, CHUNK_BYTES
+    of states at a time, for its norm and its spin <S_i> = 2 x.A_i y: the
+    energies are u.<S>, the invariants khat.<S>, and the norm drift is
+    left in as a diagnostic.  states holds the sector block, (steps + 1,
+    len(keep)); state_at gives a state over the whole space.  The guard
+    max|H| * step <= N_top * max|u| * step (N_top the largest occupied
+    sector) holds because a complete sector N has spectral radius N|u|
+    and, by Cauchy interlacing, a sector cut off at n_max no larger; a
+    bound at or over STEP_GUARD, or NaN, raises StepGuardError before any
+    step, naming u's first non-finite sample if there is one.
     """
     check_rk4_grid(traj.times)
     if abs(psi0.norm() - 1.0) > 1e-9:
@@ -216,6 +216,9 @@ def evolve_state(psi0: StateVector, traj: TangentTrajectory) -> EvolutionResult:
     step_h = times[2::2] - times[0:-2:2]
     max_h_dt = float(sectors[-1] * _row_norms(u).max() * step_h.max())
     if not max_h_dt < STEP_GUARD:
+        bad = np.flatnonzero(~np.isfinite(u).all(axis=1))
+        if bad.size:
+            raise StepGuardError(max_h_dt, f"precession field sample {bad[0]} at t = {float(times[bad[0]])!r} is not finite")
         raise StepGuardError(max_h_dt)
 
     steps = (len(times) - 1) // 2
@@ -223,31 +226,26 @@ def evolve_state(psi0: StateVector, traj: TangentTrajectory) -> EvolutionResult:
     # Distinct mode pairs never share a matrix entry, so each entry of u.A has
     # one nonzero term and this product has the bits of _field_operator(u, a).
     flat_a = np.reshape(a, (3, d * d))
-    chunk = max(1, CHUNK_BYTES // (8 * d * d))
-    # One complex stack of a chunk: the loop's step matrices, then -i u.A and -i khat.A.
-    m_buf = np.zeros((min(chunk, steps + 1), d, d), dtype=complex)
     states = np.empty((steps + 1, d), dtype=complex)
     states[0] = psi0.amplitudes[keep]
     if traj.azimuth_rate is not None and sectors[-1] <= psi0.space.n_max:
         _power_states(states, times, u, flat_a, traj.azimuth_rate)
     else:
-        _loop_states(states, u, step_h, flat_a, m_buf)
+        _loop_states(states, u, step_h, flat_a)
 
+    # <S_i> = <psi|-iA_i|psi> = 2 x.A_i y for psi = x + iy, as A_i is real and antisymmetric.
+    a_rows = np.concatenate(a, axis=1)
     norms = np.empty(steps + 1)
     energies = np.empty(steps + 1)
     invariants = np.empty(steps + 1)
-    for start in range(0, steps + 1, chunk):
-        stop = min(start + chunk, steps + 1)
-        # <psi|H0|psi> and <psi|khat.S|psi> as 1 x d @ d x d @ d x 1 products:
-        # the bits np.vdot gives on the contiguous rows.
-        before = states[start:stop, :, None]
-        bra = before.conj().transpose(0, 2, 1)
-        m = m_buf[: stop - start]
-        np.multiply(-1j, (u[2 * start : 2 * stop : 2] @ flat_a).reshape(-1, d, d), out=m)
-        energies[start:stop] = (bra @ (m @ before))[:, 0, 0].real
-        np.multiply(-1j, (khat[2 * start : 2 * stop : 2] @ flat_a).reshape(-1, d, d), out=m)
-        invariants[start:stop] = (bra @ (m @ before))[:, 0, 0].real
-        norms[start:stop] = np.linalg.norm(states[start:stop], axis=1)
+    rows = max(1, CHUNK_BYTES // (16 * d))
+    for start in range(0, steps + 1, rows):
+        stop = min(start + rows, steps + 1)
+        block = states[start:stop]
+        spin = 2.0 * np.einsum("nid,nd->ni", (block.real @ a_rows).reshape(-1, 3, d), block.imag)
+        energies[start:stop] = np.einsum("ni,ni->n", u[2 * start : 2 * stop : 2], spin)
+        invariants[start:stop] = np.einsum("ni,ni->n", khat[2 * start : 2 * stop : 2], spin)
+        norms[start:stop] = np.linalg.norm(block, axis=1)
     norms[0] = np.linalg.norm(states[0])  # psi0's own norm, by the 1-D kernel
 
     return EvolutionResult(
@@ -284,10 +282,11 @@ def _step_matrices(g0: np.ndarray, g1: np.ndarray, g2: np.ndarray, h, eye: np.nd
     return k1
 
 
-def _loop_states(states: np.ndarray, u: np.ndarray, step_h: np.ndarray, flat_a: np.ndarray, m_buf: np.ndarray) -> None:
-    """Fill states[1:] from states[0] a step at a time: M for len(m_buf) steps, then mj.dot(psi, out=row)."""
+def _loop_states(states: np.ndarray, u: np.ndarray, step_h: np.ndarray, flat_a: np.ndarray) -> None:
+    """Fill states[1:] from states[0] a step at a time: M for CHUNK_BYTES of steps, then mj.dot(psi, out=row)."""
     steps, d = states.shape[0] - 1, states.shape[1]
-    chunk = len(m_buf)
+    chunk = max(1, CHUNK_BYTES // (8 * d * d))
+    m_buf = np.empty((min(chunk, steps), d, d), dtype=complex)
     eye = np.eye(d)
     psi = states[0]
     for start in range(0, steps, chunk):

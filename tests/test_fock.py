@@ -14,6 +14,7 @@ from fiberphase import (
     circular_operators,
     commutator,
     creation,
+    effective_hamiltonian,
     evolve_state,
     helicity_operator,
     identity,
@@ -356,16 +357,31 @@ class TestHelicityOperator:
     def test_evolved_invariant_matches_dense(self):
         # Random states over sectors 1 and 4 at n_max = 3, sector 4 cut off by the cutoff, held
         # for one step along a fixed direction k: every recorded <k.S> is the dense expectation.
+        # Then the same state along k bending away, u = (k x kdot)/|k|^2 growing from 0: at every
+        # boundary <khat.S> and <u.S> are the dense expectations on the evolved state.
         space = build_space(3, 3)
+        spin = spin_fixed(space)
         rng = np.random.default_rng(11)
         inside = np.isin(np.sum(space.basis, axis=1), [1, 4])
-        for k in random_unit_vectors(10, seed=12):
+        t = np.linspace(0.0, 1.0, 17)
+        for k, bend in zip(random_unit_vectors(10, seed=12), random_unit_vectors(10, seed=13)):
             amp = np.where(inside, rng.normal(size=space.dimension) + 1j * rng.normal(size=space.dimension), 0.0)
             psi = StateVector(space, amp).normalized()
             dense = psi.expectation(helicity_operator(space, k)).real
             result = evolve_state(psi, trajectory_from_tangents(np.linspace(0.0, 1.0, 3), np.tile(k, (3, 1))))
             assert result.sectors == [1, 4]
             assert np.abs(result.invariants - dense).max() < 1e-13
+
+            traj = trajectory_from_tangents(t, k + 0.1 * np.outer(t**2, bend))
+            result = evolve_state(psi, traj)
+            assert result.sectors == [1, 4]
+            assert np.abs(result.energies).max() > 1e-3
+            for i, time in enumerate(traj.times[::2]):
+                state = result.state_at(i)
+                energy = state.expectation(effective_hamiltonian(traj, spin, time)).real
+                helicity = state.expectation(helicity_operator(space, traj.unit_tangents[2 * i])).real
+                assert abs(result.energies[i] - energy) < 1e-13
+                assert abs(result.invariants[i] - helicity) < 1e-13
 
 
 class TestS3Split:

@@ -1,6 +1,6 @@
 """One SHA-256 digest over everything a checkout's runs write.
 
-Usage: python3 tools/artifact_digest.py CHECKOUT [--seeds 1 2 3] [--calls]
+Usage: python3 tools/artifact_digest.py CHECKOUT [--seeds 1 2 3] [--calls] [--diff OTHER_CHECKOUT]
 
 Imports fiberphase from CHECKOUT/src and the benchmark's input generator
 from CHECKOUT/bench, then drives CHECKOUT's ``cli.main`` in this one
@@ -9,6 +9,9 @@ process, with one BLAS thread, through:
 * the four built-in scenarios;
 * one sweep per parameter kind: lambda, turns, n_R and n_L on
   chiao-helix-45, epsilon2 on gyro-appendix;
+* three amplitude-state runs, which no bench plan has: a cone over the
+  complete sectors 0-2, a cone whose sector 2 the cutoff n_max = 1
+  truncates, and a one-photon superposition on a sampled path;
 * every call of every ``bench/workloads.generate`` plan at each seed.
 
 Each call runs in a scratch directory with relative paths and its own
@@ -18,8 +21,16 @@ checkouts that write the same artifacts print the same line, so a change
 that claims byte-identical artifacts is checked by running this on the
 parent and on the change.  With --calls it first prints one line per
 call, the digest of that call alone, its directory and its argv, so two
-listings diffed line by line show which calls moved.  Nothing under
-CHECKOUT is written.
+listings diffed line by line show which calls moved.
+
+With --diff OTHER_CHECKOUT it runs both checkouts, one after the other in
+this process, prints both digest lines, CHECKOUT's first, and compares
+their artifacts call by call: it prints every
+exit-code, stdout, stderr or file-set change and every JSON or CSV value
+that is not a number and differs (a status, a check's pass bit), then
+the max |difference| of each numeric JSON field and CSV column over all
+calls.  A JSON list of named objects (the checks, a group's members) is
+keyed by name.  Nothing under either checkout is written.
 """
 
 from __future__ import annotations
@@ -35,9 +46,12 @@ for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse
 import contextlib
+import csv
 import hashlib
 import io
 import json
+import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -49,13 +63,49 @@ SWEEPS = (
     ("chiao-helix-45", "n_L=0,2,7"),
     ("gyro-appendix", "epsilon2=-2,0.5,1,3"),
 )
+CONE = {"kind": "cone", "polar_angle": 0.7, "turns": 1.0}
+# (name, n_max, {basis index: amplitude}, geometry); index n1 (n_max+1)^2 + n2 (n_max+1) + n3.
+AMPLITUDE_RUNS = (
+    # |000>, |100>, i|010> and -|110>: sectors 0, 1 and 2, all complete.
+    ("multi-sector-cone", 2, {0: 0.5, 9: 0.5, 3: 0.5j, 12: -0.5}, CONE),
+    # 0.6|100> + 0.48i|010> + 0.64|110>: sector 2 is cut off at n_max = 1, so the step loop runs.
+    ("truncated-sector-cone", 1, {4: 0.6, 2: 0.48j, 6: 0.64}, CONE),
+    # 0.6|x> + 0.8i|y>, no helicity eigenstate, along a tilted helix given as samples.
+    ("sampled-path", 1, {4: 0.6, 2: 0.8j}, {"kind": "sampled", "path_csv": "tilted-helix.csv"}),
+)
+
+
+def write_amplitude_inputs(where: Path) -> list[list[str]]:
+    """Write the amplitude-state configs and their path CSV under where; the argv of each run."""
+    where.mkdir()
+    with open(where / "tilted-helix.csv", "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("t,x,y,z\n")
+        for i in range(4097):
+            t = i / 4096
+            theta = 2.0 * math.pi * t
+            x, y, z = math.cos(theta), math.sin(theta), 0.8 * theta
+            # Tilted by 0.3 rad about x.
+            fh.write(f"{t:.17g},{x:.17g},{math.cos(0.3) * y - math.sin(0.3) * z:.17g},"
+                     f"{math.sin(0.3) * y + math.cos(0.3) * z:.17g}\n")
+    argvs = []
+    for name, n_max, terms, geometry in AMPLITUDE_RUNS:
+        amplitudes = [[0.0, 0.0] for _ in range((n_max + 1) ** 3)]
+        for index, z in terms.items():
+            amplitudes[index] = [complex(z).real, complex(z).imag]
+        config = {"geometry": geometry, "state": {"amplitudes": amplitudes}, "ordering": "normal", "n_max": n_max}
+        if geometry["kind"] != "sampled":
+            config["steps"] = 1024
+        (where / f"{name}.json").write_text(json.dumps(config), encoding="utf-8")
+        argvs.append(["--config", f"{name}.json"])
+    return argvs
 
 
 def calls(seeds: list[int], workloads) -> list[tuple[str, list[str]]]:
-    """(scratch subdirectory, argv less --out) of every call, in run order; writes the bench inputs."""
+    """(scratch subdirectory, argv less --out) of every call, in run order; writes the inputs."""
     Path("builtins").mkdir()
     out = [("builtins", ["--scenario", name]) for name in BUILTINS]
     out += [("builtins", ["--scenario", name, "--sweep", values]) for name, values in SWEEPS]
+    out += [("amplitudes", argv) for argv in write_amplitude_inputs(Path("amplitudes"))]
     for workload in workloads.WORKLOADS:
         for seed in seeds:
             where = f"{workload}-{seed}"
@@ -77,23 +127,29 @@ def run(main, argv: list[str]) -> tuple[int | str, str, str]:
     return code, stdout.getvalue(), stderr.getvalue()
 
 
-def digest(checkout: Path, seeds: list[int]) -> tuple[str, list[tuple[str, str, list[str]]], int]:
-    """(hex digest, (call digest, directory, argv) of each call, files hashed) of a checkout's artifacts."""
-    sys.path[:0] = [str(checkout / "src"), str(checkout / "bench")]
-    import fiberphase.cli
-    import workloads
+def digest(checkout: Path, seeds: list[int], scratch: Path) -> tuple[str, list[dict], int]:
+    """(hex digest, one record per call, files hashed) of a checkout's artifacts, written under scratch.
 
-    sha = hashlib.sha256()
-    listing = []
-    files = 0
-    home = Path.cwd()
-    with tempfile.TemporaryDirectory() as scratch:
+    A record holds the call's digest, directory, argv, exit code, stdout,
+    stderr and output directory.  The checkout's modules are dropped from
+    sys.modules afterwards, so another checkout can be imported next.
+    """
+    roots = [str(checkout / "src"), str(checkout / "bench")]
+    sys.path[:0] = roots
+    try:
+        import fiberphase.cli
+        import workloads
+
+        sha = hashlib.sha256()
+        listing = []
+        files = 0
+        home = Path.cwd()
         os.chdir(scratch)
         try:
             plan = calls(seeds, workloads)
             for i, (where, argv) in enumerate(plan):
                 # A bench plan's paths are relative to its inputs directory's parent.
-                os.chdir(Path(scratch) / where)
+                os.chdir(scratch / where)
                 out = Path("out") / f"call{i:03d}"
                 argv = [*argv, "--out", str(out)]
                 code, stdout, stderr = run(fiberphase.cli.main, argv)
@@ -105,10 +161,76 @@ def digest(checkout: Path, seeds: list[int]) -> tuple[str, list[tuple[str, str, 
                 for piece in pieces:
                     sha.update(piece)
                     call_sha.update(piece)
-                listing.append((call_sha.hexdigest(), where, argv))
+                listing.append({"digest": call_sha.hexdigest(), "where": where, "argv": argv, "code": code,
+                                "stdout": stdout, "stderr": stderr, "out": scratch / where / out})
         finally:
             os.chdir(home)
+    finally:
+        sys.path[:] = [p for p in sys.path if p not in roots]
+        for name, module in list(sys.modules.items()):
+            if str(getattr(module, "__file__", None)).startswith(tuple(roots)):
+                del sys.modules[name]
     return sha.hexdigest(), listing, files
+
+
+def _json_leaves(value, key: str = ""):
+    """(field key, value) of every non-container value, lists of named objects keyed by name."""
+    if isinstance(value, dict):
+        for name, item in value.items():
+            yield from _json_leaves(item, f"{key}.{name}" if key else name)
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            label = item["name"] if isinstance(item, dict) and isinstance(item.get("name"), str) else i
+            yield from _json_leaves(item, f"{key}[{label}]")
+    else:
+        yield key, value
+
+
+def _csv_leaves(path: Path, kind: str):
+    """(field key, value) of every cell, keyed by column; numbers parsed as floats."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    for r, row in enumerate(rows[1:]):
+        for column, cell in zip(rows[0], row):
+            try:
+                value = float(cell)
+            except ValueError:
+                value = cell
+            yield f"{kind}:{column}[{r}]", value
+
+
+def _leaves(path: Path) -> dict:
+    if path.suffix == ".json":
+        return {f"json:{key}": value for key, value in _json_leaves(json.loads(path.read_text(encoding="utf-8")))}
+    return dict(_csv_leaves(path, "sweep.csv" if "_sweep_" in path.name else "run.csv"))
+
+
+def compare(ours: list[dict], theirs: list[dict]) -> tuple[list[str], dict[str, float]]:
+    """(every non-numeric change, max |difference| per numeric field) between two call listings."""
+    flips = []
+    moved: dict[str, float] = {}
+    if [c["argv"] for c in ours] != [c["argv"] for c in theirs]:
+        return ["the two checkouts make different calls"], moved
+    for i, (a, b) in enumerate(zip(ours, theirs)):
+        label = f"call{i:03d} {a['where']}: {' '.join(a['argv'][:-2])}"
+        for what in ("code", "stdout", "stderr"):
+            if a[what] != b[what]:
+                flips.append(f"{label}: {what} {a[what]!r} -> {b[what]!r}")
+        names_a = {p.relative_to(a["out"]) for p in a["out"].rglob("*") if p.is_file()}
+        names_b = {p.relative_to(b["out"]) for p in b["out"].rglob("*") if p.is_file()}
+        if names_a != names_b:
+            flips.append(f"{label}: files {sorted(map(str, names_a ^ names_b))} in one checkout only")
+        for name in sorted(names_a & names_b):
+            left, right = _leaves(a["out"] / name), _leaves(b["out"] / name)
+            for key in left.keys() | right.keys():
+                x, y = left.get(key), right.get(key)
+                # bool is no number here: a pass bit that changes is a flip.
+                if type(x) in (int, float) and type(y) in (int, float) and math.isnan(x) == math.isnan(y):
+                    field = re.sub(r"\[\d+\]", "[]", key)
+                    moved[field] = max(moved.get(field, 0.0), 0.0 if x == y or math.isnan(x) else abs(x - y))
+                elif x != y:
+                    flips.append(f"{label}: {name} {key} {x!r} -> {y!r}")
+    return flips, moved
 
 
 def main(argv=None) -> int:
@@ -116,12 +238,28 @@ def main(argv=None) -> int:
     parser.add_argument("checkout", type=Path, help="root of a source checkout (holds src/ and bench/)")
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3], help="bench plan seeds (default 1 2 3)")
     parser.add_argument("--calls", action="store_true", help="first list each call's own digest and argv")
+    parser.add_argument("--diff", type=Path, metavar="OTHER_CHECKOUT", help="compare the artifacts with another checkout's")
     args = parser.parse_args(argv)
-    hex_digest, listing, files = digest(args.checkout.resolve(), args.seeds)
-    if args.calls:
-        for call_digest, where, call_argv in listing:
-            print(f"{call_digest}  {where}: {' '.join(call_argv)}")
-    print(f"{hex_digest}  {len(listing)} calls, {files} files")
+    checkouts = [args.checkout] + ([args.diff] if args.diff else [])
+    with contextlib.ExitStack() as stack:
+        listings = []
+        for checkout in checkouts:
+            scratch = Path(stack.enter_context(tempfile.TemporaryDirectory()))
+            hex_digest, listing, files = digest(checkout.resolve(), args.seeds, scratch)
+            listings.append(listing)
+            if args.calls:
+                for call in listing:
+                    print(f"{call['digest']}  {call['where']}: {' '.join(call['argv'])}")
+            print(f"{hex_digest}  {len(listing)} calls, {files} files")
+        if args.diff:
+            flips, moved = compare(*listings)
+            same = sum(a["digest"] == b["digest"] for a, b in zip(*listings))
+            print(f"{same} of {len(listings[0])} calls byte-identical; {len(flips)} non-numeric changes")
+            for line in flips:
+                print(f"  {line}")
+            print("max |difference| per numeric field:")
+            for field in sorted(moved):
+                print(f"  {moved[field]:.3g}  {field}")
     return 0
 
 
