@@ -27,7 +27,8 @@ With --diff OTHER_CHECKOUT it runs both checkouts, one after the other in
 this process, prints both digest lines, CHECKOUT's first, and compares
 their artifacts call by call: it prints every
 exit-code, stdout, stderr or file-set change and every JSON or CSV value
-that is not a number and differs (a status, a check's pass bit), then
+that is not a number and differs (a status, a check's pass bit) or is
+a zero whose sign changed, then
 the max |difference| of each numeric JSON field and CSV column over all
 calls.  A JSON list of named objects (the checks, a group's members) is
 keyed by name.  Nothing under either checkout is written.
@@ -226,6 +227,9 @@ def compare(ours: list[dict], theirs: list[dict]) -> tuple[list[str], dict[str, 
                 x, y = left.get(key), right.get(key)
                 # bool is no number here: a pass bit that changes is a flip.
                 if type(x) in (int, float) and type(y) in (int, float) and math.isnan(x) == math.isnan(y):
+                    # -0.0 == 0.0, so a zero whose sign changes is a flip, not a |difference| of 0.
+                    if x == y == 0 and math.copysign(1.0, x) != math.copysign(1.0, y):
+                        flips.append(f"{label}: {name} {key} {x!r} -> {y!r}")
                     field = re.sub(r"\[\d+\]", "[]", key)
                     moved[field] = max(moved.get(field, 0.0), 0.0 if x == y or math.isnan(x) else abs(x - y))
                 elif x != y:
