@@ -8,13 +8,14 @@ sampled point lists fall back to second-order finite differences.  The
 anholonomy integral, the geodesic closure of an open trace, the
 precession field u and the equation-of-motion residual live here too:
 they depend on the tangent kinematics alone.
-A trajectory is the one object per path: it builds u, the residual,
-the unit tangents, lambda, the azimuth rate and the unwrapped azimuth
-each once, on first read.  A cone's lambda and azimuth rate are
-constant, so cone_anholonomy gives its A in closed form and a helix or
-cone run never forms the rate array; only a run's CSV unwraps the
-azimuth.  A cone_trajectory records its rate as azimuth_rate, which
-lets the evolution treat it as one field turned about z.
+A trajectory is the one object per path.  rows gives a block of its
+samples as a small trajectory with the same kinematics bit for bit, and
+a run reads u, the residual, the unit tangents, lambda and the azimuth
+that way, a block at a time; whole-grid arrays are built only when read.
+A cone_trajectory holds its grid, polar angle, turns and offset and
+evaluates its rows from them; its azimuth_rate lets the evolution treat
+it as one field turned about z, and cone_anholonomy gives its A in
+closed form, so a helix or cone run never forms the rate array.
 Row norms and cross products of (n, 3) sample arrays go through
 _row_norms and _cross, column kernels with numpy's bits.
 """
@@ -34,6 +35,8 @@ POLE_SIN_TOL = 1e-9
 CLOSURE_TOL = 1e-6
 # Read size of count_path_rows, which sizes a path CSV before it is loaded.
 ROW_COUNT_CHUNK_BYTES = 1 << 16
+# Samples per block of TangentTrajectory.max_norms: about 100 KiB per (n, 3) array.
+BLOCK_SAMPLES = 4096
 TWO_PI = 2.0 * math.pi
 # The parameter intervals and span a sampled path may have.  Inside this
 # window the finite differences and both Simpson rules, whose terms hold
@@ -174,32 +177,44 @@ def _off_pole(unit_tangents: np.ndarray) -> np.ndarray:
     return np.hypot(unit_tangents[:, 0], unit_tangents[:, 1]) >= POLE_SIN_TOL
 
 
-@dataclass(frozen=True)
 class TangentTrajectory:
     """Time-sampled tangent field k(t), its derivative, and the kinematics built from them on first read.
 
     azimuth_rate is the constant rate at which a cone_trajectory turns
     about z, so that every sample is the first one rotated by
-    azimuth_rate * (t - t0); it is None for a sampled path.
+    azimuth_rate * (t - t0); it is None for a sampled path.  rows gives a
+    block of samples as a trajectory of its own, bit for bit these rows.
     """
 
-    times: np.ndarray
-    tangents: np.ndarray
-    derivatives: np.ndarray
-    azimuth_rate: float | None = None
-
-    def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        tangents = np.asarray(self.tangents, dtype=float)
-        derivatives = np.asarray(self.derivatives, dtype=float)
+    def __init__(self, times, tangents, derivatives, azimuth_rate: float | None = None):
+        times = np.asarray(times, dtype=float)
+        tangents = np.asarray(tangents, dtype=float)
+        derivatives = np.asarray(derivatives, dtype=float)
         n = len(times)
         if tangents.shape != (n, 3) or derivatives.shape != (n, 3):
             raise ValueError("tangents and derivatives must be (n, 3)")
         if np.any(np.diff(times) <= 0):
             raise ValueError("times must be strictly increasing")
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "tangents", tangents)
-        object.__setattr__(self, "derivatives", derivatives)
+        self.times, self.tangents, self.derivatives, self.azimuth_rate = times, tangents, derivatives, azimuth_rate
+
+    def rows(self, start: int, stop: int, step: int = 1) -> "TangentTrajectory":
+        """Samples start:stop:step as a trajectory; a sampled path slices its stored arrays."""
+        s = slice(start, stop, step)
+        return TangentTrajectory(self.times[s], self.tangents[s], self.derivatives[s], self.azimuth_rate)
+
+    @cached_property
+    def max_norms(self) -> tuple[float, float]:
+        """(max |u|, max |motion residual|) over the samples, one pass BLOCK_SAMPLES rows at a time; NaN if one is.
+
+        The step guard reads the first, the motion check the second.
+        """
+        u, residual = [], []
+        # Blocks share an edge sample, which a max may read twice: 2N + 1 samples take 2N / BLOCK_SAMPLES blocks.
+        for i in range(0, max(len(self.times) - 1, 1), BLOCK_SAMPLES):
+            block = self.rows(i, i + BLOCK_SAMPLES + 1)
+            u.append(_row_norms(block.precession_field).max())
+            residual.append(_row_norms(block.motion_residual).max())
+        return np.max(u), np.max(residual)
 
     @cached_property
     def precession_field(self) -> np.ndarray:
@@ -260,15 +275,29 @@ class TangentTrajectory:
         pole repeats the previous value (0 before the first off-pole
         sample).
         """
+        return self.gamma_from(None)[0]
+
+    def gamma_from(self, carry: tuple | None) -> tuple[np.ndarray, tuple]:
+        """(gamma of these samples, carry): gamma unwrapped on from the samples before them, read block by block.
+
+        carry is None for a first block, else what the block before
+        returned: its last off-pole raw azimuth, the whole turns counted
+        so far, an exact integer sum, and its last value.  Blocks that
+        cover a trajectory in order give its gamma bit for bit.
+        """
         k = self.unit_tangents
         live = _off_pole(k)
         raw = np.arctan2(k[:, 1], k[:, 0])[live]
-        # Leading pole samples anchor the first increment at azimuth 0.
-        step = np.diff(raw, prepend=raw[:1] if live[0] else 0.0)
-        # Slot 0 holds the 0 a leading pole sample reads.
-        unwrapped = np.concatenate(([0.0], raw + TWO_PI * np.cumsum(np.rint((wrap_angle(step) - step) / TWO_PI))))
+        # Leading pole samples anchor the first increment at azimuth 0; a -0.0 count adds nothing, even to -0.0.
+        anchor, turns, value = carry or (raw[:1] if live[0] else 0.0, -0.0, 0.0)
+        step = np.diff(raw, prepend=anchor)
+        count = np.cumsum(np.rint((wrap_angle(step) - step) / TWO_PI))
+        count += turns
+        # Slot 0 holds the value a leading pole sample reads.
+        unwrapped = np.concatenate(([value], raw + TWO_PI * count))
+        carry = (raw[-1], count[-1], unwrapped[-1]) if raw.size else (anchor, turns, value)
         # Each sample reads the last off-pole value at or before it.
-        return unwrapped[np.cumsum(live)]
+        return unwrapped[np.cumsum(live)], carry
 
     def running_anholonomy(self) -> np.ndarray:
         """Running integral of gamma_dot * (1 - cos(lam)) at the pane boundaries of quadrature.cumulative_panes.
@@ -351,26 +380,60 @@ def _check_cone(polar_angle: float, turns: float) -> None:
         raise ValueError(f"turns must be positive, got {turns}")
 
 
+@dataclass(frozen=True)
+class ConeTrajectory(TangentTrajectory):
+    """A cone_trajectory: its time grid, polar angle, turns and azimuth offset, and nothing built until read.
+
+    The field turns at 2*pi*turns; azimuth_rate is that rate, or None,
+    and only tells the evolution whether it may treat the field as one
+    turned about z.  rows is the same cone on the times asked for, so a
+    reader evaluates the field on its own block, one cos and one sin per
+    sample.
+    """
+
+    times: np.ndarray
+    polar_angle: float
+    turns: float
+    azimuth_offset: float
+    azimuth_rate: float | None
+
+    def rows(self, start: int, stop: int, step: int = 1) -> "ConeTrajectory":
+        s = slice(start, stop, step)
+        return ConeTrajectory(self.times[s], self.polar_angle, self.turns, self.azimuth_offset, self.azimuth_rate)
+
+    @cached_property
+    def tangents(self) -> np.ndarray:
+        gamma = self.azimuth_offset + TWO_PI * self.turns * self.times
+        sl = math.sin(self.polar_angle)
+        tangents = np.empty((len(self.times), 3))
+        np.multiply(sl, np.cos(gamma), out=tangents[:, 0])
+        np.multiply(sl, np.sin(gamma), out=tangents[:, 1])
+        tangents[:, 2] = math.cos(self.polar_angle)
+        return tangents
+
+    @cached_property
+    def derivatives(self) -> np.ndarray:
+        """kdot = (-sl sin, sl cos, 0) * rate, read off the tangent columns: (-a) b rounds as -(a b)."""
+        k = self.tangents
+        derivatives = np.empty(k.shape)
+        rate = TWO_PI * self.turns
+        np.multiply(np.negative(k[:, 1]), rate, out=derivatives[:, 0])
+        np.multiply(k[:, 0], rate, out=derivatives[:, 1])
+        derivatives[:, 2] = 0.0
+        return derivatives
+
+
 def cone_trajectory(polar_angle: float, turns: float, samples: int, azimuth_offset: float = 0.0) -> TangentTrajectory:
-    """Analytic tangent field precessing about z at constant polar angle, on np.linspace(0, 1, samples)."""
+    """Analytic tangent field precessing about z at constant polar angle, on np.linspace(0, 1, samples).
+
+    The trajectory holds that grid, the polar angle, turns, the offset and
+    the azimuth rate 2*pi*turns, and builds its field only when read; rows
+    gives the same cone on the samples a reader asks for.
+    """
     _check_cone(polar_angle, turns)
     if samples < 3:
         raise ValueError("need at least 3 samples")
-    t = np.linspace(0.0, 1.0, samples)
-    gamma = azimuth_offset + TWO_PI * turns * t
-    sl, cl = math.sin(polar_angle), math.cos(polar_angle)
-    rate = TWO_PI * turns
-    cos_g, sin_g = np.cos(gamma), np.sin(gamma)
-    tangents = np.empty((samples, 3))
-    np.multiply(sl, cos_g, out=tangents[:, 0])
-    np.multiply(sl, sin_g, out=tangents[:, 1])
-    tangents[:, 2] = cl
-    # kdot = (-sl sin, sl cos, 0) * rate, each column multiplied in that order.
-    derivatives = np.empty((samples, 3))
-    np.multiply(np.multiply(-sl, sin_g, out=sin_g), rate, out=derivatives[:, 0])
-    np.multiply(np.multiply(sl, cos_g, out=cos_g), rate, out=derivatives[:, 1])
-    derivatives[:, 2] = 0.0
-    return TangentTrajectory(times=t, tangents=tangents, derivatives=derivatives, azimuth_rate=rate)
+    return ConeTrajectory(np.linspace(0.0, 1.0, samples), polar_angle, turns, azimuth_offset, TWO_PI * turns)
 
 
 def cone_anholonomy(polar_angle: float, turns: float) -> float:
@@ -392,7 +455,7 @@ def motion_identity_residual(traj: TangentTrajectory) -> float:
     Vanishes (up to differencing error) for any smooth constant-magnitude
     tangent field; order one when the magnitude drifts.
     """
-    return float(_row_norms(traj.motion_residual).max())
+    return float(traj.max_norms[1])
 
 
 def geodesic_closure(k_first: np.ndarray, k_last: np.ndarray) -> float:

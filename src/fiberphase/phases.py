@@ -7,7 +7,7 @@ effective Hamiltonian H = (k x kdot)/|k|^2 . S with fixed-step RK4 and
 separates total, dynamical and geometric parts afterwards.
 
 One evolution is one pass: the precession field u = (k x kdot)/|k|^2 is
-the trajectory's own, built once per trajectory.  H = u.S is linear,
+the trajectory's own, read a block of rows at a time.  H = u.S is linear,
 so an RK4 step is psi -> M psi with a d x d matrix M, the stage
 formulas applied to the identity.  On a cone every M is one constant
 matrix turned about z, so the states are powers of one matrix, a block
@@ -48,7 +48,7 @@ from .fock import (
     sector_generators,
     spin_scale,
 )
-from .geometry import TangentTrajectory, _row_norms, grid_index
+from .geometry import BLOCK_SAMPLES, TangentTrajectory, _row_norms, grid_index
 
 STEP_GUARD = 0.1
 # Bytes of one stack in evolve_state: a batch of step matrices, the cone's power table, or a block of states.
@@ -138,7 +138,8 @@ def effective_hamiltonian(traj: TangentTrajectory, spin: tuple[OperatorMatrix, .
     Homogeneous of degree zero in the tangent magnitude, so rescaling
     all tangents leaves every entry unchanged.
     """
-    u = traj.precession_field[grid_index(traj.times, t)]
+    i = grid_index(traj.times, t)
+    u = traj.rows(i, i + 1).precession_field[0]
     return OperatorMatrix(spin[0].space, _field_operator(u, [op.entries for op in spin]))
 
 
@@ -164,7 +165,8 @@ def lvn_residual(traj: TangentTrajectory, space: FockSpace, t: float) -> float:
     residual instead of being projected away.
     """
     i = grid_index(traj.times, t)
-    v = traj.motion_residual[i] / _row_norms(traj.tangents[i : i + 1])[0]
+    sample = traj.rows(i, i + 1)
+    v = sample.motion_residual[0] / _row_norms(sample.tangents)[0]
     return float(np.abs(v).max() * spin_scale(space))
 
 
@@ -187,8 +189,9 @@ def evolve_state(psi0: StateVector, traj: TangentTrajectory) -> EvolutionResult:
     M the RK4 stages applied to the identity (_step_matrices).  H
     conserves photon number, so only the sectors psi0 occupies are
     integrated, on the generators A_i of fock.sector_generators
-    (S_i = -i A_i); there K = -iH = -u.A is real and so is M.  Only
-    u = traj.precession_field and khat = traj.unit_tangents are read.
+    (S_i = -i A_i); there K = -iH = -u.A is real and so is M.  Only u
+    (precession_field) and khat (unit_tangents) are read, through
+    traj.rows a block at a time: no whole per-sample array is built.
 
     On a cone (traj.azimuth_rate set) whose occupied sectors are all
     complete, _power_states gives the states as powers of one matrix;
@@ -209,16 +212,16 @@ def evolve_state(psi0: StateVector, traj: TangentTrajectory) -> EvolutionResult:
         raise ValueError(f"initial state must be normalized, |norm - 1| = {abs(psi0.norm() - 1.0):.3e}")
 
     times = traj.times
-    u = traj.precession_field
-    khat = traj.unit_tangents
     sectors = occupied_sectors(psi0)
     keep, a = sector_generators(psi0.space, sectors)
     step_h = times[2::2] - times[0:-2:2]
-    max_h_dt = float(sectors[-1] * _row_norms(u).max() * step_h.max())
+    max_h_dt = float(sectors[-1] * traj.max_norms[0] * step_h.max())
     if not max_h_dt < STEP_GUARD:
-        bad = np.flatnonzero(~np.isfinite(u).all(axis=1))
-        if bad.size:
-            raise StepGuardError(max_h_dt, f"precession field sample {bad[0]} at t = {float(times[bad[0]])!r} is not finite")
+        for start in range(0, len(times), BLOCK_SAMPLES):
+            u = traj.rows(start, start + BLOCK_SAMPLES).precession_field
+            bad = start + np.flatnonzero(~np.isfinite(u).all(axis=1))
+            if bad.size:
+                raise StepGuardError(max_h_dt, f"precession field sample {bad[0]} at t = {float(times[bad[0]])!r} is not finite")
         raise StepGuardError(max_h_dt)
 
     steps = (len(times) - 1) // 2
@@ -229,9 +232,9 @@ def evolve_state(psi0: StateVector, traj: TangentTrajectory) -> EvolutionResult:
     states = np.empty((steps + 1, d), dtype=complex)
     states[0] = psi0.amplitudes[keep]
     if traj.azimuth_rate is not None and sectors[-1] <= psi0.space.n_max:
-        _power_states(states, times, u, flat_a, traj.azimuth_rate)
+        _power_states(states, times, traj.rows(0, 3).precession_field, flat_a, traj.azimuth_rate)
     else:
-        _loop_states(states, u, step_h, flat_a)
+        _loop_states(states, traj, step_h, flat_a)
 
     # <S_i> = <psi|-iA_i|psi> = 2 x.A_i y for psi = x + iy, as A_i is real and antisymmetric.
     a_rows = np.concatenate(a, axis=1)
@@ -239,12 +242,18 @@ def evolve_state(psi0: StateVector, traj: TangentTrajectory) -> EvolutionResult:
     energies = np.empty(steps + 1)
     invariants = np.empty(steps + 1)
     rows = max(1, CHUNK_BYTES // (16 * d))
+    # u and khat are read for at least BLOCK_SAMPLES / 2 boundaries at a time, a whole number of state blocks.
+    span = rows * -(-BLOCK_SAMPLES // (2 * rows))
     for start in range(0, steps + 1, rows):
         stop = min(start + rows, steps + 1)
+        if start % span == 0:
+            boundaries = traj.rows(2 * start, 2 * (start + span), 2)
+            u, khat = boundaries.precession_field, boundaries.unit_tangents
         block = states[start:stop]
         spin = 2.0 * np.einsum("nid,nd->ni", (block.real @ a_rows).reshape(-1, 3, d), block.imag)
-        energies[start:stop] = np.einsum("ni,ni->n", u[2 * start : 2 * stop : 2], spin)
-        invariants[start:stop] = np.einsum("ni,ni->n", khat[2 * start : 2 * stop : 2], spin)
+        i = start % span
+        energies[start:stop] = np.einsum("ni,ni->n", u[i : i + stop - start], spin)
+        invariants[start:stop] = np.einsum("ni,ni->n", khat[i : i + stop - start], spin)
         norms[start:stop] = np.linalg.norm(block, axis=1)
     norms[0] = np.linalg.norm(states[0])  # psi0's own norm, by the 1-D kernel
 
@@ -282,8 +291,8 @@ def _step_matrices(g0: np.ndarray, g1: np.ndarray, g2: np.ndarray, h, eye: np.nd
     return k1
 
 
-def _loop_states(states: np.ndarray, u: np.ndarray, step_h: np.ndarray, flat_a: np.ndarray) -> None:
-    """Fill states[1:] from states[0] a step at a time: M for CHUNK_BYTES of steps, then mj.dot(psi, out=row)."""
+def _loop_states(states: np.ndarray, traj: TangentTrajectory, step_h: np.ndarray, flat_a: np.ndarray) -> None:
+    """Fill states[1:] from states[0] a step at a time: u and M for CHUNK_BYTES of steps, then mj.dot(psi, out=row)."""
     steps, d = states.shape[0] - 1, states.shape[1]
     chunk = max(1, CHUNK_BYTES // (8 * d * d))
     m_buf = np.empty((min(chunk, steps), d, d), dtype=complex)
@@ -292,8 +301,9 @@ def _loop_states(states: np.ndarray, u: np.ndarray, step_h: np.ndarray, flat_a: 
     for start in range(0, steps, chunk):
         stop = min(start + chunk, steps)
         # Step j ends on the sample step j + 1 starts from.
-        g_even = (u[2 * start : 2 * stop + 1 : 2] @ flat_a).reshape(-1, d, d)
-        g1 = (u[2 * start + 1 : 2 * stop : 2] @ flat_a).reshape(-1, d, d)
+        u = traj.rows(2 * start, 2 * stop + 1).precession_field
+        g_even = (u[::2] @ flat_a).reshape(-1, d, d)
+        g1 = (u[1::2] @ flat_a).reshape(-1, d, d)
         m = m_buf[: stop - start]
         m[...] = _step_matrices(g_even[:-1], g1, g_even[1:], step_h[start:stop, None, None], eye)
         # The product lands in the stored row: no temporary, the zgemv of mj @ psi.
@@ -305,15 +315,16 @@ def _loop_states(states: np.ndarray, u: np.ndarray, step_h: np.ndarray, flat_a: 
 def _power_states(states: np.ndarray, times: np.ndarray, u: np.ndarray, flat_a: np.ndarray, rate: float) -> None:
     """Fill states[1:] from states[0] on a cone, as powers of one step matrix: no per-step Python work.
 
-    u(t) is u(0) turned about z by rate * t, so with W_n the rotation of
-    n steps M_n = W_n M_0 W_n^T and psi_n = W_n P^n psi_0, P = W_1^T M_0.
+    u holds the precession field at samples 0 to 2.  u(t) is u(0)
+    turned about z by rate * t, so with W_n the rotation of n steps
+    M_n = W_n M_0 W_n^T and psi_n = W_n P^n psi_0, P = W_1^T M_0.
     W_1 = exp(+-rate h A_3), the sign that carries u.A from sample 0 to
     sample 2.  A table T_j = W_j P^j, j = 1..B, of at most CHUNK_BYTES
     gives B rows at a time: psi_{s+j} = W_s T_j P^s psi_0.
     """
     steps, d = states.shape[0] - 1, states.shape[1]
     h = (times[-1] - times[0]) / steps
-    g0, g1, g2 = (u[:3] @ flat_a).reshape(3, d, d)
+    g0, g1, g2 = (u @ flat_a).reshape(3, d, d)
     w = _expm((rate * h) * flat_a[2].reshape(d, d))
     # exp(-x) = exp(x)^T for the antisymmetric x.
     gaps = [np.abs(r @ g0 @ r.T - g2).max() for r in (w, w.T)]

@@ -46,8 +46,10 @@ MIN_STEPS = 32
 # coefficients come from tracemalloc peaks, with headroom: a basis state of
 # the box _run_space builds costs 480 bytes, a trajectory sample 288, a stored
 # state 16*d on the evolved block of dimension d, and the evolution's
-# scratch 20 stacks of CHUNK_BYTES or of one d x d matrix.  Building one RK4
-# step's matrix M costs about 6*d^3 flops: from 9 photons the cap binds first.
+# scratch 20 stacks of CHUNK_BYTES or of one d x d matrix.  The sample charge
+# is a sampled path's; a helix or cone reads its samples by rows, so it
+# overcharges them.  Building one RK4 step's matrix M costs about 6*d^3
+# flops: from 9 photons the cap binds first.
 MEMORY_BUDGET_BYTES = 2 * 1024**3
 _BYTES_PER_BASIS_STATE = 480
 _BYTES_PER_SAMPLE = 288
@@ -475,11 +477,11 @@ def evaluate_scenario(config: ScenarioConfig) -> dict:
     running = traj.running_anholonomy() if cone is None else cone_anholonomy(*cone[:2]) * traj.times[::2]
     anholonomy = float(running[-1])
 
-    k = traj.unit_tangents
-    closure_gap = float(np.linalg.norm(k[-1] - k[0]))
+    k0, k_last = traj.rows(0, len(traj.times), len(traj.times) - 1).unit_tangents
+    closure_gap = float(np.linalg.norm(k_last - k0))
     closed = closure_gap < CLOSURE_TOL
-    closure = geodesic_closure(k[0], k[-1])
-    psi0 = _initial_state(config, _run_space(config), k[0])
+    closure = geodesic_closure(k0, k_last)
+    psi0 = _initial_state(config, _run_space(config), k0)
 
     try:
         result = evolve_state(psi0, traj)
@@ -492,7 +494,7 @@ def evaluate_scenario(config: ScenarioConfig) -> dict:
         s3_total = _s3_expectation("normal", config.n_r, config.n_l)
     else:
         s3_total = s3_attr = float(result.invariants[0])  # psi0's helicity <k0.S>
-    # Built after the evolution, which never holds it; in 1/time, so read over the grid span.
+    # Taken with the step guard's max|u| in one pass; in 1/time, so read over the grid span.
     motion = motion_identity_residual(traj) * float(traj.times[-1] - traj.times[0])
     # <khat.S> is conserved where the spin algebra closes: on complete sectors, N <= n_max.
     complete = result.sectors[-1] <= result.space.n_max
@@ -573,9 +575,6 @@ def evaluate_scenario(config: ScenarioConfig) -> dict:
         "norms": result.norms,
         "s3_attributed": s3_attr,
     }
-    # The CSV's polar and azimuth columns, built here so that the writer's scratch stays one row block.
-    del result  # The states are freed first.
-    traj.lam, traj.gamma
     return summary
 
 

@@ -217,6 +217,23 @@ def meridian_trajectory(samples):
     return TangentTrajectory(np.linspace(0.0, 1.0, samples), tangents, derivatives)
 
 
+def pole_crossing_trajectory():
+    """Leading poles, a first live sample at exactly -pi, a pole run between azimuths 3.0 and -3.0 (a +-pi
+    crossing), and a second crossing the other way followed by a trailing pole."""
+    pole = None
+    azimuths = [pole, pole, pole, -math.pi, -2.9, -2.6, -2.2, -1.0, 0.4, 1.9, 2.7, 3.0, pole, pole,
+                pole, -3.0, -2.8, -3.05, 3.1, 2.95, 1.0, -0.5, pole]
+    lam = 0.8
+    tangents = np.array(
+        [[0.0, 0.0, 1.0] if g is None else [math.sin(lam) * math.cos(g), math.sin(lam) * math.sin(g),
+                                               math.cos(lam)] for g in azimuths]
+    )
+    tangents[3, 1] = -0.0  # atan2(-0.0, x < 0) = -pi exactly
+    n = len(azimuths)
+    derivatives = np.random.default_rng(5).normal(size=(n, 3))
+    return TangentTrajectory(np.linspace(0.0, 1.0, n), tangents, derivatives)
+
+
 class TestLeanChain:
     @pytest.mark.parametrize(
         "polar, turns, offset",
@@ -290,6 +307,83 @@ class TestRowKernels:
             assert same_bits(_cross(b, a), np.cross(b, a))
 
 
+# What a block of rows reads, each compared with the same rows of the whole-grid attribute.
+ROW_KINEMATICS = ("times", "tangents", "derivatives", "precession_field", "motion_residual", "unit_tangents", "lam",
+                  "gamma_dot")
+# Consecutive blocks that cover 129 samples: odd starts, one-row blocks, and one past BLOCK_SAMPLES.
+ROW_EDGES = (0, 1, 2, 7, 8, 37, 64, 65, 128, 129)
+
+
+def row_trajectories():
+    """Cones (a run's turns * t_end) at each polar angle, offset and turn count, then sampled paths."""
+    cones = [
+        pytest.param(lambda p=polar, t=turns, o=offset: cone_trajectory(p, t, 129, azimuth_offset=o),
+                     id=f"cone-{polar:.3g}-{turns:.3g}-{offset:.3g}")
+        for polar in (0.0, 0.7, math.pi / 2.0, math.pi)
+        for offset in (0.0, math.pi / 2.0)
+        for turns in (1.0, 3.0, 2.5 * 0.37)
+    ]
+    wobble = np.linspace(0.0, 1.0, 129)
+    sampled = [
+        pytest.param(lambda: tangent_trajectory(sampled_path(*helix_points(0.7, 2.5, 2.0, 129))), id="sampled-helix"),
+        pytest.param(lambda: trajectory_from_tangents(wobble, np.column_stack(
+            [np.cos(9.0 * wobble), np.sin(5.0 * wobble), np.full(129, 0.4)])), id="sampled-wobble"),
+        pytest.param(lambda: meridian_trajectory(129), id="meridian"),
+        pytest.param(pole_crossing_trajectory, id="pole-runs"),
+    ]
+    return cones + sampled
+
+
+class TestRows:
+    @pytest.mark.parametrize("make", row_trajectories())
+    def test_rows_match_the_whole_arrays(self, make):
+        traj = make()
+        n = len(traj.times)
+        blocks = [(i, i + 1, 1) for i in range(n)]  # one row each
+        blocks += [(a, b, 1) for a, b in zip(ROW_EDGES, ROW_EDGES[1:])]
+        blocks += [(0, n, 2), (1, n, 2), (3, n - 4, 2), (5, 6, 2), (0, n, n - 1), (0, n + geometry.BLOCK_SAMPLES, 1)]
+        for start, stop, step in blocks:
+            rows = traj.rows(start, stop, step)
+            assert rows.azimuth_rate == traj.azimuth_rate
+            for name in ROW_KINEMATICS:
+                assert same_bits(getattr(rows, name), getattr(traj, name)[start:stop:step]), (name, start, stop, step)
+
+    @pytest.mark.parametrize("make", row_trajectories())
+    @pytest.mark.parametrize("edges", [ROW_EDGES, tuple(range(130))], ids=["blocks", "one-row"])
+    def test_gamma_carried_across_blocks(self, make, edges):
+        traj = make()
+        pieces, carry = [], None
+        for start, stop in zip(edges, edges[1:]):
+            gamma, carry = traj.rows(start, stop).gamma_from(carry)
+            pieces.append(gamma)
+        assert same_bits(np.concatenate(pieces), traj.gamma)
+
+    def test_gamma_keeps_a_negative_zero(self):
+        # A leading pole, then azimuths r and -0.0 whose wrapped increments both round to -0.0: the turn count
+        # stays -0.0, so gamma reads -0.0 at the last sample, in one block or in three.
+        lam, r = 0.8, 0.8594431477159054
+        tangents = np.array([[0.0, 0.0, 1.0], [math.sin(lam) * math.cos(r), math.sin(lam) * math.sin(r), math.cos(lam)],
+                             [math.sin(lam), -0.0, math.cos(lam)]])
+        traj = TangentTrajectory(np.linspace(0.0, 1.0, 3), tangents, np.zeros((3, 3)))
+        assert same_bits(traj.gamma, eager_angles(traj)[2]) and np.signbit(traj.gamma[2])
+        first, carry = traj.rows(0, 1).gamma_from(None)
+        second, carry = traj.rows(1, 2).gamma_from(carry)
+        assert same_bits(np.concatenate([first, second, traj.rows(2, 3).gamma_from(carry)[0]]), traj.gamma)
+
+    @pytest.mark.parametrize("make", row_trajectories())
+    def test_max_norms_match_the_whole_arrays(self, make, monkeypatch):
+        monkeypatch.setattr(geometry, "BLOCK_SAMPLES", 16)  # eight blocks of 17 samples, sharing their edges
+        traj = make()
+        assert traj.max_norms == (_row_norms(traj.precession_field).max(), _row_norms(traj.motion_residual).max())
+
+    def test_cone_builds_its_whole_arrays_only_when_read(self):
+        traj = cone_trajectory(0.7, 1.0, 65)
+        traj.rows(0, 65).gamma_from(None)
+        assert traj.max_norms[1] < 1e-12
+        assert traj.__dict__.keys() == {"times", "polar_angle", "turns", "azimuth_offset", "azimuth_rate", "max_norms"}
+        assert traj.tangents.shape == traj.derivatives.shape == (65, 3)
+
+
 class TestConeAnholonomy:
     # The closed form against the one-pass quadrature of the same cone; within
     # POLE_SIN_TOL of a pole (1e-10 and pi - 1e-10) both read 0.
@@ -350,21 +444,8 @@ class TestSphericalAngles:
 
 
     def test_unwrap_matches_loop_oracle_across_poles(self):
-        # Leading poles, a first live sample at exactly -pi, a pole run
-        # between azimuths 3.0 and -3.0 (a +-pi crossing), and a second
-        # crossing the other way followed by a trailing pole.
-        pole = None
-        azimuths = [pole, pole, pole, -math.pi, -2.9, -2.6, -2.2, -1.0, 0.4, 1.9, 2.7, 3.0, pole, pole,
-                    pole, -3.0, -2.8, -3.05, 3.1, 2.95, 1.0, -0.5, pole]
-        lam = 0.8
-        tangents = np.array(
-            [[0.0, 0.0, 1.0] if g is None else [math.sin(lam) * math.cos(g), math.sin(lam) * math.sin(g),
-                                                   math.cos(lam)] for g in azimuths]
-        )
-        tangents[3, 1] = -0.0  # atan2(-0.0, x < 0) = -pi exactly
-        n = len(azimuths)
-        derivatives = np.random.default_rng(5).normal(size=(n, 3))
-        traj = TangentTrajectory(np.linspace(0.0, 1.0, n), tangents, derivatives)
+        traj = pole_crossing_trajectory()
+        tangents, n = traj.tangents, len(traj.times)
 
         def wrap(d):
             d = (d + math.pi) % (2.0 * math.pi) - math.pi

@@ -32,6 +32,7 @@ from fiberphase import (
 from fiberphase.fock import _field_operator, occupied_sectors, sector_generators
 import fiberphase.phases as phases
 from fiberphase.phases import CHUNK_BYTES, StepGuardError
+from test_scenario import WHOLE_ARRAYS
 
 BERRY_45 = 1.84030236902122  # 2*pi*(1 - cos(pi/4))
 # evolve_state reads <S_i> as 2 x.A_i y on psi = x + iy; a per-sample np.vdot
@@ -189,6 +190,18 @@ class TestEffectiveHamiltonian:
         with pytest.raises(ValueError):
             effective_hamiltonian(traj, spin, 0.123456789)
 
+    def test_one_sample_readers_build_no_whole_array(self):
+        # effective_hamiltonian and lvn_residual read their one sample through rows.
+        traj = helix_traj(steps=128)
+        space = build_space(3, 1)
+        spin, t = spin_fixed(space), traj.times[7]
+        h, residual = effective_hamiltonian(traj, spin, t), lvn_residual(traj, space, t)
+        assert not traj.__dict__.keys() & set(WHOLE_ARRAYS)
+        # The same values as from whole arrays.
+        whole = traj.scaled(1.0)
+        assert np.array_equal(h.entries, effective_hamiltonian(whole, spin, t).entries)
+        assert residual == lvn_residual(whole, space, t)
+
 
 class TestEvolveState:
     def test_free_evolution(self):
@@ -345,6 +358,26 @@ class TestChunkedPropagators:
         ]
         assert np.abs(result.energies - energies).max() <= expectation_tolerances(result, traj)[0]
 
+    @pytest.mark.parametrize("kind", ["cone", "sampled"])
+    def test_expectations_match_whole_array_reads(self, kind):
+        # d = 15: u and khat are read 2184 boundaries at a time, eight state blocks of 273 rows, and
+        # 4097 boundaries end inside a second span; the whole arrays give the same bits.
+        space = build_space(3, 4)
+        psi0 = build_photon_state(space, 2, 2)
+        traj = helix_traj(lam=0.3, turns=0.2, steps=4096) if kind == "cone" else random_smooth_field(8193)
+        result = evolve_state(psi0, traj)
+        keep, a = sector_generators(space, occupied_sectors(psi0))
+        d, rows = len(keep), CHUNK_BYTES // (16 * len(keep))
+        a_rows = np.concatenate(a, axis=1)
+        u, khat = traj.precession_field[::2], traj.unit_tangents[::2]
+        for start in range(0, result.steps + 1, rows):
+            block = result.states[start : start + rows]
+            spin = 2.0 * np.einsum("nid,nd->ni", (block.real @ a_rows).reshape(-1, 3, d), block.imag)
+            energies = np.einsum("ni,ni->n", u[start : start + rows], spin)
+            invariants = np.einsum("ni,ni->n", khat[start : start + rows], spin)
+            assert np.array_equal(result.energies[start : start + rows].view(np.int64), energies.view(np.int64))
+            assert np.array_equal(result.invariants[start : start + rows].view(np.int64), invariants.view(np.int64))
+
     @pytest.mark.parametrize("photons", [0, 1, 2, 3, 4, 5, 6])
     def test_matches_per_sample_field_operators(self, photons):
         # d = 1, 3, 6, 10, 15 at n_max = 4, and 21, 28 at n_max = 6.  The step
@@ -439,12 +472,13 @@ class TestChunkedPropagators:
         assert result.invariants[0] > 0.7
         assert np.abs(result.invariants - result.invariants[0]).max() < 1e-10
 
-    def test_trajectory_residual_left_unbuilt(self):
-        # The motion residual is a trajectory diagnostic: evolution reads u and the unit tangents alone.
-        traj = helix_traj(lam=0.6, turns=0.25, steps=256)
+    @pytest.mark.parametrize("kind", ["cone", "sampled"])
+    def test_evolution_builds_no_whole_array(self, kind):
+        # Evolution reads u and the unit tangents by rows, and a sampled path keeps only its stored arrays.
+        traj = helix_traj(lam=0.6, turns=0.25, steps=256) if kind == "cone" else random_smooth_field(513)
         evolve_state(build_photon_state(build_space(3, 2), 1, 0), traj)
-        assert "precession_field" in traj.__dict__
-        assert "motion_residual" not in traj.__dict__
+        stored = {"tangents", "derivatives"} if kind == "sampled" else set()
+        assert traj.__dict__.keys() & set(WHOLE_ARRAYS) == stored
 
     @pytest.mark.parametrize("steps", [1024, 8192])
     @pytest.mark.parametrize("photons, n_max", [(1, 1), (4, 4)])

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from fiberphase import helix_points, parse_config
 from fiberphase import runcsv, scenario
-from test_scenario import cone_config, write_path_csv
+from test_scenario import WHOLE_ARRAYS, cone_config, write_path_csv
 
 
 def percent_rows(block):
@@ -34,11 +34,21 @@ def row_loop_csv(summary):
     return "\n".join(lines) + "\n"
 
 
+class TableAngles(SimpleNamespace):
+    """A trajectory stand-in: its rows are slices of its times, lam and gamma columns."""
+
+    def rows(self, start, stop):
+        return TableAngles(**{name: column[start:stop] for name, column in vars(self).items()})
+
+    def gamma_from(self, carry):
+        return self.gamma, carry
+
+
 def table_summary(table):
     """A summary whose run CSV is table (rows, 8): s3 is 1, so phi_closed is column 3."""
     times = np.empty(2 * len(table) - 1)
     times[::2] = table[:, 0]
-    angles = SimpleNamespace(times=times, lam=np.repeat(table[:, 1], 2)[:-1], gamma=np.repeat(table[:, 2], 2)[:-1])
+    angles = TableAngles(times=times, lam=np.repeat(table[:, 1], 2)[:-1], gamma=np.repeat(table[:, 2], 2)[:-1])
     phase = {"total": table[:, 4], "dynamical": table[:, 5], "geometric": table[:, 6]}
     series = {"angles": angles, "anholonomy": table[:, 3], "phase": phase, "norms": table[:, 7], "s3_attributed": 1.0}
     return {"_series": series}
@@ -175,12 +185,31 @@ class TestWriteRunCsv:
         assert extra[1] <= extra[0] + 16 * 1024, extra
 
     @pytest.mark.parametrize("kind", ["cone", "helix"])
-    def test_closed_form_run_never_forms_the_azimuth_rate(self, kind, tmp_path):
+    def test_closed_form_run_builds_no_whole_array(self, kind, tmp_path):
+        # A helix or cone run reads its samples by rows: it never forms the azimuth rate, nor any whole array.
         data = cone_config(steps=256)
         if kind == "helix":
             data["geometry"] = {"kind": "helix", "radius": 1.0, "pitch_per_turn": 3.0, "turns": 1.3}
         summary = scenario.evaluate_scenario(parse_config(data, kind))
         runcsv.write_run_csv(summary, tmp_path / f"{kind}.csv")
         traj = summary["_series"]["angles"]
-        assert "gamma_dot" not in traj.__dict__
-        assert {"lam", "gamma"} <= traj.__dict__.keys()
+        assert not set(WHOLE_ARRAYS) & traj.__dict__.keys()
+
+    @pytest.mark.parametrize("kind", ["cone", "sampled"])
+    def test_gamma_column_unwraps_across_blocks(self, kind, tmp_path):
+        # Five turns over 4096 steps: each span of runcsv.ANGLE_ROWS = 1024 rows covers 1.25 turns, so the
+        # span edges fall in different wraps.
+        if kind == "cone":
+            geometry = {"kind": "cone", "polar_angle": 0.7, "turns": 5.0}
+        else:
+            write_path_csv(tmp_path / "wraps.path.csv", *helix_points(1.0, 2.0, 5.0, 8193))
+            geometry = {"kind": "sampled", "path_csv": "wraps.path.csv"}
+        data = {"geometry": geometry, "state": {"n_r": 1, "n_l": 0}, "n_max": 1}
+        if kind == "cone":
+            data["steps"] = 4096
+        summary = scenario.evaluate_scenario(parse_config(data, kind, base_dir=tmp_path))
+        runcsv.write_run_csv(summary, tmp_path / "wraps.csv")
+        gamma = np.loadtxt(tmp_path / "wraps.csv", delimiter=",", skiprows=1)[:, 2]
+        whole = summary["_series"]["angles"].gamma[::2]
+        assert whole[-1] > 9.0 * math.pi
+        assert np.array_equal(gamma.view(np.int64), whole.view(np.int64))

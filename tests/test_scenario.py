@@ -41,6 +41,11 @@ def cone_config(polar=math.pi / 4.0, steps=512, **extra):
     return data
 
 
+# The whole-grid arrays a trajectory can build; a cone builds its tangents and derivatives too.
+WHOLE_ARRAYS = ("tangents", "derivatives", "precession_field", "unit_tangents", "motion_residual", "lam", "gamma",
+                "gamma_dot")
+
+
 # An int longer than the 4300 digits CPython will convert to a string.
 HUGE = 10**5000
 
@@ -790,6 +795,27 @@ class TestRunScenario:
         assert summary["status"] == "pass"
         assert summary["numerical"]["sector_dimension"] == 3
 
+    @pytest.mark.parametrize("kind", ["cone", "helix"])
+    def test_closed_form_run_peak_per_step(self, kind, tmp_path):
+        # A helix or cone reads its samples by rows, so a run's peak grows by its states and phase series:
+        # 170 bytes per step measured, where the whole per-sample arrays made it 422.
+        import fiberphase.scenario as scenario
+
+        geometry = {"kind": "cone", "polar_angle": 0.7, "turns": 1.0}
+        if kind == "helix":
+            geometry = {"kind": "helix", "radius": 1.0, "pitch_per_turn": 3.0, "turns": 1.3}
+        scenario.run_scenario(parse_config(cone_config(steps=64), "warm"), tmp_path)  # imports the CSV writer
+        peaks = []
+        for steps in (2048, 16384):
+            config = parse_config(cone_config(steps=steps, geometry=geometry), kind)
+            tracemalloc.start()
+            try:
+                scenario.run_scenario(config, tmp_path)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert (peaks[1] - peaks[0]) / (16384 - 2048) <= 224, peaks
+
     def test_twelve_photon_run_memory(self):
         # n_max = 12 (D = 2197) with a 12-photon sector of d = 91; one dense
         # 2197-square S3 alone would hold 3.9 MiB.
@@ -907,22 +933,24 @@ class TestRunScenario:
         assert motion[1025]["value"] > scenario.MOTION_TOL and motion[1025]["pass"] is False
         assert summary["status"] == "fail"
 
-    def test_u_and_motion_residual_built_once(self, monkeypatch):
+    def test_u_and_motion_residual_read_by_rows(self, monkeypatch):
+        # One pass reads u and the residual at every sample for the step guard and the motion check; the
+        # power form reads u at samples 0-2, and the expectations at the step boundaries.
         import fiberphase.scenario as scenario
 
-        calls = {}
+        samples = {}
         for name in ("precession_field", "motion_residual"):
             build = getattr(TangentTrajectory, name).func
 
             def counted(traj, build=build, name=name):
-                calls[name] = calls.get(name, 0) + 1
+                samples[name] = samples.get(name, 0) + len(traj.times)
                 return build(traj)
 
             prop = functools.cached_property(counted)
             prop.__set_name__(TangentTrajectory, name)
             monkeypatch.setattr(TangentTrajectory, name, prop)
         scenario.evaluate_scenario(parse_config(cone_config(steps=64), "once"))
-        assert calls == {"precession_field": 1, "motion_residual": 1}
+        assert samples == {"precession_field": 129 + 3 + 65, "motion_residual": 129}
 
     def test_builtin_group_vacuum_pair(self, tmp_path):
         code = run_builtin("vacuum-pair", tmp_path, steps=512)
