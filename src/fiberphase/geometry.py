@@ -11,7 +11,9 @@ they depend on the tangent kinematics alone.
 A trajectory is the one object per path.  rows gives a block of its
 samples as a small trajectory with the same kinematics bit for bit, and
 a run reads u, the residual, the unit tangents, lambda and the azimuth
-that way, a block at a time; whole-grid arrays are built only when read.
+that way, a block at a time, in two passes: max_norms, and the
+expectations pass of phases.evolve_state, which also hands on lambda and
+gamma at the step boundaries; whole-grid arrays are built only when read.
 A cone_trajectory holds its grid, polar angle, turns and offset and
 evaluates its rows from them; its azimuth_rate lets the evolution treat
 it as one field turned about z, and cone_anholonomy gives its A in

@@ -16,8 +16,9 @@ the M are built in batches of steps and the only per-step Python work
 left is the product M psi, one ndarray.dot that writes the new state
 into its stored row.  Each stored state is read once, through its
 fixed-frame spin <S>: the energy <psi|H|psi> = u.<S> and the helicity
-invariant <psi|khat.S|psi> = khat.<S> are its two projections.  The
-phase series is an array expression over the step boundaries.
+invariant <psi|khat.S|psi> = khat.<S> are its two projections.  That
+pass also gives the run CSV's polar angle lambda and azimuth gamma at
+the step boundaries.  The phase series is an array expression over them.
 lvn_residual rescales the trajectory's motion residual; no run calls it.
 
 H conserves photon number, so the evolution runs only on the sectors the
@@ -104,11 +105,13 @@ class PhaseBreakdown:
 class EvolutionResult:
     """States and diagnostics from one RK4 integration, over the step boundaries.
 
-    states holds the amplitudes on the evolved sectors only, one row of
-    length len(keep) per boundary; sectors lists their photon numbers,
-    keep their basis indices, and every other amplitude is exactly zero.
-    norms, energies and invariants hold |psi|, u.<S> = <psi|H|psi> (the
-    dynamical integrand) and khat.<S> = <psi|khat.S|psi> at each boundary.
+    times views the trajectory's grid.  states holds the amplitudes on
+    the evolved sectors only, one row of length len(keep) per boundary;
+    sectors lists their photon numbers, keep their basis indices, and
+    every other amplitude is exactly zero.  norms, energies, invariants,
+    lam and gamma hold |psi|, u.<S> = <psi|H|psi> (the dynamical
+    integrand), khat.<S> = <psi|khat.S|psi> and traj.lam and traj.gamma
+    at each boundary.
     """
 
     space: FockSpace
@@ -119,6 +122,8 @@ class EvolutionResult:
     norms: np.ndarray
     energies: np.ndarray
     invariants: np.ndarray
+    lam: np.ndarray
+    gamma: np.ndarray
     max_h_dt: float
 
     @property
@@ -189,9 +194,9 @@ def evolve_state(psi0: StateVector, traj: TangentTrajectory) -> EvolutionResult:
     M the RK4 stages applied to the identity (_step_matrices).  H
     conserves photon number, so only the sectors psi0 occupies are
     integrated, on the generators A_i of fock.sector_generators
-    (S_i = -i A_i); there K = -iH = -u.A is real and so is M.  Only u
-    (precession_field) and khat (unit_tangents) are read, through
-    traj.rows a block at a time: no whole per-sample array is built.
+    (S_i = -i A_i); there K = -iH = -u.A is real and so is M.  The
+    trajectory is read through traj.rows a block at a time: no whole
+    per-sample array is built.
 
     On a cone (traj.azimuth_rate set) whose occupied sectors are all
     complete, _power_states gives the states as powers of one matrix;
@@ -199,13 +204,17 @@ def evolve_state(psi0: StateVector, traj: TangentTrajectory) -> EvolutionResult:
     each step's M.  Each state psi = x + iy is then read once, CHUNK_BYTES
     of states at a time, for its norm and its spin <S_i> = 2 x.A_i y: the
     energies are u.<S>, the invariants khat.<S>, and the norm drift is
-    left in as a diagnostic.  states holds the sector block, (steps + 1,
-    len(keep)); state_at gives a state over the whole space.  The guard
-    max|H| * step <= N_top * max|u| * step (N_top the largest occupied
-    sector) holds because a complete sector N has spectral radius N|u|
-    and, by Cauchy interlacing, a sector cut off at n_max no larger; a
-    bound at or over STEP_GUARD, or NaN, raises StepGuardError before any
-    step, naming u's first non-finite sample if there is one.
+    left in as a diagnostic.  Each block of states reads its samples
+    once, midpoints included: u, khat and lam at its boundaries, and gamma
+    unwrapped through every sample by gamma_from, so it keeps its bits
+    however far the azimuth turns in a step.  states holds the sector
+    block, (steps + 1, len(keep)); state_at gives a state over the whole
+    space.  The guard max|H| * step <= N_top * max|u| * step (N_top the
+    largest occupied sector) holds because a complete sector N has
+    spectral radius N|u| and, by Cauchy interlacing, a sector cut off at
+    n_max no larger; a bound at or over STEP_GUARD, or NaN, raises
+    StepGuardError before any step, naming u's first non-finite sample
+    if there is one.
     """
     check_rk4_grid(traj.times)
     if abs(psi0.norm() - 1.0) > 1e-9:
@@ -238,34 +247,37 @@ def evolve_state(psi0: StateVector, traj: TangentTrajectory) -> EvolutionResult:
 
     # <S_i> = <psi|-iA_i|psi> = 2 x.A_i y for psi = x + iy, as A_i is real and antisymmetric.
     a_rows = np.concatenate(a, axis=1)
-    norms = np.empty(steps + 1)
-    energies = np.empty(steps + 1)
-    invariants = np.empty(steps + 1)
+    norms, energies, invariants, lam, gamma = np.empty((5, steps + 1))
     rows = max(1, CHUNK_BYTES // (16 * d))
-    # u and khat are read for at least BLOCK_SAMPLES / 2 boundaries at a time, a whole number of state blocks.
-    span = rows * -(-BLOCK_SAMPLES // (2 * rows))
+    carry = None
     for start in range(0, steps + 1, rows):
         stop = min(start + rows, steps + 1)
-        if start % span == 0:
-            boundaries = traj.rows(2 * start, 2 * (start + span), 2)
-            u, khat = boundaries.precession_field, boundaries.unit_tangents
+        # The block's boundaries and the midpoints after them: gamma unwraps through every sample.
+        samples = traj.rows(2 * start, 2 * stop)
+        unwrapped, carry = samples.gamma_from(carry)
+        gamma[start:stop] = unwrapped[::2]
+        lam[start:stop] = samples.lam[::2]
+        khat = samples.unit_tangents[::2]
+        # From the block's own tangents: a cone's rows(..., 2) would evaluate them again.
+        u = TangentTrajectory(samples.times[::2], samples.tangents[::2], samples.derivatives[::2]).precession_field
         block = states[start:stop]
         spin = 2.0 * np.einsum("nid,nd->ni", (block.real @ a_rows).reshape(-1, 3, d), block.imag)
-        i = start % span
-        energies[start:stop] = np.einsum("ni,ni->n", u[i : i + stop - start], spin)
-        invariants[start:stop] = np.einsum("ni,ni->n", khat[i : i + stop - start], spin)
+        energies[start:stop] = np.einsum("ni,ni->n", u, spin)
+        invariants[start:stop] = np.einsum("ni,ni->n", khat, spin)
         norms[start:stop] = np.linalg.norm(block, axis=1)
     norms[0] = np.linalg.norm(states[0])  # psi0's own norm, by the 1-D kernel
 
     return EvolutionResult(
         space=psi0.space,
-        times=times[::2].copy(),
+        times=times[::2],
         sectors=sectors,
         keep=keep,
         states=states,
         norms=norms,
         energies=energies,
         invariants=invariants,
+        lam=lam,
+        gamma=gamma,
         max_h_dt=max_h_dt,
     )
 

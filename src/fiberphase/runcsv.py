@@ -2,8 +2,9 @@
 
 write_run_csv writes one row per step: t, lambda, gamma, phi_closed,
 phi_total, phi_dyn, phi_geo, norm, each value the text '%.17g' % value
-gives.  format_block turns a block of rows into those bytes with numpy
-array expressions and no Python call per value:
+gives, from the eight arrays evaluate_scenario hands it.  format_block
+turns a block of rows into those bytes with numpy array expressions and
+no Python call per value:
 
 * Digits.  For a finite nonzero v, X = floor(log10|v|) and
   |v| * 10**(16 - X) = p + t, where p = fl(|v| * hi) and t is Dekker's
@@ -35,10 +36,8 @@ import functools
 import numpy as np
 
 HEADER = b"t,lambda,gamma,phi_closed,phi_total,phi_dyn,phi_geo,norm\n"
-# Rows per format_block call: about 250 KiB of scratch, whatever the step count.
+# Rows per format_block call: about 220 KiB of scratch, whatever the step count.
 BLOCK_ROWS = 256
-# Rows per read of the trajectory's lambda and gamma: four format_block calls.
-ANGLE_ROWS = 4 * BLOCK_ROWS
 # Distance from a half-unit tie under which the fast path does not trust rint(t).
 HALF_SLACK = 1e-6
 # Magnitudes of the fast path, and the decimal exponents X their log10 floors to
@@ -254,36 +253,14 @@ def format_block(block: np.ndarray) -> bytes | bytearray:
 
 
 def write_run_csv(summary: dict, csv_path) -> None:
-    """Write the per-step CSV of an evaluate_scenario summary, ANGLE_ROWS rows at a time.
-
-    Each span reads its lambda and gamma from the trajectory rows it
-    covers, odd samples too: gamma unwraps on from the span before.
-    """
-    series = summary["_series"]
-    traj, phase = series["angles"], series["phase"]
-    columns = (
-        series["anholonomy"],  # phi_closed is s3 times this, by block below
-        phase["total"],
-        phase["dynamical"],
-        phase["geometric"],
-        series["norms"],
-    )
-    s3 = series["s3_attributed"]
+    """Write the per-step CSV of an evaluate_scenario summary: its eight columns, BLOCK_ROWS rows at a time."""
+    columns = summary["_series"]
     rows = len(columns[0])
-    block = np.empty((ANGLE_ROWS + 1, 3 + len(columns)))
-    carry = None
+    block = np.empty((BLOCK_ROWS, len(columns)))
     with open(csv_path, "wb") as fh:
         fh.write(HEADER)
-        # The last span takes the final row too, which 2**k steps would leave a span of its own.
-        for start in range(0, max(rows - 1, 1), ANGLE_ROWS):
-            part = block[: ANGLE_ROWS if start + ANGLE_ROWS < rows - 1 else rows - start]
-            angles = traj.rows(2 * start, 2 * (start + len(part)))
-            gamma, carry = angles.gamma_from(carry)
-            part[:, 0] = angles.times[::2]
-            part[:, 1] = angles.lam[::2]
-            part[:, 2] = gamma[::2]
-            for j, column in enumerate(columns, 3):
+        for start in range(0, rows, BLOCK_ROWS):
+            part = block[: min(BLOCK_ROWS, rows - start)]
+            for j, column in enumerate(columns):
                 part[:, j] = column[start : start + len(part)]
-            part[:, 3] *= s3
-            for i in range(0, len(part), BLOCK_ROWS):
-                fh.write(format_block(part[i : i + BLOCK_ROWS]))
+            fh.write(format_block(part))

@@ -568,13 +568,9 @@ def evaluate_scenario(config: ScenarioConfig) -> dict:
             "verdicts": [asdict(plus), asdict(minus)],
         }
 
-    summary["_series"] = {
-        "angles": traj,
-        "anholonomy": running,
-        "phase": series,
-        "norms": result.norms,
-        "s3_attributed": s3_attr,
-    }
+    # The run CSV's columns, in its order.
+    summary["_series"] = (result.times, result.lam, result.gamma, s3_attr * running, series["total"],
+                          series["dynamical"], series["geometric"], result.norms)
     return summary
 
 

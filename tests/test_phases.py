@@ -30,6 +30,7 @@ from fiberphase import (
     wrap_angle,
 )
 from fiberphase.fock import _field_operator, occupied_sectors, sector_generators
+import fiberphase.geometry as geometry
 import fiberphase.phases as phases
 from fiberphase.phases import CHUNK_BYTES, StepGuardError
 from test_scenario import WHOLE_ARRAYS
@@ -360,8 +361,8 @@ class TestChunkedPropagators:
 
     @pytest.mark.parametrize("kind", ["cone", "sampled"])
     def test_expectations_match_whole_array_reads(self, kind):
-        # d = 15: u and khat are read 2184 boundaries at a time, eight state blocks of 273 rows, and
-        # 4097 boundaries end inside a second span; the whole arrays give the same bits.
+        # d = 15: u and khat are read with each state block of 273 rows, and 4097 boundaries end in a
+        # partial sixteenth block; the whole arrays give the same bits.
         space = build_space(3, 4)
         psi0 = build_photon_state(space, 2, 2)
         traj = helix_traj(lam=0.3, turns=0.2, steps=4096) if kind == "cone" else random_smooth_field(8193)
@@ -495,9 +496,65 @@ class TestChunkedPropagators:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        arrays = (result.times, result.keep, result.states, result.norms, result.energies)
+        # times is a view of the trajectory's grid, which evolve_state does not allocate.
+        arrays = (result.keep, result.states, result.norms, result.energies, result.invariants, result.lam,
+                  result.gamma)
         returned = sum(a.nbytes for a in arrays)
         assert peak - returned <= 160 * len(traj.times) + 2 * 2**20
+
+
+def same_angles(result, traj):
+    """Whether result.lam and result.gamma are traj.lam[::2] and traj.gamma[::2] bit for bit."""
+    return all(np.array_equal(ours.view(np.int64), theirs[::2].view(np.int64))
+               for ours, theirs in ((result.lam, traj.lam), (result.gamma, traj.gamma)))
+
+
+class TestBoundaryAngles:
+    """lambda and gamma at the step boundaries, read by the expectations loop a state block at a time."""
+
+    @pytest.mark.parametrize("turns", [1.0, 2.5, 5.0])
+    @pytest.mark.parametrize("polar", [0.0, 0.7, math.pi / 2.0, math.pi])
+    def test_cones_match_whole_arrays(self, polar, turns):
+        # 4,096 steps at d = 3 are three blocks of 1,365 boundaries and a last of two; cut at sample
+        # 6,001 the grid ends at t = 0.73 inside the third block.  Off the poles the edges fall in
+        # different wraps; on a pole every gamma is 0.
+        psi0 = build_photon_state(build_space(3, 1), 1, 0)
+        full = cone_trajectory(polar, turns, 8193, azimuth_offset=0.4)
+        for traj in (full, full.rows(0, 6001)):
+            result = evolve_state(psi0, traj)
+            assert same_angles(result, traj)
+        assert result.times[-1] < 1.0
+        if 0.0 < polar < math.pi:
+            assert result.gamma[-1] > 0.4 + 2.0 * math.pi * (0.73 * turns - 1.0)
+
+    @pytest.mark.parametrize("photons, rows", [(1, 1365), (3, 409), (4, 273)], ids=["d3", "d10", "d15"])
+    @pytest.mark.parametrize("kind", ["cone", "sampled", "pole"])
+    def test_block_sizes_match_whole_arrays(self, kind, photons, rows):
+        if kind == "cone":
+            traj = helix_traj(lam=0.9, turns=3.0, steps=4096)
+        elif kind == "sampled":
+            t, points = helix_points(1.0, 2.0, 3.0, 8193)
+            traj = tangent_trajectory(sampled_path(t, points))
+        else:
+            # A great circle through both poles, on a pole exactly at samples 0, 2730, 5460 and 8190:
+            # at d = 3 each of them starts a block.
+            theta = math.pi / 2730.0 * np.arange(8193)
+            tangents = np.column_stack([np.sin(theta) * 0.6, np.sin(theta) * 0.8, np.cos(theta)])
+            tangents[::2730, :2] = 0.0
+            traj = trajectory_from_tangents(np.linspace(0.0, 1.0, 8193), tangents)
+            assert not geometry._off_pole(traj.unit_tangents[::2730]).any()
+        result = evolve_state(build_photon_state(build_space(3, photons), photons, 0), traj)
+        assert CHUNK_BYTES // (16 * len(result.keep)) == rows
+        assert same_angles(result, traj)
+
+    def test_aliased_vacuum_cone_unwraps_through_the_midpoints(self):
+        # 20 turns in 32 steps turn the azimuth by 225 degrees a step and 112.5 a half step: an unwrap
+        # over the boundaries alone reads -2.356 rad a row where the true azimuth gains +3.927.
+        traj = cone_trajectory(0.7, 20.0, 65)
+        result = evolve_state(build_photon_state(build_space(3, 1), 0, 0), traj)
+        assert same_angles(result, traj)
+        assert np.diff(result.gamma) == pytest.approx(np.full(32, 1.25 * math.pi))
+        assert np.diff(traj.rows(0, 65, 2).gamma) == pytest.approx(np.full(32, -0.75 * math.pi))
 
 
 def exact_cone_states(result, polar, offset, rate):

@@ -1,7 +1,6 @@
 import math
 import tracemalloc
 from decimal import Decimal
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,40 +17,25 @@ def percent_rows(block):
     return "".join(line % tuple(row) for row in block.tolist()).encode()
 
 
-def row_loop_csv(summary):
-    """The run CSV text built one row at a time, phi_closed by the Simpson rule over samples 0..i."""
+def row_loop_csv(summary, traj):
+    """The run CSV text built one row at a time from the whole arrays of traj, phi_closed by the Simpson rule
+    over samples 0..i."""
     from fiberphase.quadrature import cumulative_panes
 
-    series = summary["_series"]
-    angles, phase = series["angles"], series["phase"]
-    rate = angles.gamma_dot * (1.0 - np.cos(angles.lam))
+    s3 = summary["spin_expectations"]["s3_attributed"]
+    total, dynamical, geometric, norms = summary["_series"][4:]
+    rate = traj.gamma_dot * (1.0 - np.cos(traj.lam))
     lines = ["t,lambda,gamma,phi_closed,phi_total,phi_dyn,phi_geo,norm"]
-    for j, i in enumerate(range(0, len(angles.times), 2)):
-        cum = cumulative_panes(rate[: i + 1], angles.times[: i + 1])[-1] if i else 0.0
-        row = [angles.times[i], angles.lam[i], angles.gamma[i], series["s3_attributed"] * cum,
-               phase["total"][j], phase["dynamical"][j], phase["geometric"][j], series["norms"][j]]
+    for j, i in enumerate(range(0, len(traj.times), 2)):
+        cum = cumulative_panes(rate[: i + 1], traj.times[: i + 1])[-1] if i else 0.0
+        row = [traj.times[i], traj.lam[i], traj.gamma[i], s3 * cum, total[j], dynamical[j], geometric[j], norms[j]]
         lines.append(",".join(format(float(v), ".17g") for v in row))
     return "\n".join(lines) + "\n"
 
 
-class TableAngles(SimpleNamespace):
-    """A trajectory stand-in: its rows are slices of its times, lam and gamma columns."""
-
-    def rows(self, start, stop):
-        return TableAngles(**{name: column[start:stop] for name, column in vars(self).items()})
-
-    def gamma_from(self, carry):
-        return self.gamma, carry
-
-
 def table_summary(table):
-    """A summary whose run CSV is table (rows, 8): s3 is 1, so phi_closed is column 3."""
-    times = np.empty(2 * len(table) - 1)
-    times[::2] = table[:, 0]
-    angles = TableAngles(times=times, lam=np.repeat(table[:, 1], 2)[:-1], gamma=np.repeat(table[:, 2], 2)[:-1])
-    phase = {"total": table[:, 4], "dynamical": table[:, 5], "geometric": table[:, 6]}
-    series = {"angles": angles, "anholonomy": table[:, 3], "phase": phase, "norms": table[:, 7], "s3_attributed": 1.0}
-    return {"_series": series}
+    """A summary whose run CSV is table (rows, 8)."""
+    return {"_series": tuple(table.T)}
 
 
 def powers_of_ten():
@@ -151,23 +135,24 @@ class TestWriteRunCsv:
         assert (tmp_path / "t.csv").read_bytes() == runcsv.HEADER + percent_rows(table)
 
     @staticmethod
-    def sampled_summary(tmp_path, steps, name):
-        """evaluate_scenario on a one-turn sampled helix of 2 * steps + 1 rows."""
+    def sampled_run(tmp_path, steps, name):
+        """(evaluate_scenario summary, trajectory) of a one-turn sampled helix of 2 * steps + 1 rows."""
         write_path_csv(tmp_path / f"{name}.path.csv", *helix_points(1.0, 2.0 * math.pi, 1.0, 2 * steps + 1))
         data = {"geometry": {"kind": "sampled", "path_csv": f"{name}.path.csv"}, "state": {"n_r": 1, "n_l": 0}}
-        return scenario.evaluate_scenario(parse_config(data, name, base_dir=tmp_path))
+        config = parse_config(data, name, base_dir=tmp_path)
+        return scenario.evaluate_scenario(config), scenario._build_trajectory(config)
 
     def test_csv_writer_matches_row_loop(self, tmp_path):
-        summary = self.sampled_summary(tmp_path, 256, "rows")
+        summary, traj = self.sampled_run(tmp_path, 256, "rows")
         runcsv.write_run_csv(summary, tmp_path / "rows.csv")
-        assert (tmp_path / "rows.csv").read_text() == row_loop_csv(summary)
+        assert (tmp_path / "rows.csv").read_text() == row_loop_csv(summary, traj)
 
     def test_csv_blocks_match_row_loop(self, tmp_path):
         # Three full row blocks and a partial fourth.
         rows = runcsv.BLOCK_ROWS
-        summary = self.sampled_summary(tmp_path, 3 * rows + rows // 2, "blocks")
+        summary, traj = self.sampled_run(tmp_path, 3 * rows + rows // 2, "blocks")
         runcsv.write_run_csv(summary, tmp_path / "blocks.csv")
-        assert (tmp_path / "blocks.csv").read_text() == row_loop_csv(summary)
+        assert (tmp_path / "blocks.csv").read_text() == row_loop_csv(summary, traj)
 
     def test_csv_writer_memory_is_flat(self, tmp_path):
         runcsv.format_block(np.ones((1, 9)))  # the tables are built once per process
@@ -185,20 +170,22 @@ class TestWriteRunCsv:
         assert extra[1] <= extra[0] + 16 * 1024, extra
 
     @pytest.mark.parametrize("kind", ["cone", "helix"])
-    def test_closed_form_run_builds_no_whole_array(self, kind, tmp_path):
+    def test_closed_form_run_builds_no_whole_array(self, kind, tmp_path, monkeypatch):
         # A helix or cone run reads its samples by rows: it never forms the azimuth rate, nor any whole array.
+        built = []
+        build = scenario._build_trajectory
+        monkeypatch.setattr(scenario, "_build_trajectory", lambda config: built.append(build(config)) or built[-1])
         data = cone_config(steps=256)
         if kind == "helix":
             data["geometry"] = {"kind": "helix", "radius": 1.0, "pitch_per_turn": 3.0, "turns": 1.3}
         summary = scenario.evaluate_scenario(parse_config(data, kind))
         runcsv.write_run_csv(summary, tmp_path / f"{kind}.csv")
-        traj = summary["_series"]["angles"]
-        assert not set(WHOLE_ARRAYS) & traj.__dict__.keys()
+        assert len(built) == 1 and not set(WHOLE_ARRAYS) & built[0].__dict__.keys()
 
     @pytest.mark.parametrize("kind", ["cone", "sampled"])
     def test_gamma_column_unwraps_across_blocks(self, kind, tmp_path):
-        # Five turns over 4096 steps: each span of runcsv.ANGLE_ROWS = 1024 rows covers 1.25 turns, so the
-        # span edges fall in different wraps.
+        # Five turns over 4096 steps: each of the expectations loop's state blocks of 1,365 rows (d = 3)
+        # covers 1.67 turns, so the block edges fall in different wraps.
         if kind == "cone":
             geometry = {"kind": "cone", "polar_angle": 0.7, "turns": 5.0}
         else:
@@ -207,9 +194,10 @@ class TestWriteRunCsv:
         data = {"geometry": geometry, "state": {"n_r": 1, "n_l": 0}, "n_max": 1}
         if kind == "cone":
             data["steps"] = 4096
-        summary = scenario.evaluate_scenario(parse_config(data, kind, base_dir=tmp_path))
+        config = parse_config(data, kind, base_dir=tmp_path)
+        summary = scenario.evaluate_scenario(config)
         runcsv.write_run_csv(summary, tmp_path / "wraps.csv")
         gamma = np.loadtxt(tmp_path / "wraps.csv", delimiter=",", skiprows=1)[:, 2]
-        whole = summary["_series"]["angles"].gamma[::2]
+        whole = scenario._build_trajectory(config).gamma[::2]
         assert whole[-1] > 9.0 * math.pi
         assert np.array_equal(gamma.view(np.int64), whole.view(np.int64))

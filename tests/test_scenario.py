@@ -933,24 +933,27 @@ class TestRunScenario:
         assert motion[1025]["value"] > scenario.MOTION_TOL and motion[1025]["pass"] is False
         assert summary["status"] == "fail"
 
-    def test_u_and_motion_residual_read_by_rows(self, monkeypatch):
+    def test_u_and_motion_residual_read_by_rows(self, monkeypatch, tmp_path):
         # One pass reads u and the residual at every sample for the step guard and the motion check; the
-        # power form reads u at samples 0-2, and the expectations at the step boundaries.
-        import fiberphase.scenario as scenario
+        # power form reads u at samples 0-2, and the expectations at the step boundaries.  A cone's
+        # tangents are evaluated at every sample by those two passes, at samples 0-2, and at the first
+        # and last sample: the CSV reads no trajectory.
+        from fiberphase.geometry import ConeTrajectory
 
         samples = {}
-        for name in ("precession_field", "motion_residual"):
-            build = getattr(TangentTrajectory, name).func
+        for cls, name in ((TangentTrajectory, "precession_field"), (TangentTrajectory, "motion_residual"),
+                          (ConeTrajectory, "tangents")):
+            build = getattr(cls, name).func
 
             def counted(traj, build=build, name=name):
                 samples[name] = samples.get(name, 0) + len(traj.times)
                 return build(traj)
 
             prop = functools.cached_property(counted)
-            prop.__set_name__(TangentTrajectory, name)
-            monkeypatch.setattr(TangentTrajectory, name, prop)
-        scenario.evaluate_scenario(parse_config(cone_config(steps=64), "once"))
-        assert samples == {"precession_field": 129 + 3 + 65, "motion_residual": 129}
+            prop.__set_name__(cls, name)
+            monkeypatch.setattr(cls, name, prop)
+        run_scenario(parse_config(cone_config(steps=64), "once"), tmp_path)
+        assert samples == {"precession_field": 129 + 3 + 65, "motion_residual": 129, "tangents": 129 + 3 + 2 + 129}
 
     def test_builtin_group_vacuum_pair(self, tmp_path):
         code = run_builtin("vacuum-pair", tmp_path, steps=512)

@@ -12,6 +12,8 @@ process, with one BLAS thread, through:
 * three amplitude-state runs, which no bench plan has: a cone over the
   complete sectors 0-2, a cone whose sector 2 the cutoff n_max = 1
   truncates, and a one-photon superposition on a sampled path;
+* a vacuum cone whose azimuth turns by more than pi a step, the one run
+  whose gamma column only the midpoint samples unwrap right;
 * every call of every ``bench/workloads.generate`` plan at each seed.
 
 Each call runs in a scratch directory with relative paths and its own
@@ -74,10 +76,13 @@ AMPLITUDE_RUNS = (
     # 0.6|x> + 0.8i|y>, no helicity eigenstate, along a tilted helix given as samples.
     ("sampled-path", 1, {4: 0.6, 2: 0.8j}, {"kind": "sampled", "path_csv": "tilted-helix.csv"}),
 )
+# 20 turns in 32 steps turn the azimuth by 225 degrees a step and 112.5 a half step.
+ALIASED_CONE = {"geometry": {"kind": "cone", "polar_angle": 0.7, "turns": 20.0}, "state": {"n_r": 0, "n_l": 0},
+                "n_max": 1, "steps": 32}
 
 
-def write_amplitude_inputs(where: Path) -> list[list[str]]:
-    """Write the amplitude-state configs and their path CSV under where; the argv of each run."""
+def write_config_inputs(where: Path) -> list[list[str]]:
+    """Write the amplitude-state configs, their path CSV and the aliased cone under where; the argv of each run."""
     where.mkdir()
     with open(where / "tilted-helix.csv", "w", encoding="utf-8", newline="\n") as fh:
         fh.write("t,x,y,z\n")
@@ -98,7 +103,8 @@ def write_amplitude_inputs(where: Path) -> list[list[str]]:
             config["steps"] = 1024
         (where / f"{name}.json").write_text(json.dumps(config), encoding="utf-8")
         argvs.append(["--config", f"{name}.json"])
-    return argvs
+    (where / "aliased-vacuum-cone.json").write_text(json.dumps(ALIASED_CONE), encoding="utf-8")
+    return argvs + [["--config", "aliased-vacuum-cone.json"]]
 
 
 def calls(seeds: list[int], workloads) -> list[tuple[str, list[str]]]:
@@ -106,7 +112,7 @@ def calls(seeds: list[int], workloads) -> list[tuple[str, list[str]]]:
     Path("builtins").mkdir()
     out = [("builtins", ["--scenario", name]) for name in BUILTINS]
     out += [("builtins", ["--scenario", name, "--sweep", values]) for name, values in SWEEPS]
-    out += [("amplitudes", argv) for argv in write_amplitude_inputs(Path("amplitudes"))]
+    out += [("configs", argv) for argv in write_config_inputs(Path("configs"))]
     for workload in workloads.WORKLOADS:
         for seed in seeds:
             where = f"{workload}-{seed}"
