@@ -18,8 +18,11 @@ creation operators by index shifts.  Nothing on the runner's path is
 (n_max+1)^3 square.
 
 The spin projected onto a direction, v.S, is one construction,
-_field_operator: the helicity k.S here and the Hamiltonian u.S of
-phases are both built by it, on dense spin matrices or on generators.
+_field_operator, on dense spin matrices or on generators: the helicity
+k.S here, and phases' library Hamiltonian and evolution_operator_V's
+generator.  A run forms none: it takes u.A as one product of u with the
+stacked generators, with _field_operator's bits, and reads its energies
+and invariants off the state's spin <S>.
 """
 
 from __future__ import annotations

@@ -15,9 +15,10 @@ that way, a block at a time, in two passes: max_norms, and the
 expectations pass of phases.evolve_state, which also hands on lambda and
 gamma at the step boundaries; whole-grid arrays are built only when read.
 A cone_trajectory holds its grid, polar angle, turns and offset and
-evaluates its rows from them; its azimuth_rate lets the evolution treat
-it as one field turned about z, and cone_anholonomy gives its A in
-closed form, so a helix or cone run never forms the rate array.
+evaluates its rows from them.  Its type is what tells the evolution it
+may treat the field as one turned about z at 2*pi*turns, and
+cone_anholonomy gives its A in closed form, so a helix or cone run never
+forms the rate array.
 Row norms and cross products of (n, 3) sample arrays go through
 _row_norms and _cross, column kernels with numpy's bits.
 """
@@ -182,13 +183,11 @@ def _off_pole(unit_tangents: np.ndarray) -> np.ndarray:
 class TangentTrajectory:
     """Time-sampled tangent field k(t), its derivative, and the kinematics built from them on first read.
 
-    azimuth_rate is the constant rate at which a cone_trajectory turns
-    about z, so that every sample is the first one rotated by
-    azimuth_rate * (t - t0); it is None for a sampled path.  rows gives a
-    block of samples as a trajectory of its own, bit for bit these rows.
+    rows gives a block of samples as a trajectory of its own, bit for bit
+    these rows.
     """
 
-    def __init__(self, times, tangents, derivatives, azimuth_rate: float | None = None):
+    def __init__(self, times, tangents, derivatives):
         times = np.asarray(times, dtype=float)
         tangents = np.asarray(tangents, dtype=float)
         derivatives = np.asarray(derivatives, dtype=float)
@@ -197,12 +196,12 @@ class TangentTrajectory:
             raise ValueError("tangents and derivatives must be (n, 3)")
         if np.any(np.diff(times) <= 0):
             raise ValueError("times must be strictly increasing")
-        self.times, self.tangents, self.derivatives, self.azimuth_rate = times, tangents, derivatives, azimuth_rate
+        self.times, self.tangents, self.derivatives = times, tangents, derivatives
 
     def rows(self, start: int, stop: int, step: int = 1) -> "TangentTrajectory":
         """Samples start:stop:step as a trajectory; a sampled path slices its stored arrays."""
         s = slice(start, stop, step)
-        return TangentTrajectory(self.times[s], self.tangents[s], self.derivatives[s], self.azimuth_rate)
+        return TangentTrajectory(self.times[s], self.tangents[s], self.derivatives[s])
 
     @cached_property
     def max_norms(self) -> tuple[float, float]:
@@ -312,8 +311,8 @@ class TangentTrajectory:
         return quadrature.cumulative_panes(self.gamma_dot * (1.0 - np.cos(self.lam)), self.times)
 
     def scaled(self, factor: float) -> "TangentTrajectory":
-        """Same trajectory with all tangent magnitudes multiplied."""
-        return TangentTrajectory(self.times, self.tangents * factor, self.derivatives * factor, self.azimuth_rate)
+        """Same trajectory with all tangent magnitudes multiplied, as a plain TangentTrajectory."""
+        return TangentTrajectory(self.times, self.tangents * factor, self.derivatives * factor)
 
 
 def _derivative(values: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -386,22 +385,20 @@ def _check_cone(polar_angle: float, turns: float) -> None:
 class ConeTrajectory(TangentTrajectory):
     """A cone_trajectory: its time grid, polar angle, turns and azimuth offset, and nothing built until read.
 
-    The field turns at 2*pi*turns; azimuth_rate is that rate, or None,
-    and only tells the evolution whether it may treat the field as one
-    turned about z.  rows is the same cone on the times asked for, so a
-    reader evaluates the field on its own block, one cos and one sin per
-    sample.
+    Every sample is the first one turned about z by 2*pi*turns * (t - t0),
+    which the evolution reads off this type.  rows is the same cone on
+    the times asked for, so a reader evaluates the field on its own
+    block, one cos and one sin per sample.
     """
 
     times: np.ndarray
     polar_angle: float
     turns: float
     azimuth_offset: float
-    azimuth_rate: float | None
 
     def rows(self, start: int, stop: int, step: int = 1) -> "ConeTrajectory":
         s = slice(start, stop, step)
-        return ConeTrajectory(self.times[s], self.polar_angle, self.turns, self.azimuth_offset, self.azimuth_rate)
+        return ConeTrajectory(self.times[s], self.polar_angle, self.turns, self.azimuth_offset)
 
     @cached_property
     def tangents(self) -> np.ndarray:
@@ -425,17 +422,17 @@ class ConeTrajectory(TangentTrajectory):
         return derivatives
 
 
-def cone_trajectory(polar_angle: float, turns: float, samples: int, azimuth_offset: float = 0.0) -> TangentTrajectory:
+def cone_trajectory(polar_angle: float, turns: float, samples: int, azimuth_offset: float = 0.0) -> ConeTrajectory:
     """Analytic tangent field precessing about z at constant polar angle, on np.linspace(0, 1, samples).
 
-    The trajectory holds that grid, the polar angle, turns, the offset and
-    the azimuth rate 2*pi*turns, and builds its field only when read; rows
-    gives the same cone on the samples a reader asks for.
+    The trajectory holds that grid, the polar angle, turns and the offset,
+    and builds its field only when read; rows gives the same cone on the
+    samples a reader asks for.
     """
     _check_cone(polar_angle, turns)
     if samples < 3:
         raise ValueError("need at least 3 samples")
-    return ConeTrajectory(np.linspace(0.0, 1.0, samples), polar_angle, turns, azimuth_offset, TWO_PI * turns)
+    return ConeTrajectory(np.linspace(0.0, 1.0, samples), polar_angle, turns, azimuth_offset)
 
 
 def cone_anholonomy(polar_angle: float, turns: float) -> float:

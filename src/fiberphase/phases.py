@@ -49,13 +49,12 @@ from .fock import (
     sector_generators,
     spin_scale,
 )
-from .geometry import BLOCK_SAMPLES, TangentTrajectory, _row_norms, grid_index
+from .geometry import BLOCK_SAMPLES, TWO_PI, ConeTrajectory, TangentTrajectory, _row_norms, grid_index
 
 STEP_GUARD = 0.1
 # Bytes of one stack in evolve_state: a batch of step matrices, the cone's power table, or a block of states.
 CHUNK_BYTES = 64 * 1024
 OVERLAP_FLOOR = 1e-6
-TWO_PI = 2.0 * math.pi
 
 
 class StepGuardError(ValueError):
@@ -72,8 +71,7 @@ class PhaseBreakdown:
 
     geometric_phase is total_phase - dynamical_phase by definition;
     closed_form_phase is the independent quadrature prediction
-    s3_expectation * anholonomy_integral, meaningful for helicity
-    eigenstates.
+    s3_expectation * anholonomy, meaningful for helicity eigenstates.
     """
 
     total_phase: float
@@ -81,7 +79,6 @@ class PhaseBreakdown:
     geometric_phase: float
     geometric_phase_mod_2pi: float
     closed_form_phase: float
-    anholonomy_integral: float
 
     @classmethod
     def from_series(cls, series: dict[str, np.ndarray], s3_expectation: float, anholonomy: float) -> "PhaseBreakdown":
@@ -97,7 +94,6 @@ class PhaseBreakdown:
             # A tiny negative phase reduces to TWO_PI itself; fold it onto 0.
             geometric_phase_mod_2pi=mod if mod < TWO_PI else 0.0,
             closed_form_phase=float(s3_expectation) * anholonomy,
-            anholonomy_integral=anholonomy,
         )
 
 
@@ -106,15 +102,14 @@ class EvolutionResult:
     """States and diagnostics from one RK4 integration, over the step boundaries.
 
     times views the trajectory's grid.  states holds the amplitudes on
-    the evolved sectors only, one row of length len(keep) per boundary;
-    sectors lists their photon numbers, keep their basis indices, and
-    every other amplitude is exactly zero.  norms, energies, invariants,
-    lam and gamma hold |psi|, u.<S> = <psi|H|psi> (the dynamical
-    integrand), khat.<S> = <psi|khat.S|psi> and traj.lam and traj.gamma
-    at each boundary.
+    the evolved sectors only, one row of length len(keep) per boundary:
+    sectors lists their photon numbers and keep their basis indices in
+    psi0's space, where every other amplitude is exactly zero.  norms,
+    energies, invariants, lam and gamma hold |psi|, u.<S> = <psi|H|psi>
+    (the dynamical integrand), khat.<S> = <psi|khat.S|psi> and traj.lam
+    and traj.gamma at each boundary.
     """
 
-    space: FockSpace
     times: np.ndarray
     sectors: list[int]
     keep: np.ndarray
@@ -129,12 +124,6 @@ class EvolutionResult:
     @property
     def steps(self) -> int:
         return len(self.times) - 1
-
-    def state_at(self, index: int) -> StateVector:
-        """The state at a boundary over the whole space."""
-        amplitudes = np.zeros(self.space.dimension, dtype=complex)
-        amplitudes[self.keep] = self.states[index]
-        return StateVector(self.space, amplitudes)
 
 
 def effective_hamiltonian(traj: TangentTrajectory, spin: tuple[OperatorMatrix, ...], t: float) -> OperatorMatrix:
@@ -198,21 +187,21 @@ def evolve_state(psi0: StateVector, traj: TangentTrajectory) -> EvolutionResult:
     trajectory is read through traj.rows a block at a time: no whole
     per-sample array is built.
 
-    On a cone (traj.azimuth_rate set) whose occupied sectors are all
-    complete, _power_states gives the states as powers of one matrix;
-    elsewhere the rotation it rests on fails and _loop_states applies
-    each step's M.  Each state psi = x + iy is then read once, CHUNK_BYTES
-    of states at a time, for its norm and its spin <S_i> = 2 x.A_i y: the
-    energies are u.<S>, the invariants khat.<S>, and the norm drift is
-    left in as a diagnostic.  Each block of states reads its samples
-    once, midpoints included: u, khat and lam at its boundaries, and gamma
-    unwrapped through every sample by gamma_from, so it keeps its bits
-    however far the azimuth turns in a step.  states holds the sector
-    block, (steps + 1, len(keep)); state_at gives a state over the whole
-    space.  The guard max|H| * step <= N_top * max|u| * step (N_top the
-    largest occupied sector) holds because a complete sector N has
-    spectral radius N|u| and, by Cauchy interlacing, a sector cut off at
-    n_max no larger; a bound at or over STEP_GUARD, or NaN, raises
+    On a ConeTrajectory whose occupied sectors are all complete,
+    _power_states gives the states as powers of one matrix, the field
+    turning about z at 2*pi*turns; elsewhere (a sampled path, a scaled
+    cone, a sector cut off at n_max) _loop_states applies each step's M.
+    Each state psi = x + iy is then read once, CHUNK_BYTES of states at a
+    time, for its norm and its spin <S_i> = 2 x.A_i y: the energies are
+    u.<S>, the invariants khat.<S>, and the norm drift is left in as a
+    diagnostic.  Each block of states reads its samples once, midpoints
+    included: u, khat and lam at its boundaries, and gamma unwrapped
+    through every sample by gamma_from, so it keeps its bits however far
+    the azimuth turns in a step.  states holds the sector block,
+    (steps + 1, len(keep)).  The guard max|H| * step <= N_top * max|u| *
+    step (N_top the largest occupied sector) holds because a complete
+    sector N has spectral radius N|u| and, by Cauchy interlacing, a
+    sector cut off at n_max no larger; a bound at or over STEP_GUARD, or NaN, raises
     StepGuardError before any step, naming u's first non-finite sample
     if there is one.
     """
@@ -240,8 +229,8 @@ def evolve_state(psi0: StateVector, traj: TangentTrajectory) -> EvolutionResult:
     flat_a = np.reshape(a, (3, d * d))
     states = np.empty((steps + 1, d), dtype=complex)
     states[0] = psi0.amplitudes[keep]
-    if traj.azimuth_rate is not None and sectors[-1] <= psi0.space.n_max:
-        _power_states(states, times, traj.rows(0, 3).precession_field, flat_a, traj.azimuth_rate)
+    if isinstance(traj, ConeTrajectory) and sectors[-1] <= psi0.space.n_max:
+        _power_states(states, times, traj.rows(0, 3).precession_field, flat_a, TWO_PI * traj.turns)
     else:
         _loop_states(states, traj, step_h, flat_a)
 
@@ -268,7 +257,6 @@ def evolve_state(psi0: StateVector, traj: TangentTrajectory) -> EvolutionResult:
     norms[0] = np.linalg.norm(states[0])  # psi0's own norm, by the 1-D kernel
 
     return EvolutionResult(
-        space=psi0.space,
         times=times[::2],
         sectors=sectors,
         keep=keep,
@@ -343,7 +331,7 @@ def _power_states(states: np.ndarray, times: np.ndarray, u: np.ndarray, flat_a: 
     if gaps[1] < gaps[0]:
         w = w.T
     if not min(gaps) <= 1e-9 * np.abs(g0).max():
-        raise ValueError(f"azimuth_rate {rate!r} does not turn the precession field from one step to the next")
+        raise ValueError(f"azimuth rate {rate!r} does not turn the precession field from one step to the next")
     p = w.T @ _step_matrices(g0, g1, g2, h, np.eye(d))
     block = 1 << (max(1, min(steps, CHUNK_BYTES // (8 * d * d))).bit_length() - 1)
     table = np.empty((block, d, d))

@@ -19,6 +19,7 @@ import numpy as np
 
 from .fock import FockSpace, build_photon_state, build_space, occupied_sectors, sector_size, StateVector
 from .geometry import (
+    ConeTrajectory,
     cone_anholonomy,
     cone_trajectory,
     count_path_rows,
@@ -472,9 +473,9 @@ def _check(name: str, value: float, threshold: float) -> dict:
 def evaluate_scenario(config: ScenarioConfig) -> dict:
     """Run one scenario in memory and return its summary mapping."""
     traj = _build_trajectory(config)
-    cone = _analytic_cone(config.geometry, config)
+    cone = isinstance(traj, ConeTrajectory)
     # On the unit grid of a cone, A accrues at a constant rate and times[-1] is 1.0.
-    running = traj.running_anholonomy() if cone is None else cone_anholonomy(*cone[:2]) * traj.times[::2]
+    running = cone_anholonomy(traj.polar_angle, traj.turns) * traj.times[::2] if cone else traj.running_anholonomy()
     anholonomy = float(running[-1])
 
     k0, k_last = traj.rows(0, len(traj.times), len(traj.times) - 1).unit_tangents
@@ -486,9 +487,10 @@ def evaluate_scenario(config: ScenarioConfig) -> dict:
     try:
         result = evolve_state(psi0, traj)
     except StepGuardError as exc:
-        if cone is None:
-            raise
-        raise _step_refusal(config, exc.bound) from None
+        if cone:
+            raise _step_refusal(config, exc.bound) from None
+        # A sampled path's grid is its CSV's rows: the file is what refines it.
+        raise ConfigError("geometry.path_csv", str(exc)) from None
     if config.amplitudes is None:
         s3_attr = _s3_expectation(config.ordering, config.n_r, config.n_l)
         s3_total = _s3_expectation("normal", config.n_r, config.n_l)
@@ -496,8 +498,9 @@ def evaluate_scenario(config: ScenarioConfig) -> dict:
         s3_total = s3_attr = float(result.invariants[0])  # psi0's helicity <k0.S>
     # Taken with the step guard's max|u| in one pass; in 1/time, so read over the grid span.
     motion = motion_identity_residual(traj) * float(traj.times[-1] - traj.times[0])
-    # <khat.S> is conserved where the spin algebra closes: on complete sectors, N <= n_max.
-    complete = result.sectors[-1] <= result.space.n_max
+    # <khat.S> is conserved where the spin algebra closes: on complete sectors, N <= n_max.  A number
+    # state's box is its own sector's, which parse_config holds within n_max.
+    complete = result.sectors[-1] <= config.n_max
     drift = float(np.abs(result.invariants - result.invariants[0]).max()) if complete else None
     series = phase_series(result)
     breakdown = PhaseBreakdown.from_series(series, s3_attr, anholonomy)

@@ -379,14 +379,23 @@ CONFIG_DOCUMENTS = st.one_of(
     CLI_VALUES,
     st.dictionaries(st.text(max_size=4), CLI_VALUES, max_size=3),
 )
-# The sampled base's p.csv: one helix turn of radius 1 and pitch 2*pi, 129 rows.
-HELIX_CSV = "t,x,y,z\n" + "".join(
-    f"{i / 128!r},{math.cos(i * math.pi / 64)!r},{math.sin(i * math.pi / 64)!r},{i * math.pi / 64!r}\n"
-    for i in range(129)
-)
-# The two numerical guards, the only refusals reported as field "runtime".  A
-# helix or cone run that meets the step guard is refused as field "steps".
-NUMERICAL_GUARDS = ("step-size guard violated", "phase extraction ill-conditioned")
+
+
+def helix_csv(rows):
+    """One helix turn of radius 1 and pitch 2*pi as a path CSV of rows samples, t from 0 to 1."""
+    n = rows - 1
+    return "t,x,y,z\n" + "".join(
+        f"{i / n!r},{math.cos(2 * i * math.pi / n)!r},{math.sin(2 * i * math.pi / n)!r},{2 * i * math.pi / n!r}\n"
+        for i in range(rows)
+    )
+
+
+# The sampled base's p.csv.
+HELIX_CSV = helix_csv(129)
+# The one numerical guard reported as field "runtime".  A run that meets the
+# step guard is refused as the field that refines its grid: "steps" for a
+# helix or cone, "geometry.path_csv" for a sampled path.
+OVERLAP_FLOOR = "phase extraction ill-conditioned"
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
@@ -397,6 +406,8 @@ NUMERICAL_GUARDS = ("step-size guard violated", "phase extraction ill-conditione
 # 1000 turns need 40478 steps; at 4096 the run-time guard reads 9.882e-01.
 @example({"geometry": {"kind": "cone", "polar_angle": 0.7, "turns": 1000}, "state": {"n_r": 1, "n_l": 0},
           "n_max": 1, "steps": 4096})
+# Three photons on p.csv's 64 steps: the step guard reads 2.083e-01, refused as the path.
+@example({"geometry": {"kind": "sampled", "path_csv": "p.csv"}, "state": {"n_r": 3, "n_l": 0}, "n_max": 3})
 # The bound measured on the samples reads a few ulps above 0.1 at 309 steps.
 @example({"geometry": {"kind": "cone", "polar_angle": 0.8141859496403081, "turns": 6.763078584223928},
           "state": {"n_r": 1, "n_l": 0}, "n_max": 1, "steps": 309})
@@ -430,9 +441,24 @@ def test_fuzzed_config_file_exits_cleanly(tmp_path_factory, document):
         error = json.loads(lines[0])["error"]
         assert error["field"]
         assert not list((work / "out").glob("*")), error
-        assert error["field"] != "runtime" or error["message"].startswith(NUMERICAL_GUARDS), error
-        if error["field"] == "runtime" and error["message"].startswith(NUMERICAL_GUARDS[0]):
-            assert document["geometry"]["kind"] == "sampled", error
+        assert error["field"] != "runtime" or error["message"].startswith(OVERLAP_FLOOR), error
+        if error["message"].startswith("step-size guard"):
+            sampled = document["geometry"]["kind"] == "sampled"
+            assert error["field"] == ("geometry.path_csv" if sampled else "steps"), error
+
+
+def test_sampled_path_step_guard_names_the_path(tmp_path):
+    # 33 rows are 16 RK4 steps of 1/16 over one helix turn: N |u| dt = 2 pi sin(pi/4) / 16 = 0.28.
+    (tmp_path / "coarse.csv").write_text(helix_csv(33))
+    cfg = tmp_path / "coarse.json"
+    cfg.write_text(json.dumps({"geometry": {"kind": "sampled", "path_csv": "coarse.csv"}, "state": {"n_r": 1, "n_l": 0}}))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    error = json.loads(err.getvalue())["error"]
+    assert error == {"field": "geometry.path_csv",
+                     "message": "step-size guard violated: bound max|H|*dt = 2.778e-01 >= 0.1; refine the grid"}
+    assert not list((tmp_path / "out").glob("*"))
 
 
 def test_overlap_floor_names_a_plain_time(tmp_path):

@@ -25,6 +25,7 @@ from fiberphase import (
     vacuum_state,
 )
 from fiberphase.fock import occupied_sectors, sector_generators, sector_size, spin_scale
+from test_phases import box_state
 
 Z = np.array([0.0, 0.0, 1.0])
 
@@ -377,7 +378,7 @@ class TestHelicityOperator:
             assert result.sectors == [1, 4]
             assert np.abs(result.energies).max() > 1e-3
             for i, time in enumerate(traj.times[::2]):
-                state = result.state_at(i)
+                state = box_state(space, result, i)
                 energy = state.expectation(effective_hamiltonian(traj, spin, time)).real
                 helicity = state.expectation(helicity_operator(space, traj.unit_tangents[2 * i])).real
                 assert abs(result.energies[i] - energy) < 1e-13

@@ -16,7 +16,7 @@ from fiberphase import (
     TangentTrajectory,
 )
 from fiberphase import geometry
-from fiberphase.geometry import _cross, _row_norms, cone_anholonomy, count_path_rows
+from fiberphase.geometry import ConeTrajectory, _cross, _row_norms, cone_anholonomy, count_path_rows
 
 SOLID_ANGLE_45 = 1.84030236902122  # 2*pi*(1 - cos(pi/4))
 
@@ -117,17 +117,17 @@ class TestTangentTrajectory:
         traj = tangent_trajectory(path)
         assert np.abs(traj.lam - math.pi / 2.0).max() < 1e-6
 
-    def test_only_a_cone_records_its_azimuth_rate(self):
-        # Every sample of a cone is the first one turned about z by azimuth_rate * t.
+    def test_only_a_cone_is_a_cone_trajectory(self):
+        # Every sample of a cone is the first one turned about z by 2*pi*turns * t; the evolution reads
+        # that off the type, which its rows keep and every other constructor drops.
         cone = cone_trajectory(0.7, 2.5, 257, azimuth_offset=0.4)
-        assert cone.azimuth_rate == 2.0 * math.pi * 2.5
-        assert cone.scaled(3.0).azimuth_rate == cone.azimuth_rate
-        turn = cone.azimuth_rate * cone.times[100]
+        assert type(cone) is type(cone.rows(3, 40, 2)) is ConeTrajectory
+        turn = 2.0 * math.pi * cone.turns * cone.times[100]
         c, s = math.cos(turn), math.sin(turn)
         rotation = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
         assert np.abs(rotation @ cone.tangents[0] - cone.tangents[100]).max() < 1e-14
-        assert tangent_trajectory(straight_path()).azimuth_rate is None
-        assert trajectory_from_tangents(cone.times, cone.tangents).azimuth_rate is None
+        plain = (cone.scaled(3.0), tangent_trajectory(straight_path()), trajectory_from_tangents(cone.times, cone.tangents))
+        assert all(type(traj) is TangentTrajectory for traj in plain)
 
     def test_degenerate_points_rejected(self):
         t = np.linspace(0.0, 1.0, 8)
@@ -344,7 +344,6 @@ class TestRows:
         blocks += [(0, n, 2), (1, n, 2), (3, n - 4, 2), (5, 6, 2), (0, n, n - 1), (0, n + geometry.BLOCK_SAMPLES, 1)]
         for start, stop, step in blocks:
             rows = traj.rows(start, stop, step)
-            assert rows.azimuth_rate == traj.azimuth_rate
             for name in ROW_KINEMATICS:
                 assert same_bits(getattr(rows, name), getattr(traj, name)[start:stop:step]), (name, start, stop, step)
 
@@ -380,7 +379,7 @@ class TestRows:
         traj = cone_trajectory(0.7, 1.0, 65)
         traj.rows(0, 65).gamma_from(None)
         assert traj.max_norms[1] < 1e-12
-        assert traj.__dict__.keys() == {"times", "polar_angle", "turns", "azimuth_offset", "azimuth_rate", "max_norms"}
+        assert traj.__dict__.keys() == {"times", "polar_angle", "turns", "azimuth_offset", "max_norms"}
         assert traj.tangents.shape == traj.derivatives.shape == (65, 3)
 
 
