@@ -328,7 +328,7 @@ def _check_unit(k_hat: np.ndarray) -> np.ndarray:
     if k.shape != (3,):
         raise ValueError("direction must be a 3-vector")
     if not abs(np.linalg.norm(k) - 1.0) <= UNIT_VECTOR_TOL:  # NaN fails too
-        raise ValueError(f"direction must be a unit vector, |k| = {np.linalg.norm(k)!r}")
+        raise ValueError(f"direction must be a unit vector, |k| = {float(np.linalg.norm(k))!r}")
     return k
 
 

@@ -14,6 +14,9 @@ a run reads u, the residual, the unit tangents, lambda and the azimuth
 that way, a block at a time, in two passes: max_norms, and the
 expectations pass of phases.evolve_state, which also hands on lambda and
 gamma at the step boundaries; whole-grid arrays are built only when read.
+A sampled path is differenced and its anholonomy summed BLOCK_SAMPLES
+samples at a time too, so its stored tangents and derivatives are the
+only (n, 3) arrays it builds, and summing leaves nothing cached on it.
 A cone_trajectory holds its grid, polar angle, turns and offset and
 evaluates its rows from them.  Its type is what tells the evolution it
 may treat the field as one turned about z at 2*pi*turns, and
@@ -38,7 +41,8 @@ POLE_SIN_TOL = 1e-9
 CLOSURE_TOL = 1e-6
 # Read size of count_path_rows, which sizes a path CSV before it is loaded.
 ROW_COUNT_CHUNK_BYTES = 1 << 16
-# Samples per block of TangentTrajectory.max_norms: about 100 KiB per (n, 3) array.
+# Samples per block of a sampled path's differencing, max_norms and running_anholonomy:
+# about 100 KiB per (n, 3) array.
 BLOCK_SAMPLES = 4096
 TWO_PI = 2.0 * math.pi
 # The parameter intervals and span a sampled path may have.  Inside this
@@ -108,7 +112,7 @@ def sampled_path(times: np.ndarray, points: np.ndarray) -> FiberPath:
     if intervals.min() < PARAMETER_WINDOW[0] or times[-1] - times[0] > PARAMETER_WINDOW[1]:
         raise ValueError(
             f"parameter intervals and span must lie in [2**-300, 2**300], got intervals from "
-            f"{intervals.min()!r} over a span of {times[-1] - times[0]!r}"
+            f"{float(intervals.min())!r} over a span of {float(times[-1] - times[0])!r}"
         )
     # Compared coordinate by coordinate: a segment norm underflows at tiny scales.
     if np.any(np.all(points[1:] == points[:-1], axis=1)):
@@ -303,43 +307,71 @@ class TangentTrajectory:
     def running_anholonomy(self) -> np.ndarray:
         """Running integral of gamma_dot * (1 - cos(lam)) at the pane boundaries of quadrature.cumulative_panes.
 
-        The one place the integrand is formed and summed.  The last value
-        is the anholonomy A, the state-independent factor of every spin
-        expectation in the phase formulas.  On a cone, cone_anholonomy
-        gives A in closed form.
+        The one place the integrand is formed and summed, BLOCK_SAMPLES
+        intervals at a time: blocks share an edge sample, from whose
+        running total the next block's sum goes on, and the last block
+        also takes an odd trailing interval, so every grid gives the sums
+        of one pass bit for bit and nothing whole-grid is cached.  The
+        last value is the anholonomy A, the state-independent factor of
+        every spin expectation in the phase formulas.  On a cone,
+        cone_anholonomy gives A in closed form.
         """
-        return quadrature.cumulative_panes(self.gamma_dot * (1.0 - np.cos(self.lam)), self.times)
+        n = len(self.times)
+        end = n - 1 - (n - 1) % 2  # last sample covered by whole panes
+        running = np.empty(end // 2 + 1 + (end < n - 1))
+        running[0] = 0.0
+        total = -0.0  # adds nothing to the first pane, even to a -0.0 one
+        for i in range(0, max(end, 1), BLOCK_SAMPLES):
+            block = self.rows(i, i + BLOCK_SAMPLES + 1 if i + BLOCK_SAMPLES < end else n)
+            part = quadrature.cumulative_panes(block.gamma_dot * (1.0 - np.cos(block.lam)), block.times, total)
+            running[i // 2 + 1 : i // 2 + len(part)] = part[1:]
+            total = part[-1]
+        return running
 
     def scaled(self, factor: float) -> "TangentTrajectory":
         """Same trajectory with all tangent magnitudes multiplied, as a plain TangentTrajectory."""
         return TangentTrajectory(self.times, self.tangents * factor, self.derivatives * factor)
 
 
-def _derivative(values: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Second-order finite differences on a possibly nonuniform grid."""
+def _derivative(values: np.ndarray, times: np.ndarray, shifts: tuple[int, int] = (0, 0)) -> np.ndarray:
+    """Second-order finite differences on a possibly nonuniform grid, BLOCK_SAMPLES rows at a time.
+
+    values and times are read as values * 2**-shifts[0] and times *
+    2**-shifts[1], exact scalings made one block at a time.  Each interior
+    row is c0 v[i-1] + c1 v[i] + c2 v[i+1] from its own two intervals,
+    written straight into the output; the end rows take the one-sided
+    three-point rules.  A row's bits do not depend on the blocks.
+    """
     n = len(times)
     if n < 3:
         raise ValueError("need at least three samples to differentiate")
-    out = np.empty_like(values)
-    h = np.diff(times)
-    h1 = h[:-1][:, None]
-    h2 = h[1:][:, None]
-    out[1:-1] = (
-        -h2 / (h1 * (h1 + h2)) * values[:-2]
-        + (h2 - h1) / (h1 * h2) * values[1:-1]
-        + h1 / (h2 * (h1 + h2)) * values[2:]
-    )
-    a, b = h[0], h[1]
+
+    def read(start, stop):
+        return np.ldexp(values[start:stop], -shifts[0]), np.ldexp(times[start:stop], -shifts[1])
+
+    out = np.empty(values.shape)
+    for i in range(1, n - 1, BLOCK_SAMPLES):
+        stop = min(i + BLOCK_SAMPLES, n - 1)
+        v, t = read(i - 1, stop + 1)
+        h = np.diff(t)
+        h1, h2 = h[:-1, None], h[1:, None]
+        rows = out[i:stop]
+        np.multiply(-h2 / (h1 * (h1 + h2)), v[:-2], out=rows)
+        rows += (h2 - h1) / (h1 * h2) * v[1:-1]
+        rows += h1 / (h2 * (h1 + h2)) * v[2:]
+    v, t = read(0, 3)
+    a, b = np.diff(t)
     out[0] = (
-        -(2 * a + b) / (a * (a + b)) * values[0]
-        + (a + b) / (a * b) * values[1]
-        - a / (b * (a + b)) * values[2]
+        -(2 * a + b) / (a * (a + b)) * v[0]
+        + (a + b) / (a * b) * v[1]
+        - a / (b * (a + b)) * v[2]
     )
-    a, b = h[-2], h[-1]
+    v, t = read(n - 3, n)
+    a, b = np.diff(t)
     out[-1] = (
-        b / (a * (a + b)) * values[-3]
-        - (a + b) / (a * b) * values[-2]
-        + (a + 2 * b) / (b * (a + b)) * values[-1]
+        b / (a * (a + b)) * v[0]
+        - (a + b) / (a * b) * v[1]
+        + (a + 2 * b) / (b * (a + b)) * v[2]
     )
     return out
 
@@ -348,30 +380,39 @@ def tangent_trajectory(path: FiberPath) -> TangentTrajectory:
     """Unit tangent field of a sampled path, by finite differences.
 
     The velocity is the derivative of the points against the parameter,
-    each first rescaled by an exact power of two: the largest coordinate
+    each read rescaled by an exact power of two: the largest coordinate
     and the parameter span into [0.5, 1).  The tangents keep their bits,
     nothing overflows or underflows at extreme path or time scales, and
     the speed guard of trajectory_from_tangents is relative to the path's
-    size and duration.
+    size and duration.  The velocity is normalised in place, so the
+    stored tangents and derivatives are the only (n, 3) arrays built.
     """
-    points = np.ldexp(path.points, -np.frexp(np.abs(path.points).max())[1])
-    params = np.ldexp(path.times, -np.frexp(path.times[-1] - path.times[0])[1])
-    return trajectory_from_tangents(path.times, _derivative(points, params))
+    points, times = path.points, path.times
+    # The largest |coordinate| with no (n, 3) temporary.
+    shifts = np.frexp(max(points.max(), -points.min()))[1], np.frexp(times[-1] - times[0])[1]
+    return _unit_trajectory(times, _derivative(points, times, shifts))
 
 
 def trajectory_from_tangents(times: np.ndarray, tangents: np.ndarray) -> TangentTrajectory:
     """Trajectory from tangent samples of any length: unit tangents, derivatives by differencing."""
     times = np.asarray(times, dtype=float)
-    tangents = np.asarray(tangents, dtype=float)
+    # A copy: the caller's array is left as it was.
+    tangents = np.array(tangents, dtype=float)
     if tangents.ndim != 2 or tangents.shape[1] != 3 or len(tangents) != len(times):
         raise ValueError("tangents must be (n, 3) matching times")
-    if not np.isfinite(tangents).all():
+    return _unit_trajectory(times, tangents)
+
+
+def _unit_trajectory(times: np.ndarray, tangents: np.ndarray) -> TangentTrajectory:
+    """Trajectory of the tangents normalised in place, its derivatives by differencing."""
+    # max and min carry any NaN and reach any infinity, with no (n, 3) mask.
+    if not (np.isfinite(tangents.max()) and np.isfinite(tangents.min())):
         raise ValueError("tangents must be finite")
     norms = _row_norms(tangents)
     if np.any(norms < 1e-15):
         raise ValueError("degenerate trajectory: vanishing tangent sample")
-    unit = tangents / norms[:, None]
-    return TangentTrajectory(times=times, tangents=unit, derivatives=_derivative(unit, times))
+    tangents /= norms[:, None]
+    return TangentTrajectory(times=times, tangents=tangents, derivatives=_derivative(tangents, times))
 
 
 def _check_cone(polar_angle: float, turns: float) -> None:

@@ -5,11 +5,15 @@ intervals, is exact for quadratics and keeps the running sum at every
 pane boundary; when the interval count is odd the final interval is
 integrated with the quadratic through the last three samples.  Its last
 value is the integral over the grid.  `cumulative_dense` produces a running
-integral at every sample from per-interval quadratic pieces; both rules
-are fourth-order under grid refinement.  The pane and piece formulas
+integral at every sample from per-interval quadratic pieces.  Under grid
+refinement the pane rule is fourth order and the dense rule third: a
+piece is the Adams-Moulton rule (-1, 8, 5)/12, whose error is not
+cancelled from one interval to the next.  The pane and piece formulas
 act on whole array slices, one element per pane or interval.  The
-anholonomy of a sampled path is the pane sum of its rate; a cone's, and
-so a helix's, is closed form (geometry.cone_anholonomy) and takes no sum.
+anholonomy of a sampled path is the pane sum of its rate, taken a block
+of samples at a time: a block's sums go on from the total the block
+before left (cumulative_panes' total).  A cone's, and so a helix's, is
+closed form (geometry.cone_anholonomy) and takes no sum.
 """
 
 from __future__ import annotations
@@ -52,26 +56,34 @@ def _validate(y: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return y, x
 
 
-def cumulative_panes(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Running composite Simpson integral at the pane boundaries.
+def cumulative_panes(y: np.ndarray, x: np.ndarray, total: float = -0.0) -> np.ndarray:
+    """Running composite Simpson integral at the pane boundaries, going on from total.
 
     One value per sample 0, 2, 4, ... up to the last sample covered by
-    whole panes, starting at 0; when the interval count is odd the final
-    interval is added as one more value at the last sample.  Two samples
-    give the trapezoid.
+    whole panes, starting at total; when the interval count is odd the
+    final interval is added as one more value at the last sample.  Two
+    samples give the trapezoid.
+
+    total is the running sum carried over from samples before these.  It
+    is added to the first pane before the running sum is taken, the
+    addition a sum over the whole grid makes there, so blocks that share
+    their edge samples give the whole grid's sums bit for bit.  The
+    default -0.0 adds nothing, even to a -0.0 pane, and the first value
+    reads it as 0.0.
     """
     y, x = _validate(y, x)
     n = len(x)
     if n < 2:
         raise ValueError("need at least two samples")
     if n == 2:
-        return np.array([0.0, 0.5 * (y[0] + y[1]) * (x[1] - x[0])])
+        return np.array([total + 0.0, total + 0.5 * (y[0] + y[1]) * (x[1] - x[0])])
     end = n - 1 - (n - 1) % 2  # last sample covered by whole panes
     h = np.diff(x)
     out = np.empty(end // 2 + 1 + (end < n - 1))
-    out[0] = 0.0
+    out[0] = total + 0.0
     panes = out[1 : end // 2 + 1]
     panes[:] = _pane(y[0:end:2], y[1:end:2], y[2 : end + 1 : 2], h[0:end:2], h[1:end:2])
+    panes[0] += total
     # A running total, summed left to right: pairwise summation would
     # shift results on grids of ~10^4 panes by up to ~1e-11.
     np.cumsum(panes, out=panes)
@@ -81,7 +93,7 @@ def cumulative_panes(y: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def cumulative_dense(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Running integral of sampled y(x), one value per sample.
+    """Running integral of sampled y(x), one value per sample; third order under refinement.
 
     Interval i is integrated with the quadratic through samples
     (i-1, i, i+1), except the first interval which uses (0, 1, 2).

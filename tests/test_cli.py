@@ -461,6 +461,22 @@ def test_sampled_path_step_guard_names_the_path(tmp_path):
     assert not list((tmp_path / "out").glob("*"))
 
 
+def test_path_window_refusal_prints_plain_floats(tmp_path):
+    # t scaled by 1e-200: 1,024 intervals of about 1e-203, far under the window's 2**-300.
+    (tmp_path / "tiny.csv").write_text("t,x,y,z\n" + "".join(
+        f"{1e-200 * i / 1024!r},{math.cos(i / 100)!r},{math.sin(i / 100)!r},{i / 1024!r}\n" for i in range(1025)))
+    cfg = tmp_path / "tiny.json"
+    cfg.write_text(json.dumps({"geometry": {"kind": "sampled", "path_csv": "tiny.csv"}, "state": {"n_r": 1, "n_l": 0}}))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    error = json.loads(err.getvalue())["error"]
+    assert error == {"field": "geometry.path_csv",
+                     "message": "parameter intervals and span must lie in [2**-300, 2**300], got intervals from "
+                                "9.765624999998668e-204 over a span of 1e-200"}
+    assert "np.float64" not in err.getvalue()
+
+
 def test_overlap_floor_names_a_plain_time(tmp_path):
     # On the equator a one-photon state is orthogonal to itself half a turn on.
     cfg = tmp_path / "equator.json"

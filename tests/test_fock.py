@@ -355,6 +355,12 @@ class TestHelicityOperator:
             with pytest.raises(ValueError, match="unit vector"):
                 polarization_triad(np.array(k))
 
+    def test_non_unit_refusal_prints_a_plain_float(self):
+        with pytest.raises(ValueError) as err:
+            polarization_triad([0.0, 0.0, 2.0])
+        assert str(err.value) == "direction must be a unit vector, |k| = 2.0"
+        assert "np.float64" not in str(err.value)
+
     def test_evolved_invariant_matches_dense(self):
         # Random states over sectors 1 and 4 at n_max = 3, sector 4 cut off by the cutoff, held
         # for one step along a fixed direction k: every recorded <k.S> is the dense expectation.

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fiberphase import (
     cone_trajectory,
@@ -15,8 +16,8 @@ from fiberphase import (
     trajectory_from_tangents,
     TangentTrajectory,
 )
-from fiberphase import geometry
-from fiberphase.geometry import ConeTrajectory, _cross, _row_norms, cone_anholonomy, count_path_rows
+from fiberphase import geometry, quadrature
+from fiberphase.geometry import ConeTrajectory, _cross, _derivative, _row_norms, cone_anholonomy, count_path_rows
 
 SOLID_ANGLE_45 = 1.84030236902122  # 2*pi*(1 - cos(pi/4))
 
@@ -383,6 +384,113 @@ class TestRows:
         assert traj.tangents.shape == traj.derivatives.shape == (65, 3)
 
 
+def one_pass_derivative(values, times):
+    """_derivative's formula on whole arrays: the reference for its blocks."""
+    n = len(times)
+    if n < 3:
+        raise ValueError("need at least three samples to differentiate")
+    out = np.empty_like(values)
+    h = np.diff(times)
+    h1 = h[:-1][:, None]
+    h2 = h[1:][:, None]
+    out[1:-1] = (
+        -h2 / (h1 * (h1 + h2)) * values[:-2]
+        + (h2 - h1) / (h1 * h2) * values[1:-1]
+        + h1 / (h2 * (h1 + h2)) * values[2:]
+    )
+    a, b = h[0], h[1]
+    out[0] = -(2 * a + b) / (a * (a + b)) * values[0] + (a + b) / (a * b) * values[1] - a / (b * (a + b)) * values[2]
+    a, b = h[-2], h[-1]
+    out[-1] = b / (a * (a + b)) * values[-3] - (a + b) / (a * b) * values[-2] + (a + 2 * b) / (b * (a + b)) * values[-1]
+    return out
+
+
+def one_pass_anholonomy(traj):
+    """running_anholonomy on whole arrays: the rate at every sample, one running sum over every pane."""
+    y, x = traj.gamma_dot * (1.0 - np.cos(traj.lam)), traj.times
+    n = len(x)
+    if n == 2:
+        return np.array([0.0, 0.5 * (y[0] + y[1]) * (x[1] - x[0])])
+    end = n - 1 - (n - 1) % 2
+    h = np.diff(x)
+    panes = quadrature._pane(y[0:end:2], y[1:end:2], y[2 : end + 1 : 2], h[0:end:2], h[1:end:2])
+    out = np.concatenate(([0.0], np.cumsum(panes)))
+    if end < n - 1:
+        out = np.append(out, out[-1] + quadrature._trailing(y[n - 3], y[n - 2], y[n - 1], h[n - 3], h[n - 2]))
+    return out
+
+
+B = geometry.BLOCK_SAMPLES
+# Grids around the block edges: an even sample count has an odd trailing interval, and 2B + 2 samples
+# would leave a last block of two.
+BLOCK_GRIDS = (2, 3, 4, 8, B - 1, B, B + 1, B + 2, 2 * B + 1, 2 * B + 2)
+
+
+def block_grid(n, kind):
+    """n increasing times: np.linspace(0, 1, n), or intervals drawn from [0.2, 1] on [-0.3, ...)."""
+    if kind == "uniform":
+        return np.linspace(0.0, 1.0, n)
+    return np.concatenate([[-0.3], -0.3 + np.cumsum(np.random.default_rng(n).uniform(0.2, 1.0, n - 1))])
+
+
+class TestBlocksMatchOnePass:
+    @pytest.mark.parametrize("kind", ["uniform", "nonuniform"])
+    @pytest.mark.parametrize("n", BLOCK_GRIDS)
+    def test_derivative(self, n, kind):
+        times = block_grid(n, kind)
+        values = np.random.default_rng(n).normal(size=(n, 3))
+        if n < 3:
+            with pytest.raises(ValueError, match="three samples"):
+                _derivative(values, times)
+            return
+        assert same_bits(_derivative(values, times), one_pass_derivative(values, times))
+        shifted = _derivative(values, times, (-3, 7))
+        assert same_bits(shifted, one_pass_derivative(np.ldexp(values, 3), np.ldexp(times, -7)))
+
+    @pytest.mark.parametrize("kind", ["uniform", "nonuniform"])
+    @pytest.mark.parametrize("n", [n for n in BLOCK_GRIDS if n >= 8])
+    def test_tangent_trajectory(self, n, kind):
+        times = block_grid(n, kind)
+        points = np.cumsum(np.random.default_rng(n).normal(size=(n, 3)), axis=0) * 1e-3
+        traj = tangent_trajectory(sampled_path(times, points))
+        scaled = np.ldexp(points, -np.frexp(np.abs(points).max())[1])
+        velocity = one_pass_derivative(scaled, np.ldexp(times, -np.frexp(times[-1] - times[0])[1]))
+        unit = velocity / _row_norms(velocity)[:, None]
+        assert same_bits(traj.tangents, unit)
+        assert same_bits(traj.derivatives, one_pass_derivative(unit, times))
+
+    @pytest.mark.parametrize("field", ["random", "negative-zero"])
+    @pytest.mark.parametrize("kind", ["uniform", "nonuniform"])
+    @pytest.mark.parametrize("n", BLOCK_GRIDS)
+    def test_running_anholonomy(self, n, kind, field):
+        rng = np.random.default_rng(n)
+        if field == "random":  # every tenth sample on a pole
+            tangents, derivatives = rng.normal(size=(n, 3)), rng.normal(size=(n, 3))
+            tangents[::10, :2] = 0.0
+        else:  # a fixed direction whose rate is -0.0 at every sample, so every pane sum is -0.0
+            tangents, derivatives = np.tile([1.0, 0.0, 0.0], (n, 1)), np.tile([0.0, -0.0, 0.0], (n, 1))
+        traj = TangentTrajectory(block_grid(n, kind), tangents, derivatives)
+        running = traj.running_anholonomy()
+        assert same_bits(running, one_pass_anholonomy(TangentTrajectory(traj.times, tangents, derivatives)))
+        assert traj.__dict__.keys() == {"times", "tangents", "derivatives"}  # nothing whole-grid cached
+        # On a uniform grid the -0.0 totals are carried across blocks; a trailing interval adds +0.0.
+        if field == "negative-zero" and kind == "uniform":
+            panes = running[1 : (n - 1) // 2 + 1] if n > 2 else running[1:]
+            assert not np.signbit(running[0]) and np.signbit(panes).all()
+
+    def test_cone_blocks(self):
+        cone = cone_trajectory(0.7, 2.3, 2 * B + 2, azimuth_offset=0.4)
+        assert same_bits(cone.running_anholonomy(), one_pass_anholonomy(cone))
+
+    def test_caller_tangents_left_as_they_were(self):
+        s = np.linspace(0.0, 3.0, 33)
+        tangents = np.column_stack([np.cos(s), np.sin(s), np.full(33, 2.0)])
+        before = tangents.copy()
+        traj = trajectory_from_tangents(np.linspace(0.0, 1.0, 33), tangents)
+        assert same_bits(tangents, before)
+        assert same_bits(traj.tangents, before / _row_norms(before)[:, None])
+
+
 class TestConeAnholonomy:
     # The closed form against the one-pass quadrature of the same cone; within
     # POLE_SIN_TOL of a pole (1e-10 and pi - 1e-10) both read 0.
@@ -585,6 +693,26 @@ class TestCsvInterfaces:
         f.write_bytes(newline.join(["t,x,y,z", *rows, ""]).encode())
         monkeypatch.setattr(geometry, "ROW_COUNT_CHUNK_BYTES", chunk)
         assert count_path_rows(f) == len(load_path_csv(f).times) == 17
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(
+        filler=st.lists(st.lists(st.text(" \t\x0b\x0c", max_size=3), max_size=2), min_size=18, max_size=18),
+        newline=st.sampled_from(["\n", "\r\n", "\r"]),
+        final_newline=st.booleans(),
+        chunk=st.integers(1, 16),
+    )
+    def test_row_count_is_the_loaded_row_count(self, tmp_path_factory, filler, newline, final_newline, chunk):
+        # What parse_config's size check reads before any load: blank and whitespace-only lines between, before
+        # and after 17 rows, line ends of every kind falling across the read boundaries of small chunks.
+        rows = [f"{i / 16},{math.cos(i / 4)},{math.sin(i / 4)},{i / 16}" for i in range(17)]
+        lines = ["t,x,y,z", *filler[0]]
+        for row, extra in zip(rows, filler[1:]):
+            lines += [row, *extra]
+        f = tmp_path_factory.mktemp("rows") / "p.csv"
+        f.write_bytes((newline.join(lines) + newline * final_newline).encode())
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(geometry, "ROW_COUNT_CHUNK_BYTES", chunk)
+            assert count_path_rows(f) == len(load_path_csv(f).times) == 17
 
     def test_whitespace_only_lines_skipped(self, tmp_path):
         rows = [f"{i / 16},{math.cos(i / 4)},{math.sin(i / 4)},{i / 16}\n" for i in range(17)]

@@ -816,6 +816,43 @@ class TestRunScenario:
                 tracemalloc.stop()
         assert (peaks[1] - peaks[0]) / (16384 - 2048) <= 224, peaks
 
+    def sampled_trajectory(self, tmp_path, rows):
+        """A sampled path of rows samples, built once untraced (a first read loads what it needs), and its config."""
+        import fiberphase.scenario as scenario
+
+        t, pts = helix_points(1.0, 2.0 * math.pi, 1.0, rows)
+        write_path_csv(tmp_path / "path.csv", t, pts)
+        data = {"geometry": {"kind": "sampled", "path_csv": "path.csv"}, "state": {"n_r": 1, "n_l": 0}}
+        config = parse_config(data, "rows", base_dir=tmp_path)
+        return scenario._build_trajectory(config), config
+
+    def test_sampled_trajectory_build_peak_per_row(self, tmp_path):
+        # The tangents and derivatives are differenced a block at a time: 132 bytes per row measured at
+        # 8,193 rows, where whole-grid temporaries made it 224.
+        import fiberphase.scenario as scenario
+
+        _, config = self.sampled_trajectory(tmp_path, 8193)
+        tracemalloc.start()
+        try:
+            scenario._build_trajectory(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / 8193 < 176, peak
+
+    def test_anholonomy_leaves_no_whole_grid_arrays(self, tmp_path):
+        # The rate is formed a block at a time: the running sums (32 KiB) are what is left, where the
+        # unit tangents, lam and gamma_dot cached on the trajectory made it 352 KiB.
+        traj, _ = self.sampled_trajectory(tmp_path, 8193)
+        tracemalloc.start()
+        try:
+            running = traj.running_anholonomy()
+            left = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert left <= 64 * 1024, left
+        assert len(running) == 4097
+
     def test_twelve_photon_run_memory(self):
         # n_max = 12 (D = 2197) with a 12-photon sector of d = 91; one dense
         # 2197-square S3 alone would hold 3.9 MiB.
