@@ -17,12 +17,11 @@ sector in closed form, with no basis, and build_photon_state applies
 creation operators by index shifts.  Nothing on the runner's path is
 (n_max+1)^3 square.
 
-The spin projected onto a direction, v.S, is one construction,
+The spin projected onto a direction, v.S or v.A, is one construction,
 _field_operator, on dense spin matrices or on generators: the helicity
-k.S here, and phases' library Hamiltonian and evolution_operator_V's
-generator.  A run forms none: it takes u.A as one product of u with the
-stacked generators, with _field_operator's bits, and reads its energies
-and invariants off the state's spin <S>.
+k.S here, and in phases the run's u.A, the library Hamiltonian and
+evolution_operator_V's generator.  A run reads its energies and
+invariants off the state's spin <S>, not off a projected matrix.
 """
 
 from __future__ import annotations
@@ -272,15 +271,15 @@ def occupied_sectors(state: StateVector) -> list[int]:
     return np.flatnonzero(np.bincount(np.sum(occupations, axis=0), minlength=1)).tolist()
 
 
-def sector_generators(space: FockSpace, sectors) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+def sector_generators(space: FockSpace, sectors) -> tuple[np.ndarray, np.ndarray]:
     """Basis indices of the given photon-number sectors and the spin generators on them.
 
-    Returns (keep, (A1, A2, A3)): keep the ascending basis indices whose
-    total occupation is one of sectors, and the real antisymmetric
-    d x d matrices A_i = b_j+ b_k - b_k+ b_j on those rows and columns,
-    so that S_i = -i A_i.  The entries come from the ladder moves of the
-    basis, sectors the cutoff truncates included; no (n_max+1)^3 square
-    matrix is built.
+    Returns (keep, a): keep the ascending basis indices whose total
+    occupation is one of sectors, and a the (3, d, d) stack of the real
+    antisymmetric matrices A_i = b_j+ b_k - b_k+ b_j on those rows and
+    columns, so that S_i = -i A_i.  The entries come from the ladder
+    moves of the basis, sectors the cutoff truncates included; no
+    (n_max+1)^3 square matrix is built.
     """
     if space.num_modes != 3:
         raise ValueError("spin components require a 3-mode space")
@@ -293,14 +292,12 @@ def sector_generators(space: FockSpace, sectors) -> tuple[np.ndarray, tuple[np.n
     keep = np.flatnonzero(wanted[totals])
     position = np.zeros(space.dimension, dtype=int)
     position[keep] = np.arange(len(keep))
-    generators = []
-    for j, k in _SPIN_MODES:
-        a = np.zeros((len(keep), len(keep)))
+    generators = np.zeros((3, len(keep), len(keep)))
+    for a, (j, k) in zip(generators, _SPIN_MODES):
         for sign, p, q in ((1.0, j, k), (-1.0, k, j)):
             source, target, values = _hops(space, keep, p, q)
             a[position[target], position[source]] = sign * values
-        generators.append(a)
-    return keep, tuple(generators)
+    return keep, generators
 
 
 def spin_scale(space: FockSpace) -> float:
@@ -333,9 +330,13 @@ def _check_unit(k_hat: np.ndarray) -> np.ndarray:
 
 
 def _field_operator(v: np.ndarray, s) -> np.ndarray:
-    """v . S for the matrices s (spin or generators); v is one 3-vector or a stack (..., 3) of them."""
-    v = np.asarray(v)[..., None, None]
-    return v[..., 0, :, :] * s[0] + v[..., 1, :, :] * s[1] + v[..., 2, :, :] * s[2]
+    """v . S for the three matrices s (spin or generators); v is one 3-vector or a stack (..., 3) of them.
+
+    One matrix product of v with s flattened to (3, d * d).  On the
+    generators, distinct mode pairs never share an entry, so each entry
+    has one nonzero term and is the exact product v_i * A_i.
+    """
+    return np.tensordot(v, s, axes=1)
 
 
 def helicity_operator(space: FockSpace, k_hat: np.ndarray) -> OperatorMatrix:

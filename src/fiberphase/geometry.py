@@ -143,15 +143,16 @@ def helix_points(radius: float, pitch_per_turn: float, turns: float, samples: in
 def count_path_rows(filename) -> int:
     """Data rows of a path CSV (non-blank lines after the header), in bounded memory.
 
-    The file is read ROW_COUNT_CHUNK_BYTES at a time, so a sampled path
-    can be sized before load_path_csv reads it whole.  Lines may end with
-    LF, CRLF or CR, as load_path_csv's universal newlines allow: each CR
-    counts as a line end, and the blank line a CRLF then adds is not a row.
+    The file is read as load_path_csv reads it, UTF-8 text with universal
+    newlines, ROW_COUNT_CHUNK_BYTES characters at a time, so a sampled
+    path can be sized before load_path_csv reads it whole.  A line counts
+    exactly when the load keeps it: when it is not empty and not all
+    whitespace.
     """
     lines, pending = 0, False
-    with open(filename, "rb") as fh:
-        for chunk in iter(lambda: fh.read(ROW_COUNT_CHUNK_BYTES), b""):
-            live = [bool(piece.strip()) for piece in chunk.replace(b"\r", b"\n").split(b"\n")]
+    with open(filename, "r", encoding="utf-8") as fh:
+        for chunk in iter(lambda: fh.read(ROW_COUNT_CHUNK_BYTES), ""):
+            live = [bool(piece) and not piece.isspace() for piece in chunk.split("\n")]
             # The first piece continues the line the previous chunk left open.
             live[0] = live[0] or pending
             lines += sum(live[:-1])

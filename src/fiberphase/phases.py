@@ -224,15 +224,12 @@ def evolve_state(psi0: StateVector, traj: TangentTrajectory) -> EvolutionResult:
 
     steps = (len(times) - 1) // 2
     d = len(keep)
-    # Distinct mode pairs never share a matrix entry, so each entry of u.A has
-    # one nonzero term and this product has the bits of _field_operator(u, a).
-    flat_a = np.reshape(a, (3, d * d))
     states = np.empty((steps + 1, d), dtype=complex)
     states[0] = psi0.amplitudes[keep]
     if isinstance(traj, ConeTrajectory) and sectors[-1] <= psi0.space.n_max:
-        _power_states(states, times, traj.rows(0, 3).precession_field, flat_a, TWO_PI * traj.turns)
+        _power_states(states, times, traj.rows(0, 3).precession_field, a, TWO_PI * traj.turns)
     else:
-        _loop_states(states, traj, step_h, flat_a)
+        _loop_states(states, traj, step_h, a)
 
     # <S_i> = <psi|-iA_i|psi> = 2 x.A_i y for psi = x + iy, as A_i is real and antisymmetric.
     a_rows = np.concatenate(a, axis=1)
@@ -291,7 +288,7 @@ def _step_matrices(g0: np.ndarray, g1: np.ndarray, g2: np.ndarray, h, eye: np.nd
     return k1
 
 
-def _loop_states(states: np.ndarray, traj: TangentTrajectory, step_h: np.ndarray, flat_a: np.ndarray) -> None:
+def _loop_states(states: np.ndarray, traj: TangentTrajectory, step_h: np.ndarray, a: np.ndarray) -> None:
     """Fill states[1:] from states[0] a step at a time: u and M for CHUNK_BYTES of steps, then mj.dot(psi, out=row)."""
     steps, d = states.shape[0] - 1, states.shape[1]
     chunk = max(1, CHUNK_BYTES // (8 * d * d))
@@ -302,8 +299,8 @@ def _loop_states(states: np.ndarray, traj: TangentTrajectory, step_h: np.ndarray
         stop = min(start + chunk, steps)
         # Step j ends on the sample step j + 1 starts from.
         u = traj.rows(2 * start, 2 * stop + 1).precession_field
-        g_even = (u[::2] @ flat_a).reshape(-1, d, d)
-        g1 = (u[1::2] @ flat_a).reshape(-1, d, d)
+        g_even = _field_operator(u[::2], a)
+        g1 = _field_operator(u[1::2], a)
         m = m_buf[: stop - start]
         m[...] = _step_matrices(g_even[:-1], g1, g_even[1:], step_h[start:stop, None, None], eye)
         # The product lands in the stored row: no temporary, the zgemv of mj @ psi.
@@ -312,7 +309,7 @@ def _loop_states(states: np.ndarray, traj: TangentTrajectory, step_h: np.ndarray
             psi = row
 
 
-def _power_states(states: np.ndarray, times: np.ndarray, u: np.ndarray, flat_a: np.ndarray, rate: float) -> None:
+def _power_states(states: np.ndarray, times: np.ndarray, u: np.ndarray, a: np.ndarray, rate: float) -> None:
     """Fill states[1:] from states[0] on a cone, as powers of one step matrix: no per-step Python work.
 
     u holds the precession field at samples 0 to 2.  u(t) is u(0)
@@ -324,8 +321,8 @@ def _power_states(states: np.ndarray, times: np.ndarray, u: np.ndarray, flat_a: 
     """
     steps, d = states.shape[0] - 1, states.shape[1]
     h = (times[-1] - times[0]) / steps
-    g0, g1, g2 = (u @ flat_a).reshape(3, d, d)
-    w = _expm((rate * h) * flat_a[2].reshape(d, d))
+    g0, g1, g2 = _field_operator(u, a)
+    w = _expm((rate * h) * a[2])
     # exp(-x) = exp(x)^T for the antisymmetric x.
     gaps = [np.abs(r @ g0 @ r.T - g2).max() for r in (w, w.T)]
     if gaps[1] < gaps[0]:
@@ -416,17 +413,15 @@ def evolution_operator_V(polar_angle: float, azimuth: float, space: FockSpace) -
     direction (polar_angle, azimuth): V+ (k.S) V = S3 on every complete
     total-occupation sector of the space.  The exponent is -i G with the
     Hermitian generator G = i(beta S+ - beta* S-) = lam n.S, n = (-sin gamma,
-    cos gamma, 0), which conserves photon number: one eigendecomposition
-    of G per sector, and V is 0 between sectors.
+    cos gamma, 0), so V = exp(-lam n.A), one _expm over all of the box's
+    sectors.  G conserves photon number: every product of its
+    block-diagonal generator keeps the zeros between sectors, so V is
+    exactly 0 there.
     """
     if not math.isfinite(polar_angle):
         raise ValueError(f"polar_angle must be finite, got {polar_angle!r}")
     if not math.isfinite(azimuth):
         raise ValueError(f"azimuth must be finite, got {azimuth!r}")
     rotation = polar_angle * np.array([-math.sin(azimuth), math.cos(azimuth), 0.0])
-    v = np.zeros((space.dimension, space.dimension), dtype=complex)
-    for sector in range(3 * space.n_max + 1):
-        keep, a = sector_generators(space, [sector])
-        w, q = np.linalg.eigh(-1j * _field_operator(rotation, a))
-        v[np.ix_(keep, keep)] = (q * np.exp(-1j * w)) @ q.conj().T
-    return OperatorMatrix(space, v)
+    _, a = sector_generators(space, range(3 * space.n_max + 1))
+    return OperatorMatrix(space, _expm(-_field_operator(rotation, a)))

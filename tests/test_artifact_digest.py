@@ -17,13 +17,18 @@ CSV = "t,phi_geo,norm\n0,0,1\n0.5,0.25,1\n"
 
 
 @pytest.fixture(scope="module")
-def compare():
+def tool():
     # Importing the tool pins the BLAS threads and turns off bytecode writing: undone here.
     spec = importlib.util.spec_from_file_location("artifact_digest", TOOL)
     module = importlib.util.module_from_spec(spec)
     with mock.patch.dict(os.environ), mock.patch.object(sys, "dont_write_bytecode", sys.dont_write_bytecode):
         spec.loader.exec_module(module)
-    return module.compare
+    return module
+
+
+@pytest.fixture(scope="module")
+def compare(tool):
+    return tool.compare
 
 
 def record(root: Path, files: dict, code=0, argv=("--scenario", "s")) -> dict:
@@ -91,3 +96,42 @@ def test_file_on_one_side_only_is_reported(compare, tmp_path):
 def test_different_calls_are_not_compared(compare, tmp_path):
     flips, moved = run_compare(compare, tmp_path, {"r.json": JSON}, {"r.json": JSON}, argv=("--scenario", "t"))
     assert flips == ["the two checkouts make different calls"] and moved == {}
+
+
+def run_main(tool, monkeypatch, capsys, argv, *listings) -> tuple[int, str]:
+    """(exit code, stdout) of main with digest stubbed to hand out the given listings in turn."""
+    handed = iter(listings)
+
+    def digest(checkout, seeds, scratch):
+        listing = next(handed)
+        return "d" * 64, listing, len(listing)
+
+    monkeypatch.setattr(tool, "digest", digest)
+    code = tool.main(argv)
+    return code, capsys.readouterr().out
+
+
+def listing(root: Path, files: dict, call_digest: str) -> list[dict]:
+    return [{**record(root, files), "digest": call_digest}]
+
+
+def test_main_exits_0_when_every_call_is_byte_identical(tool, monkeypatch, capsys, tmp_path):
+    files = {"r.json": JSON, "r.csv": CSV}
+    code, out = run_main(tool, monkeypatch, capsys, ["a", "--diff", "b"],
+                         listing(tmp_path / "a", files, "x"), listing(tmp_path / "b", files, "x"))
+    assert code == 0
+    assert "1 of 1 calls byte-identical; 0 non-numeric changes" in out
+
+
+def test_main_exits_1_when_any_call_differs(tool, monkeypatch, capsys, tmp_path):
+    code, out = run_main(tool, monkeypatch, capsys, ["a", "--diff", "b"],
+                         listing(tmp_path / "a", {"r.json": JSON}, "x"),
+                         listing(tmp_path / "b", {"r.json": with_value("total_phase", 0.2)}, "y"))
+    assert code == 1
+    assert "0 of 1 calls byte-identical; 0 non-numeric changes" in out
+
+
+def test_main_without_diff_exits_0(tool, monkeypatch, capsys, tmp_path):
+    code, out = run_main(tool, monkeypatch, capsys, ["a"], listing(tmp_path / "a", {"r.json": JSON}, "x"))
+    assert code == 0
+    assert out == f"{'d' * 64}  1 calls, 1 files\n"

@@ -365,6 +365,16 @@ def test_sampled_path_errors_name_the_path(tmp_path, capsys, name, text):
     assert error_field(capsys) == "geometry.path_csv"
 
 
+def test_path_that_is_not_utf8_names_the_path(tmp_path, capsys):
+    # The size check decodes the file as the load does, so a byte that is not UTF-8 is refused before any work.
+    (tmp_path / "latin1.csv").write_bytes(PATH_ROWS.replace("0.5,0,1", "0.5,0,1\xa0").encode("latin-1"))
+    cfg = tmp_path / "latin1.json"
+    cfg.write_text(json.dumps({"geometry": {"kind": "sampled", "path_csv": "latin1.csv"}, "state": {"n_r": 1, "n_l": 0}}))
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+    assert error["field"] == "geometry.path_csv" and "'utf-8' codec can't decode byte 0xa0" in error["message"]
+
+
 def fast_value(value) -> bool:
     """False for an int that the checks admit as a step count (to about 3.6 million) yet would take long to run;
     a number state's run costs the same at every n_max."""

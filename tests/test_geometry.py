@@ -696,14 +696,16 @@ class TestCsvInterfaces:
 
     @settings(max_examples=200, derandomize=True, database=None, deadline=None)
     @given(
-        filler=st.lists(st.lists(st.text(" \t\x0b\x0c", max_size=3), max_size=2), min_size=18, max_size=18),
+        filler=st.lists(st.lists(st.text(" \t\x0b\x0c\x1c\x1f\xa0\x85\u2028\u3000", max_size=3), max_size=2),
+                        min_size=18, max_size=18),
         newline=st.sampled_from(["\n", "\r\n", "\r"]),
         final_newline=st.booleans(),
         chunk=st.integers(1, 16),
     )
     def test_row_count_is_the_loaded_row_count(self, tmp_path_factory, filler, newline, final_newline, chunk):
         # What parse_config's size check reads before any load: blank and whitespace-only lines between, before
-        # and after 17 rows, line ends of every kind falling across the read boundaries of small chunks.
+        # and after 17 rows, line ends of every kind falling across the read boundaries of small chunks.  The
+        # whitespace includes non-ASCII characters and the ASCII separators 0x1C-0x1F, which str.isspace admits.
         rows = [f"{i / 16},{math.cos(i / 4)},{math.sin(i / 4)},{i / 16}" for i in range(17)]
         lines = ["t,x,y,z", *filler[0]]
         for row, extra in zip(rows, filler[1:]):
@@ -713,6 +715,13 @@ class TestCsvInterfaces:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(geometry, "ROW_COUNT_CHUNK_BYTES", chunk)
             assert count_path_rows(f) == len(load_path_csv(f).times) == 17
+
+    def test_path_that_is_not_utf8_is_refused_by_the_count(self, tmp_path):
+        f = tmp_path / "p.csv"
+        f.write_bytes(b"t,x,y,z\n0,1,0,0\n\xff\xfe\n1,0,1,1\n")
+        for read in (count_path_rows, load_path_csv):
+            with pytest.raises(UnicodeDecodeError):
+                read(f)
 
     def test_whitespace_only_lines_skipped(self, tmp_path):
         rows = [f"{i / 16},{math.cos(i / 4)},{math.sin(i / 4)},{i / 16}\n" for i in range(17)]

@@ -670,7 +670,7 @@ class TestConeStates:
         states = np.zeros((257, len(keep)), dtype=complex)
         states[0, 0] = 1.0
         with pytest.raises(ValueError, match="does not turn the precession field"):
-            phases._power_states(states, traj.times, traj.rows(0, 3).precession_field, np.reshape(a, (3, -1)),
+            phases._power_states(states, traj.times, traj.rows(0, 3).precession_field, a,
                                  2.0 * (2.0 * math.pi * traj.turns))
 
     @pytest.mark.parametrize("scale", [0.0, 1e-3, 0.2, 7.0], ids=["zero", "taylor", "squared", "squared-more"])
@@ -769,6 +769,16 @@ class TestExtractPhases:
         traj = cone_trajectory(math.pi / 2.0, 1.0, 1025)
         result = evolve_state(psi0.normalized(), traj)
         with pytest.raises(ValueError, match="ill-conditioned"):
+            phase_series(result)
+
+    def test_overlap_just_under_the_floor_is_refused(self):
+        # A one-photon cone 3e-4 rad off the equator: half a turn on, |<psi0|psi>| = 9.0e-8, between 1e-9 and
+        # the floor's 1e-6, so a floor set a thousand times lower would let it through.
+        traj = cone_trajectory(math.pi / 2.0 - 3e-4, 1.0, 2049)
+        result = evolve_state(build_photon_state(build_space(3, 1), 1, 0, k_hat=traj.rows(0, 1).unit_tangents[0]), traj)
+        overlaps = np.abs(result.states @ result.states[0].conj())
+        assert 1e-9 < overlaps.min() < 1e-6 and result.times[overlaps.argmin()] == 0.5
+        with pytest.raises(ValueError, match=r"ill-conditioned: \|<psi\(0\)\|psi\(t\)>\| = 9\.000e-08 at t = 0\.5"):
             phase_series(result)
 
     def test_grid_mismatch_rejected(self):

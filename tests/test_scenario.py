@@ -595,6 +595,55 @@ class TestInvariantDrift:
         assert [c["name"] for c in summary["checks"]] == ["numerical_vs_closed_form", "norm_drift", "motion_identity"]
 
 
+class TestCheckValues:
+    """Each check's value and threshold as the artifacts carry them, so a mutated reduction or constant shows."""
+
+    @staticmethod
+    def drift_run(monkeypatch, tmp_path):
+        # (2, 0) on a lambda = 0.7 cone at 256 steps: RK4 damps the norm a little every step, so the norm
+        # drift (4.1e-10) is largest at the last boundary, and the invariant's max (1.6e-9) is about twice
+        # its mean.  Every check passes.
+        import fiberphase.scenario as scenario
+
+        evolutions = []
+
+        def keep(psi0, traj):
+            evolutions.append(evolve(psi0, traj))
+            return evolutions[-1]
+
+        evolve = scenario.evolve_state
+        monkeypatch.setattr(scenario, "evolve_state", keep)
+        data = cone_config(0.7, 256, state={"n_r": 2, "n_l": 0})
+        assert run_scenario(parse_config(data, "drift"), tmp_path).exit_code == 0
+        (result,) = evolutions
+        return result, json.loads((tmp_path / "drift.json").read_text()), (tmp_path / "drift.csv").read_text()
+
+    def test_thresholds_are_pinned(self, monkeypatch, tmp_path):
+        import fiberphase.phases as phases
+
+        _, summary, _ = self.drift_run(monkeypatch, tmp_path)
+        thresholds = {c["name"]: c["threshold"] for c in summary["checks"]}
+        assert thresholds == {"numerical_vs_closed_form": 1e-4, "norm_drift": 1e-9, "invariant_drift": 1e-6,
+                              "motion_identity": 1e-6}
+        assert phases.OVERLAP_FLOOR == 1e-6
+
+    def test_norm_drift_is_the_max_over_every_csv_row(self, monkeypatch, tmp_path):
+        _, summary, text = self.drift_run(monkeypatch, tmp_path)
+        lines = text.splitlines()
+        column = lines[0].split(",").index("norm")
+        drift = np.abs(np.array([float(line.split(",")[column]) for line in lines[1:]]) - 1.0)
+        assert drift.argmax() == len(drift) - 1 and drift[-1] > drift[:-1].max()
+        assert summary["numerical"]["norm_drift"] == drift.max()
+        assert next(c for c in summary["checks"] if c["name"] == "norm_drift")["value"] == drift.max()
+
+    def test_invariant_drift_is_the_max_not_the_mean(self, monkeypatch, tmp_path):
+        result, summary, _ = self.drift_run(monkeypatch, tmp_path)
+        drift = np.abs(result.invariants - result.invariants[0])
+        assert drift.max() > 1.5 * drift.mean()
+        assert summary["numerical"]["invariant_drift"] == drift.max()
+        assert next(c for c in summary["checks"] if c["name"] == "invariant_drift")["value"] == drift.max()
+
+
 class TestRunScenario:
     @pytest.mark.parametrize(
         "rows, warp",
@@ -918,6 +967,35 @@ class TestRunScenario:
             for label, raw in members:
                 outcome = run_scenario(parse_config(raw, label), tmp_path / name)
                 assert outcome.summary["status"] == "pass", label
+
+    def test_library_operators_call_no_eigensolver(self, monkeypatch):
+        # Off the run path too, every operator is built from matrix products: V by one _expm.
+        from fiberphase import (
+            cone_trajectory,
+            effective_hamiltonian,
+            evolution_operator_V,
+            helicity_operator,
+            lvn_residual,
+            spin_fixed,
+        )
+
+        def refuse(name):
+            def solver(*args, **kwargs):
+                raise AssertionError(f"np.linalg.{name} called")
+
+            return solver
+
+        for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, refuse(name))
+        traj = cone_trajectory(0.7, 1.0, 65)
+        k = np.array([math.sin(0.7), 0.0, math.cos(0.7)])
+        for n_max in (1, 2, 3):
+            space = build_space(3, n_max)
+            spin = spin_fixed(space)
+            operators = [evolution_operator_V(0.7, 0.3, space), helicity_operator(space, k),
+                         effective_hamiltonian(traj, spin, traj.times[8]), *spin]
+            assert all(np.isfinite(op.entries).all() for op in operators)
+            assert math.isfinite(lvn_residual(traj, space, traj.times[8]))
 
     def test_s3_expectation_equals_dense_split(self):
         # Every (n_r, n_l) in 0..25 and every ordering against the expectations

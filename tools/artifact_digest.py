@@ -33,7 +33,9 @@ that is not a number and differs (a status, a check's pass bit) or is
 a zero whose sign changed, then
 the max |difference| of each numeric JSON field and CSV column over all
 calls.  A JSON list of named objects (the checks, a group's members) is
-keyed by name.  Nothing under either checkout is written.
+keyed by name.  It exits 0 when every call is byte-identical and 1 when
+any call differs, so a byte-identity claim can gate a script.  Nothing
+under either checkout is written.
 """
 
 from __future__ import annotations
@@ -251,6 +253,7 @@ def main(argv=None) -> int:
     parser.add_argument("--diff", type=Path, metavar="OTHER_CHECKOUT", help="compare the artifacts with another checkout's")
     args = parser.parse_args(argv)
     checkouts = [args.checkout] + ([args.diff] if args.diff else [])
+    code = 0
     with contextlib.ExitStack() as stack:
         listings = []
         for checkout in checkouts:
@@ -265,12 +268,13 @@ def main(argv=None) -> int:
             flips, moved = compare(*listings)
             same = sum(a["digest"] == b["digest"] for a, b in zip(*listings))
             print(f"{same} of {len(listings[0])} calls byte-identical; {len(flips)} non-numeric changes")
+            code = int(same < max(map(len, listings)))
             for line in flips:
                 print(f"  {line}")
             print("max |difference| per numeric field:")
             for field in sorted(moved):
                 print(f"  {moved[field]:.3g}  {field}")
-    return 0
+    return code
 
 
 if __name__ == "__main__":
