@@ -332,9 +332,8 @@ def _check_unit(k_hat: np.ndarray) -> np.ndarray:
 def _field_operator(v: np.ndarray, s) -> np.ndarray:
     """v . S for the three matrices s (spin or generators); v is one 3-vector or a stack (..., 3) of them.
 
-    One matrix product of v with s flattened to (3, d * d).  On the
-    generators, distinct mode pairs never share an entry, so each entry
-    has one nonzero term and is the exact product v_i * A_i.
+    One matrix product over s's first axis.  On the generators distinct mode
+    pairs never share an entry, so each entry is the exact product v_i * A_i.
     """
     return np.tensordot(v, s, axes=1)
 

@@ -143,25 +143,27 @@ def helix_points(radius: float, pitch_per_turn: float, turns: float, samples: in
 def count_path_rows(filename) -> int:
     """Data rows of a path CSV (non-blank lines after the header), in bounded memory.
 
-    The file is read as load_path_csv reads it, UTF-8 text with universal
-    newlines, ROW_COUNT_CHUNK_BYTES characters at a time, so a sampled
-    path can be sized before load_path_csv reads it whole.  A line counts
-    exactly when the load keeps it: when it is not empty and not all
-    whitespace.
+    The file is read as load_path_csv reads it (UTF-8, universal newlines),
+    ROW_COUNT_CHUNK_BYTES characters at a time, so a sampled path can be
+    sized before it is read whole.  A line counts exactly when the load
+    reads it as a row: not empty, not all whitespace, not starting with '#'.
     """
-    lines, pending = 0, False
+    lines, opened = 0, ""
     with open(filename, "r", encoding="utf-8") as fh:
         for chunk in iter(lambda: fh.read(ROW_COUNT_CHUNK_BYTES), ""):
-            live = [bool(piece) and not piece.isspace() for piece in chunk.split("\n")]
-            # The first piece continues the line the previous chunk left open.
-            live[0] = live[0] or pending
-            lines += sum(live[:-1])
-            pending = live[-1]
-    return max(lines + pending - 1, 0)
+            # The first line continues the one the previous chunk left open, which
+            # stands in as "x" when it counts so far and as its first character when not.
+            text = opened + chunk
+            pieces = text.split("\n")
+            last = pieces.pop()
+            comments = text.count("\n#") + text.startswith("#") - last.startswith("#") if "#" in text else 0
+            lines += len(pieces) - pieces.count("") - sum(map(str.isspace, pieces)) - comments
+            opened = "x" if last and not last.isspace() and last[0] != "#" else last[:1]
+    return max(lines + (opened == "x") - 1, 0)
 
 
 def load_path_csv(filename) -> FiberPath:
-    """Read a sampled path from CSV with header t,x,y,z; blank and whitespace-only lines are skipped."""
+    """Read a sampled path from CSV with header t,x,y,z; blank, whitespace-only and '#' comment lines are skipped."""
     with open(filename, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != "t,x,y,z":

@@ -413,15 +413,16 @@ def evolution_operator_V(polar_angle: float, azimuth: float, space: FockSpace) -
     direction (polar_angle, azimuth): V+ (k.S) V = S3 on every complete
     total-occupation sector of the space.  The exponent is -i G with the
     Hermitian generator G = i(beta S+ - beta* S-) = lam n.S, n = (-sin gamma,
-    cos gamma, 0), so V = exp(-lam n.A), one _expm over all of the box's
-    sectors.  G conserves photon number: every product of its
-    block-diagonal generator keeps the zeros between sectors, so V is
-    exactly 0 there.
+    cos gamma, 0), which conserves photon number: V = exp(-lam n.A) is one
+    _expm per sector, sum d_N^3 work rather than D^3, and 0 between sectors.
     """
     if not math.isfinite(polar_angle):
         raise ValueError(f"polar_angle must be finite, got {polar_angle!r}")
     if not math.isfinite(azimuth):
         raise ValueError(f"azimuth must be finite, got {azimuth!r}")
     rotation = polar_angle * np.array([-math.sin(azimuth), math.cos(azimuth), 0.0])
-    _, a = sector_generators(space, range(3 * space.n_max + 1))
-    return OperatorMatrix(space, _expm(-_field_operator(rotation, a)))
+    v = np.zeros((space.dimension, space.dimension))
+    for sector in range(3 * space.n_max + 1):
+        keep, a = sector_generators(space, [sector])
+        v[np.ix_(keep, keep)] = _expm(-_field_operator(rotation, a))
+    return OperatorMatrix(space, v)

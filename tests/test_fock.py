@@ -24,8 +24,8 @@ from fiberphase import (
     trajectory_from_tangents,
     vacuum_state,
 )
-from fiberphase.fock import occupied_sectors, sector_generators, sector_size, spin_scale
-from test_phases import box_state
+from fiberphase.fock import _field_operator, occupied_sectors, sector_generators, sector_size, spin_scale
+from test_phases import box_state, term_sum
 
 Z = np.array([0.0, 0.0, 1.0])
 
@@ -228,6 +228,16 @@ class TestSectorGenerators:
                 assert a.dtype == np.float64
                 assert np.array_equal(a, -op.entries[np.ix_(keep, keep)].imag), (n_max, sectors)
                 assert np.array_equal(a, -a.T)
+
+    @pytest.mark.parametrize("n_max", [1, 2, 3, 4])
+    def test_field_operator_entries_are_single_products(self, n_max):
+        # Distinct mode pairs never share an entry, so the one product of _field_operator has the bits
+        # of v_1 A_1 + v_2 A_2 + v_3 A_3 summed term by term, for one vector and for a stack of them.
+        _, a = sector_generators(build_space(3, n_max), range(3 * n_max + 1))
+        assert ((a != 0).sum(axis=0) <= 1).all()
+        rng = np.random.default_rng(n_max)
+        for v in (rng.normal(size=3), rng.normal(size=(7, 3)), rng.normal(size=(2, 5, 3))):
+            assert np.array_equal(_field_operator(v, a), term_sum(v, a))
 
     @pytest.mark.parametrize("n_max", [1, 2, 3, 4, 5, 6])
     def test_scale_equal_to_dense_block_max(self, n_max):

@@ -696,16 +696,24 @@ class TestCsvInterfaces:
 
     @settings(max_examples=200, derandomize=True, database=None, deadline=None)
     @given(
-        filler=st.lists(st.lists(st.text(" \t\x0b\x0c\x1c\x1f\xa0\x85\u2028\u3000", max_size=3), max_size=2),
-                        min_size=18, max_size=18),
+        filler=st.lists(
+            st.lists(
+                st.text(" \t\x0b\x0c\x1c\x1f\xa0\x85\u2028\u3000", max_size=3)
+                | st.text(" #,0.x\xa0", max_size=4).map("#".__add__),
+                max_size=2,
+            ),
+            min_size=18,
+            max_size=18,
+        ),
         newline=st.sampled_from(["\n", "\r\n", "\r"]),
         final_newline=st.booleans(),
         chunk=st.integers(1, 16),
     )
     def test_row_count_is_the_loaded_row_count(self, tmp_path_factory, filler, newline, final_newline, chunk):
-        # What parse_config's size check reads before any load: blank and whitespace-only lines between, before
-        # and after 17 rows, line ends of every kind falling across the read boundaries of small chunks.  The
-        # whitespace includes non-ASCII characters and the ASCII separators 0x1C-0x1F, which str.isspace admits.
+        # What parse_config's size check reads before any load: blank, whitespace-only and '#' comment lines
+        # between, before and after 17 rows, line ends of every kind falling across the read boundaries of small
+        # chunks.  The whitespace includes non-ASCII characters and the ASCII separators 0x1C-0x1F, which
+        # str.isspace admits.
         rows = [f"{i / 16},{math.cos(i / 4)},{math.sin(i / 4)},{i / 16}" for i in range(17)]
         lines = ["t,x,y,z", *filler[0]]
         for row, extra in zip(rows, filler[1:]):
@@ -715,6 +723,16 @@ class TestCsvInterfaces:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(geometry, "ROW_COUNT_CHUNK_BYTES", chunk)
             assert count_path_rows(f) == len(load_path_csv(f).times) == 17
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 64])
+    def test_comment_after_indent_counts_as_the_row_the_load_refuses(self, monkeypatch, tmp_path, chunk):
+        # np.loadtxt drops a line that starts with '#' but reads "  # probe" as a row of one column.
+        f = tmp_path / "p.csv"
+        f.write_text("t,x,y,z\n0,1,0,0 # start\n# probe\n  # probe\n1,0,1,1\n")
+        monkeypatch.setattr(geometry, "ROW_COUNT_CHUNK_BYTES", chunk)
+        assert count_path_rows(f) == 3
+        with pytest.raises(ValueError, match="number of columns changed from 4 to 1"):
+            load_path_csv(f)
 
     def test_path_that_is_not_utf8_is_refused_by_the_count(self, tmp_path):
         f = tmp_path / "p.csv"

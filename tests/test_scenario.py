@@ -952,24 +952,28 @@ class TestRunScenario:
         assert run_builtin("vacuum-pair", tmp_path, steps=128) == 0
         assert sweep(parse_config(cone_config(), "s"), "n_R", [0, 1, 2], tmp_path)[0] == 0
 
-    def test_run_path_calls_no_eigensolver(self, monkeypatch, tmp_path):
-        # The evolution is built from matrix products alone: the first LAPACK
-        # eigensolver call of a process pages in about 1 MiB of RSS.
+    @pytest.fixture
+    def no_eigensolver(self, monkeypatch):
+        # Every LAPACK eigensolver numpy offers raises: the first one a process
+        # calls pages in about 1 MiB of RSS.
         def refuse(name):
             def solver(*args, **kwargs):
-                raise AssertionError(f"np.linalg.{name} called on the run path")
+                raise AssertionError(f"np.linalg.{name} called")
 
             return solver
 
         for name in ("eig", "eigh", "eigvals", "eigvalsh"):
             monkeypatch.setattr(np.linalg, name, refuse(name))
+
+    def test_run_path_calls_no_eigensolver(self, no_eigensolver, tmp_path):
+        # The evolution is built from matrix products alone.
         for name, members in BUILTIN_SCENARIOS.items():
             for label, raw in members:
                 outcome = run_scenario(parse_config(raw, label), tmp_path / name)
                 assert outcome.summary["status"] == "pass", label
 
-    def test_library_operators_call_no_eigensolver(self, monkeypatch):
-        # Off the run path too, every operator is built from matrix products: V by one _expm.
+    def test_library_operators_call_no_eigensolver(self, no_eigensolver):
+        # Off the run path too, every operator is built from matrix products: V by one _expm per sector.
         from fiberphase import (
             cone_trajectory,
             effective_hamiltonian,
@@ -979,14 +983,6 @@ class TestRunScenario:
             spin_fixed,
         )
 
-        def refuse(name):
-            def solver(*args, **kwargs):
-                raise AssertionError(f"np.linalg.{name} called")
-
-            return solver
-
-        for name in ("eig", "eigh", "eigvals", "eigvalsh"):
-            monkeypatch.setattr(np.linalg, name, refuse(name))
         traj = cone_trajectory(0.7, 1.0, 65)
         k = np.array([math.sin(0.7), 0.0, math.cos(0.7)])
         for n_max in (1, 2, 3):
