@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from fiberphase import cli
 from fiberphase.cli import main
 from test_scenario import FUZZ_BASES, FUZZ_VALUES, fuzz_configs
 
@@ -77,45 +79,36 @@ def test_missing_source_arguments(tmp_path):
     assert main(["--out", str(tmp_path)]) == 2
 
 
-# argparse refuses the first three calls; the fourth writes a sweep CSV.
-SHARED_PARSER_CALLS = [
+# The first three calls are refused; the fourth writes a sweep CSV; the last prints the help.
+SHARED_PROCESS_CALLS = [
     ["--steps", "x"],
     ["--config", "a", "--scenario", "b"],
     [],
     ["--scenario", "chiao-helix-45", "--sweep", "lambda=0.1,0.7853981633974483"],
     ["--list-scenarios"],
+    ["--help"],
 ]
+# argparse loaded gettext at import and locale at its first message lookup.
+PARSER_MODULES = ("argparse", "gettext", "locale")
 
 
-def test_shared_parser_matches_a_fresh_process(tmp_path, monkeypatch):
-    # Calls in one process share one parser; each must read as it does from its own interpreter.
-    # The help width alternates, so a width fixed when the parser was built would show.
-    import argparse
-
-    built = []
-    init = argparse.ArgumentParser.__init__
-
-    def counted(self, *args, **kwargs):
-        built.append(self)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+def test_calls_in_one_process_match_a_fresh_process(tmp_path, monkeypatch):
+    # Each call in one process must read as it does from its own interpreter, and load none of PARSER_MODULES.
     shared, fresh = tmp_path / "shared", tmp_path / "fresh"
     shared.mkdir()
     fresh.mkdir()
     monkeypatch.chdir(shared)
-    for i, args in enumerate(SHARED_PARSER_CALLS):
+    for i, args in enumerate(SHARED_PROCESS_CALLS):
+        # The width alternates, so a width read once per process would show in the usage and the help.
         monkeypatch.setenv("COLUMNS", "60" if i % 2 else "120")
         argv = [*args, "--out", "runs"]
         out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as exc:
-                code = exc.code
+        with monkeypatch.context() as m, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            for name in PARSER_MODULES:
+                m.setitem(sys.modules, name, None)  # an import of it raises ImportError
+            code = main(argv)
         r = run_cli(*argv, cwd=fresh)
         assert (code, out.getvalue(), err.getvalue()) == (r.returncode, r.stdout, r.stderr), argv
-    assert len(built) <= 1
 
     def artifacts(root):
         return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
@@ -124,18 +117,132 @@ def test_shared_parser_matches_a_fresh_process(tmp_path, monkeypatch):
     assert [str(p) for p in artifacts(shared)] == [str(Path("runs", "chiao-helix-45_sweep_lambda.csv"))]
 
 
-def test_import_builds_no_parser():
-    # The parser is built on the first main call, so importing the CLI adds nothing to start-up.
+def test_cli_loads_no_argparse_gettext_or_locale(tmp_path):
+    # In a fresh interpreter, importing the CLI and one sweep call add nothing of the argument parser to start-up.
     code = (
-        "import argparse\n"
-        "built = []\n"
-        "init = argparse.ArgumentParser.__init__\n"
-        "argparse.ArgumentParser.__init__ = lambda self, *a, **k: built.append(self) or init(self, *a, **k)\n"
+        "import sys\n"
         "import fiberphase.cli\n"
-        "print(len(built))\n"
+        "argv = ['--scenario', 'chiao-helix-45', '--sweep', 'lambda=0.1', '--out', 'runs']\n"
+        "print(fiberphase.cli.main(argv))\n"
+        f"print(sorted(set({PARSER_MODULES!r}) & set(sys.modules)))\n"
     )
-    r = run_python("-c", code)
-    assert (r.returncode, r.stdout, r.stderr) == (0, "0\n", "")
+    r = run_python("-c", code, cwd=tmp_path)
+    assert (r.returncode, r.stdout.splitlines()[-2:], r.stderr) == (0, ["0", "[]"], "")
+
+
+def reference_parser():
+    """The argparse parser main used before the flag table; abbreviations off, as the table reads none."""
+    parser = argparse.ArgumentParser(
+        prog="fiberphase",
+        description="Run geometric-phase scenarios for photons in coiled fibres.",
+        allow_abbrev=False,
+    )
+    source = parser.add_mutually_exclusive_group()
+    source.add_argument("--config", metavar="PATH", help="JSON scenario config file")
+    source.add_argument("--scenario", metavar="NAME", help="built-in scenario name")
+    parser.add_argument("--out", metavar="DIR", default="runs", help="output directory (default: runs)")
+    parser.add_argument("--steps", type=int, metavar="N", help="override integration steps")
+    parser.add_argument("--nmax", type=int, metavar="N", help="override per-mode occupation cutoff")
+    parser.add_argument("--tol", type=float, metavar="X", help="override comparison tolerance")
+    parser.add_argument(
+        "--sweep",
+        metavar="PARAM=v1,v2,...",
+        help="sweep one parameter (lambda, turns, n_R, n_L, epsilon2) using the config as template",
+    )
+    parser.add_argument("--list-scenarios", action="store_true", help="list built-in scenarios and exit")
+    return parser
+
+
+REFERENCE = reference_parser()
+FLAGS = ["--config", "--scenario", "--out", "--steps", "--nmax", "--tol", "--sweep", "--list-scenarios",
+         "-h", "--help"]
+# Ints, floats, negative numbers (-1e-4 is not one to argparse), words, a value with a space, "-", "" and
+# tokens that are no flag.  A "--" after "=" is left out: argparse strips it from an explicit value.
+VALUES = ["64", "-5", "0.25", "-.5", "-1e-4", "1e3", "nan", "lambda=0.1,0.2", "chiao-helix-45", "x", "-", "",
+          "-a b", "--conf", "--bogus"]
+# A flag and a value (drawn twice as often), a flag=value token, or a flag, "--" or an unknown token alone.
+FLAG_AND_VALUE = st.tuples(st.sampled_from(FLAGS), st.sampled_from(VALUES)).map(list)
+ARGVS = st.lists(
+    st.one_of(
+        FLAG_AND_VALUE,
+        FLAG_AND_VALUE,
+        st.builds("{}={}".format, st.sampled_from(FLAGS), st.sampled_from(VALUES)).map(lambda token: [token]),
+        st.sampled_from([*FLAGS, "--", "x", "--conf"]).map(lambda token: [token]),
+    ),
+    max_size=4,
+).map(lambda chunks: [token for chunk in chunks for token in chunk])
+
+
+def parsed(parse, argv):
+    """What parse makes of argv: its values by name, or the exit code; nothing it prints is kept."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            args = parse(argv)
+        except SystemExit as exc:  # argparse: 0 after the help, 2 for a usage error
+            return exc.code
+        except cli._UsageError:
+            return 2
+    return 0 if args is None else repr(sorted(vars(args).items()))
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(ARGVS)
+@example(["--steps=-5", "--steps", "7"])  # the last repeat wins
+@example(["--steps", "-5", "--tol", "-.5"])
+@example(["--scenario=b", "--config", "a"])
+@example(["--config", "a", "--steps", "x", "--scenario", "b"])  # the first error in argv order
+@example(["x", "-h"])  # an unknown token is refused only after the whole pass
+@example(["--", "-h"])
+@example(["--tol", "-1e-4"])
+@example(["--sweep", "-a b", "--sweep=--conf"])
+def test_flag_table_parses_as_argparse_did(argv):
+    assert parsed(cli._parse_args, argv) == parsed(REFERENCE.parse_args, argv)
+
+
+HELP_SPELLINGS = ["-h, --help", "--config PATH", "--scenario NAME", "--out DIR", "--steps N", "--nmax N", "--tol X",
+                  "--sweep PARAM=v1,v2,...", "--list-scenarios"]
+
+
+@pytest.mark.parametrize("columns", ["1", "20", "24", "25", "40", "45", "60", "80", "100", "160"])
+def test_usage_and_help_are_laid_out_as_argparse_did(monkeypatch, columns):
+    monkeypatch.setenv("COLUMNS", columns)
+    assert cli._usage(cli._width()) + "\n" == REFERENCE.format_usage()
+    assert cli._help() + "\n" == REFERENCE.format_help()
+
+
+def test_help_lists_every_flag_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main(["--scenario", "chiao-helix-45", "--help", "--out", "o"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.startswith("usage: fiberphase [-h] [--config PATH | --scenario NAME]")
+    options = captured.out.partition("\noptions:\n")[2].splitlines()
+    assert [line.split("  ")[1] for line in options if line.startswith("  -")] == HELP_SPELLINGS
+    assert max(len(line) for line in captured.out.splitlines()) <= 78
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--conf", "a.json"], "unrecognized arguments: --conf a.json"),
+        (["--scenario"], "argument --scenario: expected one argument"),
+        (["--tol", "-1e-4"], "argument --tol: expected one argument"),
+        (["--steps=1e3"], "argument --steps: invalid int value: '1e3'"),
+        (["--config", "a.json", "--scenario", "b"], "argument --scenario: not allowed with argument --config"),
+        (["--list-scenarios=1"], "argument --list-scenarios: ignored explicit argument '1'"),
+    ],
+    ids=["abbreviation", "missing-value", "dash-value", "bad-int", "config-and-scenario", "switch-value"],
+)
+def test_usage_error_returns_2_with_the_usage_on_stderr(tmp_path, capsys, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: fiberphase ")
+    assert captured.err.endswith(f"\nfiberphase: error: {message}\n")
+    assert not list(tmp_path.iterdir())
 
 
 def test_config_file_run_with_overrides(tmp_path):
@@ -305,8 +412,9 @@ def test_unreadable_config_is_validation_error(tmp_path, capsys, kind):
         (["--scenario", "vacuum-pair", "--steps", "64"], "out"),
         (["--scenario", "chiao-helix-45", "--sweep", "lambda=0.5"], "out"),
         (["--config", "run.json"], "out/run.csv"),
+        (["--scenario", "vacuum-pair", "--steps", "64"], "out/vacuum-pair.json"),
     ],
-    ids=["run", "group", "sweep", "artifact"],
+    ids=["run", "group", "sweep", "artifact", "group-summary"],
 )
 def test_unwritable_out_is_field_out(tmp_path, capsys, args, blocked):
     # An --out that is a regular file cannot become the output directory; a directory cannot become a CSV.
@@ -499,3 +607,24 @@ def test_overlap_floor_names_a_plain_time(tmp_path):
     assert error["field"] == "runtime"
     assert error["message"].startswith("phase extraction ill-conditioned")
     assert error["message"].endswith(" at t = 0.5"), error
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--scenario", "chiao-helix-45", "--sweep", "lambda"], "expected PARAM=v1,v2,..."),
+        (["--scenario", "chiao-helix-45", "--sweep", "lambda=0.1,x"], "could not parse values from '0.1,x'"),
+        (["--scenario", "vacuum-pair", "--sweep", "lambda=0.1"], "sweeps need a single-run scenario as template"),
+        (["--scenario", "chiao-helix-45", "--sweep", "lambda=3.5"], "lambda value 3.5 outside [0, pi]"),
+        (["--config", "sampled.json", "--sweep", "turns=2"], "lambda/turns sweeps need helix or cone geometry"),
+    ],
+    ids=["no-values", "unparsable-value", "group-template", "lambda-past-pi", "sampled-turns"],
+)
+def test_sweep_refusal_names_field_sweep(tmp_path, capsys, monkeypatch, args, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "p.csv").write_text(HELIX_CSV)
+    (tmp_path / "sampled.json").write_text(
+        json.dumps({"geometry": {"kind": "sampled", "path_csv": "p.csv"}, "state": {"n_r": 1, "n_l": 0}}))
+    assert main([*args, "--out", "out"]) == 2
+    assert json.loads(capsys.readouterr().err) == {"error": {"field": "sweep", "message": message}}
+    assert not (tmp_path / "out").exists()

@@ -1425,3 +1425,40 @@ class TestDeterminism:
         with pytest.raises(ConfigError, match=r"2\*\*-300, 2\*\*300") as err:
             run_scenario(parse_config(data, "far", base_dir=tmp_path), tmp_path / "out")
         assert err.value.field == "geometry.path_csv"
+
+
+def route_gap(config) -> float:
+    """numerical_vs_closed_form's value: the gap between the RK4 and closed-form geometric phases."""
+    import fiberphase.scenario as scenario
+
+    checks = scenario.evaluate_scenario(config)["checks"]
+    return next(c["value"] for c in checks if c["name"] == "numerical_vs_closed_form")
+
+
+class TestKnownDefects:
+    """The three open defects, each asserting the outcome a fix must give; the fix flips its marker."""
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="the comparison reads it as a helicity eigenstate: gap 0.701 rad (ROADMAP items 1, 19)")
+    def test_amplitude_state_on_a_cone_matches_the_closed_form(self):
+        # 0.6|x> + 0.8i|y> at n_max = 1: basis index 4 is (1, 0, 0), index 2 is (0, 1, 0).
+        amplitudes = [[0.0, 0.0]] * 8
+        amplitudes[4], amplitudes[2] = [0.6, 0.0], [0.0, 0.8]
+        data = cone_config(polar=0.7, steps=1024, n_max=1, state={"amplitudes": amplitudes})
+        assert route_gap(parse_config(data, "amplitude-cone")) <= 1e-4
+
+    @pytest.mark.xfail(strict=True, raises=ValueError,
+                       reason="the overlap floor refuses the run as runtime (ROADMAP item 13)")
+    def test_one_photon_equatorial_cone_runs(self):
+        data = cone_config(polar=math.pi / 2.0, steps=256, n_max=1)
+        assert route_gap(parse_config(data, "equator")) <= 1e-4
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="the closed form's chart is singular at -z: gap 1.39 rad (ROADMAP item 3)")
+    def test_sampled_trace_through_minus_z_matches_the_closed_form(self, tmp_path):
+        # A one-turn helix whose tangents circle 0.7 rad about +z, turned by pi - 0.7 about y: the circle meets -z.
+        t, pts = helix_points(1.0, 2.0 * math.pi / math.tan(0.7), 1.0, 4097)
+        c, s = math.cos(math.pi - 0.7), math.sin(math.pi - 0.7)
+        write_path_csv(tmp_path / "pole.csv", t, pts @ np.array([[c, 0.0, -s], [0.0, 1.0, 0.0], [s, 0.0, c]]))
+        data = {"geometry": {"kind": "sampled", "path_csv": "pole.csv"}, "state": {"n_r": 1, "n_l": 0}}
+        assert route_gap(parse_config(data, "pole", base_dir=tmp_path)) <= 1e-4
