@@ -28,7 +28,6 @@ from .fock import (
     build_space,
     circular_operators,
     commutator,
-    creation,
     helicity_operator,
     identity,
     polarization_triad,
@@ -47,7 +46,6 @@ from .geometry import (
     motion_identity_residual,
     sampled_path,
     tangent_trajectory,
-    trajectory_from_tangents,
     wrap_angle,
 )
 from .media import (
@@ -59,7 +57,6 @@ from .media import (
 from .phases import (
     EvolutionResult,
     PhaseBreakdown,
-    effective_hamiltonian,
     evolution_operator_V,
     evolve_state,
     extract_phases,

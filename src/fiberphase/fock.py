@@ -19,8 +19,8 @@ creation operators by index shifts.  Nothing on the runner's path is
 
 The spin projected onto a direction, v.S or v.A, is one construction,
 _field_operator, on dense spin matrices or on generators: the helicity
-k.S here, and in phases the run's u.A, the library Hamiltonian and
-evolution_operator_V's generator.  A run reads its energies and
+k.S here, and in phases the run's u.A and evolution_operator_V's
+generator.  A run reads its energies and
 invariants off the state's spin <S>, not off a projected matrix.
 """
 
@@ -32,7 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-HERMITICITY_TOL = 1e-12
 UNIT_VECTOR_TOL = 1e-12
 
 
@@ -113,9 +112,6 @@ class OperatorMatrix:
     def dagger(self) -> "OperatorMatrix":
         return OperatorMatrix(self.space, self.entries.conj().T)
 
-    def is_hermitian(self) -> bool:
-        return bool(np.abs(self.entries - self.entries.conj().T).max() <= HERMITICITY_TOL)
-
     def apply(self, state: "StateVector") -> "StateVector":
         self._check_space(state.space)
         return StateVector(self.space, self.entries @ state.amplitudes)
@@ -160,12 +156,6 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def normalized(self) -> "StateVector":
-        n = self.norm()
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return StateVector(self.space, self.amplitudes / n)
-
     def expectation(self, op: OperatorMatrix) -> complex:
         return complex(np.vdot(self.amplitudes, op.entries @ self.amplitudes))
 
@@ -190,10 +180,6 @@ def annihilation(space: FockSpace, mode: int) -> OperatorMatrix:
     rows = np.flatnonzero(n > 0)
     m[rows - _stride(space, mode), rows] = np.sqrt(n[rows])
     return OperatorMatrix(space, m)
-
-
-def creation(space: FockSpace, mode: int) -> OperatorMatrix:
-    return annihilation(space, mode).dagger()
 
 
 def identity(space: FockSpace) -> OperatorMatrix:

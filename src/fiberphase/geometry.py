@@ -273,25 +273,18 @@ class TangentTrajectory:
             where=_off_pole(self.unit_tangents),
         )
 
-    @cached_property
-    def gamma(self) -> np.ndarray:
-        """Azimuth kept continuous rather than reduced mod 2*pi, built once.
+    def gamma_from(self, carry: tuple | None) -> tuple[np.ndarray, tuple]:
+        """(gamma of these samples, carry): the azimuth unwrapped on from the samples before them, read block by block.
 
-        Off the poles it is the raw atan2 value plus the whole turns
+        Off the poles gamma is the raw atan2 value plus the whole turns
         counted by the cumulative sum of wrapped increments between
         consecutive off-pole samples.  A sample within POLE_SIN_TOL of a
         pole repeats the previous value (0 before the first off-pole
-        sample).
-        """
-        return self.gamma_from(None)[0]
-
-    def gamma_from(self, carry: tuple | None) -> tuple[np.ndarray, tuple]:
-        """(gamma of these samples, carry): gamma unwrapped on from the samples before them, read block by block.
-
-        carry is None for a first block, else what the block before
-        returned: its last off-pole raw azimuth, the whole turns counted
-        so far, an exact integer sum, and its last value.  Blocks that
-        cover a trajectory in order give its gamma bit for bit.
+        sample).  carry is None for a first block, else what the block
+        before returned: its last off-pole raw azimuth, the whole turns
+        counted so far, an exact integer sum, and its last value.  Blocks
+        that cover a trajectory in order give gamma_from(None) of the
+        whole trajectory bit for bit.
         """
         k = self.unit_tangents
         live = _off_pole(k)
@@ -386,7 +379,7 @@ def tangent_trajectory(path: FiberPath) -> TangentTrajectory:
     each read rescaled by an exact power of two: the largest coordinate
     and the parameter span into [0.5, 1).  The tangents keep their bits,
     nothing overflows or underflows at extreme path or time scales, and
-    the speed guard of trajectory_from_tangents is relative to the path's
+    the vanishing-tangent guard of _unit_trajectory is relative to the path's
     size and duration.  The velocity is normalised in place, so the
     stored tangents and derivatives are the only (n, 3) arrays built.
     """
@@ -394,16 +387,6 @@ def tangent_trajectory(path: FiberPath) -> TangentTrajectory:
     # The largest |coordinate| with no (n, 3) temporary.
     shifts = np.frexp(max(points.max(), -points.min()))[1], np.frexp(times[-1] - times[0])[1]
     return _unit_trajectory(times, _derivative(points, times, shifts))
-
-
-def trajectory_from_tangents(times: np.ndarray, tangents: np.ndarray) -> TangentTrajectory:
-    """Trajectory from tangent samples of any length: unit tangents, derivatives by differencing."""
-    times = np.asarray(times, dtype=float)
-    # A copy: the caller's array is left as it was.
-    tangents = np.array(tangents, dtype=float)
-    if tangents.ndim != 2 or tangents.shape[1] != 3 or len(tangents) != len(times):
-        raise ValueError("tangents must be (n, 3) matching times")
-    return _unit_trajectory(times, tangents)
 
 
 def _unit_trajectory(times: np.ndarray, tangents: np.ndarray) -> TangentTrajectory:

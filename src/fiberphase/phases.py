@@ -106,8 +106,8 @@ class EvolutionResult:
     sectors lists their photon numbers and keep their basis indices in
     psi0's space, where every other amplitude is exactly zero.  norms,
     energies, invariants, lam and gamma hold |psi|, u.<S> = <psi|H|psi>
-    (the dynamical integrand), khat.<S> = <psi|khat.S|psi> and traj.lam
-    and traj.gamma at each boundary.
+    (the dynamical integrand), khat.<S> = <psi|khat.S|psi>, traj.lam
+    and the azimuth traj.gamma_from unwraps at each boundary.
     """
 
     times: np.ndarray
@@ -124,17 +124,6 @@ class EvolutionResult:
     @property
     def steps(self) -> int:
         return len(self.times) - 1
-
-
-def effective_hamiltonian(traj: TangentTrajectory, spin: tuple[OperatorMatrix, ...], t: float) -> OperatorMatrix:
-    """H(t) = (k x kdot)/|k|^2 . S at a grid time t.
-
-    Homogeneous of degree zero in the tangent magnitude, so rescaling
-    all tangents leaves every entry unchanged.
-    """
-    i = grid_index(traj.times, t)
-    u = traj.rows(i, i + 1).precession_field[0]
-    return OperatorMatrix(spin[0].space, _field_operator(u, [op.entries for op in spin]))
 
 
 def lvn_residual(traj: TangentTrajectory, space: FockSpace, t: float) -> float:

@@ -36,8 +36,8 @@ import functools
 import numpy as np
 
 HEADER = b"t,lambda,gamma,phi_closed,phi_total,phi_dyn,phi_geo,norm\n"
-# Rows per format_block call: about 220 KiB of scratch, whatever the step count.
-BLOCK_ROWS = 256
+# Rows per format_block call: about 430 KiB of scratch, whatever the step count.
+BLOCK_ROWS = 512
 # Distance from a half-unit tie under which the fast path does not trust rint(t).
 HALF_SLACK = 1e-6
 # Magnitudes of the fast path, and the decimal exponents X their log10 floors to

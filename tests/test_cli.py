@@ -263,6 +263,16 @@ def test_config_file_run_with_overrides(tmp_path):
     assert summary["numerical"]["steps"] == 256
 
 
+def test_tol_override_reaches_the_run_json(tmp_path):
+    # In process: --tol is the echoed tolerance and the numerical_vs_closed_form threshold of every member.
+    assert main(["--scenario", "vacuum-pair", "--steps", "128", "--tol", "0.25", "--out", str(tmp_path)]) == 0
+    for member in ("left", "right"):
+        summary = json.loads((tmp_path / f"vacuum-pair-{member}.json").read_text())
+        assert summary["config"]["tolerance"] == 0.25
+        check = next(c for c in summary["checks"] if c["name"] == "numerical_vs_closed_form")
+        assert check["threshold"] == 0.25
+
+
 def test_sweep_from_cli(tmp_path):
     cfg = tmp_path / "tmpl.json"
     cfg.write_text(

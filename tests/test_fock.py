@@ -6,6 +6,7 @@ import pytest
 
 from fiberphase import (
     FockSpace,
+    OperatorMatrix,
     StateVector,
     annihilation,
     basis_state,
@@ -13,18 +14,16 @@ from fiberphase import (
     build_space,
     circular_operators,
     commutator,
-    creation,
-    effective_hamiltonian,
     evolve_state,
     helicity_operator,
     identity,
     polarization_triad,
     s3_split,
     spin_fixed,
-    trajectory_from_tangents,
     vacuum_state,
 )
 from fiberphase.fock import _field_operator, occupied_sectors, sector_generators, sector_size, spin_scale
+from fiberphase.geometry import _unit_trajectory
 from test_phases import box_state, term_sum
 
 Z = np.array([0.0, 0.0, 1.0])
@@ -38,7 +37,7 @@ def bounded_norm(op_entries, space):
 def dense_spin(space):
     """S_i = -i(b_j+ b_k - b_k+ b_j) as dense products of the ladder matrices, the independent oracle of spin_fixed."""
     b = [annihilation(space, m) for m in range(3)]
-    bd = [creation(space, m) for m in range(3)]
+    bd = [op.dagger() for op in b]
     return tuple(-1j * (bd[j] @ b[k] - bd[k] @ b[j]) for j, k in ((1, 2), (2, 0), (0, 1)))
 
 
@@ -138,13 +137,12 @@ class TestLadderOperators:
             for j in range(3):
                 if i == j:
                     continue
-                c = commutator(annihilation(space, i), creation(space, j))
+                c = commutator(annihilation(space, i), annihilation(space, j).dagger())
                 assert bounded_norm(c.entries, space) < 1e-14
 
-    def test_creation_is_dagger(self):
-        space = build_space(3, 1)
-        b = annihilation(space, 2)
-        assert np.array_equal(creation(space, 2).entries, b.entries.conj().T)
+    def test_dagger_is_conjugate_transpose(self):
+        b = OperatorMatrix(build_space(2, 1), np.arange(16).reshape(4, 4) * (1.0 + 2.0j))
+        assert np.array_equal(b.dagger().entries, b.entries.conj().T)
 
     def test_mode_out_of_range(self):
         space = build_space(2, 1)
@@ -183,7 +181,7 @@ class TestSpinFixed:
 
     def test_hermitian(self):
         for s in spin_fixed(build_space(3, 2)):
-            assert s.is_hermitian()
+            assert np.abs(s.entries - s.entries.conj().T).max() <= 1e-12
 
     def test_s3_eigenstate(self):
         space = build_space(3, 2)
@@ -350,7 +348,7 @@ class TestHelicityOperator:
             h = helicity_operator(space, k)
             direct = k[0] * s1.entries + k[1] * s2.entries + k[2] * s3.entries
             assert np.abs(h.entries - direct).max() < 1e-13
-            assert h.is_hermitian()
+            assert np.abs(h.entries - h.entries.conj().T).max() <= 1e-12
 
     def test_rejects_non_unit(self):
         with pytest.raises(ValueError):
@@ -383,20 +381,20 @@ class TestHelicityOperator:
         t = np.linspace(0.0, 1.0, 17)
         for k, bend in zip(random_unit_vectors(10, seed=12), random_unit_vectors(10, seed=13)):
             amp = np.where(inside, rng.normal(size=space.dimension) + 1j * rng.normal(size=space.dimension), 0.0)
-            psi = StateVector(space, amp).normalized()
+            psi = StateVector(space, amp / np.linalg.norm(amp))
             dense = psi.expectation(helicity_operator(space, k)).real
-            result = evolve_state(psi, trajectory_from_tangents(np.linspace(0.0, 1.0, 3), np.tile(k, (3, 1))))
+            result = evolve_state(psi, _unit_trajectory(np.linspace(0.0, 1.0, 3), np.tile(k, (3, 1))))
             assert result.sectors == [1, 4]
             assert np.abs(result.invariants - dense).max() < 1e-13
 
-            traj = trajectory_from_tangents(t, k + 0.1 * np.outer(t**2, bend))
+            traj = _unit_trajectory(t, k + 0.1 * np.outer(t**2, bend))
             result = evolve_state(psi, traj)
             assert result.sectors == [1, 4]
             assert np.abs(result.energies).max() > 1e-3
-            for i, time in enumerate(traj.times[::2]):
+            for i, (u, k_hat) in enumerate(zip(traj.precession_field[::2], traj.unit_tangents[::2])):
                 state = box_state(space, result, i)
-                energy = state.expectation(effective_hamiltonian(traj, spin, time)).real
-                helicity = state.expectation(helicity_operator(space, traj.unit_tangents[2 * i])).real
+                energy = state.expectation(OperatorMatrix(space, _field_operator(u, [s.entries for s in spin]))).real
+                helicity = state.expectation(helicity_operator(space, k_hat)).real
                 assert abs(result.energies[i] - energy) < 1e-13
                 assert abs(result.invariants[i] - helicity) < 1e-13
 
@@ -528,7 +526,7 @@ class TestPhotonStates:
 def dense_circular_creation(space, k_hat):
     """a_R+ and a_L+ of the direction k_hat as dense matrices built from the creation operators."""
     e1, e2 = polarization_triad(k_hat)
-    bd = [creation(space, m) for m in range(3)]
+    bd = [annihilation(space, m).dagger() for m in range(3)]
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     a_r_dag = inv_sqrt2 * sum(((e1[m] + 1j * e2[m]) * bd[m] for m in range(3)), start=0.0 * bd[0])
     a_l_dag = inv_sqrt2 * sum(((e1[m] - 1j * e2[m]) * bd[m] for m in range(3)), start=0.0 * bd[0])
@@ -559,3 +557,35 @@ class TestSerialization:
         op = annihilation(space, 0)
         with pytest.raises(ValueError):
             op.entries[0, 0] = 1.0
+
+
+class TestRefusals:
+    # Each guard of the operator and state layer, reached by a direct call, with its message.
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: OperatorMatrix(build_space(2, 1), np.zeros((3, 3))),
+             r"entries shape \(3, 3\) does not match dimension 4"),
+            (lambda: OperatorMatrix(build_space(2, 1), np.zeros(16)), r"entries shape \(16,\) does not match"),
+            (lambda: annihilation(build_space(2, 1), 0) @ annihilation(build_space(2, 2), 0),
+             "operands live on different Fock spaces"),
+            (lambda: annihilation(build_space(2, 1), 0).apply(vacuum_state(build_space(3, 1))),
+             "operands live on different Fock spaces"),
+            (lambda: StateVector(build_space(2, 1), np.zeros(3)), r"amplitude length \(3,\) does not match dimension 4"),
+            (lambda: StateVector(build_space(2, 1), [1.0, math.nan, 0.0, 0.0]), "amplitudes must be finite"),
+            (lambda: StateVector(build_space(2, 1), [1.0, complex(0.0, math.inf), 0.0, 0.0]),
+             "amplitudes must be finite"),
+            (lambda: polarization_triad([0.0, 1.0]), "direction must be a 3-vector"),
+            (lambda: helicity_operator(build_space(3, 1), np.eye(3)), "direction must be a 3-vector"),
+            (lambda: build_photon_state(build_space(3, 2), -1, 0), "photon numbers must be non-negative"),
+            (lambda: build_photon_state(build_space(2, 2), 0, -1), "photon numbers must be non-negative"),
+            (lambda: build_photon_state(build_space(2, 2), 1, 0, k_hat=Z),
+             "a propagation direction only applies to 3-mode spaces"),
+        ],
+        ids=["entries-square", "entries-flat", "matmul-spaces", "apply-spaces", "amplitude-length", "amplitude-nan",
+             "amplitude-inf", "direction-2-vector", "direction-matrix", "n_r-negative", "n_l-negative",
+             "direction-2-modes"],
+    )
+    def test_refusal_message(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()

@@ -13,11 +13,18 @@ from fiberphase import (
     motion_identity_residual,
     sampled_path,
     tangent_trajectory,
-    trajectory_from_tangents,
     TangentTrajectory,
 )
 from fiberphase import geometry, quadrature
-from fiberphase.geometry import ConeTrajectory, _cross, _derivative, _row_norms, cone_anholonomy, count_path_rows
+from fiberphase.geometry import (
+    ConeTrajectory,
+    _cross,
+    _derivative,
+    _row_norms,
+    _unit_trajectory,
+    cone_anholonomy,
+    count_path_rows,
+)
 
 SOLID_ANGLE_45 = 1.84030236902122  # 2*pi*(1 - cos(pi/4))
 
@@ -127,7 +134,7 @@ class TestTangentTrajectory:
         c, s = math.cos(turn), math.sin(turn)
         rotation = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
         assert np.abs(rotation @ cone.tangents[0] - cone.tangents[100]).max() < 1e-14
-        plain = (cone.scaled(3.0), tangent_trajectory(straight_path()), trajectory_from_tangents(cone.times, cone.tangents))
+        plain = (cone.scaled(3.0), tangent_trajectory(straight_path()), _unit_trajectory(cone.times, np.array(cone.tangents)))
         assert all(type(traj) is TangentTrajectory for traj in plain)
 
     def test_degenerate_points_rejected(self):
@@ -255,7 +262,7 @@ class TestLeanChain:
         [
             (lambda: cone_trajectory(0.7, 1.3, 1025), False),
             (lambda: helix_traj(0.5, 1.0, 3.0, 513), False),
-            (lambda: trajectory_from_tangents(np.linspace(0.0, 1.0, 257), np.column_stack(
+            (lambda: _unit_trajectory(np.linspace(0.0, 1.0, 257), np.column_stack(
                 [np.cos(9.0 * np.linspace(0.0, 1.0, 257)), np.sin(5.0 * np.linspace(0.0, 1.0, 257)),
                  np.full(257, 0.4)])), False),
             (lambda: meridian_trajectory(513), True),
@@ -269,12 +276,10 @@ class TestLeanChain:
         k, lam, gamma, gamma_dot = eager_angles(traj)
         live = np.hypot(k[:, 0], k[:, 1]) >= geometry.POLE_SIN_TOL
         assert live.all() != poles
-        assert "gamma" not in traj.__dict__
         assert np.array_equal(traj.unit_tangents, k)
         assert np.array_equal(traj.lam, lam)
         assert np.array_equal(traj.gamma_dot, gamma_dot)
-        assert np.array_equal(traj.gamma, gamma)
-        assert traj.gamma is traj.gamma  # built once
+        assert np.array_equal(traj.gamma_from(None)[0], gamma)
 
 
 # Signed zeros, subnormals, the float extremes and non-finite values, one per coordinate.
@@ -327,7 +332,7 @@ def row_trajectories():
     wobble = np.linspace(0.0, 1.0, 129)
     sampled = [
         pytest.param(lambda: tangent_trajectory(sampled_path(*helix_points(0.7, 2.5, 2.0, 129))), id="sampled-helix"),
-        pytest.param(lambda: trajectory_from_tangents(wobble, np.column_stack(
+        pytest.param(lambda: _unit_trajectory(wobble, np.column_stack(
             [np.cos(9.0 * wobble), np.sin(5.0 * wobble), np.full(129, 0.4)])), id="sampled-wobble"),
         pytest.param(lambda: meridian_trajectory(129), id="meridian"),
         pytest.param(pole_crossing_trajectory, id="pole-runs"),
@@ -356,7 +361,7 @@ class TestRows:
         for start, stop in zip(edges, edges[1:]):
             gamma, carry = traj.rows(start, stop).gamma_from(carry)
             pieces.append(gamma)
-        assert same_bits(np.concatenate(pieces), traj.gamma)
+        assert same_bits(np.concatenate(pieces), traj.gamma_from(None)[0])
 
     def test_gamma_keeps_a_negative_zero(self):
         # A leading pole, then azimuths r and -0.0 whose wrapped increments both round to -0.0: the turn count
@@ -365,10 +370,11 @@ class TestRows:
         tangents = np.array([[0.0, 0.0, 1.0], [math.sin(lam) * math.cos(r), math.sin(lam) * math.sin(r), math.cos(lam)],
                              [math.sin(lam), -0.0, math.cos(lam)]])
         traj = TangentTrajectory(np.linspace(0.0, 1.0, 3), tangents, np.zeros((3, 3)))
-        assert same_bits(traj.gamma, eager_angles(traj)[2]) and np.signbit(traj.gamma[2])
+        gamma = traj.gamma_from(None)[0]
+        assert same_bits(gamma, eager_angles(traj)[2]) and np.signbit(gamma[2])
         first, carry = traj.rows(0, 1).gamma_from(None)
         second, carry = traj.rows(1, 2).gamma_from(carry)
-        assert same_bits(np.concatenate([first, second, traj.rows(2, 3).gamma_from(carry)[0]]), traj.gamma)
+        assert same_bits(np.concatenate([first, second, traj.rows(2, 3).gamma_from(carry)[0]]), gamma)
 
     @pytest.mark.parametrize("make", row_trajectories())
     def test_max_norms_match_the_whole_arrays(self, make, monkeypatch):
@@ -482,13 +488,6 @@ class TestBlocksMatchOnePass:
         cone = cone_trajectory(0.7, 2.3, 2 * B + 2, azimuth_offset=0.4)
         assert same_bits(cone.running_anholonomy(), one_pass_anholonomy(cone))
 
-    def test_caller_tangents_left_as_they_were(self):
-        s = np.linspace(0.0, 3.0, 33)
-        tangents = np.column_stack([np.cos(s), np.sin(s), np.full(33, 2.0)])
-        before = tangents.copy()
-        traj = trajectory_from_tangents(np.linspace(0.0, 1.0, 33), tangents)
-        assert same_bits(tangents, before)
-        assert same_bits(traj.tangents, before / _row_norms(before)[:, None])
 
 
 class TestConeAnholonomy:
@@ -520,22 +519,24 @@ class TestSphericalAngles:
     def test_pole_convention(self):
         traj = cone_trajectory(0.0, 1.0, 65)
         assert np.all(traj.lam < 1e-12)
-        assert np.all(traj.gamma == 0.0)
+        assert np.all(traj.gamma_from(None)[0] == 0.0)
         assert np.all(traj.gamma_dot == 0.0)
 
     def test_equator_single_turn(self):
         traj = cone_trajectory(math.pi / 2.0, 1.0, 513)
         assert np.abs(traj.lam - math.pi / 2.0).max() < 1e-12
-        assert traj.gamma[-1] - traj.gamma[0] == pytest.approx(2.0 * math.pi, abs=1e-9)
+        gamma = traj.gamma_from(None)[0]
+        assert gamma[-1] - gamma[0] == pytest.approx(2.0 * math.pi, abs=1e-9)
 
     def test_two_turn_helix_unwraps_beyond_2pi(self):
         traj = helix_traj(1.0, 2.0 * math.pi, 2.0, 1025)
-        assert traj.gamma[-1] - traj.gamma[0] == pytest.approx(4.0 * math.pi, abs=1e-9)
-        assert np.all(np.diff(traj.gamma) > 0)
+        gamma = traj.gamma_from(None)[0]
+        assert gamma[-1] - gamma[0] == pytest.approx(4.0 * math.pi, abs=1e-9)
+        assert np.all(np.diff(gamma) > 0)
 
     def test_gamma_continuity(self):
         traj = helix_traj(0.5, 1.0, 3.0, 513)
-        assert np.abs(np.diff(traj.gamma)).max() < math.pi
+        assert np.abs(np.diff(traj.gamma_from(None)[0])).max() < math.pi
 
     def test_round_trip_reconstruction(self):
         rng = np.random.default_rng(2)
@@ -544,9 +545,9 @@ class TestSphericalAngles:
         for m in range(2):
             amp = rng.normal(scale=0.2, size=3)
             base += np.outer(np.sin(2.0 * math.pi * (m + 1) * t + m), amp)
-        traj = trajectory_from_tangents(t, base)
-        sl = np.sin(traj.lam)
-        rebuilt = np.column_stack([sl * np.cos(traj.gamma), sl * np.sin(traj.gamma), np.cos(traj.lam)])
+        traj = _unit_trajectory(t, base)
+        sl, gamma = np.sin(traj.lam), traj.gamma_from(None)[0]
+        rebuilt = np.column_stack([sl * np.cos(gamma), sl * np.sin(gamma), np.cos(traj.lam)])
         assert np.abs(rebuilt - traj.tangents).max() < 1e-9
 
 
@@ -568,15 +569,16 @@ class TestSphericalAngles:
                 oracle[i] = prev + wrap(raw - prev) if i > 0 else raw
             prev = oracle[i]
 
-        assert np.abs(traj.gamma - oracle).max() < 1e-12
-        assert list(traj.gamma[:3]) == [0.0, 0.0, 0.0]
-        assert traj.gamma[3] == math.pi
-        assert traj.gamma[15] == pytest.approx(4.0 * math.pi - 3.0, abs=1e-12)
+        gamma = traj.gamma_from(None)[0]
+        assert np.abs(gamma - oracle).max() < 1e-12
+        assert list(gamma[:3]) == [0.0, 0.0, 0.0]
+        assert gamma[3] == math.pi
+        assert gamma[15] == pytest.approx(4.0 * math.pi - 3.0, abs=1e-12)
         assert np.all(traj.gamma_dot[[0, 1, 2, 12, 13, 14, n - 1]] == 0.0)
 
     def test_all_pole_trace_has_zero_azimuth(self):
         traj = cone_trajectory(0.0, 1.0, 33)
-        assert np.all(traj.gamma == 0.0) and np.all(traj.gamma_dot == 0.0)
+        assert np.all(traj.gamma_from(None)[0] == 0.0) and np.all(traj.gamma_dot == 0.0)
 
 
 class TestMotionIdentity:
@@ -751,3 +753,41 @@ class TestCsvInterfaces:
         path = load_path_csv(f)
         assert len(path.times) == 17
         assert np.array_equal(path.times, np.arange(17) / 16)
+
+
+def zero_tangent_trajectory():
+    """Nine samples along x with the fifth tangent exactly zero."""
+    tangents = np.tile([1.0, 0.0, 0.0], (9, 1))
+    tangents[4] = 0.0
+    return TangentTrajectory(np.linspace(0.0, 1.0, 9), tangents, np.zeros((9, 3)))
+
+
+T8 = np.linspace(0.0, 1.0, 8)
+
+
+class TestRefusals:
+    # Each shape, order and zero-tangent guard of the path and trajectory layer, reached by a direct call.
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: sampled_path(T8, np.zeros((8, 2))), r"times must be \(n,\) and points \(n, 3\)"),
+            (lambda: sampled_path(T8, np.zeros((7, 3))), r"times must be \(n,\) and points \(n, 3\)"),
+            (lambda: sampled_path(T8[None, :], np.zeros((1, 3))),
+             r"times must be \(n,\) and points \(n, 3\)"),
+            (lambda: TangentTrajectory(T8, np.zeros((8, 2)), np.zeros((8, 3))),
+             r"tangents and derivatives must be \(n, 3\)"),
+            (lambda: TangentTrajectory(T8, np.zeros((8, 3)), np.zeros((7, 3))),
+             r"tangents and derivatives must be \(n, 3\)"),
+            (lambda: TangentTrajectory(T8[::-1], np.ones((8, 3)), np.zeros((8, 3))),
+             "times must be strictly increasing"),
+            (lambda: TangentTrajectory(np.zeros(8), np.ones((8, 3)), np.zeros((8, 3))),
+             "times must be strictly increasing"),
+            (lambda: zero_tangent_trajectory().precession_field, "tangent with zero magnitude"),
+            (lambda: zero_tangent_trajectory().unit_tangents, "tangent with zero magnitude"),
+        ],
+        ids=["points-2-columns", "points-short", "times-2d", "tangents-2-columns", "derivatives-short",
+             "times-decreasing", "times-repeated", "zero-tangent-u", "zero-tangent-unit"],
+    )
+    def test_refusal_message(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()

@@ -12,7 +12,6 @@ from fiberphase import (
     build_photon_state,
     build_space,
     cone_trajectory,
-    effective_hamiltonian,
     evolution_operator_V,
     evolve_state,
     extract_phases,
@@ -25,7 +24,6 @@ from fiberphase import (
     sampled_path,
     spin_fixed,
     tangent_trajectory,
-    trajectory_from_tangents,
     wrap_angle,
 )
 from fiberphase.fock import _field_operator, occupied_sectors, sector_generators
@@ -80,7 +78,7 @@ def random_smooth_field(n):
     for m, (a, b) in enumerate(coeffs):
         base += np.outer(np.cos(2.0 * math.pi * (m + 1) * t), a)
         base += np.outer(np.sin(2.0 * math.pi * (m + 1) * t), b)
-    return trajectory_from_tangents(t, base)
+    return geometry._unit_trajectory(t, base)
 
 
 def lvn_oracle(traj, spin, i):
@@ -174,46 +172,29 @@ class TestClosedFormPhase:
 
 
 class TestEffectiveHamiltonian:
+    """H = u.S at one sample, u = (k x kdot)/|k|^2 read through rows."""
+
     def test_straight_path_is_zero(self):
         traj = cone_trajectory(0.0, 1.0, 65)
         spin = spin_fixed(build_space(3, 1))
-        h = effective_hamiltonian(traj, spin, traj.times[7])
-        assert np.abs(h.entries).max() == 0.0
+        h = _field_operator(traj.rows(7, 8).precession_field[0], [s.entries for s in spin])
+        assert np.abs(h).max() == 0.0
 
     def test_equator_matches_s3_rate(self):
         traj = cone_trajectory(math.pi / 2.0, 1.0, 257)
-        space = build_space(3, 2)
-        spin = spin_fixed(space)
-        h = effective_hamiltonian(traj, spin, traj.times[100])
+        spin = spin_fixed(build_space(3, 2))
+        h = _field_operator(traj.rows(100, 101).precession_field[0], [s.entries for s in spin])
         expected = 2.0 * math.pi * spin[2].entries
-        assert np.abs(h.entries - expected).max() < 1e-12
-        assert h.is_hermitian()
+        assert np.abs(h - expected).max() < 1e-12
+        assert np.abs(h - h.conj().T).max() <= 1e-12
 
     def test_tangent_rescaling_invariance(self):
+        # Homogeneous of degree zero in the tangent magnitude.
         traj = helix_traj(steps=128)
-        spin = spin_fixed(build_space(3, 2))
-        t = traj.times[64]
-        h1 = effective_hamiltonian(traj, spin, t)
-        h2 = effective_hamiltonian(traj.scaled(5.0), spin, t)
-        assert np.abs(h1.entries - h2.entries).max() < 1e-12
-
-    def test_off_grid_time_rejected(self):
-        traj = cone_trajectory(1.0, 1.0, 65)
-        spin = spin_fixed(build_space(3, 1))
-        with pytest.raises(ValueError):
-            effective_hamiltonian(traj, spin, 0.123456789)
-
-    def test_one_sample_readers_build_no_whole_array(self):
-        # effective_hamiltonian and lvn_residual read their one sample through rows.
-        traj = helix_traj(steps=128)
-        space = build_space(3, 1)
-        spin, t = spin_fixed(space), traj.times[7]
-        h, residual = effective_hamiltonian(traj, spin, t), lvn_residual(traj, space, t)
-        assert not traj.__dict__.keys() & set(WHOLE_ARRAYS)
-        # The same values as from whole arrays.
-        whole = traj.scaled(1.0)
-        assert np.array_equal(h.entries, effective_hamiltonian(whole, spin, t).entries)
-        assert residual == lvn_residual(whole, space, t)
+        spin = [s.entries for s in spin_fixed(build_space(3, 2))]
+        h1 = _field_operator(traj.rows(64, 65).precession_field[0], spin)
+        h2 = _field_operator(traj.scaled(5.0).rows(64, 65).precession_field[0], spin)
+        assert np.abs(h1 - h2).max() < 1e-12
 
 
 class TestEvolveState:
@@ -511,9 +492,9 @@ class TestChunkedPropagators:
 
 
 def same_angles(result, traj):
-    """Whether result.lam and result.gamma are traj.lam[::2] and traj.gamma[::2] bit for bit."""
+    """Whether result.lam and result.gamma are traj.lam[::2] and traj.gamma_from(None)[0][::2] bit for bit."""
     return all(np.array_equal(ours.view(np.int64), theirs[::2].view(np.int64))
-               for ours, theirs in ((result.lam, traj.lam), (result.gamma, traj.gamma)))
+               for ours, theirs in ((result.lam, traj.lam), (result.gamma, traj.gamma_from(None)[0])))
 
 
 class TestBoundaryAngles:
@@ -548,7 +529,7 @@ class TestBoundaryAngles:
             theta = math.pi / 2730.0 * np.arange(8193)
             tangents = np.column_stack([np.sin(theta) * 0.6, np.sin(theta) * 0.8, np.cos(theta)])
             tangents[::2730, :2] = 0.0
-            traj = trajectory_from_tangents(np.linspace(0.0, 1.0, 8193), tangents)
+            traj = geometry._unit_trajectory(np.linspace(0.0, 1.0, 8193), tangents)
             assert not geometry._off_pole(traj.unit_tangents[::2730]).any()
         result = evolve_state(build_photon_state(build_space(3, photons), photons, 0), traj)
         assert CHUNK_BYTES // (16 * len(result.keep)) == rows
@@ -561,7 +542,7 @@ class TestBoundaryAngles:
         result = evolve_state(build_photon_state(build_space(3, 1), 0, 0), traj)
         assert same_angles(result, traj)
         assert np.diff(result.gamma) == pytest.approx(np.full(32, 1.25 * math.pi))
-        assert np.diff(traj.rows(0, 65, 2).gamma) == pytest.approx(np.full(32, -0.75 * math.pi))
+        assert np.diff(traj.rows(0, 65, 2).gamma_from(None)[0]) == pytest.approx(np.full(32, -0.75 * math.pi))
 
 
 def exact_cone_states(result, polar, offset, rate):
@@ -707,7 +688,7 @@ class TestNonFiniteTrajectory:
         tangents = np.tile([0.0, 0.6, 0.8], (9, 1))
         tangents[4, 0] = bad
         with pytest.raises(ValueError, match="tangents must be finite"):
-            trajectory_from_tangents(np.linspace(0.0, 1.0, 9), tangents)
+            geometry._unit_trajectory(np.linspace(0.0, 1.0, 9), tangents)
 
 
 class TestPhaseBreakdown:
@@ -771,9 +752,10 @@ class TestExtractPhases:
         k0 = np.array([1.0, 0.0, 0.0])
         plus = build_photon_state(space, 1, 0, k_hat=k0)
         minus = build_photon_state(space, 0, 1, k_hat=k0)
-        psi0 = StateVector(space, (plus.amplitudes + 1j * minus.amplitudes) / math.sqrt(2.0))
+        amplitudes = (plus.amplitudes + 1j * minus.amplitudes) / math.sqrt(2.0)
+        psi0 = StateVector(space, amplitudes / np.linalg.norm(amplitudes))
         traj = cone_trajectory(math.pi / 2.0, 1.0, 1025)
-        result = evolve_state(psi0.normalized(), traj)
+        result = evolve_state(psi0, traj)
         with pytest.raises(ValueError, match="ill-conditioned"):
             phase_series(result)
 
@@ -893,6 +875,15 @@ class TestPathSymmetries:
 
 
 class TestLvnResidual:
+    def test_builds_no_whole_array(self):
+        # lvn_residual reads its one sample through rows.
+        traj = helix_traj(steps=128)
+        space = build_space(3, 1)
+        residual = lvn_residual(traj, space, traj.times[7])
+        assert not traj.__dict__.keys() & set(WHOLE_ARRAYS)
+        # The same value as from whole arrays.
+        assert residual == lvn_residual(traj.scaled(1.0), space, traj.times[7])
+
     def test_helix_analytic(self):
         traj = helix_traj(steps=2048)
         assert lvn_residual(traj, build_space(3, 2), traj.times[2048]) < 1e-6

@@ -25,10 +25,11 @@ def row_loop_csv(summary, traj):
     s3 = summary["spin_expectations"]["s3_attributed"]
     total, dynamical, geometric, norms = summary["_series"][4:]
     rate = traj.gamma_dot * (1.0 - np.cos(traj.lam))
+    gamma = traj.gamma_from(None)[0]
     lines = ["t,lambda,gamma,phi_closed,phi_total,phi_dyn,phi_geo,norm"]
     for j, i in enumerate(range(0, len(traj.times), 2)):
         cum = cumulative_panes(rate[: i + 1], traj.times[: i + 1])[-1] if i else 0.0
-        row = [traj.times[i], traj.lam[i], traj.gamma[i], s3 * cum, total[j], dynamical[j], geometric[j], norms[j]]
+        row = [traj.times[i], traj.lam[i], gamma[i], s3 * cum, total[j], dynamical[j], geometric[j], norms[j]]
         lines.append(",".join(format(float(v), ".17g") for v in row))
     return "\n".join(lines) + "\n"
 
@@ -198,6 +199,6 @@ class TestWriteRunCsv:
         summary = scenario.evaluate_scenario(config)
         runcsv.write_run_csv(summary, tmp_path / "wraps.csv")
         gamma = np.loadtxt(tmp_path / "wraps.csv", delimiter=",", skiprows=1)[:, 2]
-        whole = scenario._build_trajectory(config).gamma[::2]
+        whole = scenario._build_trajectory(config).gamma_from(None)[0][::2]
         assert whole[-1] > 9.0 * math.pi
         assert np.array_equal(gamma.view(np.int64), whole.view(np.int64))

@@ -42,8 +42,7 @@ def cone_config(polar=math.pi / 4.0, steps=512, **extra):
 
 
 # The whole-grid arrays a trajectory can build; a cone builds its tangents and derivatives too.
-WHOLE_ARRAYS = ("tangents", "derivatives", "precession_field", "unit_tangents", "motion_residual", "lam", "gamma",
-                "gamma_dot")
+WHOLE_ARRAYS = ("tangents", "derivatives", "precession_field", "unit_tangents", "motion_residual", "lam", "gamma_dot")
 
 
 # An int longer than the 4300 digits CPython will convert to a string.
@@ -252,6 +251,34 @@ class TestParseConfig:
         data = cone_config(medium={"epsilon1": -1.0, "epsilon2": 2.0, "epsilon3": 1.0, "mu": 1.0, "omega": -1.0})
         with pytest.raises(ConfigError, match="omega"):
             parse_config(data, "t")
+
+    def test_list_holding_an_int_too_long_to_print_is_shown_by_type(self):
+        # json.loads refuses such an int, so only a mapping built in Python can carry one.
+        with pytest.raises(ConfigError) as err:
+            parse_config(cone_config(ordering=[HUGE]), "t")
+        assert err.value.field == "ordering"
+        assert err.value.message.endswith(", got a list holding an int too long to print")
+
+    @pytest.mark.parametrize("radius", [0.0, -0.0, -1.0])
+    def test_helix_radius_must_be_positive(self, radius):
+        data = {"geometry": {"kind": "helix", "radius": radius, "pitch_per_turn": 6.0, "turns": 1.0},
+                "state": {"n_r": 1, "n_l": 0}}
+        with pytest.raises(ConfigError) as err:
+            parse_config(data, "t")
+        assert (err.value.field, err.value.message) == ("geometry.radius", "must be positive")
+
+    @pytest.mark.parametrize("data", [[cone_config()], "cone", None, 3], ids=["list", "string", "null", "number"])
+    def test_config_that_is_not_a_mapping_names_field_config(self, data):
+        for call in (lambda: parse_config(data, "t"), lambda: apply_overrides(data, steps=64)):
+            with pytest.raises(ConfigError) as err:
+                call()
+            assert (err.value.field, err.value.message) == ("config", "expected a mapping")
+
+    def test_t_end_refused_with_sampled_geometry(self):
+        data = {"geometry": {"kind": "sampled", "path_csv": "p.csv"}, "state": {"n_r": 1, "n_l": 0}, "t_end": 0.5}
+        with pytest.raises(ConfigError) as err:
+            parse_config(data, "t")
+        assert (err.value.field, err.value.message) == ("t_end", "not supported with sampled geometry")
 
 
 def validation_peak(fn):
@@ -976,7 +1003,6 @@ class TestRunScenario:
         # Off the run path too, every operator is built from matrix products: V by one _expm per sector.
         from fiberphase import (
             cone_trajectory,
-            effective_hamiltonian,
             evolution_operator_V,
             helicity_operator,
             lvn_residual,
@@ -988,8 +1014,7 @@ class TestRunScenario:
         for n_max in (1, 2, 3):
             space = build_space(3, n_max)
             spin = spin_fixed(space)
-            operators = [evolution_operator_V(0.7, 0.3, space), helicity_operator(space, k),
-                         effective_hamiltonian(traj, spin, traj.times[8]), *spin]
+            operators = [evolution_operator_V(0.7, 0.3, space), helicity_operator(space, k), *spin]
             assert all(np.isfinite(op.entries).all() for op in operators)
             assert math.isfinite(lvn_residual(traj, space, traj.times[8]))
 
