@@ -39,8 +39,6 @@ from . import quadrature
 
 POLE_SIN_TOL = 1e-9
 CLOSURE_TOL = 1e-6
-# Read size of count_path_rows, which sizes a path CSV before it is loaded.
-ROW_COUNT_CHUNK_BYTES = 1 << 16
 # Samples per block of a sampled path's differencing, max_norms and running_anholonomy:
 # about 100 KiB per (n, 3) array.
 BLOCK_SAMPLES = 4096
@@ -140,36 +138,28 @@ def helix_points(radius: float, pitch_per_turn: float, turns: float, samples: in
     return t, pts
 
 
-def count_path_rows(filename) -> int:
-    """Data rows of a path CSV (non-blank lines after the header), in bounded memory.
+def _path_lines(fh):
+    """Lines of an open path CSV that np.loadtxt is handed: all but the whitespace-only ones, which it reads as rows."""
+    return itertools.filterfalse(str.isspace, fh)
 
-    The file is read as load_path_csv reads it (UTF-8, universal newlines),
-    ROW_COUNT_CHUNK_BYTES characters at a time, so a sampled path can be
-    sized before it is read whole.  A line counts exactly when the load
-    reads it as a row: not empty, not all whitespace, not starting with '#'.
+
+def count_path_rows(filename) -> int:
+    """Data rows of a path CSV, in bounded memory, so a sampled path can be sized before it is read whole.
+
+    A line counts exactly when load_path_csv reads it as a row: one of
+    _path_lines not starting with '#', which np.loadtxt drops; the header is not counted.
     """
-    lines, opened = 0, ""
-    with open(filename, "r", encoding="utf-8") as fh:
-        for chunk in iter(lambda: fh.read(ROW_COUNT_CHUNK_BYTES), ""):
-            # The first line continues the one the previous chunk left open, which
-            # stands in as "x" when it counts so far and as its first character when not.
-            text = opened + chunk
-            pieces = text.split("\n")
-            last = pieces.pop()
-            comments = text.count("\n#") + text.startswith("#") - last.startswith("#") if "#" in text else 0
-            lines += len(pieces) - pieces.count("") - sum(map(str.isspace, pieces)) - comments
-            opened = "x" if last and not last.isspace() and last[0] != "#" else last[:1]
-    return max(lines + (opened == "x") - 1, 0)
+    with open(filename, "r", encoding="utf-8-sig") as fh:
+        return max(sum(1 for line in _path_lines(fh) if line[0] != "#") - 1, 0)
 
 
 def load_path_csv(filename) -> FiberPath:
-    """Read a sampled path from CSV with header t,x,y,z; blank, whitespace-only and '#' comment lines are skipped."""
-    with open(filename, "r", encoding="utf-8") as fh:
+    """Read a sampled path from CSV with header t,x,y,z (BOM dropped), skipping blank, whitespace-only and '#' lines."""
+    with open(filename, "r", encoding="utf-8-sig") as fh:
         header = fh.readline().strip()
         if header != "t,x,y,z":
             raise ValueError(f"expected CSV header 't,x,y,z', got {header!r}")
-        # np.loadtxt skips empty lines but reads a whitespace-only one as a row of one column.
-        rows = (line for line in fh if not line.isspace())
+        rows = _path_lines(fh)
         first = next(rows, None)
         if first is None:
             raise ValueError("path CSV contains no data rows")
@@ -492,6 +482,14 @@ def geodesic_closure(k_first: np.ndarray, k_last: np.ndarray) -> float:
     anholonomy integral of an open trace it gives the geodesically closed
     (Samuel-Bhandari) solid angle; times the helicity this is the open-path
     geometric phase, exact for number states of one handedness.  It
-    vanishes on a closed trace.
+    vanishes on a closed trace, and is 0 when both ends lie within
+    POLE_SIN_TOL of -z, as cone_anholonomy is.  Where the denominator's sum
+    cancels (near -z) it is taken term by term, as (k_last + z).(k_first + z).
     """
-    return 2.0 * math.atan2(np.cross(k_last, k_first)[2], 1.0 + k_last[2] + k_last @ k_first + k_first[2])
+    at_minus_z = k_first[2] < 0.0 and k_last[2] < 0.0
+    if at_minus_z and max(math.hypot(*k_first[:2]), math.hypot(*k_last[:2])) < POLE_SIN_TOL:
+        return 0.0
+    den = 1.0 + k_last[2] + k_last @ k_first + k_first[2]
+    if abs(den) <= 1e-12:
+        den = (1.0 + k_last[2]) * (1.0 + k_first[2]) + k_last[:2] @ k_first[:2]
+    return 2.0 * math.atan2(np.cross(k_last, k_first)[2], den)

@@ -665,14 +665,11 @@ class TestCsvInterfaces:
         with pytest.raises(ValueError, match="t,x,y,z"):
             load_path_csv(f)
 
-    def test_path_rows_validated(self, tmp_path, monkeypatch):
+    def test_path_rows_validated(self, tmp_path):
         f = tmp_path / "p.csv"
         rows = "".join(f"{i / 9},{i},{i * i},0\n\n" for i in range(9))  # blank lines are skipped
         f.write_text("t,x,y,z\n" + rows)
-        assert len(load_path_csv(f).times) == 9
-        for chunk in (1, 2, 7, 1 << 16):  # rows and blank lines split across read boundaries
-            monkeypatch.setattr(geometry, "ROW_COUNT_CHUNK_BYTES", chunk)
-            assert count_path_rows(f) == 9
+        assert count_path_rows(f) == len(load_path_csv(f).times) == 9
         f.write_text("t,x,y,z\n0,0,0\n1,1,1\n")
         with pytest.raises(ValueError, match="4 columns"):
             load_path_csv(f)
@@ -684,17 +681,24 @@ class TestCsvInterfaces:
             with pytest.raises(ValueError, match="no data rows"):
                 load_path_csv(f)
 
-    @pytest.mark.parametrize("chunk", [3, 7, 64, 1 << 16])
     @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
-    def test_rows_counted_as_loaded_for_any_line_end(self, tmp_path, monkeypatch, newline, chunk):
-        # Line ends split across read boundaries, and whitespace-only lines between rows.
+    def test_rows_counted_as_loaded_for_any_line_end(self, tmp_path, newline):
+        # Whitespace-only lines between rows.
         rows = [f"{i / 16},{math.cos(i / 4)},{math.sin(i / 4)},{i / 16}" for i in range(17)]
         rows[5:5] = ["   "]
         rows[12:12] = ["\t", ""]
         f = tmp_path / "p.csv"
         f.write_bytes(newline.join(["t,x,y,z", *rows, ""]).encode())
-        monkeypatch.setattr(geometry, "ROW_COUNT_CHUNK_BYTES", chunk)
         assert count_path_rows(f) == len(load_path_csv(f).times) == 17
+
+    def test_byte_order_mark_before_the_header_is_dropped(self, tmp_path):
+        # As spreadsheet exports often save a CSV.
+        rows = [f"{i / 16},{math.cos(i / 4)},{math.sin(i / 4)},{i / 16}\n" for i in range(17)]
+        f = tmp_path / "p.csv"
+        f.write_bytes(b"\xef\xbb\xbf" + ("t,x,y,z\n" + "".join(rows)).encode())
+        path = load_path_csv(f)
+        assert count_path_rows(f) == len(path.times) == 17
+        assert np.array_equal(path.times, np.arange(17) / 16)
 
     @settings(max_examples=200, derandomize=True, database=None, deadline=None)
     @given(
@@ -709,29 +713,23 @@ class TestCsvInterfaces:
         ),
         newline=st.sampled_from(["\n", "\r\n", "\r"]),
         final_newline=st.booleans(),
-        chunk=st.integers(1, 16),
     )
-    def test_row_count_is_the_loaded_row_count(self, tmp_path_factory, filler, newline, final_newline, chunk):
+    def test_row_count_is_the_loaded_row_count(self, tmp_path_factory, filler, newline, final_newline):
         # What parse_config's size check reads before any load: blank, whitespace-only and '#' comment lines
-        # between, before and after 17 rows, line ends of every kind falling across the read boundaries of small
-        # chunks.  The whitespace includes non-ASCII characters and the ASCII separators 0x1C-0x1F, which
-        # str.isspace admits.
+        # between, before and after 17 rows, with line ends of every kind.  The whitespace includes non-ASCII
+        # characters and the ASCII separators 0x1C-0x1F, which str.isspace admits.
         rows = [f"{i / 16},{math.cos(i / 4)},{math.sin(i / 4)},{i / 16}" for i in range(17)]
         lines = ["t,x,y,z", *filler[0]]
         for row, extra in zip(rows, filler[1:]):
             lines += [row, *extra]
         f = tmp_path_factory.mktemp("rows") / "p.csv"
         f.write_bytes((newline.join(lines) + newline * final_newline).encode())
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(geometry, "ROW_COUNT_CHUNK_BYTES", chunk)
-            assert count_path_rows(f) == len(load_path_csv(f).times) == 17
+        assert count_path_rows(f) == len(load_path_csv(f).times) == 17
 
-    @pytest.mark.parametrize("chunk", [1, 2, 3, 64])
-    def test_comment_after_indent_counts_as_the_row_the_load_refuses(self, monkeypatch, tmp_path, chunk):
+    def test_comment_after_indent_counts_as_the_row_the_load_refuses(self, tmp_path):
         # np.loadtxt drops a line that starts with '#' but reads "  # probe" as a row of one column.
         f = tmp_path / "p.csv"
         f.write_text("t,x,y,z\n0,1,0,0 # start\n# probe\n  # probe\n1,0,1,1\n")
-        monkeypatch.setattr(geometry, "ROW_COUNT_CHUNK_BYTES", chunk)
         assert count_path_rows(f) == 3
         with pytest.raises(ValueError, match="number of columns changed from 4 to 1"):
             load_path_csv(f)

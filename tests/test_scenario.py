@@ -586,6 +586,23 @@ class TestOpenTrace:
                 k = traj.tangents / np.linalg.norm(traj.tangents, axis=1)[:, None]
                 assert abs(geodesic_closure(k[0], k[-1])) <= 1e-12, label
 
+    # Near -z, cos(lam) rounds to -1 and the closure's denominator sum cancels to 0.0, where atan2 reads pi/2.
+    @pytest.mark.parametrize("t_end", [1.0, 0.4])
+    @pytest.mark.parametrize("eps", [0.0, 1e-10, 5e-10, 2e-9, 5e-9, 1e-8])
+    def test_cone_at_minus_z_passes(self, tmp_path, eps, t_end):
+        outcome = run_scenario(parse_config(cone_config(polar=math.pi - eps, steps=256, t_end=t_end), "pole"), tmp_path)
+        check = next(c for c in outcome.summary["checks"] if c["name"] == "numerical_vs_closed_form")
+        assert check["pass"] is True, check
+        assert outcome.exit_code == 0
+
+    def test_downward_helix_passes(self, tmp_path):
+        helix = {"kind": "helix", "radius": 1e-12, "pitch_per_turn": -1.0, "turns": 1.0}
+        outcome = run_scenario(parse_config(cone_config(steps=256, geometry=helix), "down"), tmp_path)
+        check = next(c for c in outcome.summary["checks"] if c["name"] == "numerical_vs_closed_form")
+        assert check["pass"] is True, check
+        assert outcome.exit_code == 0
+        assert outcome.summary["closed_form"]["geodesic_closure"] == 0.0
+
 
 class TestInvariantDrift:
     @pytest.mark.parametrize("name", ["chiao-helix-45", "multiphoton-21", "gyro-appendix"])

@@ -14,6 +14,9 @@ process, with one BLAS thread, through:
   truncates, and a one-photon superposition on a sampled path;
 * a vacuum cone whose azimuth turns by more than pi a step, the one run
   whose gamma column only the midpoint samples unwrap right;
+* three one-photon cones at -z, where the geodesic closure's sum
+  cancels: lambda = pi closed, lambda = pi with t_end 0.4, and
+  lambda = pi - 5e-9 with t_end 0.4;
 * every call of every ``bench/workloads.generate`` plan at each seed.
 
 Each call runs in a scratch directory with relative paths and its own
@@ -81,10 +84,16 @@ AMPLITUDE_RUNS = (
 # 20 turns in 32 steps turn the azimuth by 225 degrees a step and 112.5 a half step.
 ALIASED_CONE = {"geometry": {"kind": "cone", "polar_angle": 0.7, "turns": 20.0}, "state": {"n_r": 0, "n_l": 0},
                 "n_max": 1, "steps": 32}
+# (name, polar angle, t_end) of the one-photon cones at -z.
+POLE_CONES = (
+    ("pole-cone", math.pi, 1.0),
+    ("open-pole-cone", math.pi, 0.4),
+    ("open-near-pole-cone", math.pi - 5e-9, 0.4),
+)
 
 
 def write_config_inputs(where: Path) -> list[list[str]]:
-    """Write the amplitude-state configs, their path CSV and the aliased cone under where; the argv of each run."""
+    """Write the amplitude-state configs, their path CSV, the aliased cone and the pole cones under where; the argv of each run."""
     where.mkdir()
     with open(where / "tilted-helix.csv", "w", encoding="utf-8", newline="\n") as fh:
         fh.write("t,x,y,z\n")
@@ -106,7 +115,13 @@ def write_config_inputs(where: Path) -> list[list[str]]:
         (where / f"{name}.json").write_text(json.dumps(config), encoding="utf-8")
         argvs.append(["--config", f"{name}.json"])
     (where / "aliased-vacuum-cone.json").write_text(json.dumps(ALIASED_CONE), encoding="utf-8")
-    return argvs + [["--config", "aliased-vacuum-cone.json"]]
+    argvs.append(["--config", "aliased-vacuum-cone.json"])
+    for name, polar, t_end in POLE_CONES:
+        config = {"geometry": {"kind": "cone", "polar_angle": polar, "turns": 1.0}, "state": {"n_r": 1, "n_l": 0},
+                  "n_max": 1, "steps": 256, "t_end": t_end}
+        (where / f"{name}.json").write_text(json.dumps(config), encoding="utf-8")
+        argvs.append(["--config", f"{name}.json"])
+    return argvs
 
 
 def calls(seeds: list[int], workloads) -> list[tuple[str, list[str]]]:
